@@ -9,8 +9,8 @@ from .cascade import DeletionOutcome, delete_and_cascade, followers_of_edge, \
     oracle_best_single, simulate_followers
 from .errors import ContractViolation, EdgeListParseError, EnumerationCapExceeded
 from .graph import Graph, load_edge_list
-from .groups import GroupIndex, SupportGroup, build_truss_group_index, \
-    find_support_groups, refresh_index, upper_bound
+from .groups import GroupIndex, SupportGroup, SupportGroupIndex, \
+    build_truss_group_index, find_support_groups, refresh_index, upper_bound
 from .minimize import ALGORITHMS, IterationRecord, MinimizationReport, \
     SolverConfig, solve, solve_baseline, solve_exact, solve_gp_edge, \
     solve_support, solve_up_edge, verify_equivalence
@@ -29,6 +29,7 @@ __all__ = [
     "MinimizationReport",
     "SolverConfig",
     "SupportGroup",
+    "SupportGroupIndex",
     "TrussSubgraph",
     "TrussnessMap",
     "build_truss_group_index",

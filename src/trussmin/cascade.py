@@ -58,12 +58,29 @@ def delete_and_cascade(t: TrussSubgraph, edge_set: Iterable) -> DeletionOutcome:
 
 
 def simulate_followers(t: TrussSubgraph, eid: int) -> list[int]:
-    """Follower edge ids of deleting one edge; rolls back, `t` unchanged."""
+    """Follower edge ids of deleting one edge; rolls back, `t` unchanged.
+
+    Each partner of `eid` in an alive triangle shares exactly that one
+    triangle with it, so deleting `eid` costs every partner exactly one
+    support.  When no partner sits at the threshold nothing can fall, and
+    the answer is known without touching any state.
+    """
     if not t.alive[eid]:
         raise ContractViolation(f"edge id {eid} is not alive in the truss")
-    log: list = []
+    tris, edge_tris = t.graph.triangle_index()
+    sup, tri_alive, threshold = t.sup, t.tri_alive, t.k - 2
+    for ti in edge_tris[eid]:
+        if not tri_alive[ti]:
+            continue
+        a, b, c = tris[ti]
+        if (sup[a] <= threshold and a != eid or sup[b] <= threshold and b != eid
+                or sup[c] <= threshold and c != eid):
+            break
+    else:
+        return []
+    log: list[int] = []
     dead = t.cascade([eid], log)
-    t.rollback(log, len(dead))
+    t.rollback(log, dead)
     return dead[1:]
 
 

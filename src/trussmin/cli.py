@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from typing import Optional
@@ -254,9 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("-b", type=_positive_int(1, "b"), required=True)
     p_min.add_argument("--algorithm", choices=ALGORITHMS, default="up_edge")
     p_min.add_argument("--format", choices=("json", "csv", "human"), default="human")
-    p_min.add_argument("--threads", type=_positive_int(1, "threads"),
-                       default=os.cpu_count() or 1,
-                       help="parallel candidate evaluation; 1 = sequential reference mode")
+    p_min.add_argument("--threads", type=_positive_int(1, "threads"), default=1,
+                       help="worker processes for baseline and gp_edge candidate "
+                            "evaluation; 1 (the default) evaluates sequentially")
     p_min.add_argument("--exact-cap", type=_positive_int(1, "exact-cap"),
                        default=2_000_000, help="refusal threshold for the exact solver")
     p_min.add_argument("--rebuild-index", action="store_true",
@@ -275,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default=["baseline", "gp_edge", "up_edge"],
                          help="comma-separated algorithm names")
     p_bench.add_argument("--reps", type=_positive_int(1, "reps"), default=1)
-    p_bench.add_argument("--threads", type=_positive_int(1, "threads"),
-                         default=os.cpu_count() or 1)
+    p_bench.add_argument("--threads", type=_positive_int(1, "threads"), default=1)
     p_bench.add_argument("--exact-cap", type=_positive_int(1, "exact-cap"),
                          default=2_000_000)
     p_bench.set_defaults(func=cmd_bench)

@@ -128,21 +128,20 @@ def load_edge_list(stream: IO[str]) -> Graph:
     Lines starting with '#' and blank lines are ignored.  Self-loops are
     dropped; duplicate and reversed-duplicate edges collapse to one edge.
     Raises EdgeListParseError (with the 1-based line number) on any line
-    that is not exactly two non-negative integers.
+    that is not exactly two labels of ASCII digits: no sign, no
+    underscores, no other scripts' digits, all of which `int()` accepts.
     """
     pairs: list[tuple[int, int]] = []
     for line_no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise EdgeListParseError(line_no, f"expected two vertex labels, got {len(parts)} tokens")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListParseError(line_no, f"non-integer token in {line!r}") from None
-        if a < 0 or b < 0:
-            raise EdgeListParseError(line_no, f"negative vertex label in {line!r}")
-        pairs.append((a, b))
+        a, b = parts
+        if not (raw.isascii() and a.isdigit() and b.isdigit()):
+            raise EdgeListParseError(
+                line_no, f"vertex labels must be non-negative integers in ASCII digits: "
+                         f"{raw.strip()!r}")
+        pairs.append((int(a), int(b)))
     return Graph.from_pairs(pairs)

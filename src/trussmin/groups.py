@@ -25,10 +25,54 @@ class SupportGroup:
     gid: int
     members: list[int]                      # edge ids, ascending; members[0] is the representative
     pruned_followers: set[int] = field(default_factory=set)
+    # over-threshold edges sharing an alive triangle with a member
+    over_adjacent: tuple[int, ...] = ()
 
     @property
     def representative(self) -> int:
         return self.members[0]
+
+
+def _grow_support_group(t: TrussSubgraph, start: int, gid_of: dict[int, int],
+                        gid: int) -> SupportGroup:
+    """BFS over threshold edges through alive triangles, starting at `start`.
+
+    Records every member in `gid_of`.  Meeting an edge that `gid_of`
+    already gives to another group means that group should have been
+    dissolved first, which is an internal error.
+    """
+    tris, edge_tris = t.graph.triangle_index()
+    threshold = t.k - 2
+    sup, tri_alive = t.sup, t.tri_alive
+    members = [start]
+    gid_of[start] = gid
+    # over-threshold edge -> the member triangles it sits in
+    hit: dict[int, set[int]] = {}
+    for e in members:  # grows while it is walked: breadth-first
+        for ti in edge_tris[e]:
+            if not tri_alive[ti]:
+                continue
+            for o in tris[ti]:
+                if o == e:
+                    continue
+                if sup[o] == threshold:
+                    other = gid_of.get(o)
+                    if other is None:
+                        gid_of[o] = gid
+                        members.append(o)
+                    elif other != gid:
+                        raise AssertionError(
+                            f"support group grown from edge {start} reached group {other}")
+                elif o in hit:
+                    hit[o].add(ti)
+                else:
+                    hit[o] = {ti}
+    members.sort()
+    # An over-threshold edge whose slack is exceeded by distinct triangles
+    # that each contain a group member must fall with the group.
+    pruned = {o for o, triangles in hit.items() if len(triangles) > sup[o] - threshold}
+    return SupportGroup(gid=gid, members=members, pruned_followers=pruned,
+                        over_adjacent=tuple(hit))
 
 
 def find_support_groups(t: TrussSubgraph) -> tuple[list[SupportGroup], list[int]]:
@@ -38,60 +82,128 @@ def find_support_groups(t: TrussSubgraph) -> tuple[list[SupportGroup], list[int]
     edge that shares a triangle with a threshold edge and was not already
     identified as a certain follower of some group.  Everything outside
     that set provably has zero followers.
+
+    This scans the whole truss; it is the from-scratch reference that
+    `SupportGroupIndex` is checked against.
     """
-    g = t.graph
-    tris, edge_tris = g.triangle_index()
-    threshold = t.k - 2
-    alive, sup, tri_alive = t.alive, t.sup, t.tri_alive
-
+    alive, sup, threshold = t.alive, t.sup, t.k - 2
     groups: list[SupportGroup] = []
-    visited = bytearray(g.m)
+    gid_of: dict[int, int] = {}
+    for start in range(t.graph.m):
+        if alive[start] and sup[start] == threshold and start not in gid_of:
+            groups.append(_grow_support_group(t, start, gid_of, len(groups)))
     over_adjacent: set[int] = set()
-
-    for start in range(g.m):
-        if not alive[start] or sup[start] != threshold or visited[start]:
-            continue
-        members: list[int] = []
-        queue = deque([start])
-        visited[start] = 1
-        while queue:
-            e = queue.popleft()
-            members.append(e)
-            for ti in edge_tris[e]:
-                if not tri_alive[ti]:
-                    continue
-                for o in tris[ti]:
-                    if o == e or not alive[o]:
-                        continue
-                    if sup[o] == threshold:
-                        if not visited[o]:
-                            visited[o] = 1
-                            queue.append(o)
-                    else:
-                        over_adjacent.add(o)
-        members.sort()
-        group = SupportGroup(gid=len(groups), members=members)
-        # An over-threshold edge whose slack is exceeded by distinct triangles
-        # that each contain a group member must fall with the group.
-        hit: dict[int, set[int]] = {}
-        for m in members:
-            for ti in edge_tris[m]:
-                if not tri_alive[ti]:
-                    continue
-                for o in tris[ti]:
-                    if alive[o] and sup[o] > threshold:
-                        hit.setdefault(o, set()).add(ti)
-        for o, triangles in hit.items():
-            if len(triangles) > sup[o] - threshold:
-                group.pruned_followers.add(o)
-        groups.append(group)
-
     pruned_all: set[int] = set()
     for grp in groups:
+        over_adjacent.update(grp.over_adjacent)
         pruned_all |= grp.pruned_followers
     candidates = sorted({grp.representative for grp in groups}
                         | (over_adjacent - pruned_all))
     return groups, candidates
+
+
+class SupportGroupIndex:
+    """Support groups and candidates of one truss, maintained across commits.
+
+    Starts from the groups `find_support_groups(t)` found; after each
+    committed cascade, `update` takes that cascade's dead list and change
+    log, dissolves only the groups the cascade could have changed, and
+    regrows groups over their region.  Groups and candidates always equal
+    what `find_support_groups` would return for the current state of `t`.
+    """
+
+    __slots__ = ("t", "gid_of", "by_gid", "rep_group", "over_count",
+                 "pruned_count", "_candidates", "next_gid")
+
+    def __init__(self, t: TrussSubgraph, groups: list[SupportGroup]):
+        self.t = t
+        self.gid_of: dict[int, int] = {}            # threshold edge -> gid
+        self.by_gid: dict[int, SupportGroup] = {}
+        self.rep_group: dict[int, SupportGroup] = {}
+        # per edge: how many groups list it as over-adjacent / pruned
+        self.over_count: dict[int, int] = {}
+        self.pruned_count: dict[int, int] = {}
+        self._candidates: Optional[list[int]] = None
+        self.next_gid = 0
+        for grp in groups:
+            for e in grp.members:
+                self.gid_of[e] = grp.gid
+            self._add(grp)
+            self.next_gid = max(self.next_gid, grp.gid + 1)
+
+    def groups(self) -> list[SupportGroup]:
+        """The current groups, ordered by representative."""
+        return [self.rep_group[r] for r in sorted(self.rep_group)]
+
+    def candidates(self) -> list[int]:
+        """Representatives plus unpruned over-adjacent edges, ascending."""
+        if self._candidates is None:
+            pruned = self.pruned_count
+            self._candidates = sorted(
+                [*self.rep_group, *(o for o in self.over_count if o not in pruned)])
+        return self._candidates
+
+    def update(self, dead: list[int], log: list[int]) -> None:
+        """Bring the index up to date after `t.cascade(seeds, log)` returned `dead`.
+
+        Only a dead or decremented edge changes its own support, so only
+        the groups holding one, or sharing a triangle that was alive before
+        the cascade with one, can change; every other group keeps its
+        members, supports and triangles.  A triangle the cascade killed
+        holds nothing but dead and decremented edges, so the alive
+        triangles of those edges are the only ones left to look through.
+        """
+        t = self.t
+        tris, edge_tris = t.graph.triangle_index()
+        alive, sup, tri_alive, threshold = t.alive, t.sup, t.tri_alive, t.k - 2
+        gid_of = self.gid_of
+        affected = set(dead)
+        affected.update(x for x in log if x >= 0)
+        dissolve: set[int] = set()
+        for x in affected:
+            gid = gid_of.get(x)
+            if gid is not None:
+                dissolve.add(gid)
+            for ti in edge_tris[x]:
+                if tri_alive[ti]:
+                    for o in tris[ti]:
+                        gid = gid_of.get(o)
+                        if gid is not None:
+                            dissolve.add(gid)
+        region = affected  # grows into the members of the dissolved groups
+        for gid in dissolve:
+            grp = self.by_gid.pop(gid)
+            del self.rep_group[grp.representative]
+            for e in grp.members:
+                del gid_of[e]
+            region.update(grp.members)
+            self._count(grp, -1)
+        for e in sorted(region):
+            if alive[e] and sup[e] == threshold and e not in gid_of:
+                self._grow(e)
+        self._candidates = None
+
+    # -- bookkeeping -----------------------------------------------------------
+
+    def _grow(self, start: int) -> None:
+        self._add(_grow_support_group(self.t, start, self.gid_of, self.next_gid))
+        self.next_gid += 1
+
+    def _add(self, grp: SupportGroup) -> None:
+        self.by_gid[grp.gid] = grp
+        self.rep_group[grp.representative] = grp
+        self._count(grp, 1)
+
+    def _count(self, grp: SupportGroup, delta: int) -> None:
+        """Add (+1) or withdraw (-1) one group's votes for its over-adjacent edges."""
+        for counts, edges in ((self.over_count, grp.over_adjacent),
+                              (self.pruned_count, grp.pruned_followers)):
+            for o in edges:
+                n = counts.get(o, 0) + delta
+                if n:
+                    counts[o] = n
+                else:
+                    del counts[o]
 
 
 class GroupIndex:
@@ -104,7 +216,7 @@ class GroupIndex:
     """
 
     __slots__ = ("graph", "tau", "primary_level", "levels", "next_gid",
-                 "alive_snapshot", "last_dissolved")
+                 "last_dissolved")
 
     def __init__(self, graph: Graph, tau: TrussnessMap, primary_level: int):
         self.graph = graph
@@ -112,7 +224,6 @@ class GroupIndex:
         self.primary_level = primary_level
         self.levels: dict[int, tuple[dict[int, int], dict[int, list[int]]]] = {}
         self.next_gid = 0
-        self.alive_snapshot = bytearray(tau.alive)
         # group ids dissolved by the most recent refresh; lets callers drop
         # anything they derived from those groups
         self.last_dissolved: set[int] = set()
@@ -248,38 +359,35 @@ def upper_bounds(idx: GroupIndex, eids) -> dict[int, int]:
 
 
 def refresh_index(idx: GroupIndex, changed: Iterable[int], g: Graph,
-                  tau: TrussnessMap) -> GroupIndex:
-    """Repair the index after a deletion changed some trussness values.
+                  tau: TrussnessMap, deleted: int) -> GroupIndex:
+    """Repair the index after deleting edge `deleted` changed some trussness values.
 
-    Dissolves every group holding a changed (or deleted) edge or sharing a
-    pre-deletion triangle with one, then regrows groups over that region.
-    Untouched groups keep their ids and member lists.  The result matches
-    rebuilding every materialized level from scratch.
+    `tau` is the map `update_after_deletion` returned for that deletion,
+    and `changed` the edges it reported.  Dissolves every group holding a
+    changed (or the deleted) edge or sharing a pre-deletion triangle with
+    one, then regrows groups over that region.  Untouched groups keep
+    their ids and member lists.  The result matches rebuilding every
+    materialized level from scratch.
     """
     changed = set(changed)
     old_tau = idx.tau
-    old_alive = idx.alive_snapshot
-    deleted = [e for e in range(g.m) if old_alive[e] and not tau.alive[e]]
-    idx.last_dissolved = set()
-    if not changed and not deleted:
-        return idx
+    alive = tau.alive
 
     touched_levels: set[int] = set()
     for c in changed:
         touched_levels.add(old_tau.values[c])
         touched_levels.add(tau.values[c])
-    for d in deleted:
-        touched_levels.add(old_tau.values[d])
-        # A deleted edge can be a pure bridge in any level below its own
-        # trussness: losing its triangles may split a group there without
-        # any trussness changing.
-        for lv in idx.levels:
-            if lv <= old_tau.values[d]:
-                touched_levels.add(lv)
+    touched_levels.add(old_tau.values[deleted])
+    # The deleted edge can be a pure bridge in any level below its own
+    # trussness: losing its triangles may split a group there without any
+    # trussness changing.
+    for lv in idx.levels:
+        if lv <= old_tau.values[deleted]:
+            touched_levels.add(lv)
     touched_levels = {lv for lv in touched_levels if lv >= 3}
 
     tris, edge_tris = g.triangle_index()
-    affected = changed | set(deleted)
+    affected = changed | {deleted}
 
     # Levels nobody has looked at yet stay unmaterialized; they build lazily
     # on first access against whatever the state is then.
@@ -287,6 +395,7 @@ def refresh_index(idx: GroupIndex, changed: Iterable[int], g: Graph,
 
     # Rebind current state first: regrown regions must see the new values.
     idx.tau = tau
+    idx.last_dissolved = set()
 
     for level in to_splice:
         gid_of, group_members = idx.levels[level]
@@ -296,13 +405,15 @@ def refresh_index(idx: GroupIndex, changed: Iterable[int], g: Graph,
                 dissolve.add(gid_of[x])
             for ti in edge_tris[x]:
                 a, b, c = tris[ti]
-                if not (old_alive[a] and old_alive[b] and old_alive[c]):
+                # alive before the deletion
+                if not ((alive[a] or a == deleted) and (alive[b] or b == deleted)
+                        and (alive[c] or c == deleted)):
                     continue
                 for o in (a, b, c):
                     if o != x and o in gid_of:
                         dissolve.add(gid_of[o])
         if not dissolve and not any(
-                tau.alive[c] and tau.values[c] == level for c in changed):
+                alive[c] and tau.values[c] == level for c in changed):
             continue
         idx.last_dissolved |= dissolve
         region: set[int] = set()
@@ -312,7 +423,7 @@ def refresh_index(idx: GroupIndex, changed: Iterable[int], g: Graph,
             del gid_of[e]
         region |= changed
         seeds = sorted(e for e in region
-                       if tau.alive[e] and tau.values[e] == level)
+                       if alive[e] and tau.values[e] == level)
         for e in seeds:
             if e in gid_of:
                 continue
@@ -323,6 +434,4 @@ def refresh_index(idx: GroupIndex, changed: Iterable[int], g: Graph,
                 raise AssertionError(
                     f"refresh at level {level} reached undissolved groups {sorted(contacts)}")
             group_members[gid] = members
-
-    idx.alive_snapshot = bytearray(tau.alive)
     return idx

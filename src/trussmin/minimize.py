@@ -10,6 +10,7 @@ edges and per-iteration counts are bit-identical.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from dataclasses import dataclass, field
@@ -17,10 +18,10 @@ from itertools import combinations
 from typing import Optional
 
 from .cascade import simulate_followers
-from .errors import EnumerationCapExceeded
+from .errors import ContractViolation, EnumerationCapExceeded
 from .graph import Graph
-from .groups import SupportGroup, build_truss_group_index, find_support_groups, \
-    refresh_index
+from .groups import SupportGroup, SupportGroupIndex, build_truss_group_index, \
+    find_support_groups, refresh_index
 from .truss import TrussnessMap, TrussSubgraph, k_truss, truss_decompose, \
     update_after_deletion
 
@@ -103,10 +104,20 @@ class MinimizationReport:
 
 # -- shared helpers -----------------------------------------------------------
 
-def _commit(t: TrussSubgraph, eid: int) -> int:
-    """Apply one deletion for real; returns its follower count."""
-    dead = t.cascade([eid])
-    return len(dead) - 1
+def _commit(t: TrussSubgraph, eid: int,
+            expected: Optional[int] = None) -> tuple[list[int], list[int]]:
+    """Apply one deletion for real; returns the cascade's dead list and log.
+
+    When `expected` is given, the committed follower count must equal it:
+    this is the check that ties candidate evaluation to the commit.
+    """
+    log: list[int] = []
+    dead = t.cascade([eid], log)
+    if expected is not None and len(dead) - 1 != expected:
+        raise ContractViolation(
+            f"deleting edge id {eid} dropped {len(dead) - 1} followers; "
+            f"evaluation predicted {expected}")
+    return dead, log
 
 
 def _choose_from_ties(t: TrussSubgraph, best_f: int, ties: list[int],
@@ -120,7 +131,8 @@ def _choose_from_ties(t: TrussSubgraph, best_f: int, ties: list[int],
     """
     if best_f <= 0:
         e = t.min_alive_edge()
-        assert e is not None
+        if e is None:
+            raise ContractViolation("no alive edge to choose from")
         return e
     pool: list[int] = []
     for c in ties:
@@ -194,11 +206,10 @@ def solve_baseline(t: TrussSubgraph, b: int,
                 f = len(simulate_followers(t, e))
                 if f > best_f:
                     best_f, best_e = f, e
-        followers = _commit(t, best_e)
-        assert followers == best_f
+        _commit(t, best_e, best_f)
         chosen.append(best_e)
         records.append(IterationRecord(
-            edge=t.graph.original_pair(best_e), eid=best_e, followers=followers,
+            edge=t.graph.original_pair(best_e), eid=best_e, followers=best_f,
             candidates_total=len(alive), candidates_evaluated=len(alive),
             time_ms=(time.perf_counter() - start) * 1000.0))
     return chosen, records
@@ -207,24 +218,39 @@ def solve_baseline(t: TrussSubgraph, b: int,
 def solve_support(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRecord]]:
     """Heuristic: delete the weakest triangle partner of the weakest edge."""
     tris, edge_tris = t.graph.triangle_index()
+    m = t.graph.m
+    alive, sup, tri_alive = t.alive, t.sup, t.tri_alive
+    # Lazy min-heap of sup * m + e, which orders alive edges by (sup, e).
+    # Supports only fall, so an entry is stale exactly when its edge died
+    # or has since been pushed again with a lower support.
+    heap = [sup[e] * m + e for e in range(m) if alive[e]]
+    heapq.heapify(heap)
     chosen: list[int] = []
     records: list[IterationRecord] = []
     while len(chosen) < b and t.edge_count > 0:
         start = time.perf_counter()
-        alive = t.alive_edge_ids()
-        e_min = min(alive, key=lambda e: (t.sup[e], e))
+        candidates_total = t.edge_count
+        while True:
+            s_min, e_min = divmod(heap[0], m)
+            if alive[e_min] and sup[e_min] == s_min:
+                break
+            heapq.heappop(heap)
         partners: set[int] = set()
         for ti in edge_tris[e_min]:
-            if t.tri_alive[ti]:
-                partners.update(o for o in tris[ti] if o != e_min and t.alive[o])
+            if tri_alive[ti]:
+                partners.update(o for o in tris[ti] if o != e_min and alive[o])
         # inside a truss with k >= 3 every edge sits in a triangle
-        assert partners, "minimum-support edge has no alive triangle"
-        e_star = min(partners, key=lambda e: (t.sup[e], e))
-        followers = _commit(t, e_star)
+        if not partners:
+            raise ContractViolation(f"minimum-support edge id {e_min} has no alive triangle")
+        e_star = min(partners, key=lambda e: (sup[e], e))
+        dead, log = _commit(t, e_star)
+        for o in {x for x in log if x >= 0}:
+            if alive[o]:
+                heapq.heappush(heap, sup[o] * m + o)
         chosen.append(e_star)
         records.append(IterationRecord(
-            edge=t.graph.original_pair(e_star), eid=e_star, followers=followers,
-            candidates_total=len(alive), candidates_evaluated=0,
+            edge=t.graph.original_pair(e_star), eid=e_star, followers=len(dead) - 1,
+            candidates_total=candidates_total, candidates_evaluated=0,
             time_ms=(time.perf_counter() - start) * 1000.0))
     return chosen, records
 
@@ -246,13 +272,14 @@ def solve_exact(t: TrussSubgraph, b: int,
     start = time.perf_counter()
     best_f, best_set = -1, None
     for combo in combinations(alive, bb):
-        log: list = []
+        log: list[int] = []
         dead = t.cascade(combo, log)
         f = len(dead) - len(combo)
-        t.rollback(log, len(dead))
+        t.rollback(log, dead)
         if f > best_f:
             best_f, best_set = f, combo
-    assert best_set is not None
+    if best_set is None:
+        raise ContractViolation("no edge subset was enumerated")
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     # Commit the winning set one edge at a time so the report carries
     # per-edge records; marginal followers exclude the chosen set itself,
@@ -266,23 +293,30 @@ def solve_exact(t: TrussSubgraph, b: int,
             edge=t.graph.original_pair(e), eid=e, followers=marginal,
             candidates_total=ncomb, candidates_evaluated=ncomb if i == 0 else 0,
             time_ms=elapsed_ms if i == 0 else 0.0))
-    assert sum(r.followers for r in records) == best_f
+    if sum(r.followers for r in records) != best_f:
+        raise ContractViolation(
+            f"committing {list(best_set)} dropped {sum(r.followers for r in records)} "
+            f"followers; enumeration found {best_f}")
     return list(best_set), records
 
 
 def _fallback_iteration(t: TrussSubgraph, records: list[IterationRecord],
-                        chosen: list[int], candidates_total: int, start: float) -> int:
-    """No edge can have followers: delete the smallest alive edge anyway."""
+                        chosen: list[int], candidates_total: int,
+                        start: float) -> tuple[int, list[int], list[int]]:
+    """No edge can have followers: delete the smallest alive edge anyway.
+
+    Returns the deleted edge plus the commit's dead list and log.
+    """
     e_star = t.min_alive_edge()
-    assert e_star is not None
-    followers = _commit(t, e_star)
-    assert followers == 0
+    if e_star is None:
+        raise ContractViolation("no alive edge to delete")
+    dead, log = _commit(t, e_star, 0)
     chosen.append(e_star)
     records.append(IterationRecord(
         edge=t.graph.original_pair(e_star), eid=e_star, followers=0,
         candidates_total=candidates_total, candidates_evaluated=0,
         time_ms=(time.perf_counter() - start) * 1000.0))
-    return e_star
+    return e_star, dead, log
 
 
 def solve_gp_edge(t: TrussSubgraph, b: int,
@@ -297,13 +331,14 @@ def solve_gp_edge(t: TrussSubgraph, b: int,
     """
     chosen: list[int] = []
     records: list[IterationRecord] = []
+    support_groups = SupportGroupIndex(t, find_support_groups(t)[0])
     while len(chosen) < b and t.edge_count > 0:
         start = time.perf_counter()
-        groups, candidates = find_support_groups(t)
+        candidates = support_groups.candidates()
         if not candidates:
-            _fallback_iteration(t, records, chosen, 0, start)
+            _, dead, log = _fallback_iteration(t, records, chosen, 0, start)
+            support_groups.update(dead, log)
             continue
-        rep_group = {grp.representative: grp for grp in groups}
         fvals: dict[int, int] = {}
         best_f = -1
         ties: list[int] = []
@@ -340,9 +375,10 @@ def solve_gp_edge(t: TrussSubgraph, b: int,
                 evaluated += 1
                 if f == best_f:
                     ties.append(c)
-        e_star = _choose_from_ties(t, best_f, ties, rep_group)
-        followers = _commit(t, e_star)
-        assert followers == max(best_f, 0)
+        e_star = _choose_from_ties(t, best_f, ties, support_groups.rep_group)
+        followers = max(best_f, 0)
+        dead, log = _commit(t, e_star, followers)
+        support_groups.update(dead, log)
         chosen.append(e_star)
         records.append(IterationRecord(
             edge=t.graph.original_pair(e_star), eid=e_star, followers=followers,
@@ -399,14 +435,17 @@ def solve_up_edge(t: TrussSubgraph, b: int, rebuild_index: bool = False
     # one of the groups it summed over dissolves.
     ub_cache: dict[int, tuple[int, frozenset[int]]] = {}
 
-    def advance(e_star: int, dead: list[int]) -> None:
+    support_groups = SupportGroupIndex(t, find_support_groups(t)[0])
+
+    def advance(e_star: int, dead: list[int], log: list[int]) -> None:
         nonlocal tau, idx
+        support_groups.update(dead, log)
         tau, changed = update_after_deletion(g, tau, g.edges[e_star])
         if rebuild_index:
             idx = build_truss_group_index(g, tau, k)
             ub_cache.clear()
             return
-        idx = refresh_index(idx, changed, g, tau)
+        idx = refresh_index(idx, changed, g, tau, e_star)
         for x in set(dead) | changed:
             for ti in edge_tris[x]:
                 a, bb, c = tris[ti]
@@ -420,12 +459,10 @@ def solve_up_edge(t: TrussSubgraph, b: int, rebuild_index: bool = False
 
     while len(chosen) < b and t.edge_count > 0:
         start = time.perf_counter()
-        groups, candidates = find_support_groups(t)
+        candidates = support_groups.candidates()
         if not candidates:
-            e_star = _fallback_iteration(t, records, chosen, 0, start)
-            advance(e_star, [e_star])
+            advance(*_fallback_iteration(t, records, chosen, 0, start))
             continue
-        rep_group = {grp.representative: grp for grp in groups}
         sizes = idx.group_sizes()
         ubs: dict[int, int] = {}
         for c in candidates:
@@ -435,7 +472,8 @@ def solve_up_edge(t: TrussSubgraph, b: int, rebuild_index: bool = False
                 hit = (sum(sizes[x] for x in gids), frozenset(gids))
                 ub_cache[c] = hit
             ubs[c] = hit[0]
-        order = sorted(candidates, key=lambda c: (-ubs[c], c))
+        # by (-bound, edge id): candidates ascend, and a reverse sort is stable
+        order = sorted(candidates, key=ubs.__getitem__, reverse=True)
         fvals: dict[int, int] = {}
         removed_by: dict[int, int] = {}
         best_f = -1
@@ -476,12 +514,11 @@ def solve_up_edge(t: TrussSubgraph, b: int, rebuild_index: bool = False
             evaluated += 1
             if f == best_f:
                 ties.append(c)
-        e_star = _choose_from_ties(t, best_f, ties, rep_group)
-        dead = t.cascade([e_star])
-        followers = len(dead) - 1
-        assert followers == max(best_f, 0)
+        e_star = _choose_from_ties(t, best_f, ties, support_groups.rep_group)
+        followers = max(best_f, 0)
+        dead, log = _commit(t, e_star, followers)
         chosen.append(e_star)
-        advance(e_star, dead)
+        advance(e_star, dead, log)
         records.append(IterationRecord(
             edge=t.graph.original_pair(e_star), eid=e_star, followers=followers,
             candidates_total=len(candidates), candidates_evaluated=evaluated,

@@ -82,58 +82,58 @@ class TrussSubgraph:
 
     # -- cascade engine ------------------------------------------------------
 
-    def cascade(self, seeds: Iterable[int], log: Optional[list] = None) -> list[int]:
+    def cascade(self, seeds: Iterable[int], log: Optional[list[int]] = None) -> list[int]:
         """Delete `seeds` and peel every edge whose support drops below k-2.
 
         Returns the dead edges (seeds first, then followers in removal
-        order).  When `log` is given every state change is recorded so
-        `rollback` can undo the whole cascade.
+        order).  When `log` is given it receives one flat int per state
+        change: `~t` for each killed triangle t and the edge id for each
+        support decrement.  Together with the returned dead list that is
+        everything `rollback` needs, and everything a maintained index
+        needs to find the region the cascade touched.
         """
         tris, edge_tris = self.graph.triangle_index()
         alive, sup, tri_alive = self.alive, self.sup, self.tri_alive
         threshold = self.k - 2
+        push = log.append if log is not None else None
         dead: list[int] = []
-        stack: list[int] = []
         for e in seeds:
             if alive[e]:
                 alive[e] = 0
-                if log is not None:
-                    log.append((0, e))
                 dead.append(e)
-                stack.append(e)
+        stack = list(dead)
         while stack:
             e = stack.pop()
             for t in edge_tris[e]:
                 if not tri_alive[t]:
                     continue
                 tri_alive[t] = 0
-                if log is not None:
-                    log.append((1, t))
+                if push is not None:
+                    push(~t)
                 for o in tris[t]:
                     if not alive[o]:
                         continue
                     sup[o] -= 1
-                    if log is not None:
-                        log.append((2, o))
+                    if push is not None:
+                        push(o)
                     if sup[o] < threshold:
                         alive[o] = 0
-                        if log is not None:
-                            log.append((0, o))
                         dead.append(o)
                         stack.append(o)
         self.edge_count -= len(dead)
         return dead
 
-    def rollback(self, log: list, dead_count: int) -> None:
-        alive, sup, tri_alive = self.alive, self.sup, self.tri_alive
-        for kind, x in reversed(log):
-            if kind == 0:
-                alive[x] = 1
-            elif kind == 1:
-                tri_alive[x] = 1
+    def rollback(self, log: list[int], dead: list[int]) -> None:
+        """Undo a logged `cascade`; `dead` is the list that cascade returned."""
+        sup, tri_alive, alive = self.sup, self.tri_alive, self.alive
+        for x in log:
+            if x < 0:
+                tri_alive[~x] = 1
             else:
                 sup[x] += 1
-        self.edge_count += dead_count
+        for e in dead:
+            alive[e] = 1
+        self.edge_count += len(dead)
 
 
 def k_truss(g: Graph, k: int) -> TrussSubgraph:

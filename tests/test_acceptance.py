@@ -14,10 +14,10 @@ import pytest
 import oracles
 import synth
 from conftest import complete_pairs, er_pairs, graph_of, label_pairs
-from trussmin import SolverConfig, build_truss_group_index, delete_and_cascade, \
-    find_support_groups, followers_of_edge, k_truss, refresh_index, \
-    simulate_followers, solve, truss_decompose, update_after_deletion, \
-    upper_bound, verify_equivalence
+from trussmin import SolverConfig, SupportGroupIndex, build_truss_group_index, \
+    delete_and_cascade, find_support_groups, followers_of_edge, k_truss, \
+    refresh_index, simulate_followers, solve, truss_decompose, \
+    update_after_deletion, upper_bound, verify_equivalence
 from trussmin.graph import Graph
 
 
@@ -165,7 +165,7 @@ def test_criterion_5_incremental_maintenance_matches_scratch():
                 for e in range(g.m):
                     if tau.alive[e]:
                         assert tau.values[e] == expected[g.original_pair(e)]
-                idx = refresh_index(idx, changed, g, tau)
+                idx = refresh_index(idx, changed, g, tau, eid)
                 fresh = build_truss_group_index(g, tau, k)
                 for level in list(idx.levels):
                     fresh.ensure_level(level)
@@ -278,3 +278,33 @@ def test_criterion_8_k5_golden():
         ok = ok and rep.followers_total == 9 and rep.final_truss_edges == 0
     report("criterion 8: K5 golden (9 followers, empty truss, all five "
            "algorithms)", ok)
+
+
+def _group_view(groups):
+    return [(grp.members, grp.pruned_followers, set(grp.over_adjacent)) for grp in groups]
+
+
+def test_criterion_9_support_group_maintenance_matches_scratch():
+    rng = random.Random(909)
+    commits = 0
+    graphs = random_graphs(909, 300, n_max=22)
+    for pairs in graphs:
+        g = graph_of(pairs)
+        for k in range(3, 8):
+            t = k_truss(g, k)
+            if t.edge_count == 0:
+                continue
+            index = SupportGroupIndex(t, find_support_groups(t)[0])
+            while t.edge_count:
+                alive = t.alive_edge_ids()
+                seeds = rng.sample(alive, min(len(alive), rng.choice((1, 1, 2))))
+                log = []
+                dead = t.cascade(seeds, log)
+                index.update(dead, log)
+                groups, candidates = find_support_groups(t)
+                assert _group_view(index.groups()) == _group_view(groups), \
+                    f"k={k}, after deleting {label_pairs(g, seeds)} from {pairs}"
+                assert index.candidates() == candidates
+                commits += 1
+    report("criterion 9: maintained support groups == scratch after every commit",
+           commits > 0, f"{len(graphs)} graphs, k=3..7, {commits} commits replayed")

@@ -129,6 +129,66 @@ class TestFollowersOfEdge:
         assert before == after
 
 
+def truss_state(t):
+    return (bytes(t.alive), list(t.sup), bytes(t.tri_alive), t.edge_count)
+
+
+def random_trusses(rng, count, ks=range(3, 8)):
+    """(graph, k, truss) triples with a non-empty truss, for k in `ks`."""
+    out = []
+    while len(out) < count:
+        g = graph_of(er_pairs(rng, rng.randint(6, 18), rng.uniform(0.4, 0.8)))
+        for k in ks:
+            t = k_truss(g, k)
+            if t.edge_count:
+                out.append((g, k, t))
+    return out
+
+
+class TestCascadeLog:
+    def test_rollback_restores_state_after_multi_seed_cascades(self, rng):
+        seen_k = set()
+        for _, k, t in random_trusses(rng, 60):
+            before = truss_state(t)
+            alive = t.alive_edge_ids()
+            for size in (1, 2, 3):
+                for _ in range(5):
+                    seeds = sorted(rng.sample(alive, min(size, len(alive))))
+                    log = []
+                    dead = t.cascade(seeds, log)
+                    assert dead[:len(seeds)] == seeds
+                    t.rollback(log, dead)
+                    assert truss_state(t) == before, f"k={k}, seeds {seeds}"
+            seen_k.add(k)
+        assert seen_k == set(range(3, 8))
+
+    def test_log_holds_killed_triangles_and_decrements(self, rng):
+        for _, _, t in random_trusses(rng, 30):
+            alive = t.alive_edge_ids()
+            seeds = rng.sample(alive, min(2, len(alive)))
+            sup_before, tri_before = list(t.sup), bytes(t.tri_alive)
+            log = []
+            t.cascade(seeds, log)
+            assert all(isinstance(x, int) for x in log)
+            killed = {~x for x in log if x < 0}
+            assert killed == {ti for ti in range(len(tri_before))
+                              if tri_before[ti] and not t.tri_alive[ti]}
+            for e in range(t.graph.m):
+                assert log.count(e) == sup_before[e] - t.sup[e]
+
+    def test_zero_follower_shortcut_matches_full_cascade(self, rng):
+        shortcut = 0
+        for _, _, t in random_trusses(rng, 60):
+            before = truss_state(t)
+            for e in t.alive_edge_ids():
+                full = t.clone().cascade([e])[1:]
+                got = simulate_followers(t, e)
+                assert got == full
+                shortcut += not full
+            assert truss_state(t) == before
+        assert shortcut > 0
+
+
 class TestOracleBestSingle:
     def test_k5_ties_resolve_to_smallest_edge_id(self, k5):
         t = k_truss(k5, 5)

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import complete_pairs, er_pairs
-from trussmin.cli import main
+from trussmin.cli import build_parser, main
 
 
 def write_edges(path, pairs):
@@ -62,6 +62,14 @@ class TestStats:
         assert code == 3
         assert "line 2" in err
 
+    @pytest.mark.parametrize("token", ["1_000", "+5", "\u0663"])
+    def test_non_ascii_digit_label_is_a_parse_error(self, capsys, tmp_path, token):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"0 1\n{token} 2\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "stats", str(path))
+        assert code == 3
+        assert "line 2" in err
+
 
 class TestTruss:
     def test_k5_at_5(self, capsys, k5_file):
@@ -112,6 +120,12 @@ class TestDecompose:
 
 
 class TestMinimize:
+    def test_threads_default_to_one(self, k5_file):
+        parser = build_parser()
+        for argv in (["minimize", k5_file, "-k", "5", "-b", "1"],
+                     ["bench", k5_file, "-k", "5", "-b", "1"]):
+            assert parser.parse_args(argv).threads == 1
+
     def test_json_schema(self, capsys, k5_file):
         code, out, _ = run_cli(capsys, "minimize", k5_file, "-k", "5", "-b", "1",
                                "--algorithm", "up_edge", "--format", "json",

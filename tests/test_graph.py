@@ -52,6 +52,13 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListParseError):
             load("-1 2\n")
 
+    @pytest.mark.parametrize("token", ["1_000", "+5", "\u0663", "\uff11", "0x1f", "1.0"])
+    def test_only_ascii_digit_labels_are_accepted(self, token):
+        # int() accepts the first three: underscores, a sign, Arabic-Indic digits
+        with pytest.raises(EdgeListParseError) as exc:
+            load(f"0 1\n# comments may say caf\u00e9\n1 {token}\n")
+        assert exc.value.line_no == 3
+
     def test_line_order_does_not_matter(self, rng):
         pairs = er_pairs(rng, 12, 0.4)
         lines = [f"{u} {v}" for u, v in pairs]

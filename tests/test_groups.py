@@ -4,8 +4,8 @@ import pytest
 
 import oracles
 from conftest import complete_pairs, er_pairs, graph_of, label_pairs
-from trussmin import ContractViolation, build_truss_group_index, delete_and_cascade, \
-    find_support_groups, followers_of_edge, k_truss, refresh_index, simulate_followers, \
+from trussmin import ContractViolation, SupportGroupIndex, build_truss_group_index, \
+    delete_and_cascade, find_support_groups, followers_of_edge, k_truss, refresh_index, simulate_followers, \
     truss_decompose, update_after_deletion, upper_bound
 
 
@@ -133,6 +133,36 @@ class TestFindSupportGroups:
                 assert len(counts) == 1
 
 
+class TestSupportGroupIndex:
+    def test_untouched_group_is_kept_as_is(self):
+        pairs = complete_pairs(5) + complete_pairs(5, offset=10)
+        g = graph_of(pairs)
+        t = k_truss(g, 5)
+        index = SupportGroupIndex(t, find_support_groups(t)[0])
+        second = index.rep_group[g.edge_id(5, 6)]  # labels (10, 11)
+        log = []
+        dead = t.cascade([g.edge_id(0, 1)], log)
+        index.update(dead, log)
+        assert index.groups() == [second]
+        assert index.rep_group[g.edge_id(5, 6)] is second
+        assert index.candidates() == [g.edge_id(5, 6)]
+
+    def test_new_threshold_edges_form_groups(self):
+        # K6 at k=5 has no threshold edge; one deletion lowers its
+        # neighbours to the threshold without killing them
+        g = graph_of(complete_pairs(6))
+        t = k_truss(g, 5)
+        index = SupportGroupIndex(t, find_support_groups(t)[0])
+        assert index.groups() == [] and index.candidates() == []
+        log = []
+        dead = t.cascade([g.edge_id(0, 1)], log)
+        assert dead == [g.edge_id(0, 1)]
+        index.update(dead, log)
+        groups, candidates = find_support_groups(t)
+        assert [grp.members for grp in index.groups()] == [grp.members for grp in groups] != []
+        assert index.candidates() == candidates
+
+
 class TestTrussGroupIndex:
     def test_k5_single_group(self, k5):
         tau = truss_decompose(k5)
@@ -234,7 +264,7 @@ class TestRefreshIndex:
         idx = build_truss_group_index(g, tau, 3)
         tau2, changed = update_after_deletion(g, tau, (2, 3))
         assert changed == set()
-        idx2 = refresh_index(idx, changed, g, tau2)
+        idx2 = refresh_index(idx, changed, g, tau2, g.edge_id(2, 3))
         assert idx2 is idx
         assert index_partition_labels(g, idx2, 3) == \
             index_partition_labels(g, build_truss_group_index(g, tau2, 3), 3)
@@ -243,7 +273,7 @@ class TestRefreshIndex:
         tau = truss_decompose(k5)
         idx = build_truss_group_index(k5, tau, 5)
         tau2, changed = update_after_deletion(k5, tau, (0, 1))
-        idx = refresh_index(idx, changed, k5, tau2)
+        idx = refresh_index(idx, changed, k5, tau2, k5.edge_id(0, 1))
         assert idx.group_sizes(5) == {}
         assert sorted(idx.group_sizes(4).values()) == [9]
 
@@ -258,7 +288,7 @@ class TestRefreshIndex:
         second_gid = second_gid.pop()
         before_members = list(idx.levels[5][1][second_gid])
         tau2, changed = update_after_deletion(g, tau, g.edges[g.edge_id(0, 1)])
-        idx = refresh_index(idx, changed, g, tau2)
+        idx = refresh_index(idx, changed, g, tau2, g.edge_id(0, 1))
         assert idx.levels[5][1][second_gid] == before_members
 
     def test_refresh_equals_rebuild_over_random_deletion_chains(self, rng):
@@ -274,7 +304,7 @@ class TestRefreshIndex:
             rng.shuffle(order)
             for eid in order[:5]:
                 tau2, changed = update_after_deletion(g, tau, g.edges[eid])
-                idx = refresh_index(idx, changed, g, tau2)
+                idx = refresh_index(idx, changed, g, tau2, eid)
                 fresh = build_truss_group_index(g, tau2, k)
                 for level in idx.levels:
                     if level < 3:

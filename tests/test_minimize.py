@@ -1,10 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 import oracles
 from conftest import complete_pairs, er_pairs, graph_of, label_pairs
-from trussmin import EnumerationCapExceeded, SolverConfig, k_truss, solve, \
+from trussmin import ContractViolation, EnumerationCapExceeded, SolverConfig, k_truss, solve, \
     solve_baseline, solve_exact, solve_gp_edge, solve_support, solve_up_edge, \
     verify_equivalence
 
@@ -313,3 +316,31 @@ class TestParallel:
             par = solve(g, SolverConfig(k=4, b=3, algorithm=algorithm, threads=2))
             assert [(r.eid, r.followers) for r in seq.iterations] == \
                 [(r.eid, r.followers) for r in par.iterations]
+
+
+class TestCommitChecks:
+    """Evaluation and commit must agree, also when asserts are compiled out."""
+
+    def test_under_reported_followers_are_caught(self, k5, monkeypatch):
+        from trussmin import minimize
+        real = minimize.simulate_followers
+        monkeypatch.setattr(minimize, "simulate_followers", lambda t, e: real(t, e)[1:])
+        for algorithm in ("baseline", "gp_edge", "up_edge"):
+            with pytest.raises(ContractViolation):
+                solve(k5, SolverConfig(k=5, b=1, algorithm=algorithm))
+
+    def test_check_survives_optimized_mode(self):
+        script = (
+            "from trussmin import ContractViolation, Graph, SolverConfig, minimize, solve\n"
+            "real = minimize.simulate_followers\n"
+            "minimize.simulate_followers = lambda t, e: real(t, e)[1:]\n"
+            "g = Graph.from_pairs([(i, j) for i in range(5) for j in range(i + 1, 5)])\n"
+            "try:\n"
+            "    solve(g, SolverConfig(k=5, b=1, algorithm='gp_edge'))\n"
+            "except ContractViolation:\n"
+            "    print('caught')\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "caught", out.stderr

@@ -5,7 +5,8 @@ original vertex labels, and emits machine-readable JSON/CSV with timing
 fields kept separate so golden-file comparisons can strip them.
 
 Exit codes: 0 success or warning, 2 usage error, 3 I/O or parse error,
-4 exact-solver enumeration cap exceeded.
+4 exact-solver enumeration cap exceeded, 5 out of memory, 130 interrupted
+(Ctrl-C).  The last three print a one-line message, not a traceback.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_CAP = 4
+EXIT_MEMORY = 5
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 BENCH_HEADER = "k,b,algorithm,rep,followers_total,time_ms,candidates_evaluated"
 
@@ -97,16 +100,12 @@ def _emit(text: str, output: Optional[str]) -> None:
 def cmd_stats(args) -> int:
     g = _load(args.input)
     tau = truss_decompose(g)
-    max_sup = 0
-    for eid, (u, v) in enumerate(g.edges):
-        s = len(g.nbr[u] & g.nbr[v])
-        if s > max_sup:
-            max_sup = s
+    tris, edge_tris = g.triangle_index()
     lines = [
         f"vertices: {g.n}",
         f"edges: {g.m}",
-        f"triangles: {g.triangle_count()}",
-        f"max_support: {max_sup}",
+        f"triangles: {len(tris)}",
+        f"max_support: {max(map(len, edge_tris), default=0)}",
         f"max_trussness: {tau.max_trussness()}",
     ]
     _emit("\n".join(lines) + "\n", args.output)
@@ -295,6 +294,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except EnumerationCapExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CAP
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
+        return EXIT_MEMORY
+    except KeyboardInterrupt:
+        sys.stderr.write("error: interrupted\n")
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

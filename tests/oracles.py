@@ -18,6 +18,34 @@ def canon(pairs):
     return out
 
 
+class ParseError(Exception):
+    def __init__(self, line_no):
+        super().__init__(f"line {line_no}")
+        self.line_no = line_no
+
+
+def parse_edge_list(lines):
+    """Reference parser: (label, label) pairs in file order, self-loops kept.
+
+    The per-line rules, kept as they were when the parser last changed
+    them: '#' comment and blank lines are skipped, and every other line
+    must hold exactly two labels of ASCII digits.  Raises ParseError with
+    the 1-based number of the first line that breaks them.
+    """
+    pairs = []
+    for line_no, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 2:
+            raise ParseError(line_no)
+        a, b = parts
+        if not (raw.isascii() and a.isdigit() and b.isdigit()):
+            raise ParseError(line_no)
+        pairs.append((int(a), int(b)))
+    return pairs
+
+
 def adjacency(edges):
     adj = {}
     for u, v in edges:

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+import oracles
 from conftest import complete_pairs, er_pairs
+from trussmin import cli
 from trussmin.cli import build_parser, main
 
 
@@ -69,6 +71,30 @@ class TestStats:
         code, _, err = run_cli(capsys, "stats", str(path))
         assert code == 3
         assert "line 2" in err
+
+
+    def test_max_support_matches_oracle(self, capsys, tmp_path, rng):
+        for _ in range(5):
+            pairs = er_pairs(rng, 12, 0.5)
+            path = write_edges(tmp_path / "g.txt", pairs)
+            code, out, _ = run_cli(capsys, "stats", path)
+            assert code == 0
+            expected = max(oracles.supports(pairs).values(), default=0)
+            assert f"max_support: {expected}\n" in out
+
+
+class TestFailureExits:
+    @pytest.mark.parametrize("exc, code, message", [
+        (MemoryError, 5, "error: out of memory\n"),
+        (KeyboardInterrupt, 130, "error: interrupted\n"),
+    ])
+    def test_one_line_message_and_documented_code(self, capsys, monkeypatch, k5_file,
+                                                   exc, code, message):
+        def fail(args):
+            raise exc()
+        monkeypatch.setattr(cli, "cmd_stats", fail)
+        got, out, err = run_cli(capsys, "stats", k5_file)
+        assert (got, out, err) == (code, "", message)
 
 
 class TestTruss:

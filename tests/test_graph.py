@@ -147,4 +147,68 @@ class TestInvariants:
         for u in range(g.n):
             assert g.adj[u] == sorted(g.adj[u])
             for v in g.adj[u]:
-                assert u in g.nbr[v]
+                assert u in g.adj[v]
+
+
+def sparse_relabel(rng, pairs):
+    """The same graph under random, sparse and non-monotone labels."""
+    verts = sorted({x for e in pairs for x in e})
+    new = dict(zip(verts, rng.sample(range(10**6), len(verts))))
+    return [(new[u], new[v]) for u, v in pairs]
+
+
+class TestTriangleIndex:
+    def check_against_oracle(self, pairs):
+        g = graph_of(pairs)
+        tris, edge_tris = g.triangle_index()
+        dense = {lab: i for i, lab in enumerate(g.labels)}
+
+        def eid(a, b):
+            return g.edge_id(dense[a], dense[b])
+
+        # each oracle triangle a < b < c exactly once, as (e_ab, e_ac, e_bc)
+        expected = [(eid(a, b), eid(a, c), eid(b, c)) for a, b, c in oracles.triangle_list(pairs)]
+        assert sorted(tris) == sorted(expected)
+        assert len(set(tris)) == len(tris)
+        assert len(edge_tris) == g.m
+        for e in range(g.m):
+            assert edge_tris[e] == [t for t, tri in enumerate(tris) if e in tri]
+        return g
+
+    def test_random_graphs_with_sparse_labels(self, rng):
+        for _ in range(25):
+            pairs = er_pairs(rng, rng.randint(3, 16), rng.uniform(0.2, 0.8))
+            self.check_against_oracle(sparse_relabel(rng, pairs))
+
+    @pytest.mark.parametrize("pairs, triangles", [
+        ([], 0), (path_pairs(6), 0), (complete_pairs(5, offset=3), 10)])
+    def test_empty_path_and_k5(self, pairs, triangles):
+        assert self.check_against_oracle(pairs).triangle_count() == triangles
+
+
+class TestEdgeLookup:
+    # path 0-1-2-3-4: n = 5; index -5 would wrap to vertex 0, which has edge (0, 1)
+    @pytest.mark.parametrize("u, v", [
+        (-1, 0), (0, -1), (-5, 1), (1, -5), (-4, -5),  # negative
+        (4, 5), (5, 4), (5, 6), (0, 9),                 # >= n
+        (0, 2), (1, 3), (2, 2),                          # in range, not an edge
+    ])
+    def test_edge_id_rejects_and_has_edge_denies(self, u, v):
+        g = graph_of(path_pairs(5))
+        with pytest.raises(ContractViolation):
+            g.edge_id(u, v)
+        assert g.has_edge(u, v) is False
+
+    def test_reversed_endpoints_resolve_to_the_same_id(self, rng):
+        g = graph_of(er_pairs(rng, 12, 0.5))
+        for e, (u, v) in enumerate(g.edges):
+            assert g.edge_id(u, v) == g.edge_id(v, u) == e
+            assert g.has_edge(u, v) and g.has_edge(v, u)
+
+    def test_from_pairs_accepts_a_generator(self, rng):
+        pairs = sparse_relabel(rng, er_pairs(rng, 10, 0.5)) + [(7, 7)]
+        g = Graph.from_pairs((b, a) for a, b in pairs)
+        base = graph_of(pairs)
+        assert g.labels == base.labels
+        assert g.edges == base.edges
+        assert g.adj == base.adj

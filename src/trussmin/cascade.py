@@ -26,12 +26,13 @@ class DeletionOutcome:
 def _normalize(t: TrussSubgraph, edges: Iterable) -> list[int]:
     """Edge ids for an iterable of edge ids or (u, v) pairs, alive ones only.
 
-    Pairs that are not graph edges count as outside the truss and drop out.
+    Pairs that are not graph edges count as outside the truss and drop out;
+    an int must be an edge id of the graph.
     """
     out = []
     for e in edges:
         if isinstance(e, int):
-            eid = e
+            eid = t.graph.resolve_edge(e)
         else:
             u, v = e
             if not t.graph.has_edge(u, v):
@@ -84,10 +85,36 @@ def simulate_followers(t: TrussSubgraph, eid: int) -> list[int]:
     return dead[1:]
 
 
+def commit_region(t: TrussSubgraph, dead: list[int], log: list[int]) -> set[int]:
+    """The edges a committed cascade changed, plus their alive-triangle partners.
+
+    `dead` and `log` are what `t.cascade(seeds, log)` returned and logged.
+    The region is every dead or decremented edge, plus every edge sharing a
+    still-alive triangle with one of them.  A triangle the cascade killed
+    holds nothing but dead and decremented edges, so the alive triangles
+    are the only ones left to look through.
+
+    A simulation from an edge reads only the triangles of its dead set and
+    the liveness and support of those triangles' edges.  So a simulation
+    whose dead set misses this region returns the same list after the
+    commit as before it, and a support group missing it keeps its members.
+    """
+    tris, edge_tris = t.graph.triangle_index()
+    alive, tri_alive = t.alive, t.tri_alive
+    changed = set(dead)
+    changed.update(x for x in log if x >= 0)
+    region = set(changed)
+    for x in changed:
+        if alive[x]:  # a dead edge has no alive triangle left
+            for ti in edge_tris[x]:
+                if tri_alive[ti]:
+                    region.update(tris[ti])
+    return region
+
+
 def followers_of_edge(t: TrussSubgraph, e) -> int:
-    """|followers| of deleting a single alive edge."""
-    eid = e if isinstance(e, int) else t.graph.edge_id(*e)
-    return len(simulate_followers(t, eid))
+    """|followers| of deleting a single alive edge, given by id or (u, v)."""
+    return len(simulate_followers(t, t.graph.resolve_edge(e)))
 
 
 def oracle_best_single(t: TrussSubgraph) -> tuple[int, int]:

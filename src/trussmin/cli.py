@@ -253,8 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--algorithm", choices=ALGORITHMS, default="up_edge")
     p_min.add_argument("--format", choices=("json", "csv", "human"), default="human")
     p_min.add_argument("--threads", type=_positive_int(1, "threads"), default=1,
-                       help="worker processes for baseline and gp_edge candidate "
-                            "evaluation; 1 (the default) evaluates sequentially")
+                       help="worker processes for gp_edge candidate evaluation; "
+                            "1 (the default) evaluates sequentially, and baseline "
+                            "is always sequential")
     p_min.add_argument("--exact-cap", type=_positive_int(1, "exact-cap"),
                        default=2_000_000, help="refusal threshold for the exact solver")
     p_min.add_argument("--rebuild-index", action="store_true",
@@ -273,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default=["baseline", "gp_edge", "up_edge"],
                          help="comma-separated algorithm names")
     p_bench.add_argument("--reps", type=_positive_int(1, "reps"), default=1)
-    p_bench.add_argument("--threads", type=_positive_int(1, "threads"), default=1)
+    p_bench.add_argument("--threads", type=_positive_int(1, "threads"), default=1,
+                         help="as for minimize: worker processes for gp_edge only")
     p_bench.add_argument("--exact-cap", type=_positive_int(1, "exact-cap"),
                          default=2_000_000)
     p_bench.set_defaults(func=cmd_bench)

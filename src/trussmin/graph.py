@@ -95,6 +95,19 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return self._lookup(u, v) is not None
 
+    def resolve_edge(self, e) -> int:
+        """Edge id of `e`, given as an edge id or as a (u, v) pair of vertices.
+
+        An id must lie in 0..m-1: a negative one would silently wrap in
+        every per-edge array.  A bool would pass for edge 0 or 1, so it is
+        refused too.
+        """
+        if not isinstance(e, int):
+            return self.edge_id(*e)
+        if isinstance(e, bool) or not 0 <= e < len(self.edges):
+            raise ContractViolation(f"edge id {e!r} is not in 0..{len(self.edges) - 1}")
+        return e
+
     def original_pair(self, eid: int) -> tuple[int, int]:
         """Endpoints of an edge in the labels of the input file."""
         u, v = self.edges[eid]

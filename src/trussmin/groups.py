@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from .cascade import commit_region
 from .errors import ContractViolation
 from .graph import Graph
 from .truss import TrussSubgraph, TrussnessMap
@@ -147,30 +148,15 @@ class SupportGroupIndex:
         """Bring the index up to date after `t.cascade(seeds, log)` returned `dead`.
 
         Only a dead or decremented edge changes its own support, so only
-        the groups holding one, or sharing a triangle that was alive before
-        the cascade with one, can change; every other group keeps its
-        members, supports and triangles.  A triangle the cascade killed
-        holds nothing but dead and decremented edges, so the alive
-        triangles of those edges are the only ones left to look through.
+        the groups holding an edge of the cascade's `commit_region` can
+        change; every other group keeps its members, supports and
+        triangles.
         """
         t = self.t
-        tris, edge_tris = t.graph.triangle_index()
-        alive, sup, tri_alive, threshold = t.alive, t.sup, t.tri_alive, t.k - 2
+        alive, sup, threshold = t.alive, t.sup, t.k - 2
         gid_of = self.gid_of
-        affected = set(dead)
-        affected.update(x for x in log if x >= 0)
-        dissolve: set[int] = set()
-        for x in affected:
-            gid = gid_of.get(x)
-            if gid is not None:
-                dissolve.add(gid)
-            for ti in edge_tris[x]:
-                if tri_alive[ti]:
-                    for o in tris[ti]:
-                        gid = gid_of.get(o)
-                        if gid is not None:
-                            dissolve.add(gid)
-        region = affected  # grows into the members of the dissolved groups
+        region = commit_region(t, dead, log)  # grows into the dissolved groups
+        dissolve = {gid_of[x] for x in region if x in gid_of}
         for gid in dissolve:
             grp = self.by_gid.pop(gid)
             del self.rep_group[grp.representative]
@@ -324,38 +310,13 @@ def build_truss_group_index(g: Graph, tau: TrussnessMap, k: int) -> GroupIndex:
 
 def upper_bound(idx: GroupIndex, e) -> int:
     """Bound on the follower count of `e`: total size of its adjacent groups."""
-    eid = e if isinstance(e, int) else idx.graph.edge_id(*e)
-    return upper_bounds(idx, [eid])[eid]
-
-
-def upper_bounds(idx: GroupIndex, eids) -> dict[int, int]:
-    """`upper_bound` for many edges in one pass; the solver's hot path."""
-    k = idx.primary_level
-    idx.ensure_level(k)
-    gid_of, members = idx.levels[k]
-    values, alive = idx.tau.values, idx.tau.alive
-    tris, edge_tris = idx.graph.triangle_index()
-    sizes = {gid: len(ms) for gid, ms in members.items()}
-    out: dict[int, int] = {}
-    for eid in eids:
-        if not alive[eid] or values[eid] < k:
-            raise ContractViolation(
-                f"edge id {eid} is not in the current truss; index is stale")
-        gids: set[int] = set()
-        if values[eid] == k:
-            gids.add(gid_of[eid])
-        for ti in edge_tris[eid]:
-            a, b, c = tris[ti]
-            if alive[a] and alive[b] and alive[c] \
-                    and values[a] >= k and values[b] >= k and values[c] >= k:
-                if a != eid and values[a] == k:
-                    gids.add(gid_of[a])
-                if b != eid and values[b] == k:
-                    gids.add(gid_of[b])
-                if c != eid and values[c] == k:
-                    gids.add(gid_of[c])
-        out[eid] = sum(sizes[g] for g in gids)
-    return out
+    eid = idx.graph.resolve_edge(e)
+    if not idx.tau.alive[eid] or idx.tau.values[eid] < idx.primary_level:
+        raise ContractViolation(
+            f"edge id {eid} is not in the current truss; index is stale")
+    gids = idx.adjacent_gids(eid)
+    _, members = idx.levels[idx.primary_level]
+    return sum(len(members[gid]) for gid in gids)
 
 
 def refresh_index(idx: GroupIndex, changed: Iterable[int], g: Graph,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
-from .cascade import simulate_followers
+from .cascade import commit_region, simulate_followers
 from .errors import ContractViolation, EnumerationCapExceeded
 from .graph import Graph
 from .groups import SupportGroup, SupportGroupIndex, build_truss_group_index, \
@@ -34,7 +34,10 @@ DEFAULT_EXACT_CAP = 2_000_000
 class SolverConfig:
     """What to solve: truss level, deletion budget, strategy, knobs.
 
-    Every algorithm is deterministic; there is no seed anywhere.
+    Every algorithm is deterministic; there is no seed anywhere.  `threads`
+    only affects `gp_edge`, which fans candidate evaluation out to that
+    many worker processes when it is above 1; `baseline` is always
+    sequential.
     """
 
     k: int
@@ -157,13 +160,11 @@ def _eval_batch(eids: list[int]) -> list[tuple[int, int]]:
 
 
 def _follower_counts(t: TrussSubgraph, eids: list[int], threads: int) -> dict[int, int]:
-    """Follower counts for many edges, optionally fanned out over processes.
+    """Follower counts for many edges, fanned out over `threads` processes.
 
     Workers inherit the snapshot by fork, evaluate over private scratch,
     and return counts only; the merge is order-independent.
     """
-    if threads <= 1 or len(eids) < _PARALLEL_MIN:
-        return {e: len(simulate_followers(t, e)) for e in eids}
     import concurrent.futures
     import multiprocessing
     global _EVAL_STATE
@@ -187,26 +188,48 @@ def _follower_counts(t: TrussSubgraph, eids: list[int], threads: int) -> dict[in
 
 # -- solvers --------------------------------------------------------------------
 
-def solve_baseline(t: TrussSubgraph, b: int,
-                   threads: int = 1) -> tuple[list[int], list[IterationRecord]]:
-    """Greedy reference: evaluate every alive edge each iteration."""
+def solve_baseline(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRecord]]:
+    """Greedy reference: the exact follower count of every alive edge, each iteration.
+
+    Each edge's dead set (itself plus its followers, ascending) is kept
+    across iterations and simulated again only after a commit's
+    `commit_region` meets it, since a simulation reads nothing outside the
+    triangles of its own dead set.  Equal dead sets (every member of one
+    support group has the same one) share one tuple; an edge without
+    followers stores the empty tuple.
+    """
     chosen: list[int] = []
     records: list[IterationRecord] = []
+    memo: list[Optional[tuple[int, ...]]] = [None] * t.graph.m
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     while len(chosen) < b and t.edge_count > 0:
         start = time.perf_counter()
         alive = t.alive_edge_ids()
         best_f, best_e = -1, -1
-        if threads > 1 and len(alive) >= _PARALLEL_MIN:
-            counts = _follower_counts(t, alive, threads)
-            for e in alive:
-                if counts[e] > best_f:
-                    best_f, best_e = counts[e], e
-        else:
-            for e in alive:
-                f = len(simulate_followers(t, e))
-                if f > best_f:
-                    best_f, best_e = f, e
-        _commit(t, best_e, best_f)
+        for e in alive:
+            dead_set = memo[e]
+            if dead_set is None:
+                fl = simulate_followers(t, e)
+                if fl:
+                    fl.append(e)
+                    fl.sort()
+                    key = tuple(fl)
+                    dead_set = shared.setdefault(key, key)
+                else:
+                    dead_set = ()
+                memo[e] = dead_set
+            f = len(dead_set) - 1 if dead_set else 0
+            if f > best_f:
+                best_f, best_e = f, e
+        dead, log = _commit(t, best_e, best_f)
+        region = commit_region(t, dead, log)
+        for x in region:
+            memo[x] = None  # an edge's own dead set holds it
+        for dead_set in [d for d in shared if not region.isdisjoint(d)]:
+            del shared[dead_set]
+            for x in dead_set:  # every edge sharing a dead set lies in it
+                if memo[x] is dead_set:
+                    memo[x] = None
         chosen.append(best_e)
         records.append(IterationRecord(
             edge=t.graph.original_pair(best_e), eid=best_e, followers=best_f,
@@ -545,7 +568,7 @@ def solve(g: Graph, cfg: SolverConfig) -> MinimizationReport:
     elif cfg.algorithm == "support":
         chosen, records = solve_support(t, cfg.b)
     elif cfg.algorithm == "baseline":
-        chosen, records = solve_baseline(t, cfg.b, threads=cfg.threads)
+        chosen, records = solve_baseline(t, cfg.b)
     elif cfg.algorithm == "gp_edge":
         chosen, records = solve_gp_edge(t, cfg.b, threads=cfg.threads)
     else:

@@ -116,6 +116,18 @@ class TestFollowersOfEdge:
         with pytest.raises(ContractViolation):
             followers_of_edge(t, (0, 1))
 
+    @pytest.mark.parametrize("bad", [-1, 6, True])
+    def test_out_of_range_and_bool_ids_rejected(self, k4, bad):
+        # -1 would wrap to the last edge, and True would pass for edge 1
+        t = k_truss(k4, 4)
+        with pytest.raises(ContractViolation):
+            followers_of_edge(t, bad)
+        with pytest.raises(ContractViolation):
+            delete_and_cascade(t, [bad])
+        with pytest.raises(ContractViolation):
+            delete_and_cascade(t, [0, bad])
+        assert t.edge_count == 6
+
     def test_rollback_restores_state(self, rng):
         pairs = er_pairs(rng, 14, 0.5)
         g = graph_of(pairs)

@@ -241,6 +241,12 @@ class TestUpperBound:
         with pytest.raises(ContractViolation):
             upper_bound(idx, pendant)
 
+    @pytest.mark.parametrize("bad", [-1, 10, True])
+    def test_out_of_range_and_bool_ids_rejected(self, k5, bad):
+        idx = build_truss_group_index(k5, truss_decompose(k5), 5)
+        with pytest.raises(ContractViolation):
+            upper_bound(idx, bad)
+
     def test_bound_dominates_on_random_graphs(self, rng):
         for _ in range(40):
             pairs = er_pairs(rng, rng.randint(5, 18), rng.uniform(0.3, 0.65))

@@ -7,9 +7,10 @@ import pytest
 
 import oracles
 from conftest import complete_pairs, er_pairs, graph_of, label_pairs
-from trussmin import ContractViolation, EnumerationCapExceeded, SolverConfig, k_truss, solve, \
-    solve_baseline, solve_exact, solve_gp_edge, solve_support, solve_up_edge, \
-    verify_equivalence
+from trussmin import ContractViolation, EnumerationCapExceeded, SolverConfig, k_truss, \
+    oracle_best_single, simulate_followers, solve, solve_baseline, solve_exact, \
+    solve_gp_edge, solve_support, solve_up_edge, verify_equivalence
+from trussmin.cascade import commit_region
 
 # Frozen instance where the unpruned reference scan ties on an edge that the
 # reduced candidate set only reaches through a group's certain followers
@@ -302,6 +303,78 @@ class TestDominanceAndMonotonicity:
                 part = solve(g, SolverConfig(k=3, b=b, algorithm="up_edge"))
                 want = [(r.eid, r.followers) for r in full.iterations[:b]]
                 assert [(r.eid, r.followers) for r in part.iterations] == want
+
+
+def overlapping_clique_pairs(rng):
+    """A few cliques of 4..7 vertices that share vertices, plus sparse noise."""
+    n = rng.randint(10, 22)
+    pairs = set()
+    for _ in range(rng.randint(2, 5)):
+        members = rng.sample(range(n), rng.randint(4, min(7, n)))
+        pairs.update((min(u, v), max(u, v)) for u in members for v in members if u != v)
+    pairs.update((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.08)
+    return sorted(pairs)
+
+
+def memo_test_graphs(rng, count):
+    for i in range(count):
+        if i % 2:
+            pairs = overlapping_clique_pairs(rng)
+        else:
+            pairs = er_pairs(rng, rng.randint(8, 20), rng.uniform(0.35, 0.7))
+        if pairs:
+            yield graph_of(pairs)
+
+
+class TestBaselineMemo:
+    """The baseline keeps each edge's dead set until a commit's region meets it."""
+
+    def test_memo_matches_fresh_evaluation(self, rng):
+        for g in memo_test_graphs(rng, 60):
+            for k in range(3, 7):
+                b = rng.randint(1, 6)
+                fresh = k_truss(g, k)
+                want = []
+                while len(want) < b and fresh.edge_count > 0:
+                    e, f = oracle_best_single(fresh)
+                    fresh.cascade([e])
+                    want.append((e, f))
+                _, records = solve_baseline(k_truss(g, k), b)
+                assert [(r.eid, r.followers) for r in records] == want
+
+    def test_simulations_missing_the_commit_region_are_unchanged(self, rng):
+        kept = 0
+        for g in memo_test_graphs(rng, 80):
+            for k in range(3, 7):
+                t = k_truss(g, k)
+                if t.edge_count < 2:
+                    continue
+                before = {e: simulate_followers(t, e) for e in t.alive_edge_ids()}
+                seeds = rng.sample(t.alive_edge_ids(), rng.randint(1, 2))
+                log: list[int] = []
+                dead = t.cascade(seeds, log)
+                region = commit_region(t, dead, log)
+                assert set(dead) <= region
+                for e, fl in before.items():
+                    if region.isdisjoint(fl) and e not in region:
+                        assert t.alive[e]
+                        assert simulate_followers(t, e) == fl
+                        kept += 1
+        assert kept > 0
+
+    def test_fresh_simulations_go_through_the_module_global(self, monkeypatch):
+        # Two disjoint K5s: the first commit erases one clique, so only the
+        # first iteration simulates; the other clique's dead sets are kept.
+        from trussmin import minimize
+        real = minimize.simulate_followers
+        calls = []
+        monkeypatch.setattr(minimize, "simulate_followers",
+                            lambda t, e: calls.append(e) or real(t, e))
+        g = graph_of(complete_pairs(5) + complete_pairs(5, offset=10))
+        report = solve(g, SolverConfig(k=5, b=2, algorithm="baseline"))
+        assert [(r.eid, r.followers) for r in report.iterations] == [(0, 9), (10, 9)]
+        assert [r.candidates_evaluated for r in report.iterations] == [20, 10]
+        assert sorted(calls) == list(range(20))
 
 
 class TestParallel:

@@ -46,9 +46,11 @@ def _normalize(t: TrussSubgraph, edges: Iterable) -> list[int]:
 def delete_and_cascade(t: TrussSubgraph, edge_set: Iterable) -> DeletionOutcome:
     """Delete the given edges and peel to a fixpoint; `t` is left untouched.
 
-    Edges outside the truss are ignored.  The surviving subgraph is a fresh
-    instance, so it never becomes empty "specially": deleting everything
-    simply yields zero alive edges.
+    Edges are ids or (u, v) pairs of dense vertex ids (positions in the
+    sorted `t.graph.labels`), not input labels.  Edges outside the truss
+    are ignored.  The surviving subgraph is a fresh instance, so it never
+    becomes empty "specially": deleting everything simply yields zero
+    alive edges.
     """
     seeds = _normalize(t, edge_set)
     survivor = t.clone()
@@ -113,7 +115,11 @@ def commit_region(t: TrussSubgraph, dead: list[int], log: list[int]) -> set[int]
 
 
 def followers_of_edge(t: TrussSubgraph, e) -> int:
-    """|followers| of deleting a single alive edge, given by id or (u, v)."""
+    """|followers| of deleting a single alive edge.
+
+    `e` is an edge id or a (u, v) pair of dense vertex ids (positions in the
+    sorted `t.graph.labels`), not a pair of input labels.
+    """
     return len(simulate_followers(t, t.graph.resolve_edge(e)))
 
 

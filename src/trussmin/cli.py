@@ -22,7 +22,7 @@ from typing import Optional
 from .errors import EdgeListParseError, EnumerationCapExceeded
 from .graph import Graph, load_edge_list
 from .groups import build_truss_group_index, find_support_groups
-from .minimize import ALGORITHMS, MinimizationReport, SolverConfig, solve
+from .minimize import ALGORITHMS, MinimizationReport, SolverConfig, _two_level_tau, solve
 from .truss import k_truss, truss_decompose
 
 EXIT_OK = 0
@@ -147,9 +147,8 @@ def _human_report(report: MinimizationReport) -> str:
 def _groups_dump(g: Graph, k: int) -> dict:
     t = k_truss(g, k)
     support_groups, candidates = find_support_groups(t)
-    tau = truss_decompose(g)
-    idx = build_truss_group_index(g, tau, k)
-    _, truss_groups = idx.levels[k]
+    # groups need only the trussness classes below k, exactly k and above k
+    idx = build_truss_group_index(g, _two_level_tau(t), k)
     return {
         "support_groups": [
             {
@@ -165,7 +164,7 @@ def _groups_dump(g: Graph, k: int) -> dict:
         "truss_groups": [
             {"gid": gid, "size": len(members),
              "members": [list(g.original_pair(e)) for e in sorted(members)]}
-            for gid, members in sorted(idx.levels[k][1].items())
+            for gid, members in sorted(idx.members.items())
         ],
     }
 
@@ -173,8 +172,7 @@ def _groups_dump(g: Graph, k: int) -> dict:
 def cmd_minimize(args) -> int:
     g = _load(args.input)
     cfg = SolverConfig(k=args.k, b=args.b, algorithm=args.algorithm,
-                       threads=args.threads, exact_cap=args.exact_cap,
-                       rebuild_index=args.rebuild_index)
+                       exact_cap=args.exact_cap)
     report = solve(g, cfg)
     if args.format == "json":
         payload = report.to_dict()
@@ -207,8 +205,7 @@ def cmd_bench(args) -> int:
                     try:
                         start = time.perf_counter()
                         report = solve(g, SolverConfig(
-                            k=k, b=b, algorithm=algorithm, threads=args.threads,
-                            exact_cap=args.exact_cap))
+                            k=k, b=b, algorithm=algorithm, exact_cap=args.exact_cap))
                         elapsed = (time.perf_counter() - start) * 1000.0
                         evaluated = sum(r.candidates_evaluated for r in report.iterations)
                         buf.write(f"{k},{b},{algorithm},{rep},"
@@ -252,14 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("-b", type=_positive_int(1, "b"), required=True)
     p_min.add_argument("--algorithm", choices=ALGORITHMS, default="up_edge")
     p_min.add_argument("--format", choices=("json", "csv", "human"), default="human")
-    p_min.add_argument("--threads", type=_positive_int(1, "threads"), default=1,
-                       help="worker processes for gp_edge candidate evaluation; "
-                            "1 (the default) evaluates sequentially, and baseline "
-                            "is always sequential")
     p_min.add_argument("--exact-cap", type=_positive_int(1, "exact-cap"),
                        default=2_000_000, help="refusal threshold for the exact solver")
-    p_min.add_argument("--rebuild-index", action="store_true",
-                       help="rebuild the group index each iteration instead of refreshing")
     p_min.add_argument("--dump-groups", action="store_true",
                        help="attach a JSON dump of the discovered groups (json format only)")
     p_min.set_defaults(func=cmd_minimize)
@@ -274,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=["baseline", "gp_edge", "up_edge"],
                          help="comma-separated algorithm names")
     p_bench.add_argument("--reps", type=_positive_int(1, "reps"), default=1)
-    p_bench.add_argument("--threads", type=_positive_int(1, "threads"), default=1,
-                         help="as for minimize: worker processes for gp_edge only")
     p_bench.add_argument("--exact-cap", type=_positive_int(1, "exact-cap"),
                          default=2_000_000)
     p_bench.set_defaults(func=cmd_bench)

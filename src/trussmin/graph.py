@@ -98,9 +98,10 @@ class Graph:
     def resolve_edge(self, e) -> int:
         """Edge id of `e`, given as an edge id or as a (u, v) pair of vertices.
 
-        An id must lie in 0..m-1: a negative one would silently wrap in
-        every per-edge array.  A bool would pass for edge 0 or 1, so it is
-        refused too.
+        The vertices are dense ids (positions in the sorted `labels`), not
+        input labels; `original_pair` maps back.  An id must lie in 0..m-1:
+        a negative one would silently wrap in every per-edge array.  A bool
+        would pass for edge 0 or 1, so it is refused too.
         """
         if not isinstance(e, int):
             return self.edge_id(*e)

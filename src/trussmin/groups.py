@@ -11,7 +11,6 @@ groups an edge touches bounds its follower count from above.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -193,109 +192,73 @@ class SupportGroupIndex:
 
 
 class GroupIndex:
-    """Per-level partition of trussness-k edges into truss groups.
+    """Partition of the trussness-k edges into truss groups.
 
-    Levels are materialized lazily: construction builds the level of the
-    active query; refreshes materialize any level touched by trussness
-    changes.  Group ids are unique across levels and survive refreshes of
-    unrelated regions.
+    Group ids survive refreshes of unrelated regions.
     """
 
-    __slots__ = ("graph", "tau", "primary_level", "levels", "next_gid",
+    __slots__ = ("graph", "tau", "k", "gid_of", "members", "next_gid",
                  "last_dissolved")
 
-    def __init__(self, graph: Graph, tau: TrussnessMap, primary_level: int):
+    def __init__(self, graph: Graph, tau: TrussnessMap, k: int):
         self.graph = graph
         self.tau = tau
-        self.primary_level = primary_level
-        self.levels: dict[int, tuple[dict[int, int], dict[int, list[int]]]] = {}
+        self.k = k
+        self.gid_of: dict[int, int] = {}            # trussness-k edge -> gid
+        self.members: dict[int, list[int]] = {}     # gid -> edge ids, ascending
         self.next_gid = 0
         # group ids dissolved by the most recent refresh; lets callers drop
         # anything they derived from those groups
         self.last_dissolved: set[int] = set()
 
-    # -- construction helpers ------------------------------------------------
-
-    def _expand_group(self, level: int, start: int, gid_of: dict[int, int],
-                      gid: int) -> tuple[list[int], set[int]]:
-        """BFS over trussness-`level` edges through qualifying triangles.
-
-        Returns the sorted member list plus the ids of any foreign groups
-        the expansion touched; a non-empty contact set during a refresh
-        means the dissolve scope was too small.
-        """
-        g, tau = self.graph, self.tau
-        tris, edge_tris = g.triangle_index()
-        values, alive = tau.values, tau.alive
-        members = []
-        contacts: set[int] = set()
-        queue = deque([start])
-        gid_of[start] = gid
-        while queue:
-            e = queue.popleft()
-            members.append(e)
-            for ti in edge_tris[e]:
-                a, b, c = tris[ti]
-                if not (alive[a] and alive[b] and alive[c]):
-                    continue
-                if values[a] < level or values[b] < level or values[c] < level:
-                    continue
+    def _level_partners(self, e: int) -> list[int]:
+        """Trussness-k edges other than `e` in its alive triangles of trussness >= k."""
+        tris, edge_tris = self.graph.triangle_index()
+        values, alive, k = self.tau.values, self.tau.alive, self.k
+        out = []
+        for ti in edge_tris[e]:
+            a, b, c = tris[ti]
+            if (alive[a] and alive[b] and alive[c]
+                    and values[a] >= k and values[b] >= k and values[c] >= k):
                 for o in (a, b, c):
-                    if o == e or values[o] != level:
-                        continue
-                    other = gid_of.get(o)
-                    if other is None:
-                        gid_of[o] = gid
-                        queue.append(o)
-                    elif other != gid:
-                        contacts.add(other)
+                    if o != e and values[o] == k:
+                        out.append(o)
+        return out
+
+    def _grow(self, start: int) -> None:
+        """BFS over trussness-k edges through triangles of trussness >= k.
+
+        Meeting an edge that `gid_of` already gives to another group means
+        that group should have been dissolved first, which is an internal
+        error.
+        """
+        gid_of, gid = self.gid_of, self.next_gid
+        self.next_gid += 1
+        members = [start]
+        gid_of[start] = gid
+        for e in members:  # grows while it is walked: breadth-first
+            for o in self._level_partners(e):
+                other = gid_of.get(o)
+                if other is None:
+                    gid_of[o] = gid
+                    members.append(o)
+                elif other != gid:
+                    raise AssertionError(
+                        f"truss group grown from edge {start} reached group {other}")
         members.sort()
-        return members, contacts
-
-    def build_level(self, level: int) -> None:
-        gid_of: dict[int, int] = {}
-        group_members: dict[int, list[int]] = {}
-        values, alive = self.tau.values, self.tau.alive
-        for e in range(self.graph.m):
-            if alive[e] and values[e] == level and e not in gid_of:
-                gid = self.next_gid
-                self.next_gid += 1
-                group_members[gid], _ = self._expand_group(level, e, gid_of, gid)
-        self.levels[level] = (gid_of, group_members)
-
-    def ensure_level(self, level: int) -> None:
-        """Materialize a level on first access instead of during refreshes."""
-        if level >= 3 and level not in self.levels:
-            self.build_level(level)
+        self.members[gid] = members
 
     # -- queries ---------------------------------------------------------------
 
-    def group_sizes(self, level: Optional[int] = None) -> dict[int, int]:
-        level = self.primary_level if level is None else level
-        self.ensure_level(level)
-        gid_of, members = self.levels[level]
-        return {gid: len(m) for gid, m in members.items()}
+    def group_sizes(self) -> dict[int, int]:
+        return {gid: len(m) for gid, m in self.members.items()}
 
-    def adjacent_gids(self, eid: int, level: Optional[int] = None) -> set[int]:
+    def adjacent_gids(self, eid: int) -> set[int]:
         """Ids of the truss groups the edge touches through truss triangles."""
-        level = self.primary_level if level is None else level
-        self.ensure_level(level)
-        gid_of, _ = self.levels[level]
-        g, tau = self.graph, self.tau
-        tris, edge_tris = g.triangle_index()
-        values, alive = tau.values, tau.alive
-        out: set[int] = set()
-        if values[eid] == level:
+        gid_of = self.gid_of
+        out = {gid_of[o] for o in self._level_partners(eid)}
+        if self.tau.values[eid] == self.k:
             out.add(gid_of[eid])
-        for ti in edge_tris[eid]:
-            a, b, c = tris[ti]
-            if not (alive[a] and alive[b] and alive[c]):
-                continue
-            if values[a] < level or values[b] < level or values[c] < level:
-                continue
-            for o in (a, b, c):
-                if o != eid and values[o] == level:
-                    out.add(gid_of[o])
         return out
 
 
@@ -304,19 +267,24 @@ def build_truss_group_index(g: Graph, tau: TrussnessMap, k: int) -> GroupIndex:
     if k < 3:
         raise ValueError("k must be >= 3")
     idx = GroupIndex(g, tau, k)
-    idx.build_level(k)
+    values, alive = tau.values, tau.alive
+    for e in range(g.m):
+        if alive[e] and values[e] == k and e not in idx.gid_of:
+            idx._grow(e)
     return idx
 
 
 def upper_bound(idx: GroupIndex, e) -> int:
-    """Bound on the follower count of `e`: total size of its adjacent groups."""
+    """Bound on the follower count of `e`: total size of its adjacent groups.
+
+    `e` is an edge id or a pair of dense vertex ids (positions in the sorted
+    `idx.graph.labels`), not a pair of input labels.
+    """
     eid = idx.graph.resolve_edge(e)
-    if not idx.tau.alive[eid] or idx.tau.values[eid] < idx.primary_level:
+    if not idx.tau.alive[eid] or idx.tau.values[eid] < idx.k:
         raise ContractViolation(
             f"edge id {eid} is not in the current truss; index is stale")
-    gids = idx.adjacent_gids(eid)
-    _, members = idx.levels[idx.primary_level]
-    return sum(len(members[gid]) for gid in gids)
+    return sum(len(idx.members[gid]) for gid in idx.adjacent_gids(eid))
 
 
 def refresh_index(idx: GroupIndex, changed: Iterable[int], g: Graph,
@@ -326,73 +294,43 @@ def refresh_index(idx: GroupIndex, changed: Iterable[int], g: Graph,
     `tau` is the map `update_after_deletion` returned for that deletion,
     and `changed` the edges it reported.  Dissolves every group holding a
     changed (or the deleted) edge or sharing a pre-deletion triangle with
-    one, then regrows groups over that region.  Untouched groups keep
-    their ids and member lists.  The result matches rebuilding every
-    materialized level from scratch.
+    one, then regrows groups over that region; the deleted edge can be a
+    pure bridge, so losing its triangles may split a group without any
+    trussness changing.  Untouched groups keep their ids and member lists.
+    The result matches a rebuild from scratch.
     """
     changed = set(changed)
-    old_tau = idx.tau
     alive = tau.alive
-
-    touched_levels: set[int] = set()
-    for c in changed:
-        touched_levels.add(old_tau.values[c])
-        touched_levels.add(tau.values[c])
-    touched_levels.add(old_tau.values[deleted])
-    # The deleted edge can be a pure bridge in any level below its own
-    # trussness: losing its triangles may split a group there without any
-    # trussness changing.
-    for lv in idx.levels:
-        if lv <= old_tau.values[deleted]:
-            touched_levels.add(lv)
-    touched_levels = {lv for lv in touched_levels if lv >= 3}
-
     tris, edge_tris = g.triangle_index()
-    affected = changed | {deleted}
-
-    # Levels nobody has looked at yet stay unmaterialized; they build lazily
-    # on first access against whatever the state is then.
-    to_splice = [lv for lv in idx.levels if lv in touched_levels]
+    gid_of, group_members = idx.gid_of, idx.members
 
     # Rebind current state first: regrown regions must see the new values.
     idx.tau = tau
     idx.last_dissolved = set()
 
-    for level in to_splice:
-        gid_of, group_members = idx.levels[level]
-        dissolve: set[int] = set()
-        for x in affected:
-            if x in gid_of:
-                dissolve.add(gid_of[x])
-            for ti in edge_tris[x]:
-                a, b, c = tris[ti]
-                # alive before the deletion
-                if not ((alive[a] or a == deleted) and (alive[b] or b == deleted)
-                        and (alive[c] or c == deleted)):
-                    continue
-                for o in (a, b, c):
-                    if o != x and o in gid_of:
-                        dissolve.add(gid_of[o])
-        if not dissolve and not any(
-                alive[c] and tau.values[c] == level for c in changed):
-            continue
-        idx.last_dissolved |= dissolve
-        region: set[int] = set()
-        for gid in dissolve:
-            region.update(group_members.pop(gid))
-        for e in region:
-            del gid_of[e]
-        region |= changed
-        seeds = sorted(e for e in region
-                       if alive[e] and tau.values[e] == level)
-        for e in seeds:
-            if e in gid_of:
+    dissolve: set[int] = set()
+    for x in changed | {deleted}:
+        if x in gid_of:
+            dissolve.add(gid_of[x])
+        for ti in edge_tris[x]:
+            a, b, c = tris[ti]
+            # alive before the deletion
+            if not ((alive[a] or a == deleted) and (alive[b] or b == deleted)
+                    and (alive[c] or c == deleted)):
                 continue
-            gid = idx.next_gid
-            idx.next_gid += 1
-            members, contacts = idx._expand_group(level, e, gid_of, gid)
-            if contacts:
-                raise AssertionError(
-                    f"refresh at level {level} reached undissolved groups {sorted(contacts)}")
-            group_members[gid] = members
+            for o in (a, b, c):
+                if o != x and o in gid_of:
+                    dissolve.add(gid_of[o])
+    if not dissolve and not any(alive[c] and tau.values[c] == idx.k for c in changed):
+        return idx
+    idx.last_dissolved = dissolve
+    region: set[int] = set()
+    for gid in dissolve:
+        region.update(group_members.pop(gid))
+    for e in region:
+        del gid_of[e]
+    region |= changed
+    for e in sorted(region):
+        if alive[e] and tau.values[e] == idx.k and e not in gid_of:
+            idx._grow(e)
     return idx

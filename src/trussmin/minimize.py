@@ -22,8 +22,7 @@ from .errors import ContractViolation, EnumerationCapExceeded
 from .graph import Graph
 from .groups import SupportGroup, SupportGroupIndex, build_truss_group_index, \
     find_support_groups, refresh_index
-from .truss import TrussnessMap, TrussSubgraph, k_truss, truss_decompose, \
-    update_after_deletion
+from .truss import TrussnessMap, TrussSubgraph, k_truss, update_after_deletion
 
 ALGORITHMS = ("exact", "support", "baseline", "gp_edge", "up_edge")
 
@@ -34,10 +33,8 @@ DEFAULT_EXACT_CAP = 2_000_000
 class SolverConfig:
     """What to solve: truss level, deletion budget, strategy, knobs.
 
-    Every algorithm is deterministic; there is no seed anywhere.  `threads`
-    only affects `gp_edge`, which fans candidate evaluation out to that
-    many worker processes when it is above 1; `baseline` is always
-    sequential.
+    Every algorithm is deterministic and sequential; there is no seed
+    anywhere.  `threads` is validated (>= 1) but ignored.
     """
 
     k: int
@@ -45,7 +42,6 @@ class SolverConfig:
     algorithm: str = "up_edge"
     threads: int = 1
     exact_cap: int = DEFAULT_EXACT_CAP
-    rebuild_index: bool = False
 
     def __post_init__(self):
         if self.k < 3:
@@ -129,8 +125,9 @@ def _choose_from_ties(t: TrussSubgraph, best_f: int, ties: list[int],
 
     A tying group representative stands for its whole group and for the
     over-threshold edges the group certainly drags down; all of those tie
-    it exactly, so they join the pool.  When nothing has followers the
-    smallest alive edge is chosen, matching the unpruned reference scan.
+    it exactly, so they join the pool.  When nothing has followers, or
+    there were no candidates at all, the smallest alive edge is chosen,
+    matching the unpruned reference scan.
     """
     if best_f <= 0:
         e = t.min_alive_edge()
@@ -145,45 +142,6 @@ def _choose_from_ties(t: TrussSubgraph, best_f: int, ties: list[int],
             pool.extend(grp.members)
             pool.extend(grp.pruned_followers)
     return min(pool)
-
-
-# -- parallel candidate evaluation --------------------------------------------
-
-_PARALLEL_MIN = 64
-_EVAL_STATE: Optional[TrussSubgraph] = None
-
-
-def _eval_batch(eids: list[int]) -> list[tuple[int, int]]:
-    t = _EVAL_STATE
-    assert t is not None
-    return [(e, len(simulate_followers(t, e))) for e in eids]
-
-
-def _follower_counts(t: TrussSubgraph, eids: list[int], threads: int) -> dict[int, int]:
-    """Follower counts for many edges, fanned out over `threads` processes.
-
-    Workers inherit the snapshot by fork, evaluate over private scratch,
-    and return counts only; the merge is order-independent.
-    """
-    import concurrent.futures
-    import multiprocessing
-    global _EVAL_STATE
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        return {e: len(simulate_followers(t, e)) for e in eids}
-    _EVAL_STATE = t
-    try:
-        chunk = max(1, len(eids) // (threads * 4))
-        batches = [eids[i:i + chunk] for i in range(0, len(eids), chunk)]
-        counts: dict[int, int] = {}
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads,
-                                                    mp_context=ctx) as ex:
-            for batch in ex.map(_eval_batch, batches):
-                counts.update(batch)
-        return counts
-    finally:
-        _EVAL_STATE = None
 
 
 # -- solvers --------------------------------------------------------------------
@@ -323,27 +281,7 @@ def solve_exact(t: TrussSubgraph, b: int,
     return list(best_set), records
 
 
-def _fallback_iteration(t: TrussSubgraph, records: list[IterationRecord],
-                        chosen: list[int], candidates_total: int,
-                        start: float) -> tuple[int, list[int], list[int]]:
-    """No edge can have followers: delete the smallest alive edge anyway.
-
-    Returns the deleted edge plus the commit's dead list and log.
-    """
-    e_star = t.min_alive_edge()
-    if e_star is None:
-        raise ContractViolation("no alive edge to delete")
-    dead, log = _commit(t, e_star, 0)
-    chosen.append(e_star)
-    records.append(IterationRecord(
-        edge=t.graph.original_pair(e_star), eid=e_star, followers=0,
-        candidates_total=candidates_total, candidates_evaluated=0,
-        time_ms=(time.perf_counter() - start) * 1000.0))
-    return e_star, dead, log
-
-
-def solve_gp_edge(t: TrussSubgraph, b: int,
-                  threads: int = 1) -> tuple[list[int], list[IterationRecord]]:
+def solve_gp_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRecord]]:
     """Greedy over the reduced candidate set.
 
     Candidates are evaluated in ascending edge-id order; anything that
@@ -358,46 +296,34 @@ def solve_gp_edge(t: TrussSubgraph, b: int,
     while len(chosen) < b and t.edge_count > 0:
         start = time.perf_counter()
         candidates = support_groups.candidates()
-        if not candidates:
-            _, dead, log = _fallback_iteration(t, records, chosen, 0, start)
-            support_groups.update(dead, log)
-            continue
         fvals: dict[int, int] = {}
+        removed_by: dict[int, int] = {}
         best_f = -1
         ties: list[int] = []
         evaluated = 0
-        if threads > 1 and len(candidates) >= _PARALLEL_MIN:
-            # Parallel mode cannot apply the follower-set skip; it may
-            # over-evaluate but returns the identical argmax.
-            fvals = _follower_counts(t, candidates, threads)
-            evaluated = len(candidates)
-            best_f = max(fvals.values())
-            ties = [c for c in candidates if fvals[c] == best_f]
-        else:
-            removed_by: dict[int, int] = {}
-            for c in candidates:
-                if c in removed_by:
-                    continue
-                fl = simulate_followers(t, c)
-                f = len(fl)
-                fvals[c] = f
-                evaluated += 1
-                if f > best_f:
-                    best_f, ties = f, [c]
-                elif f == best_f:
-                    ties.append(c)
-                for x in fl:
-                    removed_by.setdefault(x, c)
-            for c in candidates:
-                if c in fvals or c not in removed_by:
-                    continue
-                if fvals[removed_by[c]] != best_f:
-                    continue
-                f = len(simulate_followers(t, c))
-                fvals[c] = f
-                evaluated += 1
-                if f == best_f:
-                    ties.append(c)
+        for c in candidates:
+            if c in removed_by:
+                continue
+            fl = simulate_followers(t, c)
+            f = len(fl)
+            fvals[c] = f
+            evaluated += 1
+            if f > best_f:
+                best_f, ties = f, [c]
+            elif f == best_f:
+                ties.append(c)
+            for x in fl:
+                removed_by.setdefault(x, c)
+        for c in candidates:
+            if c in fvals or c not in removed_by:
+                continue
+            if fvals[removed_by[c]] != best_f:
+                continue
+            f = len(simulate_followers(t, c))
+            fvals[c] = f
+            evaluated += 1
+            if f == best_f:
+                ties.append(c)
         e_star = _choose_from_ties(t, best_f, ties, support_groups.rep_group)
         followers = max(best_f, 0)
         dead, log = _commit(t, e_star, followers)
@@ -433,8 +359,7 @@ def _two_level_tau(t: TrussSubgraph) -> TrussnessMap:
     return TrussnessMap(g, values, alive)
 
 
-def solve_up_edge(t: TrussSubgraph, b: int, rebuild_index: bool = False
-                  ) -> tuple[list[int], list[IterationRecord]]:
+def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRecord]]:
     """Greedy with bound-ordered scanning and early stopping.
 
     Candidates are scanned by descending upper bound (group-size sum).
@@ -442,8 +367,7 @@ def solve_up_edge(t: TrussSubgraph, b: int, rebuild_index: bool = False
     falls below it is skipped; bound-zero candidates are never evaluated.
     Equal-bound candidates are still evaluated so exact ties keep the
     shared smallest-edge-id break.  After each deletion the trussness map
-    is repaired locally and the group index refreshed (or rebuilt when
-    `rebuild_index` is set, for A/B validation).
+    is repaired locally and the group index refreshed.
     """
     g = t.graph
     k = t.k
@@ -460,32 +384,9 @@ def solve_up_edge(t: TrussSubgraph, b: int, rebuild_index: bool = False
 
     support_groups = SupportGroupIndex(t, find_support_groups(t)[0])
 
-    def advance(e_star: int, dead: list[int], log: list[int]) -> None:
-        nonlocal tau, idx
-        support_groups.update(dead, log)
-        tau, changed = update_after_deletion(g, tau, g.edges[e_star])
-        if rebuild_index:
-            idx = build_truss_group_index(g, tau, k)
-            ub_cache.clear()
-            return
-        idx = refresh_index(idx, changed, g, tau, e_star)
-        for x in set(dead) | changed:
-            for ti in edge_tris[x]:
-                a, bb, c = tris[ti]
-                ub_cache.pop(a, None)
-                ub_cache.pop(bb, None)
-                ub_cache.pop(c, None)
-        dissolved = idx.last_dissolved
-        if dissolved:
-            for e in [e for e, (_, gids) in ub_cache.items() if gids & dissolved]:
-                del ub_cache[e]
-
     while len(chosen) < b and t.edge_count > 0:
         start = time.perf_counter()
         candidates = support_groups.candidates()
-        if not candidates:
-            advance(*_fallback_iteration(t, records, chosen, 0, start))
-            continue
         sizes = idx.group_sizes()
         ubs: dict[int, int] = {}
         for c in candidates:
@@ -541,7 +442,19 @@ def solve_up_edge(t: TrussSubgraph, b: int, rebuild_index: bool = False
         followers = max(best_f, 0)
         dead, log = _commit(t, e_star, followers)
         chosen.append(e_star)
-        advance(e_star, dead, log)
+        support_groups.update(dead, log)
+        tau, changed = update_after_deletion(g, tau, g.edges[e_star])
+        idx = refresh_index(idx, changed, g, tau, e_star)
+        for x in set(dead) | changed:
+            for ti in edge_tris[x]:
+                a, bb, c = tris[ti]
+                ub_cache.pop(a, None)
+                ub_cache.pop(bb, None)
+                ub_cache.pop(c, None)
+        dissolved = idx.last_dissolved
+        if dissolved:
+            for e in [e for e, (_, gids) in ub_cache.items() if gids & dissolved]:
+                del ub_cache[e]
         records.append(IterationRecord(
             edge=t.graph.original_pair(e_star), eid=e_star, followers=followers,
             candidates_total=len(candidates), candidates_evaluated=evaluated,
@@ -570,9 +483,9 @@ def solve(g: Graph, cfg: SolverConfig) -> MinimizationReport:
     elif cfg.algorithm == "baseline":
         chosen, records = solve_baseline(t, cfg.b)
     elif cfg.algorithm == "gp_edge":
-        chosen, records = solve_gp_edge(t, cfg.b, threads=cfg.threads)
+        chosen, records = solve_gp_edge(t, cfg.b)
     else:
-        chosen, records = solve_up_edge(t, cfg.b, rebuild_index=cfg.rebuild_index)
+        chosen, records = solve_up_edge(t, cfg.b)
 
     report.iterations = records
     report.followers_total = sum(r.followers for r in records)

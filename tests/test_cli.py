@@ -7,7 +7,7 @@ import pytest
 import oracles
 from conftest import complete_pairs, er_pairs
 from trussmin import cli
-from trussmin.cli import build_parser, main
+from trussmin.cli import main
 
 
 def write_edges(path, pairs):
@@ -146,16 +146,9 @@ class TestDecompose:
 
 
 class TestMinimize:
-    def test_threads_default_to_one(self, k5_file):
-        parser = build_parser()
-        for argv in (["minimize", k5_file, "-k", "5", "-b", "1"],
-                     ["bench", k5_file, "-k", "5", "-b", "1"]):
-            assert parser.parse_args(argv).threads == 1
-
     def test_json_schema(self, capsys, k5_file):
         code, out, _ = run_cli(capsys, "minimize", k5_file, "-k", "5", "-b", "1",
-                               "--algorithm", "up_edge", "--format", "json",
-                               "--threads", "1")
+                               "--algorithm", "up_edge", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == {"config", "iterations", "totals", "warnings"}
@@ -170,11 +163,9 @@ class TestMinimize:
 
     def test_exact_matches_up_edge_total_here(self, capsys, k5_file):
         _, out_up, _ = run_cli(capsys, "minimize", k5_file, "-k", "5", "-b", "1",
-                               "--algorithm", "up_edge", "--format", "json",
-                               "--threads", "1")
+                               "--algorithm", "up_edge", "--format", "json")
         _, out_ex, _ = run_cli(capsys, "minimize", k5_file, "-k", "5", "-b", "1",
-                               "--algorithm", "exact", "--format", "json",
-                               "--threads", "1")
+                               "--algorithm", "exact", "--format", "json")
         up = json.loads(out_up)["totals"]["followers_total"]
         ex = json.loads(out_ex)["totals"]["followers_total"]
         assert up == ex == 9
@@ -195,7 +186,7 @@ class TestMinimize:
     def test_empty_truss_warns_but_exits_zero(self, capsys, tmp_path):
         path = write_edges(tmp_path / "p.txt", [(0, 1), (1, 2), (2, 3)])
         code, out, _ = run_cli(capsys, "minimize", path, "-k", "3", "-b", "2",
-                               "--format", "json", "--threads", "1")
+                               "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert payload["iterations"] == []
@@ -205,7 +196,7 @@ class TestMinimize:
         pairs = [(10 * u + 3, 10 * v + 3) for u, v in complete_pairs(5)]
         path = write_edges(tmp_path / "lab.txt", pairs)
         code, out, _ = run_cli(capsys, "minimize", path, "-k", "5", "-b", "1",
-                               "--format", "json", "--threads", "1")
+                               "--format", "json")
         payload = json.loads(out)
         assert payload["iterations"][0]["edge"] == [3, 13]
 
@@ -219,14 +210,13 @@ class TestMinimize:
         outs = []
         for _ in range(2):
             _, out, _ = run_cli(capsys, "minimize", k5_file, "-k", "5", "-b", "1",
-                                "--format", "json", "--threads", "1")
+                                "--format", "json")
             outs.append(json.dumps(strip(json.loads(out)), sort_keys=True))
         assert outs[0] == outs[1]
 
     def test_dump_groups(self, capsys, k5_file):
         code, out, _ = run_cli(capsys, "minimize", k5_file, "-k", "5", "-b", "1",
-                               "--format", "json", "--threads", "1",
-                               "--dump-groups")
+                               "--format", "json", "--dump-groups")
         payload = json.loads(out)
         dump = payload["groups_dump"]
         assert len(dump["support_groups"]) == 1
@@ -234,16 +224,32 @@ class TestMinimize:
         assert len(dump["truss_groups"]) == 1
         assert dump["truss_groups"][0]["size"] == 10
 
+    def test_dump_groups_truss_groups_match_oracle(self, capsys, tmp_path, rng):
+        checked = 0
+        while checked < 20:
+            pairs = er_pairs(rng, rng.randint(6, 16), rng.uniform(0.35, 0.65))
+            if not pairs:
+                continue
+            path = write_edges(tmp_path / f"g{checked}.txt", pairs)
+            for k in (3, 4):
+                code, out, _ = run_cli(capsys, "minimize", path, "-k", str(k), "-b", "1",
+                                       "--format", "json", "--dump-groups")
+                assert code == 0
+                dump = json.loads(out)["groups_dump"]
+                got = {frozenset(map(tuple, grp["members"])) for grp in dump["truss_groups"]}
+                assert got == oracles.truss_group_partition(pairs, k), (k, pairs)
+                assert all(grp["size"] == len(grp["members"]) for grp in dump["truss_groups"])
+            checked += 1
+
     def test_human_format_prints_a_table(self, capsys, k5_file):
-        code, out, _ = run_cli(capsys, "minimize", k5_file, "-k", "5", "-b", "1",
-                               "--threads", "1")
+        code, out, _ = run_cli(capsys, "minimize", k5_file, "-k", "5", "-b", "1")
         assert code == 0
         assert "followers" in out
         assert "followers total: 9" in out
 
     def test_csv_format(self, capsys, k5_file):
         code, out, _ = run_cli(capsys, "minimize", k5_file, "-k", "5", "-b", "1",
-                               "--format", "csv", "--threads", "1")
+                               "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0].startswith("iteration,")
@@ -254,7 +260,7 @@ class TestBench:
     def test_matrix_shape_and_agreement(self, capsys, k5_file):
         code, out, _ = run_cli(capsys, "bench", k5_file, "-k", "5", "-b", "1,2",
                                "--algorithms", "baseline,gp_edge,up_edge",
-                               "--reps", "1", "--threads", "1")
+                               "--reps", "1")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "k,b,algorithm,rep,followers_total,time_ms,candidates_evaluated"
@@ -266,14 +272,13 @@ class TestBench:
 
     def test_single_cell(self, capsys, k5_file):
         code, out, _ = run_cli(capsys, "bench", k5_file, "-k", "5", "-b", "1",
-                               "--algorithms", "up_edge", "--threads", "1")
+                               "--algorithms", "up_edge")
         assert code == 0
         assert len(out.strip().splitlines()) == 2
 
     def test_repetitions_are_deterministic(self, capsys, k5_file):
         code, out, _ = run_cli(capsys, "bench", k5_file, "-k", "5", "-b", "1",
-                               "--algorithms", "gp_edge", "--reps", "3",
-                               "--threads", "1")
+                               "--algorithms", "gp_edge", "--reps", "3")
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert len(rows) == 3
         assert len({r[4] for r in rows}) == 1
@@ -284,7 +289,7 @@ class TestBench:
         path = write_edges(tmp_path / "big.txt", pairs)
         code, out, err = run_cli(capsys, "bench", path, "-k", "3", "-b", "3",
                                  "--algorithms", "exact,gp_edge",
-                                 "--exact-cap", "100", "--threads", "1")
+                                 "--exact-cap", "100")
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 3

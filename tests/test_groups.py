@@ -13,9 +13,8 @@ def group_partition_labels(g, groups):
     return {frozenset(g.original_pair(e) for e in grp.members) for grp in groups}
 
 
-def index_partition_labels(g, idx, level):
-    _, members = idx.levels[level]
-    return {frozenset(g.original_pair(e) for e in ms) for ms in members.values()}
+def index_partition_labels(g, idx):
+    return {frozenset(g.original_pair(e) for e in ms) for ms in idx.members.values()}
 
 
 class TestFindSupportGroups:
@@ -167,7 +166,7 @@ class TestTrussGroupIndex:
     def test_k5_single_group(self, k5):
         tau = truss_decompose(k5)
         idx = build_truss_group_index(k5, tau, 5)
-        assert index_partition_labels(k5, idx, 5) == \
+        assert index_partition_labels(k5, idx) == \
             oracles.truss_group_partition(complete_pairs(5), 5)
         assert sorted(idx.group_sizes().values()) == [10]
 
@@ -178,7 +177,7 @@ class TestTrussGroupIndex:
         idx = build_truss_group_index(g, tau, 4)
         expected = oracles.truss_group_partition(pairs, 4)
         assert len(expected) == 1 and len(next(iter(expected))) == 11
-        assert index_partition_labels(g, idx, 4) == expected
+        assert index_partition_labels(g, idx) == expected
 
     def test_k6_has_empty_level_5(self, k6):
         tau = truss_decompose(k6)
@@ -199,7 +198,7 @@ class TestTrussGroupIndex:
             tau = truss_decompose(g)
             for k in (3, 4, 5):
                 idx = build_truss_group_index(g, tau, k)
-                assert index_partition_labels(g, idx, k) == \
+                assert index_partition_labels(g, idx) == \
                     oracles.truss_group_partition(pairs, k)
 
 
@@ -272,30 +271,30 @@ class TestRefreshIndex:
         assert changed == set()
         idx2 = refresh_index(idx, changed, g, tau2, g.edge_id(2, 3))
         assert idx2 is idx
-        assert index_partition_labels(g, idx2, 3) == \
-            index_partition_labels(g, build_truss_group_index(g, tau2, 3), 3)
+        assert index_partition_labels(g, idx2) == \
+            index_partition_labels(g, build_truss_group_index(g, tau2, 3))
 
     def test_k5_deletion_moves_the_group_down_a_level(self, k5):
         tau = truss_decompose(k5)
         idx = build_truss_group_index(k5, tau, 5)
         tau2, changed = update_after_deletion(k5, tau, (0, 1))
         idx = refresh_index(idx, changed, k5, tau2, k5.edge_id(0, 1))
-        assert idx.group_sizes(5) == {}
-        assert sorted(idx.group_sizes(4).values()) == [9]
+        assert idx.group_sizes() == {}
+        assert sorted(build_truss_group_index(k5, tau2, 4).group_sizes().values()) == [9]
 
     def test_untouched_group_keeps_identity(self):
         pairs = complete_pairs(5) + complete_pairs(5, offset=10)
         g = graph_of(pairs)
         tau = truss_decompose(g)
         idx = build_truss_group_index(g, tau, 5)
-        second_gid = {idx.levels[5][0][e] for e in range(g.m)
+        second_gid = {idx.gid_of[e] for e in range(g.m)
                       if g.original_pair(e)[0] >= 10}
         assert len(second_gid) == 1
         second_gid = second_gid.pop()
-        before_members = list(idx.levels[5][1][second_gid])
+        before_members = list(idx.members[second_gid])
         tau2, changed = update_after_deletion(g, tau, g.edges[g.edge_id(0, 1)])
         idx = refresh_index(idx, changed, g, tau2, g.edge_id(0, 1))
-        assert idx.levels[5][1][second_gid] == before_members
+        assert idx.members[second_gid] == before_members
 
     def test_refresh_equals_rebuild_over_random_deletion_chains(self, rng):
         for _ in range(20):
@@ -312,12 +311,6 @@ class TestRefreshIndex:
                 tau2, changed = update_after_deletion(g, tau, g.edges[eid])
                 idx = refresh_index(idx, changed, g, tau2, eid)
                 fresh = build_truss_group_index(g, tau2, k)
-                for level in idx.levels:
-                    if level < 3:
-                        continue
-                    if level not in fresh.levels:
-                        fresh.build_level(level)
-                    assert index_partition_labels(g, idx, level) == \
-                        index_partition_labels(g, fresh, level), \
-                        f"level {level} diverged after deleting {g.original_pair(eid)}"
+                assert index_partition_labels(g, idx) == index_partition_labels(g, fresh), \
+                    f"level {k} diverged after deleting {g.original_pair(eid)}"
                 tau = tau2

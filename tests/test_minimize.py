@@ -151,12 +151,17 @@ class TestGpEdge:
         assert records[0].candidates_total == 1
         assert records[0].candidates_evaluated == 1
 
-    def test_k6_at_5_falls_back_to_smallest_alive_edge(self, k6):
+    @pytest.mark.parametrize("solver", [solve_gp_edge, solve_up_edge],
+                             ids=["gp_edge", "up_edge"])
+    def test_k6_at_5_falls_back_to_smallest_alive_edge(self, k6, solver):
+        # no threshold edge, so no candidate: the main loop deletes the
+        # smallest alive edge with nothing evaluated
         t = k_truss(k6, 5)
-        chosen, records = solve_gp_edge(t, 1)
+        chosen, records = solver(t, 1)
         assert chosen == [0]
         assert records[0].followers == 0
         assert records[0].candidates_total == 0
+        assert records[0].candidates_evaluated == 0
 
     def test_tie_regression_instance_matches_reference(self):
         g = graph_of(TIE_REGRESSION_PAIRS)
@@ -193,18 +198,6 @@ class TestUpEdge:
         chosen, records = solve_up_edge(t, 1)
         assert records[0].followers == 5  # the K4 collapses
         assert g.original_pair(chosen[0])[0] >= 10
-
-    def test_rebuild_flag_gives_identical_runs(self, rng):
-        for _ in range(10):
-            pairs = er_pairs(rng, rng.randint(6, 16), rng.uniform(0.35, 0.6))
-            if not pairs:
-                continue
-            g = graph_of(pairs)
-            a = solve(g, SolverConfig(k=3, b=3, algorithm="up_edge"))
-            b = solve(g, SolverConfig(k=3, b=3, algorithm="up_edge",
-                                      rebuild_index=True))
-            assert [(r.eid, r.followers) for r in a.iterations] == \
-                [(r.eid, r.followers) for r in b.iterations]
 
 
 class TestGreedyEquivalence:
@@ -375,20 +368,6 @@ class TestBaselineMemo:
         assert [(r.eid, r.followers) for r in report.iterations] == [(0, 9), (10, 9)]
         assert [r.candidates_evaluated for r in report.iterations] == [20, 10]
         assert sorted(calls) == list(range(20))
-
-
-class TestParallel:
-    def test_threads_do_not_change_results(self, rng):
-        pairs = []
-        for block in range(6):
-            pairs += complete_pairs(5, offset=10 * block)
-        pairs += er_pairs(rng, 30, 0.2)
-        g = graph_of(pairs)
-        for algorithm in ("baseline", "gp_edge"):
-            seq = solve(g, SolverConfig(k=4, b=3, algorithm=algorithm, threads=1))
-            par = solve(g, SolverConfig(k=4, b=3, algorithm=algorithm, threads=2))
-            assert [(r.eid, r.followers) for r in seq.iterations] == \
-                [(r.eid, r.followers) for r in par.iterations]
 
 
 class TestCommitChecks:

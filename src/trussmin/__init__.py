@@ -6,16 +6,16 @@ upper-bound-accelerated solvers.
 """
 
 from .cascade import DeletionOutcome, delete_and_cascade, followers_of_edge, \
-    oracle_best_single, simulate_followers
+    simulate_followers
 from .errors import ContractViolation, EdgeListParseError, EnumerationCapExceeded
 from .graph import Graph, load_edge_list
 from .groups import GroupIndex, SupportGroup, SupportGroupIndex, \
     build_truss_group_index, find_support_groups, refresh_index, upper_bound
 from .minimize import ALGORITHMS, IterationRecord, MinimizationReport, \
     SolverConfig, solve, solve_baseline, solve_exact, solve_gp_edge, \
-    solve_support, solve_up_edge, verify_equivalence
-from .truss import TrussSubgraph, TrussnessMap, k_core, k_truss, \
-    truss_decompose, update_after_deletion
+    solve_support, solve_up_edge
+from .truss import TrussSubgraph, TrussnessMap, k_truss, truss_decompose, \
+    update_after_deletion
 
 __all__ = [
     "ALGORITHMS",
@@ -36,10 +36,8 @@ __all__ = [
     "delete_and_cascade",
     "find_support_groups",
     "followers_of_edge",
-    "k_core",
     "k_truss",
     "load_edge_list",
-    "oracle_best_single",
     "refresh_index",
     "simulate_followers",
     "solve",
@@ -51,7 +49,6 @@ __all__ = [
     "truss_decompose",
     "update_after_deletion",
     "upper_bound",
-    "verify_equivalence",
 ]
 
 __version__ = "0.1.0"

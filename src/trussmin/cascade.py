@@ -122,17 +122,3 @@ def followers_of_edge(t: TrussSubgraph, e) -> int:
     """
     return len(simulate_followers(t, t.graph.resolve_edge(e)))
 
-
-def oracle_best_single(t: TrussSubgraph) -> tuple[int, int]:
-    """Exhaustively find the alive edge with the most followers.
-
-    Ties break toward the smallest edge id.  Returns (edge id, followers).
-    """
-    if t.edge_count == 0:
-        raise ContractViolation("empty truss")
-    best_e, best_f = -1, -1
-    for eid in t.alive_edge_ids():
-        f = len(simulate_followers(t, eid))
-        if f > best_f:
-            best_e, best_f = eid, f
-    return best_e, best_f

@@ -83,7 +83,9 @@ def _algorithm_list(text: str) -> list[str]:
 
 
 def _load(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
+    # Undecodable bytes become lone surrogates, which the parser rejects as
+    # non-ASCII on a data line and ignores on a comment line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return load_edge_list(fh)
 
 

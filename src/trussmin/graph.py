@@ -10,7 +10,7 @@ every per-edge map in the library is an array indexed by that edge id.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, Iterable, Optional
 
 from .errors import ContractViolation, EdgeListParseError
 
@@ -114,29 +114,7 @@ class Graph:
         u, v = self.edges[eid]
         return (self.labels[u], self.labels[v])
 
-    def degree(self, u: int) -> int:
-        return len(self.adj[u])
-
     # -- triangle primitives ------------------------------------------------
-
-    def common_neighbors(self, u: int, v: int) -> list[int]:
-        """Sorted vertices adjacent to both endpoints; one per triangle on (u, v)."""
-        self.edge_id(u, v)  # existence check
-        return sorted(set(self.adj[u]).intersection(self.adj[v]))
-
-    def support(self, u: int, v: int, alive: Optional[Sequence[int]] = None) -> int:
-        """Number of triangles on (u, v) whose other two edges are in `alive`.
-
-        `alive` is indexed by edge id (truthy = present); None means every edge.
-        """
-        eid = self.edge_id(u, v)
-        if alive is not None and not alive[eid]:
-            raise ContractViolation(f"edge ({u}, {v}) is not in the alive set")
-        common = set(self.adj[u]).intersection(self.adj[v])
-        if alive is None:
-            return len(common)
-        return sum(1 for w in common
-                   if alive[self.edge_id(u, w)] and alive[self.edge_id(v, w)])
 
     def triangle_index(self) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
         """All triangles as edge-id triples, plus edge -> triangle-ids lists.

@@ -281,14 +281,69 @@ def solve_exact(t: TrussSubgraph, b: int,
     return list(best_set), records
 
 
+def _scan(t: TrussSubgraph, candidates: list[int],
+          ubs: dict[int, int]) -> tuple[int, list[int], int]:
+    """Evaluate `candidates` by descending bound; returns (best_f, ties, evaluated).
+
+    `candidates` ascend and `ubs[c]` bounds the follower count of c, so a
+    stable reverse sort scans by (-bound, edge id).  Once something beats a
+    positive score, every candidate whose bound falls below it is skipped;
+    bound-zero candidates are never evaluated.  A candidate that shows up
+    in an evaluated candidate's follower set is skipped when its bound
+    equals its remover's (it cannot do strictly better than its remover)
+    or falls below the remover's score (it cannot tie the maximum).
+    Skipped candidates whose remover holds the maximum are re-evaluated
+    once at the end: they may tie it exactly, and ties decide the chosen
+    edge.
+    """
+    order = sorted(candidates, key=ubs.__getitem__, reverse=True)
+    fvals: dict[int, int] = {}
+    removed_by: dict[int, int] = {}
+    best_f = -1
+    ties: list[int] = []
+    evaluated = 0
+    for c in order:
+        if ubs[c] == 0:
+            break
+        if best_f > 0 and ubs[c] < best_f:
+            break
+        if c in removed_by:
+            continue
+        fl = simulate_followers(t, c)
+        f = len(fl)
+        fvals[c] = f
+        evaluated += 1
+        if f > best_f:
+            best_f, ties = f, [c]
+        elif f == best_f:
+            ties.append(c)
+        for x in fl:
+            if x in fvals or x in removed_by:
+                continue
+            ub_x = ubs.get(x)
+            if ub_x is None:
+                continue
+            if ub_x == ubs[c] or ub_x < f:
+                removed_by[x] = c
+    for c in candidates:
+        if c in fvals or c not in removed_by:
+            continue
+        if fvals[removed_by[c]] != best_f:
+            continue
+        f = len(simulate_followers(t, c))
+        fvals[c] = f
+        evaluated += 1
+        if f == best_f:
+            ties.append(c)
+    return best_f, ties, evaluated
+
+
 def solve_gp_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRecord]]:
     """Greedy over the reduced candidate set.
 
-    Candidates are evaluated in ascending edge-id order; anything that
-    shows up in an evaluated candidate's follower set is skipped, since it
-    cannot do strictly better than its remover.  Skipped candidates whose
-    remover holds the maximum are re-evaluated once at the end: they may
-    tie it exactly, and ties decide the chosen edge.
+    Every candidate gets the same bound, the graph's edge count, so `_scan`
+    evaluates them in ascending edge-id order, never stops early, and skips
+    every candidate that shows up in an evaluated candidate's follower set.
     """
     chosen: list[int] = []
     records: list[IterationRecord] = []
@@ -296,34 +351,7 @@ def solve_gp_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     while len(chosen) < b and t.edge_count > 0:
         start = time.perf_counter()
         candidates = support_groups.candidates()
-        fvals: dict[int, int] = {}
-        removed_by: dict[int, int] = {}
-        best_f = -1
-        ties: list[int] = []
-        evaluated = 0
-        for c in candidates:
-            if c in removed_by:
-                continue
-            fl = simulate_followers(t, c)
-            f = len(fl)
-            fvals[c] = f
-            evaluated += 1
-            if f > best_f:
-                best_f, ties = f, [c]
-            elif f == best_f:
-                ties.append(c)
-            for x in fl:
-                removed_by.setdefault(x, c)
-        for c in candidates:
-            if c in fvals or c not in removed_by:
-                continue
-            if fvals[removed_by[c]] != best_f:
-                continue
-            f = len(simulate_followers(t, c))
-            fvals[c] = f
-            evaluated += 1
-            if f == best_f:
-                ties.append(c)
+        best_f, ties, evaluated = _scan(t, candidates, dict.fromkeys(candidates, t.graph.m))
         e_star = _choose_from_ties(t, best_f, ties, support_groups.rep_group)
         followers = max(best_f, 0)
         dead, log = _commit(t, e_star, followers)
@@ -362,12 +390,11 @@ def _two_level_tau(t: TrussSubgraph) -> TrussnessMap:
 def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRecord]]:
     """Greedy with bound-ordered scanning and early stopping.
 
-    Candidates are scanned by descending upper bound (group-size sum).
-    Once something beats a positive score, every candidate whose bound
-    falls below it is skipped; bound-zero candidates are never evaluated.
-    Equal-bound candidates are still evaluated so exact ties keep the
-    shared smallest-edge-id break.  After each deletion the trussness map
-    is repaired locally and the group index refreshed.
+    Each candidate is priced with an upper bound on its follower count
+    (the sizes of the truss groups it touches) for `_scan`.  The early stop
+    is strict, so equal-bound candidates are still evaluated and exact ties
+    keep the shared smallest-edge-id break.  After each deletion the
+    trussness map is repaired locally and the group index refreshed.
     """
     g = t.graph
     k = t.k
@@ -396,48 +423,7 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
                 hit = (sum(sizes[x] for x in gids), frozenset(gids))
                 ub_cache[c] = hit
             ubs[c] = hit[0]
-        # by (-bound, edge id): candidates ascend, and a reverse sort is stable
-        order = sorted(candidates, key=ubs.__getitem__, reverse=True)
-        fvals: dict[int, int] = {}
-        removed_by: dict[int, int] = {}
-        best_f = -1
-        ties: list[int] = []
-        evaluated = 0
-        for c in order:
-            if ubs[c] == 0:
-                break
-            if best_f > 0 and ubs[c] < best_f:
-                break
-            if c in removed_by:
-                continue
-            fl = simulate_followers(t, c)
-            f = len(fl)
-            fvals[c] = f
-            evaluated += 1
-            if f > best_f:
-                best_f, ties = f, [c]
-            elif f == best_f:
-                ties.append(c)
-            for x in fl:
-                if x in fvals or x in removed_by:
-                    continue
-                ub_x = ubs.get(x)
-                if ub_x is None:
-                    continue
-                # Same-bound peers come later in the scan order, and a
-                # bound below the remover's score cannot tie the maximum.
-                if ub_x == ubs[c] or ub_x < f:
-                    removed_by[x] = c
-        for c in candidates:
-            if c in fvals or c not in removed_by:
-                continue
-            if fvals[removed_by[c]] != best_f:
-                continue
-            f = len(simulate_followers(t, c))
-            fvals[c] = f
-            evaluated += 1
-            if f == best_f:
-                ties.append(c)
+        best_f, ties, evaluated = _scan(t, candidates, ubs)
         e_star = _choose_from_ties(t, best_f, ties, support_groups.rep_group)
         followers = max(best_f, 0)
         dead, log = _commit(t, e_star, followers)
@@ -497,11 +483,3 @@ def solve(g: Graph, cfg: SolverConfig) -> MinimizationReport:
     report.time_ms_total = (time.perf_counter() - start) * 1000.0
     return report
 
-
-def verify_equivalence(g: Graph, k: int, b: int) -> bool:
-    """True iff the three greedy solvers agree edge-for-edge on this input."""
-    outcomes = []
-    for algorithm in ("baseline", "gp_edge", "up_edge"):
-        rep = solve(g, SolverConfig(k=k, b=b, algorithm=algorithm))
-        outcomes.append([(r.eid, r.followers) for r in rep.iterations])
-    return outcomes[0] == outcomes[1] == outcomes[2]

@@ -1,4 +1,4 @@
-"""Dense-core and triangle-cohesion extraction plus trussness maintenance.
+"""k-truss extraction, truss decomposition and trussness maintenance.
 
 A k-truss here is edge-centric: the surviving edge set of the peeling
 process that repeatedly removes edges supported by fewer than k-2 alive
@@ -13,26 +13,6 @@ from typing import Iterable, Optional
 
 from .errors import ContractViolation
 from .graph import Graph
-
-
-def k_core(g: Graph, k: int) -> set[int]:
-    """Maximal vertex set in which every vertex keeps >= k neighbors."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    deg = [g.degree(v) for v in range(g.n)]
-    removed = [False] * g.n
-    queue = deque(v for v in range(g.n) if deg[v] < k)
-    while queue:
-        v = queue.popleft()
-        if removed[v]:
-            continue
-        removed[v] = True
-        for u in g.adj[v]:
-            if not removed[u]:
-                deg[u] -= 1
-                if deg[u] < k:
-                    queue.append(u)
-    return {v for v in range(g.n) if not removed[v]}
 
 
 class TrussSubgraph:
@@ -67,18 +47,6 @@ class TrussSubgraph:
             if self.alive[e]:
                 return e
         return None
-
-    def nodes(self) -> list[int]:
-        """Vertices incident to at least one alive edge (no isolated nodes)."""
-        seen = set()
-        for e in self.alive_edge_ids():
-            u, v = self.graph.edges[e]
-            seen.add(u)
-            seen.add(v)
-        return sorted(seen)
-
-    def is_alive(self, eid: int) -> bool:
-        return bool(self.alive[eid])
 
     # -- cascade engine ------------------------------------------------------
 
@@ -137,27 +105,21 @@ class TrussSubgraph:
 
 
 def k_truss(g: Graph, k: int) -> TrussSubgraph:
-    """Extract the k-truss: restrict to the (k-1)-core, then peel edges."""
+    """Extract the k-truss: start from every edge and triangle, then peel.
+
+    Supports start as raw triangle counts, and every edge below k-2 seeds
+    one cascade.  Only alive edges keep exact supports afterwards: a peeled
+    edge keeps whatever count it had when it died, and no reader looks at
+    the support of a dead edge.
+    """
     if k < 3:
         raise ValueError("k must be >= 3")
-    core = k_core(g, k - 1)
+    tris, edge_tris = g.triangle_index()
     m = g.m
-    alive = bytearray(m)
-    for eid, (u, v) in enumerate(g.edges):
-        if u in core and v in core:
-            alive[eid] = 1
-    tris, _ = g.triangle_index()
-    tri_alive = bytearray(len(tris))
-    sup = [0] * m
-    for t, (a, b, c) in enumerate(tris):
-        if alive[a] and alive[b] and alive[c]:
-            tri_alive[t] = 1
-            sup[a] += 1
-            sup[b] += 1
-            sup[c] += 1
-    sub = TrussSubgraph(g, k, alive, sup, tri_alive, sum(alive))
-    weak = [e for e in range(m) if alive[e] and sup[e] < k - 2]
-    sub.cascade(weak)
+    sup = list(map(len, edge_tris))
+    sub = TrussSubgraph(g, k, bytearray(b"\x01") * m, sup,
+                        bytearray(b"\x01") * len(tris), m)
+    sub.cascade(e for e in range(m) if sup[e] < k - 2)
     return sub
 
 
@@ -174,53 +136,29 @@ class TrussnessMap:
     def copy(self) -> "TrussnessMap":
         return TrussnessMap(self.graph, list(self.values), bytearray(self.alive))
 
-    def tau(self, eid: int) -> int:
-        if not self.alive[eid]:
-            raise ContractViolation(f"edge id {eid} has been deleted")
-        return self.values[eid]
-
     def max_trussness(self) -> int:
         vals = [self.values[e] for e in range(self.graph.m) if self.alive[e]]
         return max(vals) if vals else 0
 
-    def truss_edge_ids(self, k: int) -> list[int]:
-        """Edge ids of T_k under this map: alive and tau >= k."""
-        return [e for e in range(self.graph.m)
-                if self.alive[e] and self.values[e] >= k]
 
+def truss_decompose(g: Graph) -> TrussnessMap:
+    """Trussness of every edge by ascending-support peeling.
 
-def truss_decompose(g: Graph, alive: Optional[bytearray] = None) -> TrussnessMap:
-    """Trussness of every (alive) edge by ascending-support peeling.
-
-    Bucket-queue peel: edges enter buckets by support (ids ascending within
-    the initial buckets, so ties start from the smallest edge id), fall
-    into lower buckets as their triangles die, and receive tau = peel
+    Bucket-queue peel: edges enter buckets by triangle count (ids ascending
+    within the initial buckets, so ties start from the smallest edge id),
+    fall into lower buckets as their triangles die, and receive tau = peel
     floor + 2.  The assigned values do not depend on within-bucket order.
     """
     m = g.m
     tris, edge_tris = g.triangle_index()
-    if alive is None:
-        alive_now = bytearray(b"\x01" * m) if m else bytearray()
-    else:
-        alive_now = bytearray(alive)
-    result_alive = bytearray(alive_now)
-    tri_alive = bytearray(len(tris))
-    sup = [0] * m
-    for t, (a, b, c) in enumerate(tris):
-        if alive_now[a] and alive_now[b] and alive_now[c]:
-            tri_alive[t] = 1
-            sup[a] += 1
-            sup[b] += 1
-            sup[c] += 1
+    alive_now = bytearray(b"\x01") * m
+    tri_alive = bytearray(b"\x01") * len(tris)
+    sup = list(map(len, edge_tris))
     tau = [2] * m
-    max_sup = 0
-    for e in range(m):
-        if alive_now[e] and sup[e] > max_sup:
-            max_sup = sup[e]
+    max_sup = max(sup, default=0)
     buckets: list[list[int]] = [[] for _ in range(max_sup + 1)]
-    for e in range(m):
-        if alive_now[e]:
-            buckets[sup[e]].append(e)
+    for e, s in enumerate(sup):
+        buckets[s].append(e)
     pos = [0] * (max_sup + 1)
     level = 0
     while level <= max_sup:
@@ -248,7 +186,7 @@ def truss_decompose(g: Graph, alive: Optional[bytearray] = None) -> TrussnessMap
         # a decrement may have refilled a lower bucket
         if level and pos[level - 1] < len(buckets[level - 1]):
             level -= 1
-    return TrussnessMap(g, tau, result_alive)
+    return TrussnessMap(g, tau, bytearray(b"\x01") * m)
 
 
 def update_after_deletion(g: Graph, tau_map: TrussnessMap,

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from trussmin import Graph
+from trussmin import ContractViolation, Graph, SolverConfig, TrussnessMap, \
+    TrussSubgraph, simulate_followers, solve
 
 
 def complete_pairs(n, offset=0):
@@ -27,6 +28,52 @@ def label_pair(g: Graph, eid: int):
 
 def label_pairs(g: Graph, eids):
     return {g.original_pair(e) for e in eids}
+
+
+# -- reference helpers over the package's own types --------------------------
+
+def support(g: Graph, u: int, v: int, alive=None) -> int:
+    """Number of triangles on (u, v) whose other two edges are in `alive`.
+
+    `alive` is indexed by edge id (truthy = present); None means every edge.
+    """
+    eid = g.edge_id(u, v)
+    if alive is not None and not alive[eid]:
+        raise ContractViolation(f"edge ({u}, {v}) is not in the alive set")
+    common = set(g.adj[u]).intersection(g.adj[v])
+    if alive is None:
+        return len(common)
+    return sum(1 for w in common
+               if alive[g.edge_id(u, w)] and alive[g.edge_id(v, w)])
+
+
+def oracle_best_single(t: TrussSubgraph) -> tuple[int, int]:
+    """Exhaustively find the alive edge with the most followers.
+
+    Ties break toward the smallest edge id.  Returns (edge id, followers).
+    """
+    if t.edge_count == 0:
+        raise ContractViolation("empty truss")
+    best_e, best_f = -1, -1
+    for eid in t.alive_edge_ids():
+        f = len(simulate_followers(t, eid))
+        if f > best_f:
+            best_e, best_f = eid, f
+    return best_e, best_f
+
+
+def verify_equivalence(g: Graph, k: int, b: int) -> bool:
+    """True iff the three greedy solvers agree edge-for-edge on this input."""
+    outcomes = []
+    for algorithm in ("baseline", "gp_edge", "up_edge"):
+        rep = solve(g, SolverConfig(k=k, b=b, algorithm=algorithm))
+        outcomes.append([(r.eid, r.followers) for r in rep.iterations])
+    return outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def truss_edge_ids(tau: TrussnessMap, k: int) -> list[int]:
+    """Edge ids of T_k under this map: alive and tau >= k."""
+    return [e for e in range(tau.graph.m) if tau.alive[e] and tau.values[e] >= k]
 
 
 @pytest.fixture

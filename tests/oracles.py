@@ -133,21 +133,6 @@ def best_subset(truss_pairs, k, b):
     return best_set, best_f
 
 
-def k_core_vertices(pairs, k):
-    edges = canon(pairs)
-    adj = {u: set(vs) for u, vs in adjacency(edges).items()}
-    changed = True
-    while changed:
-        changed = False
-        for v in list(adj):
-            if len(adj[v]) < k:
-                for u in adj[v]:
-                    adj[u].discard(v)
-                del adj[v]
-                changed = True
-    return set(adj)
-
-
 def support_group_partition(truss_pairs, k):
     """Groups of threshold edges chained through shared triangles.
 

@@ -13,11 +13,11 @@ import pytest
 
 import oracles
 import synth
-from conftest import complete_pairs, er_pairs, graph_of, label_pairs
+from conftest import complete_pairs, er_pairs, graph_of, label_pairs, verify_equivalence
 from trussmin import SolverConfig, SupportGroupIndex, build_truss_group_index, \
     delete_and_cascade, find_support_groups, followers_of_edge, k_truss, \
     refresh_index, simulate_followers, solve, truss_decompose, \
-    update_after_deletion, upper_bound, verify_equivalence
+    update_after_deletion, upper_bound
 from trussmin.graph import Graph
 
 

@@ -3,9 +3,10 @@ import random
 import pytest
 
 import oracles
-from conftest import complete_pairs, er_pairs, graph_of, label_pairs
+from conftest import complete_pairs, er_pairs, graph_of, label_pairs, oracle_best_single, \
+    support
 from trussmin import ContractViolation, delete_and_cascade, followers_of_edge, \
-    k_truss, oracle_best_single, simulate_followers
+    k_truss, simulate_followers
 
 
 def truss_label_pairs(g, t):
@@ -66,7 +67,7 @@ class TestDeleteAndCascade:
             # survivors meet the support constraint
             for e in out.surviving.alive_edge_ids():
                 u, v = g.edges[e]
-                assert g.support(u, v, out.surviving.alive) >= k - 2
+                assert support(g, u, v, out.surviving.alive) >= k - 2
 
     def test_matches_scratch_recompute(self, rng):
         for _ in range(60):

@@ -72,6 +72,19 @@ class TestStats:
         assert code == 3
         assert "line 2" in err
 
+    def test_undecodable_data_line_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"0 1\n1 2\n\xff\xfe 3\n")
+        code, _, err = run_cli(capsys, "stats", str(path))
+        assert code == 3
+        assert "line 3" in err
+
+    def test_undecodable_comment_line_is_skipped(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"# caf\xe9\n0 1\n1 2\n0 2\n")
+        code, out, _ = run_cli(capsys, "stats", str(path))
+        assert code == 0
+        assert "triangles: 1" in out
 
     def test_max_support_matches_oracle(self, capsys, tmp_path, rng):
         for _ in range(5):

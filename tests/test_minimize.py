@@ -6,11 +6,14 @@ import sys
 import pytest
 
 import oracles
-from conftest import complete_pairs, er_pairs, graph_of, label_pairs
-from trussmin import ContractViolation, EnumerationCapExceeded, SolverConfig, k_truss, \
-    oracle_best_single, simulate_followers, solve, solve_baseline, solve_exact, \
-    solve_gp_edge, solve_support, solve_up_edge, verify_equivalence
+import synth
+from conftest import complete_pairs, er_pairs, graph_of, label_pairs, oracle_best_single, \
+    verify_equivalence
+from trussmin import ContractViolation, EnumerationCapExceeded, SolverConfig, \
+    find_support_groups, k_truss, simulate_followers, solve, solve_baseline, solve_exact, \
+    solve_gp_edge, solve_support, solve_up_edge
 from trussmin.cascade import commit_region
+from trussmin.minimize import _two_level_tau
 
 # Frozen instance where the unpruned reference scan ties on an edge that the
 # reduced candidate set only reaches through a group's certain followers
@@ -396,3 +399,73 @@ class TestCommitChecks:
         out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                              capture_output=True, text=True, timeout=60)
         assert out.stdout.strip() == "caught", out.stderr
+
+
+def solver_outcome(solver, t, b):
+    chosen, records = solver(t, b)
+    return chosen, [(r.eid, r.followers, r.candidates_total, r.candidates_evaluated)
+                    for r in records]
+
+
+class TestDeadEdgeSupport:
+    """No reader looks at the support of a dead edge.
+
+    `k_truss` leaves a peeled edge with whatever count it died at, so every
+    reader must check liveness first.  Overwriting those counts with values
+    around the threshold must change no solver's answer, no support group
+    and no two-level trussness.
+    """
+
+    SOLVERS = (solve_exact, solve_support, solve_baseline, solve_gp_edge, solve_up_edge)
+
+    @classmethod
+    def snapshot(cls, g, k, poison=None):
+        def fresh():
+            t = k_truss(g, k)
+            if poison is not None:
+                for e in range(g.m):
+                    if not t.alive[e]:
+                        t.sup[e] = poison
+            return t
+        groups, candidates = find_support_groups(fresh())
+        tau = _two_level_tau(fresh())
+        return ([(grp.members, grp.pruned_followers, grp.over_adjacent) for grp in groups],
+                candidates, tau.values, tau.alive,
+                [solver_outcome(solver, fresh(), 2) for solver in cls.SOLVERS])
+
+    def test_overwritten_dead_supports_change_nothing(self, rng):
+        poisoned = 0
+        for _ in range(20):
+            pairs = er_pairs(rng, rng.randint(7, 13), rng.uniform(0.4, 0.75))
+            g = graph_of(pairs)
+            for k in (3, 4, 5, 6):
+                t = k_truss(g, k)
+                if t.edge_count == 0 or t.edge_count == g.m:
+                    continue
+                poisoned += 1
+                want = self.snapshot(g, k)
+                for poison in (k - 3, k - 2, k - 1):
+                    assert self.snapshot(g, k, poison) == want, (pairs, k, poison)
+        assert poisoned >= 20
+
+
+class TestSharedScanGolden:
+    """Per-iteration records of the two pruned solvers, frozen before they
+    shared one scan.  On this graph commits erode only part of a component,
+    so the pruning and the tie re-evaluation both run on changed groups."""
+
+    GP_EDGE = [(3661, 49, 708, 392), (5472, 45, 682, 368), (5431, 56, 646, 359),
+               (1356, 42, 635, 350), (0, 34, 641, 467), (542, 34, 618, 444),
+               (6705, 34, 595, 421), (6825, 34, 572, 398), (1310, 21, 549, 375),
+               (5950, 18, 503, 346), (6018, 73, 492, 320), (5234, 16, 449, 318)]
+    UP_EDGE = [(3661, 49, 708, 120), (5472, 45, 682, 96), (5431, 56, 646, 82),
+               (1356, 42, 635, 78), (0, 34, 641, 161), (542, 34, 618, 138),
+               (6705, 34, 595, 115), (6825, 34, 572, 92), (1310, 21, 549, 168),
+               (5950, 18, 503, 171), (6018, 73, 492, 38), (5234, 16, 449, 143)]
+
+    @pytest.mark.parametrize("solver, want", [(solve_gp_edge, GP_EDGE), (solve_up_edge, UP_EDGE)],
+                             ids=["gp_edge", "up_edge"])
+    def test_records(self, solver, want):
+        g = graph_of(synth.community_pairs(seed=2, scale=3))
+        _, got = solver_outcome(solver, k_truss(g, 8), 12)
+        assert got == want

@@ -3,37 +3,9 @@ import random
 import pytest
 
 import oracles
-from conftest import complete_pairs, er_pairs, graph_of, label_pairs, path_pairs
-from trussmin import ContractViolation, k_core, k_truss, truss_decompose, \
-    update_after_deletion
-
-
-class TestKCore:
-    def test_k4_all_survive(self, k4):
-        assert k_core(k4, 3) == {0, 1, 2, 3}
-
-    def test_path_has_no_2_core(self):
-        g = graph_of(path_pairs(5))
-        assert k_core(g, 2) == set()
-
-    def test_k5_plus_pendant(self):
-        pairs = complete_pairs(5) + [(4, 5)]
-        g = graph_of(pairs)
-        assert k_core(g, 4) == {0, 1, 2, 3, 4}
-
-    def test_matches_oracle_on_random_graphs(self, rng):
-        for _ in range(25):
-            pairs = er_pairs(rng, rng.randint(4, 20), rng.uniform(0.2, 0.6))
-            if not pairs:
-                continue
-            g = graph_of(pairs)
-            for k in (1, 2, 3, 4):
-                got = {g.labels[v] for v in k_core(g, k)}
-                assert got == oracles.k_core_vertices(pairs, k)
-
-    def test_negative_k_rejected(self, k4):
-        with pytest.raises(ValueError):
-            k_core(k4, -1)
+from conftest import complete_pairs, er_pairs, graph_of, label_pairs, path_pairs, \
+    support, truss_edge_ids
+from trussmin import ContractViolation, k_truss, truss_decompose, update_after_deletion
 
 
 class TestKTruss:
@@ -62,7 +34,8 @@ class TestKTruss:
         pairs = complete_pairs(4) + [(3, 9)]
         g = graph_of(pairs)
         t = k_truss(g, 4)
-        assert {g.labels[v] for v in t.nodes()} == {0, 1, 2, 3}
+        nodes = {g.labels[v] for e in t.alive_edge_ids() for v in g.edges[e]}
+        assert nodes == {0, 1, 2, 3}
 
     def test_matches_oracle_on_random_graphs(self, rng):
         for _ in range(30):
@@ -77,10 +50,15 @@ class TestKTruss:
     def test_supports_consistent_after_peel(self, rng):
         pairs = er_pairs(rng, 16, 0.5)
         g = graph_of(pairs)
-        t = k_truss(g, 4)
-        for e in t.alive_edge_ids():
-            u, v = g.edges[e]
-            assert t.sup[e] == g.support(u, v, t.alive)
+        tris, _ = g.triangle_index()
+        for k in (3, 4, 5, 6):
+            t = k_truss(g, k)
+            for e in t.alive_edge_ids():
+                u, v = g.edges[e]
+                assert t.sup[e] == support(g, u, v, t.alive)
+            # a triangle is alive exactly when all three of its edges are
+            for ti, tri in enumerate(tris):
+                assert bool(t.tri_alive[ti]) == all(t.alive[e] for e in tri)
 
     def test_truss_is_at_least_a_core(self, rng):
         # every vertex of T_k touches at least k-1 alive neighbors
@@ -133,7 +111,7 @@ class TestTrussDecompose:
             top = max(tau.values, default=2)
             for k in range(3, top + 2):
                 t = k_truss(g, k)
-                assert set(t.alive_edge_ids()) == set(tau.truss_edge_ids(k))
+                assert set(t.alive_edge_ids()) == set(truss_edge_ids(tau, k))
 
     def test_containment_chain(self, rng):
         pairs = er_pairs(rng, 18, 0.5)

@@ -100,6 +100,10 @@ def commit_region(t: TrussSubgraph, dead: list[int], log: list[int]) -> set[int]
     the liveness and support of those triangles' edges.  So a simulation
     whose dead set misses this region returns the same list after the
     commit as before it, and a support group missing it keeps its members.
+
+    `solve_up_edge` passes `dead + upper.cascade(dead)`, where `upper` is
+    the (k+1)-truss nested in `t`: the edges that fell from trussness k+1
+    to k join the region with their alive-triangle partners.
     """
     tris, edge_tris = t.graph.triangle_index()
     alive, tri_alive = t.alive, t.tri_alive

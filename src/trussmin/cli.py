@@ -149,8 +149,7 @@ def _human_report(report: MinimizationReport) -> str:
 def _groups_dump(g: Graph, k: int) -> dict:
     t = k_truss(g, k)
     support_groups, candidates = find_support_groups(t)
-    # groups need only the trussness classes below k, exactly k and above k
-    idx = build_truss_group_index(g, _two_level_tau(t), k)
+    idx = build_truss_group_index(t, _two_level_tau(t))
     return {
         "support_groups": [
             {

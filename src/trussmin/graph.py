@@ -16,30 +16,23 @@ from .errors import ContractViolation, EdgeListParseError
 
 
 class Graph:
-    """Adjacency-list graph, immutable after construction.
+    """Undirected simple graph, immutable after construction.
 
-    `adj[u]` is the ascending neighbour list of u.  `higher[u]` maps each
-    neighbour w > u to the id of edge (u, w); it is the only edge lookup
-    table, and the forward lists the triangle index intersects.
+    `higher[u]` maps each neighbour w > u to the id of edge (u, w); it is
+    the only edge lookup table, and the forward lists the triangle index
+    intersects.
     """
 
-    __slots__ = ("n", "adj", "higher", "edges", "labels", "_tri_cache")
+    __slots__ = ("n", "higher", "edges", "labels", "_tri_cache")
 
     def __init__(self, n: int, edges: list[tuple[int, int]], labels: list[int]):
         """`edges` must be canonical (u < v), distinct and sorted."""
         self.n = n
         self.labels = labels
         self.edges = edges
-        adj: list[list[int]] = [[] for _ in range(n)]
         higher: list[dict[int, int]] = [{} for _ in range(n)]
         for eid, (u, v) in enumerate(edges):
-            adj[v].append(u)
             higher[u][v] = eid
-        # Sorted edges append each vertex's lower neighbours in ascending
-        # order, and its higher ones follow in insertion (= ascending) order.
-        for lst, fwd in zip(adj, higher):
-            lst.extend(fwd)
-        self.adj = adj
         self.higher = higher
         self._tri_cache: Optional[tuple[list[tuple[int, int, int]], list[list[int]]]] = None
 

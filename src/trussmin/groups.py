@@ -12,12 +12,11 @@ groups an edge touches bounds its follower count from above.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .cascade import commit_region
 from .errors import ContractViolation
-from .graph import Graph
-from .truss import TrussSubgraph, TrussnessMap
+from .truss import TrussSubgraph
 
 
 @dataclass
@@ -194,16 +193,19 @@ class SupportGroupIndex:
 class GroupIndex:
     """Partition of the trussness-k edges into truss groups.
 
+    `t` is the k-truss and `upper` the (k+1)-truss nested inside it, both
+    `TrussSubgraph`s of the same graph kept current by the cascade engine.
+    An edge has trussness exactly k when it is alive in `t` but not in
+    `upper`.  A triangle alive in `t` has all three edges in the k-truss,
+    so `t.tri_alive` alone marks the triangles groups chain through.
     Group ids survive refreshes of unrelated regions.
     """
 
-    __slots__ = ("graph", "tau", "k", "gid_of", "members", "next_gid",
-                 "last_dissolved")
+    __slots__ = ("t", "upper", "gid_of", "members", "next_gid", "last_dissolved")
 
-    def __init__(self, graph: Graph, tau: TrussnessMap, k: int):
-        self.graph = graph
-        self.tau = tau
-        self.k = k
+    def __init__(self, t: TrussSubgraph, upper: TrussSubgraph):
+        self.t = t
+        self.upper = upper
         self.gid_of: dict[int, int] = {}            # trussness-k edge -> gid
         self.members: dict[int, list[int]] = {}     # gid -> edge ids, ascending
         self.next_gid = 0
@@ -211,22 +213,24 @@ class GroupIndex:
         # anything they derived from those groups
         self.last_dissolved: set[int] = set()
 
+    def at_level(self, e: int) -> bool:
+        """Whether edge `e` has trussness exactly k."""
+        return bool(self.t.alive[e]) and not self.upper.alive[e]
+
     def _level_partners(self, e: int) -> list[int]:
-        """Trussness-k edges other than `e` in its alive triangles of trussness >= k."""
-        tris, edge_tris = self.graph.triangle_index()
-        values, alive, k = self.tau.values, self.tau.alive, self.k
+        """Trussness-k edges other than `e` in its alive triangles of the k-truss."""
+        tris, edge_tris = self.t.graph.triangle_index()
+        tri_alive, upper_alive = self.t.tri_alive, self.upper.alive
         out = []
         for ti in edge_tris[e]:
-            a, b, c = tris[ti]
-            if (alive[a] and alive[b] and alive[c]
-                    and values[a] >= k and values[b] >= k and values[c] >= k):
-                for o in (a, b, c):
-                    if o != e and values[o] == k:
+            if tri_alive[ti]:
+                for o in tris[ti]:
+                    if o != e and not upper_alive[o]:
                         out.append(o)
         return out
 
     def _grow(self, start: int) -> None:
-        """BFS over trussness-k edges through triangles of trussness >= k.
+        """BFS over trussness-k edges through alive triangles of the k-truss.
 
         Meeting an edge that `gid_of` already gives to another group means
         that group should have been dissolved first, which is an internal
@@ -257,19 +261,19 @@ class GroupIndex:
         """Ids of the truss groups the edge touches through truss triangles."""
         gid_of = self.gid_of
         out = {gid_of[o] for o in self._level_partners(eid)}
-        if self.tau.values[eid] == self.k:
+        if self.at_level(eid):
             out.add(gid_of[eid])
         return out
 
 
-def build_truss_group_index(g: Graph, tau: TrussnessMap, k: int) -> GroupIndex:
-    """Index the trussness-k groups of the current graph state."""
-    if k < 3:
-        raise ValueError("k must be >= 3")
-    idx = GroupIndex(g, tau, k)
-    values, alive = tau.values, tau.alive
-    for e in range(g.m):
-        if alive[e] and values[e] == k and e not in idx.gid_of:
+def build_truss_group_index(t: TrussSubgraph, upper: TrussSubgraph) -> GroupIndex:
+    """Index the truss groups of the k-truss `t`, given its (k+1)-truss `upper`.
+
+    `upper` is what `minimize._two_level_tau(t)` returns for the current `t`.
+    """
+    idx = GroupIndex(t, upper)
+    for e in range(t.graph.m):
+        if idx.at_level(e) and e not in idx.gid_of:
             idx._grow(e)
     return idx
 
@@ -278,59 +282,36 @@ def upper_bound(idx: GroupIndex, e) -> int:
     """Bound on the follower count of `e`: total size of its adjacent groups.
 
     `e` is an edge id or a pair of dense vertex ids (positions in the sorted
-    `idx.graph.labels`), not a pair of input labels.
+    `idx.t.graph.labels`), not a pair of input labels.
     """
-    eid = idx.graph.resolve_edge(e)
-    if not idx.tau.alive[eid] or idx.tau.values[eid] < idx.k:
+    eid = idx.t.graph.resolve_edge(e)
+    if not idx.t.alive[eid]:
         raise ContractViolation(
             f"edge id {eid} is not in the current truss; index is stale")
     return sum(len(idx.members[gid]) for gid in idx.adjacent_gids(eid))
 
 
-def refresh_index(idx: GroupIndex, changed: Iterable[int], g: Graph,
-                  tau: TrussnessMap, deleted: int) -> GroupIndex:
-    """Repair the index after deleting edge `deleted` changed some trussness values.
+def refresh_index(idx: GroupIndex, region: set[int]) -> GroupIndex:
+    """Bring the index up to date after one commit to `idx.t` and `idx.upper`.
 
-    `tau` is the map `update_after_deletion` returned for that deletion,
-    and `changed` the edges it reported.  Dissolves every group holding a
-    changed (or the deleted) edge or sharing a pre-deletion triangle with
-    one, then regrows groups over that region; the deleted edge can be a
-    pure bridge, so losing its triangles may split a group without any
-    trussness changing.  Untouched groups keep their ids and member lists.
-    The result matches a rebuild from scratch.
+    For the commit `dead = t.cascade(seeds, log)`, `upper_dead =
+    upper.cascade(dead)`, `region` is `commit_region(t, dead + upper_dead,
+    log)`: every edge that died, lost a triangle or fell from trussness k+1
+    to k, plus its partners in alive triangles of `t`.  As in
+    `SupportGroupIndex.update`, only the groups holding a region edge are
+    dissolved (`last_dissolved`) and regrown; the others keep their ids and
+    member lists.  The result matches a rebuild from scratch.
     """
-    changed = set(changed)
-    alive = tau.alive
-    tris, edge_tris = g.triangle_index()
-    gid_of, group_members = idx.gid_of, idx.members
-
-    # Rebind current state first: regrown regions must see the new values.
-    idx.tau = tau
-    idx.last_dissolved = set()
-
-    dissolve: set[int] = set()
-    for x in changed | {deleted}:
-        if x in gid_of:
-            dissolve.add(gid_of[x])
-        for ti in edge_tris[x]:
-            a, b, c = tris[ti]
-            # alive before the deletion
-            if not ((alive[a] or a == deleted) and (alive[b] or b == deleted)
-                    and (alive[c] or c == deleted)):
-                continue
-            for o in (a, b, c):
-                if o != x and o in gid_of:
-                    dissolve.add(gid_of[o])
-    if not dissolve and not any(alive[c] and tau.values[c] == idx.k for c in changed):
-        return idx
+    gid_of = idx.gid_of
+    dissolve = {gid_of[x] for x in region if x in gid_of}
     idx.last_dissolved = dissolve
-    region: set[int] = set()
+    grown = set(region)
     for gid in dissolve:
-        region.update(group_members.pop(gid))
-    for e in region:
-        del gid_of[e]
-    region |= changed
-    for e in sorted(region):
-        if alive[e] and tau.values[e] == idx.k and e not in gid_of:
+        members = idx.members.pop(gid)
+        for e in members:
+            del gid_of[e]
+        grown.update(members)
+    for e in sorted(grown):
+        if idx.at_level(e) and e not in gid_of:
             idx._grow(e)
     return idx

@@ -22,7 +22,9 @@ from .errors import ContractViolation, EnumerationCapExceeded
 from .graph import Graph
 from .groups import SupportGroup, SupportGroupIndex, build_truss_group_index, \
     find_support_groups, refresh_index
-from .truss import TrussnessMap, TrussSubgraph, k_truss, update_after_deletion
+from .truss import TrussSubgraph, k_truss
+# unused here, but the benchmark tracer (perfbench/spans.py) patches this name
+from .truss import update_after_deletion  # noqa: F401
 
 ALGORITHMS = ("exact", "support", "baseline", "gp_edge", "up_edge")
 
@@ -364,27 +366,20 @@ def solve_gp_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     return chosen, records
 
 
-def _two_level_tau(t: TrussSubgraph) -> TrussnessMap:
-    """Trussness capped at k+1 over the truss region.
+def _two_level_tau(t: TrussSubgraph) -> TrussSubgraph:
+    """The (k+1)-truss nested inside the k-truss `t`, as its own `TrussSubgraph`.
 
-    The bound index only asks whether an edge sits exactly at level k or
-    anywhere above it, so one extra peel to the (k+1)-truss replaces a
-    full decomposition.  The cap is stable under single-edge maintenance:
-    an edge stored as k+1 drops to k exactly when it leaves the (k+1)-truss
-    of the reduced graph, which is also how a true map capped afterward
-    would move.
+    The bound index only asks whether a truss edge has trussness exactly k
+    or more, and it has more exactly when it is alive here, so one extra
+    peel replaces a full decomposition.  After each commit to `t`, passing
+    the commit's dead list to `upper.cascade` keeps this the (k+1)-truss of
+    the reduced graph: that truss lies inside the reduced k-truss, so it
+    holds none of the dead edges.
     """
-    g = t.graph
     upper = t.clone()
     upper.k = t.k + 1
-    seeds = [e for e in upper.alive_edge_ids() if upper.sup[e] < t.k - 1]
-    upper.cascade(seeds)
-    values = [2] * g.m
-    alive = bytearray(g.m)
-    for e in t.alive_edge_ids():
-        alive[e] = 1
-        values[e] = t.k + 1 if upper.alive[e] else t.k
-    return TrussnessMap(g, values, alive)
+    upper.cascade([e for e in upper.alive_edge_ids() if upper.sup[e] < t.k - 1])
+    return upper
 
 
 def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRecord]]:
@@ -393,20 +388,17 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     Each candidate is priced with an upper bound on its follower count
     (the sizes of the truss groups it touches) for `_scan`.  The early stop
     is strict, so equal-bound candidates are still evaluated and exact ties
-    keep the shared smallest-edge-id break.  After each deletion the
-    trussness map is repaired locally and the group index refreshed.
+    keep the shared smallest-edge-id break.  Each commit cascades through
+    both the k-truss and the nested (k+1)-truss, and the group index is
+    refreshed over the region the two cascades changed.
     """
-    g = t.graph
-    k = t.k
     chosen: list[int] = []
     records: list[IterationRecord] = []
-    tau = _two_level_tau(t)
-    idx = build_truss_group_index(g, tau, k)
-    tris, edge_tris = g.triangle_index()
-    # Bounds survive across iterations: a deletion only perturbs its own
-    # region, and surviving groups keep their exact member lists, so a
-    # cached bound stays valid until an edge's triangle fan is touched or
-    # one of the groups it summed over dissolves.
+    upper = _two_level_tau(t)
+    idx = build_truss_group_index(t, upper)
+    # Bounds survive across iterations: a bound changes only when its edge
+    # lies in a commit's region or one of the groups it summed over
+    # dissolves, and surviving groups keep their exact member lists.
     ub_cache: dict[int, tuple[int, frozenset[int]]] = {}
 
     support_groups = SupportGroupIndex(t, find_support_groups(t)[0])
@@ -429,14 +421,10 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
         dead, log = _commit(t, e_star, followers)
         chosen.append(e_star)
         support_groups.update(dead, log)
-        tau, changed = update_after_deletion(g, tau, g.edges[e_star])
-        idx = refresh_index(idx, changed, g, tau, e_star)
-        for x in set(dead) | changed:
-            for ti in edge_tris[x]:
-                a, bb, c = tris[ti]
-                ub_cache.pop(a, None)
-                ub_cache.pop(bb, None)
-                ub_cache.pop(c, None)
+        region = commit_region(t, dead + upper.cascade(dead), log)
+        idx = refresh_index(idx, region)
+        for x in region:
+            ub_cache.pop(x, None)
         dissolved = idx.last_dissolved
         if dissolved:
             for e in [e for e, (_, gids) in ub_cache.items() if gids & dissolved]:

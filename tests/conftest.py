@@ -4,6 +4,7 @@ import pytest
 
 from trussmin import ContractViolation, Graph, SolverConfig, TrussnessMap, \
     TrussSubgraph, simulate_followers, solve
+from trussmin.cascade import commit_region
 
 
 def complete_pairs(n, offset=0):
@@ -32,6 +33,10 @@ def label_pairs(g: Graph, eids):
 
 # -- reference helpers over the package's own types --------------------------
 
+def neighbours(g: Graph, u: int) -> set[int]:
+    return set(g.higher[u]).union(a for a, b in g.edges if b == u)
+
+
 def support(g: Graph, u: int, v: int, alive=None) -> int:
     """Number of triangles on (u, v) whose other two edges are in `alive`.
 
@@ -40,7 +45,7 @@ def support(g: Graph, u: int, v: int, alive=None) -> int:
     eid = g.edge_id(u, v)
     if alive is not None and not alive[eid]:
         raise ContractViolation(f"edge ({u}, {v}) is not in the alive set")
-    common = set(g.adj[u]).intersection(g.adj[v])
+    common = neighbours(g, u) & neighbours(g, v)
     if alive is None:
         return len(common)
     return sum(1 for w in common
@@ -69,6 +74,16 @@ def verify_equivalence(g: Graph, k: int, b: int) -> bool:
         rep = solve(g, SolverConfig(k=k, b=b, algorithm=algorithm))
         outcomes.append([(r.eid, r.followers) for r in rep.iterations])
     return outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def commit_nested(t: TrussSubgraph, upper: TrussSubgraph, eid: int) -> set[int]:
+    """Delete `eid` from `t` and its (k+1)-truss `upper` as `solve_up_edge` does.
+
+    Returns the region `refresh_index` takes.
+    """
+    log: list[int] = []
+    dead = t.cascade([eid], log)
+    return commit_region(t, dead + upper.cascade(dead), log)
 
 
 def truss_edge_ids(tau: TrussnessMap, k: int) -> list[int]:

@@ -13,12 +13,14 @@ import pytest
 
 import oracles
 import synth
-from conftest import complete_pairs, er_pairs, graph_of, label_pairs, verify_equivalence
+from conftest import commit_nested, complete_pairs, er_pairs, graph_of, label_pairs, \
+    verify_equivalence
 from trussmin import SolverConfig, SupportGroupIndex, build_truss_group_index, \
     delete_and_cascade, find_support_groups, followers_of_edge, k_truss, \
     refresh_index, simulate_followers, solve, truss_decompose, \
     update_after_deletion, upper_bound
 from trussmin.graph import Graph
+from trussmin.minimize import _two_level_tau
 
 
 def report(name, ok, detail=""):
@@ -95,14 +97,13 @@ def test_criterion_3_pruning_rules_are_sound():
     checked = {"outside_shell": 0, "group_drag": 0, "pruned": 0, "bound": 0}
     for pairs in random_graphs(303, 100, n_max=20):
         g = graph_of(pairs)
-        tau = truss_decompose(g)
         for k in (3, 4, 5):
             t = k_truss(g, k)
             if t.edge_count == 0:
                 continue
             groups, _ = find_support_groups(t)
             shell = _threshold_shell(t)
-            idx = build_truss_group_index(g, tau, k)
+            idx = build_truss_group_index(t, _two_level_tau(t))
             for e in t.alive_edge_ids():
                 f = followers_of_edge(t, e)
                 if e not in shell:
@@ -155,21 +156,26 @@ def test_criterion_5_incremental_maintenance_matches_scratch():
             if not rep.iterations:
                 continue
             tau = truss_decompose(g)
-            idx = build_truss_group_index(g, tau, k)
+            t = k_truss(g, k)
+            upper = _two_level_tau(t)
+            idx = build_truss_group_index(t, upper)
             remaining = {g.original_pair(e) for e in range(g.m)}
             for record in rep.iterations:
                 eid = record.eid
                 remaining.discard(g.original_pair(eid))
-                tau, changed = update_after_deletion(g, tau, g.edges[eid])
+                tau, _ = update_after_deletion(g, tau, g.edges[eid])
                 expected = oracles.trussness(remaining)
                 for e in range(g.m):
                     if tau.alive[e]:
                         assert tau.values[e] == expected[g.original_pair(e)]
-                idx = refresh_index(idx, changed, g, tau, eid)
-                fresh = build_truss_group_index(g, tau, k)
+                idx = refresh_index(idx, commit_nested(t, upper, eid))
+                fresh = build_truss_group_index(t, _two_level_tau(t))
                 got = {frozenset(ms) for ms in idx.members.values()}
                 want = {frozenset(ms) for ms in fresh.members.values()}
                 assert got == want, f"level {k} after deleting {record.edge}"
+                got_labels = {frozenset(g.original_pair(e) for e in ms) for ms in got}
+                assert got_labels == oracles.truss_group_partition(remaining, k), \
+                    f"level {k} after deleting {record.edge}"
                 deletions += 1
     report("criterion 5: maintenance == scratch after every deletion", True,
            f"{deletions} deletions replayed")

@@ -124,14 +124,6 @@ class TestInvariants:
             lu, lv = g.labels[u], g.labels[v]
             assert support(g, u, v) == support(g, v, u) == sup[(lu, lv)]
 
-    def test_adjacency_is_symmetric_and_sorted(self, rng):
-        pairs = er_pairs(rng, 15, 0.4)
-        g = graph_of(pairs)
-        for u in range(g.n):
-            assert g.adj[u] == sorted(g.adj[u])
-            for v in g.adj[u]:
-                assert u in g.adj[v]
-
 
 def sparse_relabel(rng, pairs):
     """The same graph under random, sparse and non-monotone labels."""
@@ -194,4 +186,4 @@ class TestEdgeLookup:
         base = graph_of(pairs)
         assert g.labels == base.labels
         assert g.edges == base.edges
-        assert g.adj == base.adj
+        assert g.higher == base.higher

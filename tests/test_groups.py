@@ -3,10 +3,11 @@ import random
 import pytest
 
 import oracles
-from conftest import complete_pairs, er_pairs, graph_of, label_pairs
+from conftest import commit_nested, complete_pairs, er_pairs, graph_of, label_pairs
 from trussmin import ContractViolation, SupportGroupIndex, build_truss_group_index, \
     delete_and_cascade, find_support_groups, followers_of_edge, k_truss, refresh_index, simulate_followers, \
-    truss_decompose, update_after_deletion, upper_bound
+    upper_bound
+from trussmin.minimize import _two_level_tau
 
 
 def group_partition_labels(g, groups):
@@ -162,10 +163,16 @@ class TestSupportGroupIndex:
         assert index.candidates() == candidates
 
 
+def nested_index(g, k):
+    """The k-truss, its (k+1)-truss and the truss-group index over them."""
+    t = k_truss(g, k)
+    upper = _two_level_tau(t)
+    return t, upper, build_truss_group_index(t, upper)
+
+
 class TestTrussGroupIndex:
     def test_k5_single_group(self, k5):
-        tau = truss_decompose(k5)
-        idx = build_truss_group_index(k5, tau, 5)
+        _, _, idx = nested_index(k5, 5)
         assert index_partition_labels(k5, idx) == \
             oracles.truss_group_partition(complete_pairs(5), 5)
         assert sorted(idx.group_sizes().values()) == [10]
@@ -173,21 +180,14 @@ class TestTrussGroupIndex:
     def test_two_k4s_sharing_an_edge_form_one_group(self):
         pairs = complete_pairs(4) + [(0, 1), (0, 4), (0, 5), (1, 4), (1, 5), (4, 5)]
         g = graph_of(pairs)
-        tau = truss_decompose(g)
-        idx = build_truss_group_index(g, tau, 4)
+        _, _, idx = nested_index(g, 4)
         expected = oracles.truss_group_partition(pairs, 4)
         assert len(expected) == 1 and len(next(iter(expected))) == 11
         assert index_partition_labels(g, idx) == expected
 
     def test_k6_has_empty_level_5(self, k6):
-        tau = truss_decompose(k6)
-        idx = build_truss_group_index(k6, tau, 5)
+        _, _, idx = nested_index(k6, 5)
         assert idx.group_sizes() == {}
-
-    def test_k_below_3_rejected(self, k5):
-        tau = truss_decompose(k5)
-        with pytest.raises(ValueError):
-            build_truss_group_index(k5, tau, 2)
 
     def test_matches_definitional_partition(self, rng):
         for _ in range(40):
@@ -195,18 +195,15 @@ class TestTrussGroupIndex:
             if not pairs:
                 continue
             g = graph_of(pairs)
-            tau = truss_decompose(g)
             for k in (3, 4, 5):
-                idx = build_truss_group_index(g, tau, k)
+                _, _, idx = nested_index(g, k)
                 assert index_partition_labels(g, idx) == \
                     oracles.truss_group_partition(pairs, k)
 
 
 class TestUpperBound:
     def test_k5_bound_dominates_followers(self, k5):
-        t = k_truss(k5, 5)
-        tau = truss_decompose(k5)
-        idx = build_truss_group_index(k5, tau, 5)
+        t, _, idx = nested_index(k5, 5)
         for e in t.alive_edge_ids():
             assert upper_bound(idx, e) == 10
             assert followers_of_edge(t, e) == 9
@@ -214,8 +211,7 @@ class TestUpperBound:
     def test_disjoint_k5s_only_own_group_counts(self):
         pairs = complete_pairs(5) + complete_pairs(5, offset=10)
         g = graph_of(pairs)
-        tau = truss_decompose(g)
-        idx = build_truss_group_index(g, tau, 5)
+        _, _, idx = nested_index(g, 5)
         for e in range(g.m):
             assert upper_bound(idx, e) == 10
 
@@ -224,25 +220,22 @@ class TestUpperBound:
         # and touch no trussness-4 edge, so their bound is the empty sum.
         pairs = complete_pairs(6) + complete_pairs(4, offset=10)
         g = graph_of(pairs)
-        tau = truss_decompose(g)
-        idx = build_truss_group_index(g, tau, 4)
+        t, _, idx = nested_index(g, 4)
         k6_edge = g.edge_id(0, 1)
         assert upper_bound(idx, k6_edge) == 0
-        t = k_truss(g, 4)
         assert followers_of_edge(t, k6_edge) == 0
 
     def test_stale_or_outside_edge_rejected(self, k5):
         pairs = complete_pairs(5) + [(4, 9)]
         g = graph_of(pairs)
-        tau = truss_decompose(g)
-        idx = build_truss_group_index(g, tau, 5)
+        _, _, idx = nested_index(g, 5)
         pendant = g.m - 1
         with pytest.raises(ContractViolation):
             upper_bound(idx, pendant)
 
     @pytest.mark.parametrize("bad", [-1, 10, True])
     def test_out_of_range_and_bool_ids_rejected(self, k5, bad):
-        idx = build_truss_group_index(k5, truss_decompose(k5), 5)
+        _, _, idx = nested_index(k5, 5)
         with pytest.raises(ContractViolation):
             upper_bound(idx, bad)
 
@@ -252,12 +245,10 @@ class TestUpperBound:
             if not pairs:
                 continue
             g = graph_of(pairs)
-            tau = truss_decompose(g)
             for k in (3, 4, 5):
-                t = k_truss(g, k)
+                t, _, idx = nested_index(g, k)
                 if t.edge_count == 0:
                     continue
-                idx = build_truss_group_index(g, tau, k)
                 for e in t.alive_edge_ids():
                     assert upper_bound(idx, e) >= followers_of_edge(t, e)
 
@@ -265,35 +256,33 @@ class TestUpperBound:
 class TestRefreshIndex:
     def test_no_changes_returns_same_object(self):
         g = graph_of([(0, 1), (1, 2), (0, 2), (2, 3)])
-        tau = truss_decompose(g)
-        idx = build_truss_group_index(g, tau, 3)
-        tau2, changed = update_after_deletion(g, tau, (2, 3))
-        assert changed == set()
-        idx2 = refresh_index(idx, changed, g, tau2, g.edge_id(2, 3))
+        t, upper, idx = nested_index(g, 3)
+        region = commit_nested(t, upper, g.edge_id(2, 3))
+        assert region == set()
+        idx2 = refresh_index(idx, region)
         assert idx2 is idx
+        assert idx2.last_dissolved == set()
         assert index_partition_labels(g, idx2) == \
-            index_partition_labels(g, build_truss_group_index(g, tau2, 3))
+            index_partition_labels(g, nested_index(g, 3)[2])
 
     def test_k5_deletion_moves_the_group_down_a_level(self, k5):
-        tau = truss_decompose(k5)
-        idx = build_truss_group_index(k5, tau, 5)
-        tau2, changed = update_after_deletion(k5, tau, (0, 1))
-        idx = refresh_index(idx, changed, k5, tau2, k5.edge_id(0, 1))
+        t, upper, idx = nested_index(k5, 5)
+        idx = refresh_index(idx, commit_nested(t, upper, k5.edge_id(0, 1)))
         assert idx.group_sizes() == {}
-        assert sorted(build_truss_group_index(k5, tau2, 4).group_sizes().values()) == [9]
+        t4, upper4, _ = nested_index(k5, 4)
+        commit_nested(t4, upper4, k5.edge_id(0, 1))
+        assert sorted(build_truss_group_index(t4, upper4).group_sizes().values()) == [9]
 
     def test_untouched_group_keeps_identity(self):
         pairs = complete_pairs(5) + complete_pairs(5, offset=10)
         g = graph_of(pairs)
-        tau = truss_decompose(g)
-        idx = build_truss_group_index(g, tau, 5)
+        t, upper, idx = nested_index(g, 5)
         second_gid = {idx.gid_of[e] for e in range(g.m)
                       if g.original_pair(e)[0] >= 10}
         assert len(second_gid) == 1
         second_gid = second_gid.pop()
         before_members = list(idx.members[second_gid])
-        tau2, changed = update_after_deletion(g, tau, g.edges[g.edge_id(0, 1)])
-        idx = refresh_index(idx, changed, g, tau2, g.edge_id(0, 1))
+        idx = refresh_index(idx, commit_nested(t, upper, g.edge_id(0, 1)))
         assert idx.members[second_gid] == before_members
 
     def test_refresh_equals_rebuild_over_random_deletion_chains(self, rng):
@@ -302,15 +291,12 @@ class TestRefreshIndex:
             if not pairs:
                 continue
             g = graph_of(pairs)
-            tau = truss_decompose(g)
             k = rng.choice((3, 4))
-            idx = build_truss_group_index(g, tau, k)
+            t, upper, idx = nested_index(g, k)
             order = list(range(g.m))
             rng.shuffle(order)
             for eid in order[:5]:
-                tau2, changed = update_after_deletion(g, tau, g.edges[eid])
-                idx = refresh_index(idx, changed, g, tau2, eid)
-                fresh = build_truss_group_index(g, tau2, k)
+                idx = refresh_index(idx, commit_nested(t, upper, eid))
+                fresh = build_truss_group_index(t, _two_level_tau(t))
                 assert index_partition_labels(g, idx) == index_partition_labels(g, fresh), \
                     f"level {k} diverged after deleting {g.original_pair(eid)}"
-                tau = tau2

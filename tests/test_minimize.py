@@ -10,8 +10,8 @@ import synth
 from conftest import complete_pairs, er_pairs, graph_of, label_pairs, oracle_best_single, \
     verify_equivalence
 from trussmin import ContractViolation, EnumerationCapExceeded, SolverConfig, \
-    find_support_groups, k_truss, simulate_followers, solve, solve_baseline, solve_exact, \
-    solve_gp_edge, solve_support, solve_up_edge
+    build_truss_group_index, find_support_groups, k_truss, simulate_followers, solve, \
+    solve_baseline, solve_exact, solve_gp_edge, solve_support, solve_up_edge, upper_bound
 from trussmin.cascade import commit_region
 from trussmin.minimize import _two_level_tau
 
@@ -413,7 +413,7 @@ class TestDeadEdgeSupport:
     `k_truss` leaves a peeled edge with whatever count it died at, so every
     reader must check liveness first.  Overwriting those counts with values
     around the threshold must change no solver's answer, no support group
-    and no two-level trussness.
+    and no nested (k+1)-truss.
     """
 
     SOLVERS = (solve_exact, solve_support, solve_baseline, solve_gp_edge, solve_up_edge)
@@ -428,9 +428,9 @@ class TestDeadEdgeSupport:
                         t.sup[e] = poison
             return t
         groups, candidates = find_support_groups(fresh())
-        tau = _two_level_tau(fresh())
+        upper = _two_level_tau(fresh())
         return ([(grp.members, grp.pruned_followers, grp.over_adjacent) for grp in groups],
-                candidates, tau.values, tau.alive,
+                candidates, upper.alive,
                 [solver_outcome(solver, fresh(), 2) for solver in cls.SOLVERS])
 
     def test_overwritten_dead_supports_change_nothing(self, rng):
@@ -469,3 +469,40 @@ class TestSharedScanGolden:
         g = graph_of(synth.community_pairs(seed=2, scale=3))
         _, got = solver_outcome(solver, k_truss(g, 8), 12)
         assert got == want
+
+
+class TestCachedBounds:
+    """Every bound `solve_up_edge` hands `_scan` equals the group-size sum
+    of a truss-group index built from scratch over the current truss, at
+    every iteration: the kept (k+1)-truss, the refresh region and the bound
+    cache's invalidation must together leave no stale bound."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Installs the checking `_scan`; collects each scan's candidate count."""
+        from trussmin import minimize
+        real = minimize._scan
+        counts = []
+
+        def scan(t, candidates, ubs):
+            fresh = build_truss_group_index(t, _two_level_tau(t))
+            for c in candidates:
+                assert ubs[c] == upper_bound(fresh, c), \
+                    f"stale bound for {t.graph.original_pair(c)} after {len(counts)} scans"
+            counts.append(len(candidates))
+            return real(t, candidates, ubs)
+
+        monkeypatch.setattr(minimize, "_scan", scan)
+        return counts
+
+    def test_random_graphs(self, checked, rng):
+        for _ in range(100):
+            g = graph_of(er_pairs(rng, rng.randint(8, 20), rng.uniform(0.4, 0.8)))
+            for k in (3, 4, 5, 6, 7):
+                solve_up_edge(k_truss(g, k), 6)
+        assert sum(checked) > 10000
+
+    def test_partially_eroding_graph(self, checked):
+        g = graph_of(synth.community_pairs(seed=2, scale=3))
+        solve_up_edge(k_truss(g, 8), 12)
+        assert sum(checked) > 5000

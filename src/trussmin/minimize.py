@@ -15,7 +15,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 from .cascade import commit_region, simulate_followers
 from .errors import ContractViolation, EnumerationCapExceeded
@@ -105,6 +105,50 @@ class MinimizationReport:
 
 # -- shared helpers -----------------------------------------------------------
 
+class DeadSetMemo:
+    """Each edge's dead set in `t`, kept until a commit's region meets it.
+
+    A dead set is the edge plus its followers, ascending.  A simulation
+    reads nothing outside the triangles of its own dead set, so after a
+    commit only the dead sets meeting `cascade.commit_region` (or any
+    superset of it) can change.  Equal dead sets (every member of one
+    support group has the same one) share one tuple; an edge without
+    followers stores the empty tuple.
+    """
+
+    def __init__(self, t: TrussSubgraph):
+        self.t = t
+        self.slots: list[Optional[tuple[int, ...]]] = [None] * t.graph.m
+        self.shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def dead_set(self, e: int) -> tuple[int, ...]:
+        """The stored dead set of alive edge `e`, simulated when none is stored."""
+        dead_set = self.slots[e]
+        if dead_set is None:
+            # the module global, looked up per call, so wrappers of it see every simulation
+            fl = simulate_followers(self.t, e)
+            if fl:
+                fl.append(e)
+                fl.sort()
+                key = tuple(fl)
+                dead_set = self.shared.setdefault(key, key)
+            else:
+                dead_set = ()
+            self.slots[e] = dead_set
+        return dead_set
+
+    def invalidate(self, region: set[int]) -> None:
+        """Forget every dead set that meets `region`."""
+        slots = self.slots
+        for x in region:
+            slots[x] = None  # an edge's own dead set holds it
+        for dead_set in [d for d in self.shared if not region.isdisjoint(d)]:
+            del self.shared[dead_set]
+            for x in dead_set:  # every edge sharing a dead set lies in it
+                if slots[x] is dead_set:
+                    slots[x] = None
+
+
 def _commit(t: TrussSubgraph, eid: int,
             expected: Optional[int] = None) -> tuple[list[int], list[int]]:
     """Apply one deletion for real; returns the cascade's dead list and log.
@@ -151,45 +195,23 @@ def _choose_from_ties(t: TrussSubgraph, best_f: int, ties: list[int],
 def solve_baseline(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRecord]]:
     """Greedy reference: the exact follower count of every alive edge, each iteration.
 
-    Each edge's dead set (itself plus its followers, ascending) is kept
-    across iterations and simulated again only after a commit's
-    `commit_region` meets it, since a simulation reads nothing outside the
-    triangles of its own dead set.  Equal dead sets (every member of one
-    support group has the same one) share one tuple; an edge without
-    followers stores the empty tuple.
+    Dead sets come from a `DeadSetMemo`, so an edge is simulated again
+    only after a commit's `commit_region` meets its dead set.
     """
     chosen: list[int] = []
     records: list[IterationRecord] = []
-    memo: list[Optional[tuple[int, ...]]] = [None] * t.graph.m
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    memo = DeadSetMemo(t)
     while len(chosen) < b and t.edge_count > 0:
         start = time.perf_counter()
         alive = t.alive_edge_ids()
         best_f, best_e = -1, -1
         for e in alive:
-            dead_set = memo[e]
-            if dead_set is None:
-                fl = simulate_followers(t, e)
-                if fl:
-                    fl.append(e)
-                    fl.sort()
-                    key = tuple(fl)
-                    dead_set = shared.setdefault(key, key)
-                else:
-                    dead_set = ()
-                memo[e] = dead_set
+            dead_set = memo.dead_set(e)
             f = len(dead_set) - 1 if dead_set else 0
             if f > best_f:
                 best_f, best_e = f, e
         dead, log = _commit(t, best_e, best_f)
-        region = commit_region(t, dead, log)
-        for x in region:
-            memo[x] = None  # an edge's own dead set holds it
-        for dead_set in [d for d in shared if not region.isdisjoint(d)]:
-            del shared[dead_set]
-            for x in dead_set:  # every edge sharing a dead set lies in it
-                if memo[x] is dead_set:
-                    memo[x] = None
+        memo.invalidate(commit_region(t, dead, log))
         chosen.append(best_e)
         records.append(IterationRecord(
             edge=t.graph.original_pair(best_e), eid=best_e, followers=best_f,
@@ -283,8 +305,8 @@ def solve_exact(t: TrussSubgraph, b: int,
     return list(best_set), records
 
 
-def _scan(t: TrussSubgraph, candidates: list[int],
-          ubs: dict[int, int]) -> tuple[int, list[int], int]:
+def _scan(t: TrussSubgraph, candidates: list[int], ubs: dict[int, int],
+          memo: Optional[DeadSetMemo] = None) -> tuple[int, list[int], int]:
     """Evaluate `candidates` by descending bound; returns (best_f, ties, evaluated).
 
     `candidates` ascend and `ubs[c]` bounds the follower count of c, so a
@@ -297,7 +319,19 @@ def _scan(t: TrussSubgraph, candidates: list[int],
     Skipped candidates whose remover holds the maximum are re-evaluated
     once at the end: they may tie it exactly, and ties decide the chosen
     edge.
+
+    Follower counts come from `memo` when one is given, and from a fresh
+    simulation otherwise; `evaluated` counts the candidates consulted
+    either way.
     """
+    def evaluate(c: int) -> tuple[int, Sequence[int]]:
+        """c's follower count, and a sequence holding its followers (and maybe c)."""
+        if memo is None:
+            fl = simulate_followers(t, c)
+            return len(fl), fl
+        dead_set = memo.dead_set(c)
+        return (len(dead_set) - 1 if dead_set else 0), dead_set
+
     order = sorted(candidates, key=ubs.__getitem__, reverse=True)
     fvals: dict[int, int] = {}
     removed_by: dict[int, int] = {}
@@ -311,8 +345,7 @@ def _scan(t: TrussSubgraph, candidates: list[int],
             break
         if c in removed_by:
             continue
-        fl = simulate_followers(t, c)
-        f = len(fl)
+        f, fl = evaluate(c)
         fvals[c] = f
         evaluated += 1
         if f > best_f:
@@ -332,7 +365,7 @@ def _scan(t: TrussSubgraph, candidates: list[int],
             continue
         if fvals[removed_by[c]] != best_f:
             continue
-        f = len(simulate_followers(t, c))
+        f = evaluate(c)[0]
         fvals[c] = f
         evaluated += 1
         if f == best_f:
@@ -390,7 +423,9 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     is strict, so equal-bound candidates are still evaluated and exact ties
     keep the shared smallest-edge-id break.  Each commit cascades through
     both the k-truss and the nested (k+1)-truss, and the group index is
-    refreshed over the region the two cascades changed.
+    refreshed over the region the two cascades changed.  That region holds
+    the k-truss commit's own `commit_region`, so the `DeadSetMemo` the scan
+    reads follower counts from is invalidated by it too.
     """
     chosen: list[int] = []
     records: list[IterationRecord] = []
@@ -402,6 +437,7 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     ub_cache: dict[int, tuple[int, frozenset[int]]] = {}
 
     support_groups = SupportGroupIndex(t, find_support_groups(t)[0])
+    memo = DeadSetMemo(t)
 
     while len(chosen) < b and t.edge_count > 0:
         start = time.perf_counter()
@@ -415,7 +451,7 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
                 hit = (sum(sizes[x] for x in gids), frozenset(gids))
                 ub_cache[c] = hit
             ubs[c] = hit[0]
-        best_f, ties, evaluated = _scan(t, candidates, ubs)
+        best_f, ties, evaluated = _scan(t, candidates, ubs, memo)
         e_star = _choose_from_ties(t, best_f, ties, support_groups.rep_group)
         followers = max(best_f, 0)
         dead, log = _commit(t, e_star, followers)
@@ -423,6 +459,7 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
         support_groups.update(dead, log)
         region = commit_region(t, dead + upper.cascade(dead), log)
         idx = refresh_index(idx, region)
+        memo.invalidate(region)
         for x in region:
             ub_cache.pop(x, None)
         dissolved = idx.last_dissolved

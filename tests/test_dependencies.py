@@ -1,4 +1,8 @@
-"""The package is stdlib-only: no source file imports a third-party module."""
+"""The package is stdlib-only: no source file imports a third-party module.
+
+It also keeps its checks when run under `python -O`: no source file has a
+bare `assert` statement.
+"""
 
 import ast
 import sys
@@ -33,3 +37,11 @@ def test_pyproject_declares_no_dependencies():
     lines = (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
     declared = [line.strip() for line in lines if line.strip().startswith("dependencies")]
     assert declared == ["dependencies = []"]
+
+
+def test_sources_have_no_assert_statements():
+    # `python -O` strips asserts; a library check must raise explicitly
+    found = [f"{path.name}:{node.lineno}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -373,6 +373,74 @@ class TestBaselineMemo:
         assert sorted(calls) == list(range(20))
 
 
+class TestUpEdgeMemo:
+    """`solve_up_edge` reads follower counts through a `DeadSetMemo`; its
+    records equal a replay whose memo simulates on every lookup."""
+
+    @staticmethod
+    def outcomes(monkeypatch, g, k, b):
+        """(memo run, memo-free replay), each as (outcome, simulations made)."""
+        from trussmin import minimize
+        real_sim, real_dead_set = minimize.simulate_followers, minimize.DeadSetMemo.dead_set
+
+        def dead_set(memo, e):
+            memo.slots[e] = None
+            return real_dead_set(memo, e)
+
+        runs = []
+        for memo_free in (False, True):
+            calls = []
+            with monkeypatch.context() as mp:
+                mp.setattr(minimize, "simulate_followers",
+                           lambda t, e: calls.append(e) or real_sim(t, e))
+                if memo_free:
+                    mp.setattr(minimize.DeadSetMemo, "dead_set", dead_set)
+                runs.append((solver_outcome(solve_up_edge, k_truss(g, k), b), len(calls)))
+        (_, replay), replay_sims = runs[1]
+        assert replay_sims == sum(evaluated for *_, evaluated in replay)
+        return runs
+
+    def test_memo_matches_memo_free_replay(self, monkeypatch, rng):
+        saved = 0
+        for _ in range(60):
+            g = graph_of(er_pairs(rng, rng.randint(8, 20), rng.uniform(0.35, 0.75)))
+            for k in range(3, 7):
+                (got, sims), (want, replay_sims) = self.outcomes(monkeypatch, g, k, rng.randint(1, 6))
+                assert got == want, (k, want)
+                saved += replay_sims - sims
+        assert saved > 0
+
+    def test_partially_eroding_graph(self, monkeypatch):
+        # commits here erode only part of a component, so some dead sets
+        # survive a commit and others meet its region
+        g = graph_of(synth.community_pairs(seed=2, scale=3))
+        (got, sims), (want, replay_sims) = self.outcomes(monkeypatch, g, 8, 12)
+        assert got == want
+        assert 0 < sims < replay_sims
+
+    def test_fresh_simulations_go_through_the_module_global(self, monkeypatch):
+        # Two disjoint K5s: both representatives are simulated once; the
+        # first commit erases one clique, and the other's count is kept.
+        from trussmin import minimize
+        real_sim, real_scan = minimize.simulate_followers, minimize._scan
+        calls, per_scan = [], []
+        monkeypatch.setattr(minimize, "simulate_followers",
+                            lambda t, e: calls.append(e) or real_sim(t, e))
+
+        def scan(*args):
+            before = len(calls)
+            out = real_scan(*args)
+            per_scan.append(calls[before:])
+            return out
+
+        monkeypatch.setattr(minimize, "_scan", scan)
+        g = graph_of(complete_pairs(5) + complete_pairs(5, offset=10))
+        report = solve(g, SolverConfig(k=5, b=2, algorithm="up_edge"))
+        assert [(r.eid, r.followers) for r in report.iterations] == [(0, 9), (10, 9)]
+        assert [r.candidates_evaluated for r in report.iterations] == [2, 1]
+        assert per_scan == [[0, 10], []]
+
+
 class TestCommitChecks:
     """Evaluation and commit must agree, also when asserts are compiled out."""
 
@@ -484,13 +552,13 @@ class TestCachedBounds:
         real = minimize._scan
         counts = []
 
-        def scan(t, candidates, ubs):
+        def scan(t, candidates, ubs, *rest):
             fresh = build_truss_group_index(t, _two_level_tau(t))
             for c in candidates:
                 assert ubs[c] == upper_bound(fresh, c), \
                     f"stale bound for {t.graph.original_pair(c)} after {len(counts)} scans"
             counts.append(len(candidates))
-            return real(t, candidates, ubs)
+            return real(t, candidates, ubs, *rest)
 
         monkeypatch.setattr(minimize, "_scan", scan)
         return counts

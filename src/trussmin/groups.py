@@ -191,7 +191,7 @@ class SupportGroupIndex:
 
 
 class GroupIndex:
-    """Partition of the trussness-k edges into truss groups.
+    """Partition of the trussness-k edges into truss groups, with every edge's bound.
 
     `t` is the k-truss and `upper` the (k+1)-truss nested inside it, both
     `TrussSubgraph`s of the same graph kept current by the cascade engine.
@@ -199,68 +199,92 @@ class GroupIndex:
     `upper`.  A triangle alive in `t` has all three edges in the k-truss,
     so `t.tri_alive` alone marks the triangles groups chain through.
     Group ids survive refreshes of unrelated regions.
+
+    Each group's touch set holds its members plus every edge sharing an
+    alive triangle of `t` with a member.  `bound[e]` is the total size of
+    the groups whose touch set holds `e`, which is `upper_bound(self, e)`
+    for an alive edge and 0 for a dead one: growing a group adds its size
+    over its touch set, and dissolving it takes the size back.
     """
 
-    __slots__ = ("t", "upper", "gid_of", "members", "next_gid", "last_dissolved")
+    __slots__ = ("t", "upper", "gid_of", "members", "touch", "bound", "next_gid",
+                 "last_dissolved")
 
     def __init__(self, t: TrussSubgraph, upper: TrussSubgraph):
         self.t = t
         self.upper = upper
         self.gid_of: dict[int, int] = {}            # trussness-k edge -> gid
         self.members: dict[int, list[int]] = {}     # gid -> edge ids, ascending
+        self.touch: dict[int, tuple[int, ...]] = {}  # gid -> its touch set
+        self.bound: list[int] = [0] * t.graph.m
         self.next_gid = 0
-        # group ids dissolved by the most recent refresh; lets callers drop
-        # anything they derived from those groups
+        # group ids dissolved by the most recent refresh; the benchmark
+        # tracer (perfbench/spans.py) counts them
         self.last_dissolved: set[int] = set()
 
     def at_level(self, e: int) -> bool:
         """Whether edge `e` has trussness exactly k."""
         return bool(self.t.alive[e]) and not self.upper.alive[e]
 
-    def _level_partners(self, e: int) -> list[int]:
-        """Trussness-k edges other than `e` in its alive triangles of the k-truss."""
-        tris, edge_tris = self.t.graph.triangle_index()
-        tri_alive, upper_alive = self.t.tri_alive, self.upper.alive
-        out = []
-        for ti in edge_tris[e]:
-            if tri_alive[ti]:
-                for o in tris[ti]:
-                    if o != e and not upper_alive[o]:
-                        out.append(o)
-        return out
-
     def _grow(self, start: int) -> None:
         """BFS over trussness-k edges through alive triangles of the k-truss.
 
-        Meeting an edge that `gid_of` already gives to another group means
-        that group should have been dissolved first, which is an internal
-        error.
+        Every edge of a walked triangle joins the touch set.  Meeting an
+        edge that `gid_of` already gives to another group means that group
+        should have been dissolved first, which is an internal error.
         """
+        tris, edge_tris = self.t.graph.triangle_index()
+        tri_alive, upper_alive = self.t.tri_alive, self.upper.alive
         gid_of, gid = self.gid_of, self.next_gid
         self.next_gid += 1
         members = [start]
         gid_of[start] = gid
+        touch = {start}
         for e in members:  # grows while it is walked: breadth-first
-            for o in self._level_partners(e):
-                other = gid_of.get(o)
-                if other is None:
-                    gid_of[o] = gid
-                    members.append(o)
-                elif other != gid:
-                    raise AssertionError(
-                        f"truss group grown from edge {start} reached group {other}")
+            for ti in edge_tris[e]:
+                if not tri_alive[ti]:
+                    continue
+                tri = tris[ti]
+                touch.update(tri)
+                for o in tri:
+                    if o == e or upper_alive[o]:
+                        continue
+                    other = gid_of.get(o)
+                    if other is None:
+                        gid_of[o] = gid
+                        members.append(o)
+                    elif other != gid:
+                        raise AssertionError(
+                            f"truss group grown from edge {start} reached group {other}")
         members.sort()
         self.members[gid] = members
+        self.touch[gid] = tuple(touch)
+        size, bound = len(members), self.bound
+        for x in touch:
+            bound[x] += size
+
+    def _dissolve(self, gid: int) -> list[int]:
+        """Drop group `gid` and its share of the bounds; returns its members."""
+        members = self.members.pop(gid)
+        size, bound, gid_of = len(members), self.bound, self.gid_of
+        for x in self.touch.pop(gid):
+            bound[x] -= size
+        for e in members:
+            del gid_of[e]
+        return members
 
     # -- queries ---------------------------------------------------------------
 
-    def group_sizes(self) -> dict[int, int]:
-        return {gid: len(m) for gid, m in self.members.items()}
-
     def adjacent_gids(self, eid: int) -> set[int]:
-        """Ids of the truss groups the edge touches through truss triangles."""
-        gid_of = self.gid_of
-        out = {gid_of[o] for o in self._level_partners(eid)}
+        """Ids of the truss groups the edge touches through truss triangles.
+
+        Walks the edge's alive triangles afresh, so it is the from-scratch
+        reference for `bound`.
+        """
+        tris, edge_tris = self.t.graph.triangle_index()
+        tri_alive, upper_alive, gid_of = self.t.tri_alive, self.upper.alive, self.gid_of
+        out = {gid_of[o] for ti in edge_tris[eid] if tri_alive[ti]
+               for o in tris[ti] if o != eid and not upper_alive[o]}
         if self.at_level(eid):
             out.add(gid_of[eid])
         return out
@@ -272,8 +296,9 @@ def build_truss_group_index(t: TrussSubgraph, upper: TrussSubgraph) -> GroupInde
     `upper` is what `minimize._two_level_tau(t)` returns for the current `t`.
     """
     idx = GroupIndex(t, upper)
+    alive, upper_alive, gid_of = t.alive, upper.alive, idx.gid_of
     for e in range(t.graph.m):
-        if idx.at_level(e) and e not in idx.gid_of:
+        if alive[e] and not upper_alive[e] and e not in gid_of:
             idx._grow(e)
     return idx
 
@@ -281,6 +306,7 @@ def build_truss_group_index(t: TrussSubgraph, upper: TrussSubgraph) -> GroupInde
 def upper_bound(idx: GroupIndex, e) -> int:
     """Bound on the follower count of `e`: total size of its adjacent groups.
 
+    Summed afresh from `idx.adjacent_gids`; `idx.bound` holds the same value.
     `e` is an edge id or a pair of dense vertex ids (positions in the sorted
     `idx.t.graph.labels`), not a pair of input labels.
     """
@@ -299,18 +325,18 @@ def refresh_index(idx: GroupIndex, region: set[int]) -> GroupIndex:
     log)`: every edge that died, lost a triangle or fell from trussness k+1
     to k, plus its partners in alive triangles of `t`.  As in
     `SupportGroupIndex.update`, only the groups holding a region edge are
-    dissolved (`last_dissolved`) and regrown; the others keep their ids and
-    member lists.  The result matches a rebuild from scratch.
+    dissolved (`last_dissolved`) and regrown; the others keep their ids,
+    member lists and touch sets.  A group missing the region keeps every
+    alive triangle of its members, since a triangle dies only when all its
+    edges die or lose support, so its share of `bound` stays exact.  The
+    result, `bound` included, matches a rebuild from scratch.
     """
     gid_of = idx.gid_of
     dissolve = {gid_of[x] for x in region if x in gid_of}
     idx.last_dissolved = dissolve
     grown = set(region)
     for gid in dissolve:
-        members = idx.members.pop(gid)
-        for e in members:
-            del gid_of[e]
-        grown.update(members)
+        grown.update(idx._dissolve(gid))
     for e in sorted(grown):
         if idx.at_level(e) and e not in gid_of:
             idx._grow(e)

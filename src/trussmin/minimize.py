@@ -418,11 +418,12 @@ def _two_level_tau(t: TrussSubgraph) -> TrussSubgraph:
 def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRecord]]:
     """Greedy with bound-ordered scanning and early stopping.
 
-    Each candidate is priced with an upper bound on its follower count
-    (the sizes of the truss groups it touches) for `_scan`.  The early stop
-    is strict, so equal-bound candidates are still evaluated and exact ties
-    keep the shared smallest-edge-id break.  Each commit cascades through
-    both the k-truss and the nested (k+1)-truss, and the group index is
+    Each candidate's upper bound on its follower count (the sizes of the
+    truss groups it touches) is read from the group index's maintained
+    `bound` list for `_scan`.  The early stop is strict, so equal-bound
+    candidates are still evaluated and exact ties keep the shared
+    smallest-edge-id break.  Each commit cascades through both the k-truss
+    and the nested (k+1)-truss, and the group index, bounds included, is
     refreshed over the region the two cascades changed.  That region holds
     the k-truss commit's own `commit_region`, so the `DeadSetMemo` the scan
     reads follower counts from is invalidated by it too.
@@ -431,27 +432,14 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     records: list[IterationRecord] = []
     upper = _two_level_tau(t)
     idx = build_truss_group_index(t, upper)
-    # Bounds survive across iterations: a bound changes only when its edge
-    # lies in a commit's region or one of the groups it summed over
-    # dissolves, and surviving groups keep their exact member lists.
-    ub_cache: dict[int, tuple[int, frozenset[int]]] = {}
-
     support_groups = SupportGroupIndex(t, find_support_groups(t)[0])
     memo = DeadSetMemo(t)
 
     while len(chosen) < b and t.edge_count > 0:
         start = time.perf_counter()
         candidates = support_groups.candidates()
-        sizes = idx.group_sizes()
-        ubs: dict[int, int] = {}
-        for c in candidates:
-            hit = ub_cache.get(c)
-            if hit is None:
-                gids = idx.adjacent_gids(c)
-                hit = (sum(sizes[x] for x in gids), frozenset(gids))
-                ub_cache[c] = hit
-            ubs[c] = hit[0]
-        best_f, ties, evaluated = _scan(t, candidates, ubs, memo)
+        bound = idx.bound
+        best_f, ties, evaluated = _scan(t, candidates, {c: bound[c] for c in candidates}, memo)
         e_star = _choose_from_ties(t, best_f, ties, support_groups.rep_group)
         followers = max(best_f, 0)
         dead, log = _commit(t, e_star, followers)
@@ -460,12 +448,6 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
         region = commit_region(t, dead + upper.cascade(dead), log)
         idx = refresh_index(idx, region)
         memo.invalidate(region)
-        for x in region:
-            ub_cache.pop(x, None)
-        dissolved = idx.last_dissolved
-        if dissolved:
-            for e in [e for e, (_, gids) in ub_cache.items() if gids & dissolved]:
-                del ub_cache[e]
         records.append(IterationRecord(
             edge=t.graph.original_pair(e_star), eid=e_star, followers=followers,
             candidates_total=len(candidates), candidates_evaluated=evaluated,

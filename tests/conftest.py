@@ -86,6 +86,11 @@ def commit_nested(t: TrussSubgraph, upper: TrussSubgraph, eid: int) -> set[int]:
     return commit_region(t, dead + upper.cascade(dead), log)
 
 
+def group_sizes(idx) -> dict[int, int]:
+    """Size of each truss group of a `GroupIndex`, by gid."""
+    return {gid: len(m) for gid, m in idx.members.items()}
+
+
 def truss_edge_ids(tau: TrussnessMap, k: int) -> list[int]:
     """Edge ids of T_k under this map: alive and tau >= k."""
     return [e for e in range(tau.graph.m) if tau.alive[e] and tau.values[e] >= k]

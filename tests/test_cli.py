@@ -1,13 +1,17 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import oracles
+import synth
 from conftest import complete_pairs, er_pairs
 from trussmin import cli
 from trussmin.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def write_edges(path, pairs):
@@ -253,6 +257,20 @@ class TestMinimize:
                 assert got == oracles.truss_group_partition(pairs, k), (k, pairs)
                 assert all(grp["size"] == len(grp["members"]) for grp in dump["truss_groups"])
             checked += 1
+
+    def test_dump_groups_golden_on_partially_eroding_graph(self, capsys, tmp_path):
+        # frozen before up_edge kept its bounds in the group index; every
+        # commit on this graph erodes only part of a truss component
+        path = write_edges(tmp_path / "community.txt", synth.community_pairs(seed=2, scale=3))
+        code, out, _ = run_cli(capsys, "minimize", path, "-k", "8", "-b", "12",
+                               "--algorithm", "up_edge", "--format", "json", "--dump-groups")
+        assert code == 0
+        payload = json.loads(out)
+        for it in payload["iterations"]:
+            it.pop("time_ms")
+        payload["totals"].pop("timing")
+        want = json.loads((GOLDEN / "minimize_up_edge_community_s2.json").read_text())
+        assert payload == want
 
     def test_human_format_prints_a_table(self, capsys, k5_file):
         code, out, _ = run_cli(capsys, "minimize", k5_file, "-k", "5", "-b", "1")

@@ -3,11 +3,13 @@ import random
 import pytest
 
 import oracles
-from conftest import commit_nested, complete_pairs, er_pairs, graph_of, label_pairs
+import synth
+from conftest import commit_nested, complete_pairs, er_pairs, graph_of, group_sizes, \
+    label_pairs
 from trussmin import ContractViolation, SupportGroupIndex, build_truss_group_index, \
     delete_and_cascade, find_support_groups, followers_of_edge, k_truss, refresh_index, simulate_followers, \
     upper_bound
-from trussmin.minimize import _two_level_tau
+from trussmin.minimize import _two_level_tau, solve_up_edge
 
 
 def group_partition_labels(g, groups):
@@ -175,7 +177,7 @@ class TestTrussGroupIndex:
         _, _, idx = nested_index(k5, 5)
         assert index_partition_labels(k5, idx) == \
             oracles.truss_group_partition(complete_pairs(5), 5)
-        assert sorted(idx.group_sizes().values()) == [10]
+        assert sorted(group_sizes(idx).values()) == [10]
 
     def test_two_k4s_sharing_an_edge_form_one_group(self):
         pairs = complete_pairs(4) + [(0, 1), (0, 4), (0, 5), (1, 4), (1, 5), (4, 5)]
@@ -187,7 +189,7 @@ class TestTrussGroupIndex:
 
     def test_k6_has_empty_level_5(self, k6):
         _, _, idx = nested_index(k6, 5)
-        assert idx.group_sizes() == {}
+        assert group_sizes(idx) == {}
 
     def test_matches_definitional_partition(self, rng):
         for _ in range(40):
@@ -268,10 +270,10 @@ class TestRefreshIndex:
     def test_k5_deletion_moves_the_group_down_a_level(self, k5):
         t, upper, idx = nested_index(k5, 5)
         idx = refresh_index(idx, commit_nested(t, upper, k5.edge_id(0, 1)))
-        assert idx.group_sizes() == {}
+        assert group_sizes(idx) == {}
         t4, upper4, _ = nested_index(k5, 4)
         commit_nested(t4, upper4, k5.edge_id(0, 1))
-        assert sorted(build_truss_group_index(t4, upper4).group_sizes().values()) == [9]
+        assert sorted(group_sizes(build_truss_group_index(t4, upper4)).values()) == [9]
 
     def test_untouched_group_keeps_identity(self):
         pairs = complete_pairs(5) + complete_pairs(5, offset=10)
@@ -285,18 +287,44 @@ class TestRefreshIndex:
         idx = refresh_index(idx, commit_nested(t, upper, g.edge_id(0, 1)))
         assert idx.members[second_gid] == before_members
 
+    @staticmethod
+    def assert_matches_rebuild(g, t, idx, context):
+        """Partition, touch sets and every edge's bound equal a fresh index's."""
+        fresh = build_truss_group_index(t, _two_level_tau(t))
+        assert index_partition_labels(g, idx) == index_partition_labels(g, fresh), context
+        assert idx.bound == fresh.bound, context
+        for e in range(g.m):
+            want = upper_bound(fresh, e) if t.alive[e] else 0
+            assert idx.bound[e] == want, (context, g.original_pair(e))
+        touch = {tuple(ms): set(idx.touch[gid]) for gid, ms in idx.members.items()}
+        assert touch == {tuple(ms): set(fresh.touch[gid])
+                         for gid, ms in fresh.members.items()}, context
+
     def test_refresh_equals_rebuild_over_random_deletion_chains(self, rng):
-        for _ in range(20):
-            pairs = er_pairs(rng, rng.randint(6, 16), rng.uniform(0.35, 0.6))
+        for _ in range(40):
+            pairs = er_pairs(rng, rng.randint(6, 16), rng.uniform(0.35, 0.7))
             if not pairs:
                 continue
             g = graph_of(pairs)
-            k = rng.choice((3, 4))
+            k = rng.choice((3, 4, 5))
             t, upper, idx = nested_index(g, k)
+            self.assert_matches_rebuild(g, t, idx, f"level {k} build")
             order = list(range(g.m))
             rng.shuffle(order)
-            for eid in order[:5]:
+            for eid in order[:12]:
                 idx = refresh_index(idx, commit_nested(t, upper, eid))
-                fresh = build_truss_group_index(t, _two_level_tau(t))
-                assert index_partition_labels(g, idx) == index_partition_labels(g, fresh), \
-                    f"level {k} diverged after deleting {g.original_pair(eid)}"
+                self.assert_matches_rebuild(
+                    g, t, idx, f"level {k} diverged after deleting {g.original_pair(eid)}")
+
+    def test_refresh_equals_rebuild_on_partially_eroding_graph(self):
+        # the up_edge deletion chain at k=8, b=12: each commit erodes only
+        # part of a truss component, so groups split and touch sets shrink
+        g = graph_of(synth.community_pairs(seed=2, scale=3))
+        chosen, _ = solve_up_edge(k_truss(g, 8), 12)
+        t, upper, idx = nested_index(g, 8)
+        dissolved = 0
+        for eid in chosen:
+            idx = refresh_index(idx, commit_nested(t, upper, eid))
+            dissolved += len(idx.last_dissolved)
+            self.assert_matches_rebuild(g, t, idx, f"after deleting {g.original_pair(eid)}")
+        assert dissolved > len(chosen)

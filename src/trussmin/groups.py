@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cascade import commit_region
 from .errors import ContractViolation
 from .truss import TrussSubgraph
 
@@ -105,10 +104,10 @@ class SupportGroupIndex:
     """Support groups and candidates of one truss, maintained across commits.
 
     Starts from the groups `find_support_groups(t)` found; after each
-    committed cascade, `update` takes that cascade's dead list and change
-    log, dissolves only the groups the cascade could have changed, and
-    regrows groups over their region.  Groups and candidates always equal
-    what `find_support_groups` would return for the current state of `t`.
+    committed cascade, `update` takes that cascade's region, dissolves only
+    the groups the cascade could have changed, and regrows groups over the
+    region.  Groups and candidates always equal what `find_support_groups`
+    would return for the current state of `t`.
     """
 
     __slots__ = ("t", "gid_of", "by_gid", "rep_group", "over_count",
@@ -142,27 +141,30 @@ class SupportGroupIndex:
                 [*self.rep_group, *(o for o in self.over_count if o not in pruned)])
         return self._candidates
 
-    def update(self, dead: list[int], log: list[int]) -> None:
-        """Bring the index up to date after `t.cascade(seeds, log)` returned `dead`.
+    def update(self, region: set[int]) -> None:
+        """Bring the index up to date after a committed cascade on `t`.
 
-        Only a dead or decremented edge changes its own support, so only
-        the groups holding an edge of the cascade's `commit_region` can
-        change; every other group keeps its members, supports and
-        triangles.
+        `region` is the commit's `cascade.commit_region`, or any superset
+        of it.  Only a dead or decremented edge changes its own support, so
+        only the groups holding a region edge can change; they are
+        dissolved and regrown, and every other group keeps its members,
+        supports and triangles.
         """
         t = self.t
         alive, sup, threshold = t.alive, t.sup, t.k - 2
         gid_of = self.gid_of
-        region = commit_region(t, dead, log)  # grows into the dissolved groups
         dissolve = {gid_of[x] for x in region if x in gid_of}
+        # a list, not a set: it copies the region at a fraction of the
+        # memory, and a repeated edge is in `gid_of` once it has grown
+        grown = list(region)
         for gid in dissolve:
             grp = self.by_gid.pop(gid)
             del self.rep_group[grp.representative]
             for e in grp.members:
                 del gid_of[e]
-            region.update(grp.members)
+            grown.extend(grp.members)
             self._count(grp, -1)
-        for e in sorted(region):
+        for e in sorted(grown):
             if alive[e] and sup[e] == threshold and e not in gid_of:
                 self._grow(e)
         self._candidates = None

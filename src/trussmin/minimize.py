@@ -390,7 +390,7 @@ def solve_gp_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
         e_star = _choose_from_ties(t, best_f, ties, support_groups.rep_group)
         followers = max(best_f, 0)
         dead, log = _commit(t, e_star, followers)
-        support_groups.update(dead, log)
+        support_groups.update(commit_region(t, dead, log))
         chosen.append(e_star)
         records.append(IterationRecord(
             edge=t.graph.original_pair(e_star), eid=e_star, followers=followers,
@@ -423,10 +423,11 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     `bound` list for `_scan`.  The early stop is strict, so equal-bound
     candidates are still evaluated and exact ties keep the shared
     smallest-edge-id break.  Each commit cascades through both the k-truss
-    and the nested (k+1)-truss, and the group index, bounds included, is
-    refreshed over the region the two cascades changed.  That region holds
-    the k-truss commit's own `commit_region`, so the `DeadSetMemo` the scan
-    reads follower counts from is invalidated by it too.
+    and the nested (k+1)-truss, and `commit_region` is computed once per
+    commit over what the two cascades changed.  That region holds the
+    k-truss commit's own region, so the one set feeds all three maintained
+    structures: the support-group index, the truss-group index with its
+    bounds, and the `DeadSetMemo` the scan reads follower counts from.
     """
     chosen: list[int] = []
     records: list[IterationRecord] = []
@@ -444,8 +445,8 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
         followers = max(best_f, 0)
         dead, log = _commit(t, e_star, followers)
         chosen.append(e_star)
-        support_groups.update(dead, log)
         region = commit_region(t, dead + upper.cascade(dead), log)
+        support_groups.update(region)
         idx = refresh_index(idx, region)
         memo.invalidate(region)
         records.append(IterationRecord(

@@ -4,6 +4,9 @@ A k-truss here is edge-centric: the surviving edge set of the peeling
 process that repeatedly removes edges supported by fewer than k-2 alive
 triangles.  Trussness tau(e) is the largest k for which e survives; edges
 in no triangle carry the sentinel tau = 2.
+
+`TrussSubgraph.cascade` is the one peeling engine: `k_truss` runs it at one
+k, and `truss_decompose` walks it up the levels in O(m + triangles).
 """
 
 from __future__ import annotations
@@ -142,51 +145,26 @@ class TrussnessMap:
 
 
 def truss_decompose(g: Graph) -> TrussnessMap:
-    """Trussness of every edge by ascending-support peeling.
+    """Trussness of every edge, one level at a time on the cascade engine.
 
-    Bucket-queue peel: edges enter buckets by triangle count (ids ascending
-    within the initial buckets, so ties start from the smallest edge id),
-    fall into lower buckets as their triangles die, and receive tau = peel
-    floor + 2.  The assigned values do not depend on within-bucket order.
+    Starts from the 3-truss and raises its threshold one level at a time:
+    the edges of the k-truss that fall when k becomes k+1 have tau = k.
+    Each level scans only the edges still alive for seeds.  An edge with
+    tau = k is scanned at k-2 levels and sits in at least k-2 triangles, so
+    the scans total O(m + triangles), as do the cascades, which kill each
+    triangle once.
     """
-    m = g.m
-    tris, edge_tris = g.triangle_index()
-    alive_now = bytearray(b"\x01") * m
-    tri_alive = bytearray(b"\x01") * len(tris)
-    sup = list(map(len, edge_tris))
-    tau = [2] * m
-    max_sup = max(sup, default=0)
-    buckets: list[list[int]] = [[] for _ in range(max_sup + 1)]
-    for e, s in enumerate(sup):
-        buckets[s].append(e)
-    pos = [0] * (max_sup + 1)
-    level = 0
-    while level <= max_sup:
-        bucket = buckets[level]
-        if pos[level] >= len(bucket):
-            level += 1
-            continue
-        e = bucket[pos[level]]
-        pos[level] += 1
-        if not alive_now[e] or sup[e] != level:
-            continue  # moved to another bucket since it was queued
-        tau[e] = level + 2
-        alive_now[e] = 0
-        for t in edge_tris[e]:
-            if not tri_alive[t]:
-                continue
-            tri_alive[t] = 0
-            for o in tris[t]:
-                if alive_now[o]:
-                    s = sup[o] - 1
-                    if s < level:
-                        s = level  # the peel floor is monotone
-                    sup[o] = s
-                    buckets[s].append(o)
-        # a decrement may have refilled a lower bucket
-        if level and pos[level - 1] < len(buckets[level - 1]):
-            level -= 1
-    return TrussnessMap(g, tau, bytearray(b"\x01") * m)
+    t = k_truss(g, 3)
+    tau = [2] * g.m
+    live = t.alive_edge_ids()
+    k = 3
+    while live:
+        t.k = k + 1
+        for e in t.cascade([e for e in live if t.sup[e] < k - 1]):
+            tau[e] = k
+        live = [e for e in live if t.alive[e]]
+        k += 1
+    return TrussnessMap(g, tau, bytearray(b"\x01") * g.m)
 
 
 def update_after_deletion(g: Graph, tau_map: TrussnessMap,

@@ -14,11 +14,12 @@ import pytest
 import oracles
 import synth
 from conftest import commit_nested, complete_pairs, er_pairs, graph_of, label_pairs, \
-    verify_equivalence
+    support_group_view, verify_equivalence
 from trussmin import SolverConfig, SupportGroupIndex, build_truss_group_index, \
     delete_and_cascade, find_support_groups, followers_of_edge, k_truss, \
     refresh_index, simulate_followers, solve, truss_decompose, \
     update_after_deletion, upper_bound
+from trussmin.cascade import commit_region
 from trussmin.graph import Graph
 from trussmin.minimize import _two_level_tau
 
@@ -284,10 +285,6 @@ def test_criterion_8_k5_golden():
            "algorithms)", ok)
 
 
-def _group_view(groups):
-    return [(grp.members, grp.pruned_followers, set(grp.over_adjacent)) for grp in groups]
-
-
 def test_criterion_9_support_group_maintenance_matches_scratch():
     rng = random.Random(909)
     commits = 0
@@ -304,9 +301,9 @@ def test_criterion_9_support_group_maintenance_matches_scratch():
                 seeds = rng.sample(alive, min(len(alive), rng.choice((1, 1, 2))))
                 log = []
                 dead = t.cascade(seeds, log)
-                index.update(dead, log)
+                index.update(commit_region(t, dead, log))
                 groups, candidates = find_support_groups(t)
-                assert _group_view(index.groups()) == _group_view(groups), \
+                assert support_group_view(index.groups()) == support_group_view(groups), \
                     f"k={k}, after deleting {label_pairs(g, seeds)} from {pairs}"
                 assert index.candidates() == candidates
                 commits += 1

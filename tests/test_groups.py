@@ -5,10 +5,11 @@ import pytest
 import oracles
 import synth
 from conftest import commit_nested, complete_pairs, er_pairs, graph_of, group_sizes, \
-    label_pairs
+    label_pairs, support_group_view
 from trussmin import ContractViolation, SupportGroupIndex, build_truss_group_index, \
     delete_and_cascade, find_support_groups, followers_of_edge, k_truss, refresh_index, simulate_followers, \
     upper_bound
+from trussmin.cascade import commit_region
 from trussmin.minimize import _two_level_tau, solve_up_edge
 
 
@@ -144,7 +145,7 @@ class TestSupportGroupIndex:
         second = index.rep_group[g.edge_id(5, 6)]  # labels (10, 11)
         log = []
         dead = t.cascade([g.edge_id(0, 1)], log)
-        index.update(dead, log)
+        index.update(commit_region(t, dead, log))
         assert index.groups() == [second]
         assert index.rep_group[g.edge_id(5, 6)] is second
         assert index.candidates() == [g.edge_id(5, 6)]
@@ -159,7 +160,7 @@ class TestSupportGroupIndex:
         log = []
         dead = t.cascade([g.edge_id(0, 1)], log)
         assert dead == [g.edge_id(0, 1)]
-        index.update(dead, log)
+        index.update(commit_region(t, dead, log))
         groups, candidates = find_support_groups(t)
         assert [grp.members for grp in index.groups()] == [grp.members for grp in groups] != []
         assert index.candidates() == candidates
@@ -300,6 +301,13 @@ class TestRefreshIndex:
         assert touch == {tuple(ms): set(fresh.touch[gid])
                          for gid, ms in fresh.members.items()}, context
 
+    @staticmethod
+    def assert_support_groups_match(t, index, context):
+        """Groups and candidates of a maintained index equal a fresh scan's."""
+        groups, candidates = find_support_groups(t)
+        assert support_group_view(index.groups()) == support_group_view(groups), context
+        assert index.candidates() == candidates, context
+
     def test_refresh_equals_rebuild_over_random_deletion_chains(self, rng):
         for _ in range(40):
             pairs = er_pairs(rng, rng.randint(6, 16), rng.uniform(0.35, 0.7))
@@ -308,13 +316,17 @@ class TestRefreshIndex:
             g = graph_of(pairs)
             k = rng.choice((3, 4, 5))
             t, upper, idx = nested_index(g, k)
+            index = SupportGroupIndex(t, find_support_groups(t)[0])
             self.assert_matches_rebuild(g, t, idx, f"level {k} build")
             order = list(range(g.m))
             rng.shuffle(order)
             for eid in order[:12]:
-                idx = refresh_index(idx, commit_nested(t, upper, eid))
-                self.assert_matches_rebuild(
-                    g, t, idx, f"level {k} diverged after deleting {g.original_pair(eid)}")
+                region = commit_nested(t, upper, eid)
+                idx = refresh_index(idx, region)
+                index.update(region)
+                context = f"level {k} diverged after deleting {g.original_pair(eid)}"
+                self.assert_matches_rebuild(g, t, idx, context)
+                self.assert_support_groups_match(t, index, context)
 
     def test_refresh_equals_rebuild_on_partially_eroding_graph(self):
         # the up_edge deletion chain at k=8, b=12: each commit erodes only
@@ -322,9 +334,14 @@ class TestRefreshIndex:
         g = graph_of(synth.community_pairs(seed=2, scale=3))
         chosen, _ = solve_up_edge(k_truss(g, 8), 12)
         t, upper, idx = nested_index(g, 8)
+        index = SupportGroupIndex(t, find_support_groups(t)[0])
         dissolved = 0
         for eid in chosen:
-            idx = refresh_index(idx, commit_nested(t, upper, eid))
+            region = commit_nested(t, upper, eid)
+            idx = refresh_index(idx, region)
+            index.update(region)
             dissolved += len(idx.last_dissolved)
-            self.assert_matches_rebuild(g, t, idx, f"after deleting {g.original_pair(eid)}")
+            context = f"after deleting {g.original_pair(eid)}"
+            self.assert_matches_rebuild(g, t, idx, context)
+            self.assert_support_groups_match(t, index, context)
         assert dissolved > len(chosen)

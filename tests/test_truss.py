@@ -3,6 +3,7 @@ import random
 import pytest
 
 import oracles
+import synth
 from conftest import complete_pairs, er_pairs, graph_of, label_pairs, path_pairs, \
     support, truss_edge_ids
 from trussmin import ContractViolation, k_truss, truss_decompose, update_after_deletion
@@ -99,6 +100,23 @@ class TestTrussDecompose:
         for e in range(g.m):
             assert tau.values[e] == expected[g.original_pair(e)]
         assert set(tau.values) == {4}
+
+    def test_matches_oracle_on_community_graph(self):
+        pairs = synth.community_pairs(seed=2, scale=3)
+        g = graph_of(pairs)
+        expected = oracles.trussness(pairs)
+        tau = truss_decompose(g)
+        assert g.m == 7373 and tau.max_trussness() == 13
+        for e in range(g.m):
+            assert tau.values[e] == expected[g.original_pair(e)]
+
+    def test_empty_graph(self):
+        tau = truss_decompose(graph_of([]))
+        assert tau.values == [] and tau.max_trussness() == 0
+
+    def test_triangle_free_path_gets_sentinel(self):
+        tau = truss_decompose(graph_of(path_pairs(6)))
+        assert tau.values == [2] * 5
 
     def test_membership_equivalence(self, rng):
         # tau(e) >= k exactly when e survives the k-truss peel

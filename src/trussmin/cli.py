@@ -47,39 +47,21 @@ def _positive_int(minimum: int, name: str):
     return parse
 
 
-def _int_list(minimum: int, name: str):
-    def parse(text: str) -> list[int]:
-        out = []
-        for tok in text.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            try:
-                value = int(tok)
-            except ValueError:
-                raise argparse.ArgumentTypeError(f"{name} must be comma-separated integers")
-            if value < minimum:
-                raise argparse.ArgumentTypeError(f"every {name} must be >= {minimum}")
-            out.append(value)
+def _algorithm(text: str) -> str:
+    if text not in ALGORITHMS:
+        raise argparse.ArgumentTypeError(
+            f"unknown algorithm {text!r}; choose from {', '.join(ALGORITHMS)}")
+    return text
+
+
+def _comma_list(check):
+    """Parse a comma-separated list, passing each non-empty token to `check`."""
+    def parse(text: str) -> list:
+        out = [check(tok) for tok in map(str.strip, text.split(",")) if tok]
         if not out:
-            raise argparse.ArgumentTypeError(f"{name} list is empty")
+            raise argparse.ArgumentTypeError("list is empty")
         return out
     return parse
-
-
-def _algorithm_list(text: str) -> list[str]:
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if tok not in ALGORITHMS:
-            raise argparse.ArgumentTypeError(
-                f"unknown algorithm {tok!r}; choose from {', '.join(ALGORITHMS)}")
-        out.append(tok)
-    if not out:
-        raise argparse.ArgumentTypeError("algorithm list is empty")
-    return out
 
 
 def _load(path: str) -> Graph:
@@ -258,11 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run a (k, b, algorithm) matrix and emit CSV")
     add_common(p_bench)
-    p_bench.add_argument("-k", type=_int_list(3, "k"), required=True,
+    p_bench.add_argument("-k", type=_comma_list(_positive_int(3, "k")), required=True,
                          help="comma-separated k values")
-    p_bench.add_argument("-b", type=_int_list(1, "b"), required=True,
+    p_bench.add_argument("-b", type=_comma_list(_positive_int(1, "b")), required=True,
                          help="comma-separated budgets")
-    p_bench.add_argument("--algorithms", type=_algorithm_list,
+    p_bench.add_argument("--algorithms", type=_comma_list(_algorithm),
                          default=["baseline", "gp_edge", "up_edge"],
                          help="comma-separated algorithm names")
     p_bench.add_argument("--reps", type=_positive_int(1, "reps"), default=1)

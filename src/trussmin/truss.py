@@ -7,11 +7,12 @@ in no triangle carry the sentinel tau = 2.
 
 `TrussSubgraph.cascade` is the one peeling engine: `k_truss` runs it at one
 k, and `truss_decompose` walks it up the levels in O(m + triangles).
+`update_after_deletion` reruns that level walk over the graph minus the
+deleted edges, also in O(m + triangles); it is not a local repair.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Optional
 
 from .errors import ContractViolation
@@ -136,26 +137,21 @@ class TrussnessMap:
         self.values = values
         self.alive = alive
 
-    def copy(self) -> "TrussnessMap":
-        return TrussnessMap(self.graph, list(self.values), bytearray(self.alive))
-
     def max_trussness(self) -> int:
         vals = [self.values[e] for e in range(self.graph.m) if self.alive[e]]
         return max(vals) if vals else 0
 
 
-def truss_decompose(g: Graph) -> TrussnessMap:
-    """Trussness of every edge, one level at a time on the cascade engine.
+def _level_walk(t: TrussSubgraph, tau: list[int], alive: bytearray) -> TrussnessMap:
+    """Walk the 3-truss `t` up the levels, writing each edge's trussness.
 
-    Starts from the 3-truss and raises its threshold one level at a time:
-    the edges of the k-truss that fall when k becomes k+1 have tau = k.
-    Each level scans only the edges still alive for seeds.  An edge with
-    tau = k is scanned at k-2 levels and sits in at least k-2 triangles, so
-    the scans total O(m + triangles), as do the cascades, which kill each
-    triangle once.
+    Raises the threshold one level at a time: the edges of the k-truss that
+    fall when k becomes k+1 get tau = k.  Each level scans only the edges
+    still alive for seeds.  An edge with tau = k is scanned at k-2 levels
+    and sits in at least k-2 triangles, so the scans total O(m + triangles),
+    as do the cascades, which kill each triangle once.  Edges outside `t`
+    keep the value they have in `tau`.
     """
-    t = k_truss(g, 3)
-    tau = [2] * g.m
     live = t.alive_edge_ids()
     k = 3
     while live:
@@ -164,97 +160,31 @@ def truss_decompose(g: Graph) -> TrussnessMap:
             tau[e] = k
         live = [e for e in live if t.alive[e]]
         k += 1
-    return TrussnessMap(g, tau, bytearray(b"\x01") * g.m)
+    return TrussnessMap(t.graph, tau, alive)
+
+
+def truss_decompose(g: Graph) -> TrussnessMap:
+    """Trussness of every edge: the level walk from the full 3-truss."""
+    return _level_walk(k_truss(g, 3), [2] * g.m, bytearray(b"\x01") * g.m)
 
 
 def update_after_deletion(g: Graph, tau_map: TrussnessMap,
                           e: tuple[int, int]) -> tuple[TrussnessMap, set[int]]:
-    """Delete one edge and repair trussness locally.
+    """Delete one edge and recompute trussness over what is left.
 
-    Returns a fresh map plus the set of edges whose trussness changed;
-    each changed edge drops by exactly one level.  The repair re-peels,
-    per affected level, only the region reachable from the triangles the
-    deleted edge destroyed, which matches a from-scratch recomputation
-    (enforced by the oracle-equivalence tests).
+    Reruns the level walk over the 3-truss of the graph minus every deleted
+    edge, in O(m + triangles); it is not a local repair.  Returns a fresh
+    map plus the set of alive edges whose trussness changed; each changed
+    edge drops by exactly one level.  Deleted edges keep their last value.
     """
     eid = g.edge_id(*e)
     if not tau_map.alive[eid]:
         raise ContractViolation(f"edge {e} already deleted")
-    tris, edge_tris = g.triangle_index()
+    alive = bytearray(tau_map.alive)
+    alive[eid] = 0
     old = tau_map.values
-    new_map = tau_map.copy()
-    new_map.alive[eid] = 0
-    alive = new_map.alive
-    te = old[eid]
-
-    # Seed each level with the edges that just lost a contributing triangle:
-    # a triangle counts toward tau(x) only while both other edges sit at
-    # tau >= tau(x).
-    seeds: dict[int, set[int]] = {}
-    for t in edge_tris[eid]:
-        a, b, c = tris[t]
-        others = [x for x in (a, b, c) if x != eid]
-        x, y = others
-        if not (alive[x] and alive[y]):
-            continue
-        tx, ty = old[x], old[y]
-        if tx >= 3 and ty >= tx and te >= tx:
-            seeds.setdefault(tx, set()).add(x)
-        if ty >= 3 and tx >= ty and te >= ty:
-            seeds.setdefault(ty, set()).add(y)
-
-    changed: set[int] = set()
-    for level, seed_edges in seeds.items():
-        demoted: set[int] = set()
-        s: dict[int, int] = {}
-
-        def level_support(x: int) -> int:
-            cnt = 0
-            for t in edge_tris[x]:
-                a, b, c = tris[t]
-                ok = True
-                for o in (a, b, c):
-                    if o == x:
-                        continue
-                    if not alive[o] or o in demoted or old[o] < level:
-                        ok = False
-                        break
-                if ok:
-                    cnt += 1
-            return cnt
-
-        queue = deque()
-        for x in seed_edges:
-            s[x] = level_support(x)
-            if s[x] < level - 2:
-                queue.append(x)
-        while queue:
-            x = queue.popleft()
-            if x in demoted or s[x] >= level - 2:
-                continue
-            for t in edge_tris[x]:
-                a, b, c = tris[t]
-                others = [o for o in (a, b, c) if o != x]
-                p, q = others
-                if not (alive[p] and alive[q]):
-                    continue
-                # The triangle counted for y while x and the third edge both
-                # sat at level or above; x is about to fall below.  x joins
-                # the demoted set only after this loop so that lazy support
-                # counts still include its triangles and the decrements here
-                # stay consistent.
-                for y, z in ((p, q), (q, p)):
-                    if old[y] != level or y in demoted:
-                        continue
-                    if z in demoted or old[z] < level:
-                        continue
-                    if y not in s:
-                        s[y] = level_support(y)
-                    s[y] -= 1
-                    if s[y] < level - 2:
-                        queue.append(y)
-            demoted.add(x)
-        for x in demoted:
-            new_map.values[x] = level - 1
-            changed.add(x)
+    t = k_truss(g, 3)
+    t.cascade(x for x in range(g.m) if not alive[x])
+    new_map = _level_walk(t, [2 if alive[x] else old[x] for x in range(g.m)], alive)
+    changed = {x for x in range(g.m) if alive[x] and new_map.values[x] != old[x]}
     return new_map, changed

@@ -329,6 +329,19 @@ class TestBench:
         gp_row = next(line for line in lines if ",gp_edge," in line)
         assert not gp_row.endswith(",,")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("-k", "2,5", "-b", "1"), "argument -k: k must be >= 3"),
+        (("-k", "5", "-b", "0"), "argument -b: b must be >= 1"),
+        (("-k", "5", "-b", ","), "argument -b: list is empty"),
+        (("-k", "5", "-b", "1", "--algorithms", "nope"),
+         "argument --algorithms: unknown algorithm 'nope'"),
+    ])
+    def test_usage_errors(self, capsys, k5_file, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", k5_file, *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self, k5_file):

@@ -211,8 +211,15 @@ class TestUpdateAfterDeletion:
         rng.shuffle(deletable)
         for eid in deletable[:6]:
             remaining.discard(g.original_pair(eid))
-            tau, _ = update_after_deletion(g, tau, g.edges[eid])
+            prev = tau
+            tau, changed = update_after_deletion(g, tau, g.edges[eid])
             expected = oracles.trussness(remaining)
             for e in range(g.m):
                 if tau.alive[e]:
                     assert tau.values[e] == expected[g.original_pair(e)]
+                else:
+                    # a deleted edge keeps the value it had when it went
+                    assert tau.values[e] == prev.values[e]
+            assert changed == {e for e in range(g.m)
+                               if tau.alive[e] and tau.values[e] != prev.values[e]}
+            assert all(tau.values[e] == prev.values[e] - 1 for e in changed)

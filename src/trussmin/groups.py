@@ -202,23 +202,29 @@ class GroupIndex:
     so `t.tri_alive` alone marks the triangles groups chain through.
     Group ids survive refreshes of unrelated regions.
 
-    Each group's touch set holds its members plus every edge sharing an
-    alive triangle of `t` with a member.  `bound[e]` is the total size of
-    the groups whose touch set holds `e`, which is `upper_bound(self, e)`
-    for an alive edge and 0 for a dead one: growing a group adds its size
-    over its touch set, and dissolving it takes the size back.
+    The per-edge state is flat: `gid_of[e]` is the group of edge `e`, or
+    -1 when it has none, and `bound` and `stamp` are indexed by edge id
+    too.  Each group's touch set is a duplicate-free list of its members
+    plus every edge sharing an alive triangle of `t` with a member.
+    `bound[e]` is the total size of the groups whose touch set holds `e`,
+    which is `upper_bound(self, e)` for an alive edge and 0 for a dead
+    one: growing a group adds its size over its touch set, and dissolving
+    it takes the size back.  `stamp` marks the edges already in the touch
+    set being grown; it is all zero between growths.
     """
 
-    __slots__ = ("t", "upper", "gid_of", "members", "touch", "bound", "next_gid",
-                 "last_dissolved")
+    __slots__ = ("t", "upper", "gid_of", "members", "touch", "bound", "stamp",
+                 "next_gid", "last_dissolved")
 
     def __init__(self, t: TrussSubgraph, upper: TrussSubgraph):
+        m = t.graph.m
         self.t = t
         self.upper = upper
-        self.gid_of: dict[int, int] = {}            # trussness-k edge -> gid
+        self.gid_of: list[int] = [-1] * m
         self.members: dict[int, list[int]] = {}     # gid -> edge ids, ascending
-        self.touch: dict[int, tuple[int, ...]] = {}  # gid -> its touch set
-        self.bound: list[int] = [0] * t.graph.m
+        self.touch: dict[int, list[int]] = {}       # gid -> its touch set
+        self.bound: list[int] = [0] * m
+        self.stamp = bytearray(m)
         self.next_gid = 0
         # group ids dissolved by the most recent refresh; the benchmark
         # tracer (perfbench/spans.py) counts them
@@ -228,31 +234,38 @@ class GroupIndex:
         """Whether edge `e` has trussness exactly k."""
         return bool(self.t.alive[e]) and not self.upper.alive[e]
 
-    def _grow(self, start: int) -> None:
+    def _grow(self, start: int, walked: bytearray) -> None:
         """BFS over trussness-k edges through alive triangles of the k-truss.
 
-        Every edge of a walked triangle joins the touch set.  Meeting an
-        edge that `gid_of` already gives to another group means that group
-        should have been dissolved first, which is an internal error.
+        Every edge of a walked triangle joins the touch set.  `walked`
+        marks triangles by id and is shared by every growth of one build or
+        one refresh: an alive triangle holding a trussness-k edge belongs
+        to exactly one group, so a triangle walked once is never walked
+        again, and marking it loses nothing.  Meeting an edge that `gid_of`
+        already gives to another group means that group should have been
+        dissolved first, which is an internal error.
         """
         tris, edge_tris = self.t.graph.triangle_index()
         tri_alive, upper_alive = self.t.tri_alive, self.upper.alive
-        gid_of, gid = self.gid_of, self.next_gid
+        gid_of, stamp, gid = self.gid_of, self.stamp, self.next_gid
         self.next_gid += 1
         members = [start]
         gid_of[start] = gid
-        touch = {start}
+        touch = [start]
+        stamp[start] = 1
         for e in members:  # grows while it is walked: breadth-first
             for ti in edge_tris[e]:
-                if not tri_alive[ti]:
+                if walked[ti] or not tri_alive[ti]:
                     continue
-                tri = tris[ti]
-                touch.update(tri)
-                for o in tri:
-                    if o == e or upper_alive[o]:
+                walked[ti] = 1
+                for o in tris[ti]:
+                    if not stamp[o]:
+                        stamp[o] = 1
+                        touch.append(o)
+                    if upper_alive[o]:
                         continue
-                    other = gid_of.get(o)
-                    if other is None:
+                    other = gid_of[o]
+                    if other < 0:
                         gid_of[o] = gid
                         members.append(o)
                     elif other != gid:
@@ -260,10 +273,11 @@ class GroupIndex:
                             f"truss group grown from edge {start} reached group {other}")
         members.sort()
         self.members[gid] = members
-        self.touch[gid] = tuple(touch)
+        self.touch[gid] = touch
         size, bound = len(members), self.bound
         for x in touch:
             bound[x] += size
+            stamp[x] = 0
 
     def _dissolve(self, gid: int) -> list[int]:
         """Drop group `gid` and its share of the bounds; returns its members."""
@@ -272,7 +286,7 @@ class GroupIndex:
         for x in self.touch.pop(gid):
             bound[x] -= size
         for e in members:
-            del gid_of[e]
+            gid_of[e] = -1
         return members
 
     # -- queries ---------------------------------------------------------------
@@ -281,7 +295,8 @@ class GroupIndex:
         """Ids of the truss groups the edge touches through truss triangles.
 
         Walks the edge's alive triangles afresh, so it is the from-scratch
-        reference for `bound`.
+        reference for `bound`.  A trussness-k edge in no group means `t` or
+        `upper` changed without a refresh.
         """
         tris, edge_tris = self.t.graph.triangle_index()
         tri_alive, upper_alive, gid_of = self.t.tri_alive, self.upper.alive, self.gid_of
@@ -289,6 +304,9 @@ class GroupIndex:
                for o in tris[ti] if o != eid and not upper_alive[o]}
         if self.at_level(eid):
             out.add(gid_of[eid])
+        if -1 in out:
+            raise ContractViolation(
+                f"edge id {eid} touches a trussness-k edge in no group; index is stale")
         return out
 
 
@@ -299,9 +317,10 @@ def build_truss_group_index(t: TrussSubgraph, upper: TrussSubgraph) -> GroupInde
     """
     idx = GroupIndex(t, upper)
     alive, upper_alive, gid_of = t.alive, upper.alive, idx.gid_of
+    walked = bytearray(t.graph.triangle_count())
     for e in range(t.graph.m):
-        if alive[e] and not upper_alive[e] and e not in gid_of:
-            idx._grow(e)
+        if alive[e] and not upper_alive[e] and gid_of[e] < 0:
+            idx._grow(e, walked)
     return idx
 
 
@@ -332,14 +351,25 @@ def refresh_index(idx: GroupIndex, region: set[int]) -> GroupIndex:
     alive triangle of its members, since a triangle dies only when all its
     edges die or lose support, so its share of `bound` stays exact.  The
     result, `bound` included, matches a rebuild from scratch.
+
+    The regrowths share one fresh walked-triangle marker, so each alive
+    triangle they reach is walked once.  It is made at the first regrowth,
+    so a refresh that regrows nothing (its commit erased whole groups)
+    pays nothing per triangle.  It marks only the triangles this refresh
+    walks: a group that should have been dissolved but survived still has
+    its triangles unmarked, and a regrowth reaching it raises.
     """
     gid_of = idx.gid_of
-    dissolve = {gid_of[x] for x in region if x in gid_of}
+    dissolve = {gid_of[x] for x in region}
+    dissolve.discard(-1)
     idx.last_dissolved = dissolve
     grown = set(region)
     for gid in dissolve:
         grown.update(idx._dissolve(gid))
+    walked = None
     for e in sorted(grown):
-        if idx.at_level(e) and e not in gid_of:
-            idx._grow(e)
+        if idx.at_level(e) and gid_of[e] < 0:
+            if walked is None:
+                walked = bytearray(idx.t.graph.triangle_count())
+            idx._grow(e, walked)
     return idx

@@ -242,6 +242,15 @@ class TestUpperBound:
         with pytest.raises(ContractViolation):
             upper_bound(idx, bad)
 
+    def test_level_edge_outside_every_group_is_stale(self, k6):
+        # deleting a K6 edge drops the other 14 from trussness 6 to 5; with
+        # no refresh they sit at level 5 in no group
+        t, upper, idx = nested_index(k6, 5)
+        commit_nested(t, upper, k6.edge_id(0, 1))
+        for e in t.alive_edge_ids():
+            with pytest.raises(ContractViolation, match="stale"):
+                upper_bound(idx, e)
+
     def test_bound_dominates_on_random_graphs(self, rng):
         for _ in range(40):
             pairs = er_pairs(rng, rng.randint(5, 18), rng.uniform(0.3, 0.65))
@@ -288,10 +297,39 @@ class TestRefreshIndex:
         idx = refresh_index(idx, commit_nested(t, upper, g.edge_id(0, 1)))
         assert idx.members[second_gid] == before_members
 
+    def test_stale_group_trips_the_cross_group_check(self):
+        # a K4 and a K5 sharing edge (0, 1): at k=4 the five other K4 edges
+        # form one group.  Deleting a K5 edge drops the rest of the K5 to
+        # trussness 4, and through (0, 1) it joins that group.  A region that
+        # leaves the group's members out keeps it alive, and the regrowth
+        # through (0, 1) must hit it even though the build walked its triangles.
+        pairs = complete_pairs(4) + [(0, 1), (0, 4), (0, 5), (0, 6), (1, 4), (1, 5),
+                                     (1, 6), (4, 5), (4, 6), (5, 6)]
+        g = graph_of(pairs)
+        t, upper, idx = nested_index(g, 4)
+        assert sorted(group_sizes(idx).values()) == [5]
+        region = commit_nested(t, upper, g.edge_id(4, 5))
+        stale_region = {x for x in region if idx.gid_of[x] < 0}
+        assert g.edge_id(0, 1) in stale_region and stale_region != region
+        with pytest.raises(AssertionError, match="reached group"):
+            refresh_index(idx, stale_region)
+
     @staticmethod
     def assert_matches_rebuild(g, t, idx, context):
-        """Partition, touch sets and every edge's bound equal a fresh index's."""
+        """Partition, touch sets and every edge's bound equal a fresh index's.
+
+        Each touch set is also checked against its definition: duplicate-free,
+        and the members plus every edge of their alive triangles.  The stamp
+        the growths dedup touch sets with must be all zero again.
+        """
         fresh = build_truss_group_index(t, _two_level_tau(t))
+        assert not any(fresh.stamp) and not any(idx.stamp), context
+        tris, edge_tris = g.triangle_index()
+        for gid, ms in idx.members.items():
+            touch = idx.touch[gid]
+            assert len(set(touch)) == len(touch), context
+            assert set(touch) == set(ms) | {o for e in ms for ti in edge_tris[e]
+                                            if t.tri_alive[ti] for o in tris[ti]}, context
         assert index_partition_labels(g, idx) == index_partition_labels(g, fresh), context
         assert idx.bound == fresh.bound, context
         for e in range(g.m):

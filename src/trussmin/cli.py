@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--exact-cap", type=_positive_int(1, "exact-cap"),
                        default=2_000_000, help="refusal threshold for the exact solver")
     p_min.add_argument("--dump-groups", action="store_true",
-                       help="attach a JSON dump of the discovered groups (json format only)")
+                       help="attach a JSON dump of the discovered groups "
+                            "(needs --format json)")
     p_min.set_defaults(func=cmd_minimize)
 
     p_bench = sub.add_parser("bench", help="run a (k, b, algorithm) matrix and emit CSV")
@@ -257,6 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "minimize" and args.dump_groups and args.format != "json":
+        parser.error("argument --dump-groups: needs --format json")
     try:
         return args.func(args)
     except EdgeListParseError as exc:

@@ -12,7 +12,6 @@ groups an edge touches bounds its follower count from above.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import ContractViolation
 from .truss import TrussSubgraph
@@ -106,12 +105,22 @@ class SupportGroupIndex:
     Starts from the groups `find_support_groups(t)` found; after each
     committed cascade, `update` takes that cascade's region, dissolves only
     the groups the cascade could have changed, and regrows groups over the
-    region.  Groups and candidates always equal what `find_support_groups`
-    would return for the current state of `t`.
+    region.  Groups and the `candidates` set always equal what
+    `find_support_groups` would return for the current state of `t`.
+
+    An edge is a candidate when it represents a group, or when some group
+    lists it as over-adjacent and none lists it as a pruned follower.  The
+    steps that add or withdraw a group record in `changed` every edge
+    whose standing under that rule they touched: the group's
+    representative and every edge it votes for.  Only those edges are
+    re-decided, so the per-commit work follows the commit's groups, not
+    the candidate count.  After an update, `changed` holds a superset of
+    the edges whose candidacy it changed; callers keeping their own view
+    of the candidates re-read just those.  A build leaves it empty.
     """
 
     __slots__ = ("t", "gid_of", "by_gid", "rep_group", "over_count",
-                 "pruned_count", "_candidates", "next_gid")
+                 "pruned_count", "candidates", "changed", "next_gid")
 
     def __init__(self, t: TrussSubgraph, groups: list[SupportGroup]):
         self.t = t
@@ -121,25 +130,20 @@ class SupportGroupIndex:
         # per edge: how many groups list it as over-adjacent / pruned
         self.over_count: dict[int, int] = {}
         self.pruned_count: dict[int, int] = {}
-        self._candidates: Optional[list[int]] = None
+        self.candidates: set[int] = set()
+        self.changed: set[int] = set()
         self.next_gid = 0
         for grp in groups:
             for e in grp.members:
                 self.gid_of[e] = grp.gid
             self._add(grp)
             self.next_gid = max(self.next_gid, grp.gid + 1)
+        self._settle()
+        self.changed.clear()
 
     def groups(self) -> list[SupportGroup]:
         """The current groups, ordered by representative."""
         return [self.rep_group[r] for r in sorted(self.rep_group)]
-
-    def candidates(self) -> list[int]:
-        """Representatives plus unpruned over-adjacent edges, ascending."""
-        if self._candidates is None:
-            pruned = self.pruned_count
-            self._candidates = sorted(
-                [*self.rep_group, *(o for o in self.over_count if o not in pruned)])
-        return self._candidates
 
     def update(self, region: set[int]) -> None:
         """Bring the index up to date after a committed cascade on `t`.
@@ -153,6 +157,7 @@ class SupportGroupIndex:
         t = self.t
         alive, sup, threshold = t.alive, t.sup, t.k - 2
         gid_of = self.gid_of
+        self.changed.clear()
         dissolve = {gid_of[x] for x in region if x in gid_of}
         # a list, not a set: it copies the region at a fraction of the
         # memory, and a repeated edge is in `gid_of` once it has grown
@@ -160,6 +165,7 @@ class SupportGroupIndex:
         for gid in dissolve:
             grp = self.by_gid.pop(gid)
             del self.rep_group[grp.representative]
+            self.changed.add(grp.representative)
             for e in grp.members:
                 del gid_of[e]
             grown.extend(grp.members)
@@ -167,7 +173,7 @@ class SupportGroupIndex:
         for e in sorted(grown):
             if alive[e] and sup[e] == threshold and e not in gid_of:
                 self._grow(e)
-        self._candidates = None
+        self._settle()
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -178,18 +184,33 @@ class SupportGroupIndex:
     def _add(self, grp: SupportGroup) -> None:
         self.by_gid[grp.gid] = grp
         self.rep_group[grp.representative] = grp
+        self.changed.add(grp.representative)
         self._count(grp, 1)
 
     def _count(self, grp: SupportGroup, delta: int) -> None:
-        """Add (+1) or withdraw (-1) one group's votes for its over-adjacent edges."""
+        """Add (+1) or withdraw (-1) one group's votes for its over-adjacent edges.
+
+        Every edge voted for goes into `changed`.
+        """
         for counts, edges in ((self.over_count, grp.over_adjacent),
                               (self.pruned_count, grp.pruned_followers)):
+            self.changed.update(edges)
             for o in edges:
                 n = counts.get(o, 0) + delta
                 if n:
                     counts[o] = n
                 else:
                     del counts[o]
+
+    def _settle(self) -> None:
+        """Re-decide the candidacy of every edge in `changed`."""
+        candidates, reps = self.candidates, self.rep_group
+        over, pruned = self.over_count, self.pruned_count
+        for x in self.changed:
+            if x in reps or (x in over and x not in pruned):
+                candidates.add(x)
+            else:
+                candidates.discard(x)
 
 
 class GroupIndex:
@@ -211,10 +232,17 @@ class GroupIndex:
     one: growing a group adds its size over its touch set, and dissolving
     it takes the size back.  `stamp` marks the edges already in the touch
     set being grown; it is all zero between growths.
+
+    Growing or dissolving a group moves the bound of exactly the edges in
+    its touch set, so those two steps append that touch set to `moved`.
+    After a refresh, `moved` holds the edges whose bound it may have
+    changed (an edge repeats when several groups touch it, or when a group
+    was dissolved and regrown as it was); callers keeping their own copy of
+    some bounds re-read just those.  A build leaves it empty.
     """
 
     __slots__ = ("t", "upper", "gid_of", "members", "touch", "bound", "stamp",
-                 "next_gid", "last_dissolved")
+                 "moved", "next_gid", "last_dissolved")
 
     def __init__(self, t: TrussSubgraph, upper: TrussSubgraph):
         m = t.graph.m
@@ -225,6 +253,7 @@ class GroupIndex:
         self.touch: dict[int, list[int]] = {}       # gid -> its touch set
         self.bound: list[int] = [0] * m
         self.stamp = bytearray(m)
+        self.moved: list[int] = []
         self.next_gid = 0
         # group ids dissolved by the most recent refresh; the benchmark
         # tracer (perfbench/spans.py) counts them
@@ -278,13 +307,15 @@ class GroupIndex:
         for x in touch:
             bound[x] += size
             stamp[x] = 0
+        self.moved.extend(touch)
 
     def _dissolve(self, gid: int) -> list[int]:
         """Drop group `gid` and its share of the bounds; returns its members."""
-        members = self.members.pop(gid)
+        members, touch = self.members.pop(gid), self.touch.pop(gid)
         size, bound, gid_of = len(members), self.bound, self.gid_of
-        for x in self.touch.pop(gid):
+        for x in touch:
             bound[x] -= size
+        self.moved.extend(touch)
         for e in members:
             gid_of[e] = -1
         return members
@@ -321,6 +352,7 @@ def build_truss_group_index(t: TrussSubgraph, upper: TrussSubgraph) -> GroupInde
     for e in range(t.graph.m):
         if alive[e] and not upper_alive[e] and gid_of[e] < 0:
             idx._grow(e, walked)
+    idx.moved.clear()
     return idx
 
 
@@ -352,6 +384,9 @@ def refresh_index(idx: GroupIndex, region: set[int]) -> GroupIndex:
     edges die or lose support, so its share of `bound` stays exact.  The
     result, `bound` included, matches a rebuild from scratch.
 
+    `moved` collects the touch sets of the dissolved and regrown groups:
+    the edges whose `bound` this refresh may have changed.
+
     The regrowths share one fresh walked-triangle marker, so each alive
     triangle they reach is walked once.  It is made at the first regrowth,
     so a refresh that regrows nothing (its commit erased whole groups)
@@ -360,6 +395,7 @@ def refresh_index(idx: GroupIndex, region: set[int]) -> GroupIndex:
     its triangles unmarked, and a regrowth reaching it raises.
     """
     gid_of = idx.gid_of
+    idx.moved.clear()
     dissolve = {gid_of[x] for x in region}
     dissolve.discard(-1)
     idx.last_dissolved = dissolve

@@ -13,9 +13,10 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cascade import commit_region, simulate_followers
 from .errors import ContractViolation, EnumerationCapExceeded
@@ -305,20 +306,63 @@ def solve_exact(t: TrussSubgraph, b: int,
     return list(best_set), records
 
 
-def _scan(t: TrussSubgraph, candidates: list[int], ubs: dict[int, int],
-          memo: Optional[DeadSetMemo] = None) -> tuple[int, list[int], int]:
-    """Evaluate `candidates` by descending bound; returns (best_f, ties, evaluated).
+class _ScanOrder:
+    """A greedy solver's candidates as ascending keys `(m - bound) * m + e`.
 
-    `candidates` ascend and `ubs[c]` bounds the follower count of c, so a
-    stable reverse sort scans by (-bound, edge id).  Once something beats a
-    positive score, every candidate whose bound falls below it is skipped;
-    bound-zero candidates are never evaluated.  A candidate that shows up
-    in an evaluated candidate's follower set is skipped when its bound
-    equals its remover's (it cannot do strictly better than its remover)
-    or falls below the remover's score (it cannot tie the maximum).
-    Skipped candidates whose remover holds the maximum are re-evaluated
-    once at the end: they may tie it exactly, and ties decide the chosen
-    edge.
+    Ascending keys run by descending bound, then ascending edge id, the
+    order `_scan` evaluates in.  `candidates` is the live candidate set of
+    a `SupportGroupIndex` and `bound` the live `GroupIndex.bound` list; with
+    no `bound`, every candidate gets the graph's edge count m and its key
+    is its edge id.  `key` maps each candidate to its entry in `keys`.
+    After a commit, `rekey` re-reads the given edges only, so keeping the
+    order costs what the commit changed, not the candidate count.
+    """
+
+    __slots__ = ("m", "candidates", "bound", "key", "keys")
+
+    def __init__(self, m: int, candidates: set[int], bound: Optional[list[int]] = None):
+        self.m, self.candidates, self.bound = m, candidates, bound
+        self.key: dict[int, int] = {
+            c: c if bound is None else (m - bound[c]) * m + c for c in candidates}
+        self.keys = sorted(self.key.values())
+
+    def rekey(self, edges: Iterable[int]) -> None:
+        """Move every edge of `edges` to its current key, or out of the order.
+
+        `edges` must hold each edge whose candidacy or bound changed since
+        the last call; other edges may appear, and repeat, at no harm.
+        """
+        m, candidates, bound, key, keys = self.m, self.candidates, self.bound, self.key, self.keys
+        for e in edges:
+            old = key.pop(e, None)
+            new = None
+            if e in candidates:
+                new = e if bound is None else (m - bound[e]) * m + e
+                key[e] = new
+            if new != old:
+                if old is not None:
+                    del keys[bisect_left(keys, old)]
+                if new is not None:
+                    insort(keys, new)
+
+
+def _scan(t: TrussSubgraph, order: _ScanOrder,
+          memo: Optional[DeadSetMemo] = None) -> tuple[int, list[int], int]:
+    """Evaluate the candidates by descending bound; returns (best_f, ties, evaluated).
+
+    The candidates are read in `order.keys` order, by (-bound, edge id),
+    which the solver keeps across commits; the scan builds no list, dict
+    or sort over all candidates, so its cost follows the candidates it
+    reads and the followers of those it evaluates.
+
+    Once something beats a positive score, every candidate whose bound
+    falls below it is skipped; bound-zero candidates are never evaluated.
+    A candidate that shows up in an evaluated candidate's follower set is
+    skipped when its bound equals its remover's (it cannot do strictly
+    better than its remover) or falls below the remover's score (it cannot
+    tie the maximum).  Skipped candidates whose remover holds the maximum
+    are re-evaluated once at the end, by ascending edge id: they may tie
+    it exactly, and ties decide the chosen edge.
 
     Follower counts come from `memo` when one is given, and from a fresh
     simulation otherwise; `evaluated` counts the candidates consulted
@@ -332,16 +376,19 @@ def _scan(t: TrussSubgraph, candidates: list[int], ubs: dict[int, int],
         dead_set = memo.dead_set(c)
         return (len(dead_set) - 1 if dead_set else 0), dead_set
 
-    order = sorted(candidates, key=ubs.__getitem__, reverse=True)
+    m, key = order.m, order.key
     fvals: dict[int, int] = {}
+    # skipped candidate -> the evaluated candidate whose followers hold it
     removed_by: dict[int, int] = {}
     best_f = -1
     ties: list[int] = []
     evaluated = 0
-    for c in order:
-        if ubs[c] == 0:
+    for kc in order.keys:
+        q, c = divmod(kc, m)
+        ub = m - q
+        if ub == 0:
             break
-        if best_f > 0 and ubs[c] < best_f:
+        if best_f > 0 and ub < best_f:
             break
         if c in removed_by:
             continue
@@ -355,20 +402,18 @@ def _scan(t: TrussSubgraph, candidates: list[int], ubs: dict[int, int],
         for x in fl:
             if x in fvals or x in removed_by:
                 continue
-            ub_x = ubs.get(x)
-            if ub_x is None:
+            kx = key.get(x)
+            if kx is None:
                 continue
-            if ub_x == ubs[c] or ub_x < f:
+            ub_x = m - kx // m
+            if ub_x == ub or ub_x < f:
                 removed_by[x] = c
-    for c in candidates:
-        if c in fvals or c not in removed_by:
-            continue
+    # a skipped candidate is never evaluated above, and only candidates are skipped
+    for c in sorted(removed_by):
         if fvals[removed_by[c]] != best_f:
             continue
-        f = evaluate(c)[0]
-        fvals[c] = f
         evaluated += 1
-        if f == best_f:
+        if evaluate(c)[0] == best_f:
             ties.append(c)
     return best_f, ties, evaluated
 
@@ -379,22 +424,26 @@ def solve_gp_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     Every candidate gets the same bound, the graph's edge count, so `_scan`
     evaluates them in ascending edge-id order, never stops early, and skips
     every candidate that shows up in an evaluated candidate's follower set.
+    The order is kept across commits: each commit re-keys only the edges
+    whose candidacy the support-group index's update may have changed.
     """
     chosen: list[int] = []
     records: list[IterationRecord] = []
     support_groups = SupportGroupIndex(t, find_support_groups(t)[0])
+    order = _ScanOrder(t.graph.m, support_groups.candidates)
     while len(chosen) < b and t.edge_count > 0:
         start = time.perf_counter()
-        candidates = support_groups.candidates()
-        best_f, ties, evaluated = _scan(t, candidates, dict.fromkeys(candidates, t.graph.m))
+        candidates_total = len(order.keys)
+        best_f, ties, evaluated = _scan(t, order)
         e_star = _choose_from_ties(t, best_f, ties, support_groups.rep_group)
         followers = max(best_f, 0)
         dead, log = _commit(t, e_star, followers)
         support_groups.update(commit_region(t, dead, log))
+        order.rekey(support_groups.changed)
         chosen.append(e_star)
         records.append(IterationRecord(
             edge=t.graph.original_pair(e_star), eid=e_star, followers=followers,
-            candidates_total=len(candidates), candidates_evaluated=evaluated,
+            candidates_total=candidates_total, candidates_evaluated=evaluated,
             time_ms=(time.perf_counter() - start) * 1000.0))
     return chosen, records
 
@@ -420,9 +469,16 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
 
     Each candidate's upper bound on its follower count (the sizes of the
     truss groups it touches) is read from the group index's maintained
-    `bound` list for `_scan`.  The early stop is strict, so equal-bound
-    candidates are still evaluated and exact ties keep the shared
-    smallest-edge-id break.  Each commit cascades through both the k-truss
+    `bound` list into a `_ScanOrder` that `_scan` walks.  The early stop is
+    strict, so equal-bound candidates are still evaluated and exact ties
+    keep the shared smallest-edge-id break.  The order is kept across
+    commits: after each one, only the edges whose bound the refresh moved
+    (`idx.moved`) are re-keyed, so an iteration's bookkeeping follows its
+    commit, not the candidate count.  Those edges also hold every edge whose
+    candidacy the commit changed (`support_groups.changed`): a support
+    group lies inside one truss group, and its over-adjacent edges in that
+    group's touch set, so the support groups a commit dissolves or grows
+    lie in truss groups the refresh dissolves or grows.  Each commit cascades through both the k-truss
     and the nested (k+1)-truss, and `commit_region` is computed once per
     commit over what the two cascades changed.  That region holds the
     k-truss commit's own region, so the one set feeds all three maintained
@@ -435,12 +491,12 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     idx = build_truss_group_index(t, upper)
     support_groups = SupportGroupIndex(t, find_support_groups(t)[0])
     memo = DeadSetMemo(t)
+    order = _ScanOrder(t.graph.m, support_groups.candidates, idx.bound)
 
     while len(chosen) < b and t.edge_count > 0:
         start = time.perf_counter()
-        candidates = support_groups.candidates()
-        bound = idx.bound
-        best_f, ties, evaluated = _scan(t, candidates, {c: bound[c] for c in candidates}, memo)
+        candidates_total = len(order.keys)
+        best_f, ties, evaluated = _scan(t, order, memo)
         e_star = _choose_from_ties(t, best_f, ties, support_groups.rep_group)
         followers = max(best_f, 0)
         dead, log = _commit(t, e_star, followers)
@@ -449,9 +505,10 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
         support_groups.update(region)
         idx = refresh_index(idx, region)
         memo.invalidate(region)
+        order.rekey(idx.moved)
         records.append(IterationRecord(
             edge=t.graph.original_pair(e_star), eid=e_star, followers=followers,
-            candidates_total=len(candidates), candidates_evaluated=evaluated,
+            candidates_total=candidates_total, candidates_evaluated=evaluated,
             time_ms=(time.perf_counter() - start) * 1000.0))
     return chosen, records
 

@@ -241,6 +241,14 @@ class TestMinimize:
         assert len(dump["truss_groups"]) == 1
         assert dump["truss_groups"][0]["size"] == 10
 
+    @pytest.mark.parametrize("fmt", ["csv", "human"])
+    def test_dump_groups_needs_json(self, capsys, k5_file, fmt):
+        with pytest.raises(SystemExit) as exc:
+            main(["minimize", k5_file, "-k", "5", "-b", "1", "--format", fmt, "--dump-groups"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--dump-groups: needs --format json" in err
+
     def test_dump_groups_truss_groups_match_oracle(self, capsys, tmp_path, rng):
         checked = 0
         while checked < 20:

@@ -7,13 +7,14 @@ import pytest
 
 import oracles
 import synth
-from conftest import complete_pairs, er_pairs, graph_of, label_pairs, oracle_best_single, \
-    verify_equivalence
+from conftest import commit_nested, complete_pairs, er_pairs, graph_of, label_pairs, \
+    oracle_best_single, verify_equivalence
 from trussmin import ContractViolation, EnumerationCapExceeded, SolverConfig, \
     build_truss_group_index, find_support_groups, k_truss, simulate_followers, solve, \
     solve_baseline, solve_exact, solve_gp_edge, solve_support, solve_up_edge, upper_bound
 from trussmin.cascade import commit_region
-from trussmin.minimize import _two_level_tau
+from trussmin.groups import SupportGroupIndex, refresh_index
+from trussmin.minimize import _ScanOrder, _two_level_tau
 
 # Frozen instance where the unpruned reference scan ties on an edge that the
 # reduced candidate set only reaches through a group's certain followers
@@ -427,9 +428,9 @@ class TestUpEdgeMemo:
         monkeypatch.setattr(minimize, "simulate_followers",
                             lambda t, e: calls.append(e) or real_sim(t, e))
 
-        def scan(*args):
+        def scan(t, order, memo):
             before = len(calls)
-            out = real_scan(*args)
+            out = real_scan(t, order, memo)
             per_scan.append(calls[before:])
             return out
 
@@ -539,29 +540,53 @@ class TestSharedScanGolden:
         assert got == want
 
 
+def fresh_keys(t, bounded: bool) -> dict[int, int]:
+    """Each candidate of a fresh `find_support_groups(t)` with its scan key.
+
+    The key is `(m - bound) * m + c`, with the bound taken from a truss-group
+    index built from scratch; unbounded (`gp_edge`), it is the edge id.
+    """
+    m, candidates = t.graph.m, find_support_groups(t)[1]
+    if not bounded:
+        return {c: c for c in candidates}
+    fresh = build_truss_group_index(t, _two_level_tau(t))
+    return {c: (m - upper_bound(fresh, c)) * m + c for c in candidates}
+
+
+def check_scan_order(monkeypatch, bounded: bool) -> list[int]:
+    """Wraps `minimize._scan` so that every scan first checks its order.
+
+    The order's candidate set and key dict must equal `fresh_keys(t,
+    bounded)`, and its key list their sort.  Returns the list that collects
+    each scan's candidate count.
+    """
+    from trussmin import minimize
+    real = minimize._scan
+    counts: list[int] = []
+
+    def scan(t, order, memo=None):
+        want = fresh_keys(t, bounded)
+        context = f"stale scan order after {len(counts)} scans"
+        assert order.candidates == set(want), context
+        assert order.key == want, context
+        assert order.keys == sorted(want.values()), context
+        counts.append(len(want))
+        return real(t, order, memo)
+
+    monkeypatch.setattr(minimize, "_scan", scan)
+    return counts
+
+
 class TestCachedBounds:
-    """Every bound `solve_up_edge` hands `_scan` equals the group-size sum
-    of a truss-group index built from scratch over the current truss, at
-    every iteration: the kept (k+1)-truss, the refresh region and the bound
-    cache's invalidation must together leave no stale bound."""
+    """Every key `solve_up_edge` hands `_scan` equals `(m - bound) * m + c`
+    for the bound of a truss-group index built from scratch over the
+    current truss, for exactly the candidates of a fresh support-group scan,
+    at every iteration: the kept (k+1)-truss, the refresh region and the
+    re-keying of the scan order must together leave no stale key."""
 
     @pytest.fixture
     def checked(self, monkeypatch):
-        """Installs the checking `_scan`; collects each scan's candidate count."""
-        from trussmin import minimize
-        real = minimize._scan
-        counts = []
-
-        def scan(t, candidates, ubs, *rest):
-            fresh = build_truss_group_index(t, _two_level_tau(t))
-            for c in candidates:
-                assert ubs[c] == upper_bound(fresh, c), \
-                    f"stale bound for {t.graph.original_pair(c)} after {len(counts)} scans"
-            counts.append(len(candidates))
-            return real(t, candidates, ubs, *rest)
-
-        monkeypatch.setattr(minimize, "_scan", scan)
-        return counts
+        return check_scan_order(monkeypatch, bounded=True)
 
     def test_random_graphs(self, checked, rng):
         for _ in range(100):
@@ -571,6 +596,55 @@ class TestCachedBounds:
         assert sum(checked) > 10000
 
     def test_partially_eroding_graph(self, checked):
+        # thirteen scans: the build's and one after each of twelve commits
         g = graph_of(synth.community_pairs(seed=2, scale=3))
-        solve_up_edge(k_truss(g, 8), 12)
-        assert sum(checked) > 5000
+        solve_up_edge(k_truss(g, 8), 13)
+        assert len(checked) == 13 and sum(checked) > 5000
+
+
+class TestScanOrder:
+    """The candidate set the support-group index keeps, and each solver's
+    scan order over it, equal a fresh scan's after every commit."""
+
+    @staticmethod
+    def assert_fresh(t, index, up, gp, context):
+        assert sorted(index.candidates) == find_support_groups(t)[1], context
+        for order, bounded in ((up, True), (gp, False)):
+            want = fresh_keys(t, bounded)
+            assert order.key == want, (context, bounded)
+            assert order.keys == sorted(want.values()), (context, bounded)
+
+    def test_random_deletion_chains(self, rng):
+        commits = 0
+        for _ in range(30):
+            g = graph_of(er_pairs(rng, rng.randint(6, 16), rng.uniform(0.35, 0.75)))
+            for k in range(3, 8):
+                t = k_truss(g, k)
+                if t.edge_count == 0:
+                    continue
+                upper = _two_level_tau(t)
+                idx = build_truss_group_index(t, upper)
+                index = SupportGroupIndex(t, find_support_groups(t)[0])
+                up = _ScanOrder(g.m, index.candidates, idx.bound)
+                gp = _ScanOrder(g.m, index.candidates)
+                self.assert_fresh(t, index, up, gp, f"k={k} build")
+                while t.edge_count:
+                    eid = rng.choice(t.alive_edge_ids())
+                    region = commit_nested(t, upper, eid)
+                    index.update(region)
+                    refresh_index(idx, region)
+                    # as the solvers re-key: edges whose bound moved hold
+                    # every edge whose candidacy changed
+                    up.rekey(idx.moved)
+                    gp.rekey(index.changed)
+                    self.assert_fresh(t, index, up, gp,
+                                      f"k={k}, after deleting {g.original_pair(eid)}")
+                    commits += 1
+        assert commits > 500
+
+    def test_gp_edge_on_partially_eroding_graph(self, monkeypatch):
+        # as `TestCachedBounds.test_partially_eroding_graph` does for up_edge
+        checked = check_scan_order(monkeypatch, bounded=False)
+        g = graph_of(synth.community_pairs(seed=2, scale=3))
+        solve_gp_edge(k_truss(g, 8), 13)
+        assert len(checked) == 13 and min(checked) > 400

@@ -16,7 +16,7 @@ import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .cascade import commit_region, simulate_followers
 from .errors import ContractViolation, EnumerationCapExceeded
@@ -108,6 +108,9 @@ class MinimizationReport:
 
 class DeadSetMemo:
     """Each edge's dead set in `t`, kept until a commit's region meets it.
+
+    All three greedy solvers read follower counts through one: `baseline`
+    for every alive edge, `gp_edge` and `up_edge` through `_scan`.
 
     A dead set is the edge plus its followers, ascending.  A simulation
     reads nothing outside the triangles of its own dead set, so after a
@@ -347,7 +350,7 @@ class _ScanOrder:
 
 
 def _scan(t: TrussSubgraph, order: _ScanOrder,
-          memo: Optional[DeadSetMemo] = None) -> tuple[int, list[int], int]:
+          memo: DeadSetMemo) -> tuple[int, list[int], int]:
     """Evaluate the candidates by descending bound; returns (best_f, ties, evaluated).
 
     The candidates are read in `order.keys` order, by (-bound, edge id),
@@ -364,19 +367,11 @@ def _scan(t: TrussSubgraph, order: _ScanOrder,
     are re-evaluated once at the end, by ascending edge id: they may tie
     it exactly, and ties decide the chosen edge.
 
-    Follower counts come from `memo` when one is given, and from a fresh
-    simulation otherwise; `evaluated` counts the candidates consulted
-    either way.
+    Follower counts come from `memo`, which simulates a candidate only
+    when no dead set of it is stored; `evaluated` counts the candidates
+    consulted, whether the memo held their count or not.
     """
-    def evaluate(c: int) -> tuple[int, Sequence[int]]:
-        """c's follower count, and a sequence holding its followers (and maybe c)."""
-        if memo is None:
-            fl = simulate_followers(t, c)
-            return len(fl), fl
-        dead_set = memo.dead_set(c)
-        return (len(dead_set) - 1 if dead_set else 0), dead_set
-
-    m, key = order.m, order.key
+    m, key, dead_set_of = order.m, order.key, memo.dead_set
     fvals: dict[int, int] = {}
     # skipped candidate -> the evaluated candidate whose followers hold it
     removed_by: dict[int, int] = {}
@@ -392,14 +387,15 @@ def _scan(t: TrussSubgraph, order: _ScanOrder,
             break
         if c in removed_by:
             continue
-        f, fl = evaluate(c)
+        dead_set = dead_set_of(c)
+        f = len(dead_set) - 1 if dead_set else 0
         fvals[c] = f
         evaluated += 1
         if f > best_f:
             best_f, ties = f, [c]
         elif f == best_f:
             ties.append(c)
-        for x in fl:
+        for x in dead_set:
             if x in fvals or x in removed_by:
                 continue
             kx = key.get(x)
@@ -413,7 +409,8 @@ def _scan(t: TrussSubgraph, order: _ScanOrder,
         if fvals[removed_by[c]] != best_f:
             continue
         evaluated += 1
-        if evaluate(c)[0] == best_f:
+        # best_f > 0 here (c follows its remover), so an empty dead set never ties
+        if len(dead_set_of(c)) - 1 == best_f:
             ties.append(c)
     return best_f, ties, evaluated
 
@@ -426,19 +423,25 @@ def solve_gp_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     every candidate that shows up in an evaluated candidate's follower set.
     The order is kept across commits: each commit re-keys only the edges
     whose candidacy the support-group index's update may have changed.
+    Follower counts come from a `DeadSetMemo`, as in the other two greedy
+    solvers: each commit's `commit_region` is computed once and fed to
+    both the support-group index and the memo.
     """
     chosen: list[int] = []
     records: list[IterationRecord] = []
     support_groups = SupportGroupIndex(t, find_support_groups(t)[0])
+    memo = DeadSetMemo(t)
     order = _ScanOrder(t.graph.m, support_groups.candidates)
     while len(chosen) < b and t.edge_count > 0:
         start = time.perf_counter()
         candidates_total = len(order.keys)
-        best_f, ties, evaluated = _scan(t, order)
+        best_f, ties, evaluated = _scan(t, order, memo)
         e_star = _choose_from_ties(t, best_f, ties, support_groups.rep_group)
         followers = max(best_f, 0)
         dead, log = _commit(t, e_star, followers)
-        support_groups.update(commit_region(t, dead, log))
+        region = commit_region(t, dead, log)
+        support_groups.update(region)
+        memo.invalidate(region)
         order.rekey(support_groups.changed)
         chosen.append(e_star)
         records.append(IterationRecord(

@@ -374,12 +374,16 @@ class TestBaselineMemo:
         assert sorted(calls) == list(range(20))
 
 
-class TestUpEdgeMemo:
-    """`solve_up_edge` reads follower counts through a `DeadSetMemo`; its
-    records equal a replay whose memo simulates on every lookup."""
+@pytest.mark.parametrize("algorithm", ["gp_edge", "up_edge"])
+class TestScanMemo:
+    """`solve_gp_edge` and `solve_up_edge` read follower counts through a
+    `DeadSetMemo` in `_scan`; their records equal a replay whose memo
+    simulates on every lookup."""
 
-    @staticmethod
-    def outcomes(monkeypatch, g, k, b):
+    SOLVERS = {"gp_edge": solve_gp_edge, "up_edge": solve_up_edge}
+
+    @classmethod
+    def outcomes(cls, monkeypatch, algorithm, g, k, b):
         """(memo run, memo-free replay), each as (outcome, simulations made)."""
         from trussmin import minimize
         real_sim, real_dead_set = minimize.simulate_followers, minimize.DeadSetMemo.dead_set
@@ -396,30 +400,32 @@ class TestUpEdgeMemo:
                            lambda t, e: calls.append(e) or real_sim(t, e))
                 if memo_free:
                     mp.setattr(minimize.DeadSetMemo, "dead_set", dead_set)
-                runs.append((solver_outcome(solve_up_edge, k_truss(g, k), b), len(calls)))
+                outcome = solver_outcome(cls.SOLVERS[algorithm], k_truss(g, k), b)
+                runs.append((outcome, len(calls)))
         (_, replay), replay_sims = runs[1]
         assert replay_sims == sum(evaluated for *_, evaluated in replay)
         return runs
 
-    def test_memo_matches_memo_free_replay(self, monkeypatch, rng):
+    def test_memo_matches_memo_free_replay(self, monkeypatch, rng, algorithm):
         saved = 0
         for _ in range(60):
             g = graph_of(er_pairs(rng, rng.randint(8, 20), rng.uniform(0.35, 0.75)))
             for k in range(3, 7):
-                (got, sims), (want, replay_sims) = self.outcomes(monkeypatch, g, k, rng.randint(1, 6))
+                (got, sims), (want, replay_sims) = self.outcomes(
+                    monkeypatch, algorithm, g, k, rng.randint(1, 6))
                 assert got == want, (k, want)
                 saved += replay_sims - sims
         assert saved > 0
 
-    def test_partially_eroding_graph(self, monkeypatch):
+    def test_partially_eroding_graph(self, monkeypatch, algorithm):
         # commits here erode only part of a component, so some dead sets
         # survive a commit and others meet its region
         g = graph_of(synth.community_pairs(seed=2, scale=3))
-        (got, sims), (want, replay_sims) = self.outcomes(monkeypatch, g, 8, 12)
+        (got, sims), (want, replay_sims) = self.outcomes(monkeypatch, algorithm, g, 8, 12)
         assert got == want
         assert 0 < sims < replay_sims
 
-    def test_fresh_simulations_go_through_the_module_global(self, monkeypatch):
+    def test_fresh_simulations_go_through_the_module_global(self, monkeypatch, algorithm):
         # Two disjoint K5s: both representatives are simulated once; the
         # first commit erases one clique, and the other's count is kept.
         from trussmin import minimize
@@ -436,7 +442,7 @@ class TestUpEdgeMemo:
 
         monkeypatch.setattr(minimize, "_scan", scan)
         g = graph_of(complete_pairs(5) + complete_pairs(5, offset=10))
-        report = solve(g, SolverConfig(k=5, b=2, algorithm="up_edge"))
+        report = solve(g, SolverConfig(k=5, b=2, algorithm=algorithm))
         assert [(r.eid, r.followers) for r in report.iterations] == [(0, 9), (10, 9)]
         assert [r.candidates_evaluated for r in report.iterations] == [2, 1]
         assert per_scan == [[0, 10], []]
@@ -564,7 +570,7 @@ def check_scan_order(monkeypatch, bounded: bool) -> list[int]:
     real = minimize._scan
     counts: list[int] = []
 
-    def scan(t, order, memo=None):
+    def scan(t, order, memo):
         want = fresh_keys(t, bounded)
         context = f"stale scan order after {len(counts)} scans"
         assert order.candidates == set(want), context

@@ -22,7 +22,8 @@ from typing import Optional
 from .errors import EdgeListParseError, EnumerationCapExceeded
 from .graph import Graph, load_edge_list
 from .groups import build_truss_group_index, find_support_groups
-from .minimize import ALGORITHMS, MinimizationReport, SolverConfig, _two_level_tau, solve
+from .minimize import ALGORITHMS, DEFAULT_EXACT_CAP, MinimizationReport, SolverConfig, \
+    _two_level_tau, solve
 from .truss import k_truss, truss_decompose
 
 EXIT_OK = 0
@@ -129,25 +130,26 @@ def _human_report(report: MinimizationReport) -> str:
 
 
 def _groups_dump(g: Graph, k: int) -> dict:
+    """The k-truss's groups by smallest edge, each numbered by its position."""
     t = k_truss(g, k)
     support_groups, candidates = find_support_groups(t)
     idx = build_truss_group_index(t, _two_level_tau(t))
     return {
         "support_groups": [
             {
-                "gid": grp.gid,
+                "gid": i,
                 "size": len(grp.members),
                 "members": [list(g.original_pair(e)) for e in grp.members],
                 "pruned_followers": sorted(
                     list(g.original_pair(e)) for e in grp.pruned_followers),
             }
-            for grp in support_groups
+            for i, grp in enumerate(support_groups)
         ],
         "candidates": [list(g.original_pair(e)) for e in candidates],
         "truss_groups": [
-            {"gid": gid, "size": len(members),
-             "members": [list(g.original_pair(e)) for e in sorted(members)]}
-            for gid, members in sorted(idx.members.items())
+            {"gid": i, "size": len(members),
+             "members": [list(g.original_pair(e)) for e in members]}
+            for i, (_, members) in enumerate(sorted(idx.members.items()))
         ],
     }
 
@@ -233,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--algorithm", choices=ALGORITHMS, default="up_edge")
     p_min.add_argument("--format", choices=("json", "csv", "human"), default="human")
     p_min.add_argument("--exact-cap", type=_positive_int(1, "exact-cap"),
-                       default=2_000_000, help="refusal threshold for the exact solver")
+                       default=DEFAULT_EXACT_CAP, help="refusal threshold for the exact solver")
     p_min.add_argument("--dump-groups", action="store_true",
                        help="attach a JSON dump of the discovered groups "
                             "(needs --format json)")
@@ -250,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated algorithm names")
     p_bench.add_argument("--reps", type=_positive_int(1, "reps"), default=1)
     p_bench.add_argument("--exact-cap", type=_positive_int(1, "exact-cap"),
-                         default=2_000_000)
+                         default=DEFAULT_EXACT_CAP)
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

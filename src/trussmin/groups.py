@@ -19,7 +19,6 @@ from .truss import TrussSubgraph
 
 @dataclass
 class SupportGroup:
-    gid: int
     members: list[int]                      # edge ids, ascending; members[0] is the representative
     pruned_followers: set[int] = field(default_factory=set)
     # over-threshold edges sharing an alive triangle with a member
@@ -30,19 +29,20 @@ class SupportGroup:
         return self.members[0]
 
 
-def _grow_support_group(t: TrussSubgraph, start: int, gid_of: dict[int, int],
-                        gid: int) -> SupportGroup:
+def _grow_support_group(t: TrussSubgraph, start: int,
+                        gid_of: dict[int, int]) -> SupportGroup:
     """BFS over threshold edges through alive triangles, starting at `start`.
 
-    Records every member in `gid_of`.  Meeting an edge that `gid_of`
-    already gives to another group means that group should have been
-    dissolved first, which is an internal error.
+    Callers sweep starts in ascending order, so `start` is the smallest
+    member, and `gid_of` records it as every member's group.  Meeting an
+    edge that `gid_of` gives to another group means that group should have
+    been dissolved first, which is an internal error.
     """
     tris, edge_tris = t.graph.triangle_index()
     threshold = t.k - 2
     sup, tri_alive = t.sup, t.tri_alive
     members = [start]
-    gid_of[start] = gid
+    gid_of[start] = start
     # over-threshold edge -> the member triangles it sits in
     hit: dict[int, set[int]] = {}
     for e in members:  # grows while it is walked: breadth-first
@@ -55,9 +55,9 @@ def _grow_support_group(t: TrussSubgraph, start: int, gid_of: dict[int, int],
                 if sup[o] == threshold:
                     other = gid_of.get(o)
                     if other is None:
-                        gid_of[o] = gid
+                        gid_of[o] = start
                         members.append(o)
-                    elif other != gid:
+                    elif other != start:
                         raise AssertionError(
                             f"support group grown from edge {start} reached group {other}")
                 elif o in hit:
@@ -68,7 +68,7 @@ def _grow_support_group(t: TrussSubgraph, start: int, gid_of: dict[int, int],
     # An over-threshold edge whose slack is exceeded by distinct triangles
     # that each contain a group member must fall with the group.
     pruned = {o for o, triangles in hit.items() if len(triangles) > sup[o] - threshold}
-    return SupportGroup(gid=gid, members=members, pruned_followers=pruned,
+    return SupportGroup(members=members, pruned_followers=pruned,
                         over_adjacent=tuple(hit))
 
 
@@ -88,7 +88,7 @@ def find_support_groups(t: TrussSubgraph) -> tuple[list[SupportGroup], list[int]
     gid_of: dict[int, int] = {}
     for start in range(t.graph.m):
         if alive[start] and sup[start] == threshold and start not in gid_of:
-            groups.append(_grow_support_group(t, start, gid_of, len(groups)))
+            groups.append(_grow_support_group(t, start, gid_of))
     over_adjacent: set[int] = set()
     pruned_all: set[int] = set()
     for grp in groups:
@@ -105,8 +105,9 @@ class SupportGroupIndex:
     Starts from the groups `find_support_groups(t)` found; after each
     committed cascade, `update` takes that cascade's region, dissolves only
     the groups the cascade could have changed, and regrows groups over the
-    region.  Groups and the `candidates` set always equal what
-    `find_support_groups` would return for the current state of `t`.
+    region.  `rep_group` maps each group's smallest edge, its id, to the
+    group, and `gid_of` maps each threshold edge to that id, so the index
+    always equals one built from `find_support_groups` on the current `t`.
 
     An edge is a candidate when it represents a group, or when some group
     lists it as over-adjacent and none lists it as a pruned follower.  The
@@ -119,25 +120,22 @@ class SupportGroupIndex:
     of the candidates re-read just those.  A build leaves it empty.
     """
 
-    __slots__ = ("t", "gid_of", "by_gid", "rep_group", "over_count",
-                 "pruned_count", "candidates", "changed", "next_gid")
+    __slots__ = ("t", "gid_of", "rep_group", "over_count", "pruned_count",
+                 "candidates", "changed")
 
     def __init__(self, t: TrussSubgraph, groups: list[SupportGroup]):
         self.t = t
-        self.gid_of: dict[int, int] = {}            # threshold edge -> gid
-        self.by_gid: dict[int, SupportGroup] = {}
+        self.gid_of: dict[int, int] = {}            # threshold edge -> representative
         self.rep_group: dict[int, SupportGroup] = {}
         # per edge: how many groups list it as over-adjacent / pruned
         self.over_count: dict[int, int] = {}
         self.pruned_count: dict[int, int] = {}
         self.candidates: set[int] = set()
         self.changed: set[int] = set()
-        self.next_gid = 0
         for grp in groups:
             for e in grp.members:
-                self.gid_of[e] = grp.gid
+                self.gid_of[e] = grp.representative
             self._add(grp)
-            self.next_gid = max(self.next_gid, grp.gid + 1)
         self._settle()
         self.changed.clear()
 
@@ -162,27 +160,21 @@ class SupportGroupIndex:
         # a list, not a set: it copies the region at a fraction of the
         # memory, and a repeated edge is in `gid_of` once it has grown
         grown = list(region)
-        for gid in dissolve:
-            grp = self.by_gid.pop(gid)
-            del self.rep_group[grp.representative]
-            self.changed.add(grp.representative)
+        for rep in dissolve:
+            grp = self.rep_group.pop(rep)
+            self.changed.add(rep)
             for e in grp.members:
                 del gid_of[e]
             grown.extend(grp.members)
             self._count(grp, -1)
         for e in sorted(grown):
             if alive[e] and sup[e] == threshold and e not in gid_of:
-                self._grow(e)
+                self._add(_grow_support_group(t, e, gid_of))
         self._settle()
 
     # -- bookkeeping -----------------------------------------------------------
 
-    def _grow(self, start: int) -> None:
-        self._add(_grow_support_group(self.t, start, self.gid_of, self.next_gid))
-        self.next_gid += 1
-
     def _add(self, grp: SupportGroup) -> None:
-        self.by_gid[grp.gid] = grp
         self.rep_group[grp.representative] = grp
         self.changed.add(grp.representative)
         self._count(grp, 1)
@@ -221,7 +213,8 @@ class GroupIndex:
     An edge has trussness exactly k when it is alive in `t` but not in
     `upper`.  A triangle alive in `t` has all three edges in the k-truss,
     so `t.tri_alive` alone marks the triangles groups chain through.
-    Group ids survive refreshes of unrelated regions.
+    A group's id is its smallest member edge, so the index after a refresh
+    equals a rebuild over the same `t` and `upper`, ids included.
 
     The per-edge state is flat: `gid_of[e]` is the group of edge `e`, or
     -1 when it has none, and `bound` and `stamp` are indexed by edge id
@@ -242,21 +235,20 @@ class GroupIndex:
     """
 
     __slots__ = ("t", "upper", "gid_of", "members", "touch", "bound", "stamp",
-                 "moved", "next_gid", "last_dissolved")
+                 "moved", "last_dissolved")
 
     def __init__(self, t: TrussSubgraph, upper: TrussSubgraph):
         m = t.graph.m
         self.t = t
         self.upper = upper
         self.gid_of: list[int] = [-1] * m
-        self.members: dict[int, list[int]] = {}     # gid -> edge ids, ascending
+        self.members: dict[int, list[int]] = {}     # gid (= members[0]) -> edge ids, ascending
         self.touch: dict[int, list[int]] = {}       # gid -> its touch set
         self.bound: list[int] = [0] * m
         self.stamp = bytearray(m)
         self.moved: list[int] = []
-        self.next_gid = 0
-        # group ids dissolved by the most recent refresh; the benchmark
-        # tracer (perfbench/spans.py) counts them
+        # ids (smallest members) of the groups the most recent refresh
+        # dissolved; the benchmark tracer (perfbench/spans.py) counts them
         self.last_dissolved: set[int] = set()
 
     def at_level(self, e: int) -> bool:
@@ -266,20 +258,20 @@ class GroupIndex:
     def _grow(self, start: int, walked: bytearray) -> None:
         """BFS over trussness-k edges through alive triangles of the k-truss.
 
-        Every edge of a walked triangle joins the touch set.  `walked`
-        marks triangles by id and is shared by every growth of one build or
-        one refresh: an alive triangle holding a trussness-k edge belongs
-        to exactly one group, so a triangle walked once is never walked
-        again, and marking it loses nothing.  Meeting an edge that `gid_of`
-        already gives to another group means that group should have been
-        dissolved first, which is an internal error.
+        Callers sweep starts in ascending order, so `start`, the group's
+        id, is its smallest member.  Every edge of a walked triangle joins
+        the touch set.  `walked` marks triangles by id and is shared by
+        every growth of one build or one refresh: an alive triangle holding
+        a trussness-k edge belongs to exactly one group, so a triangle
+        walked once is never walked again, and marking it loses nothing.
+        Meeting an edge that `gid_of` already gives to another group means
+        that group should have been dissolved first, an internal error.
         """
         tris, edge_tris = self.t.graph.triangle_index()
         tri_alive, upper_alive = self.t.tri_alive, self.upper.alive
-        gid_of, stamp, gid = self.gid_of, self.stamp, self.next_gid
-        self.next_gid += 1
+        gid_of, stamp = self.gid_of, self.stamp
         members = [start]
-        gid_of[start] = gid
+        gid_of[start] = start
         touch = [start]
         stamp[start] = 1
         for e in members:  # grows while it is walked: breadth-first
@@ -295,14 +287,14 @@ class GroupIndex:
                         continue
                     other = gid_of[o]
                     if other < 0:
-                        gid_of[o] = gid
+                        gid_of[o] = start
                         members.append(o)
-                    elif other != gid:
+                    elif other != start:
                         raise AssertionError(
                             f"truss group grown from edge {start} reached group {other}")
         members.sort()
-        self.members[gid] = members
-        self.touch[gid] = touch
+        self.members[start] = members
+        self.touch[start] = touch
         size, bound = len(members), self.bound
         for x in touch:
             bound[x] += size
@@ -378,11 +370,11 @@ def refresh_index(idx: GroupIndex, region: set[int]) -> GroupIndex:
     log)`: every edge that died, lost a triangle or fell from trussness k+1
     to k, plus its partners in alive triangles of `t`.  As in
     `SupportGroupIndex.update`, only the groups holding a region edge are
-    dissolved (`last_dissolved`) and regrown; the others keep their ids,
-    member lists and touch sets.  A group missing the region keeps every
-    alive triangle of its members, since a triangle dies only when all its
-    edges die or lose support, so its share of `bound` stays exact.  The
-    result, `bound` included, matches a rebuild from scratch.
+    dissolved (`last_dissolved`) and regrown; the others keep their member
+    lists and touch sets.  A group missing the region keeps every alive
+    triangle of its members, since a triangle dies only when all its edges
+    die or lose support, so its share of `bound` stays exact.  The result,
+    ids and `bound` included, matches a rebuild from scratch.
 
     `moved` collects the touch sets of the dissolved and regrown groups:
     the edges whose `bound` this refresh may have changed.

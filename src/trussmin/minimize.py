@@ -180,8 +180,8 @@ def _choose_from_ties(t: TrussSubgraph, best_f: int, ties: list[int],
     matching the unpruned reference scan.
     """
     if best_f <= 0:
-        e = t.min_alive_edge()
-        if e is None:
+        e = t.alive.find(1)
+        if e < 0:
             raise ContractViolation("no alive edge to choose from")
         return e
     pool: list[int] = []
@@ -349,8 +349,7 @@ class _ScanOrder:
                     insort(keys, new)
 
 
-def _scan(t: TrussSubgraph, order: _ScanOrder,
-          memo: DeadSetMemo) -> tuple[int, list[int], int]:
+def _scan(order: _ScanOrder, memo: DeadSetMemo) -> tuple[int, list[int], int]:
     """Evaluate the candidates by descending bound; returns (best_f, ties, evaluated).
 
     The candidates are read in `order.keys` order, by (-bound, edge id),
@@ -435,7 +434,7 @@ def solve_gp_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     while len(chosen) < b and t.edge_count > 0:
         start = time.perf_counter()
         candidates_total = len(order.keys)
-        best_f, ties, evaluated = _scan(t, order, memo)
+        best_f, ties, evaluated = _scan(order, memo)
         e_star = _choose_from_ties(t, best_f, ties, support_groups.rep_group)
         followers = max(best_f, 0)
         dead, log = _commit(t, e_star, followers)
@@ -499,7 +498,7 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     while len(chosen) < b and t.edge_count > 0:
         start = time.perf_counter()
         candidates_total = len(order.keys)
-        best_f, ties, evaluated = _scan(t, order, memo)
+        best_f, ties, evaluated = _scan(order, memo)
         e_star = _choose_from_ties(t, best_f, ties, support_groups.rep_group)
         followers = max(best_f, 0)
         dead, log = _commit(t, e_star, followers)

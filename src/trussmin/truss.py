@@ -46,12 +46,6 @@ class TrussSubgraph:
     def alive_edge_ids(self) -> list[int]:
         return [e for e in range(self.graph.m) if self.alive[e]]
 
-    def min_alive_edge(self) -> Optional[int]:
-        for e in range(self.graph.m):
-            if self.alive[e]:
-                return e
-        return None
-
     # -- cascade engine ------------------------------------------------------
 
     def cascade(self, seeds: Iterable[int], log: Optional[list[int]] = None) -> list[int]:

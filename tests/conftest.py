@@ -86,14 +86,6 @@ def commit_nested(t: TrussSubgraph, upper: TrussSubgraph, eid: int) -> set[int]:
     return commit_region(t, dead + upper.cascade(dead), log)
 
 
-def support_group_view(groups) -> list:
-    """Members, pruned followers and over-adjacent edges of each support group.
-
-    Leaves out the gid, which a maintained index renumbers as it regrows.
-    """
-    return [(grp.members, grp.pruned_followers, set(grp.over_adjacent)) for grp in groups]
-
-
 def group_sizes(idx) -> dict[int, int]:
     """Size of each truss group of a `GroupIndex`, by gid."""
     return {gid: len(m) for gid, m in idx.members.items()}

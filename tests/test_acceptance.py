@@ -14,7 +14,7 @@ import pytest
 import oracles
 import synth
 from conftest import commit_nested, complete_pairs, er_pairs, graph_of, label_pairs, \
-    support_group_view, verify_equivalence
+    verify_equivalence
 from trussmin import SolverConfig, SupportGroupIndex, build_truss_group_index, \
     delete_and_cascade, find_support_groups, followers_of_edge, k_truss, \
     refresh_index, simulate_followers, solve, truss_decompose, \
@@ -303,8 +303,9 @@ def test_criterion_9_support_group_maintenance_matches_scratch():
                 dead = t.cascade(seeds, log)
                 index.update(commit_region(t, dead, log))
                 groups, candidates = find_support_groups(t)
-                assert support_group_view(index.groups()) == support_group_view(groups), \
+                assert index.groups() == groups, \
                     f"k={k}, after deleting {label_pairs(g, seeds)} from {pairs}"
+                assert index.gid_of == SupportGroupIndex(t, groups).gid_of
                 assert sorted(index.candidates) == candidates
                 commits += 1
     report("criterion 9: maintained support groups == scratch after every commit",

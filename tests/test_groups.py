@@ -5,7 +5,7 @@ import pytest
 import oracles
 import synth
 from conftest import commit_nested, complete_pairs, er_pairs, graph_of, group_sizes, \
-    label_pairs, support_group_view
+    label_pairs
 from trussmin import ContractViolation, SupportGroupIndex, build_truss_group_index, \
     delete_and_cascade, find_support_groups, followers_of_edge, k_truss, refresh_index, simulate_followers, \
     upper_bound
@@ -291,7 +291,7 @@ class TestRefreshIndex:
         t, upper, idx = nested_index(g, 5)
         second_gid = {idx.gid_of[e] for e in range(g.m)
                       if g.original_pair(e)[0] >= 10}
-        assert len(second_gid) == 1
+        assert second_gid == {g.edge_id(5, 6)}  # labels (10, 11), its smallest edge
         second_gid = second_gid.pop()
         before_members = list(idx.members[second_gid])
         idx = refresh_index(idx, commit_nested(t, upper, g.edge_id(0, 1)))
@@ -316,7 +316,7 @@ class TestRefreshIndex:
 
     @staticmethod
     def assert_matches_rebuild(g, t, idx, context):
-        """Partition, touch sets and every edge's bound equal a fresh index's.
+        """Group ids, members, touch sets and every edge's bound equal a fresh index's.
 
         Each touch set is also checked against its definition: duplicate-free,
         and the members plus every edge of their alive triangles.  The stamp
@@ -331,19 +331,21 @@ class TestRefreshIndex:
             assert set(touch) == set(ms) | {o for e in ms for ti in edge_tris[e]
                                             if t.tri_alive[ti] for o in tris[ti]}, context
         assert index_partition_labels(g, idx) == index_partition_labels(g, fresh), context
+        assert idx.gid_of == fresh.gid_of, context
+        assert idx.members == fresh.members, context
+        assert {gid: set(touch) for gid, touch in idx.touch.items()} == \
+            {gid: set(touch) for gid, touch in fresh.touch.items()}, context
         assert idx.bound == fresh.bound, context
         for e in range(g.m):
             want = upper_bound(fresh, e) if t.alive[e] else 0
             assert idx.bound[e] == want, (context, g.original_pair(e))
-        touch = {tuple(ms): set(idx.touch[gid]) for gid, ms in idx.members.items()}
-        assert touch == {tuple(ms): set(fresh.touch[gid])
-                         for gid, ms in fresh.members.items()}, context
 
     @staticmethod
     def assert_support_groups_match(t, index, context):
-        """Groups and candidates of a maintained index equal a fresh scan's."""
+        """Groups, group ids and candidates of a maintained index equal a fresh scan's."""
         groups, candidates = find_support_groups(t)
-        assert support_group_view(index.groups()) == support_group_view(groups), context
+        assert index.groups() == groups, context
+        assert index.gid_of == SupportGroupIndex(t, groups).gid_of, context
         assert sorted(index.candidates) == candidates, context
 
     def test_refresh_equals_rebuild_over_random_deletion_chains(self, rng):

@@ -434,9 +434,9 @@ class TestScanMemo:
         monkeypatch.setattr(minimize, "simulate_followers",
                             lambda t, e: calls.append(e) or real_sim(t, e))
 
-        def scan(t, order, memo):
+        def scan(order, memo):
             before = len(calls)
-            out = real_scan(t, order, memo)
+            out = real_scan(order, memo)
             per_scan.append(calls[before:])
             return out
 
@@ -562,22 +562,22 @@ def fresh_keys(t, bounded: bool) -> dict[int, int]:
 def check_scan_order(monkeypatch, bounded: bool) -> list[int]:
     """Wraps `minimize._scan` so that every scan first checks its order.
 
-    The order's candidate set and key dict must equal `fresh_keys(t,
-    bounded)`, and its key list their sort.  Returns the list that collects
-    each scan's candidate count.
+    The order's candidate set and key dict must equal `fresh_keys(memo.t,
+    bounded)`, for the truss the memo reads, and its key list their sort.
+    Returns the list that collects each scan's candidate count.
     """
     from trussmin import minimize
     real = minimize._scan
     counts: list[int] = []
 
-    def scan(t, order, memo):
-        want = fresh_keys(t, bounded)
+    def scan(order, memo):
+        want = fresh_keys(memo.t, bounded)
         context = f"stale scan order after {len(counts)} scans"
         assert order.candidates == set(want), context
         assert order.key == want, context
         assert order.keys == sorted(want.values()), context
         counts.append(len(want))
-        return real(t, order, memo)
+        return real(order, memo)
 
     monkeypatch.setattr(minimize, "_scan", scan)
     return counts

@@ -60,18 +60,29 @@ def delete_and_cascade(t: TrussSubgraph, edge_set: Iterable) -> DeletionOutcome:
     return DeletionOutcome(deleted=seed_set, followers=followers, surviving=survivor)
 
 
-def simulate_followers(t: TrussSubgraph, eid: int) -> list[int]:
+def simulate_followers(t: TrussSubgraph, eid: int, stop: int = -1) -> list[int]:
     """Follower edge ids of deleting one edge; rolls back, `t` unchanged.
 
     Each partner of `eid` in an alive triangle shares exactly that one
     triangle with it, so deleting `eid` costs every partner exactly one
     support.  When no partner sits at the threshold nothing can fall, and
     the answer is known without touching any state.
+
+    Otherwise it peels as `TrussSubgraph.cascade([eid])` does and returns
+    the followers in the same order, but returns as soon as the edge
+    `stop` dies, with `stop` last (the default -1 never stops).  Stopping
+    is exact when `eid` lies in D(stop), the dead set of deleting `stop`
+    (the edge plus its followers).  The k-truss is the unique maximal
+    subgraph whose edges all have support >= k-2, so the k-truss left
+    after deleting `stop` avoids `eid` and lies inside the one left after
+    deleting `eid`: D(eid) is a subset of D(stop).  A peel from `eid` that
+    kills `stop` shows the converse, so then D(eid) = D(stop), which the
+    caller already holds.
     """
     if not t.alive[eid]:
         raise ContractViolation(f"edge id {eid} is not alive in the truss")
     tris, edge_tris = t.graph.triangle_index()
-    sup, tri_alive, threshold = t.sup, t.tri_alive, t.k - 2
+    alive, sup, tri_alive, threshold = t.alive, t.sup, t.tri_alive, t.k - 2
     for ti in edge_tris[eid]:
         if not tri_alive[ti]:
             continue
@@ -81,10 +92,51 @@ def simulate_followers(t: TrussSubgraph, eid: int) -> list[int]:
             break
     else:
         return []
-    log: list[int] = []
-    dead = t.cascade([eid], log)
-    t.rollback(log, dead)
+    dead, killed, lowered = _peel(t, eid, stop)
+    for ti in killed:
+        tri_alive[ti] = 1
+    for o in lowered:
+        sup[o] += 1
+    for e in dead:
+        alive[e] = 1
     return dead[1:]
+
+
+def _peel(t: TrussSubgraph, eid: int, stop: int) -> tuple[list[int], list[int], list[int]]:
+    """`t.cascade([eid])` that returns once `stop` dies: (dead, killed, lowered).
+
+    `killed` lists the killed triangles and `lowered` every support
+    decrement, which is all `simulate_followers` needs to undo the peel.
+    `t.edge_count` is left as it was.
+    """
+    tris, edge_tris = t.graph.triangle_index()
+    alive, sup, tri_alive = t.alive, t.sup, t.tri_alive
+    threshold = t.k - 2
+    dead = [eid]
+    killed: list[int] = []
+    lowered: list[int] = []
+    kill, lower = killed.append, lowered.append
+    alive[eid] = 0
+    stack = [eid]
+    while stack:
+        e = stack.pop()
+        for ti in edge_tris[e]:
+            if not tri_alive[ti]:
+                continue
+            tri_alive[ti] = 0
+            kill(ti)
+            for o in tris[ti]:
+                if not alive[o]:
+                    continue
+                sup[o] -= 1
+                lower(o)
+                if sup[o] < threshold:
+                    alive[o] = 0
+                    dead.append(o)
+                    if o == stop:
+                        return dead, killed, lowered
+                    stack.append(o)
+    return dead, killed, lowered
 
 
 def commit_region(t: TrussSubgraph, dead: list[int], log: list[int]) -> set[int]:

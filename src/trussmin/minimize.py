@@ -118,27 +118,48 @@ class DeadSetMemo:
     superset of it) can change.  Equal dead sets (every member of one
     support group has the same one) share one tuple; an edge without
     followers stores the empty tuple.
+
+    Storing a simulated dead set D(w) makes w the witness of every other
+    member that has none yet.  On a miss for e whose witness w has a
+    non-empty dead set stored, the simulation from e stops as soon as w
+    dies, and e takes w's tuple (`simulate_followers` says why D(e) = D(w)
+    then).  If w never dies, the full dead set comes back.  The memo never
+    checks that the stored D(w) still holds e: the truss only shrinks
+    within one memo, and the k-truss left after deleting w from a smaller
+    truss lies inside the one left before, so every valid D(w) holds each
+    alive edge an earlier D(w) held.
     """
 
     def __init__(self, t: TrussSubgraph):
         self.t = t
         self.slots: list[Optional[tuple[int, ...]]] = [None] * t.graph.m
         self.shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.witness: dict[int, int] = {}
 
     def dead_set(self, e: int) -> tuple[int, ...]:
         """The stored dead set of alive edge `e`, simulated when none is stored."""
-        dead_set = self.slots[e]
+        slots = self.slots
+        dead_set = slots[e]
         if dead_set is None:
+            w = self.witness.get(e, -1)
+            if w < 0 or not slots[w]:
+                w = -1
             # the module global, looked up per call, so wrappers of it see every simulation
-            fl = simulate_followers(self.t, e)
-            if fl:
+            fl = simulate_followers(self.t, e, w)
+            if fl and fl[-1] == w:
+                dead_set = slots[w]
+            elif fl:
                 fl.append(e)
                 fl.sort()
                 key = tuple(fl)
                 dead_set = self.shared.setdefault(key, key)
+                witness = self.witness
+                for x in dead_set:
+                    if x != e and x not in witness:
+                        witness[x] = e
             else:
                 dead_set = ()
-            self.slots[e] = dead_set
+            slots[e] = dead_set
         return dead_set
 
     def invalidate(self, region: set[int]) -> None:

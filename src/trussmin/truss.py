@@ -5,8 +5,11 @@ process that repeatedly removes edges supported by fewer than k-2 alive
 triangles.  Trussness tau(e) is the largest k for which e survives; edges
 in no triangle carry the sentinel tau = 2.
 
-`TrussSubgraph.cascade` is the one peeling engine: `k_truss` runs it at one
-k, and `truss_decompose` walks it up the levels in O(m + triangles).
+`TrussSubgraph.cascade` is the peeling engine for every deletion that
+stays: `k_truss` runs it at one k, `truss_decompose` walks it up the levels
+in O(m + triangles), and the solvers commit through it.  Simulated
+deletions run a copy of the same peel (`cascade.simulate_followers`), which
+can stop early and keeps its own undo lists, so commits pay nothing for it.
 `update_after_deletion` reruns that level walk over the graph minus the
 deleted edges, also in O(m + triangles); it is not a local repair.
 """

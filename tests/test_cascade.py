@@ -202,6 +202,55 @@ class TestCascadeLog:
         assert shortcut > 0
 
 
+class TestStoppedSimulation:
+    """`simulate_followers(t, e, stop)` returns once `stop` dies, which is exact
+    for e in the dead set D(stop): then D(e) = D(stop)."""
+
+    def test_stop_inside_the_dead_set(self, rng):
+        # For e in D(w), D(e) is a subset of D(w).  When the peel from e
+        # kills w the two are equal, and the stopped peel is a prefix of the
+        # full one ending at w; otherwise the stop never fires.
+        stopped, subset, seen_k = 0, 0, set()
+        for g, k, t in random_trusses(rng, 40):
+            before = truss_state(t)
+            truss_pairs = label_pairs(g, t.alive_edge_ids())
+            for w in t.alive_edge_ids():
+                _, followers, _ = oracles.cascade(truss_pairs, k, [g.original_pair(w)])
+                dead_w = followers | {g.original_pair(w)}
+                for e in t.alive_edge_ids():
+                    if g.original_pair(e) not in followers:
+                        continue
+                    full = simulate_followers(t, e)
+                    dead_e = label_pairs(g, full) | {g.original_pair(e)}
+                    got = simulate_followers(t, e, w)
+                    if w in full:
+                        assert got[-1] == w
+                        assert got == full[:len(got)]
+                        assert dead_e == dead_w
+                        stopped += 1
+                    else:
+                        assert got == full
+                        assert dead_e < dead_w
+                        subset += 1
+                    assert truss_state(t) == before
+            seen_k.add(k)
+        assert seen_k == set(range(3, 8))
+        assert stopped > 0 and subset > 0
+
+    def test_stop_outside_the_dead_set_changes_nothing(self, rng):
+        for _, _, t in random_trusses(rng, 40):
+            before = truss_state(t)
+            m = t.graph.m
+            for e in t.alive_edge_ids():
+                full = t.clone().cascade([e])[1:]
+                assert simulate_followers(t, e) == full
+                assert simulate_followers(t, e, -1) == full
+                outside = [x for x in range(m) if x != e and x not in full]
+                for stop in rng.sample(outside, min(5, len(outside))):
+                    assert simulate_followers(t, e, stop) == full
+                assert truss_state(t) == before
+
+
 class TestOracleBestSingle:
     def test_k5_ties_resolve_to_smallest_edge_id(self, k5):
         t = k_truss(k5, 5)

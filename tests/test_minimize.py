@@ -366,12 +366,68 @@ class TestBaselineMemo:
         real = minimize.simulate_followers
         calls = []
         monkeypatch.setattr(minimize, "simulate_followers",
-                            lambda t, e: calls.append(e) or real(t, e))
+                            lambda t, e, stop=-1: calls.append(e) or real(t, e, stop))
         g = graph_of(complete_pairs(5) + complete_pairs(5, offset=10))
         report = solve(g, SolverConfig(k=5, b=2, algorithm="baseline"))
         assert [(r.eid, r.followers) for r in report.iterations] == [(0, 9), (10, 9)]
         assert [r.candidates_evaluated for r in report.iterations] == [20, 10]
         assert sorted(calls) == list(range(20))
+
+
+class TestMemoWitness:
+    """A memo miss whose witness w has a stored dead set stops its simulation
+    once w dies; commits only shrink the truss, so the stored D(w) still
+    holds every alive edge w witnesses."""
+
+    @staticmethod
+    def replay(monkeypatch, rng, t, commits):
+        """Random lookups and commits through one memo; returns witness uses."""
+        from trussmin import minimize
+        real = minimize.simulate_followers
+        used = []
+
+        def sim(t, e, stop=-1):
+            out = real(t, e, stop)
+            if out and out[-1] == stop:
+                used.append(e)
+            return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(minimize, "simulate_followers", sim)
+            memo = minimize.DeadSetMemo(t)
+            for i in range(commits + 1):
+                alive = t.alive_edge_ids()
+                if not alive:
+                    break
+                for e in alive:
+                    w = memo.witness.get(e)
+                    if w is not None and memo.slots[w]:
+                        assert e in memo.slots[w]
+                rng.shuffle(alive)
+                for e in alive[:rng.randint(1, len(alive))]:
+                    log: list[int] = []
+                    dead = t.cascade([e], log)
+                    t.rollback(log, dead)
+                    assert memo.dead_set(e) == (tuple(sorted(dead)) if len(dead) > 1 else ())
+                if i == commits:
+                    break
+                log = []
+                dead = t.cascade(rng.sample(alive, rng.randint(1, 2)), log)
+                memo.invalidate(commit_region(t, dead, log))
+        return len(used)
+
+    def test_random_graphs(self, monkeypatch, rng):
+        used = 0
+        for g in memo_test_graphs(rng, 60):
+            for k in range(3, 7):
+                t = k_truss(g, k)
+                if t.edge_count:
+                    used += self.replay(monkeypatch, rng, t, 4)
+        assert used > 0
+
+    def test_partially_eroding_graph(self, monkeypatch, rng):
+        g = graph_of(synth.community_pairs(seed=2, scale=3))
+        assert self.replay(monkeypatch, rng, k_truss(g, 8), 6) > 0
 
 
 @pytest.mark.parametrize("algorithm", ["gp_edge", "up_edge"])
@@ -397,7 +453,7 @@ class TestScanMemo:
             calls = []
             with monkeypatch.context() as mp:
                 mp.setattr(minimize, "simulate_followers",
-                           lambda t, e: calls.append(e) or real_sim(t, e))
+                           lambda t, e, stop=-1: calls.append(e) or real_sim(t, e, stop))
                 if memo_free:
                     mp.setattr(minimize.DeadSetMemo, "dead_set", dead_set)
                 outcome = solver_outcome(cls.SOLVERS[algorithm], k_truss(g, k), b)
@@ -432,7 +488,7 @@ class TestScanMemo:
         real_sim, real_scan = minimize.simulate_followers, minimize._scan
         calls, per_scan = [], []
         monkeypatch.setattr(minimize, "simulate_followers",
-                            lambda t, e: calls.append(e) or real_sim(t, e))
+                            lambda t, e, stop=-1: calls.append(e) or real_sim(t, e, stop))
 
         def scan(order, memo):
             before = len(calls)
@@ -454,7 +510,7 @@ class TestCommitChecks:
     def test_under_reported_followers_are_caught(self, k5, monkeypatch):
         from trussmin import minimize
         real = minimize.simulate_followers
-        monkeypatch.setattr(minimize, "simulate_followers", lambda t, e: real(t, e)[1:])
+        monkeypatch.setattr(minimize, "simulate_followers", lambda t, e, stop=-1: real(t, e, stop)[1:])
         for algorithm in ("baseline", "gp_edge", "up_edge"):
             with pytest.raises(ContractViolation):
                 solve(k5, SolverConfig(k=5, b=1, algorithm=algorithm))
@@ -463,7 +519,7 @@ class TestCommitChecks:
         script = (
             "from trussmin import ContractViolation, Graph, SolverConfig, minimize, solve\n"
             "real = minimize.simulate_followers\n"
-            "minimize.simulate_followers = lambda t, e: real(t, e)[1:]\n"
+            "minimize.simulate_followers = lambda t, e, stop=-1: real(t, e, stop)[1:]\n"
             "g = Graph.from_pairs([(i, j) for i in range(5) for j in range(i + 1, 5)])\n"
             "try:\n"
             "    solve(g, SolverConfig(k=5, b=1, algorithm='gp_edge'))\n"

@@ -250,7 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--algorithms", type=_comma_list(_algorithm),
                          default=["baseline", "gp_edge", "up_edge"],
                          help="comma-separated algorithm names")
-    p_bench.add_argument("--reps", type=_positive_int(1, "reps"), default=1)
+    p_bench.add_argument("--reps", type=_positive_int(1, "reps"), default=1,
+                         help="runs of each cell; the graph keeps its peeled k- and "
+                              "(k+1)-truss, so only the first solve at a k has the "
+                              "peel in its time_ms, not later reps or algorithms")
     p_bench.add_argument("--exact-cap", type=_positive_int(1, "exact-cap"),
                          default=DEFAULT_EXACT_CAP)
     p_bench.set_defaults(func=cmd_bench)

@@ -21,9 +21,14 @@ class Graph:
     `higher[u]` maps each neighbour w > u to the id of edge (u, w); it is
     the only edge lookup table, and the forward lists the triangle index
     intersects.
+
+    A graph caches values derived from it alone: its triangle index
+    (`triangle_index`) and its last two peeled trusses (`truss.k_truss`),
+    each truss level at m + T + 4m bytes for its alive edges, alive
+    triangles and supports (T triangles).
     """
 
-    __slots__ = ("n", "higher", "edges", "labels", "_tri_cache")
+    __slots__ = ("n", "higher", "edges", "labels", "_tri_cache", "_truss_cache")
 
     def __init__(self, n: int, edges: list[tuple[int, int]], labels: list[int]):
         """`edges` must be canonical (u < v), distinct and sorted."""
@@ -35,6 +40,8 @@ class Graph:
             higher[u][v] = eid
         self.higher = higher
         self._tri_cache: Optional[tuple[list[tuple[int, int, int]], list[list[int]]]] = None
+        # k -> frozen k-truss, kept by `truss.k_truss`
+        self._truss_cache: dict[int, tuple] = {}
 
     # -- construction ------------------------------------------------------
 

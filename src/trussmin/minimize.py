@@ -23,7 +23,7 @@ from .errors import ContractViolation, EnumerationCapExceeded
 from .graph import Graph
 from .groups import SupportGroup, SupportGroupIndex, build_truss_group_index, \
     find_support_groups, refresh_index
-from .truss import TrussSubgraph, k_truss
+from .truss import TrussSubgraph, is_cached_truss, k_truss, peel_to
 # unused here, but the benchmark tracer (perfbench/spans.py) patches this name
 from .truss import update_after_deletion  # noqa: F401
 
@@ -163,10 +163,16 @@ class DeadSetMemo:
         return dead_set
 
     def invalidate(self, region: set[int]) -> None:
-        """Forget every dead set that meets `region`."""
-        slots = self.slots
+        """Forget every dead set that meets `region`, and its dead edges' witnesses.
+
+        A dead edge is never looked up again, so its witness entry would
+        only take memory.
+        """
+        slots, witness, alive = self.slots, self.witness, self.t.alive
         for x in region:
             slots[x] = None  # an edge's own dead set holds it
+            if not alive[x]:
+                witness.pop(x, None)
         for dead_set in [d for d in self.shared if not region.isdisjoint(d)]:
             del self.shared[dead_set]
             for x in dead_set:  # every edge sharing a dead set lies in it
@@ -481,10 +487,7 @@ def _two_level_tau(t: TrussSubgraph) -> TrussSubgraph:
     the reduced graph: that truss lies inside the reduced k-truss, so it
     holds none of the dead edges.
     """
-    upper = t.clone()
-    upper.k = t.k + 1
-    upper.cascade([e for e in upper.alive_edge_ids() if upper.sup[e] < t.k - 1])
-    return upper
+    return peel_to(t.clone(), t.k + 1)
 
 
 def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRecord]]:
@@ -507,10 +510,15 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     k-truss commit's own region, so the one set feeds all three maintained
     structures: the support-group index, the truss-group index with its
     bounds, and the `DeadSetMemo` the scan reads follower counts from.
+
+    While `t` is still its graph's cached k-truss, as `solve` hands it
+    over, the (k+1)-truss comes from the graph's truss cache too
+    (`k_truss`), so a repeated solve on one graph peels neither level
+    again; any other `t` is peeled from by `_two_level_tau`.
     """
     chosen: list[int] = []
     records: list[IterationRecord] = []
-    upper = _two_level_tau(t)
+    upper = k_truss(t.graph, t.k + 1) if is_cached_truss(t) else _two_level_tau(t)
     idx = build_truss_group_index(t, upper)
     support_groups = SupportGroupIndex(t, find_support_groups(t)[0])
     memo = DeadSetMemo(t)
@@ -539,7 +547,11 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
 # -- dispatcher ---------------------------------------------------------------
 
 def solve(g: Graph, cfg: SolverConfig) -> MinimizationReport:
-    """Extract T_k once, run the configured solver, assemble the report."""
+    """Take T_k from `k_truss`, run the configured solver, assemble the report.
+
+    `k_truss` peels T_k on the first solve at k on a graph; later solves
+    at k clone the graph's cached copy.
+    """
     start = time.perf_counter()
     t = k_truss(g, cfg.k)
     report = MinimizationReport(k=cfg.k, b=cfg.b, algorithm=cfg.algorithm,

@@ -7,7 +7,12 @@ in no triangle carry the sentinel tau = 2.
 
 `TrussSubgraph.cascade` is the peeling engine for every deletion that
 stays: `k_truss` runs it at one k, `truss_decompose` walks it up the levels
-in O(m + triangles), and the solvers commit through it.  Simulated
+in O(m + triangles), and the solvers commit through it.  A peeled k-truss
+depends only on (graph, k), so `k_truss` keeps the graph's last two levels
+frozen on the graph and hands every caller a fresh clone: the solvers'
+repeated `solve()` calls on one graph peel each level once.  The level
+walks of `truss_decompose` and `update_after_deletion` start from an
+uncached peel (`_peel`), so they neither fill nor evict those levels.  Simulated
 deletions run a copy of the same peel (`cascade.simulate_followers`), which
 can stop early and keeps its own undo lists, so commits pay nothing for it.
 `update_after_deletion` reruns that level walk over the graph minus the
@@ -16,6 +21,7 @@ deleted edges, also in O(m + triangles); it is not a local repair.
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, Optional
 
 from .errors import ContractViolation
@@ -105,23 +111,68 @@ class TrussSubgraph:
         self.edge_count += len(dead)
 
 
-def k_truss(g: Graph, k: int) -> TrussSubgraph:
-    """Extract the k-truss: start from every edge and triangle, then peel.
+# Truss levels a graph keeps cached: enough for `solve_up_edge`'s k and k+1.
+CACHED_LEVELS = 2
 
-    Supports start as raw triangle counts, and every edge below k-2 seeds
-    one cascade.  Only alive edges keep exact supports afterwards: a peeled
-    edge keeps whatever count it had when it died, and no reader looks at
-    the support of a dead edge.
+
+def peel_to(t: TrussSubgraph, k: int) -> TrussSubgraph:
+    """Peel `t`, a truss at some level up to k, in place to the k-truss; returns `t`.
+
+    Every alive edge below k-2 seeds one cascade.
+    """
+    alive, sup = t.alive, t.sup
+    t.k = k
+    t.cascade([e for e in range(t.graph.m) if alive[e] and sup[e] < k - 2])
+    return t
+
+
+def _peel(g: Graph, k: int) -> TrussSubgraph:
+    """The k-truss peeled from every edge and triangle, bypassing the cache."""
+    tris, edge_tris = g.triangle_index()
+    m = g.m
+    return peel_to(TrussSubgraph(g, k, bytearray(b"\x01") * m, list(map(len, edge_tris)),
+                                 bytearray(b"\x01") * len(tris), m), k)
+
+
+def _thaw(g: Graph, k: int, level: tuple) -> TrussSubgraph:
+    alive, sup, tri_alive, edge_count = level
+    return TrussSubgraph(g, k, bytearray(alive), list(sup), bytearray(tri_alive), edge_count)
+
+
+def k_truss(g: Graph, k: int) -> TrussSubgraph:
+    """The k-truss of `g`, as a fresh `TrussSubgraph` the caller owns.
+
+    The peel depends only on (g, k), so the graph keeps a frozen copy of
+    its last `CACHED_LEVELS` levels and a repeated call clones one.  A miss
+    peels from the cached (k-1)-level when there is one, else from scratch
+    (`_peel`).  Only alive edges keep exact supports afterwards: a peeled
+    edge keeps whatever count it had when it died, which may differ
+    between the two routes, and no reader looks at the support of a dead
+    edge.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
-    tris, edge_tris = g.triangle_index()
-    m = g.m
-    sup = list(map(len, edge_tris))
-    sub = TrussSubgraph(g, k, bytearray(b"\x01") * m, sup,
-                        bytearray(b"\x01") * len(tris), m)
-    sub.cascade(e for e in range(m) if sup[e] < k - 2)
-    return sub
+    cache = g._truss_cache
+    level = cache.get(k)
+    if level is not None:
+        return _thaw(g, k, level)
+    below = cache.get(k - 1)
+    t = _peel(g, k) if below is None else peel_to(_thaw(g, k - 1, below), k)
+    if len(cache) >= CACHED_LEVELS:
+        del cache[next(iter(cache))]  # the oldest level
+    cache[k] = (bytes(t.alive), array("i", t.sup), bytes(t.tri_alive), t.edge_count)
+    return t
+
+
+def is_cached_truss(t: TrussSubgraph) -> bool:
+    """True when `t` has the alive edges of its graph's cached k-truss.
+
+    `cascade` and `rollback` keep a triangle alive exactly when its three
+    edges are, and each alive edge's support at its count of alive
+    triangles, so equal alive edges make an equal truss.
+    """
+    level = t.graph._truss_cache.get(t.k)
+    return level is not None and t.alive == level[0]
 
 
 class TrussnessMap:
@@ -162,7 +213,7 @@ def _level_walk(t: TrussSubgraph, tau: list[int], alive: bytearray) -> Trussness
 
 def truss_decompose(g: Graph) -> TrussnessMap:
     """Trussness of every edge: the level walk from the full 3-truss."""
-    return _level_walk(k_truss(g, 3), [2] * g.m, bytearray(b"\x01") * g.m)
+    return _level_walk(_peel(g, 3), [2] * g.m, bytearray(b"\x01") * g.m)
 
 
 def update_after_deletion(g: Graph, tau_map: TrussnessMap,
@@ -180,7 +231,7 @@ def update_after_deletion(g: Graph, tau_map: TrussnessMap,
     alive = bytearray(tau_map.alive)
     alive[eid] = 0
     old = tau_map.values
-    t = k_truss(g, 3)
+    t = _peel(g, 3)
     t.cascade(x for x in range(g.m) if not alive[x])
     new_map = _level_walk(t, [2 if alive[x] else old[x] for x in range(g.m)], alive)
     changed = {x for x in range(g.m) if alive[x] and new_map.values[x] != old[x]}

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from trussmin import ContractViolation, Graph, SolverConfig, TrussnessMap, \
-    TrussSubgraph, simulate_followers, solve
+    TrussSubgraph, k_truss, simulate_followers, solve
 from trussmin.cascade import commit_region
 
 
@@ -29,6 +29,18 @@ def label_pair(g: Graph, eid: int):
 
 def label_pairs(g: Graph, eids):
     return {g.original_pair(e) for e in eids}
+
+
+def random_trusses(rng, count, ks=range(3, 8)):
+    """(graph, k, truss) triples with a non-empty truss, for k in `ks`."""
+    out = []
+    while len(out) < count:
+        g = graph_of(er_pairs(rng, rng.randint(6, 18), rng.uniform(0.4, 0.8)))
+        for k in ks:
+            t = k_truss(g, k)
+            if t.edge_count:
+                out.append((g, k, t))
+    return out
 
 
 # -- reference helpers over the package's own types --------------------------

@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from conftest import complete_pairs, er_pairs, graph_of, label_pairs, oracle_best_single, \
-    support
+    random_trusses, support
 from trussmin import ContractViolation, delete_and_cascade, followers_of_edge, \
     k_truss, simulate_followers
 
@@ -144,18 +144,6 @@ class TestFollowersOfEdge:
 
 def truss_state(t):
     return (bytes(t.alive), list(t.sup), bytes(t.tri_alive), t.edge_count)
-
-
-def random_trusses(rng, count, ks=range(3, 8)):
-    """(graph, k, truss) triples with a non-empty truss, for k in `ks`."""
-    out = []
-    while len(out) < count:
-        g = graph_of(er_pairs(rng, rng.randint(6, 18), rng.uniform(0.4, 0.8)))
-        for k in ks:
-            t = k_truss(g, k)
-            if t.edge_count:
-                out.append((g, k, t))
-    return out
 
 
 class TestCascadeLog:

@@ -377,7 +377,8 @@ class TestBaselineMemo:
 class TestMemoWitness:
     """A memo miss whose witness w has a stored dead set stops its simulation
     once w dies; commits only shrink the truss, so the stored D(w) still
-    holds every alive edge w witnesses."""
+    holds every alive edge w witnesses.  A commit drops the witness entries
+    of the edges it kills."""
 
     @staticmethod
     def replay(monkeypatch, rng, t, commits):
@@ -414,6 +415,7 @@ class TestMemoWitness:
                 log = []
                 dead = t.cascade(rng.sample(alive, rng.randint(1, 2)), log)
                 memo.invalidate(commit_region(t, dead, log))
+                assert all(t.alive[x] for x in memo.witness)
         return len(used)
 
     def test_random_graphs(self, monkeypatch, rng):

@@ -5,8 +5,9 @@ import pytest
 import oracles
 import synth
 from conftest import complete_pairs, er_pairs, graph_of, label_pairs, path_pairs, \
-    support, truss_edge_ids
-from trussmin import ContractViolation, k_truss, truss_decompose, update_after_deletion
+    random_trusses, support, truss_edge_ids
+from trussmin import ContractViolation, k_truss, truss, truss_decompose, update_after_deletion
+from trussmin.minimize import _two_level_tau, solve_up_edge
 
 
 class TestKTruss:
@@ -223,3 +224,97 @@ class TestUpdateAfterDeletion:
             assert changed == {e for e in range(g.m)
                                if tau.alive[e] and tau.values[e] != prev.values[e]}
             assert all(tau.values[e] == prev.values[e] - 1 for e in changed)
+
+
+def assert_same_truss(got, want):
+    """Equal alive edges, alive triangles, alive-edge supports and edge count."""
+    assert got.k == want.k
+    assert got.alive == want.alive and got.tri_alive == want.tri_alive
+    assert got.edge_count == want.edge_count
+    assert [got.sup[e] for e in got.alive_edge_ids()] == \
+        [want.sup[e] for e in want.alive_edge_ids()]
+
+
+def cold_trusses(rng, count):
+    """(graph, k) of `random_trusses` at k = 3..8, the graph's truss cache
+    emptied as each pair is handed out."""
+    for g, k, _ in random_trusses(rng, count, ks=range(3, 9)):
+        g._truss_cache.clear()
+        yield g, k
+
+
+class TestTrussCache:
+    """`k_truss` keeps a graph's last two levels and hands out clones of them;
+    every case is compared with an uncached peel (`truss._peel`)."""
+
+    def test_mutating_a_returned_truss_leaves_later_calls_alone(self, rng):
+        for g, k in cold_trusses(rng, 60):
+            first, second = k_truss(g, k), k_truss(g, k)  # the peeled one, then a clone
+            for t in (first, second):
+                alive = t.alive_edge_ids()
+                log: list[int] = []
+                dead = t.cascade(rng.sample(alive, min(3, len(alive))), log)
+                t.rollback(log, dead)
+                t.cascade([rng.choice(alive)])
+                assert not truss.is_cached_truss(t)
+                assert_same_truss(k_truss(g, k), truss._peel(g, k))
+
+    def test_next_level_peels_from_the_cached_level(self, monkeypatch, rng):
+        scratch = []
+        real = truss._peel
+        monkeypatch.setattr(truss, "_peel", lambda g, k: scratch.append(k) or real(g, k))
+        for g, k in cold_trusses(rng, 60):
+            scratch.clear()
+            k_truss(g, k)
+            upper = k_truss(g, k + 1)
+            assert scratch == [k] and list(g._truss_cache) == [k, k + 1]
+            assert_same_truss(upper, real(g, k + 1))
+
+    def test_at_most_two_levels_stay_cached(self, rng):
+        for g, _ in cold_trusses(rng, 20):
+            for k in rng.choices(range(3, 9), k=12):
+                assert_same_truss(k_truss(g, k), truss._peel(g, k))
+                assert len(g._truss_cache) <= truss.CACHED_LEVELS and k in g._truss_cache
+
+    def test_two_level_tau_peels_a_committed_truss(self, rng):
+        for g, k in cold_trusses(rng, 60):
+            t = k_truss(g, k)
+            k_truss(g, k + 1)
+            assert truss.is_cached_truss(t)
+            seeds = rng.sample(t.alive_edge_ids(), min(2, t.edge_count))
+            t.cascade(seeds)
+            assert not truss.is_cached_truss(t)
+            # the (k+1)-truss of the graph minus `seeds`
+            want = truss._peel(g, k + 1)
+            want.cascade(seeds)
+            assert_same_truss(_two_level_tau(t), want)
+
+    def test_up_edge_on_a_committed_truss_matches_the_reduced_graph(self, rng):
+        # `solve_up_edge` takes its (k+1)-truss from the cache only while
+        # `t` is the cached k-truss; a stale one would hold dead edges
+        for g, k in cold_trusses(rng, 40):
+            t = k_truss(g, k)
+            k_truss(g, k + 1)
+            seeds = rng.sample(t.alive_edge_ids(), min(2, t.edge_count))
+            t.cascade(seeds)
+            if not t.edge_count:
+                continue
+            gone = {g.original_pair(e) for e in seeds}
+            reduced = graph_of([p for p in map(g.original_pair, range(g.m)) if p not in gone])
+            got = solve_up_edge(t, 3)[1]
+            want = solve_up_edge(k_truss(reduced, k), 3)[1]
+            assert [(r.edge, r.followers, r.candidates_evaluated) for r in got] == \
+                [(r.edge, r.followers, r.candidates_evaluated) for r in want]
+
+    def test_decomposition_neither_fills_nor_evicts(self, rng):
+        for g, k in cold_trusses(rng, 20):
+            tau = truss_decompose(g)
+            update_after_deletion(g, tau, g.edges[rng.randrange(g.m)])
+            assert g._truss_cache == {}
+            k_truss(g, k)
+            k_truss(g, k + 1)
+            levels = dict(g._truss_cache)
+            tau = truss_decompose(g)
+            update_after_deletion(g, tau, g.edges[rng.randrange(g.m)])
+            assert g._truss_cache.keys() == levels.keys()
+            assert all(g._truss_cache[j] is levels[j] for j in levels)

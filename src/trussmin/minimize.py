@@ -486,7 +486,14 @@ def _two_level_tau(t: TrussSubgraph) -> TrussSubgraph:
     the commit's dead list to `upper.cascade` keeps this the (k+1)-truss of
     the reduced graph: that truss lies inside the reduced k-truss, so it
     holds none of the dead edges.
+
+    While `t` is still its graph's cached k-truss, as `solve` hands it
+    over, the (k+1)-truss comes from the graph's truss cache too
+    (`k_truss`), so a repeated solve on one graph peels neither level
+    again; any other `t` is peeled from a clone of `t`.
     """
+    if is_cached_truss(t):
+        return k_truss(t.graph, t.k + 1)
     return peel_to(t.clone(), t.k + 1)
 
 
@@ -510,15 +517,10 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     k-truss commit's own region, so the one set feeds all three maintained
     structures: the support-group index, the truss-group index with its
     bounds, and the `DeadSetMemo` the scan reads follower counts from.
-
-    While `t` is still its graph's cached k-truss, as `solve` hands it
-    over, the (k+1)-truss comes from the graph's truss cache too
-    (`k_truss`), so a repeated solve on one graph peels neither level
-    again; any other `t` is peeled from by `_two_level_tau`.
     """
     chosen: list[int] = []
     records: list[IterationRecord] = []
-    upper = k_truss(t.graph, t.k + 1) if is_cached_truss(t) else _two_level_tau(t)
+    upper = _two_level_tau(t)
     idx = build_truss_group_index(t, upper)
     support_groups = SupportGroupIndex(t, find_support_groups(t)[0])
     memo = DeadSetMemo(t)

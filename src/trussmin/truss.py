@@ -5,18 +5,19 @@ process that repeatedly removes edges supported by fewer than k-2 alive
 triangles.  Trussness tau(e) is the largest k for which e survives; edges
 in no triangle carry the sentinel tau = 2.
 
-`TrussSubgraph.cascade` is the peeling engine for every deletion that
-stays: `k_truss` runs it at one k, `truss_decompose` walks it up the levels
-in O(m + triangles), and the solvers commit through it.  A peeled k-truss
-depends only on (graph, k), so `k_truss` keeps the graph's last two levels
-frozen on the graph and hands every caller a fresh clone: the solvers'
-repeated `solve()` calls on one graph peel each level once.  The level
-walks of `truss_decompose` and `update_after_deletion` start from an
-uncached peel (`_peel`), so they neither fill nor evict those levels.  Simulated
-deletions run a copy of the same peel (`cascade.simulate_followers`), which
-can stop early and keeps its own undo lists, so commits pay nothing for it.
-`update_after_deletion` reruns that level walk over the graph minus the
-deleted edges, also in O(m + triangles); it is not a local repair.
+`_peel` is the one peel loop behind every deletion.  `TrussSubgraph.cascade`
+runs it for every deletion that stays: `k_truss` peels one k with it,
+`truss_decompose` walks it up the levels in O(m + triangles), and the
+solvers commit through it.  Simulated deletions
+(`cascade.simulate_followers`) run it directly, stop it early and undo it
+from the lists it returns.  A peeled k-truss depends only on (graph, k), so
+`k_truss` keeps the graph's last two levels frozen on the graph and hands
+every caller a fresh clone: the solvers' repeated `solve()` calls on one
+graph peel each level once.  The level walks of `truss_decompose` and
+`update_after_deletion` start from an uncached peel (`_peel_graph`), so
+they neither fill nor evict those levels.  `update_after_deletion` reruns
+that level walk over the graph minus the deleted edges, also in
+O(m + triangles); it is not a local repair.
 """
 
 from __future__ import annotations
@@ -63,39 +64,16 @@ class TrussSubgraph:
         Returns the dead edges (seeds first, then followers in removal
         order).  When `log` is given it receives one flat int per state
         change: `~t` for each killed triangle t and the edge id for each
-        support decrement.  Together with the returned dead list that is
-        everything `rollback` needs, and everything a maintained index
-        needs to find the region the cascade touched.
+        support decrement.  The log is a multiset in no promised order.
+        Together with the returned dead list that is everything `rollback`
+        needs, and everything a maintained index needs to find the region
+        the cascade touched.
         """
-        tris, edge_tris = self.graph.triangle_index()
-        alive, sup, tri_alive = self.alive, self.sup, self.tri_alive
-        threshold = self.k - 2
-        push = log.append if log is not None else None
-        dead: list[int] = []
-        for e in seeds:
-            if alive[e]:
-                alive[e] = 0
-                dead.append(e)
-        stack = list(dead)
-        while stack:
-            e = stack.pop()
-            for t in edge_tris[e]:
-                if not tri_alive[t]:
-                    continue
-                tri_alive[t] = 0
-                if push is not None:
-                    push(~t)
-                for o in tris[t]:
-                    if not alive[o]:
-                        continue
-                    sup[o] -= 1
-                    if push is not None:
-                        push(o)
-                    if sup[o] < threshold:
-                        alive[o] = 0
-                        dead.append(o)
-                        stack.append(o)
+        dead, killed, lowered = _peel(self, seeds)
         self.edge_count -= len(dead)
+        if log is not None:
+            log.extend([~ti for ti in killed])
+            log.extend(lowered)
         return dead
 
     def rollback(self, log: list[int], dead: list[int]) -> None:
@@ -109,6 +87,50 @@ class TrussSubgraph:
         for e in dead:
             alive[e] = 1
         self.edge_count += len(dead)
+
+
+def _peel(t: TrussSubgraph, seeds: Iterable[int],
+          stop: int = -1) -> tuple[list[int], list[int], list[int]]:
+    """The peel loop behind every deletion: (dead, killed, lowered).
+
+    Kills each alive seed, then peels every edge whose support drops below
+    k-2.  `dead` lists the seeds first, then the followers in removal
+    order; `killed` lists the killed triangles and `lowered` every support
+    decrement, which is all it takes to undo the peel.  Returns as soon as
+    the edge `stop` dies, with `stop` last (the default -1 never stops).
+    `t.edge_count` is left as it was.
+    """
+    tris, edge_tris = t.graph.triangle_index()
+    alive, sup, tri_alive = t.alive, t.sup, t.tri_alive
+    threshold = t.k - 2
+    dead: list[int] = []
+    for e in seeds:
+        if alive[e]:
+            alive[e] = 0
+            dead.append(e)
+    killed: list[int] = []
+    lowered: list[int] = []
+    kill, lower = killed.append, lowered.append
+    stack = list(dead)
+    while stack:
+        e = stack.pop()
+        for ti in edge_tris[e]:
+            if not tri_alive[ti]:
+                continue
+            tri_alive[ti] = 0
+            kill(ti)
+            for o in tris[ti]:
+                if not alive[o]:
+                    continue
+                sup[o] -= 1
+                lower(o)
+                if sup[o] < threshold:
+                    alive[o] = 0
+                    dead.append(o)
+                    if o == stop:
+                        return dead, killed, lowered
+                    stack.append(o)
+    return dead, killed, lowered
 
 
 # Truss levels a graph keeps cached: enough for `solve_up_edge`'s k and k+1.
@@ -126,7 +148,7 @@ def peel_to(t: TrussSubgraph, k: int) -> TrussSubgraph:
     return t
 
 
-def _peel(g: Graph, k: int) -> TrussSubgraph:
+def _peel_graph(g: Graph, k: int) -> TrussSubgraph:
     """The k-truss peeled from every edge and triangle, bypassing the cache."""
     tris, edge_tris = g.triangle_index()
     m = g.m
@@ -145,8 +167,8 @@ def k_truss(g: Graph, k: int) -> TrussSubgraph:
     The peel depends only on (g, k), so the graph keeps a frozen copy of
     its last `CACHED_LEVELS` levels and a repeated call clones one.  A miss
     peels from the cached (k-1)-level when there is one, else from scratch
-    (`_peel`).  Only alive edges keep exact supports afterwards: a peeled
-    edge keeps whatever count it had when it died, which may differ
+    (`_peel_graph`).  Only alive edges keep exact supports afterwards: a
+    peeled edge keeps whatever count it had when it died, which may differ
     between the two routes, and no reader looks at the support of a dead
     edge.
     """
@@ -157,7 +179,7 @@ def k_truss(g: Graph, k: int) -> TrussSubgraph:
     if level is not None:
         return _thaw(g, k, level)
     below = cache.get(k - 1)
-    t = _peel(g, k) if below is None else peel_to(_thaw(g, k - 1, below), k)
+    t = _peel_graph(g, k) if below is None else peel_to(_thaw(g, k - 1, below), k)
     if len(cache) >= CACHED_LEVELS:
         del cache[next(iter(cache))]  # the oldest level
     cache[k] = (bytes(t.alive), array("i", t.sup), bytes(t.tri_alive), t.edge_count)
@@ -213,7 +235,7 @@ def _level_walk(t: TrussSubgraph, tau: list[int], alive: bytearray) -> Trussness
 
 def truss_decompose(g: Graph) -> TrussnessMap:
     """Trussness of every edge: the level walk from the full 3-truss."""
-    return _level_walk(_peel(g, 3), [2] * g.m, bytearray(b"\x01") * g.m)
+    return _level_walk(_peel_graph(g, 3), [2] * g.m, bytearray(b"\x01") * g.m)
 
 
 def update_after_deletion(g: Graph, tau_map: TrussnessMap,
@@ -231,7 +253,7 @@ def update_after_deletion(g: Graph, tau_map: TrussnessMap,
     alive = bytearray(tau_map.alive)
     alive[eid] = 0
     old = tau_map.values
-    t = _peel(g, 3)
+    t = _peel_graph(g, 3)
     t.cascade(x for x in range(g.m) if not alive[x])
     new_map = _level_walk(t, [2 if alive[x] else old[x] for x in range(g.m)], alive)
     changed = {x for x in range(g.m) if alive[x] and new_map.values[x] != old[x]}

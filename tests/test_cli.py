@@ -7,8 +7,8 @@ import pytest
 
 import oracles
 import synth
-from conftest import complete_pairs, er_pairs
-from trussmin import cli
+from conftest import complete_pairs, er_pairs, graph_of, random_trusses
+from trussmin import SolverConfig, cli, solve
 from trussmin.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -279,6 +279,18 @@ class TestMinimize:
         payload["totals"].pop("timing")
         want = json.loads((GOLDEN / "minimize_up_edge_community_s2.json").read_text())
         assert payload == want
+
+    def test_dump_groups_after_a_solve_equals_a_cold_dump(self, rng):
+        # `--dump-groups` runs after `solve`, which leaves both truss levels
+        # in the graph's cache; a dump on a freshly loaded graph peels them
+        cases = [([g.original_pair(e) for e in range(g.m)], k)
+                 for g, k, _ in random_trusses(rng, 40)]
+        cases.append((synth.community_pairs(seed=2, scale=3), 8))
+        for pairs, k in cases:
+            cold = cli._groups_dump(graph_of(pairs), k)
+            g = graph_of(pairs)
+            solve(g, SolverConfig(k=k, b=3, algorithm="up_edge"))
+            assert cli._groups_dump(g, k) == cold, (k, pairs)
 
     def test_human_format_prints_a_table(self, capsys, k5_file):
         code, out, _ = run_cli(capsys, "minimize", k5_file, "-k", "5", "-b", "1")

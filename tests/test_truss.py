@@ -245,7 +245,7 @@ def cold_trusses(rng, count):
 
 class TestTrussCache:
     """`k_truss` keeps a graph's last two levels and hands out clones of them;
-    every case is compared with an uncached peel (`truss._peel`)."""
+    every case is compared with an uncached peel (`truss._peel_graph`)."""
 
     def test_mutating_a_returned_truss_leaves_later_calls_alone(self, rng):
         for g, k in cold_trusses(rng, 60):
@@ -257,12 +257,12 @@ class TestTrussCache:
                 t.rollback(log, dead)
                 t.cascade([rng.choice(alive)])
                 assert not truss.is_cached_truss(t)
-                assert_same_truss(k_truss(g, k), truss._peel(g, k))
+                assert_same_truss(k_truss(g, k), truss._peel_graph(g, k))
 
     def test_next_level_peels_from_the_cached_level(self, monkeypatch, rng):
         scratch = []
-        real = truss._peel
-        monkeypatch.setattr(truss, "_peel", lambda g, k: scratch.append(k) or real(g, k))
+        real = truss._peel_graph
+        monkeypatch.setattr(truss, "_peel_graph", lambda g, k: scratch.append(k) or real(g, k))
         for g, k in cold_trusses(rng, 60):
             scratch.clear()
             k_truss(g, k)
@@ -273,8 +273,18 @@ class TestTrussCache:
     def test_at_most_two_levels_stay_cached(self, rng):
         for g, _ in cold_trusses(rng, 20):
             for k in rng.choices(range(3, 9), k=12):
-                assert_same_truss(k_truss(g, k), truss._peel(g, k))
+                assert_same_truss(k_truss(g, k), truss._peel_graph(g, k))
                 assert len(g._truss_cache) <= truss.CACHED_LEVELS and k in g._truss_cache
+
+    def test_two_level_tau_of_a_fresh_truss_is_the_cached_next_level(self, rng):
+        for g, k in cold_trusses(rng, 60):
+            t = k_truss(g, k)
+            want = truss._peel_graph(g, k + 1)
+            upper = _two_level_tau(t)
+            assert list(g._truss_cache) == [k, k + 1]
+            assert_same_truss(upper, want)
+            upper.cascade(rng.sample(upper.alive_edge_ids(), min(2, upper.edge_count)))
+            assert_same_truss(_two_level_tau(t), want)
 
     def test_two_level_tau_peels_a_committed_truss(self, rng):
         for g, k in cold_trusses(rng, 60):
@@ -285,7 +295,7 @@ class TestTrussCache:
             t.cascade(seeds)
             assert not truss.is_cached_truss(t)
             # the (k+1)-truss of the graph minus `seeds`
-            want = truss._peel(g, k + 1)
+            want = truss._peel_graph(g, k + 1)
             want.cascade(seeds)
             assert_same_truss(_two_level_tau(t), want)
 

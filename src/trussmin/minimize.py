@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from .errors import ContractViolation, EnumerationCapExceeded
 from .graph import Graph
 from .groups import SupportGroup, SupportGroupIndex, build_truss_group_index, \
     find_support_groups, refresh_index
-from .truss import TrussSubgraph, is_cached_truss, k_truss, peel_to
+from .truss import TrussSubgraph, k_truss
 # unused here, but the benchmark tracer (perfbench/spans.py) patches this name
 from .truss import update_after_deletion  # noqa: F401
 
@@ -487,14 +488,20 @@ def _two_level_tau(t: TrussSubgraph) -> TrussSubgraph:
     the reduced graph: that truss lies inside the reduced k-truss, so it
     holds none of the dead edges.
 
-    While `t` is still its graph's cached k-truss, as `solve` hands it
-    over, the (k+1)-truss comes from the graph's truss cache too
-    (`k_truss`), so a repeated solve on one graph peels neither level
-    again; any other `t` is peeled from a clone of `t`.
+    The (k+1)-truss of the reduced graph lies inside both the graph's own
+    (k+1)-truss and `t`, and is the largest edge set there with support at
+    least k-1, so it is the graph's (k+1)-level (from the truss cache, see
+    `k_truss`) with the edges dead in `t` cascaded out.  A fresh `t` has
+    none of those, and a repeated solve on one graph peels neither level
+    again.
     """
-    if is_cached_truss(t):
-        return k_truss(t.graph, t.k + 1)
-    return peel_to(t.clone(), t.k + 1)
+    upper = k_truss(t.graph, t.k + 1)
+    # Both alive arrays hold one 0/1 byte per edge, so one big-int AND-NOT
+    # marks the edges dead in `t` that `upper` still holds, and a byte
+    # search finds them without a Python step per edge.
+    lost = int.from_bytes(upper.alive, "little") & ~int.from_bytes(t.alive, "little")
+    upper.cascade(x.start() for x in re.finditer(b"\x01", lost.to_bytes(t.graph.m, "little")))
+    return upper
 
 
 def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRecord]]:

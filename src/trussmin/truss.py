@@ -23,6 +23,7 @@ O(m + triangles); it is not a local repair.
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from typing import Iterable, Optional
 
 from .errors import ContractViolation
@@ -69,7 +70,7 @@ class TrussSubgraph:
         needs, and everything a maintained index needs to find the region
         the cascade touched.
         """
-        dead, killed, lowered = _peel(self, seeds)
+        dead, killed, lowered = _peel(self, seeds, record=log is not None)
         self.edge_count -= len(dead)
         if log is not None:
             log.extend([~ti for ti in killed])
@@ -89,16 +90,23 @@ class TrussSubgraph:
         self.edge_count += len(dead)
 
 
-def _peel(t: TrussSubgraph, seeds: Iterable[int],
-          stop: int = -1) -> tuple[list[int], list[int], list[int]]:
+# Appending to it keeps nothing: where a peel's undo lists go when no one
+# will undo it.
+_DISCARD = deque(maxlen=0)
+
+
+def _peel(t: TrussSubgraph, seeds: Iterable[int], stop: int = -1,
+          record: bool = True) -> tuple[list[int], list[int], list[int]]:
     """The peel loop behind every deletion: (dead, killed, lowered).
 
     Kills each alive seed, then peels every edge whose support drops below
     k-2.  `dead` lists the seeds first, then the followers in removal
     order; `killed` lists the killed triangles and `lowered` every support
-    decrement, which is all it takes to undo the peel.  Returns as soon as
-    the edge `stop` dies, with `stop` last (the default -1 never stops).
-    `t.edge_count` is left as it was.
+    decrement, which is all it takes to undo the peel.  With `record`
+    false both come back empty, so a peel that stays (a whole-graph peel
+    kills most triangles) holds no lists it would throw away.  Returns as
+    soon as the edge `stop` dies, with `stop` last (the default -1 never
+    stops).  `t.edge_count` is left as it was.
     """
     tris, edge_tris = t.graph.triangle_index()
     alive, sup, tri_alive = t.alive, t.sup, t.tri_alive
@@ -110,7 +118,7 @@ def _peel(t: TrussSubgraph, seeds: Iterable[int],
             dead.append(e)
     killed: list[int] = []
     lowered: list[int] = []
-    kill, lower = killed.append, lowered.append
+    kill, lower = (killed.append, lowered.append) if record else (_DISCARD.append,) * 2
     stack = list(dead)
     while stack:
         e = stack.pop()
@@ -184,17 +192,6 @@ def k_truss(g: Graph, k: int) -> TrussSubgraph:
         del cache[next(iter(cache))]  # the oldest level
     cache[k] = (bytes(t.alive), array("i", t.sup), bytes(t.tri_alive), t.edge_count)
     return t
-
-
-def is_cached_truss(t: TrussSubgraph) -> bool:
-    """True when `t` has the alive edges of its graph's cached k-truss.
-
-    `cascade` and `rollback` keep a triangle alive exactly when its three
-    edges are, and each alive edge's support at its count of alive
-    triangles, so equal alive edges make an equal truss.
-    """
-    level = t.graph._truss_cache.get(t.k)
-    return level is not None and t.alive == level[0]
 
 
 class TrussnessMap:

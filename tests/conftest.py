@@ -5,6 +5,7 @@ import pytest
 from trussmin import ContractViolation, Graph, SolverConfig, TrussnessMap, \
     TrussSubgraph, k_truss, simulate_followers, solve
 from trussmin.cascade import commit_region
+from trussmin.truss import peel_to
 
 
 def complete_pairs(n, offset=0):
@@ -96,6 +97,16 @@ def commit_nested(t: TrussSubgraph, upper: TrussSubgraph, eid: int) -> set[int]:
     log: list[int] = []
     dead = t.cascade([eid], log)
     return commit_region(t, dead + upper.cascade(dead), log)
+
+
+def next_level(t: TrussSubgraph) -> TrussSubgraph:
+    """The (k+1)-truss inside `t`, peeled from a clone of `t`.
+
+    It reads neither the graph's truss cache nor the graph's own
+    (k+1)-level, so tests compare `minimize._two_level_tau` and the
+    maintained (k+1)-truss with it.
+    """
+    return peel_to(t.clone(), t.k + 1)
 
 
 def group_sizes(idx) -> dict[int, int]:

@@ -14,7 +14,7 @@ import pytest
 import oracles
 import synth
 from conftest import commit_nested, complete_pairs, er_pairs, graph_of, label_pairs, \
-    verify_equivalence
+    next_level, verify_equivalence
 from trussmin import SolverConfig, SupportGroupIndex, build_truss_group_index, \
     delete_and_cascade, find_support_groups, followers_of_edge, k_truss, \
     refresh_index, simulate_followers, solve, truss_decompose, \
@@ -104,7 +104,7 @@ def test_criterion_3_pruning_rules_are_sound():
                 continue
             groups, _ = find_support_groups(t)
             shell = _threshold_shell(t)
-            idx = build_truss_group_index(t, _two_level_tau(t))
+            idx = build_truss_group_index(t, next_level(t))
             for e in t.alive_edge_ids():
                 f = followers_of_edge(t, e)
                 if e not in shell:
@@ -170,7 +170,7 @@ def test_criterion_5_incremental_maintenance_matches_scratch():
                     if tau.alive[e]:
                         assert tau.values[e] == expected[g.original_pair(e)]
                 idx = refresh_index(idx, commit_nested(t, upper, eid))
-                fresh = build_truss_group_index(t, _two_level_tau(t))
+                fresh = build_truss_group_index(t, next_level(t))
                 got = {frozenset(ms) for ms in idx.members.values()}
                 want = {frozenset(ms) for ms in fresh.members.values()}
                 assert got == want, f"level {k} after deleting {record.edge}"

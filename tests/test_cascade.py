@@ -6,7 +6,7 @@ import oracles
 from conftest import complete_pairs, er_pairs, graph_of, label_pairs, oracle_best_single, \
     random_trusses, support
 from trussmin import ContractViolation, delete_and_cascade, followers_of_edge, \
-    k_truss, simulate_followers
+    k_truss, simulate_followers, truss
 
 
 def truss_label_pairs(g, t):
@@ -176,6 +176,15 @@ class TestCascadeLog:
                               if tri_before[ti] and not t.tri_alive[ti]}
             for e in range(t.graph.m):
                 assert log.count(e) == sup_before[e] - t.sup[e]
+
+    def test_cascade_without_a_log_keeps_no_undo_lists(self, rng):
+        for _, _, t in random_trusses(rng, 30):
+            seeds = rng.sample(t.alive_edge_ids(), min(2, t.edge_count))
+            logged, unlogged = t.clone(), t.clone()
+            assert logged.cascade(seeds, []) == unlogged.cascade(seeds)
+            assert truss_state(logged) == truss_state(unlogged)
+            dead, killed, lowered = truss._peel(t.clone(), seeds, record=False)
+            assert dead[:len(seeds)] == seeds and killed == lowered == []
 
     def test_zero_follower_shortcut_matches_full_cascade(self, rng):
         shortcut = 0

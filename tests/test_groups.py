@@ -5,7 +5,7 @@ import pytest
 import oracles
 import synth
 from conftest import commit_nested, complete_pairs, er_pairs, graph_of, group_sizes, \
-    label_pairs
+    label_pairs, next_level
 from trussmin import ContractViolation, SupportGroupIndex, build_truss_group_index, \
     delete_and_cascade, find_support_groups, followers_of_edge, k_truss, refresh_index, simulate_followers, \
     upper_bound
@@ -325,7 +325,7 @@ class TestRefreshIndex:
         and the members plus every edge of their alive triangles.  The stamp
         the growths dedup touch sets with must be all zero again.
         """
-        fresh = build_truss_group_index(t, _two_level_tau(t))
+        fresh = build_truss_group_index(t, next_level(t))
         assert not any(fresh.stamp) and not any(idx.stamp), context
         tris, edge_tris = g.triangle_index()
         for gid, ms in idx.members.items():

@@ -8,7 +8,7 @@ import pytest
 import oracles
 import synth
 from conftest import commit_nested, complete_pairs, er_pairs, graph_of, label_pairs, \
-    oracle_best_single, verify_equivalence
+    next_level, oracle_best_single, verify_equivalence
 from trussmin import ContractViolation, EnumerationCapExceeded, SolverConfig, \
     build_truss_group_index, find_support_groups, k_truss, simulate_followers, solve, \
     solve_baseline, solve_exact, solve_gp_edge, solve_support, solve_up_edge, upper_bound
@@ -561,7 +561,7 @@ class TestDeadEdgeSupport:
                         t.sup[e] = poison
             return t
         groups, candidates = find_support_groups(fresh())
-        upper = _two_level_tau(fresh())
+        upper = next_level(fresh())
         return ([(grp.members, grp.pruned_followers, grp.over_adjacent) for grp in groups],
                 candidates, upper.alive,
                 [solver_outcome(solver, fresh(), 2) for solver in cls.SOLVERS])
@@ -613,7 +613,7 @@ def fresh_keys(t, bounded: bool) -> dict[int, int]:
     m, candidates = t.graph.m, find_support_groups(t)[1]
     if not bounded:
         return {c: c for c in candidates}
-    fresh = build_truss_group_index(t, _two_level_tau(t))
+    fresh = build_truss_group_index(t, next_level(t))
     return {c: (m - upper_bound(fresh, c)) * m + c for c in candidates}
 
 

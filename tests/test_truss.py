@@ -4,8 +4,8 @@ import pytest
 
 import oracles
 import synth
-from conftest import complete_pairs, er_pairs, graph_of, label_pairs, path_pairs, \
-    random_trusses, support, truss_edge_ids
+from conftest import complete_pairs, er_pairs, graph_of, label_pairs, next_level, \
+    path_pairs, random_trusses, support, truss_edge_ids
 from trussmin import ContractViolation, k_truss, truss, truss_decompose, update_after_deletion
 from trussmin.minimize import _two_level_tau, solve_up_edge
 
@@ -256,7 +256,7 @@ class TestTrussCache:
                 dead = t.cascade(rng.sample(alive, min(3, len(alive))), log)
                 t.rollback(log, dead)
                 t.cascade([rng.choice(alive)])
-                assert not truss.is_cached_truss(t)
+                assert t.alive != g._truss_cache[k][0]
                 assert_same_truss(k_truss(g, k), truss._peel_graph(g, k))
 
     def test_next_level_peels_from_the_cached_level(self, monkeypatch, rng):
@@ -290,18 +290,13 @@ class TestTrussCache:
         for g, k in cold_trusses(rng, 60):
             t = k_truss(g, k)
             k_truss(g, k + 1)
-            assert truss.is_cached_truss(t)
             seeds = rng.sample(t.alive_edge_ids(), min(2, t.edge_count))
             t.cascade(seeds)
-            assert not truss.is_cached_truss(t)
-            # the (k+1)-truss of the graph minus `seeds`
-            want = truss._peel_graph(g, k + 1)
-            want.cascade(seeds)
-            assert_same_truss(_two_level_tau(t), want)
+            assert_same_truss(_two_level_tau(t), next_level(t))
 
     def test_up_edge_on_a_committed_truss_matches_the_reduced_graph(self, rng):
-        # `solve_up_edge` takes its (k+1)-truss from the cache only while
-        # `t` is the cached k-truss; a stale one would hold dead edges
+        # `solve_up_edge` cascades `t`'s dead edges out of the cached
+        # (k+1)-level; the level as cached would still hold them
         for g, k in cold_trusses(rng, 40):
             t = k_truss(g, k)
             k_truss(g, k + 1)

@@ -8,7 +8,7 @@ the edges dragged down by a deletion, excluding the deleted set itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Container, Iterable
 
 from .errors import ContractViolation
 from .truss import TrussSubgraph, _peel
@@ -60,7 +60,7 @@ def delete_and_cascade(t: TrussSubgraph, edge_set: Iterable) -> DeletionOutcome:
     return DeletionOutcome(deleted=seed_set, followers=followers, surviving=survivor)
 
 
-def simulate_followers(t: TrussSubgraph, eid: int, stop: int = -1) -> list[int]:
+def simulate_followers(t: TrussSubgraph, eid: int, stop: Container[int] = ()) -> list[int]:
     """Follower edge ids of deleting one edge; rolls back, `t` unchanged.
 
     Each partner of `eid` in an alive triangle shares exactly that one
@@ -71,16 +71,21 @@ def simulate_followers(t: TrussSubgraph, eid: int, stop: int = -1) -> list[int]:
     Otherwise it runs the peel loop of `TrussSubgraph.cascade([eid])`
     (`truss._peel`) directly, undoes it from the killed triangles and
     support decrements that loop returns, and returns the followers in
-    removal order.  The peel returns as soon as the edge `stop` dies, with
-    `stop` last (the default -1 never stops).  Stopping is exact when
-    `eid` lies in D(stop), the dead set of deleting `stop` (the edge plus
-    its followers).  The k-truss is the unique maximal subgraph whose
-    edges all have support >= k-2, so the k-truss left after deleting
-    `stop` avoids `eid` and lies inside the one left after deleting `eid`:
-    D(eid) is a subset of D(stop).  A peel from `eid` that kills `stop`
-    shows the converse, so then D(eid) = D(stop), which the caller already
-    holds.
+    removal order.  The peel returns as soon as an edge in the container
+    `stop` dies, with that edge last (the default `()` never stops); an
+    int is refused before `t` is touched.  Stopping is exact when every
+    edge x in `stop` has one dead set D(x) = D(w), the dead set of deleting
+    some edge w (the edge plus its followers), and `eid` lies in D(w).
+    The k-truss is the unique maximal subgraph whose edges all have
+    support >= k-2, so for any edge y in D(x) the k-truss left after
+    deleting x avoids y and lies inside the one left after deleting y:
+    D(y) is a subset of D(x).  So D(eid) is a subset of D(w), and a peel
+    from `eid` that kills such an x gives, as sets,
+    D(w) = D(x) <= D(eid) <= D(w): D(eid) is D(w), which the caller
+    already holds.
     """
+    if not hasattr(stop, "__contains__"):
+        raise ContractViolation(f"stop must be a container of edge ids, not {stop!r}")
     if not t.alive[eid]:
         raise ContractViolation(f"edge id {eid} is not alive in the truss")
     tris, edge_tris = t.graph.triangle_index()

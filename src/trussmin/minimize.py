@@ -107,6 +107,22 @@ class MinimizationReport:
 
 # -- shared helpers -----------------------------------------------------------
 
+class _Holders:
+    """The edges whose stored dead set is the tuple `dead_set`, as a `stop`.
+
+    `x in holders` reads the memo's live slot list, so an edge whose slot
+    was cleared drops out at once.
+    """
+
+    __slots__ = ("slots", "dead_set")
+
+    def __init__(self, slots: list, dead_set: tuple[int, ...]):
+        self.slots, self.dead_set = slots, dead_set
+
+    def __contains__(self, x: int) -> bool:
+        return self.slots[x] is self.dead_set
+
+
 class DeadSetMemo:
     """Each edge's dead set in `t`, kept until a commit's region meets it.
 
@@ -120,15 +136,19 @@ class DeadSetMemo:
     support group has the same one) share one tuple; an edge without
     followers stores the empty tuple.
 
-    Storing a simulated dead set D(w) makes w the witness of every other
-    member that has none yet.  On a miss for e whose witness w has a
-    non-empty dead set stored, the simulation from e stops as soon as w
-    dies, and e takes w's tuple (`simulate_followers` says why D(e) = D(w)
-    then).  If w never dies, the full dead set comes back.  The memo never
-    checks that the stored D(w) still holds e: the truss only shrinks
-    within one memo, and the k-truss left after deleting w from a smaller
-    truss lies inside the one left before, so every valid D(w) holds each
-    alive edge an earlier D(w) held.
+    Storing a simulated dead set D makes its owner the witness of each
+    other member x that has no witness, whose witness's tuple is gone, or
+    whose witness's tuple is longer than D.  On a miss for e whose witness
+    w has a non-empty dead set D(w) stored, the simulation from e stops as
+    soon as any holder of that tuple dies (an edge x whose slot is D(w)
+    itself, w included), and e takes the tuple: D(w) = D(x) <= D(e) <= D(w)
+    (`simulate_followers` says why).  If no holder dies, the full dead set
+    comes back.  A dead set D(e) that equals a stored set is the smallest
+    stored set holding e, so once it is stored e's witness holds it and
+    e's simulation stops.  The memo never checks that the stored D(w)
+    still holds e: the truss only shrinks within one memo, and the k-truss
+    left after deleting w from a smaller truss lies inside the one left
+    before, so every valid D(w) holds each alive edge an earlier D(w) held.
     """
 
     def __init__(self, t: TrussSubgraph):
@@ -142,21 +162,22 @@ class DeadSetMemo:
         slots = self.slots
         dead_set = slots[e]
         if dead_set is None:
-            w = self.witness.get(e, -1)
-            if w < 0 or not slots[w]:
-                w = -1
+            witness = self.witness
+            w = witness.get(e, -1)
+            stop = _Holders(slots, slots[w]) if w >= 0 and slots[w] else ()
             # the module global, looked up per call, so wrappers of it see every simulation
-            fl = simulate_followers(self.t, e, w)
-            if fl and fl[-1] == w:
-                dead_set = slots[w]
+            fl = simulate_followers(self.t, e, stop)
+            if fl and fl[-1] in stop:
+                dead_set = stop.dead_set
             elif fl:
                 fl.append(e)
                 fl.sort()
                 key = tuple(fl)
                 dead_set = self.shared.setdefault(key, key)
-                witness = self.witness
+                n = len(dead_set)
                 for x in dead_set:
-                    if x != e and x not in witness:
+                    w = witness.get(x, -1)
+                    if x != e and (w < 0 or not slots[w] or len(slots[w]) > n):
                         witness[x] = e
             else:
                 dead_set = ()

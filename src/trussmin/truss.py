@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import Iterable, Optional
+from typing import Container, Iterable, Optional
 
 from .errors import ContractViolation
 from .graph import Graph
@@ -95,7 +95,7 @@ class TrussSubgraph:
 _DISCARD = deque(maxlen=0)
 
 
-def _peel(t: TrussSubgraph, seeds: Iterable[int], stop: int = -1,
+def _peel(t: TrussSubgraph, seeds: Iterable[int], stop: Container[int] = (),
           record: bool = True) -> tuple[list[int], list[int], list[int]]:
     """The peel loop behind every deletion: (dead, killed, lowered).
 
@@ -105,8 +105,9 @@ def _peel(t: TrussSubgraph, seeds: Iterable[int], stop: int = -1,
     decrement, which is all it takes to undo the peel.  With `record`
     false both come back empty, so a peel that stays (a whole-graph peel
     kills most triangles) holds no lists it would throw away.  Returns as
-    soon as the edge `stop` dies, with `stop` last (the default -1 never
-    stops).  `t.edge_count` is left as it was.
+    soon as an edge in `stop` dies, with that edge last (the default `()`
+    never stops); `stop` is asked once per death, not per decrement.
+    `t.edge_count` is left as it was.
     """
     tris, edge_tris = t.graph.triangle_index()
     alive, sup, tri_alive = t.alive, t.sup, t.tri_alive
@@ -135,7 +136,7 @@ def _peel(t: TrussSubgraph, seeds: Iterable[int], stop: int = -1,
                 if sup[o] < threshold:
                     alive[o] = 0
                     dead.append(o)
-                    if o == stop:
+                    if o in stop:
                         return dead, killed, lowered
                     stack.append(o)
     return dead, killed, lowered

@@ -200,8 +200,9 @@ class TestCascadeLog:
 
 
 class TestStoppedSimulation:
-    """`simulate_followers(t, e, stop)` returns once `stop` dies, which is exact
-    for e in the dead set D(stop): then D(e) = D(stop)."""
+    """`simulate_followers(t, e, stop)` returns once an edge of the container
+    `stop` dies, which is exact for e in the dead set D(w) when every edge of
+    `stop` has dead set D(w): then D(e) = D(w)."""
 
     def test_stop_inside_the_dead_set(self, rng):
         # For e in D(w), D(e) is a subset of D(w).  When the peel from e
@@ -219,7 +220,7 @@ class TestStoppedSimulation:
                         continue
                     full = simulate_followers(t, e)
                     dead_e = label_pairs(g, full) | {g.original_pair(e)}
-                    got = simulate_followers(t, e, w)
+                    got = simulate_followers(t, e, (w,))
                     if w in full:
                         assert got[-1] == w
                         assert got == full[:len(got)]
@@ -234,6 +235,28 @@ class TestStoppedSimulation:
         assert seen_k == set(range(3, 8))
         assert stopped > 0 and subset > 0
 
+    def test_stop_at_the_first_member_to_die(self, rng):
+        # A stop of several edges ends the peel at whichever dies first, and
+        # the stopped list is a prefix of the full one.
+        stopped, longer = 0, 0
+        for _, _, t in random_trusses(rng, 40):
+            before = truss_state(t)
+            m = t.graph.m
+            for e in t.alive_edge_ids():
+                full = simulate_followers(t, e)
+                if not full:
+                    continue
+                stop = set(rng.sample(full, rng.randint(1, min(3, len(full)))))
+                stop.update(rng.sample(range(m), 2))
+                stop.discard(e)
+                got = simulate_followers(t, e, stop)
+                first = next(i for i, x in enumerate(full) if x in stop)
+                assert got == full[:first + 1]
+                assert truss_state(t) == before
+                stopped += 1
+                longer += first + 1 < len(full)
+        assert stopped > 0 and longer > 0
+
     def test_stop_outside_the_dead_set_changes_nothing(self, rng):
         for _, _, t in random_trusses(rng, 40):
             before = truss_state(t)
@@ -241,11 +264,20 @@ class TestStoppedSimulation:
             for e in t.alive_edge_ids():
                 full = t.clone().cascade([e])[1:]
                 assert simulate_followers(t, e) == full
-                assert simulate_followers(t, e, -1) == full
+                assert simulate_followers(t, e, ()) == full
                 outside = [x for x in range(m) if x != e and x not in full]
                 for stop in rng.sample(outside, min(5, len(outside))):
-                    assert simulate_followers(t, e, stop) == full
+                    assert simulate_followers(t, e, (stop,)) == full
                 assert truss_state(t) == before
+
+    def test_int_stop_is_refused_before_the_peel(self, k5):
+        # an int would fail inside the peel, with `t` half peeled
+        t = k_truss(k5, 5)
+        before = truss_state(t)
+        with pytest.raises(ContractViolation):
+            simulate_followers(t, 0, 3)
+        assert truss_state(t) == before
+        assert simulate_followers(t, 0) == t.clone().cascade([0])[1:]
 
 
 class TestOracleBestSingle:

@@ -366,7 +366,7 @@ class TestBaselineMemo:
         real = minimize.simulate_followers
         calls = []
         monkeypatch.setattr(minimize, "simulate_followers",
-                            lambda t, e, stop=-1: calls.append(e) or real(t, e, stop))
+                            lambda t, e, stop=(): calls.append(e) or real(t, e, stop))
         g = graph_of(complete_pairs(5) + complete_pairs(5, offset=10))
         report = solve(g, SolverConfig(k=5, b=2, algorithm="baseline"))
         assert [(r.eid, r.followers) for r in report.iterations] == [(0, 9), (10, 9)]
@@ -375,22 +375,27 @@ class TestBaselineMemo:
 
 
 class TestMemoWitness:
-    """A memo miss whose witness w has a stored dead set stops its simulation
-    once w dies; commits only shrink the truss, so the stored D(w) still
-    holds every alive edge w witnesses.  A commit drops the witness entries
-    of the edges it kills."""
+    """A memo miss whose witness w has a stored dead set D(w) stops its
+    simulation once any edge whose slot holds that tuple dies; commits only
+    shrink the truss, so the stored D(w) still holds every alive edge w
+    witnesses.  A miss whose dead set equals a stored one always stops.  A
+    commit drops the witness entries of the edges it kills."""
 
     @staticmethod
     def replay(monkeypatch, rng, t, commits):
-        """Random lookups and commits through one memo; returns witness uses."""
+        """Random lookups and commits through one memo.
+
+        Returns (stopped simulations, those stopped at a holder other than
+        the witness).
+        """
         from trussmin import minimize
         real = minimize.simulate_followers
-        used = []
+        stops = []
 
-        def sim(t, e, stop=-1):
+        def sim(t, e, stop=()):
             out = real(t, e, stop)
-            if out and out[-1] == stop:
-                used.append(e)
+            if out and out[-1] in stop:
+                stops.append((e, out[-1] != memo.witness[e]))
             return out
 
         with monkeypatch.context() as mp:
@@ -409,27 +414,49 @@ class TestMemoWitness:
                     log: list[int] = []
                     dead = t.cascade([e], log)
                     t.rollback(log, dead)
-                    assert memo.dead_set(e) == (tuple(sorted(dead)) if len(dead) > 1 else ())
+                    want = tuple(sorted(dead)) if len(dead) > 1 else ()
+                    known = memo.slots[e] is None and want in memo.shared
+                    before = len(stops)
+                    assert memo.dead_set(e) == want
+                    if known:  # the smallest stored set holding e is its own
+                        assert [x for x, _ in stops[before:]] == [e]
                 if i == commits:
                     break
                 log = []
                 dead = t.cascade(rng.sample(alive, rng.randint(1, 2)), log)
                 memo.invalidate(commit_region(t, dead, log))
                 assert all(t.alive[x] for x in memo.witness)
-        return len(used)
+        return len(stops), sum(other for _, other in stops)
 
     def test_random_graphs(self, monkeypatch, rng):
-        used = 0
+        stopped = other = 0
         for g in memo_test_graphs(rng, 60):
             for k in range(3, 7):
                 t = k_truss(g, k)
                 if t.edge_count:
-                    used += self.replay(monkeypatch, rng, t, 4)
-        assert used > 0
+                    s, o = self.replay(monkeypatch, rng, t, 4)
+                    stopped, other = stopped + s, other + o
+        assert stopped > 0 and other > 0
 
     def test_partially_eroding_graph(self, monkeypatch, rng):
         g = graph_of(synth.community_pairs(seed=2, scale=3))
-        assert self.replay(monkeypatch, rng, k_truss(g, 8), 6) > 0
+        stopped, other = self.replay(monkeypatch, rng, k_truss(g, 8), 6)
+        assert stopped > 0 and other > 0
+
+    def test_holders_are_the_slots_holding_the_tuple_itself(self, k5):
+        # The stop asks one identity check per death, whatever the dead
+        # set's length; an equal tuple the memo did not store is no holder.
+        from trussmin import minimize
+        memo = minimize.DeadSetMemo(k_truss(k5, 5))
+        dead_set = memo.dead_set(0)
+        holders = minimize._Holders(memo.slots, dead_set)
+        assert 0 in holders and 1 not in holders
+        memo.slots[1] = tuple(list(dead_set))
+        assert 1 not in holders
+        memo.slots[1] = dead_set
+        assert 1 in holders
+        memo.slots[0] = None
+        assert 0 not in holders
 
 
 @pytest.mark.parametrize("algorithm", ["gp_edge", "up_edge"])
@@ -455,7 +482,7 @@ class TestScanMemo:
             calls = []
             with monkeypatch.context() as mp:
                 mp.setattr(minimize, "simulate_followers",
-                           lambda t, e, stop=-1: calls.append(e) or real_sim(t, e, stop))
+                           lambda t, e, stop=(): calls.append(e) or real_sim(t, e, stop))
                 if memo_free:
                     mp.setattr(minimize.DeadSetMemo, "dead_set", dead_set)
                 outcome = solver_outcome(cls.SOLVERS[algorithm], k_truss(g, k), b)
@@ -490,7 +517,7 @@ class TestScanMemo:
         real_sim, real_scan = minimize.simulate_followers, minimize._scan
         calls, per_scan = [], []
         monkeypatch.setattr(minimize, "simulate_followers",
-                            lambda t, e, stop=-1: calls.append(e) or real_sim(t, e, stop))
+                            lambda t, e, stop=(): calls.append(e) or real_sim(t, e, stop))
 
         def scan(order, memo):
             before = len(calls)
@@ -506,13 +533,45 @@ class TestScanMemo:
         assert per_scan == [[0, 10], []]
 
 
+class TestEarlyStopCounts:
+    """Fresh simulations and early stops on the seed-42 scale-30 graph at
+    k = 10.  The stop changes how far a simulation peels, never which edges
+    are simulated."""
+
+    @pytest.fixture(scope="class")
+    def desk_graph(self):
+        return graph_of(synth.community_pairs(seed=42, scale=30))
+
+    @pytest.mark.parametrize("algorithm, b, sims, stops", [
+        ("baseline", 5, 39_181, 9_160),
+        ("gp_edge", 5, 2_797, 117),
+        ("up_edge", 5, 423, 117),
+        ("up_edge", 40, 1_974, 1_076),
+    ])
+    def test_counts(self, monkeypatch, desk_graph, algorithm, b, sims, stops):
+        from trussmin import minimize
+        real = minimize.simulate_followers
+        calls, stopped = [], []
+
+        def sim(t, e, stop=()):
+            out = real(t, e, stop)
+            calls.append(e)
+            if out and out[-1] in stop:
+                stopped.append(e)
+            return out
+
+        monkeypatch.setattr(minimize, "simulate_followers", sim)
+        solve(desk_graph, SolverConfig(k=10, b=b, algorithm=algorithm))
+        assert (len(calls), len(stopped)) == (sims, stops)
+
+
 class TestCommitChecks:
     """Evaluation and commit must agree, also when asserts are compiled out."""
 
     def test_under_reported_followers_are_caught(self, k5, monkeypatch):
         from trussmin import minimize
         real = minimize.simulate_followers
-        monkeypatch.setattr(minimize, "simulate_followers", lambda t, e, stop=-1: real(t, e, stop)[1:])
+        monkeypatch.setattr(minimize, "simulate_followers", lambda t, e, stop=(): real(t, e, stop)[1:])
         for algorithm in ("baseline", "gp_edge", "up_edge"):
             with pytest.raises(ContractViolation):
                 solve(k5, SolverConfig(k=5, b=1, algorithm=algorithm))
@@ -521,7 +580,7 @@ class TestCommitChecks:
         script = (
             "from trussmin import ContractViolation, Graph, SolverConfig, minimize, solve\n"
             "real = minimize.simulate_followers\n"
-            "minimize.simulate_followers = lambda t, e, stop=-1: real(t, e, stop)[1:]\n"
+            "minimize.simulate_followers = lambda t, e, stop=(): real(t, e, stop)[1:]\n"
             "g = Graph.from_pairs([(i, j) for i in range(5) for j in range(i + 1, 5)])\n"
             "try:\n"
             "    solve(g, SolverConfig(k=5, b=1, algorithm='gp_edge'))\n"

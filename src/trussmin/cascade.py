@@ -26,19 +26,15 @@ class DeletionOutcome:
 def _normalize(t: TrussSubgraph, edges: Iterable) -> list[int]:
     """Edge ids for an iterable of edge ids or (u, v) pairs, alive ones only.
 
-    Pairs that are not graph edges count as outside the truss and drop out;
-    an int must be an edge id of the graph.
+    Pairs of int vertices that are not graph edges count as outside the
+    truss and drop out; an int must be an edge id of the graph, and
+    anything else is refused as `Graph.resolve_edge` refuses it.
     """
+    g = t.graph
     out = []
     for e in edges:
-        if isinstance(e, int):
-            eid = t.graph.resolve_edge(e)
-        else:
-            u, v = e
-            if not t.graph.has_edge(u, v):
-                continue
-            eid = t.graph.edge_id(u, v)
-        if t.alive[eid]:
+        eid = g.resolve_edge(e) if isinstance(e, int) else g._lookup(*g._pair(e))
+        if eid is not None and t.alive[eid]:
             out.append(eid)
     return sorted(set(out))
 
@@ -73,16 +69,14 @@ def simulate_followers(t: TrussSubgraph, eid: int, stop: Container[int] = ()) ->
     support decrements that loop returns, and returns the followers in
     removal order.  The peel returns as soon as an edge in the container
     `stop` dies, with that edge last (the default `()` never stops); an
-    int is refused before `t` is touched.  Stopping is exact when every
-    edge x in `stop` has one dead set D(x) = D(w), the dead set of deleting
-    some edge w (the edge plus its followers), and `eid` lies in D(w).
-    The k-truss is the unique maximal subgraph whose edges all have
-    support >= k-2, so for any edge y in D(x) the k-truss left after
-    deleting x avoids y and lies inside the one left after deleting y:
-    D(y) is a subset of D(x).  So D(eid) is a subset of D(w), and a peel
-    from `eid` that kills such an x gives, as sets,
-    D(w) = D(x) <= D(eid) <= D(w): D(eid) is D(w), which the caller
-    already holds.
+    int is refused before `t` is touched.  Stopping is exact when `eid`
+    lies in the dead set D(x) of every edge x in `stop` (the dead set of
+    deleting x: the edge plus its followers).  The k-truss is the unique
+    maximal subgraph whose edges all have support >= k-2, so for any edge
+    y in D(x) the k-truss left after deleting x avoids y and lies inside
+    the one left after deleting y: D(y) is a subset of D(x).  A peel from
+    `eid` that kills such an x puts x in D(eid), so, as sets,
+    D(x) <= D(eid) <= D(x): D(eid) is D(x), which the caller already holds.
     """
     if not hasattr(stop, "__contains__"):
         raise ContractViolation(f"stop must be a container of edge ids, not {stop!r}")

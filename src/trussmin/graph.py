@@ -78,6 +78,11 @@ class Graph:
     # -- lookups -----------------------------------------------------------
 
     def _lookup(self, u: int, v: int) -> Optional[int]:
+        for x in (u, v):
+            # a bool would pass for vertex 0 or 1, and a float or str
+            # would escape as a raw TypeError
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ContractViolation(f"vertex {x!r} is not an int vertex id")
         if u > v:
             u, v = v, u
         # A negative index would silently wrap, so bound u explicitly; the
@@ -95,16 +100,27 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return self._lookup(u, v) is not None
 
+    @staticmethod
+    def _pair(e) -> tuple[int, int]:
+        """The two vertices of `e`; anything but a 2-item pair is refused."""
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise ContractViolation(
+                f"edge {e!r} is neither an edge id nor a (u, v) pair") from None
+        return u, v
+
     def resolve_edge(self, e) -> int:
         """Edge id of `e`, given as an edge id or as a (u, v) pair of vertices.
 
         The vertices are dense ids (positions in the sorted `labels`), not
         input labels; `original_pair` maps back.  An id must lie in 0..m-1:
         a negative one would silently wrap in every per-edge array.  A bool
-        would pass for edge 0 or 1, so it is refused too.
+        would pass for edge 0 or 1, so it is refused too, as an id or as a
+        vertex.
         """
         if not isinstance(e, int):
-            return self.edge_id(*e)
+            return self.edge_id(*self._pair(e))
         if isinstance(e, bool) or not 0 <= e < len(self.edges):
             raise ContractViolation(f"edge id {e!r} is not in 0..{len(self.edges) - 1}")
         return e

@@ -108,19 +108,23 @@ class MinimizationReport:
 # -- shared helpers -----------------------------------------------------------
 
 class _Holders:
-    """The edges whose stored dead set is the tuple `dead_set`, as a `stop`.
+    """The edges whose stored dead set holds edge `e`, as a `stop`.
 
-    `x in holders` reads the memo's live slot list, so an edge whose slot
-    was cleared drops out at once.
+    `x in holders` bisects x's live slot for `e`, so an edge whose slot
+    was cleared drops out at once, and any stored tuple holding `e` counts.
     """
 
-    __slots__ = ("slots", "dead_set")
+    __slots__ = ("slots", "e")
 
-    def __init__(self, slots: list, dead_set: tuple[int, ...]):
-        self.slots, self.dead_set = slots, dead_set
+    def __init__(self, slots: list, e: int):
+        self.slots, self.e = slots, e
 
     def __contains__(self, x: int) -> bool:
-        return self.slots[x] is self.dead_set
+        dead_set = self.slots[x]
+        if not dead_set:
+            return False
+        i = bisect_left(dead_set, self.e)
+        return i < len(dead_set) and dead_set[i] == self.e
 
 
 class DeadSetMemo:
@@ -132,71 +136,57 @@ class DeadSetMemo:
     A dead set is the edge plus its followers, ascending.  A simulation
     reads nothing outside the triangles of its own dead set, so after a
     commit only the dead sets meeting `cascade.commit_region` (or any
-    superset of it) can change.  Equal dead sets (every member of one
-    support group has the same one) share one tuple; an edge without
-    followers stores the empty tuple.
+    superset of it) can change.  An edge without followers stores the
+    empty tuple.
 
-    Storing a simulated dead set D makes its owner the witness of each
-    other member x that has no witness, whose witness's tuple is gone, or
-    whose witness's tuple is longer than D.  On a miss for e whose witness
-    w has a non-empty dead set D(w) stored, the simulation from e stops as
-    soon as any holder of that tuple dies (an edge x whose slot is D(w)
-    itself, w included), and e takes the tuple: D(w) = D(x) <= D(e) <= D(w)
-    (`simulate_followers` says why).  If no holder dies, the full dead set
-    comes back.  A dead set D(e) that equals a stored set is the smallest
-    stored set holding e, so once it is stored e's witness holds it and
-    e's simulation stops.  The memo never checks that the stored D(w)
-    still holds e: the truss only shrinks within one memo, and the k-truss
-    left after deleting w from a smaller truss lies inside the one left
-    before, so every valid D(w) holds each alive edge an earlier D(w) held.
+    A miss for e stops its simulation at the first dead edge x whose
+    stored slot holds e, and e takes x's tuple: x died in e's peel, so
+    x is in D(e), and e is in D(x), so D(x) = D(e) (`simulate_followers`
+    says why).  Whether a stop is exact depends on x's slot alone, and
+    every stored slot is current.  `held[x]` is set for each member x of
+    a freshly stored tuple and never cleared; a miss for an edge that no
+    stored set has ever held simulates without a stop.  A miss whose dead
+    set equals a stored one always stops (the peel kills that set's
+    holder), so equal dead sets share one tuple, every member of a
+    support group included.
     """
 
     def __init__(self, t: TrussSubgraph):
         self.t = t
         self.slots: list[Optional[tuple[int, ...]]] = [None] * t.graph.m
-        self.shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.witness: dict[int, int] = {}
+        self.shared: set[tuple[int, ...]] = set()
+        self.held = bytearray(t.graph.m)
 
     def dead_set(self, e: int) -> tuple[int, ...]:
         """The stored dead set of alive edge `e`, simulated when none is stored."""
         slots = self.slots
         dead_set = slots[e]
         if dead_set is None:
-            witness = self.witness
-            w = witness.get(e, -1)
-            stop = _Holders(slots, slots[w]) if w >= 0 and slots[w] else ()
+            stop = _Holders(slots, e) if self.held[e] else ()
             # the module global, looked up per call, so wrappers of it see every simulation
             fl = simulate_followers(self.t, e, stop)
             if fl and fl[-1] in stop:
-                dead_set = stop.dead_set
+                dead_set = slots[fl[-1]]
             elif fl:
                 fl.append(e)
                 fl.sort()
-                key = tuple(fl)
-                dead_set = self.shared.setdefault(key, key)
-                n = len(dead_set)
+                dead_set = tuple(fl)
+                self.shared.add(dead_set)
+                held = self.held
                 for x in dead_set:
-                    w = witness.get(x, -1)
-                    if x != e and (w < 0 or not slots[w] or len(slots[w]) > n):
-                        witness[x] = e
+                    held[x] = 1
             else:
                 dead_set = ()
             slots[e] = dead_set
         return dead_set
 
     def invalidate(self, region: set[int]) -> None:
-        """Forget every dead set that meets `region`, and its dead edges' witnesses.
-
-        A dead edge is never looked up again, so its witness entry would
-        only take memory.
-        """
-        slots, witness, alive = self.slots, self.witness, self.t.alive
+        """Forget every dead set that meets `region`."""
+        slots = self.slots
         for x in region:
             slots[x] = None  # an edge's own dead set holds it
-            if not alive[x]:
-                witness.pop(x, None)
         for dead_set in [d for d in self.shared if not region.isdisjoint(d)]:
-            del self.shared[dead_set]
+            self.shared.remove(dead_set)
             for x in dead_set:  # every edge sharing a dead set lies in it
                 if slots[x] is dead_set:
                     slots[x] = None

@@ -267,8 +267,8 @@ def test_criterion_7_desk_scale_trends(desk_scale_graph):
     within_budget = all(w < 600.0 for w in walls.values())
 
     detail = (f"m={g.m}, totals={totals}, strict {strict}/{len(iters)}, "
-              f"walls up={walls['up_edge']:.2f}s gp={walls['gp_edge']:.2f}s "
-              f"base={walls['baseline']:.2f}s")
+              f"walls up={walls['up_edge'] * 1e3:.1f}ms gp={walls['gp_edge'] * 1e3:.1f}ms "
+              f"base={walls['baseline'] * 1e3:.1f}ms")
     report("criterion 7: desk-scale trends (budget growth, candidate "
            "reduction, wall-clock ordering)",
            grows and agree and strict_frac >= 0.9 and ordered and within_budget,

@@ -117,9 +117,10 @@ class TestFollowersOfEdge:
         with pytest.raises(ContractViolation):
             followers_of_edge(t, (0, 1))
 
-    @pytest.mark.parametrize("bad", [-1, 6, True])
+    @pytest.mark.parametrize("bad", [-1, 6, True, (False, True), (0.5, 1), (0, 1, 2), "ab"])
     def test_out_of_range_and_bool_ids_rejected(self, k4, bad):
-        # -1 would wrap to the last edge, and True would pass for edge 1
+        # -1 would wrap to the last edge, True would pass for edge 1 and
+        # (False, True) for edge (0, 1); the rest are no edge id or pair
         t = k_truss(k4, 4)
         with pytest.raises(ContractViolation):
             followers_of_edge(t, bad)

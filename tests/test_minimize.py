@@ -374,20 +374,15 @@ class TestBaselineMemo:
         assert sorted(calls) == list(range(20))
 
 
-class TestMemoWitness:
-    """A memo miss whose witness w has a stored dead set D(w) stops its
-    simulation once any edge whose slot holds that tuple dies; commits only
-    shrink the truss, so the stored D(w) still holds every alive edge w
-    witnesses.  A miss whose dead set equals a stored one always stops.  A
-    commit drops the witness entries of the edges it kills."""
+class TestMemoStop:
+    """A memo miss for e stops its simulation at the first dead edge whose
+    stored slot holds e, and e takes that edge's tuple.  A miss whose dead
+    set equals a stored one always stops.  `held` is set for every member
+    of every stored tuple and never cleared."""
 
     @staticmethod
     def replay(monkeypatch, rng, t, commits):
-        """Random lookups and commits through one memo.
-
-        Returns (stopped simulations, those stopped at a holder other than
-        the witness).
-        """
+        """Random lookups and commits through one memo; returns the stopped simulations."""
         from trussmin import minimize
         real = minimize.simulate_followers
         stops = []
@@ -395,7 +390,8 @@ class TestMemoWitness:
         def sim(t, e, stop=()):
             out = real(t, e, stop)
             if out and out[-1] in stop:
-                stops.append((e, out[-1] != memo.witness[e]))
+                assert e in memo.slots[out[-1]]
+                stops.append(e)
             return out
 
         with monkeypatch.context() as mp:
@@ -405,10 +401,6 @@ class TestMemoWitness:
                 alive = t.alive_edge_ids()
                 if not alive:
                     break
-                for e in alive:
-                    w = memo.witness.get(e)
-                    if w is not None and memo.slots[w]:
-                        assert e in memo.slots[w]
                 rng.shuffle(alive)
                 for e in alive[:rng.randint(1, len(alive))]:
                     log: list[int] = []
@@ -418,43 +410,46 @@ class TestMemoWitness:
                     known = memo.slots[e] is None and want in memo.shared
                     before = len(stops)
                     assert memo.dead_set(e) == want
-                    if known:  # the smallest stored set holding e is its own
-                        assert [x for x, _ in stops[before:]] == [e]
+                    if known:
+                        assert stops[before:] == [e]
+                assert all(memo.held[x] for dead_set in memo.shared for x in dead_set)
                 if i == commits:
                     break
+                held = bytes(memo.held)
                 log = []
                 dead = t.cascade(rng.sample(alive, rng.randint(1, 2)), log)
                 memo.invalidate(commit_region(t, dead, log))
-                assert all(t.alive[x] for x in memo.witness)
-        return len(stops), sum(other for _, other in stops)
+                assert memo.held == held
+        return len(stops)
 
     def test_random_graphs(self, monkeypatch, rng):
-        stopped = other = 0
+        stopped = 0
         for g in memo_test_graphs(rng, 60):
             for k in range(3, 7):
                 t = k_truss(g, k)
                 if t.edge_count:
-                    s, o = self.replay(monkeypatch, rng, t, 4)
-                    stopped, other = stopped + s, other + o
-        assert stopped > 0 and other > 0
+                    stopped += self.replay(monkeypatch, rng, t, 4)
+        assert stopped > 0
 
     def test_partially_eroding_graph(self, monkeypatch, rng):
         g = graph_of(synth.community_pairs(seed=2, scale=3))
-        stopped, other = self.replay(monkeypatch, rng, k_truss(g, 8), 6)
-        assert stopped > 0 and other > 0
+        assert self.replay(monkeypatch, rng, k_truss(g, 8), 6) > 0
 
-    def test_holders_are_the_slots_holding_the_tuple_itself(self, k5):
-        # The stop asks one identity check per death, whatever the dead
-        # set's length; an equal tuple the memo did not store is no holder.
+    def test_holders_are_the_slots_holding_the_edge(self, k5):
+        # Membership, not identity: any tuple in a live slot that holds the
+        # edge counts, whoever stored it; a cleared slot drops out at once.
         from trussmin import minimize
         memo = minimize.DeadSetMemo(k_truss(k5, 5))
         dead_set = memo.dead_set(0)
-        holders = minimize._Holders(memo.slots, dead_set)
+        assert dead_set == tuple(range(10))
+        holders = minimize._Holders(memo.slots, 3)
         assert 0 in holders and 1 not in holders
         memo.slots[1] = tuple(list(dead_set))
-        assert 1 not in holders
-        memo.slots[1] = dead_set
         assert 1 in holders
+        memo.slots[2] = tuple(x for x in dead_set if x != 3)
+        assert 2 not in holders
+        memo.slots[4] = ()
+        assert 4 not in holders
         memo.slots[0] = None
         assert 0 not in holders
 

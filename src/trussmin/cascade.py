@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Container, Iterable
 
 from .errors import ContractViolation
-from .truss import TrussSubgraph, _peel
+from .truss import TrussSubgraph, _peel, _undo
 
 
 @dataclass
@@ -57,7 +57,7 @@ def delete_and_cascade(t: TrussSubgraph, edge_set: Iterable) -> DeletionOutcome:
 
 
 def simulate_followers(t: TrussSubgraph, eid: int, stop: Container[int] = ()) -> list[int]:
-    """Follower edge ids of deleting one edge; rolls back, `t` unchanged.
+    """Follower edge ids of deleting one edge; `t` is left as it was.
 
     Each partner of `eid` in an alive triangle shares exactly that one
     triangle with it, so deleting `eid` costs every partner exactly one
@@ -65,11 +65,10 @@ def simulate_followers(t: TrussSubgraph, eid: int, stop: Container[int] = ()) ->
     the answer is known without touching any state.
 
     Otherwise it runs the peel loop of `TrussSubgraph.cascade([eid])`
-    (`truss._peel`) directly, undoes it from the killed triangles and
-    support decrements that loop returns, and returns the followers in
-    removal order.  The peel returns as soon as an edge in the container
-    `stop` dies, with that edge last (the default `()` never stops); an
-    int is refused before `t` is touched.  Stopping is exact when `eid`
+    (`truss._peel`) directly, undoes it with `truss._undo`, and returns
+    the followers in removal order.  The peel returns as soon as an edge
+    in the container `stop` dies, with that edge last (the default `()`
+    never stops); an int is refused before `t` is touched.  Stopping is exact when `eid`
     lies in the dead set D(x) of every edge x in `stop` (the dead set of
     deleting x: the edge plus its followers).  The k-truss is the unique
     maximal subgraph whose edges all have support >= k-2, so for any edge
@@ -83,7 +82,7 @@ def simulate_followers(t: TrussSubgraph, eid: int, stop: Container[int] = ()) ->
     if not t.alive[eid]:
         raise ContractViolation(f"edge id {eid} is not alive in the truss")
     tris, edge_tris = t.graph.triangle_index()
-    alive, sup, tri_alive, threshold = t.alive, t.sup, t.tri_alive, t.k - 2
+    sup, tri_alive, threshold = t.sup, t.tri_alive, t.k - 2
     for ti in edge_tris[eid]:
         if not tri_alive[ti]:
             continue
@@ -94,19 +93,15 @@ def simulate_followers(t: TrussSubgraph, eid: int, stop: Container[int] = ()) ->
     else:
         return []
     dead, killed, lowered = _peel(t, [eid], stop)
-    for ti in killed:
-        tri_alive[ti] = 1
-    for o in lowered:
-        sup[o] += 1
-    for e in dead:
-        alive[e] = 1
+    _undo(t, dead, killed, lowered)
     return dead[1:]
 
 
 def commit_region(t: TrussSubgraph, dead: list[int], log: list[int]) -> set[int]:
     """The edges a committed cascade changed, plus their alive-triangle partners.
 
-    `dead` and `log` are what `t.cascade(seeds, log)` returned and logged.
+    `dead` and `log` are what `t.cascade(seeds, log)` returned and logged:
+    the dead edges and the decremented ones, one log entry per decrement.
     The region is every dead or decremented edge, plus every edge sharing a
     still-alive triangle with one of them.  A triangle the cascade killed
     holds nothing but dead and decremented edges, so the alive triangles
@@ -127,8 +122,7 @@ def commit_region(t: TrussSubgraph, dead: list[int], log: list[int]) -> set[int]
     """
     tris, edge_tris = t.graph.triangle_index()
     alive, tri_alive = t.alive, t.tri_alive
-    changed = set(dead)
-    changed.update(x for x in log if x >= 0)
+    changed = set(dead).union(log)
     region = set(changed)
     for x in changed:
         if alive[x]:  # a dead edge has no alive triangle left

@@ -367,7 +367,8 @@ def refresh_index(idx: GroupIndex, region: set[int]) -> GroupIndex:
 
     For the commit `dead = t.cascade(seeds, log)`, `upper_dead =
     upper.cascade(dead)`, `region` is `commit_region(t, dead + upper_dead,
-    log)`: every edge that died, lost a triangle or fell from trussness k+1
+    log)`, where `log` holds the id of every edge whose support in `t`
+    fell: every edge that died, lost a triangle or fell from trussness k+1
     to k, plus its partners in alive triangles of `t`.  As in
     `SupportGroupIndex.update`, only the groups holding a region edge are
     dissolved (`last_dissolved`) and regrown; the others keep their member

@@ -24,7 +24,7 @@ from .errors import ContractViolation, EnumerationCapExceeded
 from .graph import Graph
 from .groups import SupportGroup, SupportGroupIndex, build_truss_group_index, \
     find_support_groups, refresh_index
-from .truss import TrussSubgraph, k_truss
+from .truss import TrussSubgraph, _peel, _undo, k_truss
 # unused here, but the benchmark tracer (perfbench/spans.py) patches this name
 from .truss import update_after_deletion  # noqa: F401
 
@@ -38,7 +38,8 @@ class SolverConfig:
     """What to solve: truss level, deletion budget, strategy, knobs.
 
     Every algorithm is deterministic and sequential; there is no seed
-    anywhere.  `threads` is validated (>= 1) but ignored.
+    anywhere.  `threads` is validated (>= 1) but ignored.  Every number
+    must be a plain int: a float budget, a NaN level or a bool is refused.
     """
 
     k: int
@@ -48,6 +49,10 @@ class SolverConfig:
     exact_cap: int = DEFAULT_EXACT_CAP
 
     def __post_init__(self):
+        for name in ("k", "b", "threads", "exact_cap"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, not {value!r}")
         if self.k < 3:
             raise ValueError("k must be >= 3")
         if self.b < 1:
@@ -292,7 +297,7 @@ def solve_support(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
             raise ContractViolation(f"minimum-support edge id {e_min} has no alive triangle")
         e_star = min(partners, key=lambda e: (sup[e], e))
         dead, log = _commit(t, e_star)
-        for o in {x for x in log if x >= 0}:
+        for o in set(log):
             if alive[o]:
                 heapq.heappush(heap, sup[o] * m + o)
         chosen.append(e_star)
@@ -307,8 +312,10 @@ def solve_exact(t: TrussSubgraph, b: int,
                 cap: int = DEFAULT_EXACT_CAP) -> tuple[list[int], list[IterationRecord]]:
     """Enumerate every b-subset jointly and keep the best.
 
-    Ties resolve to the lexicographically smallest edge-id sequence, which
-    is the first one enumerated.  Refuses to run past `cap` combinations.
+    Each subset is peeled and undone as a simulation is (`truss._peel`,
+    `truss._undo`).  Ties resolve to the lexicographically smallest
+    edge-id sequence, which is the first one enumerated.  Refuses to run
+    past `cap` combinations.
     """
     alive = t.alive_edge_ids()
     bb = min(b, len(alive))
@@ -320,10 +327,9 @@ def solve_exact(t: TrussSubgraph, b: int,
     start = time.perf_counter()
     best_f, best_set = -1, None
     for combo in combinations(alive, bb):
-        log: list[int] = []
-        dead = t.cascade(combo, log)
+        dead, killed, lowered = _peel(t, combo)
+        _undo(t, dead, killed, lowered)
         f = len(dead) - len(combo)
-        t.rollback(log, dead)
         if f > best_f:
             best_f, best_set = f, combo
     if best_set is None:
@@ -353,19 +359,18 @@ class _ScanOrder:
 
     Ascending keys run by descending bound, then ascending edge id, the
     order `_scan` evaluates in.  `candidates` is the live candidate set of
-    a `SupportGroupIndex` and `bound` the live `GroupIndex.bound` list; with
-    no `bound`, every candidate gets the graph's edge count m and its key
-    is its edge id.  `key` maps each candidate to its entry in `keys`.
+    a `SupportGroupIndex` and `bound` a per-edge bound list: the live
+    `GroupIndex.bound`, or `gp_edge`'s constant `[m] * m`, under which a
+    key is the edge id.  `key` maps each candidate to its entry in `keys`.
     After a commit, `rekey` re-reads the given edges only, so keeping the
     order costs what the commit changed, not the candidate count.
     """
 
     __slots__ = ("m", "candidates", "bound", "key", "keys")
 
-    def __init__(self, m: int, candidates: set[int], bound: Optional[list[int]] = None):
+    def __init__(self, m: int, candidates: set[int], bound: list[int]):
         self.m, self.candidates, self.bound = m, candidates, bound
-        self.key: dict[int, int] = {
-            c: c if bound is None else (m - bound[c]) * m + c for c in candidates}
+        self.key: dict[int, int] = {c: (m - bound[c]) * m + c for c in candidates}
         self.keys = sorted(self.key.values())
 
     def rekey(self, edges: Iterable[int]) -> None:
@@ -379,7 +384,7 @@ class _ScanOrder:
             old = key.pop(e, None)
             new = None
             if e in candidates:
-                new = e if bound is None else (m - bound[e]) * m + e
+                new = (m - bound[e]) * m + e
                 key[e] = new
             if new != old:
                 if old is not None:
@@ -469,7 +474,8 @@ def solve_gp_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     records: list[IterationRecord] = []
     support_groups = SupportGroupIndex(t, find_support_groups(t)[0])
     memo = DeadSetMemo(t)
-    order = _ScanOrder(t.graph.m, support_groups.candidates)
+    m = t.graph.m
+    order = _ScanOrder(m, support_groups.candidates, [m] * m)
     while len(chosen) < b and t.edge_count > 0:
         start = time.perf_counter()
         candidates_total = len(order.keys)

@@ -8,14 +8,16 @@ in no triangle carry the sentinel tau = 2.
 `_peel` is the one peel loop behind every deletion.  `TrussSubgraph.cascade`
 runs it for every deletion that stays: `k_truss` peels one k with it,
 `truss_decompose` walks it up the levels in O(m + triangles), and the
-solvers commit through it.  Simulated deletions
-(`cascade.simulate_followers`) run it directly, stop it early and undo it
-from the lists it returns.  A peeled k-truss depends only on (graph, k), so
-`k_truss` keeps the graph's last two levels frozen on the graph and hands
-every caller a fresh clone: the solvers' repeated `solve()` calls on one
-graph peel each level once.  The level walks of `truss_decompose` and
-`update_after_deletion` start from an uncached peel (`_peel_graph`), so
-they neither fill nor evict those levels.  `update_after_deletion` reruns
+solvers commit through it.  A deletion that is only tried runs `_peel`
+directly and restores the truss with `_undo`, from the three lists the
+peel returned: `cascade.simulate_followers` (which may stop the peel
+early) and the subset enumeration of `minimize.solve_exact`.  A peeled
+k-truss depends only on (graph, k), so `k_truss` keeps the graph's last
+two levels frozen on the graph and hands every caller a fresh clone: the
+solvers' repeated `solve()` calls on one graph peel each level once.  The
+level walks of `truss_decompose` and `update_after_deletion` start from
+an uncached peel (`_peel_graph`), so they neither fill nor evict those
+levels.  `update_after_deletion` reruns
 that level walk over the graph minus the deleted edges, also in
 O(m + triangles); it is not a local repair.
 """
@@ -35,8 +37,8 @@ class TrussSubgraph:
 
     Holds per-edge support within the alive set, and per-triangle liveness
     flags so a cascade can destroy each triangle exactly once.  All solver
-    loops mutate one instance in place; candidate evaluation uses a change
-    log and rolls back (see `cascade`).
+    loops mutate one instance in place; a tried deletion is undone with
+    `_undo` from what `_peel` returned.
     """
 
     __slots__ = ("graph", "k", "alive", "sup", "tri_alive", "edge_count")
@@ -63,31 +65,16 @@ class TrussSubgraph:
         """Delete `seeds` and peel every edge whose support drops below k-2.
 
         Returns the dead edges (seeds first, then followers in removal
-        order).  When `log` is given it receives one flat int per state
-        change: `~t` for each killed triangle t and the edge id for each
-        support decrement.  The log is a multiset in no promised order.
-        Together with the returned dead list that is everything `rollback`
-        needs, and everything a maintained index needs to find the region
-        the cascade touched.
+        order).  When `log` is given it receives the id of each edge whose
+        support fell, once per decrement: a multiset in no promised order.
+        With the dead list that is everything a maintained index needs to
+        find the region the cascade touched (`cascade.commit_region`).
         """
-        dead, killed, lowered = _peel(self, seeds, record=log is not None)
+        dead, _, lowered = _peel(self, seeds, record=log is not None)
         self.edge_count -= len(dead)
         if log is not None:
-            log.extend([~ti for ti in killed])
             log.extend(lowered)
         return dead
-
-    def rollback(self, log: list[int], dead: list[int]) -> None:
-        """Undo a logged `cascade`; `dead` is the list that cascade returned."""
-        sup, tri_alive, alive = self.sup, self.tri_alive, self.alive
-        for x in log:
-            if x < 0:
-                tri_alive[~x] = 1
-            else:
-                sup[x] += 1
-        for e in dead:
-            alive[e] = 1
-        self.edge_count += len(dead)
 
 
 # Appending to it keeps nothing: where a peel's undo lists go when no one
@@ -102,7 +89,7 @@ def _peel(t: TrussSubgraph, seeds: Iterable[int], stop: Container[int] = (),
     Kills each alive seed, then peels every edge whose support drops below
     k-2.  `dead` lists the seeds first, then the followers in removal
     order; `killed` lists the killed triangles and `lowered` every support
-    decrement, which is all it takes to undo the peel.  With `record`
+    decrement, which is all `_undo` needs to undo the peel.  With `record`
     false both come back empty, so a peel that stays (a whole-graph peel
     kills most triangles) holds no lists it would throw away.  Returns as
     soon as an edge in `stop` dies, with that edge last (the default `()`
@@ -140,6 +127,17 @@ def _peel(t: TrussSubgraph, seeds: Iterable[int], stop: Container[int] = (),
                         return dead, killed, lowered
                     stack.append(o)
     return dead, killed, lowered
+
+
+def _undo(t: TrussSubgraph, dead: list[int], killed: list[int], lowered: list[int]) -> None:
+    """Undo a recorded `_peel` of `t` from the three lists it returned."""
+    alive, sup, tri_alive = t.alive, t.sup, t.tri_alive
+    for ti in killed:
+        tri_alive[ti] = 1
+    for o in lowered:
+        sup[o] += 1
+    for e in dead:
+        alive[e] = 1
 
 
 # Truss levels a graph keeps cached: enough for `solve_up_edge`'s k and k+1.
@@ -181,8 +179,8 @@ def k_truss(g: Graph, k: int) -> TrussSubgraph:
     between the two routes, and no reader looks at the support of a dead
     edge.
     """
-    if k < 3:
-        raise ValueError("k must be >= 3")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 3:
+        raise ValueError(f"k must be an int >= 3, not {k!r}")
     cache = g._truss_cache
     level = cache.get(k)
     if level is not None:

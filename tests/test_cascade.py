@@ -148,7 +148,7 @@ def truss_state(t):
 
 
 class TestCascadeLog:
-    def test_rollback_restores_state_after_multi_seed_cascades(self, rng):
+    def test_undo_restores_state_after_multi_seed_peels(self, rng):
         seen_k = set()
         for _, k, t in random_trusses(rng, 60):
             before = truss_state(t)
@@ -156,25 +156,23 @@ class TestCascadeLog:
             for size in (1, 2, 3):
                 for _ in range(5):
                     seeds = sorted(rng.sample(alive, min(size, len(alive))))
-                    log = []
-                    dead = t.cascade(seeds, log)
+                    dead, killed, lowered = truss._peel(t, seeds)
                     assert dead[:len(seeds)] == seeds
-                    t.rollback(log, dead)
+                    assert sorted(killed) == [ti for ti in range(len(before[2]))
+                                              if before[2][ti] and not t.tri_alive[ti]]
+                    truss._undo(t, dead, killed, lowered)
                     assert truss_state(t) == before, f"k={k}, seeds {seeds}"
             seen_k.add(k)
         assert seen_k == set(range(3, 8))
 
-    def test_log_holds_killed_triangles_and_decrements(self, rng):
+    def test_log_holds_each_decrement(self, rng):
         for _, _, t in random_trusses(rng, 30):
             alive = t.alive_edge_ids()
             seeds = rng.sample(alive, min(2, len(alive)))
-            sup_before, tri_before = list(t.sup), bytes(t.tri_alive)
+            sup_before = list(t.sup)
             log = []
             t.cascade(seeds, log)
-            assert all(isinstance(x, int) for x in log)
-            killed = {~x for x in log if x < 0}
-            assert killed == {ti for ti in range(len(tri_before))
-                              if tri_before[ti] and not t.tri_alive[ti]}
+            assert all(isinstance(x, int) and 0 <= x < t.graph.m for x in log)
             for e in range(t.graph.m):
                 assert log.count(e) == sup_before[e] - t.sup[e]
 

@@ -10,8 +10,9 @@ import synth
 from conftest import commit_nested, complete_pairs, er_pairs, graph_of, label_pairs, \
     next_level, oracle_best_single, verify_equivalence
 from trussmin import ContractViolation, EnumerationCapExceeded, SolverConfig, \
-    build_truss_group_index, find_support_groups, k_truss, simulate_followers, solve, \
-    solve_baseline, solve_exact, solve_gp_edge, solve_support, solve_up_edge, upper_bound
+    build_truss_group_index, delete_and_cascade, find_support_groups, k_truss, \
+    simulate_followers, solve, solve_baseline, solve_exact, solve_gp_edge, solve_support, \
+    solve_up_edge, truss, upper_bound
 from trussmin.cascade import commit_region
 from trussmin.groups import SupportGroupIndex, refresh_index
 from trussmin.minimize import _ScanOrder, _two_level_tau
@@ -37,6 +38,21 @@ class TestSolverConfig:
             SolverConfig(k=3, b=1, algorithm="annealing")
         with pytest.raises(ValueError):
             SolverConfig(k=3, b=1, threads=0)
+
+    # a float budget once made more deletions than b, a NaN level returned
+    # the whole graph as its truss, and True passed as 1
+    NON_INTS = [2.5, 8.0, float("nan"), float("inf"), True, "8"]
+
+    @pytest.mark.parametrize("bad", NON_INTS)
+    @pytest.mark.parametrize("name", ["k", "b", "threads", "exact_cap"])
+    def test_rejects_numbers_that_are_not_plain_ints(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            SolverConfig(**{"k": 8, "b": 2, name: bad})
+
+    @pytest.mark.parametrize("bad", NON_INTS)
+    def test_k_truss_rejects_a_level_that_is_not_a_plain_int(self, k5, bad):
+        with pytest.raises(ValueError, match="k must be an int"):
+            k_truss(k5, bad)
 
 
 class TestSolveDispatch:
@@ -122,6 +138,27 @@ class TestExact:
             _, expected = oracles.best_subset(truss_pairs, 3, 2)
             chosen, records = solve_exact(t, 2)
             assert sum(r.followers for r in records) == expected
+
+    def test_leaves_the_truss_the_joint_deletion_leaves(self, rng):
+        def state(t):
+            alive = t.alive_edge_ids()
+            return alive, bytes(t.tri_alive), t.edge_count, [t.sup[e] for e in alive]
+
+        checked = 0
+        while checked < 60:
+            pairs = er_pairs(rng, rng.randint(6, 12), rng.uniform(0.4, 0.7))
+            if not pairs:
+                continue
+            g = graph_of(pairs)
+            for k in (3, 4):
+                for b in (1, 2, 3):
+                    t = k_truss(g, k)
+                    if not 0 < t.edge_count <= 20:
+                        continue
+                    before = t.clone()
+                    chosen, _ = solve_exact(t, b)
+                    assert state(t) == state(delete_and_cascade(before, chosen).surviving)
+                    checked += 1
 
     def test_cap_refusal(self, rng):
         pairs = er_pairs(rng, 20, 0.6)
@@ -403,9 +440,8 @@ class TestMemoStop:
                     break
                 rng.shuffle(alive)
                 for e in alive[:rng.randint(1, len(alive))]:
-                    log: list[int] = []
-                    dead = t.cascade([e], log)
-                    t.rollback(log, dead)
+                    dead, killed, lowered = truss._peel(t, [e])
+                    truss._undo(t, dead, killed, lowered)
                     want = tuple(sorted(dead)) if len(dead) > 1 else ()
                     known = memo.slots[e] is None and want in memo.shared
                     before = len(stops)
@@ -744,7 +780,7 @@ class TestScanOrder:
                 idx = build_truss_group_index(t, upper)
                 index = SupportGroupIndex(t, find_support_groups(t)[0])
                 up = _ScanOrder(g.m, index.candidates, idx.bound)
-                gp = _ScanOrder(g.m, index.candidates)
+                gp = _ScanOrder(g.m, index.candidates, [g.m] * g.m)
                 self.assert_fresh(t, index, up, gp, f"k={k} build")
                 while t.edge_count:
                     eid = rng.choice(t.alive_edge_ids())

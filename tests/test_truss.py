@@ -252,9 +252,7 @@ class TestTrussCache:
             first, second = k_truss(g, k), k_truss(g, k)  # the peeled one, then a clone
             for t in (first, second):
                 alive = t.alive_edge_ids()
-                log: list[int] = []
-                dead = t.cascade(rng.sample(alive, min(3, len(alive))), log)
-                t.rollback(log, dead)
+                truss._undo(t, *truss._peel(t, rng.sample(alive, min(3, len(alive)))))
                 t.cascade([rng.choice(alive)])
                 assert t.alive != g._truss_cache[k][0]
                 assert_same_truss(k_truss(g, k), truss._peel_graph(g, k))

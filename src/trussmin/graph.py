@@ -9,7 +9,9 @@ every per-edge map in the library is an array indexed by that edge id.
 
 from __future__ import annotations
 
-from itertools import repeat
+import re
+from itertools import chain, compress, islice, repeat
+from operator import floordiv, mod, ne
 from typing import IO, Iterable, Optional
 
 from .errors import ContractViolation, EdgeListParseError
@@ -20,7 +22,8 @@ class Graph:
 
     `higher[u]` maps each neighbour w > u to the id of edge (u, w); it is
     the only edge lookup table, and the forward lists the triangle index
-    intersects.
+    intersects.  Built through `from_pairs` or `load_edge_list`, every
+    vertex id is one int object, shared by `edges` and the keys of `higher`.
 
     A graph caches values derived from it alone: its triangle index
     (`triangle_index`) and its last two peeled trusses (`truss.k_truss`),
@@ -31,7 +34,10 @@ class Graph:
     __slots__ = ("n", "higher", "edges", "labels", "_tri_cache", "_truss_cache")
 
     def __init__(self, n: int, edges: list[tuple[int, int]], labels: list[int]):
-        """`edges` must be canonical (u < v), distinct and sorted."""
+        """`edges` must be canonical (u < v), distinct and sorted.
+
+        Self-loops and duplicates are dropped before this, in `_build`.
+        """
         self.n = n
         self.labels = labels
         self.edges = edges
@@ -49,27 +55,41 @@ class Graph:
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Graph":
         """Build from (label, label) pairs; drops self-loops and duplicates.
 
-        `pairs` is iterated exactly once, so a generator is fine.
+        `pairs` is iterated exactly once, so a generator is fine.  A label
+        must be a plain non-negative int: a bool would merge with 0 or 1.
         """
-        heads: list[int] = []
-        tails: list[int] = []
-        for a, b in pairs:
-            if a != b:
-                heads.append(a)
-                tails.append(b)
-        return cls._from_columns(heads, tails)
+        flat = [x for a, b in pairs for x in (a, b)]
+        for x in flat:
+            if type(x) is not int or x < 0:
+                raise ContractViolation(f"vertex label {x!r} is not a non-negative int")
+        return cls._build(flat)
 
     @classmethod
-    def _from_columns(cls, heads: list[int], tails: list[int]) -> "Graph":
-        """Build from parallel label lists that hold no self-loop."""
-        labels = sorted(set(heads).union(tails))
+    def _build(cls, flat: list[int]) -> "Graph":
+        """Build from labels read two at a time: a0, b0, a1, b1, ...
+
+        The one place self-loops are dropped.  Edge (u, v), u < v, is the
+        int u*n + v: sorting these ints and dropping each that equals its
+        predecessor gives the distinct edges in lexicographic order without
+        a tuple per input pair.
+        """
+        pairs = iter(flat)  # read twice per step: a0 with b0, a1 with b1, ...
+        if not all(map(ne, pairs, pairs)):
+            pairs = iter(flat)
+            flat = [x for a, b in zip(pairs, pairs) if a != b for x in (a, b)]
+        labels = sorted(set(flat))
         n = len(labels)
-        dense = dict(zip(labels, range(n))).__getitem__
-        # Edge (u, v), u < v, is the int u*n + v: deduplicating and sorting
-        # these ints gives the lexicographic edge order without tuples.
-        keys = sorted({u * n + v if u < v else v * n + u
-                       for u, v in zip(map(dense, heads), map(dense, tails))})
-        return cls(n, list(map(divmod, keys, repeat(n))), labels)
+        verts = list(range(n))
+        ids = map(dict(zip(labels, verts)).__getitem__, flat)
+        keys = [u * n + v if u < v else v * n + u for u, v in zip(ids, ids)]
+        keys.sort()
+        keys = list(compress(keys, chain((True,), map(ne, islice(keys, 1, None), keys))))
+        # the endpoints come out of `verts`, so each vertex is one int object
+        # and `higher` shares it as a key
+        vert = verts.__getitem__
+        edges = list(zip(map(vert, map(floordiv, keys, repeat(n))),
+                         map(vert, map(mod, keys, repeat(n)))))
+        return cls(n, edges, labels)
 
     @property
     def m(self) -> int:
@@ -163,6 +183,14 @@ class Graph:
         return len(self.triangle_index()[0])
 
 
+# About 64 KB of text per chunk: the parse holds one chunk's strings at a time.
+_CHUNK_CHARS = 1 << 16
+# Lines of two ASCII-digit labels split by one space or tab, each ending in
+# "\n" (the stream's last line may lack it).  `str.split` reads such a chunk
+# exactly as `_parse_lines` would.
+_PLAIN_PAIRS = re.compile(r"(?:[0-9]+[ \t][0-9]+\n)*(?:[0-9]+[ \t][0-9]+)?")
+
+
 def load_edge_list(stream: IO[str]) -> Graph:
     """Parse whitespace-separated integer pairs into a Graph.
 
@@ -171,10 +199,33 @@ def load_edge_list(stream: IO[str]) -> Graph:
     Raises EdgeListParseError (with the 1-based line number) on any line
     that is not exactly two labels of ASCII digits: no sign, no
     underscores, no other scripts' digits, all of which `int()` accepts.
+
+    The stream is read in chunks of lines (`readlines` with a hint of about
+    64 KB), so lines split exactly as iterating the stream splits them.  A
+    chunk of plain "label label" lines is converted whole; any other chunk
+    goes through the per-line rules of `_parse_lines`.  The labels feed
+    `Graph._build`, which drops the self-loops and gives each vertex one
+    int object.
     """
-    heads: list[int] = []
-    tails: list[int] = []
-    for line_no, raw in enumerate(stream, start=1):
+    flat: list[int] = []
+    line_no = 0
+    while lines := stream.readlines(_CHUNK_CHARS):
+        text = "".join(lines)
+        if _PLAIN_PAIRS.fullmatch(text):
+            flat += map(int, text.split())
+        else:
+            _parse_lines(lines, line_no, flat)
+        line_no += len(lines)
+    return Graph._build(flat)
+
+
+def _parse_lines(lines: list[str], offset: int, flat: list[int]) -> None:
+    """Append the labels of `lines`, which follow `offset` earlier lines, to `flat`.
+
+    The only path for comment and blank lines, other whitespace, and every
+    error.
+    """
+    for line_no, raw in enumerate(lines, start=offset + 1):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
             continue
@@ -185,9 +236,4 @@ def load_edge_list(stream: IO[str]) -> Graph:
             raise EdgeListParseError(
                 line_no, f"vertex labels must be non-negative integers in ASCII digits: "
                          f"{raw.strip()!r}")
-        x = int(a)
-        y = int(b)
-        if x != y:
-            heads.append(x)
-            tails.append(y)
-    return Graph._from_columns(heads, tails)
+        flat += (int(a), int(b))

@@ -19,8 +19,8 @@ def canon(pairs):
 
 
 class ParseError(Exception):
-    def __init__(self, line_no):
-        super().__init__(f"line {line_no}")
+    def __init__(self, line_no, message):
+        super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -30,7 +30,8 @@ def parse_edge_list(lines):
     The per-line rules, kept as they were when the parser last changed
     them: '#' comment and blank lines are skipped, and every other line
     must hold exactly two labels of ASCII digits.  Raises ParseError with
-    the 1-based number of the first line that breaks them.
+    the 1-based number of the first line that breaks them, and the message
+    the library gives for it.
     """
     pairs = []
     for line_no, raw in enumerate(lines, start=1):
@@ -38,10 +39,11 @@ def parse_edge_list(lines):
         if not parts or parts[0].startswith("#"):
             continue
         if len(parts) != 2:
-            raise ParseError(line_no)
+            raise ParseError(line_no, f"expected two vertex labels, got {len(parts)} tokens")
         a, b = parts
         if not (raw.isascii() and a.isdigit() and b.isdigit()):
-            raise ParseError(line_no)
+            raise ParseError(line_no, "vertex labels must be non-negative integers in "
+                                      f"ASCII digits: {raw.strip()!r}")
         pairs.append((int(a), int(b)))
     return pairs
 

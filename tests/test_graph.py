@@ -4,6 +4,7 @@ import random
 import pytest
 
 import oracles
+import synth
 from conftest import complete_pairs, er_pairs, graph_of, path_pairs, support
 from trussmin import ContractViolation, EdgeListParseError, Graph, load_edge_list
 
@@ -74,6 +75,45 @@ class TestLoadEdgeList:
         assert g.labels == [7, 42, 100]
         assert g.n == 3
         assert {g.original_pair(e) for e in range(g.m)} == {(7, 42), (7, 100)}
+
+
+    def test_file_gives_the_graph_of_its_pairs_with_one_int_per_vertex(self, tmp_path):
+        pairs = synth.community_pairs(42, 30)
+        path = tmp_path / "s30.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in pairs))
+        with open(path) as fh:
+            g = load_edge_list(fh)
+        base = Graph.from_pairs(pairs)
+        assert g.labels == base.labels
+        assert g.edges == base.edges
+        assert g.higher == base.higher
+        assert g.triangle_index() == base.triangle_index()
+        for h in (g, base):
+            vertex = {}
+            for e in h.edges:
+                for x in e:
+                    assert vertex.setdefault(x, x) is x
+            for hu in h.higher:
+                for w, eid in hu.items():
+                    assert w is h.edges[eid][1]
+
+
+class TestFromPairs:
+    @pytest.mark.parametrize("pairs", [
+        [(True, 2), (2, 3), (3, True)],
+        [(1.5, 2), (2, 3), (3, 1.5)],
+        [(-1, 2), (2, 3), (3, -1)],
+        [("a", "b"), ("b", "c"), ("c", "a")],
+    ], ids=["bool", "float", "negative", "str"])
+    def test_labels_must_be_non_negative_ints(self, pairs):
+        with pytest.raises(ContractViolation):
+            Graph.from_pairs(pairs)
+
+    def test_a_vertex_only_on_self_loops_is_dropped(self):
+        g = Graph.from_pairs([(5, 5), (9, 9), (3, 1), (1, 3), (3, 9), (5, 5)])
+        assert g.labels == [1, 3, 9]
+        assert g.edges == [(0, 1), (1, 2)]
+        assert Graph.from_pairs([(4, 4)]).labels == []
 
 
 class TestSupport:

@@ -6,12 +6,14 @@ small so the whole module runs in a few seconds.
 
 import io
 from itertools import accumulate
+from unittest import mock
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import oracles
 from trussmin import ALGORITHMS, EdgeListParseError, Graph, SolverConfig, load_edge_list, solve
+from trussmin import cli, graph
 
 # -- parser vs reference ------------------------------------------------------
 
@@ -26,9 +28,14 @@ line_end = st.sampled_from(["", "\r", " ", "\t", "\x0c"])
 
 @st.composite
 def edge_list_lines(draw):
-    kind = draw(st.sampled_from(["pair", "pair", "pair", "tokens", "comment", "blank"]))
+    kind = draw(st.sampled_from(["pair", "pair", "pair", "tokens", "near pair", "comment",
+                                 "blank"]))
     if kind == "blank":
         return draw(st.sampled_from(["", " ", "\t", "\r", "\x0c"]))
+    if kind == "near pair":
+        # the characters of a plain "a b" line in any order: one label, three,
+        # or blanks where the loader's whole-chunk test must see them
+        return draw(st.text(st.sampled_from("0123456789 \t\r"), max_size=9))
     if kind == "comment":
         return "#" + draw(st.text(st.sampled_from("0123456789 #\tab٣é"), max_size=6))
     if kind == "pair":
@@ -42,22 +49,102 @@ def edge_list_lines(draw):
 edge_list_texts = st.lists(edge_list_lines(), max_size=10).map("\n".join)
 
 
-@settings(max_examples=300, deadline=None)
-@given(edge_list_texts)
-def test_parser_matches_the_reference(text):
+def assert_parses_like_the_reference(load, ref_lines):
+    """`load()` gives the graph of the reference parse of `ref_lines`, or its error.
+
+    Returns which of the two it was.
+    """
     try:
-        pairs = oracles.parse_edge_list(io.StringIO(text))
+        pairs = oracles.parse_edge_list(ref_lines)
     except oracles.ParseError as ref:
-        event("rejected")
         with pytest.raises(EdgeListParseError) as exc:
-            load_edge_list(io.StringIO(text))
+            load()
         assert exc.value.line_no == ref.line_no
-        return
-    event("accepted")
-    g = load_edge_list(io.StringIO(text))
+        assert str(exc.value) == str(ref)
+        return "rejected"
+    g = load()
     edges = sorted(oracles.canon(pairs))
     assert g.labels == sorted({x for e in edges for x in e})
     assert [g.original_pair(e) for e in range(g.m)] == edges
+    return "accepted"
+
+
+def load_text(text):
+    return lambda: load_edge_list(io.StringIO(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_texts)
+# near misses of a plain chunk, each of which the whole-chunk test must refuse
+@example("0 1\n12")
+@example("0 1\n1 ")
+@example("0 1\n1 2\r3 4\n")
+@example("0 1\n1  2\n")
+@example("0 1\n 1 2\n")
+@example("0 1\n1 2 \n")
+@example("0 1\n\n1 2\n")
+@example("0 1\n12\n3 4 5\n")
+def test_parser_matches_the_reference(text):
+    event(assert_parses_like_the_reference(load_text(text), io.StringIO(text)))
+
+
+def plain_lines(sep, count, start=0):
+    """`count` valid "a<sep>b" lines, self-loops among them."""
+    return [f"{i % 97}{sep}{i * 7 % 89}\n" for i in range(start, start + count)]
+
+
+def first_chunk_lines(lines):
+    """How many of `lines` the loader's first chunk holds."""
+    total = 0
+    for i, line in enumerate(lines, start=1):
+        total += len(line)
+        if total > graph._CHUNK_CHARS:
+            return i
+    return len(lines)
+
+
+@st.composite
+def long_edge_list_texts(draw):
+    """Valid lines past the first chunk, with drawn lines at or just past its end."""
+    sep = draw(st.sampled_from([" ", "\t"]))
+    prefix = plain_lines(sep, graph._CHUNK_CHARS // 4)
+    at = first_chunk_lines(prefix) + draw(st.integers(-2, 2))
+    odd = draw(st.lists(edge_list_lines(), max_size=3))
+    tail = plain_lines(sep, draw(st.integers(0, 3)), start=at)
+    event("all valid" if not odd else "drawn lines")
+    text = "".join(prefix[:at]) + "".join(line + "\n" for line in odd) + "".join(tail)
+    return text[:-1] if draw(st.booleans()) else text
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_edge_list_texts())
+def test_parser_matches_the_reference_past_the_first_chunk(text):
+    event(assert_parses_like_the_reference(load_text(text), io.StringIO(text)))
+
+
+@pytest.mark.parametrize("sep", [" ", "\t"])
+def test_plain_text_skips_the_line_loop(sep):
+    text = "".join(plain_lines(sep, graph._CHUNK_CHARS // 2))
+    with mock.patch.object(graph, "_parse_lines", side_effect=AssertionError("line loop")):
+        assert assert_parses_like_the_reference(load_text(text), io.StringIO(text)) == "accepted"
+
+
+@pytest.mark.parametrize("bad", [False, True], ids=["valid", "bad line in chunk 2"])
+def test_a_file_with_crlf_and_lone_cr_line_ends(tmp_path, bad):
+    """A real file, opened as the CLI opens it: universal newlines, surrogateescape."""
+    lines = plain_lines(" ", graph._CHUNK_CHARS // 3)
+    lines[0] = "# caf\xe9\n"
+    if bad:
+        lines[first_chunk_lines(lines) + 1] = "1 \xff\n"
+    for i in range(1, len(lines), 2):
+        lines[i] = lines[i][:-1] + ("\r\n" if i % 4 == 1 else "\r")
+    path = tmp_path / "edges.txt"
+    path.write_bytes("".join(lines).encode("latin-1"))   # \xe9 and \xff are not UTF-8
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        ref_lines = fh.readlines()
+    assert len(ref_lines) == len(lines)
+    outcome = assert_parses_like_the_reference(lambda: cli._load(str(path)), ref_lines)
+    assert outcome == ("rejected" if bad else "accepted")
 
 
 # -- solver choices do not depend on how the input was written ------------------

@@ -59,14 +59,16 @@ def delete_and_cascade(t: TrussSubgraph, edge_set: Iterable) -> DeletionOutcome:
 def simulate_followers(t: TrussSubgraph, eid: int, stop: Container[int] = ()) -> list[int]:
     """Follower edge ids of deleting one edge; `t` is left as it was.
 
-    Each partner of `eid` in an alive triangle shares exactly that one
-    triangle with it, so deleting `eid` costs every partner exactly one
-    support.  When no partner sits at the threshold nothing can fall, and
-    the answer is known without touching any state.
+    Each partner of `eid` in an alive triangle (a pair of `eid`'s partner
+    list whose two edges are alive) shares exactly that one triangle with
+    it, so deleting `eid` costs every partner exactly one support.  When
+    no partner sits at the threshold nothing can fall, and the answer is
+    known without touching any state.
 
     Otherwise it runs the peel loop of `TrussSubgraph.cascade([eid])`
     (`truss._peel`) directly, undoes it with `truss._undo`, and returns
-    the followers in removal order.  The peel returns as soon as an edge
+    the followers in removal order, so `t` holds no queued edge (an
+    `alive` byte of 2) afterwards.  The peel returns as soon as an edge
     in the container `stop` dies, with that edge last (the default `()`
     never stops); an int is refused before `t` is touched.  Stopping is exact when `eid`
     lies in the dead set D(x) of every edge x in `stop` (the dead set of
@@ -81,19 +83,15 @@ def simulate_followers(t: TrussSubgraph, eid: int, stop: Container[int] = ()) ->
         raise ContractViolation(f"stop must be a container of edge ids, not {stop!r}")
     if not t.alive[eid]:
         raise ContractViolation(f"edge id {eid} is not alive in the truss")
-    tris, edge_tris = t.graph.triangle_index()
-    sup, tri_alive, threshold = t.sup, t.tri_alive, t.k - 2
-    for ti in edge_tris[eid]:
-        if not tri_alive[ti]:
-            continue
-        a, b, c = tris[ti]
-        if (sup[a] <= threshold and a != eid or sup[b] <= threshold and b != eid
-                or sup[c] <= threshold and c != eid):
+    alive, sup, threshold = t.alive, t.sup, t.k - 2
+    it = iter(t.graph.triangle_index()[eid])
+    for a, b in zip(it, it):
+        if alive[a] and alive[b] and (sup[a] <= threshold or sup[b] <= threshold):
             break
     else:
         return []
-    dead, killed, lowered = _peel(t, [eid], stop)
-    _undo(t, dead, killed, lowered)
+    dead, lowered = _peel(t, [eid], stop)
+    _undo(t, dead, lowered)
     return dead[1:]
 
 
@@ -103,7 +101,8 @@ def commit_region(t: TrussSubgraph, dead: list[int], log: list[int]) -> set[int]
     `dead` and `log` are what `t.cascade(seeds, log)` returned and logged:
     the dead edges and the decremented ones, one log entry per decrement.
     The region is every dead or decremented edge, plus every edge sharing a
-    still-alive triangle with one of them.  A triangle the cascade killed
+    still-alive triangle with one of them: each pair of an alive edge's
+    partner list whose two edges are alive.  A triangle the cascade killed
     holds nothing but dead and decremented edges, so the alive triangles
     are the only ones left to look through.
 
@@ -120,15 +119,16 @@ def commit_region(t: TrussSubgraph, dead: list[int], log: list[int]) -> set[int]
     the edges that fell from trussness k+1 to k join the region with their
     alive-triangle partners.
     """
-    tris, edge_tris = t.graph.triangle_index()
-    alive, tri_alive = t.alive, t.tri_alive
+    partners, alive = t.graph.triangle_index(), t.alive
     changed = set(dead).union(log)
     region = set(changed)
     for x in changed:
         if alive[x]:  # a dead edge has no alive triangle left
-            for ti in edge_tris[x]:
-                if tri_alive[ti]:
-                    region.update(tris[ti])
+            it = iter(partners[x])
+            for a, b in zip(it, it):
+                if alive[a] and alive[b]:
+                    region.add(a)
+                    region.add(b)
     return region
 
 

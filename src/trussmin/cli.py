@@ -85,12 +85,12 @@ def _emit(text: str, output: Optional[str]) -> None:
 def cmd_stats(args) -> int:
     g = _load(args.input)
     tau = truss_decompose(g)
-    tris, edge_tris = g.triangle_index()
     lines = [
         f"vertices: {g.n}",
         f"edges: {g.m}",
-        f"triangles: {len(tris)}",
-        f"max_support: {max(map(len, edge_tris), default=0)}",
+        f"triangles: {g.triangle_count()}",
+        # two partner edges per triangle
+        f"max_support: {max(map(len, g.triangle_index()), default=0) // 2}",
         f"max_trussness: {tau.max_trussness()}",
     ]
     _emit("\n".join(lines) + "\n", args.output)

@@ -26,9 +26,9 @@ class Graph:
     vertex id is one int object, shared by `edges` and the keys of `higher`.
 
     A graph caches values derived from it alone: its triangle index
-    (`triangle_index`) and its last two peeled trusses (`truss.k_truss`),
-    each truss level at m + T + 4m bytes for its alive edges, alive
-    triangles and supports (T triangles).
+    (`triangle_index`, each edge's partner edges) and its last two peeled
+    trusses (`truss.k_truss`), each truss level at m + 4m bytes for its
+    alive edges and supports.
     """
 
     __slots__ = ("n", "higher", "edges", "labels", "_tri_cache", "_truss_cache")
@@ -45,7 +45,7 @@ class Graph:
         for eid, (u, v) in enumerate(edges):
             higher[u][v] = eid
         self.higher = higher
-        self._tri_cache: Optional[tuple[list[tuple[int, int, int]], list[list[int]]]] = None
+        self._tri_cache: Optional[list[list[int]]] = None
         # k -> frozen k-truss, kept by `truss.k_truss`
         self._truss_cache: dict[int, tuple] = {}
 
@@ -152,35 +152,42 @@ class Graph:
 
     # -- triangle primitives ------------------------------------------------
 
-    def triangle_index(self) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
-        """All triangles as edge-id triples, plus edge -> triangle-ids lists.
+    def triangle_index(self) -> list[list[int]]:
+        """Per edge, the two other edges of each of its triangles.
 
-        Each triangle u < v < w is `(e_uv, e_uw, e_vw)` and is listed once,
-        from its smallest edge (u, v), by intersecting the forward maps of u
-        and v.  Triangle ids grow with that edge's id, so every per-edge list
-        is ascending.  Cached; the graph is immutable so it never goes stale.
+        `partners[e]` is the flat list a0, b0, a1, b1, ...: each triangle of
+        e as the ascending pair (a, b) of its other two edges, read as
+        `it = iter(partners[e]); zip(it, it)`.  A triangle u < v < w has
+        edges e_uv < e_uw < e_vw and is found once, from its smallest edge
+        (u, v), by intersecting the forward maps of u and v; every edge's
+        pairs come in the order their triangles are found.  There are no
+        triangle ids: in a truss a triangle is alive exactly when its three
+        edges are.  Cached; the graph is immutable so it never goes stale.
         """
         if self._tri_cache is None:
-            tris: list[tuple[int, int, int]] = []
-            edge_tris: list[list[int]] = [[] for _ in range(len(self.edges))]
+            partners: list[list[int]] = [[] for _ in range(len(self.edges))]
             higher = self.higher
-            t = 0
             for e_uv, (u, v) in enumerate(self.edges):
                 hu = higher[u]
                 hv = higher[v]
+                p = partners[e_uv]
                 for w in hu.keys() & hv.keys():
                     e_uw = hu[w]
                     e_vw = hv[w]
-                    tris.append((e_uv, e_uw, e_vw))
-                    edge_tris[e_uv].append(t)
-                    edge_tris[e_uw].append(t)
-                    edge_tris[e_vw].append(t)
-                    t += 1
-            self._tri_cache = (tris, edge_tris)
+                    p.append(e_uw)
+                    p.append(e_vw)
+                    q = partners[e_uw]
+                    q.append(e_uv)
+                    q.append(e_vw)
+                    q = partners[e_vw]
+                    q.append(e_uv)
+                    q.append(e_uw)
+            self._tri_cache = partners
         return self._tri_cache
 
     def triangle_count(self) -> int:
-        return len(self.triangle_index()[0])
+        # each triangle puts two ints in each of its three edges' lists
+        return sum(map(len, self.triangle_index())) // 6
 
 
 # About 64 KB of text per chunk: the parse holds one chunk's strings at a time.
@@ -202,7 +209,8 @@ def load_edge_list(stream: IO[str]) -> Graph:
 
     The stream is read in chunks of lines (`readlines` with a hint of about
     64 KB), so lines split exactly as iterating the stream splits them.  A
-    chunk of plain "label label" lines is converted whole; any other chunk
+    chunk of plain "label label" lines is converted whole; any other chunk,
+    or one whose conversion fails (a label past `int()`'s digit limit),
     goes through the per-line rules of `_parse_lines`.  The labels feed
     `Graph._build`, which drops the self-loops and gives each vertex one
     int object.
@@ -212,7 +220,12 @@ def load_edge_list(stream: IO[str]) -> Graph:
     while lines := stream.readlines(_CHUNK_CHARS):
         text = "".join(lines)
         if _PLAIN_PAIRS.fullmatch(text):
-            flat += map(int, text.split())
+            try:
+                flat += map(int, text.split())
+            except ValueError:
+                # a label past `int()`'s digit limit: the line loop raises
+                # the parse error that names its line
+                _parse_lines(lines, line_no, flat)
         else:
             _parse_lines(lines, line_no, flat)
         line_no += len(lines)
@@ -223,7 +236,7 @@ def _parse_lines(lines: list[str], offset: int, flat: list[int]) -> None:
     """Append the labels of `lines`, which follow `offset` earlier lines, to `flat`.
 
     The only path for comment and blank lines, other whitespace, and every
-    error.
+    error, a label `int()` refuses included.
     """
     for line_no, raw in enumerate(lines, start=offset + 1):
         parts = raw.split()
@@ -236,4 +249,7 @@ def _parse_lines(lines: list[str], offset: int, flat: list[int]) -> None:
             raise EdgeListParseError(
                 line_no, f"vertex labels must be non-negative integers in ASCII digits: "
                          f"{raw.strip()!r}")
-        flat += (int(a), int(b))
+        try:
+            flat += (int(a), int(b))
+        except ValueError as exc:  # more digits than `sys.get_int_max_str_digits()`
+            raise EdgeListParseError(line_no, str(exc)) from None

@@ -29,29 +29,42 @@ class SupportGroup:
         return self.members[0]
 
 
-def _grow_support_group(t: TrussSubgraph, start: int,
-                        gid_of: dict[int, int]) -> SupportGroup:
+# Maps each byte of a 0/1 `alive` array to its complement: `alive.translate(FLIP)`
+# is a per-edge marker, built at C speed, with every dead edge marked.
+FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _grow_support_group(t: TrussSubgraph, start: int, gid_of: dict[int, int],
+                        done: bytearray) -> SupportGroup:
     """BFS over threshold edges through alive triangles, starting at `start`.
 
     Callers sweep starts in ascending order, so `start` is the smallest
     member, and `gid_of` records it as every member's group.  Meeting an
     edge that `gid_of` gives to another group means that group should have
     been dissolved first, which is an internal error.
+
+    `done` is `t.alive.translate(FLIP)`, shared by every growth of one
+    build or one update: it marks the dead edges, and each member is
+    marked as it is expanded.  A pair touching a marked edge is skipped:
+    it is a dead triangle, or one already walked from that member (two
+    threshold edges of one alive triangle are in one group, so the member
+    is this group's).  Each alive triangle holding a member is thus walked
+    once, and counted once for each over-threshold edge it holds.
     """
-    tris, edge_tris = t.graph.triangle_index()
+    partners = t.graph.triangle_index()
     threshold = t.k - 2
-    sup, tri_alive = t.sup, t.tri_alive
+    sup = t.sup
     members = [start]
     gid_of[start] = start
-    # over-threshold edge -> the member triangles it sits in
-    hit: dict[int, set[int]] = {}
+    # over-threshold edge -> how many member triangles it sits in
+    hit: dict[int, int] = {}
     for e in members:  # grows while it is walked: breadth-first
-        for ti in edge_tris[e]:
-            if not tri_alive[ti]:
+        done[e] = 1
+        it = iter(partners[e])
+        for a, b in zip(it, it):
+            if done[a] or done[b]:
                 continue
-            for o in tris[ti]:
-                if o == e:
-                    continue
+            for o in (a, b):
                 if sup[o] == threshold:
                     other = gid_of.get(o)
                     if other is None:
@@ -60,14 +73,12 @@ def _grow_support_group(t: TrussSubgraph, start: int,
                     elif other != start:
                         raise AssertionError(
                             f"support group grown from edge {start} reached group {other}")
-                elif o in hit:
-                    hit[o].add(ti)
                 else:
-                    hit[o] = {ti}
+                    hit[o] = hit.get(o, 0) + 1
     members.sort()
     # An over-threshold edge whose slack is exceeded by distinct triangles
     # that each contain a group member must fall with the group.
-    pruned = {o for o, triangles in hit.items() if len(triangles) > sup[o] - threshold}
+    pruned = {o for o, n in hit.items() if n > sup[o] - threshold}
     return SupportGroup(members=members, pruned_followers=pruned,
                         over_adjacent=tuple(hit))
 
@@ -86,9 +97,10 @@ def find_support_groups(t: TrussSubgraph) -> tuple[list[SupportGroup], list[int]
     alive, sup, threshold = t.alive, t.sup, t.k - 2
     groups: list[SupportGroup] = []
     gid_of: dict[int, int] = {}
+    done = alive.translate(FLIP)
     for start in range(t.graph.m):
         if alive[start] and sup[start] == threshold and start not in gid_of:
-            groups.append(_grow_support_group(t, start, gid_of))
+            groups.append(_grow_support_group(t, start, gid_of, done))
     over_adjacent: set[int] = set()
     pruned_all: set[int] = set()
     for grp in groups:
@@ -167,9 +179,10 @@ class SupportGroupIndex:
                 del gid_of[e]
             grown.extend(grp.members)
             self._count(grp, -1)
+        done = alive.translate(FLIP)
         for e in sorted(grown):
             if alive[e] and sup[e] == threshold and e not in gid_of:
-                self._add(_grow_support_group(t, e, gid_of))
+                self._add(_grow_support_group(t, e, gid_of, done))
         self._settle()
 
     # -- bookkeeping -----------------------------------------------------------
@@ -211,8 +224,9 @@ class GroupIndex:
     `t` is the k-truss and `upper` the (k+1)-truss nested inside it, both
     `TrussSubgraph`s of the same graph kept current by the cascade engine.
     An edge has trussness exactly k when it is alive in `t` but not in
-    `upper`.  A triangle alive in `t` has all three edges in the k-truss,
-    so `t.tri_alive` alone marks the triangles groups chain through.
+    `upper`.  The triangles groups chain through are those alive in `t`:
+    an edge's partner pairs (`Graph.triangle_index`) whose two edges are
+    alive in `t`.
     A group's id is its smallest member edge, so the index after a refresh
     equals a rebuild over the same `t` and `upper`, ids included.
 
@@ -255,31 +269,35 @@ class GroupIndex:
         """Whether edge `e` has trussness exactly k."""
         return bool(self.t.alive[e]) and not self.upper.alive[e]
 
-    def _grow(self, start: int, walked: bytearray) -> None:
+    def _grow(self, start: int, done: bytearray) -> None:
         """BFS over trussness-k edges through alive triangles of the k-truss.
 
         Callers sweep starts in ascending order, so `start`, the group's
         id, is its smallest member.  Every edge of a walked triangle joins
-        the touch set.  `walked` marks triangles by id and is shared by
-        every growth of one build or one refresh: an alive triangle holding
-        a trussness-k edge belongs to exactly one group, so a triangle
-        walked once is never walked again, and marking it loses nothing.
-        Meeting an edge that `gid_of` already gives to another group means
-        that group should have been dissolved first, an internal error.
+        the touch set.  `done` is `t.alive.translate(FLIP)`, shared by
+        every growth of one build or one refresh: it marks the dead edges,
+        and each member is marked as it is expanded.  A pair touching a
+        marked edge is skipped: it is a dead triangle, or one walked from
+        that member already.  An alive triangle holding a trussness-k edge
+        belongs to exactly one group, so each is walked once, and skipping
+        it loses nothing.  Meeting an edge that `gid_of` already gives to
+        another group means that group should have been dissolved first,
+        an internal error.
         """
-        tris, edge_tris = self.t.graph.triangle_index()
-        tri_alive, upper_alive = self.t.tri_alive, self.upper.alive
+        partners = self.t.graph.triangle_index()
+        upper_alive = self.upper.alive
         gid_of, stamp = self.gid_of, self.stamp
         members = [start]
         gid_of[start] = start
         touch = [start]
         stamp[start] = 1
         for e in members:  # grows while it is walked: breadth-first
-            for ti in edge_tris[e]:
-                if walked[ti] or not tri_alive[ti]:
+            done[e] = 1
+            it = iter(partners[e])
+            for a, b in zip(it, it):
+                if done[a] or done[b]:
                     continue
-                walked[ti] = 1
-                for o in tris[ti]:
+                for o in (a, b):
                     if not stamp[o]:
                         stamp[o] = 1
                         touch.append(o)
@@ -321,10 +339,12 @@ class GroupIndex:
         reference for `bound`.  A trussness-k edge in no group means `t` or
         `upper` changed without a refresh.
         """
-        tris, edge_tris = self.t.graph.triangle_index()
-        tri_alive, upper_alive, gid_of = self.t.tri_alive, self.upper.alive, self.gid_of
-        out = {gid_of[o] for ti in edge_tris[eid] if tri_alive[ti]
-               for o in tris[ti] if o != eid and not upper_alive[o]}
+        alive, upper_alive, gid_of = self.t.alive, self.upper.alive, self.gid_of
+        out: set[int] = set()
+        if alive[eid]:  # a dead edge has no alive triangle
+            it = iter(self.t.graph.triangle_index()[eid])
+            out.update(gid_of[o] for a, b in zip(it, it) if alive[a] and alive[b]
+                       for o in (a, b) if not upper_alive[o])
         if self.at_level(eid):
             out.add(gid_of[eid])
         if -1 in out:
@@ -340,10 +360,10 @@ def build_truss_group_index(t: TrussSubgraph, upper: TrussSubgraph) -> GroupInde
     """
     idx = GroupIndex(t, upper)
     alive, upper_alive, gid_of = t.alive, upper.alive, idx.gid_of
-    walked = bytearray(t.graph.triangle_count())
+    done = alive.translate(FLIP)
     for e in range(t.graph.m):
         if alive[e] and not upper_alive[e] and gid_of[e] < 0:
-            idx._grow(e, walked)
+            idx._grow(e, done)
     idx.moved.clear()
     return idx
 
@@ -380,12 +400,11 @@ def refresh_index(idx: GroupIndex, region: set[int]) -> GroupIndex:
     `moved` collects the touch sets of the dissolved and regrown groups:
     the edges whose `bound` this refresh may have changed.
 
-    The regrowths share one fresh walked-triangle marker, so each alive
-    triangle they reach is walked once.  It is made at the first regrowth,
-    so a refresh that regrows nothing (its commit erased whole groups)
-    pays nothing per triangle.  It marks only the triangles this refresh
-    walks: a group that should have been dissolved but survived still has
-    its triangles unmarked, and a regrowth reaching it raises.
+    The regrowths share one fresh per-edge marker (see `GroupIndex._grow`),
+    so each alive triangle they reach is walked once.  Besides the dead
+    edges it marks only the members this refresh expands: a group that
+    should have been dissolved but survived still has its members
+    unmarked, and a regrowth reaching it raises.
     """
     gid_of = idx.gid_of
     idx.moved.clear()
@@ -395,10 +414,8 @@ def refresh_index(idx: GroupIndex, region: set[int]) -> GroupIndex:
     grown = set(region)
     for gid in dissolve:
         grown.update(idx._dissolve(gid))
-    walked = None
+    done = idx.t.alive.translate(FLIP)
     for e in sorted(grown):
         if idx.at_level(e) and gid_of[e] < 0:
-            if walked is None:
-                walked = bytearray(idx.t.graph.triangle_count())
-            idx._grow(e, walked)
+            idx._grow(e, done)
     return idx

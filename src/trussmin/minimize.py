@@ -270,9 +270,9 @@ def solve_baseline(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationR
 
 def solve_support(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRecord]]:
     """Heuristic: delete the weakest triangle partner of the weakest edge."""
-    tris, edge_tris = t.graph.triangle_index()
+    partners_of = t.graph.triangle_index()
     m = t.graph.m
-    alive, sup, tri_alive = t.alive, t.sup, t.tri_alive
+    alive, sup = t.alive, t.sup
     # Lazy min-heap of sup * m + e, which orders alive edges by (sup, e).
     # Supports only fall, so an entry is stale exactly when its edge died
     # or has since been pushed again with a lower support.
@@ -289,9 +289,11 @@ def solve_support(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
                 break
             heapq.heappop(heap)
         partners: set[int] = set()
-        for ti in edge_tris[e_min]:
-            if tri_alive[ti]:
-                partners.update(o for o in tris[ti] if o != e_min and alive[o])
+        it = iter(partners_of[e_min])
+        for x, y in zip(it, it):
+            if alive[x] and alive[y]:
+                partners.add(x)
+                partners.add(y)
         # inside a truss with k >= 3 every edge sits in a triangle
         if not partners:
             raise ContractViolation(f"minimum-support edge id {e_min} has no alive triangle")
@@ -327,8 +329,8 @@ def solve_exact(t: TrussSubgraph, b: int,
     start = time.perf_counter()
     best_f, best_set = -1, None
     for combo in combinations(alive, bb):
-        dead, killed, lowered = _peel(t, combo)
-        _undo(t, dead, killed, lowered)
+        dead, lowered = _peel(t, combo)
+        _undo(t, dead, lowered)
         f = len(dead) - len(combo)
         if f > best_f:
             best_f, best_set = f, combo

@@ -89,6 +89,15 @@ def verify_equivalence(g: Graph, k: int, b: int) -> bool:
     return outcomes[0] == outcomes[1] == outcomes[2]
 
 
+def assert_no_queued_edge(t: TrussSubgraph) -> None:
+    """Every `alive` byte of `t` is 0 or 1.
+
+    `truss._peel` marks a dead edge still on its stack with 2; no such mark
+    may outlive a full peel, or a stopped one once it is undone.
+    """
+    assert set(t.alive) <= {0, 1}
+
+
 def commit_nested(t: TrussSubgraph, upper: TrussSubgraph, eid: int) -> set[int]:
     """Delete `eid` from `t` and its (k+1)-truss `upper` as `solve_up_edge` does.
 
@@ -96,7 +105,10 @@ def commit_nested(t: TrussSubgraph, upper: TrussSubgraph, eid: int) -> set[int]:
     """
     log: list[int] = []
     dead = t.cascade([eid], log)
-    return commit_region(t, dead + upper.cascade(dead), log)
+    region = commit_region(t, dead + upper.cascade(dead), log)
+    assert_no_queued_edge(t)
+    assert_no_queued_edge(upper)
+    return region
 
 
 def next_level(t: TrussSubgraph) -> TrussSubgraph:

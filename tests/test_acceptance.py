@@ -84,13 +84,14 @@ def test_criterion_2_cascade_matches_scratch_recompute():
 def _threshold_shell(t):
     """Edges sharing an alive triangle with a support-threshold edge."""
     g = t.graph
-    tris, edge_tris = g.triangle_index()
+    partners = g.triangle_index()
     threshold = {e for e in t.alive_edge_ids() if t.sup[e] == t.k - 2}
     shell = set()
     for e in threshold:
-        for ti in edge_tris[e]:
-            if t.tri_alive[ti]:
-                shell.update(o for o in tris[ti] if o != e and t.alive[o])
+        it = iter(partners[e])
+        for a, b in zip(it, it):
+            if t.alive[a] and t.alive[b]:
+                shell.update((a, b))
     return shell
 
 

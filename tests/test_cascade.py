@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 import oracles
-from conftest import complete_pairs, er_pairs, graph_of, label_pairs, oracle_best_single, \
-    random_trusses, support
+from conftest import assert_no_queued_edge, complete_pairs, er_pairs, graph_of, label_pairs, \
+    oracle_best_single, random_trusses, support
 from trussmin import ContractViolation, delete_and_cascade, followers_of_edge, \
     k_truss, simulate_followers, truss
 
@@ -136,15 +137,14 @@ class TestFollowersOfEdge:
         t = k_truss(g, 3)
         if t.edge_count == 0:
             pytest.skip("empty truss for this seed")
-        before = (bytes(t.alive), list(t.sup), bytes(t.tri_alive), t.edge_count)
+        before = truss_state(t)
         for e in t.alive_edge_ids():
             simulate_followers(t, e)
-        after = (bytes(t.alive), list(t.sup), bytes(t.tri_alive), t.edge_count)
-        assert before == after
+        assert truss_state(t) == before
 
 
 def truss_state(t):
-    return (bytes(t.alive), list(t.sup), bytes(t.tri_alive), t.edge_count)
+    return (bytes(t.alive), list(t.sup), t.edge_count)
 
 
 class TestCascadeLog:
@@ -156,11 +156,16 @@ class TestCascadeLog:
             for size in (1, 2, 3):
                 for _ in range(5):
                     seeds = sorted(rng.sample(alive, min(size, len(alive))))
-                    dead, killed, lowered = truss._peel(t, seeds)
+                    dead, lowered = truss._peel(t, seeds)
                     assert dead[:len(seeds)] == seeds
-                    assert sorted(killed) == [ti for ti in range(len(before[2]))
-                                              if before[2][ti] and not t.tri_alive[ti]]
-                    truss._undo(t, dead, killed, lowered)
+                    # a full peel pops every dead edge, and its two lists
+                    # are exactly what changed
+                    assert_no_queued_edge(t)
+                    assert sorted(dead) == [e for e in range(len(before[0]))
+                                            if before[0][e] and not t.alive[e]]
+                    assert Counter(lowered) == {e: n - t.sup[e] for e, n in enumerate(before[1])
+                                                if n != t.sup[e]}
+                    truss._undo(t, dead, lowered)
                     assert truss_state(t) == before, f"k={k}, seeds {seeds}"
             seen_k.add(k)
         assert seen_k == set(range(3, 8))
@@ -182,8 +187,8 @@ class TestCascadeLog:
             logged, unlogged = t.clone(), t.clone()
             assert logged.cascade(seeds, []) == unlogged.cascade(seeds)
             assert truss_state(logged) == truss_state(unlogged)
-            dead, killed, lowered = truss._peel(t.clone(), seeds, record=False)
-            assert dead[:len(seeds)] == seeds and killed == lowered == []
+            dead, lowered = truss._peel(t.clone(), seeds, record=False)
+            assert dead[:len(seeds)] == seeds and lowered == []
 
     def test_zero_follower_shortcut_matches_full_cascade(self, rng):
         shortcut = 0
@@ -220,6 +225,7 @@ class TestStoppedSimulation:
                     full = simulate_followers(t, e)
                     dead_e = label_pairs(g, full) | {g.original_pair(e)}
                     got = simulate_followers(t, e, (w,))
+                    assert_no_queued_edge(t)
                     if w in full:
                         assert got[-1] == w
                         assert got == full[:len(got)]
@@ -249,6 +255,7 @@ class TestStoppedSimulation:
                 stop.update(rng.sample(range(m), 2))
                 stop.discard(e)
                 got = simulate_followers(t, e, stop)
+                assert_no_queued_edge(t)
                 first = next(i for i, x in enumerate(full) if x in stop)
                 assert got == full[:first + 1]
                 assert truss_state(t) == before
@@ -267,6 +274,7 @@ class TestStoppedSimulation:
                 outside = [x for x in range(m) if x != e and x not in full]
                 for stop in rng.sample(outside, min(5, len(outside))):
                     assert simulate_followers(t, e, (stop,)) == full
+                    assert_no_queued_edge(t)
                 assert truss_state(t) == before
 
     def test_int_stop_is_refused_before_the_peel(self, k5):
@@ -275,6 +283,7 @@ class TestStoppedSimulation:
         before = truss_state(t)
         with pytest.raises(ContractViolation):
             simulate_followers(t, 0, 3)
+        assert_no_queued_edge(t)
         assert truss_state(t) == before
         assert simulate_followers(t, 0) == t.clone().cascade([0])[1:]
 

@@ -76,6 +76,15 @@ class TestStats:
         assert code == 3
         assert "line 2" in err
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="int() has no digit limit here")
+    def test_label_past_the_digit_limit_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "long.txt"
+        path.write_text("0 1\n1 2\n2 0\n" + "9" * (sys.get_int_max_str_digits() + 1) + " 3\n")
+        code, _, err = run_cli(capsys, "stats", str(path))
+        assert code == 3
+        assert ": line 4: " in err and "Traceback" not in err
+
     def test_undecodable_data_line_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"0 1\n1 2\n\xff\xfe 3\n")

@@ -1,5 +1,6 @@
 import io
 import random
+import sys
 
 import pytest
 
@@ -7,6 +8,7 @@ import oracles
 import synth
 from conftest import complete_pairs, er_pairs, graph_of, path_pairs, support
 from trussmin import ContractViolation, EdgeListParseError, Graph, load_edge_list
+from trussmin.graph import _PLAIN_PAIRS
 
 
 def load(text):
@@ -59,6 +61,19 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListParseError) as exc:
             load(f"0 1\n# comments may say caf\u00e9\n1 {token}\n")
         assert exc.value.line_no == 3
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="int() has no digit limit here")
+    @pytest.mark.parametrize("head, plain", [("0 1\n1 2\n2 0\n", True),
+                                             ("# header\n0 1\n1 2\n", False)])
+    def test_label_past_the_digit_limit_reports_its_line(self, head, plain):
+        # int() refuses it with a ValueError of its own; a plain chunk
+        # meets it in the whole-chunk conversion, the other in the line loop
+        text = head + "1" * (sys.get_int_max_str_digits() + 1) + " 3\n5 6\n"
+        assert bool(_PLAIN_PAIRS.fullmatch(text)) is plain
+        with pytest.raises(EdgeListParseError) as exc:
+            load(text)
+        assert exc.value.line_no == 4
 
     def test_line_order_does_not_matter(self, rng):
         pairs = er_pairs(rng, 12, 0.4)
@@ -175,19 +190,31 @@ def sparse_relabel(rng, pairs):
 class TestTriangleIndex:
     def check_against_oracle(self, pairs):
         g = graph_of(pairs)
-        tris, edge_tris = g.triangle_index()
+        partners = g.triangle_index()
         dense = {lab: i for i, lab in enumerate(g.labels)}
 
         def eid(a, b):
             return g.edge_id(dense[a], dense[b])
 
-        # each oracle triangle a < b < c exactly once, as (e_ab, e_ac, e_bc)
-        expected = [(eid(a, b), eid(a, c), eid(b, c)) for a, b, c in oracles.triangle_list(pairs)]
-        assert sorted(tris) == sorted(expected)
-        assert len(set(tris)) == len(tris)
-        assert len(edge_tris) == g.m
+        # each oracle triangle a < b < c exactly once in each of its three
+        # edges' lists, as the ascending pair of the other two edges
+        oracle_tris = oracles.triangle_list(pairs)
+        expected: list[list[tuple[int, int]]] = [[] for _ in range(g.m)]
+        for a, b, c in oracle_tris:
+            tri = (eid(a, b), eid(a, c), eid(b, c))
+            for e in tri:
+                expected[e].append(tuple(sorted(x for x in tri if x != e)))
+        assert len(partners) == g.m
         for e in range(g.m):
-            assert edge_tris[e] == [t for t, tri in enumerate(tris) if e in tri]
+            assert len(partners[e]) % 2 == 0
+            it = iter(partners[e])
+            got = list(zip(it, it))
+            assert all(x < y for x, y in got)
+            assert sorted(got) == sorted(expected[e])
+            # listed as found: by the triangle's smallest edge, ascending
+            smallest = [min(e, x) for x, _ in got]
+            assert smallest == sorted(smallest)
+        assert g.triangle_count() == len(oracle_tris)
         return g
 
     def test_random_graphs_with_sparse_labels(self, rng):

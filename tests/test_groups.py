@@ -6,7 +6,7 @@ import oracles
 import synth
 from conftest import commit_nested, complete_pairs, er_pairs, graph_of, group_sizes, \
     label_pairs, next_level
-from trussmin import ContractViolation, SupportGroupIndex, build_truss_group_index, \
+from trussmin import ContractViolation, SupportGroupIndex, build_truss_group_index, groups, \
     delete_and_cascade, find_support_groups, followers_of_edge, k_truss, refresh_index, simulate_followers, \
     upper_bound
 from trussmin.cascade import commit_region
@@ -204,6 +204,42 @@ class TestTrussGroupIndex:
                     oracles.truss_group_partition(pairs, k)
 
 
+    def test_a_build_walks_each_alive_triangle_once(self, monkeypatch, rng):
+        # `_grow` reads the touch-set stamp of the two other edges of each
+        # triangle it walks, so counting the reads counts the walks
+        reads = [0]
+
+        class CountingStamp(bytearray):
+            def __getitem__(self, i):
+                reads[0] += 1
+                return super().__getitem__(i)
+
+        class CountingIndex(groups.GroupIndex):
+            def __init__(self, t, upper):
+                super().__init__(t, upper)
+                self.stamp = CountingStamp(t.graph.m)
+
+        monkeypatch.setattr(groups, "GroupIndex", CountingIndex)
+        walked = 0
+        for _ in range(30):
+            g = graph_of(er_pairs(rng, rng.randint(6, 16), rng.uniform(0.4, 0.75)))
+            partners = g.triangle_index()
+            for k in (3, 4, 5):
+                t = k_truss(g, k)
+                upper = next_level(t)
+                reads[0] = 0
+                build_truss_group_index(t, upper)
+                want = set()  # alive triangles holding a trussness-k edge
+                for e in t.alive_edge_ids():
+                    if not upper.alive[e]:
+                        it = iter(partners[e])
+                        want.update(frozenset((e, a, b)) for a, b in zip(it, it)
+                                    if t.alive[a] and t.alive[b])
+                assert reads[0] == 2 * len(want)
+                walked += len(want)
+        assert walked > 100
+
+
 class TestUpperBound:
     def test_k5_bound_dominates_followers(self, k5):
         t, _, idx = nested_index(k5, 5)
@@ -305,7 +341,7 @@ class TestRefreshIndex:
         # form one group.  Deleting a K5 edge drops the rest of the K5 to
         # trussness 4, and through (0, 1) it joins that group.  A region that
         # leaves the group's members out keeps it alive, and the regrowth
-        # through (0, 1) must hit it even though the build walked its triangles.
+        # through (0, 1) must hit it even though the build expanded its members.
         pairs = complete_pairs(4) + [(0, 1), (0, 4), (0, 5), (0, 6), (1, 4), (1, 5),
                                      (1, 6), (4, 5), (4, 6), (5, 6)]
         g = graph_of(pairs)
@@ -327,12 +363,17 @@ class TestRefreshIndex:
         """
         fresh = build_truss_group_index(t, next_level(t))
         assert not any(fresh.stamp) and not any(idx.stamp), context
-        tris, edge_tris = g.triangle_index()
+        partners = g.triangle_index()
+
+        def triangle_edges(e):
+            """The other two edges of each alive triangle of `e`."""
+            it = iter(partners[e])
+            return {o for a, b in zip(it, it) if t.alive[a] and t.alive[b] for o in (a, b)}
+
         for gid, ms in idx.members.items():
             touch = idx.touch[gid]
             assert len(set(touch)) == len(touch), context
-            assert set(touch) == set(ms) | {o for e in ms for ti in edge_tris[e]
-                                            if t.tri_alive[ti] for o in tris[ti]}, context
+            assert set(touch) == set(ms).union(*map(triangle_edges, ms)), context
         assert index_partition_labels(g, idx) == index_partition_labels(g, fresh), context
         assert idx.gid_of == fresh.gid_of, context
         assert idx.members == fresh.members, context

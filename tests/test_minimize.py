@@ -7,8 +7,8 @@ import pytest
 
 import oracles
 import synth
-from conftest import commit_nested, complete_pairs, er_pairs, graph_of, label_pairs, \
-    next_level, oracle_best_single, verify_equivalence
+from conftest import assert_no_queued_edge, commit_nested, complete_pairs, er_pairs, graph_of, \
+    label_pairs, next_level, oracle_best_single, verify_equivalence
 from trussmin import ContractViolation, EnumerationCapExceeded, SolverConfig, \
     build_truss_group_index, delete_and_cascade, find_support_groups, k_truss, \
     simulate_followers, solve, solve_baseline, solve_exact, solve_gp_edge, solve_support, \
@@ -26,6 +26,20 @@ TIE_REGRESSION_PAIRS = [
     (4, 9), (4, 10), (5, 6), (5, 7), (5, 8), (5, 10), (6, 8), (6, 9), (7, 10),
     (8, 9), (8, 10), (9, 10),
 ]
+
+
+@pytest.fixture(autouse=True)
+def no_queued_edge_after_a_commit(monkeypatch):
+    """Every greedy or support commit (`minimize._commit`) leaves `alive` at 0 or 1."""
+    from trussmin import minimize
+    real = minimize._commit
+
+    def commit(t, eid, expected=None):
+        out = real(t, eid, expected)
+        assert_no_queued_edge(t)
+        return out
+
+    monkeypatch.setattr(minimize, "_commit", commit)
 
 
 class TestSolverConfig:
@@ -142,7 +156,7 @@ class TestExact:
     def test_leaves_the_truss_the_joint_deletion_leaves(self, rng):
         def state(t):
             alive = t.alive_edge_ids()
-            return alive, bytes(t.tri_alive), t.edge_count, [t.sup[e] for e in alive]
+            return bytes(t.alive), t.edge_count, [t.sup[e] for e in alive]
 
         checked = 0
         while checked < 60:
@@ -157,8 +171,31 @@ class TestExact:
                         continue
                     before = t.clone()
                     chosen, _ = solve_exact(t, b)
+                    assert_no_queued_edge(t)
                     assert state(t) == state(delete_and_cascade(before, chosen).surviving)
                     checked += 1
+
+    def test_every_subset_is_undone_to_the_truss_it_started_from(self, monkeypatch, rng):
+        from trussmin import minimize
+        real = minimize._undo
+        undone = []
+
+        def undo(t, dead, lowered):
+            real(t, dead, lowered)
+            assert_no_queued_edge(t)
+            assert t.alive == start
+            undone.append(len(dead))
+
+        monkeypatch.setattr(minimize, "_undo", undo)
+        for _ in range(10):
+            g = graph_of(er_pairs(rng, rng.randint(6, 12), rng.uniform(0.4, 0.7)))
+            for k in (3, 4):
+                t = k_truss(g, k)
+                if not 0 < t.edge_count <= 20:
+                    continue
+                start = bytes(t.alive)
+                solve_exact(t, 2)
+        assert len(undone) > 100
 
     def test_cap_refusal(self, rng):
         pairs = er_pairs(rng, 20, 0.6)
@@ -426,6 +463,7 @@ class TestMemoStop:
 
         def sim(t, e, stop=()):
             out = real(t, e, stop)
+            assert_no_queued_edge(t)
             if out and out[-1] in stop:
                 assert e in memo.slots[out[-1]]
                 stops.append(e)
@@ -440,8 +478,9 @@ class TestMemoStop:
                     break
                 rng.shuffle(alive)
                 for e in alive[:rng.randint(1, len(alive))]:
-                    dead, killed, lowered = truss._peel(t, [e])
-                    truss._undo(t, dead, killed, lowered)
+                    dead, lowered = truss._peel(t, [e])
+                    truss._undo(t, dead, lowered)
+                    assert_no_queued_edge(t)
                     want = tuple(sorted(dead)) if len(dead) > 1 else ()
                     known = memo.slots[e] is None and want in memo.shared
                     before = len(stops)
@@ -454,6 +493,7 @@ class TestMemoStop:
                 held = bytes(memo.held)
                 log = []
                 dead = t.cascade(rng.sample(alive, rng.randint(1, 2)), log)
+                assert_no_queued_edge(t)
                 memo.invalidate(commit_region(t, dead, log))
                 assert memo.held == held
         return len(stops)

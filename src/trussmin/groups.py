@@ -12,6 +12,7 @@ groups an edge touches bounds its follower count from above.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .errors import ContractViolation
 from .truss import TrussSubgraph
@@ -64,17 +65,28 @@ def _grow_support_group(t: TrussSubgraph, start: int, gid_of: dict[int, int],
         for a, b in zip(it, it):
             if done[a] or done[b]:
                 continue
-            for o in (a, b):
-                if sup[o] == threshold:
-                    other = gid_of.get(o)
-                    if other is None:
-                        gid_of[o] = start
-                        members.append(o)
-                    elif other != start:
-                        raise AssertionError(
-                            f"support group grown from edge {start} reached group {other}")
-                else:
-                    hit[o] = hit.get(o, 0) + 1
+            # a and b alike, written out twice, as in `truss._peel`: a loop
+            # over (a, b) cost a tuple and a loop step per triangle
+            if sup[a] == threshold:
+                other = gid_of.get(a)
+                if other is None:
+                    gid_of[a] = start
+                    members.append(a)
+                elif other != start:
+                    raise AssertionError(
+                        f"support group grown from edge {start} reached group {other}")
+            else:
+                hit[a] = hit.get(a, 0) + 1
+            if sup[b] == threshold:
+                other = gid_of.get(b)
+                if other is None:
+                    gid_of[b] = start
+                    members.append(b)
+                elif other != start:
+                    raise AssertionError(
+                        f"support group grown from edge {start} reached group {other}")
+            else:
+                hit[b] = hit.get(b, 0) + 1
     members.sort()
     # An over-threshold edge whose slack is exceeded by distinct triangles
     # that each contain a group member must fall with the group.
@@ -91,15 +103,16 @@ def find_support_groups(t: TrussSubgraph) -> tuple[list[SupportGroup], list[int]
     identified as a certain follower of some group.  Everything outside
     that set provably has zero followers.
 
-    This scans the whole truss; it is the from-scratch reference that
-    `SupportGroupIndex` is checked against.
+    This scans the whole truss, taking its starts from the alive edges
+    that `compress` picks out of `t.alive` at C speed; it is the
+    from-scratch reference that `SupportGroupIndex` is checked against.
     """
-    alive, sup, threshold = t.alive, t.sup, t.k - 2
+    sup, threshold = t.sup, t.k - 2
     groups: list[SupportGroup] = []
     gid_of: dict[int, int] = {}
-    done = alive.translate(FLIP)
-    for start in range(t.graph.m):
-        if alive[start] and sup[start] == threshold and start not in gid_of:
+    done = t.alive.translate(FLIP)
+    for start in compress(range(t.graph.m), t.alive):
+        if sup[start] == threshold and start not in gid_of:
             groups.append(_grow_support_group(t, start, gid_of, done))
     over_adjacent: set[int] = set()
     pruned_all: set[int] = set()
@@ -297,16 +310,27 @@ class GroupIndex:
             for a, b in zip(it, it):
                 if done[a] or done[b]:
                     continue
-                for o in (a, b):
-                    if not stamp[o]:
-                        stamp[o] = 1
-                        touch.append(o)
-                    if upper_alive[o]:
-                        continue
-                    other = gid_of[o]
+                # a and b alike, written out twice, as in `truss._peel`: a
+                # loop over (a, b) cost a tuple and a loop step per triangle
+                if not stamp[a]:
+                    stamp[a] = 1
+                    touch.append(a)
+                if not upper_alive[a]:
+                    other = gid_of[a]
                     if other < 0:
-                        gid_of[o] = start
-                        members.append(o)
+                        gid_of[a] = start
+                        members.append(a)
+                    elif other != start:
+                        raise AssertionError(
+                            f"truss group grown from edge {start} reached group {other}")
+                if not stamp[b]:
+                    stamp[b] = 1
+                    touch.append(b)
+                if not upper_alive[b]:
+                    other = gid_of[b]
+                    if other < 0:
+                        gid_of[b] = start
+                        members.append(b)
                     elif other != start:
                         raise AssertionError(
                             f"truss group grown from edge {start} reached group {other}")
@@ -357,12 +381,16 @@ def build_truss_group_index(t: TrussSubgraph, upper: TrussSubgraph) -> GroupInde
     """Index the truss groups of the k-truss `t`, given its (k+1)-truss `upper`.
 
     `upper` is what `minimize._two_level_tau(t)` returns for the current `t`.
+    Both alive arrays hold one 0/1 byte per edge, so one big-int AND-NOT
+    gives a byte per edge that is 1 exactly at trussness k, and `compress`
+    takes the starts from it without a Python step per edge.
     """
     idx = GroupIndex(t, upper)
-    alive, upper_alive, gid_of = t.alive, upper.alive, idx.gid_of
-    done = alive.translate(FLIP)
-    for e in range(t.graph.m):
-        if alive[e] and not upper_alive[e] and gid_of[e] < 0:
+    m, gid_of = t.graph.m, idx.gid_of
+    level = int.from_bytes(t.alive, "little") & ~int.from_bytes(upper.alive, "little")
+    done = t.alive.translate(FLIP)
+    for e in compress(range(m), level.to_bytes(m, "little")):
+        if gid_of[e] < 0:
             idx._grow(e, done)
     idx.moved.clear()
     return idx

@@ -16,7 +16,7 @@ import re
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Optional
 
 from .cascade import commit_region, simulate_followers
@@ -276,7 +276,7 @@ def solve_support(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     # Lazy min-heap of sup * m + e, which orders alive edges by (sup, e).
     # Supports only fall, so an entry is stale exactly when its edge died
     # or has since been pushed again with a lower support.
-    heap = [sup[e] * m + e for e in range(m) if alive[e]]
+    heap = [sup[e] * m + e for e in compress(range(m), alive)]
     heapq.heapify(heap)
     chosen: list[int] = []
     records: list[IterationRecord] = []

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
+from itertools import compress
 from typing import Container, Iterable, Optional
 
 from .errors import ContractViolation
@@ -62,7 +63,8 @@ class TrussSubgraph:
                              list(self.sup), self.edge_count)
 
     def alive_edge_ids(self) -> list[int]:
-        return [e for e in range(self.graph.m) if self.alive[e]]
+        """The alive edge ids, ascending, picked out of `alive` at C speed."""
+        return list(compress(range(self.graph.m), self.alive))
 
     # -- cascade engine ------------------------------------------------------
 
@@ -170,9 +172,9 @@ def peel_to(t: TrussSubgraph, k: int) -> TrussSubgraph:
 
     Every alive edge below k-2 seeds one cascade.
     """
-    alive, sup = t.alive, t.sup
+    sup = t.sup
     t.k = k
-    t.cascade([e for e in range(t.graph.m) if alive[e] and sup[e] < k - 2])
+    t.cascade([e for e in compress(range(t.graph.m), t.alive) if sup[e] < k - 2])
     return t
 
 

@@ -1,0 +1,188 @@
+"""Mutation checks: each mutant of the library must fail the tests listed for it.
+
+Every entry names a file under `src/trussmin`, an exact piece of its text,
+the text to put in its place, and the pytest node ids that must fail once
+it is in.  The old text must occur in the file exactly once, or the
+script fails: a refactor that moves it updates the mutant instead of
+silently skipping it.  The script copies `src/` into a temporary
+directory, applies one mutant at a time, runs that mutant's node ids
+against the copy and reports each node id none of whose tests failed.  A
+run that outlasts `TIMEOUT_S` counts against the tests too: a defect must
+show as a named failure, not as a hang.  A surviving mutant is a gap in
+the tests to close, never a mutant to delete.
+
+pytest does not collect this file, since its name does not match
+`test_*.py`.  It needs only the standard library and pytest.  Run it from
+anywhere:
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 60
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str               # relative to src/trussmin
+    old: str                # must occur exactly once
+    new: str
+    tests: tuple[str, ...]  # node ids, each of which must fail
+
+
+GROUPS, TRUSS, MINIMIZE = "groups.py", "truss.py", "minimize.py"
+SUPPORT_PARTITION = "tests/test_groups.py::TestFindSupportGroups::test_matches_definitional_partition"
+SUPPORT_REACH = ("tests/test_groups.py::TestFindSupportGroups::"
+                 "test_over_adjacent_and_pruned_followers_match_their_definition")
+SUPPORT_RAISE = "tests/test_groups.py::TestFindSupportGroups::test_growth_reaching_another_group_raises"
+TRUSS_PARTITION = "tests/test_groups.py::TestTrussGroupIndex::test_matches_definitional_partition"
+TRUSS_RAISE = "tests/test_groups.py::TestTrussGroupIndex::test_growth_reaching_another_group_raises"
+REFRESH_CHAIN = ("tests/test_groups.py::TestRefreshIndex::"
+                 "test_refresh_equals_rebuild_over_random_deletion_chains")
+CRITERION_9 = "tests/test_acceptance.py::test_criterion_9_support_group_maintenance_matches_scratch"
+MEMO_STOP = "tests/test_minimize.py::TestMemoStop::test_random_graphs"
+HOLDERS = "tests/test_minimize.py::TestMemoStop::test_holders_are_the_slots_holding_the_edge"
+EARLY_STOP_UP = "tests/test_minimize.py::TestEarlyStopCounts::test_counts[up_edge-5-423-117]"
+STOP_INSIDE = "tests/test_cascade.py::TestStoppedSimulation::test_stop_inside_the_dead_set"
+
+MUTANTS = (
+    # the b half of the support-group grower (`groups._grow_support_group`)
+    Mutant("support grower drops b as a member", GROUPS,
+           "other = gid_of.get(b)\n"
+           "                if other is None:\n"
+           "                    gid_of[b] = start\n"
+           "                    members.append(b)\n",
+           "other = gid_of.get(b)\n"
+           "                if other is None:\n"
+           "                    gid_of[b] = start\n",
+           (SUPPORT_PARTITION, CRITERION_9)),
+    Mutant("support grower never counts b's triangles", GROUPS,
+           "hit[b] = hit.get(b, 0) + 1", "hit[b] = hit.get(b, 0)",
+           (SUPPORT_REACH,)),
+    Mutant("support grower lets b cross into another group", GROUPS,
+           "members.append(b)\n"
+           "                elif other != start:",
+           "members.append(b)\n"
+           "                elif False:",
+           (SUPPORT_RAISE,)),
+    # the b half of the truss-group grower (`groups.GroupIndex._grow`)
+    Mutant("truss grower leaves b out of the touch set", GROUPS,
+           "touch.append(b)", "pass",
+           (REFRESH_CHAIN,)),
+    Mutant("truss grower drops b as a member", GROUPS,
+           "other = gid_of[b]\n"
+           "                    if other < 0:\n"
+           "                        gid_of[b] = start\n"
+           "                        members.append(b)\n",
+           "other = gid_of[b]\n"
+           "                    if other < 0:\n"
+           "                        gid_of[b] = start\n",
+           (TRUSS_PARTITION, REFRESH_CHAIN)),
+    Mutant("truss grower lets b cross into another group", GROUPS,
+           "members.append(b)\n"
+           "                    elif other != start:",
+           "members.append(b)\n"
+           "                    elif False:",
+           (TRUSS_RAISE,)),
+    # the whole-truss sweeps
+    Mutant("truss groups start from every alive edge", GROUPS,
+           'compress(range(m), level.to_bytes(m, "little"))',
+           "compress(range(m), t.alive)",
+           (TRUSS_PARTITION, REFRESH_CHAIN)),
+    Mutant("support groups start from every alive edge", GROUPS,
+           "if sup[start] == threshold and start not in gid_of:",
+           "if start not in gid_of:",
+           (SUPPORT_PARTITION, CRITERION_9)),
+    # the peel: an edge already queued (alive byte 2) loses support again
+    Mutant("peel decrements queued edges", TRUSS,
+           "if alive[a] == 1:", "if alive[a]:",
+           (CRITERION_9, "tests/test_truss.py::TestKTruss::test_matches_oracle_on_random_graphs")),
+    # the memo's early stop (`minimize.DeadSetMemo`, `truss._peel`)
+    Mutant("holders hold every edge", MINIMIZE,
+           "        i = bisect_left(dead_set, self.e)\n"
+           "        return i < len(dead_set) and dead_set[i] == self.e\n",
+           "        return True\n",
+           (HOLDERS, MEMO_STOP)),
+    Mutant("held is never set", MINIMIZE,
+           "held[x] = 1", "pass",
+           (MEMO_STOP, EARLY_STOP_UP)),
+    Mutant("memo stops without asking the holder", MINIMIZE,
+           "if fl and fl[-1] in stop:", "if fl and stop:",
+           (MEMO_STOP,)),
+    Mutant("stopped peel drops its last decrement", TRUSS,
+           "if a in stop:\n"
+           "                        return dead, lowered\n",
+           "if a in stop:\n"
+           "                        return dead, lowered[:-1]\n",
+           (STOP_INSIDE, MEMO_STOP)),
+)
+
+
+def failed_nodes(output: str) -> list[str]:
+    """Node ids of the FAILED and ERROR lines of a `-rfE` summary."""
+    out = []
+    for line in output.splitlines():
+        head, _, rest = line.partition(" ")
+        if head in ("FAILED", "ERROR"):
+            out.append(rest.split(" - ", 1)[0])
+    return out
+
+
+def check(mutant: Mutant, src: Path) -> list[str]:
+    """Apply `mutant` to the copy `src`, run its tests, restore; returns the problems."""
+    path = src / "trussmin" / mutant.path
+    original = path.read_text()
+    count = original.count(mutant.old)
+    if count != 1:
+        return [f"its old text occurs {count} times in {mutant.path}, not once"]
+    path.write_text(original.replace(mutant.old, mutant.new))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+             *mutant.tests],
+            # no bytecode cache: a mutant written within the second of the
+            # previous one, at the same size, would pass its stale check
+            cwd=ROOT, env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+            capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return [f"its tests ran past {TIMEOUT_S} s"]
+    finally:
+        path.write_text(original)
+    if proc.returncode not in (0, 1):
+        return [f"pytest exited with {proc.returncode}:\n{proc.stdout}{proc.stderr}"]
+    failed = failed_nodes(proc.stdout)
+    return [f"survives {node}" for node in mutant.tests
+            if not any(f == node or f.startswith((node + "::", node + "["))
+                       for f in failed)]
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        for mutant in MUTANTS:
+            start = time.perf_counter()
+            problems = check(mutant, src)
+            status = "SURVIVED" if problems else "killed"
+            print(f"{status:8} {mutant.name} ({time.perf_counter() - start:.1f} s)")
+            for p in problems:
+                print(f"         {p}")
+            bad += bool(problems)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

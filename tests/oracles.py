@@ -201,3 +201,26 @@ def truss_group_partition(pairs, k):
         seen |= comp
         parts.append(frozenset(comp))
     return set(parts)
+
+
+def support_group_reach(truss_pairs, k, members):
+    """(over-adjacent, pruned) edges of one support group, by definition.
+
+    Over-adjacent: every over-threshold edge of the truss (support above
+    k-2) in a triangle of the truss that holds a member.  Pruned: each of
+    those whose count of distinct such triangles exceeds its slack, its
+    support minus k-2.
+    """
+    edges = canon(truss_pairs)
+    sup = supports(edges)
+    members = canon(members)
+    shared = {}
+    for a, b, c in triangle_list(edges):
+        tri_edges = [(a, b), (a, c), (b, c)]
+        if members.isdisjoint(tri_edges):
+            continue
+        for e in tri_edges:
+            if sup[e] > k - 2:
+                shared[e] = shared.get(e, 0) + 1
+    pruned = {e for e, n in shared.items() if n > sup[e] - (k - 2)}
+    return set(shared), pruned

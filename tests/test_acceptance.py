@@ -13,8 +13,8 @@ import pytest
 
 import oracles
 import synth
-from conftest import commit_nested, complete_pairs, er_pairs, graph_of, label_pairs, \
-    next_level, verify_equivalence
+from conftest import assert_no_queued_edge, commit_nested, complete_pairs, er_pairs, \
+    graph_of, label_pairs, next_level, verify_equivalence
 from trussmin import SolverConfig, SupportGroupIndex, build_truss_group_index, \
     delete_and_cascade, find_support_groups, followers_of_edge, k_truss, \
     refresh_index, simulate_followers, solve, truss_decompose, \
@@ -308,6 +308,10 @@ def test_criterion_9_support_group_maintenance_matches_scratch():
                 seeds = rng.sample(alive, min(len(alive), rng.choice((1, 1, 2))))
                 log = []
                 dead = t.cascade(seeds, log)
+                # a broken peel fails here, not in a loop that never empties the truss
+                assert t.edge_count == t.alive.count(1), \
+                    f"k={k}, after deleting {label_pairs(g, seeds)} from {pairs}"
+                assert_no_queued_edge(t)
                 index.update(commit_region(t, dead, log))
                 groups, candidates = find_support_groups(t)
                 assert index.groups() == groups, \

@@ -5,7 +5,7 @@ import pytest
 import oracles
 import synth
 from conftest import commit_nested, complete_pairs, er_pairs, graph_of, group_sizes, \
-    label_pairs, next_level
+    label_pairs, next_level, random_trusses
 from trussmin import ContractViolation, SupportGroupIndex, build_truss_group_index, groups, \
     delete_and_cascade, find_support_groups, followers_of_edge, k_truss, refresh_index, simulate_followers, \
     upper_bound
@@ -121,6 +121,34 @@ class TestFindSupportGroups:
                         checked += 1
         assert checked > 0, "search never produced a pruned follower"
 
+    def test_over_adjacent_and_pruned_followers_match_their_definition(self, rng):
+        # soundness alone (above) misses a grower that undercounts the
+        # triangles an over-threshold edge shares with the group
+        pruned = 0
+        for g, k, t in random_trusses(rng, 60):
+            truss_pairs = label_pairs(g, t.alive_edge_ids())
+            for grp in find_support_groups(t)[0]:
+                over, want_pruned = oracles.support_group_reach(
+                    truss_pairs, k, label_pairs(g, grp.members))
+                assert len(set(grp.over_adjacent)) == len(grp.over_adjacent)
+                assert label_pairs(g, grp.over_adjacent) == over, (k, grp.members)
+                assert label_pairs(g, grp.pruned_followers) == want_pruned, (k, grp.members)
+                pruned += len(want_pruned)
+        assert pruned > 0, "search never produced a pruned follower"
+
+    def test_growth_reaching_another_group_raises(self, rng):
+        # each member in turn is handed to another group; the growth from
+        # the representative must stop there, at either edge of its pair
+        checked = 0
+        for _, _, t in random_trusses(rng, 80):
+            for grp in find_support_groups(t)[0]:
+                for x in grp.members[1:]:
+                    with pytest.raises(AssertionError, match="reached group"):
+                        groups._grow_support_group(t, grp.representative, {x: x},
+                                                   t.alive.translate(groups.FLIP))
+                    checked += 1
+        assert checked > 100
+
     def test_group_members_share_one_follower_count(self, rng):
         for _ in range(25):
             pairs = er_pairs(rng, rng.randint(5, 15), rng.uniform(0.3, 0.6))
@@ -203,6 +231,20 @@ class TestTrussGroupIndex:
                 assert index_partition_labels(g, idx) == \
                     oracles.truss_group_partition(pairs, k)
 
+    def test_growth_reaching_another_group_raises(self, rng):
+        # as for support groups: each member in turn is handed to another
+        # group, and the growth from the group's id must stop there
+        checked = 0
+        for _, _, t in random_trusses(rng, 40):
+            upper = next_level(t)
+            for gid, members in build_truss_group_index(t, upper).members.items():
+                for x in members[1:]:
+                    idx = groups.GroupIndex(t, upper)
+                    idx.gid_of[x] = x
+                    with pytest.raises(AssertionError, match="reached group"):
+                        idx._grow(gid, t.alive.translate(groups.FLIP))
+                    checked += 1
+        assert checked > 100
 
     def test_a_build_walks_each_alive_triangle_once(self, monkeypatch, rng):
         # `_grow` reads the touch-set stamp of the two other edges of each

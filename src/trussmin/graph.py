@@ -10,8 +10,10 @@ every per-edge map in the library is an array indexed by that edge id.
 from __future__ import annotations
 
 import re
-from itertools import chain, compress, islice, repeat
-from operator import floordiv, mod, ne
+from array import array
+from bisect import bisect_left
+from itertools import chain, compress, islice
+from operator import ne
 from typing import IO, Iterable, Optional
 
 from .errors import ContractViolation, EdgeListParseError
@@ -20,10 +22,9 @@ from .errors import ContractViolation, EdgeListParseError
 class Graph:
     """Undirected simple graph, immutable after construction.
 
-    `higher[u]` maps each neighbour w > u to the id of edge (u, w); it is
-    the only edge lookup table, and the forward lists the triangle index
-    intersects.  Built through `from_pairs` or `load_edge_list`, every
-    vertex id is one int object, shared by `edges` and the keys of `higher`.
+    `keys[e]` is u*n + v for edge e = (u, v), u < v: one sorted `array('q')`
+    and the graph's only per-edge table.  `endpoints` reads an edge back
+    with one `divmod`, and `_lookup` bisects the keys.
 
     A graph caches values derived from it alone: its triangle index
     (`triangle_index`, each edge's partner edges) and its last two peeled
@@ -31,20 +32,12 @@ class Graph:
     alive edges and supports.
     """
 
-    __slots__ = ("n", "higher", "edges", "labels", "_tri_cache", "_truss_cache")
+    __slots__ = ("n", "keys", "labels", "_tri_cache", "_truss_cache")
 
-    def __init__(self, n: int, edges: list[tuple[int, int]], labels: list[int]):
-        """`edges` must be canonical (u < v), distinct and sorted.
-
-        Self-loops and duplicates are dropped before this, in `_build`.
-        """
+    def __init__(self, n: int, keys: array, labels: list[int]):
         self.n = n
         self.labels = labels
-        self.edges = edges
-        higher: list[dict[int, int]] = [{} for _ in range(n)]
-        for eid, (u, v) in enumerate(edges):
-            higher[u][v] = eid
-        self.higher = higher
+        self.keys = keys
         self._tri_cache: Optional[list[list[int]]] = None
         # k -> frozen k-truss, kept by `truss.k_truss`
         self._truss_cache: dict[int, tuple] = {}
@@ -79,25 +72,20 @@ class Graph:
             flat = [x for a, b in zip(pairs, pairs) if a != b for x in (a, b)]
         labels = sorted(set(flat))
         n = len(labels)
-        verts = list(range(n))
-        ids = map(dict(zip(labels, verts)).__getitem__, flat)
+        ids = map(dict(zip(labels, range(n))).__getitem__, flat)
         keys = [u * n + v if u < v else v * n + u for u, v in zip(ids, ids)]
         keys.sort()
-        keys = list(compress(keys, chain((True,), map(ne, islice(keys, 1, None), keys))))
-        # the endpoints come out of `verts`, so each vertex is one int object
-        # and `higher` shares it as a key
-        vert = verts.__getitem__
-        edges = list(zip(map(vert, map(floordiv, keys, repeat(n))),
-                         map(vert, map(mod, keys, repeat(n)))))
-        return cls(n, edges, labels)
+        keys = array("q", compress(keys, chain((True,), map(ne, islice(keys, 1, None), keys))))
+        return cls(n, keys, labels)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.keys)
 
     # -- lookups -----------------------------------------------------------
 
     def _lookup(self, u: int, v: int) -> Optional[int]:
+        """Id of edge (u, v), or None; the key of (min, max) bisected in `keys`."""
         for x in (u, v):
             # a bool would pass for vertex 0 or 1, and a float or str
             # would escape as a raw TypeError
@@ -105,10 +93,12 @@ class Graph:
                 raise ContractViolation(f"vertex {x!r} is not an int vertex id")
         if u > v:
             u, v = v, u
-        # A negative index would silently wrap, so bound u explicitly; the
-        # dict rejects v == u and v >= n.
-        if 0 <= u < self.n:
-            return self.higher[u].get(v)
+        # out of this range u*n + v can be another edge's key: (0, n + 2) has (1, 2)'s
+        if 0 <= u < v < self.n:
+            key, keys = u * self.n + v, self.keys
+            eid = bisect_left(keys, key)
+            if eid < len(keys) and keys[eid] == key:
+                return eid
         return None
 
     def edge_id(self, u: int, v: int) -> int:
@@ -141,13 +131,17 @@ class Graph:
         """
         if not isinstance(e, int):
             return self.edge_id(*self._pair(e))
-        if isinstance(e, bool) or not 0 <= e < len(self.edges):
-            raise ContractViolation(f"edge id {e!r} is not in 0..{len(self.edges) - 1}")
+        if isinstance(e, bool) or not 0 <= e < len(self.keys):
+            raise ContractViolation(f"edge id {e!r} is not in 0..{len(self.keys) - 1}")
         return e
+
+    def endpoints(self, eid: int) -> tuple[int, int]:
+        """The dense vertices (u, v), u < v, of an edge."""
+        return divmod(self.keys[eid], self.n)
 
     def original_pair(self, eid: int) -> tuple[int, int]:
         """Endpoints of an edge in the labels of the input file."""
-        u, v = self.edges[eid]
+        u, v = self.endpoints(eid)
         return (self.labels[u], self.labels[v])
 
     # -- triangle primitives ------------------------------------------------
@@ -159,29 +153,37 @@ class Graph:
         e as the ascending pair (a, b) of its other two edges, read as
         `it = iter(partners[e]); zip(it, it)`.  A triangle u < v < w has
         edges e_uv < e_uw < e_vw and is found once, from its smallest edge
-        (u, v), by intersecting the forward maps of u and v; every edge's
-        pairs come in the order their triangles are found.  There are no
-        triangle ids: in a truss a triangle is alive exactly when its three
-        edges are.  Cached; the graph is immutable so it never goes stale.
+        (u, v), by intersecting the forward maps `higher[u]` and `higher[v]`
+        (`higher[x]`: neighbour w > x -> id of (x, w)), local to this call.
+        Edges are walked in ascending id, and every edge's pairs come in the
+        order their triangles are found.  There are no triangle ids: in a
+        truss a triangle is alive exactly when its three edges are.  Cached.
         """
         if self._tri_cache is None:
-            partners: list[list[int]] = [[] for _ in range(len(self.edges))]
-            higher = self.higher
-            for e_uv, (u, v) in enumerate(self.edges):
-                hu = higher[u]
-                hv = higher[v]
-                p = partners[e_uv]
-                for w in hu.keys() & hv.keys():
-                    e_uw = hu[w]
-                    e_vw = hv[w]
-                    p.append(e_uw)
-                    p.append(e_vw)
-                    q = partners[e_uw]
-                    q.append(e_uv)
-                    q.append(e_vw)
-                    q = partners[e_vw]
-                    q.append(e_uv)
-                    q.append(e_uw)
+            n = self.n
+            verts = list(range(n))
+            higher: list[dict[int, int]] = [{} for _ in verts]
+            # keys come from `verts`, so divmod's own ints die at once and the
+            # edge ids kept in `partners` sit side by side in memory
+            for eid, key in enumerate(self.keys):
+                u, v = divmod(key, n)
+                higher[u][verts[v]] = eid
+            partners: list[list[int]] = [[] for _ in range(len(self.keys))]
+            for hu in higher:
+                for v, e_uv in hu.items():
+                    hv = higher[v]
+                    p = partners[e_uv]
+                    for w in hu.keys() & hv.keys():
+                        e_uw = hu[w]
+                        e_vw = hv[w]
+                        p.append(e_uw)
+                        p.append(e_vw)
+                        q = partners[e_uw]
+                        q.append(e_uv)
+                        q.append(e_vw)
+                        q = partners[e_vw]
+                        q.append(e_uv)
+                        q.append(e_uw)
             self._tri_cache = partners
         return self._tri_cache
 
@@ -212,8 +214,7 @@ def load_edge_list(stream: IO[str]) -> Graph:
     chunk of plain "label label" lines is converted whole; any other chunk,
     or one whose conversion fails (a label past `int()`'s digit limit),
     goes through the per-line rules of `_parse_lines`.  The labels feed
-    `Graph._build`, which drops the self-loops and gives each vertex one
-    int object.
+    `Graph._build`, which drops the self-loops.
     """
     flat: list[int] = []
     line_no = 0

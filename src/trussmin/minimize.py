@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import re
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
@@ -219,9 +218,9 @@ def _choose_from_ties(t: TrussSubgraph, best_f: int, ties: list[int],
 
     A tying group representative stands for its whole group and for the
     over-threshold edges the group certainly drags down; all of those tie
-    it exactly, so they join the pool.  When nothing has followers, or
-    there were no candidates at all, the smallest alive edge is chosen,
-    matching the unpruned reference scan.
+    it exactly.  It is the group's smallest member, so only the edges it
+    drags down join the pool.  When nothing has followers, or there are no
+    candidates, the smallest alive edge is chosen, as the reference scan does.
     """
     if best_f <= 0:
         e = t.alive.find(1)
@@ -233,7 +232,6 @@ def _choose_from_ties(t: TrussSubgraph, best_f: int, ties: list[int],
         pool.append(c)
         grp = rep_group.get(c)
         if grp is not None:
-            pool.extend(grp.members)
             pool.extend(grp.pruned_followers)
     return min(pool)
 
@@ -516,10 +514,10 @@ def _two_level_tau(t: TrussSubgraph) -> TrussSubgraph:
     """
     upper = k_truss(t.graph, t.k + 1)
     # Both alive arrays hold one 0/1 byte per edge, so one big-int AND-NOT
-    # marks the edges dead in `t` that `upper` still holds, and a byte
-    # search finds them without a Python step per edge.
+    # marks the edges dead in `t` that `upper` still holds, and `compress`
+    # takes them without a Python step per edge.
     lost = int.from_bytes(upper.alive, "little") & ~int.from_bytes(t.alive, "little")
-    upper.cascade(x.start() for x in re.finditer(b"\x01", lost.to_bytes(t.graph.m, "little")))
+    upper.cascade(compress(range(t.graph.m), lost.to_bytes(t.graph.m, "little")))
     return upper
 
 

@@ -46,8 +46,13 @@ def random_trusses(rng, count, ks=range(3, 8)):
 
 # -- reference helpers over the package's own types --------------------------
 
+def edge_pairs(g: Graph) -> list[tuple[int, int]]:
+    """Every edge's dense endpoints (u, v), u < v, in edge-id order."""
+    return list(map(g.endpoints, range(g.m)))
+
+
 def neighbours(g: Graph, u: int) -> set[int]:
-    return set(g.higher[u]).union(a for a, b in g.edges if b == u)
+    return {a if b == u else b for a, b in edge_pairs(g) if u in (a, b)}
 
 
 def support(g: Graph, u: int, v: int, alive=None) -> int:

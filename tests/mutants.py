@@ -41,7 +41,7 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # node ids, each of which must fail
 
 
-GROUPS, TRUSS, MINIMIZE = "groups.py", "truss.py", "minimize.py"
+GRAPH, GROUPS, TRUSS, MINIMIZE = "graph.py", "groups.py", "truss.py", "minimize.py"
 SUPPORT_PARTITION = "tests/test_groups.py::TestFindSupportGroups::test_matches_definitional_partition"
 SUPPORT_REACH = ("tests/test_groups.py::TestFindSupportGroups::"
                  "test_over_adjacent_and_pruned_followers_match_their_definition")
@@ -57,6 +57,16 @@ EARLY_STOP_UP = "tests/test_minimize.py::TestEarlyStopCounts::test_counts[up_edg
 STOP_INSIDE = "tests/test_cascade.py::TestStoppedSimulation::test_stop_inside_the_dead_set"
 
 MUTANTS = (
+    # the key layout (`graph.Graph`): with v >= n, u*n + v is another edge's key
+    Mutant("lookup forms keys for v >= n", GRAPH,
+           "if 0 <= u < v < self.n:", "if 0 <= u < v:",
+           ("tests/test_graph.py::TestEdgeLookup::test_edge_id_rejects_and_has_edge_denies[0-7]",
+            "tests/test_graph.py::TestEdgeLookup::test_every_pair_around_the_vertex_range")),
+    # each edge's partner pairs come in ascending order of the smallest edge
+    Mutant("triangle build walks the vertices in descending order", GRAPH,
+           "for hu in higher:", "for hu in reversed(higher):",
+           ("tests/test_graph.py::TestTriangleIndex::test_random_graphs_with_sparse_labels",
+            "tests/test_graph.py::TestTriangleIndex::test_empty_path_and_k5[pairs2-10]")),
     # the b half of the support-group grower (`groups._grow_support_group`)
     Mutant("support grower drops b as a member", GROUPS,
            "other = gid_of.get(b)\n"

@@ -165,7 +165,7 @@ def test_criterion_5_incremental_maintenance_matches_scratch():
             for record in rep.iterations:
                 eid = record.eid
                 remaining.discard(g.original_pair(eid))
-                tau, _ = update_after_deletion(g, tau, g.edges[eid])
+                tau, _ = update_after_deletion(g, tau, g.endpoints(eid))
                 expected = oracles.trussness(remaining)
                 for e in range(g.m):
                     if tau.alive[e]:

@@ -42,7 +42,7 @@ class TestDeleteAndCascade:
         pairs = complete_pairs(5) + [(4, 9)]
         g = graph_of(pairs)
         t = k_truss(g, 5)
-        pendant = g.edges[g.m - 1]           # dense endpoints of labels (4, 9)
+        pendant = g.endpoints(g.m - 1)  # dense endpoints of labels (4, 9)
         assert g.original_pair(g.edge_id(*pendant)) == (4, 9)
         out = delete_and_cascade(t, [pendant, (990, 991)])
         assert out.deleted == set()
@@ -67,7 +67,7 @@ class TestDeleteAndCascade:
                 + out.surviving.edge_count
             # survivors meet the support constraint
             for e in out.surviving.alive_edge_ids():
-                u, v = g.edges[e]
+                u, v = g.endpoints(e)
                 assert support(g, u, v, out.surviving.alive) >= k - 2
 
     def test_matches_scratch_recompute(self, rng):

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 import synth
-from conftest import complete_pairs, er_pairs, graph_of, path_pairs, support
+from conftest import complete_pairs, edge_pairs, er_pairs, graph_of, path_pairs, support
 from trussmin import ContractViolation, EdgeListParseError, Graph, load_edge_list
 from trussmin.graph import _PLAIN_PAIRS
 
@@ -83,7 +83,7 @@ class TestLoadEdgeList:
             rng.shuffle(lines)
             g = load("\n".join(lines))
             assert g.labels == base.labels
-            assert g.edges == base.edges
+            assert edge_pairs(g) == edge_pairs(base)
 
     def test_sparse_labels_are_relabeled_densely(self):
         g = load("100 7\n7 42\n")
@@ -92,7 +92,7 @@ class TestLoadEdgeList:
         assert {g.original_pair(e) for e in range(g.m)} == {(7, 42), (7, 100)}
 
 
-    def test_file_gives_the_graph_of_its_pairs_with_one_int_per_vertex(self, tmp_path):
+    def test_file_gives_the_graph_of_its_pairs(self, tmp_path):
         pairs = synth.community_pairs(42, 30)
         path = tmp_path / "s30.txt"
         path.write_text("".join(f"{u} {v}\n" for u, v in pairs))
@@ -100,17 +100,8 @@ class TestLoadEdgeList:
             g = load_edge_list(fh)
         base = Graph.from_pairs(pairs)
         assert g.labels == base.labels
-        assert g.edges == base.edges
-        assert g.higher == base.higher
+        assert g.keys == base.keys
         assert g.triangle_index() == base.triangle_index()
-        for h in (g, base):
-            vertex = {}
-            for e in h.edges:
-                for x in e:
-                    assert vertex.setdefault(x, x) is x
-            for hu in h.higher:
-                for w, eid in hu.items():
-                    assert w is h.edges[eid][1]
 
 
 class TestFromPairs:
@@ -127,14 +118,14 @@ class TestFromPairs:
     def test_a_vertex_only_on_self_loops_is_dropped(self):
         g = Graph.from_pairs([(5, 5), (9, 9), (3, 1), (1, 3), (3, 9), (5, 5)])
         assert g.labels == [1, 3, 9]
-        assert g.edges == [(0, 1), (1, 2)]
+        assert edge_pairs(g) == [(0, 1), (1, 2)]
         assert Graph.from_pairs([(4, 4)]).labels == []
 
 
 class TestSupport:
     def test_k5_full(self, k5):
         all_alive = bytearray(b"\x01" * k5.m)
-        for u, v in k5.edges:
+        for u, v in edge_pairs(k5):
             assert support(k5, u, v, all_alive) == 3
 
     def test_k4_minus_edge(self, k4):
@@ -167,7 +158,7 @@ class TestInvariants:
             if not pairs:
                 continue
             g = graph_of(pairs)
-            total = sum(support(g, u, v) for u, v in g.edges)
+            total = sum(support(g, u, v) for u, v in edge_pairs(g))
             assert total == 3 * g.triangle_count()
             assert g.triangle_count() == len(oracles.triangle_list(pairs))
 
@@ -175,7 +166,7 @@ class TestInvariants:
         pairs = er_pairs(rng, 14, 0.5)
         g = graph_of(pairs)
         sup = oracles.supports(pairs)
-        for u, v in g.edges:
+        for u, v in edge_pairs(g):
             lu, lv = g.labels[u], g.labels[v]
             assert support(g, u, v) == support(g, v, u) == sup[(lu, lv)]
 
@@ -229,10 +220,11 @@ class TestTriangleIndex:
 
 
 class TestEdgeLookup:
-    # path 0-1-2-3-4: n = 5; index -5 would wrap to vertex 0, which has edge (0, 1)
+    # path 0-1-2-3-4: n = 5; no pair outside 0 <= u < v < 5 is an edge
     @pytest.mark.parametrize("u, v", [
         (-1, 0), (0, -1), (-5, 1), (1, -5), (-4, -5),  # negative
         (4, 5), (5, 4), (5, 6), (0, 9),                 # >= n
+        (0, 7),                                         # >= n; key 0*5 + 7 is edge (1, 2)'s
         (0, 2), (1, 3), (2, 2),                          # in range, not an edge
     ])
     def test_edge_id_rejects_and_has_edge_denies(self, u, v):
@@ -241,9 +233,23 @@ class TestEdgeLookup:
             g.edge_id(u, v)
         assert g.has_edge(u, v) is False
 
+    def test_every_pair_around_the_vertex_range(self, rng):
+        # every (u, v) with u, v in -2..n+2, so that u*n + v meets the keys
+        # of real edges from out-of-range pairs too
+        for _ in range(30):
+            pairs = er_pairs(rng, rng.randint(2, 10), rng.uniform(0.2, 0.8))
+            g = graph_of(pairs)
+            n, dense = g.n, {lab: i for i, lab in enumerate(g.labels)}
+            edges = {(dense[a], dense[b]) for a, b in pairs}
+            for u in range(-2, n + 3):
+                for v in range(-2, n + 3):
+                    assert g.has_edge(u, v) is ((min(u, v), max(u, v)) in edges)
+            for e in range(g.m):
+                assert g.edge_id(*g.endpoints(e)) == e
+
     def test_reversed_endpoints_resolve_to_the_same_id(self, rng):
         g = graph_of(er_pairs(rng, 12, 0.5))
-        for e, (u, v) in enumerate(g.edges):
+        for e, (u, v) in enumerate(edge_pairs(g)):
             assert g.edge_id(u, v) == g.edge_id(v, u) == e
             assert g.has_edge(u, v) and g.has_edge(v, u)
 
@@ -252,5 +258,4 @@ class TestEdgeLookup:
         g = Graph.from_pairs((b, a) for a, b in pairs)
         base = graph_of(pairs)
         assert g.labels == base.labels
-        assert g.edges == base.edges
-        assert g.higher == base.higher
+        assert g.keys == base.keys

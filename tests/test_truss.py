@@ -36,7 +36,7 @@ class TestKTruss:
         pairs = complete_pairs(4) + [(3, 9)]
         g = graph_of(pairs)
         t = k_truss(g, 4)
-        nodes = {g.labels[v] for e in t.alive_edge_ids() for v in g.edges[e]}
+        nodes = {g.labels[v] for e in t.alive_edge_ids() for v in g.endpoints(e)}
         assert nodes == {0, 1, 2, 3}
 
     def test_matches_oracle_on_random_graphs(self, rng):
@@ -58,7 +58,7 @@ class TestKTruss:
             # no edge is left queued (2) by the peel
             assert set(t.alive) <= {0, 1}
             for e in t.alive_edge_ids():
-                u, v = g.edges[e]
+                u, v = g.endpoints(e)
                 assert t.sup[e] == support(g, u, v, t.alive)
                 # a triangle is alive exactly when all three of its edges are
                 it = iter(partners[e])
@@ -75,7 +75,7 @@ class TestKTruss:
                 t = k_truss(g, k)
                 deg = {}
                 for e in t.alive_edge_ids():
-                    u, v = g.edges[e]
+                    u, v = g.endpoints(e)
                     deg[u] = deg.get(u, 0) + 1
                     deg[v] = deg.get(v, 0) + 1
                 assert all(d >= k - 1 for d in deg.values())
@@ -188,7 +188,7 @@ class TestUpdateAfterDeletion:
             tau = truss_decompose(g)
             eid = rng.randrange(g.m)
             lu, lv = g.original_pair(eid)
-            new_tau, changed = update_after_deletion(g, tau, g.edges[eid])
+            new_tau, changed = update_after_deletion(g, tau, g.endpoints(eid))
             reduced = [p for p in {g.original_pair(e) for e in range(g.m)}
                        if p != (lu, lv)]
             expected = oracles.trussness(reduced)
@@ -215,7 +215,7 @@ class TestUpdateAfterDeletion:
         for eid in deletable[:6]:
             remaining.discard(g.original_pair(eid))
             prev = tau
-            tau, changed = update_after_deletion(g, tau, g.edges[eid])
+            tau, changed = update_after_deletion(g, tau, g.endpoints(eid))
             expected = oracles.trussness(remaining)
             for e in range(g.m):
                 if tau.alive[e]:
@@ -318,12 +318,12 @@ class TestTrussCache:
     def test_decomposition_neither_fills_nor_evicts(self, rng):
         for g, k in cold_trusses(rng, 20):
             tau = truss_decompose(g)
-            update_after_deletion(g, tau, g.edges[rng.randrange(g.m)])
+            update_after_deletion(g, tau, g.endpoints(rng.randrange(g.m)))
             assert g._truss_cache == {}
             k_truss(g, k)
             k_truss(g, k + 1)
             levels = dict(g._truss_cache)
             tau = truss_decompose(g)
-            update_after_deletion(g, tau, g.edges[rng.randrange(g.m)])
+            update_after_deletion(g, tau, g.endpoints(rng.randrange(g.m)))
             assert g._truss_cache.keys() == levels.keys()
             assert all(g._truss_cache[j] is levels[j] for j in levels)

@@ -17,7 +17,8 @@ import io
 import json
 import sys
 import time
-from typing import Optional
+from itertools import compress
+from typing import Iterable, Iterator, Optional
 
 from .errors import EdgeListParseError, EnumerationCapExceeded
 from .graph import Graph, load_edge_list
@@ -97,10 +98,23 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def _labelled(g: Graph, keys: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The input-label endpoints of each edge key, in the order given.
+
+    Edge ids run in lexicographic order of dense vertex ids, and those run
+    in the order of the sorted labels, so keys taken in id order give rows
+    already sorted by label pair.
+    """
+    n, labels = g.n, g.labels
+    for key in keys:
+        u, v = divmod(key, n)
+        yield labels[u], labels[v]
+
+
 def cmd_truss(args) -> int:
     g = _load(args.input)
     t = k_truss(g, args.k)
-    pairs = sorted(g.original_pair(e) for e in t.alive_edge_ids())
+    pairs = _labelled(g, compress(g.keys, t.alive))
     _emit("".join(f"{u} {v}\n" for u, v in pairs), args.output)
     return EXIT_OK
 
@@ -108,7 +122,7 @@ def cmd_truss(args) -> int:
 def cmd_decompose(args) -> int:
     g = _load(args.input)
     tau = truss_decompose(g)
-    rows = sorted((g.original_pair(e), tau.values[e]) for e in range(g.m))
+    rows = zip(_labelled(g, g.keys), tau.values)
     _emit("".join(f"{u} {v} {val}\n" for (u, v), val in rows), args.output)
     return EXIT_OK
 

@@ -293,9 +293,15 @@ class GroupIndex:
         marked edge is skipped: it is a dead triangle, or one walked from
         that member already.  An alive triangle holding a trussness-k edge
         belongs to exactly one group, so each is walked once, and skipping
-        it loses nothing.  Meeting an edge that `gid_of` already gives to
-        another group means that group should have been dissolved first,
-        an internal error.
+        it loses nothing.
+
+        Membership is decided at an edge's first touch, when `stamp` marks
+        it: a trussness-k edge joins there, so a stamped edge is already
+        in the touch set and, at trussness k, already a member.  The check
+        runs once per touched edge, not once per walked triangle.  An edge
+        met untouched that `gid_of` already gives to a group belongs to
+        another group, which should have been dissolved first: an
+        internal error.
         """
         partners = self.t.graph.triangle_index()
         upper_alive = self.upper.alive
@@ -315,25 +321,25 @@ class GroupIndex:
                 if not stamp[a]:
                     stamp[a] = 1
                     touch.append(a)
-                if not upper_alive[a]:
-                    other = gid_of[a]
-                    if other < 0:
-                        gid_of[a] = start
-                        members.append(a)
-                    elif other != start:
-                        raise AssertionError(
-                            f"truss group grown from edge {start} reached group {other}")
+                    if not upper_alive[a]:
+                        other = gid_of[a]
+                        if other < 0:
+                            gid_of[a] = start
+                            members.append(a)
+                        else:
+                            raise AssertionError(
+                                f"truss group grown from edge {start} reached group {other}")
                 if not stamp[b]:
                     stamp[b] = 1
                     touch.append(b)
-                if not upper_alive[b]:
-                    other = gid_of[b]
-                    if other < 0:
-                        gid_of[b] = start
-                        members.append(b)
-                    elif other != start:
-                        raise AssertionError(
-                            f"truss group grown from edge {start} reached group {other}")
+                    if not upper_alive[b]:
+                        other = gid_of[b]
+                        if other < 0:
+                            gid_of[b] = start
+                            members.append(b)
+                        else:
+                            raise AssertionError(
+                                f"truss group grown from edge {start} reached group {other}")
         members.sort()
         self.members[start] = members
         self.touch[start] = touch

@@ -266,22 +266,56 @@ def solve_baseline(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationR
     return chosen, records
 
 
+def _at_level(t: TrussSubgraph, level: int) -> list[int]:
+    """Keys `level * m + e` of the alive edges at support `level`, ascending.
+
+    `list.index` finds each edge holding that support at C speed, dead
+    ones too (a dead edge keeps the support it died with), so the Python
+    loop steps only over those.  Every key shares one support, so the
+    ascending list is already a heap.
+    """
+    m, alive, find = t.graph.m, t.alive, t.sup.index
+    keys: list[int] = []
+    e = -1
+    try:
+        while True:
+            e = find(level, e + 1)
+            if alive[e]:
+                keys.append(level * m + e)
+    except ValueError:
+        return keys
+
+
 def solve_support(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRecord]]:
-    """Heuristic: delete the weakest triangle partner of the weakest edge."""
+    """Heuristic: delete the weakest triangle partner of the weakest edge.
+
+    The weakest edge is the alive edge smallest by (support, edge id).  A
+    lazy min-heap of `sup * m + e` holds only the alive edges with support
+    at most `level`: every such edge has a current entry, and an entry is
+    stale exactly when its edge died or has since been pushed again with a
+    lower support (supports only fall).  Every other alive edge ranks above
+    every current entry, so the heap's smallest current entry is the
+    weakest edge.  After each cascade every alive edge of the k-truss has
+    support at least k-2, so `level` starts there, seeded with the
+    threshold edges; a commit pushes a lowered alive edge only when its
+    support is at most `level`.  When no current entry is left, `level`
+    rises to the smallest alive support and the heap is seeded again, so
+    the heap holds the weakest level, not the whole truss.
+    """
     partners_of = t.graph.triangle_index()
     m = t.graph.m
     alive, sup = t.alive, t.sup
-    # Lazy min-heap of sup * m + e, which orders alive edges by (sup, e).
-    # Supports only fall, so an entry is stale exactly when its edge died
-    # or has since been pushed again with a lower support.
-    heap = [sup[e] * m + e for e in compress(range(m), alive)]
-    heapq.heapify(heap)
+    level = t.k - 2
+    heap = _at_level(t, level)
     chosen: list[int] = []
     records: list[IterationRecord] = []
     while len(chosen) < b and t.edge_count > 0:
         start = time.perf_counter()
         candidates_total = t.edge_count
         while True:
+            if not heap:
+                level = min(compress(sup, alive))
+                heap = _at_level(t, level)
             s_min, e_min = divmod(heap[0], m)
             if alive[e_min] and sup[e_min] == s_min:
                 break
@@ -298,7 +332,7 @@ def solve_support(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
         e_star = min(partners, key=lambda e: (sup[e], e))
         dead, log = _commit(t, e_star)
         for o in set(log):
-            if alive[o]:
+            if alive[o] and sup[o] <= level:
                 heapq.heappush(heap, sup[o] * m + o)
         chosen.append(e_star)
         records.append(IterationRecord(

@@ -2,8 +2,9 @@
 
 `test_acceptance.py::test_criterion_7_desk_scale_trends` requires
 up_edge <= gp_edge <= baseline in wall-clock time on the seed-42 scale-30
-synthetic graph.  This probe repeats the test's three timed solves N
-times, each in a new process, one process at a time, in two modes:
+synthetic graph at k = 10.  This probe repeats the test's three timed
+solves N times at each k of `--k` (default 10), each in a new process, one
+process at a time, in two modes:
 
 - warm: exactly as the test runs them, on one graph whose triangle index
   is built first and whose truss cache the test's budget loop (`up_edge`
@@ -11,11 +12,12 @@ times, each in a new process, one process at a time, in two modes:
 - fresh: each solve on a newly built `Graph` whose triangle index is built
   before the clock starts, so every solve peels its own truss levels.
 
-It prints the minimum, quartiles and median of gp/up and base/gp per mode,
-and how many runs broke either order.  pytest does not collect it, since
-its name does not match `test_*.py`.  Run it from the repository root:
+It prints the minimum, quartiles and median of gp/up and base/gp per k and
+mode, and how many runs broke either order.  pytest does not collect it,
+since its name does not match `test_*.py`.  Run it from the repository
+root:
 
-    PYTHONPATH=src python tests/criterion7_probe.py [--runs 20]
+    PYTHONPATH=src python tests/criterion7_probe.py [--runs 20] [--k 6,10,12]
 """
 
 import argparse
@@ -31,13 +33,13 @@ ALGORITHMS = ("baseline", "gp_edge", "up_edge")
 MODES = ("warm", "fresh")
 
 
-def timed_solves(mode: str) -> dict[str, float]:
-    """One run of the three timed solves; wall seconds per algorithm."""
+def timed_solves(mode: str, k: int) -> dict[str, float]:
+    """One run of the three timed solves at `k`; wall seconds per algorithm."""
     from trussmin import SolverConfig, solve
     from trussmin.graph import Graph
 
     pairs = synth.community_pairs()
-    k, b = synth.DEFAULT_K, synth.DEFAULT_B
+    b = synth.DEFAULT_B
 
     def graph():
         g = Graph.from_pairs(pairs)
@@ -63,27 +65,38 @@ def spread(values: list[float]) -> str:
     return f"min {min(values):.3f}  q1 {q1:.3f}  median {median:.3f}  q3 {q3:.3f}"
 
 
+def k_list(text: str) -> list[int]:
+    try:
+        ks = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError("--k takes comma-separated integers")
+    if min(ks) < 3:
+        raise argparse.ArgumentTypeError("every k must be >= 3")
+    return ks
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--runs", type=int, default=20, help="runs per mode (>= 2)")
+    ap.add_argument("--runs", type=int, default=20, help="runs per k and mode (>= 2)")
+    ap.add_argument("--k", type=k_list, default=[synth.DEFAULT_K],
+                    help="comma-separated truss levels (default %(default)s)")
     ap.add_argument("--child", choices=MODES, help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
-        print(json.dumps(timed_solves(args.child)))
+        print(json.dumps(timed_solves(args.child, args.k[0])))
         return 0
     if args.runs < 2:
         ap.error("--runs must be >= 2")
-    runs: dict[str, list[dict[str, float]]] = {mode: [] for mode in MODES}
+    runs = {(k, mode): [] for k in args.k for mode in MODES}
     for _ in range(args.runs):
-        for mode in MODES:
-            out = subprocess.run([sys.executable, __file__, "--child", mode],
+        for k, mode in runs:
+            out = subprocess.run([sys.executable, __file__, "--child", mode, "--k", str(k)],
                                  check=True, capture_output=True, text=True)
-            runs[mode].append(json.loads(out.stdout.splitlines()[-1]))
-    for mode in MODES:
-        walls = runs[mode]
+            runs[k, mode].append(json.loads(out.stdout.splitlines()[-1]))
+    for (k, mode), walls in runs.items():
         broken = [w for w in walls
                   if not w["up_edge"] <= w["gp_edge"] <= w["baseline"]]
-        print(f"{mode}: {len(walls)} runs, {len(broken)} broke an order")
+        print(f"k={k} {mode}: {len(walls)} runs, {len(broken)} broke an order")
         print(f"  gp/up    {spread([w['gp_edge'] / w['up_edge'] for w in walls])}")
         print(f"  base/gp  {spread([w['baseline'] / w['gp_edge'] for w in walls])}")
         for w in broken:

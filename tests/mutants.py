@@ -55,6 +55,9 @@ MEMO_STOP = "tests/test_minimize.py::TestMemoStop::test_random_graphs"
 HOLDERS = "tests/test_minimize.py::TestMemoStop::test_holders_are_the_slots_holding_the_edge"
 EARLY_STOP_UP = "tests/test_minimize.py::TestEarlyStopCounts::test_counts[up_edge-5-423-117]"
 STOP_INSIDE = "tests/test_cascade.py::TestStoppedSimulation::test_stop_inside_the_dead_set"
+SUPPORT_REFERENCE = ("tests/test_minimize.py::TestSupportHeuristic::"
+                     "test_matches_full_scan_reference_on_random_trusses")
+SUPPORT_RISE = "tests/test_minimize.py::TestSupportHeuristic::test_minimum_support_rises_after_commits"
 
 MUTANTS = (
     # the key layout (`graph.Graph`): with v >= n, u*n + v is another edge's key
@@ -92,18 +95,18 @@ MUTANTS = (
            (REFRESH_CHAIN,)),
     Mutant("truss grower drops b as a member", GROUPS,
            "other = gid_of[b]\n"
-           "                    if other < 0:\n"
-           "                        gid_of[b] = start\n"
-           "                        members.append(b)\n",
+           "                        if other < 0:\n"
+           "                            gid_of[b] = start\n"
+           "                            members.append(b)\n",
            "other = gid_of[b]\n"
-           "                    if other < 0:\n"
-           "                        gid_of[b] = start\n",
+           "                        if other < 0:\n"
+           "                            gid_of[b] = start\n",
            (TRUSS_PARTITION, REFRESH_CHAIN)),
     Mutant("truss grower lets b cross into another group", GROUPS,
            "members.append(b)\n"
-           "                    elif other != start:",
+           "                        else:",
            "members.append(b)\n"
-           "                    elif False:",
+           "                        elif False:",
            (TRUSS_RAISE,)),
     # the whole-truss sweeps
     Mutant("truss groups start from every alive edge", GROUPS,
@@ -118,6 +121,14 @@ MUTANTS = (
     Mutant("peel decrements queued edges", TRUSS,
            "if alive[a] == 1:", "if alive[a]:",
            (CRITERION_9, "tests/test_truss.py::TestKTruss::test_matches_oracle_on_random_graphs")),
+    # the support heuristic's heap (`minimize.solve_support`), which holds
+    # only the alive edges at or below its level
+    Mutant("a lowered edge is pushed whatever its support", MINIMIZE,
+           "if alive[o] and sup[o] <= level:", "if alive[o]:",
+           (SUPPORT_REFERENCE, SUPPORT_RISE)),
+    Mutant("the heap is never seeded at a higher level", MINIMIZE,
+           "level = min(compress(sup, alive))", "level = t.k - 2",
+           (SUPPORT_REFERENCE, SUPPORT_RISE)),
     # the memo's early stop (`minimize.DeadSetMemo`, `truss._peel`)
     Mutant("holders hold every edge", MINIMIZE,
            "        i = bisect_left(dead_set, self.e)\n"

@@ -282,6 +282,26 @@ def test_criterion_7_desk_scale_trends(desk_scale_graph):
            detail)
 
 
+# Runs after criterion 7, so its truss levels do not warm that test's solves.
+@pytest.mark.parametrize("k", [6, 8, 12])
+def test_greedy_solvers_agree_and_prune_strictly_across_k(desk_scale_graph, k):
+    """Criterion 7's candidate order, away from the default k, without a clock.
+
+    On the same graph at b = 5 the three greedy solvers pick the same edges
+    with the same followers, and in every iteration `up_edge` evaluates
+    strictly fewer candidates than `gp_edge`, and `gp_edge` strictly fewer
+    than `baseline`.
+    """
+    reports = [solve(desk_scale_graph, SolverConfig(k=k, b=synth.DEFAULT_B, algorithm=a))
+               for a in ("up_edge", "gp_edge", "baseline")]
+    picks = [[(r.eid, r.followers) for r in rep.iterations] for rep in reports]
+    assert len(picks[0]) == synth.DEFAULT_B
+    assert picks[0] == picks[1] == picks[2]
+    for u, p, r in zip(*(rep.iterations for rep in reports)):
+        assert u.candidates_evaluated < p.candidates_evaluated < r.candidates_evaluated, \
+            (k, u.eid, u.candidates_evaluated, p.candidates_evaluated, r.candidates_evaluated)
+
+
 def test_criterion_8_k5_golden():
     g = graph_of(complete_pairs(5))
     ok = True

@@ -8,7 +8,7 @@ import pytest
 import oracles
 import synth
 from conftest import assert_no_queued_edge, commit_nested, complete_pairs, er_pairs, graph_of, \
-    label_pairs, next_level, oracle_best_single, verify_equivalence
+    label_pairs, next_level, oracle_best_single, random_trusses, verify_equivalence
 from trussmin import ContractViolation, EnumerationCapExceeded, SolverConfig, \
     build_truss_group_index, delete_and_cascade, find_support_groups, k_truss, \
     simulate_followers, solve, solve_baseline, solve_exact, solve_gp_edge, solve_support, \
@@ -219,6 +219,67 @@ class TestSupportHeuristic:
         chosen, _ = solve_support(t, 2)
         sides = {g.original_pair(e)[0] < 10 for e in chosen}
         assert sides == {True, False}
+
+    @staticmethod
+    def reference(t, b):
+        """`solve_support` by full scans: (chosen, followers, candidates_total) per iteration.
+
+        Each iteration takes the alive edge smallest by (support, edge id),
+        then its alive-triangle partner smallest by the same key, and
+        commits it.
+        """
+        partners_of = t.graph.triangle_index()
+        out = []
+        while len(out) < b and t.edge_count:
+            total = t.edge_count
+            e_min = min(t.alive_edge_ids(), key=lambda e: (t.sup[e], e))
+            it = iter(partners_of[e_min])
+            partners = {x for pair in zip(it, it) if t.alive[pair[0]] and t.alive[pair[1]]
+                        for x in pair}
+            e_star = min(partners, key=lambda e: (t.sup[e], e))
+            out.append((e_star, len(t.cascade([e_star])) - 1, total))
+        return out
+
+    @classmethod
+    def check(cls, monkeypatch, g, k):
+        """Run both to an empty truss; returns how often `solve_support` seeded its heap."""
+        from trussmin import minimize
+        real, seeds = minimize._at_level, []
+
+        def at_level(t, level):
+            seeds.append(level)
+            return real(t, level)
+
+        monkeypatch.setattr(minimize, "_at_level", at_level)
+        t = k_truss(g, k)
+        want = cls.reference(t.clone(), t.edge_count)
+        chosen, records = solve_support(t, t.edge_count)
+        assert [(r.eid, r.followers, r.candidates_total) for r in records] == want
+        assert chosen == [r.eid for r in records]
+        assert t.edge_count == 0
+        return seeds
+
+    def test_matches_full_scan_reference_on_random_trusses(self, monkeypatch, rng):
+        for g, k, _ in random_trusses(rng, 60):
+            self.check(monkeypatch, g, k)
+
+    @pytest.mark.parametrize("pairs, levels", [
+        (complete_pairs(6), [3, 4]),
+        (complete_pairs(6) + complete_pairs(7, offset=10), [3, 4, 5]),
+    ], ids=["k6", "k6+k7"])
+    def test_minimum_support_above_the_threshold(self, monkeypatch, pairs, levels):
+        # at k = 5 the threshold is 3, and no edge starts there
+        assert self.check(monkeypatch, graph_of(pairs), 5) == levels
+
+    def test_minimum_support_rises_after_commits(self, monkeypatch):
+        # A K7 (support 5) and a K9 (support 7) with vertex 30 joined to four
+        # K9 vertices: at k = 5 only its four edges start at the threshold.
+        # Deleting one peels the rest and lowers six K9 edges to 7 (from 8),
+        # above the level; the heap must then seed the K7 at 5 and, once
+        # it is gone, the K9 at 7.
+        pairs = (complete_pairs(7) + complete_pairs(9, offset=10)
+                 + [(10 + i, 30) for i in range(4)])
+        assert self.check(monkeypatch, graph_of(pairs), 5) == [3, 5, 7]
 
 
 class TestGpEdge:

@@ -70,7 +70,9 @@ def simulate_followers(t: TrussSubgraph, eid: int, stop: Container[int] = ()) ->
     the followers in removal order, so `t` holds no queued edge (an
     `alive` byte of 2) afterwards.  The peel returns as soon as an edge
     in the container `stop` dies, with that edge last (the default `()`
-    never stops); an int is refused before `t` is touched.  Stopping is exact when `eid`
+    never stops).  An `eid` outside 0..m-1 or of a type other than int (a
+    bool would pass for edge 0 or 1), and an int `stop`, are refused before
+    `t` is touched.  Stopping is exact when `eid`
     lies in the dead set D(x) of every edge x in `stop` (the dead set of
     deleting x: the edge plus its followers).  The k-truss is the unique
     maximal subgraph whose edges all have support >= k-2, so for any edge
@@ -79,11 +81,13 @@ def simulate_followers(t: TrussSubgraph, eid: int, stop: Container[int] = ()) ->
     `eid` that kills such an x puts x in D(eid), so, as sets,
     D(x) <= D(eid) <= D(x): D(eid) is D(x), which the caller already holds.
     """
+    alive, sup, threshold = t.alive, t.sup, t.k - 2
+    if type(eid) is not int or not 0 <= eid < len(alive):
+        raise ContractViolation(f"edge id {eid!r} is not in 0..{len(alive) - 1}")
     if not hasattr(stop, "__contains__"):
         raise ContractViolation(f"stop must be a container of edge ids, not {stop!r}")
-    if not t.alive[eid]:
+    if not alive[eid]:
         raise ContractViolation(f"edge id {eid} is not alive in the truss")
-    alive, sup, threshold = t.alive, t.sup, t.k - 2
     it = iter(t.graph.triangle_index()[eid])
     for a, b in zip(it, it):
         if alive[a] and alive[b] and (sup[a] <= threshold or sup[b] <= threshold):

@@ -23,8 +23,7 @@ from typing import Iterable, Iterator, Optional
 from .errors import EdgeListParseError, EnumerationCapExceeded
 from .graph import Graph, load_edge_list
 from .groups import build_truss_group_index, find_support_groups
-from .minimize import ALGORITHMS, DEFAULT_EXACT_CAP, MinimizationReport, SolverConfig, \
-    _two_level_tau, solve
+from .minimize import ALGORITHMS, DEFAULT_EXACT_CAP, MinimizationReport, SolverConfig, solve
 from .truss import k_truss, truss_decompose
 
 EXIT_OK = 0
@@ -147,7 +146,8 @@ def _groups_dump(g: Graph, k: int) -> dict:
     """The k-truss's groups by smallest edge, each numbered by its position."""
     t = k_truss(g, k)
     support_groups, candidates = find_support_groups(t)
-    idx = build_truss_group_index(t, _two_level_tau(t))
+    # `t` has lost no edge, so the (k+1)-truss nested in it is the graph's own
+    idx = build_truss_group_index(t, k_truss(g, k + 1))
     return {
         "support_groups": [
             {

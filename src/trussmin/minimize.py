@@ -10,7 +10,6 @@ edges and per-iteration counts are bit-identical.
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from bisect import bisect_left, insort
@@ -266,60 +265,38 @@ def solve_baseline(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationR
     return chosen, records
 
 
-def _at_level(t: TrussSubgraph, level: int) -> list[int]:
-    """Keys `level * m + e` of the alive edges at support `level`, ascending.
-
-    `list.index` finds each edge holding that support at C speed, dead
-    ones too (a dead edge keeps the support it died with), so the Python
-    loop steps only over those.  Every key shares one support, so the
-    ascending list is already a heap.
-    """
-    m, alive, find = t.graph.m, t.alive, t.sup.index
-    keys: list[int] = []
-    e = -1
-    try:
-        while True:
-            e = find(level, e + 1)
-            if alive[e]:
-                keys.append(level * m + e)
-    except ValueError:
-        return keys
-
-
 def solve_support(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRecord]]:
     """Heuristic: delete the weakest triangle partner of the weakest edge.
 
-    The weakest edge is the alive edge smallest by (support, edge id).  A
-    lazy min-heap of `sup * m + e` holds only the alive edges with support
-    at most `level`: every such edge has a current entry, and an entry is
-    stale exactly when its edge died or has since been pushed again with a
-    lower support (supports only fall).  Every other alive edge ranks above
-    every current entry, so the heap's smallest current entry is the
-    weakest edge.  After each cascade every alive edge of the k-truss has
-    support at least k-2, so `level` starts there, seeded with the
-    threshold edges; a commit pushes a lowered alive edge only when its
-    support is at most `level`.  When no current entry is left, `level`
-    rises to the smallest alive support and the heap is seeded again, so
-    the heap holds the weakest level, not the whole truss.
+    The weakest edge is the alive edge smallest by (support, edge id), so
+    it is the first alive edge holding the lowest alive support.  The only
+    state kept across iterations is `level`, never above that support:
+    after each cascade every alive edge of the k-truss has support at least
+    k-2, so it starts there, and after a commit it falls to the lowest
+    support the commit's `log` leaves on an alive edge (supports only fall,
+    and every fallen one is logged).  `list.index` then finds the edges
+    holding `level` at C speed; a dead edge keeps the support it died with,
+    so the Python loop steps over dead edges only where they hold `level`,
+    and since a peeled edge dies below k-2 those are committed seeds.  When
+    no alive edge holds `level`, it rises to the lowest alive support.
     """
     partners_of = t.graph.triangle_index()
-    m = t.graph.m
     alive, sup = t.alive, t.sup
     level = t.k - 2
-    heap = _at_level(t, level)
     chosen: list[int] = []
     records: list[IterationRecord] = []
     while len(chosen) < b and t.edge_count > 0:
         start = time.perf_counter()
         candidates_total = t.edge_count
+        e_min = -1
         while True:
-            if not heap:
-                level = min(compress(sup, alive))
-                heap = _at_level(t, level)
-            s_min, e_min = divmod(heap[0], m)
-            if alive[e_min] and sup[e_min] == s_min:
+            try:
+                e_min = sup.index(level, e_min + 1)
+            except ValueError:
+                level, e_min = min(compress(sup, alive)), -1
+                continue
+            if alive[e_min]:
                 break
-            heapq.heappop(heap)
         partners: set[int] = set()
         it = iter(partners_of[e_min])
         for x, y in zip(it, it):
@@ -331,9 +308,9 @@ def solve_support(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
             raise ContractViolation(f"minimum-support edge id {e_min} has no alive triangle")
         e_star = min(partners, key=lambda e: (sup[e], e))
         dead, log = _commit(t, e_star)
-        for o in set(log):
-            if alive[o] and sup[o] <= level:
-                heapq.heappush(heap, sup[o] * m + o)
+        for o in log:
+            if alive[o] and sup[o] < level:
+                level = sup[o]
         chosen.append(e_star)
         records.append(IterationRecord(
             edge=t.graph.original_pair(e_star), eid=e_star, followers=len(dead) - 1,

@@ -58,6 +58,10 @@ STOP_INSIDE = "tests/test_cascade.py::TestStoppedSimulation::test_stop_inside_th
 SUPPORT_REFERENCE = ("tests/test_minimize.py::TestSupportHeuristic::"
                      "test_matches_full_scan_reference_on_random_trusses")
 SUPPORT_RISE = "tests/test_minimize.py::TestSupportHeuristic::test_minimum_support_rises_after_commits"
+TRUSS_CACHE_MUTATED = ("tests/test_truss.py::TestTrussCache::"
+                       "test_mutating_a_returned_truss_leaves_later_calls_alone")
+DUMP_AFTER_SOLVE = "tests/test_cli.py::TestMinimize::test_dump_groups_after_a_solve_equals_a_cold_dump"
+EXACT_LEAVES = "tests/test_minimize.py::TestExact::test_leaves_the_truss_the_joint_deletion_leaves"
 
 MUTANTS = (
     # the key layout (`graph.Graph`): with v >= n, u*n + v is another edge's key
@@ -121,14 +125,32 @@ MUTANTS = (
     Mutant("peel decrements queued edges", TRUSS,
            "if alive[a] == 1:", "if alive[a]:",
            (CRITERION_9, "tests/test_truss.py::TestKTruss::test_matches_oracle_on_random_graphs")),
-    # the support heuristic's heap (`minimize.solve_support`), which holds
-    # only the alive edges at or below its level
-    Mutant("a lowered edge is pushed whatever its support", MINIMIZE,
-           "if alive[o] and sup[o] <= level:", "if alive[o]:",
+    # the support heuristic's scan (`minimize.solve_support`), whose `level`
+    # is never above the lowest alive support
+    Mutant("a commit never lowers level", MINIMIZE,
+           "level = sup[o]", "pass",
            (SUPPORT_REFERENCE, SUPPORT_RISE)),
-    Mutant("the heap is never seeded at a higher level", MINIMIZE,
-           "level = min(compress(sup, alive))", "level = t.k - 2",
+    Mutant("the scan takes a dead edge", MINIMIZE,
+           "if alive[e_min]:\n"
+           "                break\n",
+           "if True:\n"
+           "                break\n",
            (SUPPORT_REFERENCE, SUPPORT_RISE)),
+    Mutant("the fallback takes max", MINIMIZE,
+           "level, e_min = min(compress(sup, alive)), -1",
+           "level, e_min = max(compress(sup, alive)), -1",
+           (SUPPORT_REFERENCE, SUPPORT_RISE)),
+    # the truss cache (`truss.k_truss`): a stored bytearray is the one the
+    # caller mutates
+    Mutant("truss cache stores the bytearray", TRUSS,
+           'cache[k] = (bytes(t.alive), array("i", t.sup), t.edge_count)',
+           'cache[k] = (t.alive, array("i", t.sup), t.edge_count)',
+           (TRUSS_CACHE_MUTATED, DUMP_AFTER_SOLVE)),
+    # `solve_exact` commits its winner through the cascade, which keeps
+    # `edge_count`
+    Mutant("exact commits its winner without edge_count", MINIMIZE,
+           "dead = t.cascade([e])", "dead = _peel(t, [e])[0]",
+           (EXACT_LEAVES,)),
     # the memo's early stop (`minimize.DeadSetMemo`, `truss._peel`)
     Mutant("holders hold every edge", MINIMIZE,
            "        i = bisect_left(dead_set, self.e)\n"

@@ -287,6 +287,17 @@ class TestStoppedSimulation:
         assert truss_state(t) == before
         assert simulate_followers(t, 0) == t.clone().cascade([0])[1:]
 
+    @pytest.mark.parametrize("bad", [-2, -1, 11, 12, True, False, 1.0, "1"])
+    def test_out_of_range_and_bool_ids_are_refused(self, bad):
+        # on K5 plus one disjoint edge (m = 11), -2 would wrap to edge 9, True
+        # would pass for edge 1 and 11 would raise a raw IndexError
+        g = graph_of(complete_pairs(5) + [(10, 11)])
+        t = k_truss(g, 3)
+        before = truss_state(t)
+        with pytest.raises(ContractViolation):
+            simulate_followers(t, bad)
+        assert truss_state(t) == before
+
 
 class TestOracleBestSingle:
     def test_k5_ties_resolve_to_smallest_edge_id(self, k5):

@@ -222,7 +222,8 @@ class TestSupportHeuristic:
 
     @staticmethod
     def reference(t, b):
-        """`solve_support` by full scans: (chosen, followers, candidates_total) per iteration.
+        """`solve_support` by full scans: (support of the weakest edge, chosen,
+        followers, candidates_total) per iteration.
 
         Each iteration takes the alive edge smallest by (support, edge id),
         then its alive-triangle partner smallest by the same key, and
@@ -237,49 +238,56 @@ class TestSupportHeuristic:
             partners = {x for pair in zip(it, it) if t.alive[pair[0]] and t.alive[pair[1]]
                         for x in pair}
             e_star = min(partners, key=lambda e: (t.sup[e], e))
-            out.append((e_star, len(t.cascade([e_star])) - 1, total))
+            out.append((t.sup[e_min], e_star, len(t.cascade([e_star])) - 1, total))
         return out
 
     @classmethod
-    def check(cls, monkeypatch, g, k):
-        """Run both to an empty truss; returns how often `solve_support` seeded its heap."""
-        from trussmin import minimize
-        real, seeds = minimize._at_level, []
-
-        def at_level(t, level):
-            seeds.append(level)
-            return real(t, level)
-
-        monkeypatch.setattr(minimize, "_at_level", at_level)
+    def check(cls, g, k):
+        """Run both to an empty truss; returns the support of each weakest edge."""
         t = k_truss(g, k)
         want = cls.reference(t.clone(), t.edge_count)
         chosen, records = solve_support(t, t.edge_count)
-        assert [(r.eid, r.followers, r.candidates_total) for r in records] == want
+        assert [(r.eid, r.followers, r.candidates_total) for r in records] == \
+            [w[1:] for w in want]
         assert chosen == [r.eid for r in records]
         assert t.edge_count == 0
-        return seeds
+        return [w[0] for w in want]
 
-    def test_matches_full_scan_reference_on_random_trusses(self, monkeypatch, rng):
+    def test_matches_full_scan_reference_on_random_trusses(self, rng):
         for g, k, _ in random_trusses(rng, 60):
-            self.check(monkeypatch, g, k)
+            self.check(g, k)
 
-    @pytest.mark.parametrize("pairs, levels", [
-        (complete_pairs(6), [3, 4]),
-        (complete_pairs(6) + complete_pairs(7, offset=10), [3, 4, 5]),
+    @pytest.mark.parametrize("pairs, weakest", [
+        (complete_pairs(6), [4, 3, 3]),
+        (complete_pairs(6) + complete_pairs(7, offset=10), [4, 3, 3, 5, 4, 3, 4, 3, 3]),
     ], ids=["k6", "k6+k7"])
-    def test_minimum_support_above_the_threshold(self, monkeypatch, pairs, levels):
+    def test_minimum_support_above_the_threshold(self, pairs, weakest):
         # at k = 5 the threshold is 3, and no edge starts there
-        assert self.check(monkeypatch, graph_of(pairs), 5) == levels
+        assert self.check(graph_of(pairs), 5) == weakest
 
-    def test_minimum_support_rises_after_commits(self, monkeypatch):
+    def test_minimum_support_rises_after_commits(self):
         # A K7 (support 5) and a K9 (support 7) with vertex 30 joined to four
         # K9 vertices: at k = 5 only its four edges start at the threshold.
         # Deleting one peels the rest and lowers six K9 edges to 7 (from 8),
-        # above the level; the heap must then seed the K7 at 5 and, once
-        # it is gone, the K9 at 7.
+        # above the threshold; the weakest edge is then in the K7 at 5 and,
+        # once the K7 is gone, in the K9 at 7, below the K9's other edges.
         pairs = (complete_pairs(7) + complete_pairs(9, offset=10)
                  + [(10 + i, 30) for i in range(4)])
-        assert self.check(monkeypatch, graph_of(pairs), 5) == [3, 5, 7]
+        assert self.check(graph_of(pairs), 5) == [
+            3, 5, 4, 3, 4, 3, 3, 7, 6, 5, 4, 3, 6, 5, 4, 3, 5, 4, 3, 4, 3, 3]
+
+    def test_dead_edges_at_or_above_the_threshold_are_committed_seeds(self, rng):
+        # `solve_support`'s scan steps in Python over every dead edge holding
+        # its level, which is at least k-2; a peeled edge dies below k-2
+        for g, k, t in random_trusses(rng, 60):
+            seeds = set()
+            while True:
+                assert {e for e in range(g.m) if not t.alive[e] and t.sup[e] >= k - 2} <= seeds
+                if not t.edge_count:
+                    break
+                e = rng.choice(t.alive_edge_ids())
+                seeds.add(e)
+                t.cascade([e])
 
 
 class TestGpEdge:

@@ -209,8 +209,8 @@ def cmd_bench(args) -> int:
                         evaluated = sum(r.candidates_evaluated for r in report.iterations)
                         buf.write(f"{k},{b},{algorithm},{rep},"
                                   f"{report.followers_total},{elapsed:.3f},{evaluated}\n")
-                    except (EnumerationCapExceeded, ValueError) as exc:
-                        # record the failed cell and keep going
+                    except EnumerationCapExceeded as exc:
+                        # record the refused cell and keep going
                         sys.stderr.write(f"bench cell k={k} b={b} {algorithm}: {exc}\n")
                         buf.write(f"{k},{b},{algorithm},{rep},,,\n")
     _emit(buf.getvalue(), args.output)

@@ -235,6 +235,16 @@ def _choose_from_ties(t: TrussSubgraph, best_f: int, ties: list[int],
     return min(pool)
 
 
+def _record(t: TrussSubgraph, eid: int, followers: int, candidates_total: int,
+            candidates_evaluated: int, start: float) -> IterationRecord:
+    """The record of a `support`, `baseline`, `gp_edge` or `up_edge` iteration
+    that deleted `eid` and began at the `time.perf_counter()` reading `start`."""
+    return IterationRecord(
+        edge=t.graph.original_pair(eid), eid=eid, followers=followers,
+        candidates_total=candidates_total, candidates_evaluated=candidates_evaluated,
+        time_ms=(time.perf_counter() - start) * 1000.0)
+
+
 # -- solvers --------------------------------------------------------------------
 
 def solve_baseline(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRecord]]:
@@ -243,10 +253,9 @@ def solve_baseline(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationR
     Dead sets come from a `DeadSetMemo`, so an edge is simulated again
     only after a commit's `commit_region` meets its dead set.
     """
-    chosen: list[int] = []
     records: list[IterationRecord] = []
     memo = DeadSetMemo(t)
-    while len(chosen) < b and t.edge_count > 0:
+    while len(records) < b and t.edge_count > 0:
         start = time.perf_counter()
         alive = t.alive_edge_ids()
         best_f, best_e = -1, -1
@@ -257,12 +266,8 @@ def solve_baseline(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationR
                 best_f, best_e = f, e
         dead, log = _commit(t, best_e, best_f)
         memo.invalidate(commit_region(t, dead, log))
-        chosen.append(best_e)
-        records.append(IterationRecord(
-            edge=t.graph.original_pair(best_e), eid=best_e, followers=best_f,
-            candidates_total=len(alive), candidates_evaluated=len(alive),
-            time_ms=(time.perf_counter() - start) * 1000.0))
-    return chosen, records
+        records.append(_record(t, best_e, best_f, len(alive), len(alive), start))
+    return [r.eid for r in records], records
 
 
 def solve_support(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRecord]]:
@@ -283,9 +288,8 @@ def solve_support(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     partners_of = t.graph.triangle_index()
     alive, sup = t.alive, t.sup
     level = t.k - 2
-    chosen: list[int] = []
     records: list[IterationRecord] = []
-    while len(chosen) < b and t.edge_count > 0:
+    while len(records) < b and t.edge_count > 0:
         start = time.perf_counter()
         candidates_total = t.edge_count
         e_min = -1
@@ -311,12 +315,8 @@ def solve_support(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
         for o in log:
             if alive[o] and sup[o] < level:
                 level = sup[o]
-        chosen.append(e_star)
-        records.append(IterationRecord(
-            edge=t.graph.original_pair(e_star), eid=e_star, followers=len(dead) - 1,
-            candidates_total=candidates_total, candidates_evaluated=0,
-            time_ms=(time.perf_counter() - start) * 1000.0))
-    return chosen, records
+        records.append(_record(t, e_star, len(dead) - 1, candidates_total, 0, start))
+    return [r.eid for r in records], records
 
 
 def solve_exact(t: TrussSubgraph, b: int,
@@ -481,13 +481,12 @@ def solve_gp_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     solvers: each commit's `commit_region` is computed once and fed to
     both the support-group index and the memo.
     """
-    chosen: list[int] = []
     records: list[IterationRecord] = []
     support_groups = SupportGroupIndex(t, find_support_groups(t)[0])
     memo = DeadSetMemo(t)
     m = t.graph.m
     order = _ScanOrder(m, support_groups.candidates, [m] * m)
-    while len(chosen) < b and t.edge_count > 0:
+    while len(records) < b and t.edge_count > 0:
         start = time.perf_counter()
         candidates_total = len(order.keys)
         best_f, ties, evaluated = _scan(order, memo)
@@ -498,12 +497,8 @@ def solve_gp_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
         support_groups.update(region)
         memo.invalidate(region)
         order.rekey(support_groups.changed)
-        chosen.append(e_star)
-        records.append(IterationRecord(
-            edge=t.graph.original_pair(e_star), eid=e_star, followers=followers,
-            candidates_total=candidates_total, candidates_evaluated=evaluated,
-            time_ms=(time.perf_counter() - start) * 1000.0))
-    return chosen, records
+        records.append(_record(t, e_star, followers, candidates_total, evaluated, start))
+    return [r.eid for r in records], records
 
 
 def _two_level_tau(t: TrussSubgraph) -> TrussSubgraph:
@@ -553,7 +548,6 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     structures: the support-group index, the truss-group index with its
     bounds, and the `DeadSetMemo` the scan reads follower counts from.
     """
-    chosen: list[int] = []
     records: list[IterationRecord] = []
     upper = _two_level_tau(t)
     idx = build_truss_group_index(t, upper)
@@ -561,24 +555,20 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     memo = DeadSetMemo(t)
     order = _ScanOrder(t.graph.m, support_groups.candidates, idx.bound)
 
-    while len(chosen) < b and t.edge_count > 0:
+    while len(records) < b and t.edge_count > 0:
         start = time.perf_counter()
         candidates_total = len(order.keys)
         best_f, ties, evaluated = _scan(order, memo)
         e_star = _choose_from_ties(t, best_f, ties, support_groups.rep_group)
         followers = max(best_f, 0)
         dead, log = _commit(t, e_star, followers)
-        chosen.append(e_star)
         region = commit_region(t, dead + upper.cascade(dead), log)
         support_groups.update(region)
         idx = refresh_index(idx, region)
         memo.invalidate(region)
         order.rekey(idx.moved)
-        records.append(IterationRecord(
-            edge=t.graph.original_pair(e_star), eid=e_star, followers=followers,
-            candidates_total=candidates_total, candidates_evaluated=evaluated,
-            time_ms=(time.perf_counter() - start) * 1000.0))
-    return chosen, records
+        records.append(_record(t, e_star, followers, candidates_total, evaluated, start))
+    return [r.eid for r in records], records
 
 
 # -- dispatcher ---------------------------------------------------------------
@@ -600,20 +590,20 @@ def solve(g: Graph, cfg: SolverConfig) -> MinimizationReport:
         return report
 
     if cfg.algorithm == "exact":
-        chosen, records = solve_exact(t, cfg.b, cap=cfg.exact_cap)
+        _, records = solve_exact(t, cfg.b, cap=cfg.exact_cap)
     elif cfg.algorithm == "support":
-        chosen, records = solve_support(t, cfg.b)
+        _, records = solve_support(t, cfg.b)
     elif cfg.algorithm == "baseline":
-        chosen, records = solve_baseline(t, cfg.b)
+        _, records = solve_baseline(t, cfg.b)
     elif cfg.algorithm == "gp_edge":
-        chosen, records = solve_gp_edge(t, cfg.b)
+        _, records = solve_gp_edge(t, cfg.b)
     else:
-        chosen, records = solve_up_edge(t, cfg.b)
+        _, records = solve_up_edge(t, cfg.b)
 
     report.iterations = records
     report.followers_total = sum(r.followers for r in records)
     report.final_truss_edges = t.edge_count
-    report.b_effective = len(chosen)
+    report.b_effective = len(records)
     if report.b_effective < cfg.b:
         report.warnings.append(
             f"truss emptied after {report.b_effective} deletions; budget was {cfg.b}")

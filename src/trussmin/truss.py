@@ -226,8 +226,7 @@ class TrussnessMap:
         self.alive = alive
 
     def max_trussness(self) -> int:
-        vals = [self.values[e] for e in range(self.graph.m) if self.alive[e]]
-        return max(vals) if vals else 0
+        return max(compress(self.values, self.alive), default=0)
 
 
 def _level_walk(t: TrussSubgraph, tau: list[int], alive: bytearray) -> TrussnessMap:

@@ -41,7 +41,8 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # node ids, each of which must fail
 
 
-GRAPH, GROUPS, TRUSS, MINIMIZE = "graph.py", "groups.py", "truss.py", "minimize.py"
+GRAPH, GROUPS, TRUSS, CASCADE, MINIMIZE = "graph.py", "groups.py", "truss.py", "cascade.py", \
+    "minimize.py"
 SUPPORT_PARTITION = "tests/test_groups.py::TestFindSupportGroups::test_matches_definitional_partition"
 SUPPORT_REACH = ("tests/test_groups.py::TestFindSupportGroups::"
                  "test_over_adjacent_and_pruned_followers_match_their_definition")
@@ -62,6 +63,22 @@ TRUSS_CACHE_MUTATED = ("tests/test_truss.py::TestTrussCache::"
                        "test_mutating_a_returned_truss_leaves_later_calls_alone")
 DUMP_AFTER_SOLVE = "tests/test_cli.py::TestMinimize::test_dump_groups_after_a_solve_equals_a_cold_dump"
 EXACT_LEAVES = "tests/test_minimize.py::TestExact::test_leaves_the_truss_the_joint_deletion_leaves"
+GROUP_KEPT = "tests/test_groups.py::TestSupportGroupIndex::test_untouched_group_is_kept_as_is"
+GROUP_NEW = "tests/test_groups.py::TestSupportGroupIndex::test_new_threshold_edges_form_groups"
+TRUSS_GROUP_KEPT = "tests/test_groups.py::TestRefreshIndex::test_untouched_group_keeps_identity"
+BASELINE_MEMO = "tests/test_minimize.py::TestBaselineMemo::test_memo_matches_fresh_evaluation"
+REGION_MISS = ("tests/test_minimize.py::TestBaselineMemo::"
+               "test_simulations_missing_the_commit_region_are_unchanged")
+SCAN_MEMO_GP = "tests/test_minimize.py::TestScanMemo::test_memo_matches_memo_free_replay[gp_edge]"
+SCAN_MEMO_GP_ERODING = "tests/test_minimize.py::TestScanMemo::test_partially_eroding_graph[gp_edge]"
+CACHED_BOUNDS = "tests/test_minimize.py::TestCachedBounds::test_random_graphs"
+GP_ORDER = "tests/test_minimize.py::TestScanOrder::test_gp_edge_on_partially_eroding_graph"
+GP_K5 = "tests/test_minimize.py::TestGpEdge::test_k5_uses_one_candidate"
+OVERLAP_AGREE = "tests/test_minimize.py::TestOverlappingCommunities::test_greedy_solvers_agree"
+OVERLAP_SIMS = ("tests/test_minimize.py::TestOverlappingCommunities::"
+                "test_baseline_simulates_again_after_commits")
+OVERLAP_REFRESH = ("tests/test_minimize.py::TestOverlappingCommunities::"
+                   "test_up_edge_refresh_dissolves_some_groups_only")
 
 MUTANTS = (
     # the key layout (`graph.Graph`): with v >= n, u*n + v is another edge's key
@@ -169,6 +186,51 @@ MUTANTS = (
            "if a in stop:\n"
            "                        return dead, lowered[:-1]\n",
            (STOP_INSIDE, MEMO_STOP)),
+    # what a commit invalidates: its region (`cascade.commit_region`) and
+    # the memo's shared dead sets meeting it
+    Mutant("commit region skips the alive-triangle partners", CASCADE,
+           "if alive[a] and alive[b]:\n"
+           "                    region.add(a)\n",
+           "if False:\n"
+           "                    region.add(a)\n",
+           (REGION_MISS, REFRESH_CHAIN, CRITERION_9)),
+    Mutant("memo invalidation skips the shared dead sets", MINIMIZE,
+           "for dead_set in [d for d in self.shared if not region.isdisjoint(d)]:",
+           "for dead_set in []:",
+           (BASELINE_MEMO, MEMO_STOP, OVERLAP_SIMS)),
+    Mutant("gp_edge never invalidates its memo", MINIMIZE,
+           "        memo.invalidate(region)\n"
+           "        order.rekey(support_groups.changed)\n",
+           "        order.rekey(support_groups.changed)\n",
+           (SCAN_MEMO_GP, SCAN_MEMO_GP_ERODING)),
+    # support-group maintenance (`groups.SupportGroupIndex`): a dissolved
+    # group's members regrow, and every edge a group votes for is re-decided
+    Mutant("support groups regrow from the region alone", GROUPS,
+           "            grown.extend(grp.members)\n", "",
+           (CRITERION_9, OVERLAP_AGREE)),
+    Mutant("a group's votes leave changed alone", GROUPS,
+           "self.changed.update(edges)", "pass",
+           (GROUP_NEW, CRITERION_9, GP_ORDER)),
+    Mutant("settle re-decides nothing", GROUPS,
+           '        """Re-decide the candidacy of every edge in `changed`."""\n',
+           '        """Re-decide the candidacy of every edge in `changed`."""\n'
+           "        return\n",
+           (GROUP_KEPT, GP_K5)),
+    Mutant("gp_edge never re-keys its order", MINIMIZE,
+           "order.rekey(support_groups.changed)", "pass",
+           (GP_ORDER, OVERLAP_AGREE)),
+    # truss-group maintenance (`groups.GroupIndex`, `groups.refresh_index`)
+    Mutant("truss grower leaves stamp set", GROUPS,
+           "            stamp[x] = 0\n", "",
+           (REFRESH_CHAIN, OVERLAP_REFRESH)),
+    Mutant("dissolve leaves moved alone", GROUPS,
+           "            bound[x] -= size\n"
+           "        self.moved.extend(touch)\n",
+           "            bound[x] -= size\n",
+           (CACHED_BOUNDS, EARLY_STOP_UP)),
+    Mutant("refresh dissolves every group", GROUPS,
+           "dissolve = {gid_of[x] for x in region}", "dissolve = set(idx.members)",
+           (TRUSS_GROUP_KEPT, OVERLAP_REFRESH)),
 )
 
 

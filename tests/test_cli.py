@@ -358,6 +358,17 @@ class TestBench:
         gp_row = next(line for line in lines if ",gp_edge," in line)
         assert not gp_row.endswith(",,")
 
+    def test_internal_failure_is_raised_not_recorded(self, monkeypatch, k5_file):
+        # argparse refuses every setting `SolverConfig` would, so a
+        # `ContractViolation` out of a solve is a broken invariant, here the
+        # commit's "evaluation predicted" check; it propagates, as from `minimize`
+        from trussmin import ContractViolation, minimize
+        real = minimize.simulate_followers
+        monkeypatch.setattr(minimize, "simulate_followers",
+                            lambda t, e, stop=(): real(t, e, stop)[1:])
+        with pytest.raises(ContractViolation, match="evaluation predicted"):
+            main(["bench", k5_file, "-k", "5", "-b", "1", "--algorithms", "support,gp_edge"])
+
     @pytest.mark.parametrize("argv, message", [
         (("-k", "2,5", "-b", "1"), "argument -k: k must be >= 3"),
         (("-k", "5", "-b", "0"), "argument -b: b must be >= 1"),

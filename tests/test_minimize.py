@@ -705,6 +705,67 @@ class TestEarlyStopCounts:
         assert (len(calls), len(stopped)) == (sims, stops)
 
 
+
+class TestOverlappingCommunities:
+    """`synth.overlapping_pairs` at seed 42, scale 1, k = 10, b = 8.  Its
+    communities share vertices, so each commit erodes only part of the
+    10-truss: stored dead sets survive some commits and meet the region of
+    others, and a refresh dissolves some truss groups but keeps the rest."""
+
+    K, B = 10, 8
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return graph_of(synth.overlapping_pairs(seed=42, scale=1))
+
+    def test_sizes(self, graph):
+        assert (graph.m, k_truss(graph, self.K).edge_count) == (33_492, 4_593)
+
+    def test_greedy_solvers_agree(self, graph):
+        outcomes = [[(r.eid, r.followers) for r in solve(
+            graph, SolverConfig(k=self.K, b=self.B, algorithm=algorithm)).iterations]
+            for algorithm in ("baseline", "gp_edge", "up_edge")]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert sum(f for _, f in outcomes[0]) == 1_201
+
+    def test_baseline_simulates_again_after_commits(self, monkeypatch, graph):
+        # fresh simulations per iteration: the first sweep simulates every
+        # alive edge, and a later one only the edges whose dead set met a
+        # commit's region
+        from trussmin import minimize
+        real_sim, real_commit = minimize.simulate_followers, minimize._commit
+        calls, per_iteration = [], []
+
+        def commit(t, eid, expected=None):
+            per_iteration.append(len(calls) - sum(per_iteration))
+            return real_commit(t, eid, expected)
+
+        monkeypatch.setattr(minimize, "simulate_followers",
+                            lambda t, e, stop=(): calls.append(e) or real_sim(t, e, stop))
+        monkeypatch.setattr(minimize, "_commit", commit)
+        solve(graph, SolverConfig(k=self.K, b=self.B, algorithm="baseline"))
+        assert per_iteration == [4_593, 124, 202, 506, 198, 0, 348, 0]
+
+    def test_up_edge_refresh_dissolves_some_groups_only(self, monkeypatch, graph):
+        # a group the refresh kept holds the very member list it held before
+        from trussmin import minimize
+        real_refresh = minimize.refresh_index
+        before_and_dissolved = []
+
+        def refresh(idx, region):
+            before = dict(idx.members)
+            out = real_refresh(idx, region)
+            dissolved = sum(out.members.get(gid) is not ms for gid, ms in before.items())
+            before_and_dissolved.append((len(before), dissolved))
+            return out
+
+        monkeypatch.setattr(minimize, "refresh_index", refresh)
+        solve(graph, SolverConfig(k=self.K, b=self.B, algorithm="up_edge"))
+        # regrowth splits groups: the count rises from 18 to 20
+        assert [n for n, _ in before_and_dissolved] == [18, 18, 19, 20, 20, 19, 19, 18]
+        assert all(0 < d < n for n, d in before_and_dissolved), before_and_dissolved
+
+
 class TestCommitChecks:
     """Evaluation and commit must agree, also when asserts are compiled out."""
 

@@ -2,7 +2,10 @@
 
 A support group is a maximal set of threshold edges (support exactly k-2)
 chained through shared triangles; deleting any member unravels the whole
-group, so one representative stands in for all of them.  Truss groups play
+group, so one representative stands in for all of them.  The solvers keep
+them in a `SupportGroupIndex`, built in one threshold scan and maintained
+across commits; `find_support_groups` is the from-scratch scan it is
+checked against.  Truss groups play
 the same role one level up: maximal sets of trussness-k edges chained
 through triangles whose edges all sit at trussness >= k, crossing only
 shared edges of trussness exactly k.  The sum of the sizes of the truss
@@ -127,12 +130,13 @@ def find_support_groups(t: TrussSubgraph) -> tuple[list[SupportGroup], list[int]
 class SupportGroupIndex:
     """Support groups and candidates of one truss, maintained across commits.
 
-    Starts from the groups `find_support_groups(t)` found; after each
-    committed cascade, `update` takes that cascade's region, dissolves only
-    the groups the cascade could have changed, and regrows groups over the
-    region.  `rep_group` maps each group's smallest edge, its id, to the
-    group, and `gid_of` maps each threshold edge to that id, so the index
-    always equals one built from `find_support_groups` on the current `t`.
+    A build grows every group of `t` in one pass, from the threshold edges
+    in ascending order; after each committed cascade, `update` takes that
+    cascade's region, dissolves only the groups the cascade could have
+    changed, and regrows groups over the region.  `rep_group` maps each
+    group's smallest edge, its id, to the group, and `gid_of` maps each
+    threshold edge to that id, so the index always holds the groups and
+    candidates `find_support_groups` finds on the current `t`.
 
     An edge is a candidate when it represents a group, or when some group
     lists it as over-adjacent and none lists it as a pruned follower.  The
@@ -142,27 +146,42 @@ class SupportGroupIndex:
     re-decided, so the per-commit work follows the commit's groups, not
     the candidate count.  After an update, `changed` holds a superset of
     the edges whose candidacy it changed; callers keeping their own view
-    of the candidates re-read just those.  A build leaves it empty.
+    of the candidates re-read just those.  A build counts the votes and
+    decides every candidacy at once, and leaves `changed` empty.
     """
 
     __slots__ = ("t", "gid_of", "rep_group", "over_count", "pruned_count",
                  "candidates", "changed")
 
-    def __init__(self, t: TrussSubgraph, groups: list[SupportGroup]):
+    def __init__(self, t: TrussSubgraph):
         self.t = t
         self.gid_of: dict[int, int] = {}            # threshold edge -> representative
         self.rep_group: dict[int, SupportGroup] = {}
         # per edge: how many groups list it as over-adjacent / pruned
         self.over_count: dict[int, int] = {}
         self.pruned_count: dict[int, int] = {}
-        self.candidates: set[int] = set()
         self.changed: set[int] = set()
-        for grp in groups:
-            for e in grp.members:
-                self.gid_of[e] = grp.representative
-            self._add(grp)
-        self._settle()
-        self.changed.clear()
+        alive, sup, threshold = t.alive, t.sup, t.k - 2
+        gid_of, rep_group = self.gid_of, self.rep_group
+        over, pruned = self.over_count, self.pruned_count
+        done = alive.translate(FLIP)
+        # `list.index` finds the threshold edges at C speed; a dead edge
+        # keeps the support it died with, and a peeled one died below k-2,
+        # so the dead edges stepped over here are committed seeds
+        start = -1
+        while True:
+            try:
+                start = sup.index(threshold, start + 1)
+            except ValueError:
+                break
+            if alive[start] and start not in gid_of:
+                grp = _grow_support_group(t, start, gid_of, done)
+                rep_group[start] = grp
+                for o in grp.over_adjacent:
+                    over[o] = over.get(o, 0) + 1
+                for o in grp.pruned_followers:
+                    pruned[o] = pruned.get(o, 0) + 1
+        self.candidates: set[int] = set(rep_group) | (over.keys() - pruned.keys())
 
     def groups(self) -> list[SupportGroup]:
         """The current groups, ordered by representative."""

@@ -20,10 +20,10 @@ from typing import Iterable, Optional
 from .cascade import commit_region, simulate_followers
 from .errors import ContractViolation, EnumerationCapExceeded
 from .graph import Graph
-from .groups import SupportGroup, SupportGroupIndex, build_truss_group_index, \
-    find_support_groups, refresh_index
+from .groups import SupportGroup, SupportGroupIndex, build_truss_group_index, refresh_index
 from .truss import TrussSubgraph, _peel, _undo, k_truss
-# unused here, but the benchmark tracer (perfbench/spans.py) patches this name
+# unused here, but the benchmark tracer (perfbench/spans.py) patches these names
+from .groups import find_support_groups  # noqa: F401
 from .truss import update_after_deletion  # noqa: F401
 
 ALGORITHMS = ("exact", "support", "baseline", "gp_edge", "up_edge")
@@ -36,7 +36,8 @@ class SolverConfig:
     """What to solve: truss level, deletion budget, strategy, knobs.
 
     Every algorithm is deterministic and sequential; there is no seed
-    anywhere.  `threads` is validated (>= 1) but ignored.  Every number
+    anywhere.  `threads` is validated (>= 1) but ignored; `exact_cap`, the
+    exact solver's refusal threshold, must be at least 1 too.  Every number
     must be a plain int: a float budget, a NaN level or a bool is refused.
     """
 
@@ -59,6 +60,8 @@ class SolverConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if self.exact_cap < 1:
+            raise ValueError("exact_cap must be >= 1")
 
 
 @dataclass
@@ -482,7 +485,7 @@ def solve_gp_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     both the support-group index and the memo.
     """
     records: list[IterationRecord] = []
-    support_groups = SupportGroupIndex(t, find_support_groups(t)[0])
+    support_groups = SupportGroupIndex(t)
     memo = DeadSetMemo(t)
     m = t.graph.m
     order = _ScanOrder(m, support_groups.candidates, [m] * m)
@@ -551,7 +554,7 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
     records: list[IterationRecord] = []
     upper = _two_level_tau(t)
     idx = build_truss_group_index(t, upper)
-    support_groups = SupportGroupIndex(t, find_support_groups(t)[0])
+    support_groups = SupportGroupIndex(t)
     memo = DeadSetMemo(t)
     order = _ScanOrder(t.graph.m, support_groups.candidates, idx.bound)
 

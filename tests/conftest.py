@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
-from trussmin import ContractViolation, Graph, SolverConfig, TrussnessMap, \
-    TrussSubgraph, k_truss, simulate_followers, solve
+from trussmin import ContractViolation, Graph, SolverConfig, SupportGroupIndex, TrussnessMap, \
+    TrussSubgraph, find_support_groups, k_truss, simulate_followers, solve
 from trussmin.cascade import commit_region
 from trussmin.truss import peel_to
 
@@ -124,6 +125,23 @@ def next_level(t: TrussSubgraph) -> TrussSubgraph:
     maintained (k+1)-truss with it.
     """
     return peel_to(t.clone(), t.k + 1)
+
+
+def assert_support_build_matches_reference(t: TrussSubgraph, context=None) -> None:
+    """`SupportGroupIndex(t)` is what the reference scan `find_support_groups(t)` finds.
+
+    Groups compare field by field (members, pruned followers, over-adjacent
+    edges), group ids and candidates exactly, and each edge's vote counts
+    are the number of groups listing it.
+    """
+    groups, candidates = find_support_groups(t)
+    index = SupportGroupIndex(t)
+    assert index.groups() == groups, context
+    assert index.gid_of == {e: grp.representative for grp in groups for e in grp.members}, context
+    assert index.candidates == set(candidates), context
+    assert index.over_count == Counter(o for grp in groups for o in grp.over_adjacent), context
+    assert index.pruned_count == Counter(o for grp in groups for o in grp.pruned_followers), context
+    assert index.changed == set(), context
 
 
 def group_sizes(idx) -> dict[int, int]:

@@ -73,12 +73,18 @@ SCAN_MEMO_GP = "tests/test_minimize.py::TestScanMemo::test_memo_matches_memo_fre
 SCAN_MEMO_GP_ERODING = "tests/test_minimize.py::TestScanMemo::test_partially_eroding_graph[gp_edge]"
 CACHED_BOUNDS = "tests/test_minimize.py::TestCachedBounds::test_random_graphs"
 GP_ORDER = "tests/test_minimize.py::TestScanOrder::test_gp_edge_on_partially_eroding_graph"
-GP_K5 = "tests/test_minimize.py::TestGpEdge::test_k5_uses_one_candidate"
 OVERLAP_AGREE = "tests/test_minimize.py::TestOverlappingCommunities::test_greedy_solvers_agree"
 OVERLAP_SIMS = ("tests/test_minimize.py::TestOverlappingCommunities::"
                 "test_baseline_simulates_again_after_commits")
 OVERLAP_REFRESH = ("tests/test_minimize.py::TestOverlappingCommunities::"
                    "test_up_edge_refresh_dissolves_some_groups_only")
+BUILD_RANDOM = ("tests/test_groups.py::TestSupportGroupIndex::"
+                "test_build_matches_reference_on_random_trusses")
+BUILD_OVERLAP = ("tests/test_groups.py::TestSupportGroupIndex::"
+                 "test_build_matches_reference_on_overlapping_communities")
+BUILD_DEAD_SEED = ("tests/test_groups.py::TestSupportGroupIndex::"
+                   "test_build_steps_over_a_dead_seed_at_the_threshold")
+BUILD_K10 = "tests/test_acceptance.py::test_support_group_index_build_matches_reference[10]"
 
 MUTANTS = (
     # the key layout (`graph.Graph`): with v >= n, u*n + v is another edge's key
@@ -215,7 +221,15 @@ MUTANTS = (
            '        """Re-decide the candidacy of every edge in `changed`."""\n',
            '        """Re-decide the candidacy of every edge in `changed`."""\n'
            "        return\n",
-           (GROUP_KEPT, GP_K5)),
+           (GROUP_KEPT, GROUP_NEW, CRITERION_9)),
+    # the support-group index's build (`groups.SupportGroupIndex.__init__`):
+    # its threshold scan meets dead edges, and a pruned vote vetoes candidacy
+    Mutant("the threshold scan takes a dead edge", GROUPS,
+           "if alive[start] and start not in gid_of:", "if start not in gid_of:",
+           (BUILD_DEAD_SEED, BUILD_RANDOM)),
+    Mutant("candidacy ignores pruned votes", GROUPS,
+           "set(rep_group) | (over.keys() - pruned.keys())", "set(rep_group) | over.keys()",
+           (BUILD_RANDOM, BUILD_OVERLAP, BUILD_K10)),
     Mutant("gp_edge never re-keys its order", MINIMIZE,
            "order.rekey(support_groups.changed)", "pass",
            (GP_ORDER, OVERLAP_AGREE)),
@@ -228,6 +242,20 @@ MUTANTS = (
            "        self.moved.extend(touch)\n",
            "            bound[x] -= size\n",
            (CACHED_BOUNDS, EARLY_STOP_UP)),
+    Mutant("refresh keeps its walked marker across calls", GROUPS,
+           "    done = idx.t.alive.translate(FLIP)\n",
+           "    done = refresh_index.__dict__.setdefault(id(idx), idx.t.alive.translate(FLIP))\n",
+           (REFRESH_CHAIN, OVERLAP_REFRESH)),
+    # the stamp still decides membership at first touch, but no longer
+    # keeps an edge out of the touch set twice
+    Mutant("truss grower repeats touch entries", GROUPS,
+           "                if not stamp[a]:\n"
+           "                    stamp[a] = 1\n"
+           "                    touch.append(a)\n",
+           "                touch.append(a)\n"
+           "                if not stamp[a]:\n"
+           "                    stamp[a] = 1\n",
+           (REFRESH_CHAIN, CACHED_BOUNDS)),
     Mutant("refresh dissolves every group", GROUPS,
            "dissolve = {gid_of[x] for x in region}", "dissolve = set(idx.members)",
            (TRUSS_GROUP_KEPT, OVERLAP_REFRESH)),

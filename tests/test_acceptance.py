@@ -13,8 +13,9 @@ import pytest
 
 import oracles
 import synth
-from conftest import assert_no_queued_edge, commit_nested, complete_pairs, er_pairs, \
-    graph_of, label_pairs, next_level, verify_equivalence
+from conftest import assert_no_queued_edge, assert_support_build_matches_reference, \
+    commit_nested, complete_pairs, er_pairs, graph_of, label_pairs, next_level, \
+    verify_equivalence
 from trussmin import SolverConfig, SupportGroupIndex, build_truss_group_index, \
     delete_and_cascade, find_support_groups, followers_of_edge, k_truss, \
     refresh_index, simulate_followers, solve, truss_decompose, \
@@ -302,6 +303,11 @@ def test_greedy_solvers_agree_and_prune_strictly_across_k(desk_scale_graph, k):
             (k, u.eid, u.candidates_evaluated, p.candidates_evaluated, r.candidates_evaluated)
 
 
+@pytest.mark.parametrize("k", [6, 10, 12])
+def test_support_group_index_build_matches_reference(desk_scale_graph, k):
+    assert_support_build_matches_reference(k_truss(desk_scale_graph, k), f"k={k}")
+
+
 def test_criterion_8_k5_golden():
     g = graph_of(complete_pairs(5))
     ok = True
@@ -322,7 +328,7 @@ def test_criterion_9_support_group_maintenance_matches_scratch():
             t = k_truss(g, k)
             if t.edge_count == 0:
                 continue
-            index = SupportGroupIndex(t, find_support_groups(t)[0])
+            index = SupportGroupIndex(t)
             while t.edge_count:
                 alive = t.alive_edge_ids()
                 seeds = rng.sample(alive, min(len(alive), rng.choice((1, 1, 2))))
@@ -336,7 +342,7 @@ def test_criterion_9_support_group_maintenance_matches_scratch():
                 groups, candidates = find_support_groups(t)
                 assert index.groups() == groups, \
                     f"k={k}, after deleting {label_pairs(g, seeds)} from {pairs}"
-                assert index.gid_of == SupportGroupIndex(t, groups).gid_of
+                assert index.gid_of == {e: grp.representative for grp in groups for e in grp.members}
                 assert sorted(index.candidates) == candidates
                 commits += 1
     report("criterion 9: maintained support groups == scratch after every commit",

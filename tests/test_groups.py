@@ -4,8 +4,8 @@ import pytest
 
 import oracles
 import synth
-from conftest import commit_nested, complete_pairs, er_pairs, graph_of, group_sizes, \
-    label_pairs, next_level, random_trusses
+from conftest import assert_support_build_matches_reference, commit_nested, complete_pairs, \
+    er_pairs, graph_of, group_sizes, label_pairs, next_level, random_trusses
 from trussmin import ContractViolation, SupportGroupIndex, build_truss_group_index, groups, \
     delete_and_cascade, find_support_groups, followers_of_edge, k_truss, refresh_index, simulate_followers, \
     upper_bound
@@ -169,7 +169,7 @@ class TestSupportGroupIndex:
         pairs = complete_pairs(5) + complete_pairs(5, offset=10)
         g = graph_of(pairs)
         t = k_truss(g, 5)
-        index = SupportGroupIndex(t, find_support_groups(t)[0])
+        index = SupportGroupIndex(t)
         second = index.rep_group[g.edge_id(5, 6)]  # labels (10, 11)
         log = []
         dead = t.cascade([g.edge_id(0, 1)], log)
@@ -183,7 +183,7 @@ class TestSupportGroupIndex:
         # neighbours to the threshold without killing them
         g = graph_of(complete_pairs(6))
         t = k_truss(g, 5)
-        index = SupportGroupIndex(t, find_support_groups(t)[0])
+        index = SupportGroupIndex(t)
         assert index.groups() == [] and sorted(index.candidates) == []
         log = []
         dead = t.cascade([g.edge_id(0, 1)], log)
@@ -192,6 +192,38 @@ class TestSupportGroupIndex:
         groups, candidates = find_support_groups(t)
         assert [grp.members for grp in index.groups()] == [grp.members for grp in groups] != []
         assert sorted(index.candidates) == candidates
+
+    def test_build_matches_reference_on_random_trusses(self, rng):
+        for g, k, t in random_trusses(rng, 40):
+            assert_support_build_matches_reference(t, f"k={k} build")
+            # committed seeds stay dead at the support they had, often k-2
+            order = t.alive_edge_ids()
+            rng.shuffle(order)
+            for eid in order[:6]:
+                if t.alive[eid]:
+                    t.cascade([eid])
+                    assert_support_build_matches_reference(
+                        t, f"k={k} after deleting {g.original_pair(eid)}")
+
+    def test_build_matches_reference_on_overlapping_communities(self):
+        t = k_truss(graph_of(synth.overlapping_pairs(seed=42, scale=1)), 10)
+        assert_support_build_matches_reference(t)
+
+    def test_build_steps_over_a_dead_seed_at_the_threshold(self):
+        # every edge of two disjoint K5s has support 3 = k-2 at k=5;
+        # deleting (0, 1) kills the first K5 and leaves the seed dead at
+        # support 3, below the alive threshold edges of the second
+        pairs = complete_pairs(5) + complete_pairs(5, offset=10)
+        g = graph_of(pairs)
+        t = k_truss(g, 5)
+        seed = g.edge_id(0, 1)
+        t.cascade([seed])
+        assert not t.alive[seed] and t.sup[seed] == t.k - 2
+        assert t.sup.index(t.k - 2) == seed
+        assert_support_build_matches_reference(t)
+        index = SupportGroupIndex(t)
+        assert list(index.rep_group) == [g.edge_id(5, 6)]  # labels (10, 11)
+        assert index.candidates == {g.edge_id(5, 6)}
 
 
 def nested_index(g, k):
@@ -431,7 +463,8 @@ class TestRefreshIndex:
         """Groups, group ids and candidates of a maintained index equal a fresh scan's."""
         groups, candidates = find_support_groups(t)
         assert index.groups() == groups, context
-        assert index.gid_of == SupportGroupIndex(t, groups).gid_of, context
+        assert index.gid_of == \
+            {e: grp.representative for grp in groups for e in grp.members}, context
         assert sorted(index.candidates) == candidates, context
 
     def test_refresh_equals_rebuild_over_random_deletion_chains(self, rng):
@@ -442,7 +475,7 @@ class TestRefreshIndex:
             g = graph_of(pairs)
             k = rng.choice((3, 4, 5))
             t, upper, idx = nested_index(g, k)
-            index = SupportGroupIndex(t, find_support_groups(t)[0])
+            index = SupportGroupIndex(t)
             self.assert_matches_rebuild(g, t, idx, f"level {k} build")
             order = list(range(g.m))
             rng.shuffle(order)
@@ -460,7 +493,7 @@ class TestRefreshIndex:
         g = graph_of(synth.community_pairs(seed=2, scale=3))
         chosen, _ = solve_up_edge(k_truss(g, 8), 12)
         t, upper, idx = nested_index(g, 8)
-        index = SupportGroupIndex(t, find_support_groups(t)[0])
+        index = SupportGroupIndex(t)
         dissolved = 0
         for eid in chosen:
             region = commit_nested(t, upper, eid)

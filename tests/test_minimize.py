@@ -53,6 +53,12 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(k=3, b=1, threads=0)
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_rejects_an_exact_cap_below_one(self, cap):
+        # the CLI refuses these too; a solve once failed with "exceeds the cap of -5"
+        with pytest.raises(ValueError, match="exact_cap must be >= 1"):
+            SolverConfig(k=3, b=1, algorithm="exact", exact_cap=cap)
+
     # a float budget once made more deletions than b, a NaN level returned
     # the whole graph as its truss, and True passed as 1
     NON_INTS = [2.5, 8.0, float("nan"), float("inf"), True, "8"]
@@ -948,7 +954,7 @@ class TestScanOrder:
                     continue
                 upper = _two_level_tau(t)
                 idx = build_truss_group_index(t, upper)
-                index = SupportGroupIndex(t, find_support_groups(t)[0])
+                index = SupportGroupIndex(t)
                 up = _ScanOrder(g.m, index.candidates, idx.bound)
                 gp = _ScanOrder(g.m, index.candidates, [g.m] * g.m)
                 self.assert_fresh(t, index, up, gp, f"k={k} build")

@@ -26,8 +26,6 @@ from .truss import TrussSubgraph, _peel, _undo, k_truss
 from .groups import find_support_groups  # noqa: F401
 from .truss import update_after_deletion  # noqa: F401
 
-ALGORITHMS = ("exact", "support", "baseline", "gp_edge", "up_edge")
-
 DEFAULT_EXACT_CAP = 2_000_000
 
 
@@ -240,8 +238,8 @@ def _choose_from_ties(t: TrussSubgraph, best_f: int, ties: list[int],
 
 def _record(t: TrussSubgraph, eid: int, followers: int, candidates_total: int,
             candidates_evaluated: int, start: float) -> IterationRecord:
-    """The record of a `support`, `baseline`, `gp_edge` or `up_edge` iteration
-    that deleted `eid` and began at the `time.perf_counter()` reading `start`."""
+    """The record of a solver iteration that deleted `eid` and began at the
+    `time.perf_counter()` reading `start`; every solver builds its records here."""
     return IterationRecord(
         edge=t.graph.original_pair(eid), eid=eid, followers=followers,
         candidates_total=candidates_total, candidates_evaluated=candidates_evaluated,
@@ -250,7 +248,7 @@ def _record(t: TrussSubgraph, eid: int, followers: int, candidates_total: int,
 
 # -- solvers --------------------------------------------------------------------
 
-def solve_baseline(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRecord]]:
+def solve_baseline(t: TrussSubgraph, b: int) -> list[IterationRecord]:
     """Greedy reference: the exact follower count of every alive edge, each iteration.
 
     Dead sets come from a `DeadSetMemo`, so an edge is simulated again
@@ -270,10 +268,10 @@ def solve_baseline(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationR
         dead, log = _commit(t, best_e, best_f)
         memo.invalidate(commit_region(t, dead, log))
         records.append(_record(t, best_e, best_f, len(alive), len(alive), start))
-    return [r.eid for r in records], records
+    return records
 
 
-def solve_support(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRecord]]:
+def solve_support(t: TrussSubgraph, b: int) -> list[IterationRecord]:
     """Heuristic: delete the weakest triangle partner of the weakest edge.
 
     The weakest edge is the alive edge smallest by (support, edge id), so
@@ -319,11 +317,11 @@ def solve_support(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
             if alive[o] and sup[o] < level:
                 level = sup[o]
         records.append(_record(t, e_star, len(dead) - 1, candidates_total, 0, start))
-    return [r.eid for r in records], records
+    return records
 
 
 def solve_exact(t: TrussSubgraph, b: int,
-                cap: int = DEFAULT_EXACT_CAP) -> tuple[list[int], list[IterationRecord]]:
+                cap: int = DEFAULT_EXACT_CAP) -> list[IterationRecord]:
     """Enumerate every b-subset jointly and keep the best.
 
     Each subset is peeled and undone as a simulation is (`truss._peel`,
@@ -348,24 +346,22 @@ def solve_exact(t: TrussSubgraph, b: int,
             best_f, best_set = f, combo
     if best_set is None:
         raise ContractViolation("no edge subset was enumerated")
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
     # Commit the winning set one edge at a time so the report carries
     # per-edge records; marginal followers exclude the chosen set itself,
-    # so they sum to the joint follower count.
+    # so they sum to the joint follower count.  The first record carries
+    # the enumeration's time and count, each later one its own commit.
     chosen_set = set(best_set)
     records: list[IterationRecord] = []
-    for i, e in enumerate(best_set):
+    for e in best_set:
         dead = t.cascade([e])
         marginal = len([x for x in dead if x not in chosen_set])
-        records.append(IterationRecord(
-            edge=t.graph.original_pair(e), eid=e, followers=marginal,
-            candidates_total=ncomb, candidates_evaluated=ncomb if i == 0 else 0,
-            time_ms=elapsed_ms if i == 0 else 0.0))
+        records.append(_record(t, e, marginal, ncomb, 0 if records else ncomb, start))
+        start = time.perf_counter()
     if sum(r.followers for r in records) != best_f:
         raise ContractViolation(
             f"committing {list(best_set)} dropped {sum(r.followers for r in records)} "
             f"followers; enumeration found {best_f}")
-    return list(best_set), records
+    return records
 
 
 class _ScanOrder:
@@ -472,7 +468,7 @@ def _scan(order: _ScanOrder, memo: DeadSetMemo) -> tuple[int, list[int], int]:
     return best_f, ties, evaluated
 
 
-def solve_gp_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRecord]]:
+def solve_gp_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
     """Greedy over the reduced candidate set.
 
     Every candidate gets the same bound, the graph's edge count, so `_scan`
@@ -501,7 +497,7 @@ def solve_gp_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
         memo.invalidate(region)
         order.rekey(support_groups.changed)
         records.append(_record(t, e_star, followers, candidates_total, evaluated, start))
-    return [r.eid for r in records], records
+    return records
 
 
 def _two_level_tau(t: TrussSubgraph) -> TrussSubgraph:
@@ -530,7 +526,7 @@ def _two_level_tau(t: TrussSubgraph) -> TrussSubgraph:
     return upper
 
 
-def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRecord]]:
+def solve_up_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
     """Greedy with bound-ordered scanning and early stopping.
 
     Each candidate's upper bound on its follower count (the sizes of the
@@ -571,45 +567,36 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> tuple[list[int], list[IterationRe
         memo.invalidate(region)
         order.rekey(idx.moved)
         records.append(_record(t, e_star, followers, candidates_total, evaluated, start))
-    return [r.eid for r in records], records
+    return records
 
 
 # -- dispatcher ---------------------------------------------------------------
+
+_SOLVERS = {"exact": solve_exact, "support": solve_support, "baseline": solve_baseline,
+            "gp_edge": solve_gp_edge, "up_edge": solve_up_edge}
+ALGORITHMS = tuple(_SOLVERS)
+
 
 def solve(g: Graph, cfg: SolverConfig) -> MinimizationReport:
     """Take T_k from `k_truss`, run the configured solver, assemble the report.
 
     `k_truss` peels T_k on the first solve at k on a graph; later solves
-    at k clone the graph's cached copy.
+    at k clone the graph's cached copy.  Every solver returns no records
+    on an empty T_k.
     """
     start = time.perf_counter()
     t = k_truss(g, cfg.k)
-    report = MinimizationReport(k=cfg.k, b=cfg.b, algorithm=cfg.algorithm,
-                                initial_truss_edges=t.edge_count)
-    if t.edge_count == 0:
-        report.final_truss_edges = 0
-        report.warnings.append(f"the {cfg.k}-truss is empty; nothing to delete")
-        report.time_ms_total = (time.perf_counter() - start) * 1000.0
-        return report
-
-    if cfg.algorithm == "exact":
-        _, records = solve_exact(t, cfg.b, cap=cfg.exact_cap)
-    elif cfg.algorithm == "support":
-        _, records = solve_support(t, cfg.b)
-    elif cfg.algorithm == "baseline":
-        _, records = solve_baseline(t, cfg.b)
-    elif cfg.algorithm == "gp_edge":
-        _, records = solve_gp_edge(t, cfg.b)
+    initial = t.edge_count
+    solver = _SOLVERS[cfg.algorithm]
+    records = solver(t, cfg.b, cfg.exact_cap) if solver is solve_exact else solver(t, cfg.b)
+    if initial == 0:
+        warnings = [f"the {cfg.k}-truss is empty; nothing to delete"]
+    elif len(records) < cfg.b:
+        warnings = [f"truss emptied after {len(records)} deletions; budget was {cfg.b}"]
     else:
-        _, records = solve_up_edge(t, cfg.b)
-
-    report.iterations = records
-    report.followers_total = sum(r.followers for r in records)
-    report.final_truss_edges = t.edge_count
-    report.b_effective = len(records)
-    if report.b_effective < cfg.b:
-        report.warnings.append(
-            f"truss emptied after {report.b_effective} deletions; budget was {cfg.b}")
-    report.time_ms_total = (time.perf_counter() - start) * 1000.0
-    return report
-
+        warnings = []
+    return MinimizationReport(
+        k=cfg.k, b=cfg.b, algorithm=cfg.algorithm, iterations=records,
+        initial_truss_edges=initial, final_truss_edges=t.edge_count,
+        followers_total=sum(r.followers for r in records), b_effective=len(records),
+        warnings=warnings, time_ms_total=(time.perf_counter() - start) * 1000.0)

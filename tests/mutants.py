@@ -85,6 +85,9 @@ BUILD_OVERLAP = ("tests/test_groups.py::TestSupportGroupIndex::"
 BUILD_DEAD_SEED = ("tests/test_groups.py::TestSupportGroupIndex::"
                    "test_build_steps_over_a_dead_seed_at_the_threshold")
 BUILD_K10 = "tests/test_acceptance.py::test_support_group_index_build_matches_reference[10]"
+EMPTY_TRUSS = "tests/test_minimize.py::TestSolveDispatch::test_empty_truss_warns_and_does_nothing"
+EXACT_COUNTS = "tests/test_minimize.py::TestExact::test_k5_pair_counts_the_enumeration_once"
+EARLY_STOP_GP = "tests/test_minimize.py::TestEarlyStopCounts::test_counts[gp_edge-5-2797-117]"
 
 MUTANTS = (
     # the key layout (`graph.Graph`): with v >= n, u*n + v is another edge's key
@@ -174,6 +177,17 @@ MUTANTS = (
     Mutant("exact commits its winner without edge_count", MINIMIZE,
            "dead = t.cascade([e])", "dead = _peel(t, [e])[0]",
            (EXACT_LEAVES,)),
+    Mutant("every exact record claims the enumeration", MINIMIZE,
+           "0 if records else ncomb", "ncomb",
+           (EXACT_COUNTS,)),
+    # the dispatcher (`minimize.solve`): its name-to-solver table, and the
+    # warning an empty truss gets instead of the early-stop one
+    Mutant("an empty truss warns as emptied", MINIMIZE,
+           "if initial == 0:", "if False:",
+           (EMPTY_TRUSS,)),
+    Mutant("the table sends gp_edge to solve_up_edge", MINIMIZE,
+           '"gp_edge": solve_gp_edge', '"gp_edge": solve_up_edge',
+           (EARLY_STOP_GP,)),
     # the memo's early stop (`minimize.DeadSetMemo`, `truss._peel`)
     Mutant("holders hold every edge", MINIMIZE,
            "        i = bisect_left(dead_set, self.e)\n"

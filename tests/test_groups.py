@@ -491,7 +491,7 @@ class TestRefreshIndex:
         # the up_edge deletion chain at k=8, b=12: each commit erodes only
         # part of a truss component, so groups split and touch sets shrink
         g = graph_of(synth.community_pairs(seed=2, scale=3))
-        chosen, _ = solve_up_edge(k_truss(g, 8), 12)
+        chosen = [r.eid for r in solve_up_edge(k_truss(g, 8), 12)]
         t, upper, idx = nested_index(g, 8)
         index = SupportGroupIndex(t)
         dissolved = 0

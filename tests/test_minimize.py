@@ -83,12 +83,19 @@ class TestSolveDispatch:
             assert report.final_truss_edges == 0
             assert report.b_effective == 1
 
-    def test_empty_truss_warns_and_does_nothing(self):
+    @pytest.mark.parametrize("algorithm, solver", [
+        ("exact", solve_exact), ("support", solve_support), ("baseline", solve_baseline),
+        ("gp_edge", solve_gp_edge), ("up_edge", solve_up_edge),
+    ], ids=["exact", "support", "baseline", "gp_edge", "up_edge"])
+    def test_empty_truss_warns_and_does_nothing(self, algorithm, solver):
         g = graph_of([(0, 1), (1, 2), (2, 3)])
-        report = solve(g, SolverConfig(k=3, b=2, algorithm="baseline"))
+        assert solver(k_truss(g, 3), 2) == []
+        report = solve(g, SolverConfig(k=3, b=2, algorithm=algorithm))
         assert report.iterations == []
         assert report.b_effective == 0
-        assert report.warnings
+        assert report.followers_total == 0
+        assert report.final_truss_edges == 0
+        assert report.warnings == ["the 3-truss is empty; nothing to delete"]
 
     def test_early_stop_marks_effective_budget(self, k5):
         report = solve(k5, SolverConfig(k=5, b=3, algorithm="baseline"))
@@ -126,22 +133,28 @@ class TestSolveDispatch:
 class TestExact:
     def test_k5_single(self, k5):
         t = k_truss(k5, 5)
-        chosen, records = solve_exact(t, 1)
-        assert chosen == [0]
+        records = solve_exact(t, 1)
+        assert [r.eid for r in records] == [0]
         assert records[0].followers == 9
 
     def test_k5_pairs_return_lexicographically_smallest(self, k5):
         t = k_truss(k5, 5)
-        chosen, records = solve_exact(t, 2)
-        assert chosen == [0, 1]  # every pair removes everything; first wins
+        records = solve_exact(t, 2)
+        assert [r.eid for r in records] == [0, 1]  # every pair removes everything; first wins
         assert sum(r.followers for r in records) == 8
+
+    def test_k5_pair_counts_the_enumeration_once(self, k5):
+        # C(10, 2) = 45 subsets, all evaluated before the first commit
+        records = solve_exact(k_truss(k5, 5), 2)
+        assert [(r.candidates_total, r.candidates_evaluated) for r in records] == \
+            [(45, 45), (45, 0)]
 
     def test_two_disjoint_k4s_picks_one_edge_each(self):
         pairs = complete_pairs(4) + complete_pairs(4, offset=10)
         g = graph_of(pairs)
         t = k_truss(g, 4)
-        chosen, records = solve_exact(t, 2)
-        sides = {g.original_pair(e)[0] < 10 for e in chosen}
+        records = solve_exact(t, 2)
+        sides = {g.original_pair(r.eid)[0] < 10 for r in records}
         assert sides == {True, False}
         assert sum(r.followers for r in records) == 10
 
@@ -156,7 +169,7 @@ class TestExact:
                 continue
             truss_pairs = label_pairs(g, t.alive_edge_ids())
             _, expected = oracles.best_subset(truss_pairs, 3, 2)
-            chosen, records = solve_exact(t, 2)
+            records = solve_exact(t, 2)
             assert sum(r.followers for r in records) == expected
 
     def test_leaves_the_truss_the_joint_deletion_leaves(self, rng):
@@ -176,7 +189,7 @@ class TestExact:
                     if not 0 < t.edge_count <= 20:
                         continue
                     before = t.clone()
-                    chosen, _ = solve_exact(t, b)
+                    chosen = [r.eid for r in solve_exact(t, b)]
                     assert_no_queued_edge(t)
                     assert state(t) == state(delete_and_cascade(before, chosen).surviving)
                     checked += 1
@@ -214,16 +227,16 @@ class TestExact:
 class TestSupportHeuristic:
     def test_k5_deletes_neighbor_of_smallest_edge(self, k5):
         t = k_truss(k5, 5)
-        chosen, records = solve_support(t, 1)
-        assert k5.original_pair(chosen[0]) == (0, 2)  # edge id 1
+        records = solve_support(t, 1)
+        assert k5.original_pair(records[0].eid) == (0, 2)  # edge id 1
         assert records[0].followers == 9
 
     def test_disjoint_k5s_take_one_edge_per_clique(self):
         pairs = complete_pairs(5) + complete_pairs(5, offset=10)
         g = graph_of(pairs)
         t = k_truss(g, 5)
-        chosen, _ = solve_support(t, 2)
-        sides = {g.original_pair(e)[0] < 10 for e in chosen}
+        records = solve_support(t, 2)
+        sides = {g.original_pair(r.eid)[0] < 10 for r in records}
         assert sides == {True, False}
 
     @staticmethod
@@ -252,10 +265,9 @@ class TestSupportHeuristic:
         """Run both to an empty truss; returns the support of each weakest edge."""
         t = k_truss(g, k)
         want = cls.reference(t.clone(), t.edge_count)
-        chosen, records = solve_support(t, t.edge_count)
+        records = solve_support(t, t.edge_count)
         assert [(r.eid, r.followers, r.candidates_total) for r in records] == \
             [w[1:] for w in want]
-        assert chosen == [r.eid for r in records]
         assert t.edge_count == 0
         return [w[0] for w in want]
 
@@ -299,8 +311,8 @@ class TestSupportHeuristic:
 class TestGpEdge:
     def test_k5_uses_one_candidate(self, k5):
         t = k_truss(k5, 5)
-        chosen, records = solve_gp_edge(t, 1)
-        assert chosen == [0]
+        records = solve_gp_edge(t, 1)
+        assert [r.eid for r in records] == [0]
         assert records[0].candidates_total == 1
         assert records[0].candidates_evaluated == 1
 
@@ -310,8 +322,8 @@ class TestGpEdge:
         # no threshold edge, so no candidate: the main loop deletes the
         # smallest alive edge with nothing evaluated
         t = k_truss(k6, 5)
-        chosen, records = solver(t, 1)
-        assert chosen == [0]
+        records = solver(t, 1)
+        assert [r.eid for r in records] == [0]
         assert records[0].followers == 0
         assert records[0].candidates_total == 0
         assert records[0].candidates_evaluated == 0
@@ -326,8 +338,8 @@ class TestGpEdge:
 class TestUpEdge:
     def test_k5_evaluates_one_candidate(self, k5):
         t = k_truss(k5, 5)
-        chosen, records = solve_up_edge(t, 1)
-        assert chosen == [0]
+        records = solve_up_edge(t, 1)
+        assert [r.eid for r in records] == [0]
         assert records[0].candidates_evaluated == 1
 
     def test_disjoint_k5s_evaluate_both_representatives(self):
@@ -336,10 +348,10 @@ class TestUpEdge:
         pairs = complete_pairs(5) + complete_pairs(5, offset=10)
         g = graph_of(pairs)
         t = k_truss(g, 5)
-        chosen, records = solve_up_edge(t, 1)
+        records = solve_up_edge(t, 1)
         assert records[0].candidates_total == 2
         assert records[0].candidates_evaluated == 2
-        assert chosen == [0]
+        assert [r.eid for r in records] == [0]
 
     def test_zero_bound_candidates_are_never_evaluated(self):
         # K6 carries candidates at k=4? No: its supports exceed the
@@ -348,9 +360,9 @@ class TestUpEdge:
         pairs = complete_pairs(6) + complete_pairs(4, offset=10)
         g = graph_of(pairs)
         t = k_truss(g, 4)
-        chosen, records = solve_up_edge(t, 1)
+        records = solve_up_edge(t, 1)
         assert records[0].followers == 5  # the K4 collapses
-        assert g.original_pair(chosen[0])[0] >= 10
+        assert g.original_pair(records[0].eid)[0] >= 10
 
 
 class TestGreedyEquivalence:
@@ -485,7 +497,7 @@ class TestBaselineMemo:
                     e, f = oracle_best_single(fresh)
                     fresh.cascade([e])
                     want.append((e, f))
-                _, records = solve_baseline(k_truss(g, k), b)
+                records = solve_baseline(k_truss(g, k), b)
                 assert [(r.eid, r.followers) for r in records] == want
 
     def test_simulations_missing_the_commit_region_are_unchanged(self, rng):
@@ -633,7 +645,7 @@ class TestScanMemo:
                     mp.setattr(minimize.DeadSetMemo, "dead_set", dead_set)
                 outcome = solver_outcome(cls.SOLVERS[algorithm], k_truss(g, k), b)
                 runs.append((outcome, len(calls)))
-        (_, replay), replay_sims = runs[1]
+        replay, replay_sims = runs[1]
         assert replay_sims == sum(evaluated for *_, evaluated in replay)
         return runs
 
@@ -801,9 +813,8 @@ class TestCommitChecks:
 
 
 def solver_outcome(solver, t, b):
-    chosen, records = solver(t, b)
-    return chosen, [(r.eid, r.followers, r.candidates_total, r.candidates_evaluated)
-                    for r in records]
+    return [(r.eid, r.followers, r.candidates_total, r.candidates_evaluated)
+            for r in solver(t, b)]
 
 
 class TestDeadEdgeSupport:
@@ -866,7 +877,7 @@ class TestSharedScanGolden:
                              ids=["gp_edge", "up_edge"])
     def test_records(self, solver, want):
         g = graph_of(synth.community_pairs(seed=2, scale=3))
-        _, got = solver_outcome(solver, k_truss(g, 8), 12)
+        got = solver_outcome(solver, k_truss(g, 8), 12)
         assert got == want
 
 

@@ -310,8 +310,8 @@ class TestTrussCache:
                 continue
             gone = {g.original_pair(e) for e in seeds}
             reduced = graph_of([p for p in map(g.original_pair, range(g.m)) if p not in gone])
-            got = solve_up_edge(t, 3)[1]
-            want = solve_up_edge(k_truss(reduced, k), 3)[1]
+            got = solve_up_edge(t, 3)
+            want = solve_up_edge(k_truss(reduced, k), 3)
             assert [(r.edge, r.followers, r.candidates_evaluated) for r in got] == \
                 [(r.edge, r.followers, r.candidates_evaluated) for r in want]
 

@@ -28,8 +28,8 @@ class Graph:
 
     A graph caches values derived from it alone: its triangle index
     (`triangle_index`, each edge's partner edges) and its last two peeled
-    trusses (`truss.k_truss`), each truss level at m + 4m bytes for its
-    alive edges and supports.
+    trusses (`truss.k_truss`), each truss level at a byte per edge for its
+    alive edges and one (four once a support reaches 256) for its supports.
     """
 
     __slots__ = ("n", "keys", "labels", "_tri_cache", "_truss_cache")
@@ -156,20 +156,24 @@ class Graph:
         (u, v), by intersecting the forward maps `higher[u]` and `higher[v]`
         (`higher[x]`: neighbour w > x -> id of (x, w)), local to this call.
         Edges are walked in ascending id, and every edge's pairs come in the
-        order their triangles are found.  There are no triangle ids: in a
-        truss a triangle is alive exactly when its three edges are.  Cached.
+        order their triangles are found.  Each vertex's map is freed once
+        its own edges are walked: they lead only upward, so no later vertex
+        reads it.  There are no triangle ids: in a truss a triangle is alive
+        exactly when its three edges are.  Cached.
         """
         if self._tri_cache is None:
             n = self.n
             verts = list(range(n))
-            higher: list[dict[int, int]] = [{} for _ in verts]
+            higher: list[Optional[dict[int, int]]] = [{} for _ in verts]
             # keys come from `verts`, so divmod's own ints die at once and the
             # edge ids kept in `partners` sit side by side in memory
             for eid, key in enumerate(self.keys):
                 u, v = divmod(key, n)
                 higher[u][verts[v]] = eid
             partners: list[list[int]] = [[] for _ in range(len(self.keys))]
-            for hu in higher:
+            for u in verts:
+                hu = higher[u]
+                higher[u] = None
                 for v, e_uv in hu.items():
                     hv = higher[v]
                     p = partners[e_uv]

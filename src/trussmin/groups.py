@@ -14,6 +14,7 @@ groups an edge touches bounds its follower count from above.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import compress
 
@@ -262,10 +263,11 @@ class GroupIndex:
     A group's id is its smallest member edge, so the index after a refresh
     equals a rebuild over the same `t` and `upper`, ids included.
 
-    The per-edge state is flat: `gid_of[e]` is the group of edge `e`, or
-    -1 when it has none, and `bound` and `stamp` are indexed by edge id
-    too.  Each group's touch set is a duplicate-free list of its members
-    plus every edge sharing an alive triangle of `t` with a member.
+    The per-edge state is flat arrays indexed by edge id: `gid_of[e]` is
+    the group of edge `e`, or -1 when it has none, and `bound[e]` its
+    bound, each a 4-byte `array('i')` slot, and `stamp` a byte.  Each
+    group's touch set is a duplicate-free list of its members plus every
+    edge sharing an alive triangle of `t` with a member.
     `bound[e]` is the total size of the groups whose touch set holds `e`,
     which is `upper_bound(self, e)` for an alive edge and 0 for a dead
     one: growing a group adds its size over its touch set, and dissolving
@@ -287,10 +289,10 @@ class GroupIndex:
         m = t.graph.m
         self.t = t
         self.upper = upper
-        self.gid_of: list[int] = [-1] * m
+        self.gid_of = array("i", [-1]) * m
         self.members: dict[int, list[int]] = {}     # gid (= members[0]) -> edge ids, ascending
         self.touch: dict[int, list[int]] = {}       # gid -> its touch set
-        self.bound: list[int] = [0] * m
+        self.bound = array("i", [0]) * m
         self.stamp = bytearray(m)
         self.moved: list[int] = []
         # ids (smallest members) of the groups the most recent refresh

@@ -120,11 +120,11 @@ class _Holders:
 
     __slots__ = ("slots", "e")
 
-    def __init__(self, slots: list, e: int):
+    def __init__(self, slots: dict[int, tuple[int, ...]], e: int):
         self.slots, self.e = slots, e
 
     def __contains__(self, x: int) -> bool:
-        dead_set = self.slots[x]
+        dead_set = self.slots.get(x)
         if not dead_set:
             return False
         i = bisect_left(dead_set, self.e)
@@ -147,26 +147,30 @@ class DeadSetMemo:
     stored slot holds e, and e takes x's tuple: x died in e's peel, so
     x is in D(e), and e is in D(x), so D(x) = D(e) (`simulate_followers`
     says why).  Whether a stop is exact depends on x's slot alone, and
-    every stored slot is current.  `held[x]` is set for each member x of
-    a freshly stored tuple and never cleared; a miss for an edge that no
-    stored set has ever held simulates without a stop.  A miss whose dead
-    set equals a stored one always stops (the peel kills that set's
-    holder), so equal dead sets share one tuple, every member of a
-    support group included.
+    every stored slot is current.  `held` gains each member of a freshly
+    stored tuple and never loses one; a miss for an edge that no stored
+    set has ever held simulates without a stop.  A miss whose dead set
+    equals a stored one always stops (the peel kills that set's holder),
+    so equal dead sets share one tuple, every member of a support group
+    included.
+
+    Both tables follow the edges the solver asks about, not the graph:
+    `slots` is a dict holding a slot only for an edge asked about and not
+    invalidated since, and `held` a set.
     """
 
     def __init__(self, t: TrussSubgraph):
         self.t = t
-        self.slots: list[Optional[tuple[int, ...]]] = [None] * t.graph.m
+        self.slots: dict[int, tuple[int, ...]] = {}
         self.shared: set[tuple[int, ...]] = set()
-        self.held = bytearray(t.graph.m)
+        self.held: set[int] = set()
 
     def dead_set(self, e: int) -> tuple[int, ...]:
         """The stored dead set of alive edge `e`, simulated when none is stored."""
         slots = self.slots
-        dead_set = slots[e]
+        dead_set = slots.get(e)
         if dead_set is None:
-            stop = _Holders(slots, e) if self.held[e] else ()
+            stop = _Holders(slots, e) if e in self.held else ()
             # the module global, looked up per call, so wrappers of it see every simulation
             fl = simulate_followers(self.t, e, stop)
             if fl and fl[-1] in stop:
@@ -176,9 +180,7 @@ class DeadSetMemo:
                 fl.sort()
                 dead_set = tuple(fl)
                 self.shared.add(dead_set)
-                held = self.held
-                for x in dead_set:
-                    held[x] = 1
+                self.held.update(dead_set)
             else:
                 dead_set = ()
             slots[e] = dead_set
@@ -188,12 +190,12 @@ class DeadSetMemo:
         """Forget every dead set that meets `region`."""
         slots = self.slots
         for x in region:
-            slots[x] = None  # an edge's own dead set holds it
+            slots.pop(x, None)  # an edge's own dead set holds it
         for dead_set in [d for d in self.shared if not region.isdisjoint(d)]:
             self.shared.remove(dead_set)
             for x in dead_set:  # every edge sharing a dead set lies in it
-                if slots[x] is dead_set:
-                    slots[x] = None
+                if slots.get(x) is dead_set:
+                    del slots[x]
 
 
 def _commit(t: TrussSubgraph, eid: int,
@@ -520,9 +522,11 @@ def _two_level_tau(t: TrussSubgraph) -> TrussSubgraph:
     upper = k_truss(t.graph, t.k + 1)
     # Both alive arrays hold one 0/1 byte per edge, so one big-int AND-NOT
     # marks the edges dead in `t` that `upper` still holds, and `compress`
-    # takes them without a Python step per edge.
+    # takes them without a Python step per edge; a fresh `t` has lost
+    # nothing, and skips that pass.
     lost = int.from_bytes(upper.alive, "little") & ~int.from_bytes(t.alive, "little")
-    upper.cascade(compress(range(t.graph.m), lost.to_bytes(t.graph.m, "little")))
+    if lost:
+        upper.cascade(compress(range(t.graph.m), lost.to_bytes(t.graph.m, "little")))
     return upper
 
 

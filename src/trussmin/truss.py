@@ -194,7 +194,10 @@ def k_truss(g: Graph, k: int) -> TrussSubgraph:
     """The k-truss of `g`, as a fresh `TrussSubgraph` the caller owns.
 
     The peel depends only on (g, k), so the graph keeps a frozen copy of
-    its last `CACHED_LEVELS` levels and a repeated call clones one.  A miss
+    its last `CACHED_LEVELS` levels and a repeated call clones one.  A
+    frozen level is `bytes` of alive flags, the supports as an
+    `array('B')` when every one is below 256 (else an `array('i')`) and
+    the edge count: 2m bytes a level on most graphs.  A miss
     peels from the cached (k-1)-level when there is one, else from scratch
     (`_peel_graph`).  Only alive edges keep exact supports afterwards: a
     peeled edge keeps whatever count it had when it died, which may differ
@@ -211,7 +214,8 @@ def k_truss(g: Graph, k: int) -> TrussSubgraph:
     t = _peel_graph(g, k) if below is None else peel_to(_thaw(g, k - 1, below), k)
     if len(cache) >= CACHED_LEVELS:
         del cache[next(iter(cache))]  # the oldest level
-    cache[k] = (bytes(t.alive), array("i", t.sup), t.edge_count)
+    cache[k] = (bytes(t.alive), array("B" if max(t.sup, default=0) < 256 else "i", t.sup),
+                t.edge_count)
     return t
 
 

@@ -88,6 +88,11 @@ BUILD_K10 = "tests/test_acceptance.py::test_support_group_index_build_matches_re
 EMPTY_TRUSS = "tests/test_minimize.py::TestSolveDispatch::test_empty_truss_warns_and_does_nothing"
 EXACT_COUNTS = "tests/test_minimize.py::TestExact::test_k5_pair_counts_the_enumeration_once"
 EARLY_STOP_GP = "tests/test_minimize.py::TestEarlyStopCounts::test_counts[gp_edge-5-2797-117]"
+MEMO_SLOTS = "tests/test_minimize.py::TestMemoStop::test_slots_follow_the_edges_asked_about"
+BOOK_256 = "tests/test_truss.py::TestTrussCache::test_a_book_caches_and_thaws_its_supports[256-i]"
+TWO_LEVEL_COMMITTED = "tests/test_truss.py::TestTrussCache::test_two_level_tau_peels_a_committed_truss"
+UP_EDGE_COMMITTED = ("tests/test_truss.py::TestTrussCache::"
+                     "test_up_edge_on_a_committed_truss_matches_the_reduced_graph")
 
 MUTANTS = (
     # the key layout (`graph.Graph`): with v >= n, u*n + v is another edge's key
@@ -96,8 +101,8 @@ MUTANTS = (
            ("tests/test_graph.py::TestEdgeLookup::test_edge_id_rejects_and_has_edge_denies[0-7]",
             "tests/test_graph.py::TestEdgeLookup::test_every_pair_around_the_vertex_range")),
     # each edge's partner pairs come in ascending order of the smallest edge
-    Mutant("triangle build walks the vertices in descending order", GRAPH,
-           "for hu in higher:", "for hu in reversed(higher):",
+    Mutant("triangle build walks each forward map in descending order", GRAPH,
+           "for v, e_uv in hu.items():", "for v, e_uv in reversed(hu.items()):",
            ("tests/test_graph.py::TestTriangleIndex::test_random_graphs_with_sparse_labels",
             "tests/test_graph.py::TestTriangleIndex::test_empty_path_and_k5[pairs2-10]")),
     # the b half of the support-group grower (`groups._grow_support_group`)
@@ -167,11 +172,18 @@ MUTANTS = (
            "level, e_min = max(compress(sup, alive)), -1",
            (SUPPORT_REFERENCE, SUPPORT_RISE)),
     # the truss cache (`truss.k_truss`): a stored bytearray is the one the
-    # caller mutates
+    # caller mutates, and a support of 256 does not fit a byte
     Mutant("truss cache stores the bytearray", TRUSS,
-           'cache[k] = (bytes(t.alive), array("i", t.sup), t.edge_count)',
-           'cache[k] = (t.alive, array("i", t.sup), t.edge_count)',
+           "cache[k] = (bytes(t.alive), ", "cache[k] = (t.alive, ",
            (TRUSS_CACHE_MUTATED, DUMP_AFTER_SOLVE)),
+    Mutant("the cache always uses 'B'", TRUSS,
+           '"B" if max(t.sup, default=0) < 256 else "i"', '"B"',
+           (BOOK_256,)),
+    # the nested (k+1)-truss (`minimize._two_level_tau`) skips its pass over
+    # m only when `t` has lost nothing
+    Mutant("the nested truss never cascades the lost edges", MINIMIZE,
+           "    if lost:\n", "    if False:\n",
+           (TWO_LEVEL_COMMITTED, UP_EDGE_COMMITTED)),
     # `solve_exact` commits its winner through the cascade, which keeps
     # `edge_count`
     Mutant("exact commits its winner without edge_count", MINIMIZE,
@@ -195,8 +207,12 @@ MUTANTS = (
            "        return True\n",
            (HOLDERS, MEMO_STOP)),
     Mutant("held is never set", MINIMIZE,
-           "held[x] = 1", "pass",
+           "self.held.update(dead_set)", "pass",
            (MEMO_STOP, EARLY_STOP_UP)),
+    # a slot is held only for an edge asked about and not invalidated since
+    Mutant("invalidation leaves a None slot", MINIMIZE,
+           "slots.pop(x, None)", "slots[x] = None",
+           (MEMO_SLOTS,)),
     Mutant("memo stops without asking the holder", MINIMIZE,
            "if fl and fl[-1] in stop:", "if fl and stop:",
            (MEMO_STOP,)),

@@ -538,8 +538,8 @@ class TestBaselineMemo:
 class TestMemoStop:
     """A memo miss for e stops its simulation at the first dead edge whose
     stored slot holds e, and e takes that edge's tuple.  A miss whose dead
-    set equals a stored one always stops.  `held` is set for every member
-    of every stored tuple and never cleared."""
+    set equals a stored one always stops.  `held` gains every member of
+    every stored tuple and never loses one."""
 
     @staticmethod
     def replay(monkeypatch, rng, t, commits):
@@ -569,15 +569,15 @@ class TestMemoStop:
                     truss._undo(t, dead, lowered)
                     assert_no_queued_edge(t)
                     want = tuple(sorted(dead)) if len(dead) > 1 else ()
-                    known = memo.slots[e] is None and want in memo.shared
+                    known = e not in memo.slots and want in memo.shared
                     before = len(stops)
                     assert memo.dead_set(e) == want
                     if known:
                         assert stops[before:] == [e]
-                assert all(memo.held[x] for dead_set in memo.shared for x in dead_set)
+                assert all(x in memo.held for dead_set in memo.shared for x in dead_set)
                 if i == commits:
                     break
-                held = bytes(memo.held)
+                held = set(memo.held)
                 log = []
                 dead = t.cascade(rng.sample(alive, rng.randint(1, 2)), log)
                 assert_no_queued_edge(t)
@@ -613,8 +613,34 @@ class TestMemoStop:
         assert 2 not in holders
         memo.slots[4] = ()
         assert 4 not in holders
-        memo.slots[0] = None
+        del memo.slots[0]
         assert 0 not in holders
+
+    def test_slots_follow_the_edges_asked_about(self, rng):
+        # A lookup fills the slot of the edge asked about and no other, a
+        # stopped one included, and `held` is the members of the stored
+        # sets; an invalidation only drops slots.
+        from trussmin import minimize
+        partial = 0  # cases that asked about only some alive edges
+        for g in memo_test_graphs(rng, 40):
+            for k in range(3, 6):
+                t = k_truss(g, k)
+                alive = t.alive_edge_ids()
+                if not alive:
+                    continue
+                memo = minimize.DeadSetMemo(t)
+                asked = set(rng.sample(alive, rng.randint(1, len(alive))))
+                for e in asked:
+                    memo.dead_set(e)
+                assert memo.slots.keys() == asked
+                assert memo.held == {x for dead_set in memo.shared for x in dead_set}
+                log = []
+                dead = t.cascade([rng.choice(alive)], log)
+                region = commit_region(t, dead, log)
+                memo.invalidate(region)
+                assert memo.slots.keys() <= asked - region
+                partial += len(asked) < len(alive)
+        assert partial > 0
 
 
 @pytest.mark.parametrize("algorithm", ["gp_edge", "up_edge"])
@@ -632,7 +658,7 @@ class TestScanMemo:
         real_sim, real_dead_set = minimize.simulate_followers, minimize.DeadSetMemo.dead_set
 
         def dead_set(memo, e):
-            memo.slots[e] = None
+            memo.slots.pop(e, None)
             return real_dead_set(memo, e)
 
         runs = []

@@ -315,6 +315,21 @@ class TestTrussCache:
             assert [(r.edge, r.followers, r.candidates_evaluated) for r in got] == \
                 [(r.edge, r.followers, r.candidates_evaluated) for r in want]
 
+    @pytest.mark.parametrize("spokes, typecode", [(255, "B"), (256, "i")])
+    def test_a_book_caches_and_thaws_its_supports(self, spokes, typecode):
+        # one spine edge (0, 1) in `spokes` triangles: its support is the
+        # largest, and one byte holds it only up to 255
+        pairs = [(0, 1)] + [(x, w) for w in range(2, spokes + 2) for x in (0, 1)]
+        g = graph_of(pairs)
+        levels = {k: k_truss(g, k) for k in (3, 4)}  # each peeled, then cached
+        assert levels[3].sup[g.edge_id(0, 1)] == spokes and levels[4].edge_count == 0
+        # the 4-truss is empty: the spine died at support 1
+        assert [g._truss_cache[k][1].typecode for k in (3, 4)] == [typecode, "B"]
+        for k, peeled in levels.items():
+            thawed = k_truss(g, k)
+            assert thawed.sup == peeled.sup and thawed.alive == peeled.alive
+            assert_same_truss(thawed, truss._peel_graph(g, k))
+
     def test_decomposition_neither_fills_nor_evicts(self, rng):
         for g, k in cold_trusses(rng, 20):
             tau = truss_decompose(g)

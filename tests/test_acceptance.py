@@ -6,8 +6,10 @@ independent oracles; criterion 7 reproduces the qualitative behavior on a
 deterministic synthetic graph in the 10^4..10^5 edge range.
 """
 
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -301,6 +303,28 @@ def test_greedy_solvers_agree_and_prune_strictly_across_k(desk_scale_graph, k):
     for u, p, r in zip(*(rep.iterations for rep in reports)):
         assert u.candidates_evaluated < p.candidates_evaluated < r.candidates_evaluated, \
             (k, u.eid, u.candidates_evaluated, p.candidates_evaluated, r.candidates_evaluated)
+
+
+GREEDY_RECORDS = Path(__file__).resolve().parent / "golden" / "greedy_records.json"
+
+
+@pytest.mark.parametrize("algorithm", ["gp_edge", "up_edge"])
+def test_greedy_records_match_golden(desk_scale_graph, algorithm):
+    """Every record of the two pruned solvers, as written before they shared
+    one greedy loop: edge id, followers, candidates total and evaluated, on
+    this graph at k = 6, 10 and 12, b = 5, and on `synth.overlapping_pairs`
+    at k = 10, b = 8, where commits erode part of the truss."""
+    graphs = {"community_pairs(seed=42, scale=30)": desk_scale_graph,
+              "overlapping_pairs(seed=42, scale=1)":
+                  Graph.from_pairs(synth.overlapping_pairs(seed=42, scale=1))}
+    cases = [c for c in json.loads(GREEDY_RECORDS.read_text()) if c["algorithm"] == algorithm]
+    assert [(c["k"], c["b"]) for c in cases] == [(6, 5), (10, 5), (12, 5), (10, 8)]
+    for case in cases:
+        report = solve(graphs[case["graph"]],
+                       SolverConfig(k=case["k"], b=case["b"], algorithm=algorithm))
+        got = [[r.eid, r.followers, r.candidates_total, r.candidates_evaluated]
+               for r in report.iterations]
+        assert got == case["records"], (case["graph"], case["k"])
 
 
 @pytest.mark.parametrize("k", [6, 10, 12])

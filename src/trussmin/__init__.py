@@ -10,7 +10,7 @@ from .cascade import DeletionOutcome, delete_and_cascade, followers_of_edge, \
 from .errors import ContractViolation, EdgeListParseError, EnumerationCapExceeded
 from .graph import Graph, load_edge_list
 from .groups import GroupIndex, SupportGroup, SupportGroupIndex, \
-    build_truss_group_index, find_support_groups, refresh_index, upper_bound
+    build_truss_group_index, find_support_groups, refresh_index
 from .minimize import ALGORITHMS, IterationRecord, MinimizationReport, \
     SolverConfig, solve, solve_baseline, solve_exact, solve_gp_edge, \
     solve_support, solve_up_edge
@@ -48,7 +48,6 @@ __all__ = [
     "solve_up_edge",
     "truss_decompose",
     "update_after_deletion",
-    "upper_bound",
 ]
 
 __version__ = "0.1.0"

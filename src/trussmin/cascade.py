@@ -117,11 +117,12 @@ def commit_region(t: TrussSubgraph, dead: list[int], log: list[int]) -> set[int]
 
     Each greedy commit computes its region once and hands the same set to
     every structure it maintains: `SupportGroupIndex.update`,
-    `DeadSetMemo.invalidate` and, in `solve_up_edge`, `refresh_index`.
-    Each accepts any superset of the region.  `solve_up_edge` passes `dead
-    + upper.cascade(dead)`, where `upper` is the (k+1)-truss nested in `t`:
-    the edges that fell from trussness k+1 to k join the region with their
-    alive-triangle partners.
+    `DeadSetMemo.invalidate` and the bound source of the shared greedy loop
+    (`minimize._solve_greedy`).  Each accepts any superset of the region.
+    That loop passes `dead` plus whatever its bound source's cascade adds:
+    nothing for `gp_edge`, `upper.cascade(dead)` for `up_edge`, where
+    `upper` is the (k+1)-truss nested in `t`, so the edges that fell from
+    trussness k+1 to k join the region with their alive-triangle partners.
     """
     partners, alive = t.graph.triangle_index(), t.alive
     changed = set(dead).union(log)

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import EdgeListParseError, EnumerationCapExceeded
 from .graph import Graph, load_edge_list
-from .groups import build_truss_group_index, find_support_groups
+from .groups import SupportGroupIndex, build_truss_group_index
 from .minimize import ALGORITHMS, DEFAULT_EXACT_CAP, MinimizationReport, SolverConfig, solve
 from .truss import k_truss, truss_decompose
 
@@ -144,7 +144,7 @@ def _human_report(report: MinimizationReport) -> str:
 def _groups_dump(g: Graph, k: int) -> dict:
     """The k-truss's groups by smallest edge, each numbered by its position."""
     t = k_truss(g, k)
-    support_groups, candidates = find_support_groups(t)
+    support_groups = SupportGroupIndex(t)
     # `t` has lost no edge, so the (k+1)-truss nested in it is the graph's own
     idx = build_truss_group_index(t, k_truss(g, k + 1))
     return {
@@ -156,9 +156,9 @@ def _groups_dump(g: Graph, k: int) -> dict:
                 "pruned_followers": sorted(
                     list(g.original_pair(e)) for e in grp.pruned_followers),
             }
-            for i, grp in enumerate(support_groups)
+            for i, grp in enumerate(support_groups.groups())
         ],
-        "candidates": [list(g.original_pair(e)) for e in candidates],
+        "candidates": [list(g.original_pair(e)) for e in sorted(support_groups.candidates)],
         "truss_groups": [
             {"gid": i, "size": len(members),
              "members": [list(g.original_pair(e)) for e in members]}

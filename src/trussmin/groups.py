@@ -268,11 +268,11 @@ class GroupIndex:
     bound, each a 4-byte `array('i')` slot, and `stamp` a byte.  Each
     group's touch set is a duplicate-free list of its members plus every
     edge sharing an alive triangle of `t` with a member.
-    `bound[e]` is the total size of the groups whose touch set holds `e`,
-    which is `upper_bound(self, e)` for an alive edge and 0 for a dead
-    one: growing a group adds its size over its touch set, and dissolving
-    it takes the size back.  `stamp` marks the edges already in the touch
-    set being grown; it is all zero between growths.
+    `bound[e]` is the total size of the groups whose touch set holds `e`:
+    for an alive edge, of the groups `adjacent_gids(e)` names, and 0 for a
+    dead one.  Growing a group adds its size over its touch set, and
+    dissolving it takes the size back.  `stamp` marks the edges already in
+    the touch set being grown; it is all zero between growths.
 
     Growing or dissolving a group moves the bound of exactly the edges in
     its touch set, so those two steps append that touch set to `moved`.
@@ -421,20 +421,6 @@ def build_truss_group_index(t: TrussSubgraph, upper: TrussSubgraph) -> GroupInde
             idx._grow(e, done)
     idx.moved.clear()
     return idx
-
-
-def upper_bound(idx: GroupIndex, e) -> int:
-    """Bound on the follower count of `e`: total size of its adjacent groups.
-
-    Summed afresh from `idx.adjacent_gids`; `idx.bound` holds the same value.
-    `e` is an edge id or a pair of dense vertex ids (positions in the sorted
-    `idx.t.graph.labels`), not a pair of input labels.
-    """
-    eid = idx.t.graph.resolve_edge(e)
-    if not idx.t.alive[eid]:
-        raise ContractViolation(
-            f"edge id {eid} is not in the current truss; index is stale")
-    return sum(len(idx.members[gid]) for gid in idx.adjacent_gids(eid))
 
 
 def refresh_index(idx: GroupIndex, region: set[int]) -> GroupIndex:

@@ -2,10 +2,14 @@
 
 Five strategies behind one dispatcher: exhaustive subset search, a
 minimum-support heuristic, the full greedy scan, greedy over the reduced
-candidate set, and greedy with upper-bound ordered early-stopping.  The
-three greedy variants share a single tie-break rule (smallest edge id
-among all edges achieving the maximum follower count) so their chosen
-edges and per-iteration counts are bit-identical.
+candidate set (GP-Edge), and greedy with upper-bound ordered early-stopping
+(UP-Edge).  GP-Edge and UP-Edge run one greedy loop, `_solve_greedy`, and
+differ only in the bound source they hand it: a constant bound, under
+which the scan runs in edge-id order, or the truss-group bound, which
+orders the scan and stops it early.  The three greedy variants share a
+single tie-break rule (smallest edge id among all edges achieving the
+maximum follower count) so their chosen edges and per-iteration counts
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from itertools import combinations, compress
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .cascade import commit_region, simulate_followers
 from .errors import ContractViolation, EnumerationCapExceeded
@@ -371,9 +375,9 @@ class _ScanOrder:
 
     Ascending keys run by descending bound, then ascending edge id, the
     order `_scan` evaluates in.  `candidates` is the live candidate set of
-    a `SupportGroupIndex` and `bound` a per-edge bound list: the live
-    `GroupIndex.bound`, or `gp_edge`'s constant `[m] * m`, under which a
-    key is the edge id.  `key` maps each candidate to its entry in `keys`.
+    a `SupportGroupIndex` and `bound` the bound source's per-edge list: the
+    live `GroupIndex.bound`, or `gp_edge`'s constant `[m] * m`, under which
+    a key is the edge id.  `key` maps each candidate to its entry in `keys`.
     After a commit, `rekey` re-reads the given edges only, so keeping the
     order costs what the commit changed, not the candidate count.
     """
@@ -470,38 +474,6 @@ def _scan(order: _ScanOrder, memo: DeadSetMemo) -> tuple[int, list[int], int]:
     return best_f, ties, evaluated
 
 
-def solve_gp_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
-    """Greedy over the reduced candidate set.
-
-    Every candidate gets the same bound, the graph's edge count, so `_scan`
-    evaluates them in ascending edge-id order, never stops early, and skips
-    every candidate that shows up in an evaluated candidate's follower set.
-    The order is kept across commits: each commit re-keys only the edges
-    whose candidacy the support-group index's update may have changed.
-    Follower counts come from a `DeadSetMemo`, as in the other two greedy
-    solvers: each commit's `commit_region` is computed once and fed to
-    both the support-group index and the memo.
-    """
-    records: list[IterationRecord] = []
-    support_groups = SupportGroupIndex(t)
-    memo = DeadSetMemo(t)
-    m = t.graph.m
-    order = _ScanOrder(m, support_groups.candidates, [m] * m)
-    while len(records) < b and t.edge_count > 0:
-        start = time.perf_counter()
-        candidates_total = len(order.keys)
-        best_f, ties, evaluated = _scan(order, memo)
-        e_star = _choose_from_ties(t, best_f, ties, support_groups.rep_group)
-        followers = max(best_f, 0)
-        dead, log = _commit(t, e_star, followers)
-        region = commit_region(t, dead, log)
-        support_groups.update(region)
-        memo.invalidate(region)
-        order.rekey(support_groups.changed)
-        records.append(_record(t, e_star, followers, candidates_total, evaluated, start))
-    return records
-
-
 def _two_level_tau(t: TrussSubgraph) -> TrussSubgraph:
     """The (k+1)-truss nested inside the k-truss `t`, as its own `TrussSubgraph`.
 
@@ -530,34 +502,27 @@ def _two_level_tau(t: TrussSubgraph) -> TrussSubgraph:
     return upper
 
 
-def solve_up_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
-    """Greedy with bound-ordered scanning and early stopping.
+def _solve_greedy(t: TrussSubgraph, b: int, bound: Sequence[int],
+                  cascade: Callable[[list[int]], list[int]],
+                  refresh: Callable[[set[int]], Iterable[int]]) -> list[IterationRecord]:
+    """The greedy loop of `gp_edge` and `up_edge`; only the bound source differs.
 
-    Each candidate's upper bound on its follower count (the sizes of the
-    truss groups it touches) is read from the group index's maintained
-    `bound` list into a `_ScanOrder` that `_scan` walks.  The early stop is
-    strict, so equal-bound candidates are still evaluated and exact ties
-    keep the shared smallest-edge-id break.  The order is kept across
-    commits: after each one, only the edges whose bound the refresh moved
-    (`idx.moved`) are re-keyed, so an iteration's bookkeeping follows its
-    commit, not the candidate count.  Those edges also hold every edge whose
-    candidacy the commit changed (`support_groups.changed`): a support
-    group lies inside one truss group, and its over-adjacent edges in that
-    group's touch set, so the support groups a commit dissolves or grows
-    lie in truss groups the refresh dissolves or grows.  Each commit cascades through both the k-truss
-    and the nested (k+1)-truss, and `commit_region` is computed once per
-    commit over what the two cascades changed.  That region holds the
-    k-truss commit's own region, so the one set feeds all three maintained
-    structures: the support-group index, the truss-group index with its
-    bounds, and the `DeadSetMemo` the scan reads follower counts from.
+    The source is the per-edge `bound` list the scan order reads;
+    `cascade`, which maps a commit's dead list to the edges it adds to the
+    commit's region; and `refresh`, which brings the bounds up to date over
+    that region and returns the edges whose bound moved.  Each iteration
+    `_scan`s by descending bound, commits the tie-broken maximizer and
+    computes its `commit_region` once, for the support-group index, the
+    bound source and the `DeadSetMemo` alike.  The scan order is kept
+    across commits: only the edges whose candidacy changed
+    (`support_groups.changed`) and those whose bound moved are re-keyed,
+    so an iteration's bookkeeping follows its commit, not the candidate
+    count.
     """
     records: list[IterationRecord] = []
-    upper = _two_level_tau(t)
-    idx = build_truss_group_index(t, upper)
     support_groups = SupportGroupIndex(t)
     memo = DeadSetMemo(t)
-    order = _ScanOrder(t.graph.m, support_groups.candidates, idx.bound)
-
+    order = _ScanOrder(t.graph.m, support_groups.candidates, bound)
     while len(records) < b and t.edge_count > 0:
         start = time.perf_counter()
         candidates_total = len(order.keys)
@@ -565,13 +530,45 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
         e_star = _choose_from_ties(t, best_f, ties, support_groups.rep_group)
         followers = max(best_f, 0)
         dead, log = _commit(t, e_star, followers)
-        region = commit_region(t, dead + upper.cascade(dead), log)
+        region = commit_region(t, dead + cascade(dead), log)
         support_groups.update(region)
-        idx = refresh_index(idx, region)
+        moved = refresh(region)
         memo.invalidate(region)
-        order.rekey(idx.moved)
+        order.rekey(support_groups.changed)
+        order.rekey(moved)
         records.append(_record(t, e_star, followers, candidates_total, evaluated, start))
     return records
+
+
+def solve_gp_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
+    """Greedy over the reduced candidate set.
+
+    Every edge's bound is the edge count m, so a scan key is the edge id:
+    `_scan` evaluates the candidates in ascending edge-id order, never
+    stops early, and skips every candidate that shows up in an evaluated
+    candidate's follower set.  No bound ever moves, so a commit adds
+    nothing to its region and re-keys only the changed candidacies.
+    """
+    m = t.graph.m
+    return _solve_greedy(t, b, [m] * m, lambda dead: [], lambda region: ())
+
+
+def solve_up_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
+    """Greedy with bound-ordered scanning and early stopping.
+
+    An edge's bound is the total size of the truss groups it touches,
+    read from the group index's maintained `bound`.  The early stop is
+    strict, so equal-bound candidates are still evaluated and exact ties
+    keep the shared smallest-edge-id break.  Each commit's dead list also
+    cascades through the nested (k+1)-truss, whose dead (the edges fallen
+    to trussness k) join the region; the refresh returns `idx.moved`.  The
+    three builders are module globals looked up per call, so wrappers of
+    them see every call.
+    """
+    upper = _two_level_tau(t)
+    idx = build_truss_group_index(t, upper)
+    return _solve_greedy(t, b, idx.bound, upper.cascade,
+                         lambda region: refresh_index(idx, region).moved)
 
 
 # -- dispatcher ---------------------------------------------------------------

@@ -144,6 +144,21 @@ def assert_support_build_matches_reference(t: TrussSubgraph, context=None) -> No
     assert index.changed == set(), context
 
 
+def upper_bound(idx, e) -> int:
+    """Bound on the follower count of `e`: total size of its adjacent groups.
+
+    The from-scratch reference for the maintained `idx.bound`, summed
+    afresh from `idx.adjacent_gids`.  `e` is an edge id or a pair of dense
+    vertex ids (positions in the sorted `idx.t.graph.labels`), not a pair
+    of input labels.
+    """
+    eid = idx.t.graph.resolve_edge(e)
+    if not idx.t.alive[eid]:
+        raise ContractViolation(
+            f"edge id {eid} is not in the current truss; index is stale")
+    return sum(len(idx.members[gid]) for gid in idx.adjacent_gids(eid))
+
+
 def group_sizes(idx) -> dict[int, int]:
     """Size of each truss group of a `GroupIndex`, by gid."""
     return {gid: len(m) for gid, m in idx.members.items()}

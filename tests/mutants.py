@@ -91,6 +91,9 @@ EARLY_STOP_GP = "tests/test_minimize.py::TestEarlyStopCounts::test_counts[gp_edg
 MEMO_SLOTS = "tests/test_minimize.py::TestMemoStop::test_slots_follow_the_edges_asked_about"
 BOOK_256 = "tests/test_truss.py::TestTrussCache::test_a_book_caches_and_thaws_its_supports[256-i]"
 TWO_LEVEL_COMMITTED = "tests/test_truss.py::TestTrussCache::test_two_level_tau_peels_a_committed_truss"
+SCAN_ORDER_CHAINS = "tests/test_minimize.py::TestScanOrder::test_random_deletion_chains"
+GOLDEN_UP = "tests/test_acceptance.py::test_greedy_records_match_golden[up_edge]"
+GREEDY_RANDOM = "tests/test_minimize.py::TestGreedyEquivalence::test_random_graphs"
 UP_EDGE_COMMITTED = ("tests/test_truss.py::TestTrussCache::"
                      "test_up_edge_on_a_committed_truss_matches_the_reduced_graph")
 
@@ -234,10 +237,8 @@ MUTANTS = (
            "for dead_set in [d for d in self.shared if not region.isdisjoint(d)]:",
            "for dead_set in []:",
            (BASELINE_MEMO, MEMO_STOP, OVERLAP_SIMS)),
-    Mutant("gp_edge never invalidates its memo", MINIMIZE,
-           "        memo.invalidate(region)\n"
-           "        order.rekey(support_groups.changed)\n",
-           "        order.rekey(support_groups.changed)\n",
+    Mutant("the greedy loop never invalidates its memo", MINIMIZE,
+           "        memo.invalidate(region)\n", "",
            (SCAN_MEMO_GP, SCAN_MEMO_GP_ERODING)),
     # support-group maintenance (`groups.SupportGroupIndex`): a dissolved
     # group's members regrow, and every edge a group votes for is re-decided
@@ -260,18 +261,30 @@ MUTANTS = (
     Mutant("candidacy ignores pruned votes", GROUPS,
            "set(rep_group) | (over.keys() - pruned.keys())", "set(rep_group) | over.keys()",
            (BUILD_RANDOM, BUILD_OVERLAP, BUILD_K10)),
+    # the greedy loop (`minimize._solve_greedy`): gp_edge re-keys only the
+    # changed candidacies, up_edge the moved bounds as well, and up_edge's
+    # region takes the nested truss's dead
     Mutant("gp_edge never re-keys its order", MINIMIZE,
            "order.rekey(support_groups.changed)", "pass",
            (GP_ORDER, OVERLAP_AGREE)),
+    Mutant("the loop never re-keys the bound source's moved edges", MINIMIZE,
+           "order.rekey(moved)", "pass",
+           (CACHED_BOUNDS, GOLDEN_UP)),
+    Mutant("the nested truss's dead stay out of the region", MINIMIZE,
+           "region = commit_region(t, dead + cascade(dead), log)",
+           "cascade(dead)\n        region = commit_region(t, dead, log)",
+           (CACHED_BOUNDS, GREEDY_RANDOM)),
     # truss-group maintenance (`groups.GroupIndex`, `groups.refresh_index`)
     Mutant("truss grower leaves stamp set", GROUPS,
            "            stamp[x] = 0\n", "",
            (REFRESH_CHAIN, OVERLAP_REFRESH)),
+    # (the greedy loop re-keys the changed candidacies too, and they hold
+    # every candidate whose bound only a dissolution moved)
     Mutant("dissolve leaves moved alone", GROUPS,
            "            bound[x] -= size\n"
            "        self.moved.extend(touch)\n",
            "            bound[x] -= size\n",
-           (CACHED_BOUNDS, EARLY_STOP_UP)),
+           (REFRESH_CHAIN, SCAN_ORDER_CHAINS)),
     Mutant("refresh keeps its walked marker across calls", GROUPS,
            "    done = idx.t.alive.translate(FLIP)\n",
            "    done = refresh_index.__dict__.setdefault(id(idx), idx.t.alive.translate(FLIP))\n",

@@ -17,11 +17,11 @@ import oracles
 import synth
 from conftest import assert_no_queued_edge, assert_support_build_matches_reference, \
     commit_nested, complete_pairs, er_pairs, graph_of, label_pairs, next_level, \
-    verify_equivalence
+    upper_bound, verify_equivalence
 from trussmin import SolverConfig, SupportGroupIndex, build_truss_group_index, \
     delete_and_cascade, find_support_groups, followers_of_edge, k_truss, \
     refresh_index, simulate_followers, solve, truss_decompose, \
-    update_after_deletion, upper_bound
+    update_after_deletion
 from trussmin.cascade import commit_region
 from trussmin.graph import Graph
 from trussmin.minimize import _two_level_tau

@@ -5,10 +5,9 @@ import pytest
 import oracles
 import synth
 from conftest import assert_support_build_matches_reference, commit_nested, complete_pairs, \
-    er_pairs, graph_of, group_sizes, label_pairs, next_level, random_trusses
+    er_pairs, graph_of, group_sizes, label_pairs, next_level, random_trusses, upper_bound
 from trussmin import ContractViolation, SupportGroupIndex, build_truss_group_index, groups, \
-    delete_and_cascade, find_support_groups, followers_of_edge, k_truss, refresh_index, simulate_followers, \
-    upper_bound
+    delete_and_cascade, find_support_groups, followers_of_edge, k_truss, refresh_index, simulate_followers
 from trussmin.cascade import commit_region
 from trussmin.minimize import _two_level_tau, solve_up_edge
 
@@ -481,11 +480,15 @@ class TestRefreshIndex:
             rng.shuffle(order)
             for eid in order[:12]:
                 region = commit_nested(t, upper, eid)
+                before = list(idx.bound)
                 idx = refresh_index(idx, region)
                 index.update(region)
                 context = f"level {k} diverged after deleting {g.original_pair(eid)}"
                 self.assert_matches_rebuild(g, t, idx, context)
                 self.assert_support_groups_match(t, index, context)
+                # a solver keeping its own copy of the bounds re-reads `moved` alone
+                assert {e for e in range(g.m) if idx.bound[e] != before[e]} <= set(idx.moved), \
+                    context
 
     def test_refresh_equals_rebuild_on_partially_eroding_graph(self):
         # the up_edge deletion chain at k=8, b=12: each commit erodes only

@@ -8,11 +8,11 @@ import pytest
 import oracles
 import synth
 from conftest import assert_no_queued_edge, commit_nested, complete_pairs, er_pairs, graph_of, \
-    label_pairs, next_level, oracle_best_single, random_trusses, verify_equivalence
+    label_pairs, next_level, oracle_best_single, random_trusses, upper_bound, verify_equivalence
 from trussmin import ContractViolation, EnumerationCapExceeded, SolverConfig, \
     build_truss_group_index, delete_and_cascade, find_support_groups, k_truss, \
     simulate_followers, solve, solve_baseline, solve_exact, solve_gp_edge, solve_support, \
-    solve_up_edge, truss, upper_bound
+    solve_up_edge, truss
 from trussmin.cascade import commit_region
 from trussmin.groups import SupportGroupIndex, refresh_index
 from trussmin.minimize import _ScanOrder, _two_level_tau
@@ -1000,8 +1000,8 @@ class TestScanOrder:
                     region = commit_nested(t, upper, eid)
                     index.update(region)
                     refresh_index(idx, region)
-                    # as the solvers re-key: edges whose bound moved hold
-                    # every edge whose candidacy changed
+                    # the edges whose bound moved also hold every edge whose
+                    # candidacy changed, so they alone re-key `up`
                     up.rekey(idx.moved)
                     gp.rekey(index.changed)
                     self.assert_fresh(t, index, up, gp,

@@ -60,7 +60,7 @@ def simulate_followers(t: TrussSubgraph, eid: int, stop: Container[int] = ()) ->
     """Follower edge ids of deleting one edge; `t` is left as it was.
 
     Each partner of `eid` in an alive triangle (a pair of `eid`'s partner
-    list whose two edges are alive) shares exactly that one triangle with
+    tuple whose two edges are alive) shares exactly that one triangle with
     it, so deleting `eid` costs every partner exactly one support.  When
     no partner sits at the threshold nothing can fall, and the answer is
     known without touching any state.
@@ -106,7 +106,7 @@ def commit_region(t: TrussSubgraph, dead: list[int], log: list[int]) -> set[int]
     the dead edges and the decremented ones, one log entry per decrement.
     The region is every dead or decremented edge, plus every edge sharing a
     still-alive triangle with one of them: each pair of an alive edge's
-    partner list whose two edges are alive.  A triangle the cascade killed
+    partner tuple whose two edges are alive.  A triangle the cascade killed
     holds nothing but dead and decremented edges, so the alive triangles
     are the only ones left to look through.
 

@@ -16,7 +16,8 @@ import csv
 import io
 import json
 import sys
-from itertools import compress
+from contextlib import nullcontext
+from itertools import compress, islice
 from typing import Iterable, Iterator, Optional
 
 from .errors import EdgeListParseError, EnumerationCapExceeded
@@ -33,6 +34,8 @@ EXIT_MEMORY = 5
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 BENCH_HEADER = "k,b,algorithm,rep,followers_total,time_ms,candidates_evaluated"
+# `truss` and `decompose` join and write this many rows at a time
+_ROWS_PER_WRITE = 1 << 12
 
 
 def _positive_int(minimum: int, name: str):
@@ -71,12 +74,12 @@ def _load(path: str) -> Graph:
         return load_edge_list(fh)
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(rows: Iterable[str], output: Optional[str]) -> None:
+    """Write `rows` to `output`, or to stdout, joined `_ROWS_PER_WRITE` at a time."""
+    with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as fh:
+        rows = iter(rows)
+        while chunk := "".join(islice(rows, _ROWS_PER_WRITE)):
+            fh.write(chunk)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -92,7 +95,7 @@ def cmd_stats(args) -> int:
         f"max_support: {max(map(len, g.triangle_index()), default=0) // 2}",
         f"max_trussness: {tau.max_trussness()}",
     ]
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit((line + "\n" for line in lines), args.output)
     return EXIT_OK
 
 
@@ -113,7 +116,7 @@ def cmd_truss(args) -> int:
     g = _load(args.input)
     t = k_truss(g, args.k)
     pairs = _labelled(g, compress(g.keys, t.alive))
-    _emit("".join(f"{u} {v}\n" for u, v in pairs), args.output)
+    _emit((f"{u} {v}\n" for u, v in pairs), args.output)
     return EXIT_OK
 
 
@@ -121,7 +124,7 @@ def cmd_decompose(args) -> int:
     g = _load(args.input)
     tau = truss_decompose(g)
     rows = zip(_labelled(g, g.keys), tau.values)
-    _emit("".join(f"{u} {v} {val}\n" for (u, v), val in rows), args.output)
+    _emit((f"{u} {v} {val}\n" for (u, v), val in rows), args.output)
     return EXIT_OK
 
 
@@ -176,7 +179,7 @@ def cmd_minimize(args) -> int:
         payload = report.to_dict()
         if args.dump_groups:
             payload["groups_dump"] = _groups_dump(g, args.k)
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
+        _emit((json.dumps(payload, indent=2, sort_keys=True), "\n"), args.output)
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -186,9 +189,9 @@ def cmd_minimize(args) -> int:
             writer.writerow([i, r.edge[0], r.edge[1], r.followers,
                              r.candidates_total, r.candidates_evaluated,
                              f"{r.time_ms:.3f}"])
-        _emit(buf.getvalue(), args.output)
+        _emit((buf.getvalue(),), args.output)
     else:
-        _emit(_human_report(report), args.output)
+        _emit((_human_report(report),), args.output)
     return EXIT_OK
 
 
@@ -210,7 +213,7 @@ def cmd_bench(args) -> int:
                         # record the refused cell and keep going
                         sys.stderr.write(f"bench cell k={k} b={b} {algorithm}: {exc}\n")
                         buf.write(f"{k},{b},{algorithm},{rep},,,\n")
-    _emit(buf.getvalue(), args.output)
+    _emit((buf.getvalue(),), args.output)
     return EXIT_OK
 
 

@@ -27,9 +27,10 @@ class Graph:
     with one `divmod`, and `_lookup` bisects the keys.
 
     A graph caches values derived from it alone: its triangle index
-    (`triangle_index`, each edge's partner edges) and its last two peeled
-    trusses (`truss.k_truss`), each truss level at a byte per edge for its
-    alive edges and one (four once a support reaches 256) for its supports.
+    (`triangle_index`, each edge's partner edges as a tuple) and its last
+    two peeled trusses (`truss.k_truss`), each truss level at a byte per
+    edge for its alive edges and one (four once a support reaches 256) for
+    its supports.
     """
 
     __slots__ = ("n", "keys", "labels", "_tri_cache", "_truss_cache")
@@ -38,7 +39,7 @@ class Graph:
         self.n = n
         self.labels = labels
         self.keys = keys
-        self._tri_cache: Optional[list[list[int]]] = None
+        self._tri_cache: Optional[list[tuple[int, ...]]] = None
         # k -> frozen k-truss, kept by `truss.k_truss`
         self._truss_cache: dict[int, tuple] = {}
 
@@ -70,7 +71,10 @@ class Graph:
         if not all(map(ne, pairs, pairs)):
             pairs = iter(flat)
             flat = [x for a, b in zip(pairs, pairs) if a != b for x in (a, b)]
-        labels = sorted(set(flat))
+        # `x + 0` is a new int (CPython shares only small ones): `labels` pins
+        # no parsed int, so the pools holding those are freed with `flat`
+        labels = [x + 0 for x in set(flat)]
+        labels.sort()
         n = len(labels)
         ids = map(dict(zip(labels, range(n))).__getitem__, flat)
         keys = [u * n + v if u < v else v * n + u for u, v in zip(ids, ids)]
@@ -146,10 +150,10 @@ class Graph:
 
     # -- triangle primitives ------------------------------------------------
 
-    def triangle_index(self) -> list[list[int]]:
+    def triangle_index(self) -> list[tuple[int, ...]]:
         """Per edge, the two other edges of each of its triangles.
 
-        `partners[e]` is the flat list a0, b0, a1, b1, ...: each triangle of
+        `partners[e]` is the flat tuple a0, b0, a1, b1, ...: each triangle of
         e as the ascending pair (a, b) of its other two edges, read as
         `it = iter(partners[e]); zip(it, it)`.  A triangle u < v < w has
         edges e_uv < e_uw < e_vw and is found once, from its smallest edge
@@ -158,8 +162,11 @@ class Graph:
         Edges are walked in ascending id, and every edge's pairs come in the
         order their triangles are found.  Each vertex's map is freed once
         its own edges are walked: they lead only upward, so no later vertex
-        reads it.  There are no triangle ids: in a truss a triangle is alive
-        exactly when its three edges are.  Cached.
+        reads it.  A triangle of edge (u, v) has its smallest vertex at most
+        u, so once u is walked the lists of its edges are complete and are
+        frozen into tuples: no append slack, and no cyclic-GC tracking.
+        There are no triangle ids: in a truss a triangle is alive exactly
+        when its three edges are.  Cached.
         """
         if self._tri_cache is None:
             n = self.n
@@ -170,7 +177,7 @@ class Graph:
             for eid, key in enumerate(self.keys):
                 u, v = divmod(key, n)
                 higher[u][verts[v]] = eid
-            partners: list[list[int]] = [[] for _ in range(len(self.keys))]
+            partners: list = [[] for _ in range(len(self.keys))]
             for u in verts:
                 hu = higher[u]
                 higher[u] = None
@@ -188,11 +195,13 @@ class Graph:
                         q = partners[e_vw]
                         q.append(e_uv)
                         q.append(e_uw)
+                for e in hu.values():
+                    partners[e] = tuple(partners[e])
             self._tri_cache = partners
         return self._tri_cache
 
     def triangle_count(self) -> int:
-        # each triangle puts two ints in each of its three edges' lists
+        # each triangle puts two ints in each of its three edges' tuples
         return sum(map(len, self.triangle_index())) // 6
 
 

@@ -258,8 +258,8 @@ class GroupIndex:
     `TrussSubgraph`s of the same graph kept current by the cascade engine.
     An edge has trussness exactly k when it is alive in `t` but not in
     `upper`.  The triangles groups chain through are those alive in `t`:
-    an edge's partner pairs (`Graph.triangle_index`) whose two edges are
-    alive in `t`.
+    the pairs of an edge's partner tuple (`Graph.triangle_index`) whose
+    two edges are alive in `t`.
     A group's id is its smallest member edge, so the index after a refresh
     equals a rebuild over the same `t` and `upper`, ids included.
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from itertools import combinations, compress
@@ -375,16 +376,17 @@ class _ScanOrder:
 
     Ascending keys run by descending bound, then ascending edge id, the
     order `_scan` evaluates in.  `candidates` is the live candidate set of
-    a `SupportGroupIndex` and `bound` the bound source's per-edge list: the
-    live `GroupIndex.bound`, or `gp_edge`'s constant `[m] * m`, under which
-    a key is the edge id.  `key` maps each candidate to its entry in `keys`.
-    After a commit, `rekey` re-reads the given edges only, so keeping the
-    order costs what the commit changed, not the candidate count.
+    a `SupportGroupIndex` and `bound` the bound source's per-edge
+    `array('i')`: the live `GroupIndex.bound`, or `gp_edge`'s constant one
+    with m in every slot, under which a key is the edge id.  `key` maps
+    each candidate to its entry in `keys`.  After a commit, `rekey`
+    re-reads the given edges only, so keeping the order costs what the
+    commit changed, not the candidate count.
     """
 
     __slots__ = ("m", "candidates", "bound", "key", "keys")
 
-    def __init__(self, m: int, candidates: set[int], bound: list[int]):
+    def __init__(self, m: int, candidates: set[int], bound: array):
         self.m, self.candidates, self.bound = m, candidates, bound
         self.key: dict[int, int] = {c: (m - bound[c]) * m + c for c in candidates}
         self.keys = sorted(self.key.values())
@@ -507,7 +509,7 @@ def _solve_greedy(t: TrussSubgraph, b: int, bound: Sequence[int],
                   refresh: Callable[[set[int]], Iterable[int]]) -> list[IterationRecord]:
     """The greedy loop of `gp_edge` and `up_edge`; only the bound source differs.
 
-    The source is the per-edge `bound` list the scan order reads;
+    The source is the per-edge `bound` array the scan order reads;
     `cascade`, which maps a commit's dead list to the edges it adds to the
     commit's region; and `refresh`, which brings the bounds up to date over
     that region and returns the edges whose bound moved.  Each iteration
@@ -550,7 +552,7 @@ def solve_gp_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
     nothing to its region and re-keys only the changed candidacies.
     """
     m = t.graph.m
-    return _solve_greedy(t, b, [m] * m, lambda dead: [], lambda region: ())
+    return _solve_greedy(t, b, array("i", [m]) * m, lambda dead: [], lambda region: ())
 
 
 def solve_up_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:

@@ -13,7 +13,7 @@ directly and restores the truss with `_undo`, from the two lists the
 peel returned: `cascade.simulate_followers` (which may stop the peel
 early) and the subset enumeration of `minimize.solve_exact`.  A truss
 keeps no per-triangle state: a triangle is alive exactly when its three
-edges are, and the peel walks each edge's partner pairs
+edges are, and the peel walks the pairs of each edge's partner tuple
 (`Graph.triangle_index`).
 
 A peeled k-truss depends only on (graph, k), so `k_truss` keeps the

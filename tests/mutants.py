@@ -41,8 +41,8 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # node ids, each of which must fail
 
 
-GRAPH, GROUPS, TRUSS, CASCADE, MINIMIZE = "graph.py", "groups.py", "truss.py", "cascade.py", \
-    "minimize.py"
+GRAPH, GROUPS, TRUSS, CASCADE, MINIMIZE, CLI = "graph.py", "groups.py", "truss.py", \
+    "cascade.py", "minimize.py", "cli.py"
 SUPPORT_PARTITION = "tests/test_groups.py::TestFindSupportGroups::test_matches_definitional_partition"
 SUPPORT_REACH = ("tests/test_groups.py::TestFindSupportGroups::"
                  "test_over_adjacent_and_pruned_followers_match_their_definition")
@@ -106,6 +106,11 @@ MUTANTS = (
     # each edge's partner pairs come in ascending order of the smallest edge
     Mutant("triangle build walks each forward map in descending order", GRAPH,
            "for v, e_uv in hu.items():", "for v, e_uv in reversed(hu.items()):",
+           ("tests/test_graph.py::TestTriangleIndex::test_random_graphs_with_sparse_labels",
+            "tests/test_graph.py::TestTriangleIndex::test_empty_path_and_k5[pairs2-10]")),
+    # an edge's partner list is frozen into a tuple once its vertex u is walked
+    Mutant("triangle build leaves the partner lists unfrozen", GRAPH,
+           "partners[e] = tuple(partners[e])", "pass",
            ("tests/test_graph.py::TestTriangleIndex::test_random_graphs_with_sparse_labels",
             "tests/test_graph.py::TestTriangleIndex::test_empty_path_and_k5[pairs2-10]")),
     # the b half of the support-group grower (`groups._grow_support_group`)
@@ -302,6 +307,10 @@ MUTANTS = (
     Mutant("refresh dissolves every group", GROUPS,
            "dissolve = {gid_of[x] for x in region}", "dissolve = set(idx.members)",
            (TRUSS_GROUP_KEPT, OVERLAP_REFRESH)),
+    # `truss` and `decompose` write their rows a chunk at a time
+    Mutant("row output stops after its first chunk", CLI,
+           "while chunk := ", "if chunk := ",
+           ("tests/test_cli.py::TestGoldenRows::test_stdout_and_output_file_match_the_digest",)),
 )
 
 

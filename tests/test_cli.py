@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 import oracles
 import synth
 from conftest import complete_pairs, er_pairs, graph_of, random_trusses
-from trussmin import SolverConfig, cli, solve
+from trussmin import SolverConfig, cli, load_edge_list, solve
 from trussmin.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -158,6 +159,20 @@ class TestTruss:
         assert code == 0
         assert out2 == out
 
+    def test_labels_past_64_bits(self, capsys, tmp_path):
+        # a K4 on labels past the signed and the unsigned 64-bit range, and
+        # a pendant edge that the 4-truss drops
+        big = [5, 2**63, 2**64 + 3, 10**30]
+        k4 = [(u, v) for i, u in enumerate(big) for v in big[i + 1:]]
+        path = write_edges(tmp_path / "big.txt", k4 + [(10**30, 7)])
+        with open(path) as fh:
+            g = load_edge_list(fh)
+        assert g.labels == [5, 7, 2**63, 2**64 + 3, 10**30]
+        assert [g.original_pair(e) for e in range(g.m)] == sorted(k4 + [(7, 10**30)])
+        code, out, _ = run_cli(capsys, "truss", path, "-k", "4")
+        assert code == 0
+        assert out == "".join(f"{u} {v}\n" for u, v in k4)
+
 
 class TestDecompose:
     def test_triangle_with_pendant(self, capsys, tmp_path):
@@ -169,6 +184,22 @@ class TestDecompose:
             u, v, tau = line.split()
             rows[(int(u), int(v))] = int(tau)
         assert rows == {(0, 1): 3, (0, 2): 3, (1, 2): 3, (2, 3): 2}
+
+
+class TestGoldenRows:
+    # sha256 of each command's output on the seed-42 scale-30 graph, taken
+    # while the commands still joined every row into one string
+    @pytest.mark.parametrize("argv", [("decompose",), ("truss", "-k", "10")])
+    def test_stdout_and_output_file_match_the_digest(self, capsys, tmp_path, argv):
+        want = json.loads((GOLDEN / "cli_s30_sha256.json").read_text())[" ".join(argv)]
+        path = write_edges(tmp_path / "s30.txt", synth.community_pairs(seed=42, scale=30))
+        code, out, _ = run_cli(capsys, argv[0], path, *argv[1:])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+        out_path = tmp_path / "rows.txt"
+        code, out, _ = run_cli(capsys, argv[0], path, *argv[1:], "-o", str(out_path))
+        assert (code, out) == (0, "")
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == want
 
 
 class TestMinimize:

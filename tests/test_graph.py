@@ -197,6 +197,8 @@ class TestTriangleIndex:
                 expected[e].append(tuple(sorted(x for x in tri if x != e)))
         assert len(partners) == g.m
         for e in range(g.m):
+            # frozen once the build has found all of e's triangles
+            assert type(partners[e]) is tuple
             assert len(partners[e]) % 2 == 0
             it = iter(partners[e])
             got = list(zip(it, it))

@@ -26,7 +26,7 @@ from .cascade import commit_region, simulate_followers
 from .errors import ContractViolation, EnumerationCapExceeded
 from .graph import Graph
 from .groups import SupportGroup, SupportGroupIndex, build_truss_group_index, refresh_index
-from .truss import TrussSubgraph, _peel, _undo, k_truss
+from .truss import TrussSubgraph, _k_truss, _peel, _undo, k_truss
 # unused here, but the benchmark tracer (perfbench/spans.py) patches these names
 from .groups import find_support_groups  # noqa: F401
 from .truss import update_after_deletion  # noqa: F401
@@ -121,6 +121,8 @@ class _Holders:
 
     `x in holders` bisects x's live slot for `e`, so an edge whose slot
     was cleared drops out at once, and any stored tuple holding `e` counts.
+    An edge flagged follower-free has no slot, and its empty dead set holds
+    no edge.
     """
 
     __slots__ = ("slots", "e")
@@ -145,7 +147,8 @@ class DeadSetMemo:
     A dead set is the edge plus its followers, ascending.  A simulation
     reads nothing outside the triangles of its own dead set, so after a
     commit only the dead sets meeting `cascade.commit_region` (or any
-    superset of it) can change.  An edge without followers stores the
+    superset of it) can change.  An edge without followers stores no
+    slot: its byte in `zero` is set instead, and its dead set reads as the
     empty tuple.
 
     A miss for e stops its simulation at the first dead edge x whose
@@ -159,19 +162,26 @@ class DeadSetMemo:
     so equal dead sets share one tuple, every member of a support group
     included.
 
-    Both tables follow the edges the solver asks about, not the graph:
-    `slots` is a dict holding a slot only for an edge asked about and not
-    invalidated since, and `held` a set.
+    An edge asked about and not invalidated since either holds a slot in
+    the dict `slots` or is flagged in `zero`, never both.  `zero` holds
+    one byte per graph edge, allocated with the memo (74 KB at scale 30);
+    most edges of a truss have no followers (26,817 of 39,181 at scale 30,
+    k = 10), and a flag keeps no int or dict entry for them.  `slots` and
+    the set `held` follow the edges with followers that the solver asks
+    about.
     """
 
     def __init__(self, t: TrussSubgraph):
         self.t = t
         self.slots: dict[int, tuple[int, ...]] = {}
+        self.zero = bytearray(t.graph.m)
         self.shared: set[tuple[int, ...]] = set()
         self.held: set[int] = set()
 
     def dead_set(self, e: int) -> tuple[int, ...]:
         """The stored dead set of alive edge `e`, simulated when none is stored."""
+        if self.zero[e]:
+            return ()
         slots = self.slots
         dead_set = slots.get(e)
         if dead_set is None:
@@ -187,15 +197,17 @@ class DeadSetMemo:
                 self.shared.add(dead_set)
                 self.held.update(dead_set)
             else:
-                dead_set = ()
+                self.zero[e] = 1
+                return ()
             slots[e] = dead_set
         return dead_set
 
     def invalidate(self, region: set[int]) -> None:
         """Forget every dead set that meets `region`."""
-        slots = self.slots
+        slots, zero = self.slots, self.zero
         for x in region:
             slots.pop(x, None)  # an edge's own dead set holds it
+            zero[x] = 0
         for dead_set in [d for d in self.shared if not region.isdisjoint(d)]:
             self.shared.remove(dead_set)
             for x in dead_set:  # every edge sharing a dead set lies in it
@@ -259,22 +271,28 @@ def solve_baseline(t: TrussSubgraph, b: int) -> list[IterationRecord]:
     """Greedy reference: the exact follower count of every alive edge, each iteration.
 
     Dead sets come from a `DeadSetMemo`, so an edge is simulated again
-    only after a commit's `commit_region` meets its dead set.
+    only after a commit's `commit_region` meets its dead set.  The sweep
+    builds no list of the alive edge ids; every alive edge is evaluated, so
+    both candidate counts are the edge count at the iteration's start.
     """
     records: list[IterationRecord] = []
     memo = DeadSetMemo(t)
+    m, alive = t.graph.m, t.alive
     while len(records) < b and t.edge_count > 0:
         start = time.perf_counter()
-        alive = t.alive_edge_ids()
+        candidates = t.edge_count
         best_f, best_e = -1, -1
-        for e in alive:
+        # `compress` reads `alive` lazily, between simulations; each one
+        # restores `alive` (`truss._undo`) before it returns, so the sweep
+        # sees exactly the edges alive at the iteration's start
+        for e in compress(range(m), alive):
             dead_set = memo.dead_set(e)
             f = len(dead_set) - 1 if dead_set else 0
             if f > best_f:
                 best_f, best_e = f, e
         dead, log = _commit(t, best_e, best_f)
         memo.invalidate(commit_region(t, dead, log))
-        records.append(_record(t, best_e, best_f, len(alive), len(alive), start))
+        records.append(_record(t, best_e, best_f, candidates, candidates, start))
     return records
 
 
@@ -491,9 +509,10 @@ def _two_level_tau(t: TrussSubgraph) -> TrussSubgraph:
     least k-1, so it is the graph's (k+1)-level (from the truss cache, see
     `k_truss`) with the edges dead in `t` cascaded out.  A fresh `t` has
     none of those, and a repeated solve on one graph peels neither level
-    again.
+    again.  Only this truss's own cascades read its supports, so they stay
+    the cached level's compact array (`truss._k_truss`), not a list.
     """
-    upper = k_truss(t.graph, t.k + 1)
+    upper = _k_truss(t.graph, t.k + 1, compact=True)
     # Both alive arrays hold one 0/1 byte per edge, so one big-int AND-NOT
     # marks the edges dead in `t` that `upper` still holds, and `compress`
     # takes them without a Python step per edge; a fresh `t` has lost

@@ -185,9 +185,9 @@ def _peel_graph(g: Graph, k: int) -> TrussSubgraph:
                                  [len(p) >> 1 for p in g.triangle_index()], m), k)
 
 
-def _thaw(g: Graph, k: int, level: tuple) -> TrussSubgraph:
+def _thaw(g: Graph, k: int, level: tuple, compact: bool = False) -> TrussSubgraph:
     alive, sup, edge_count = level
-    return TrussSubgraph(g, k, bytearray(alive), list(sup), edge_count)
+    return TrussSubgraph(g, k, bytearray(alive), sup[:] if compact else list(sup), edge_count)
 
 
 def k_truss(g: Graph, k: int) -> TrussSubgraph:
@@ -204,18 +204,31 @@ def k_truss(g: Graph, k: int) -> TrussSubgraph:
     between the two routes, and no reader looks at the support of a dead
     edge.
     """
+    return _k_truss(g, k)
+
+
+def _k_truss(g: Graph, k: int, compact: bool = False) -> TrussSubgraph:
+    """`k_truss`; with `compact` the supports come back as a copy of the
+    frozen level's array instead of a list, on a miss as on a hit.
+
+    The array is a byte an edge on most graphs where the list holds an
+    8-byte pointer, but indexing it is slower: it suits a truss that only
+    its own cascades read, such as `minimize._two_level_tau`'s nested level.
+    """
     if not isinstance(k, int) or isinstance(k, bool) or k < 3:
         raise ValueError(f"k must be an int >= 3, not {k!r}")
     cache = g._truss_cache
     level = cache.get(k)
     if level is not None:
-        return _thaw(g, k, level)
+        return _thaw(g, k, level, compact)
     below = cache.get(k - 1)
     t = _peel_graph(g, k) if below is None else peel_to(_thaw(g, k - 1, below), k)
     if len(cache) >= CACHED_LEVELS:
         del cache[next(iter(cache))]  # the oldest level
-    cache[k] = (bytes(t.alive), array("B" if max(t.sup, default=0) < 256 else "i", t.sup),
-                t.edge_count)
+    sup = array("B" if max(t.sup, default=0) < 256 else "i", t.sup)
+    cache[k] = (bytes(t.alive), sup, t.edge_count)
+    if compact:
+        t.sup = sup[:]
     return t
 
 
@@ -237,19 +250,20 @@ def _level_walk(t: TrussSubgraph, tau: list[int], alive: bytearray) -> Trussness
     """Walk the 3-truss `t` up the levels, writing each edge's trussness.
 
     Raises the threshold one level at a time: the edges of the k-truss that
-    fall when k becomes k+1 get tau = k.  Each level scans only the edges
-    still alive for seeds.  An edge with tau = k is scanned at k-2 levels
-    and sits in at least k-2 triangles, so the scans total O(m + triangles),
-    as do the cascades, which kill each triangle once.  Edges outside `t`
+    fall when k becomes k+1 get tau = k.  Each level picks its seeds out of
+    the edges still alive: `compress` skips the dead ones at C speed,
+    reading m bytes a level, and keeps no list of edge ids across levels.
+    An edge with tau = k is looked at in Python at k-2 levels and sits in
+    at least k-2 triangles, so the Python work totals O(m + triangles), as
+    do the cascades, which kill each triangle once.  Edges outside `t`
     keep the value they have in `tau`.
     """
-    live = t.alive_edge_ids()
+    m, sup = t.graph.m, t.sup
     k = 3
-    while live:
+    while t.edge_count:
         t.k = k + 1
-        for e in t.cascade([e for e in live if t.sup[e] < k - 1]):
+        for e in t.cascade([e for e in compress(range(m), t.alive) if sup[e] < k - 1]):
             tau[e] = k
-        live = [e for e in live if t.alive[e]]
         k += 1
     return TrussnessMap(t.graph, tau, alive)
 

@@ -93,6 +93,10 @@ BOOK_256 = "tests/test_truss.py::TestTrussCache::test_a_book_caches_and_thaws_it
 TWO_LEVEL_COMMITTED = "tests/test_truss.py::TestTrussCache::test_two_level_tau_peels_a_committed_truss"
 SCAN_ORDER_CHAINS = "tests/test_minimize.py::TestScanOrder::test_random_deletion_chains"
 GOLDEN_UP = "tests/test_acceptance.py::test_greedy_records_match_golden[up_edge]"
+GOLDEN_BASELINE = "tests/test_acceptance.py::test_greedy_records_match_golden[baseline]"
+MEMO_FLAGS = "tests/test_minimize.py::TestMemoStop::test_a_commit_clears_the_flags_in_its_region_only"
+TWO_LEVEL_FRESH = ("tests/test_truss.py::TestTrussCache::"
+                   "test_two_level_tau_of_a_fresh_truss_is_the_cached_next_level")
 GREEDY_RANDOM = "tests/test_minimize.py::TestGreedyEquivalence::test_random_graphs"
 UP_EDGE_COMMITTED = ("tests/test_truss.py::TestTrussCache::"
                      "test_up_edge_on_a_committed_truss_matches_the_reduced_graph")
@@ -192,6 +196,10 @@ MUTANTS = (
     Mutant("the nested truss never cascades the lost edges", MINIMIZE,
            "    if lost:\n", "    if False:\n",
            (TWO_LEVEL_COMMITTED, UP_EDGE_COMMITTED)),
+    # its compact supports (`truss._k_truss`) are a copy of the cached array
+    Mutant("a peeled nested truss shares the cached supports", TRUSS,
+           "t.sup = sup[:]", "t.sup = sup",
+           (TWO_LEVEL_FRESH,)),
     # `solve_exact` commits its winner through the cascade, which keeps
     # `edge_count`
     Mutant("exact commits its winner without edge_count", MINIMIZE,
@@ -221,6 +229,10 @@ MUTANTS = (
     Mutant("invalidation leaves a None slot", MINIMIZE,
            "slots.pop(x, None)", "slots[x] = None",
            (MEMO_SLOTS,)),
+    # an edge without followers is flagged in `zero` until a region meets it
+    Mutant("invalidate leaves the zero flags set", MINIMIZE,
+           "            zero[x] = 0\n", "",
+           (MEMO_FLAGS, MEMO_SLOTS, GOLDEN_BASELINE)),
     Mutant("memo stops without asking the holder", MINIMIZE,
            "if fl and fl[-1] in stop:", "if fl and stop:",
            (MEMO_STOP,)),
@@ -242,6 +254,11 @@ MUTANTS = (
            "for dead_set in [d for d in self.shared if not region.isdisjoint(d)]:",
            "for dead_set in []:",
            (BASELINE_MEMO, MEMO_STOP, OVERLAP_SIMS)),
+    # `baseline` counts the edges alive when its sweep starts
+    Mutant("baseline reads edge_count after the commit", MINIMIZE,
+           "_record(t, best_e, best_f, candidates, candidates, start)",
+           "_record(t, best_e, best_f, t.edge_count, t.edge_count, start)",
+           (GOLDEN_BASELINE,)),
     Mutant("the greedy loop never invalidates its memo", MINIMIZE,
            "        memo.invalidate(region)\n", "",
            (SCAN_MEMO_GP, SCAN_MEMO_GP_ERODING)),

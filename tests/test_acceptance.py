@@ -308,12 +308,14 @@ def test_greedy_solvers_agree_and_prune_strictly_across_k(desk_scale_graph, k):
 GREEDY_RECORDS = Path(__file__).resolve().parent / "golden" / "greedy_records.json"
 
 
-@pytest.mark.parametrize("algorithm", ["gp_edge", "up_edge"])
+@pytest.mark.parametrize("algorithm", ["gp_edge", "up_edge", "baseline"])
 def test_greedy_records_match_golden(desk_scale_graph, algorithm):
-    """Every record of the two pruned solvers, as written before they shared
-    one greedy loop: edge id, followers, candidates total and evaluated, on
-    this graph at k = 6, 10 and 12, b = 5, and on `synth.overlapping_pairs`
-    at k = 10, b = 8, where commits erode part of the truss."""
+    """Every record of the three greedy solvers: edge id, followers,
+    candidates total and evaluated, on this graph at k = 6, 10 and 12,
+    b = 5, and on `synth.overlapping_pairs` at k = 10, b = 8, where commits
+    erode part of the truss.  The pruned solvers' records were written
+    before they shared one greedy loop, `baseline`'s before its sweep
+    stopped building a list of the alive edge ids."""
     graphs = {"community_pairs(seed=42, scale=30)": desk_scale_graph,
               "overlapping_pairs(seed=42, scale=1)":
                   Graph.from_pairs(synth.overlapping_pairs(seed=42, scale=1))}

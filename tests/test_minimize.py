@@ -617,11 +617,13 @@ class TestMemoStop:
         assert 0 not in holders
 
     def test_slots_follow_the_edges_asked_about(self, rng):
-        # A lookup fills the slot of the edge asked about and no other, a
-        # stopped one included, and `held` is the members of the stored
-        # sets; an invalidation only drops slots.
+        # A lookup fills the slot of the edge asked about, or flags it when
+        # it has no followers, and touches no other edge, a stopped lookup
+        # included; `held` is the members of the stored sets.  An
+        # invalidation only drops slots and clears flags.
         from trussmin import minimize
         partial = 0  # cases that asked about only some alive edges
+        flagged_cases = 0  # cases with both slots and flags
         for g in memo_test_graphs(rng, 40):
             for k in range(3, 6):
                 t = k_truss(g, k)
@@ -632,15 +634,47 @@ class TestMemoStop:
                 asked = set(rng.sample(alive, rng.randint(1, len(alive))))
                 for e in asked:
                     memo.dead_set(e)
-                assert memo.slots.keys() == asked
+                flagged = {x for x in range(g.m) if memo.zero[x]}
+                assert memo.slots.keys() | flagged == asked
+                assert memo.slots.keys().isdisjoint(flagged)
+                assert all(memo.slots[x] for x in memo.slots)
                 assert memo.held == {x for dead_set in memo.shared for x in dead_set}
                 log = []
                 dead = t.cascade([rng.choice(alive)], log)
                 region = commit_region(t, dead, log)
                 memo.invalidate(region)
                 assert memo.slots.keys() <= asked - region
+                assert not any(memo.zero[x] for x in region)
+                assert {x for x in range(g.m) if memo.zero[x]} == flagged - region
                 partial += len(asked) < len(alive)
-        assert partial > 0
+                flagged_cases += bool(flagged and memo.slots)
+        assert partial > 0 and flagged_cases > 0
+
+    def test_a_commit_clears_the_flags_in_its_region_only(self, monkeypatch):
+        # Two disjoint K5s at k = 4: no edge has followers, so every lookup
+        # flags its edge.  A commit in the first clique puts that clique in
+        # its region; the edges left there are simulated again and now have
+        # followers, while the second clique's flags stand.
+        from trussmin import minimize
+        real = minimize.simulate_followers
+        calls = []
+        monkeypatch.setattr(minimize, "simulate_followers",
+                            lambda t, e, stop=(): calls.append(e) or real(t, e, stop))
+        g = graph_of(complete_pairs(5) + complete_pairs(5, offset=10))
+        t = k_truss(g, 4)
+        memo = minimize.DeadSetMemo(t)
+        assert [memo.dead_set(e) for e in range(20)] == [()] * 20
+        assert calls == list(range(20)) and not memo.slots
+        log = []
+        dead = t.cascade([0], log)
+        region = commit_region(t, dead, log)
+        memo.invalidate(region)
+        assert region == set(range(10))
+        calls.clear()
+        got = {e: memo.dead_set(e) for e in t.alive_edge_ids()}
+        assert calls == list(range(1, 10))
+        assert all(got[e] == () for e in range(10, 20))
+        assert all(len(got[e]) == len(simulate_followers(t, e)) + 1 > 1 for e in range(1, 10))
 
 
 @pytest.mark.parametrize("algorithm", ["gp_edge", "up_edge"])
@@ -659,6 +693,7 @@ class TestScanMemo:
 
         def dead_set(memo, e):
             memo.slots.pop(e, None)
+            memo.zero[e] = 0
             return real_dead_set(memo, e)
 
         runs = []

@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 
@@ -241,6 +242,11 @@ def assert_same_truss(got, want):
         [want.sup[e] for e in want.alive_edge_ids()]
 
 
+def assert_compact_copy(t, cached):
+    """`t`'s supports are the cached level's array type, in an array of its own."""
+    assert type(t.sup) is array and t.sup.typecode == cached.typecode and t.sup is not cached
+
+
 def cold_trusses(rng, count):
     """(graph, k) of `random_trusses` at k = 3..8, the graph's truss cache
     emptied as each pair is handed out."""
@@ -287,8 +293,11 @@ class TestTrussCache:
             upper = _two_level_tau(t)
             assert list(g._truss_cache) == [k, k + 1]
             assert_same_truss(upper, want)
+            assert_compact_copy(upper, g._truss_cache[k + 1][1])
             upper.cascade(rng.sample(upper.alive_edge_ids(), min(2, upper.edge_count)))
-            assert_same_truss(_two_level_tau(t), want)
+            again = _two_level_tau(t)
+            assert_same_truss(again, want)
+            assert_compact_copy(again, g._truss_cache[k + 1][1])
 
     def test_two_level_tau_peels_a_committed_truss(self, rng):
         for g, k in cold_trusses(rng, 60):

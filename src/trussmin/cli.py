@@ -93,7 +93,7 @@ def cmd_stats(args) -> int:
         f"triangles: {g.triangle_count()}",
         # two partner edges per triangle
         f"max_support: {max(map(len, g.triangle_index()), default=0) // 2}",
-        f"max_trussness: {tau.max_trussness()}",
+        f"max_trussness: {max(tau, default=0)}",
     ]
     _emit((line + "\n" for line in lines), args.output)
     return EXIT_OK
@@ -123,7 +123,7 @@ def cmd_truss(args) -> int:
 def cmd_decompose(args) -> int:
     g = _load(args.input)
     tau = truss_decompose(g)
-    rows = zip(_labelled(g, g.keys), tau.values)
+    rows = zip(_labelled(g, g.keys), tau)
     _emit((f"{u} {v} {val}\n" for (u, v), val in rows), args.output)
     return EXIT_OK
 

@@ -2,8 +2,10 @@
 
 A k-truss here is edge-centric: the surviving edge set of the peeling
 process that repeatedly removes edges supported by fewer than k-2 alive
-triangles.  Trussness tau(e) is the largest k for which e survives; edges
-in no triangle carry the sentinel tau = 2.
+triangles.  Trussness tau(e) is the largest k for which e survives.
+`truss_decompose` and `update_after_deletion` return it as a plain list
+indexed by edge id, in which an edge in no triangle reads 2 and a deleted
+edge reads 0.
 
 `_peel` is the one peel loop behind every deletion.  `TrussSubgraph.cascade`
 runs it for every deletion that stays: `k_truss` peels one k with it,
@@ -232,22 +234,8 @@ def _k_truss(g: Graph, k: int, compact: bool = False) -> TrussSubgraph:
     return t
 
 
-class TrussnessMap:
-    """Per-edge trussness over the graph minus any deleted edges."""
-
-    __slots__ = ("graph", "values", "alive")
-
-    def __init__(self, graph: Graph, values: list[int], alive: bytearray):
-        self.graph = graph
-        self.values = values
-        self.alive = alive
-
-    def max_trussness(self) -> int:
-        return max(compress(self.values, self.alive), default=0)
-
-
-def _level_walk(t: TrussSubgraph, tau: list[int], alive: bytearray) -> TrussnessMap:
-    """Walk the 3-truss `t` up the levels, writing each edge's trussness.
+def _level_walk(t: TrussSubgraph, tau: list[int]) -> list[int]:
+    """Walk the 3-truss `t` up the levels, writing each edge's trussness into `tau`.
 
     Raises the threshold one level at a time: the edges of the k-truss that
     fall when k becomes k+1 get tau = k.  Each level picks its seeds out of
@@ -256,7 +244,7 @@ def _level_walk(t: TrussSubgraph, tau: list[int], alive: bytearray) -> Trussness
     An edge with tau = k is looked at in Python at k-2 levels and sits in
     at least k-2 triangles, so the Python work totals O(m + triangles), as
     do the cascades, which kill each triangle once.  Edges outside `t`
-    keep the value they have in `tau`.
+    keep the value they have in `tau`.  Returns `tau`.
     """
     m, sup = t.graph.m, t.sup
     k = 3
@@ -265,31 +253,35 @@ def _level_walk(t: TrussSubgraph, tau: list[int], alive: bytearray) -> Trussness
         for e in t.cascade([e for e in compress(range(m), t.alive) if sup[e] < k - 1]):
             tau[e] = k
         k += 1
-    return TrussnessMap(t.graph, tau, alive)
+    return tau
 
 
-def truss_decompose(g: Graph) -> TrussnessMap:
-    """Trussness of every edge: the level walk from the full 3-truss."""
-    return _level_walk(_peel_graph(g, 3), [2] * g.m, bytearray(b"\x01") * g.m)
+def truss_decompose(g: Graph) -> list[int]:
+    """Trussness of every edge, as a list indexed by edge id.
+
+    The level walk from the full 3-truss; an edge in no triangle reads 2.
+    """
+    return _level_walk(_peel_graph(g, 3), [2] * g.m)
 
 
-def update_after_deletion(g: Graph, tau_map: TrussnessMap,
-                          e: tuple[int, int]) -> tuple[TrussnessMap, set[int]]:
+def update_after_deletion(g: Graph, tau: list[int],
+                          e: tuple[int, int]) -> tuple[list[int], set[int]]:
     """Delete one edge and recompute trussness over what is left.
 
-    Reruns the level walk over the 3-truss of the graph minus every deleted
-    edge, in O(m + triangles); it is not a local repair.  Returns a fresh
-    map plus the set of alive edges whose trussness changed; each changed
-    edge drops by exactly one level.  Deleted edges keep their last value.
+    `tau` is a values list from `truss_decompose` or from an earlier call,
+    where a deleted edge reads 0.  Reruns the level walk over the 3-truss
+    of the graph minus every deleted edge, in O(m + triangles); it is not a
+    local repair.  Returns a new list, in which `e` reads 0, plus the set
+    of remaining edges whose trussness changed; each changed edge drops by
+    exactly one level.  `tau` itself is left as it was.
     """
     eid = g.edge_id(*e)
-    if not tau_map.alive[eid]:
+    if not tau[eid]:
         raise ContractViolation(f"edge {e} already deleted")
-    alive = bytearray(tau_map.alive)
-    alive[eid] = 0
-    old = tau_map.values
+    new = [2 if v else 0 for v in tau]
+    new[eid] = 0
     t = _peel_graph(g, 3)
-    t.cascade(x for x in range(g.m) if not alive[x])
-    new_map = _level_walk(t, [2 if alive[x] else old[x] for x in range(g.m)], alive)
-    changed = {x for x in range(g.m) if alive[x] and new_map.values[x] != old[x]}
-    return new_map, changed
+    t.cascade(x for x in range(g.m) if not new[x])
+    _level_walk(t, new)
+    changed = {x for x in range(g.m) if new[x] and new[x] != tau[x]}
+    return new, changed

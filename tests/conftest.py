@@ -3,9 +3,9 @@ from collections import Counter
 
 import pytest
 
-from trussmin import ContractViolation, Graph, SolverConfig, SupportGroupIndex, TrussnessMap, \
-    TrussSubgraph, find_support_groups, k_truss, simulate_followers, solve
-from trussmin.cascade import commit_region
+from trussmin import ContractViolation, Graph, SolverConfig, TrussSubgraph, k_truss, solve
+from trussmin.cascade import commit_region, simulate_followers
+from trussmin.groups import SupportGroupIndex, find_support_groups
 from trussmin.truss import peel_to
 
 
@@ -164,9 +164,10 @@ def group_sizes(idx) -> dict[int, int]:
     return {gid: len(m) for gid, m in idx.members.items()}
 
 
-def truss_edge_ids(tau: TrussnessMap, k: int) -> list[int]:
-    """Edge ids of T_k under this map: alive and tau >= k."""
-    return [e for e in range(tau.graph.m) if tau.alive[e] and tau.values[e] >= k]
+def truss_edge_ids(tau: list[int], k: int) -> list[int]:
+    """Edge ids of T_k under these trussness values: tau >= k (a deleted
+    edge reads 0, below every k)."""
+    return [e for e, v in enumerate(tau) if v >= k]
 
 
 @pytest.fixture

@@ -168,6 +168,16 @@ MUTANTS = (
     Mutant("peel decrements queued edges", TRUSS,
            "if alive[a] == 1:", "if alive[a]:",
            (CRITERION_9, "tests/test_truss.py::TestKTruss::test_matches_oracle_on_random_graphs")),
+    # trussness after deletions (`truss.update_after_deletion`): a deleted
+    # edge reads 0, stays out of every later walk and cannot go twice
+    Mutant("a later deletion revives earlier ones", TRUSS,
+           "new = [2 if v else 0 for v in tau]", "new = [2] * g.m",
+           ("tests/test_truss.py::TestUpdateAfterDeletion::test_sequential_deletions_stay_consistent",)),
+    Mutant("a deleted edge can be deleted again", TRUSS,
+           "    if not tau[eid]:\n"
+           "        raise ContractViolation(f\"edge {e} already deleted\")\n",
+           "",
+           ("tests/test_truss.py::TestUpdateAfterDeletion::test_double_deletion_rejected",)),
     # the support heuristic's scan (`minimize.solve_support`), whose `level`
     # is never above the lowest alive support
     Mutant("a commit never lowers level", MINIMIZE,
@@ -328,6 +338,10 @@ MUTANTS = (
     Mutant("row output stops after its first chunk", CLI,
            "while chunk := ", "if chunk := ",
            ("tests/test_cli.py::TestGoldenRows::test_stdout_and_output_file_match_the_digest",)),
+    # `stats` on a graph with no edges, whose trussness list is empty
+    Mutant("stats takes max(tau) without a default", CLI,
+           "max(tau, default=0)", "max(tau)",
+           ("tests/test_cli.py::TestStats::test_empty_file",)),
 )
 
 

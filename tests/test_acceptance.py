@@ -18,13 +18,14 @@ import synth
 from conftest import assert_no_queued_edge, assert_support_build_matches_reference, \
     commit_nested, complete_pairs, er_pairs, graph_of, label_pairs, next_level, \
     upper_bound, verify_equivalence
-from trussmin import SolverConfig, SupportGroupIndex, build_truss_group_index, \
-    delete_and_cascade, find_support_groups, followers_of_edge, k_truss, \
-    refresh_index, simulate_followers, solve, truss_decompose, \
-    update_after_deletion
-from trussmin.cascade import commit_region
+from trussmin import SolverConfig, delete_and_cascade, followers_of_edge, k_truss, solve, \
+    truss_decompose
+from trussmin.cascade import commit_region, simulate_followers
 from trussmin.graph import Graph
+from trussmin.groups import SupportGroupIndex, build_truss_group_index, find_support_groups, \
+    refresh_index
 from trussmin.minimize import _two_level_tau
+from trussmin.truss import update_after_deletion
 
 
 def report(name, ok, detail=""):
@@ -52,7 +53,7 @@ def test_criterion_1_decomposition_matches_membership_oracle():
         tau = truss_decompose(g)
         expected = oracles.trussness(pairs)
         for e in range(g.m):
-            assert tau.values[e] == expected[g.original_pair(e)], \
+            assert tau[e] == expected[g.original_pair(e)], \
                 f"edge {g.original_pair(e)} in {pairs}"
     elapsed = time.perf_counter() - start
     report("criterion 1: decomposition == membership oracle on 200 graphs",
@@ -171,8 +172,8 @@ def test_criterion_5_incremental_maintenance_matches_scratch():
                 tau, _ = update_after_deletion(g, tau, g.endpoints(eid))
                 expected = oracles.trussness(remaining)
                 for e in range(g.m):
-                    if tau.alive[e]:
-                        assert tau.values[e] == expected[g.original_pair(e)]
+                    if tau[e] != 0:
+                        assert tau[e] == expected[g.original_pair(e)]
                 region = commit_nested(t, upper, eid)
                 # what up_edge maintains: the k-truss and the (k+1)-truss nested in it
                 for level, kept in ((k, t), (k + 1, upper)):

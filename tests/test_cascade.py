@@ -6,8 +6,8 @@ import pytest
 import oracles
 from conftest import assert_no_queued_edge, complete_pairs, er_pairs, graph_of, label_pairs, \
     oracle_best_single, random_trusses, support
-from trussmin import ContractViolation, delete_and_cascade, followers_of_edge, \
-    k_truss, simulate_followers, truss
+from trussmin import ContractViolation, delete_and_cascade, followers_of_edge, k_truss, truss
+from trussmin.cascade import simulate_followers
 
 
 def truss_label_pairs(g, t):

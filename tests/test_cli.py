@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 import synth
-from conftest import complete_pairs, er_pairs, graph_of, random_trusses
+from conftest import complete_pairs, er_pairs, graph_of, path_pairs, random_trusses
 from trussmin import SolverConfig, cli, load_edge_list, solve
 from trussmin.cli import main
 
@@ -56,6 +56,12 @@ class TestStats:
         assert "edges: 4" in out
         assert "triangles: 1" in out
         assert "max_trussness: 3" in out
+
+    def test_triangle_free_path_reads_the_sentinel(self, capsys, tmp_path):
+        path = write_edges(tmp_path / "path.txt", path_pairs(6))
+        code, out, _ = run_cli(capsys, "stats", path)
+        assert code == 0
+        assert "triangles: 0\n" in out and "max_trussness: 2\n" in out
 
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "stats", str(tmp_path / "nope.txt"))
@@ -184,6 +190,11 @@ class TestDecompose:
             u, v, tau = line.split()
             rows[(int(u), int(v))] = int(tau)
         assert rows == {(0, 1): 3, (0, 2): 3, (1, 2): 3, (2, 3): 2}
+
+    def test_triangle_free_path_reads_the_sentinel(self, capsys, tmp_path):
+        path = write_edges(tmp_path / "path.txt", path_pairs(6))
+        code, out, _ = run_cli(capsys, "decompose", path)
+        assert (code, out) == (0, "".join(f"{u} {v} 2\n" for u, v in path_pairs(6)))
 
 
 class TestGoldenRows:

@@ -6,9 +6,10 @@ import oracles
 import synth
 from conftest import assert_support_build_matches_reference, commit_nested, complete_pairs, \
     er_pairs, graph_of, group_sizes, label_pairs, next_level, random_trusses, upper_bound
-from trussmin import ContractViolation, SupportGroupIndex, build_truss_group_index, groups, \
-    delete_and_cascade, find_support_groups, followers_of_edge, k_truss, refresh_index, simulate_followers
-from trussmin.cascade import commit_region
+from trussmin import ContractViolation, delete_and_cascade, followers_of_edge, groups, k_truss
+from trussmin.cascade import commit_region, simulate_followers
+from trussmin.groups import SupportGroupIndex, build_truss_group_index, find_support_groups, \
+    refresh_index
 from trussmin.minimize import _two_level_tau, solve_up_edge
 
 

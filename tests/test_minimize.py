@@ -10,11 +10,11 @@ import synth
 from conftest import assert_no_queued_edge, commit_nested, complete_pairs, er_pairs, graph_of, \
     label_pairs, next_level, oracle_best_single, random_trusses, upper_bound, verify_equivalence
 from trussmin import ContractViolation, EnumerationCapExceeded, SolverConfig, \
-    build_truss_group_index, delete_and_cascade, find_support_groups, k_truss, \
-    simulate_followers, solve, solve_baseline, solve_exact, solve_gp_edge, solve_support, \
-    solve_up_edge, truss
-from trussmin.cascade import commit_region
-from trussmin.groups import SupportGroupIndex, refresh_index
+    delete_and_cascade, k_truss, solve, solve_baseline, solve_exact, solve_gp_edge, \
+    solve_support, solve_up_edge, truss
+from trussmin.cascade import commit_region, simulate_followers
+from trussmin.groups import SupportGroupIndex, build_truss_group_index, find_support_groups, \
+    refresh_index
 from trussmin.minimize import _ScanOrder, _two_level_tau
 
 # Frozen instance where the unpruned reference scan ties on an edge that the

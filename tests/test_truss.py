@@ -7,8 +7,9 @@ import oracles
 import synth
 from conftest import complete_pairs, er_pairs, graph_of, label_pairs, next_level, \
     path_pairs, random_trusses, support, truss_edge_ids
-from trussmin import ContractViolation, k_truss, truss, truss_decompose, update_after_deletion
+from trussmin import ContractViolation, k_truss, truss, truss_decompose
 from trussmin.minimize import _two_level_tau, solve_up_edge
+from trussmin.truss import update_after_deletion
 
 
 class TestKTruss:
@@ -87,14 +88,14 @@ class TestTrussDecompose:
         for n in (3, 4, 5, 6):
             g = graph_of(complete_pairs(n))
             tau = truss_decompose(g)
-            assert all(v == n for v in tau.values)
+            assert all(v == n for v in tau)
 
     def test_pendant_edge_gets_sentinel(self):
         g = graph_of([(0, 1), (1, 2), (0, 2), (2, 3)])
         tau = truss_decompose(g)
-        assert tau.values[g.edge_id(2, 3)] == 2
+        assert tau[g.edge_id(2, 3)] == 2
         for u, v in ((0, 1), (0, 2), (1, 2)):
-            assert tau.values[g.edge_id(u, v)] == 3
+            assert tau[g.edge_id(u, v)] == 3
 
     def test_two_k4s_sharing_an_edge(self):
         pairs = complete_pairs(4) + [(0, 1), (0, 4), (0, 5), (1, 4), (1, 5), (4, 5)]
@@ -102,25 +103,25 @@ class TestTrussDecompose:
         expected = oracles.trussness(pairs)   # membership route, per level
         tau = truss_decompose(g)
         for e in range(g.m):
-            assert tau.values[e] == expected[g.original_pair(e)]
-        assert set(tau.values) == {4}
+            assert tau[e] == expected[g.original_pair(e)]
+        assert set(tau) == {4}
 
     def test_matches_oracle_on_community_graph(self):
         pairs = synth.community_pairs(seed=2, scale=3)
         g = graph_of(pairs)
         expected = oracles.trussness(pairs)
         tau = truss_decompose(g)
-        assert g.m == 7373 and tau.max_trussness() == 13
+        assert g.m == 7373 and max(tau) == 13
         for e in range(g.m):
-            assert tau.values[e] == expected[g.original_pair(e)]
+            assert tau[e] == expected[g.original_pair(e)]
 
     def test_empty_graph(self):
         tau = truss_decompose(graph_of([]))
-        assert tau.values == [] and tau.max_trussness() == 0
+        assert tau == []
 
     def test_triangle_free_path_gets_sentinel(self):
         tau = truss_decompose(graph_of(path_pairs(6)))
-        assert tau.values == [2] * 5
+        assert tau == [2] * 5
 
     def test_membership_equivalence(self, rng):
         # tau(e) >= k exactly when e survives the k-truss peel
@@ -130,7 +131,7 @@ class TestTrussDecompose:
                 continue
             g = graph_of(pairs)
             tau = truss_decompose(g)
-            top = max(tau.values, default=2)
+            top = max(tau, default=2)
             for k in range(3, top + 2):
                 t = k_truss(g, k)
                 assert set(t.alive_edge_ids()) == set(truss_edge_ids(tau, k))
@@ -151,9 +152,9 @@ class TestUpdateAfterDeletion:
         tau = truss_decompose(k5)
         new_tau, changed = update_after_deletion(k5, tau, (0, 1))
         # Frozen from rerunning the decomposition on K5 minus an edge.
-        survivors = [e for e in range(k5.m) if new_tau.alive[e]]
+        survivors = [e for e in range(k5.m) if new_tau[e] != 0]
         assert len(survivors) == 9
-        assert all(new_tau.values[e] == 4 for e in survivors)
+        assert all(new_tau[e] == 4 for e in survivors)
         assert changed == set(survivors)
 
     def test_disjoint_cliques_do_not_interact(self):
@@ -171,7 +172,7 @@ class TestUpdateAfterDeletion:
         new_tau, changed = update_after_deletion(g, tau, (2, 3))
         assert changed == set()
         for u, v in ((0, 1), (0, 2), (1, 2)):
-            assert new_tau.values[g.edge_id(u, v)] == 3
+            assert new_tau[g.edge_id(u, v)] == 3
 
     def test_double_deletion_rejected(self, k5):
         tau = truss_decompose(k5)
@@ -189,21 +190,23 @@ class TestUpdateAfterDeletion:
             tau = truss_decompose(g)
             eid = rng.randrange(g.m)
             lu, lv = g.original_pair(eid)
+            before = list(tau)
             new_tau, changed = update_after_deletion(g, tau, g.endpoints(eid))
+            assert tau == before, "the input list was mutated"
             reduced = [p for p in {g.original_pair(e) for e in range(g.m)}
                        if p != (lu, lv)]
             expected = oracles.trussness(reduced)
             for e in range(g.m):
                 if e == eid:
-                    assert not new_tau.alive[e]
+                    assert new_tau[e] == 0
                     continue
-                assert new_tau.values[e] == expected[g.original_pair(e)], \
+                assert new_tau[e] == expected[g.original_pair(e)], \
                     f"edge {g.original_pair(e)} after deleting {(lu, lv)}"
             # every change is a decrease of exactly one
             for e in changed:
-                assert new_tau.values[e] == tau.values[e] - 1
+                assert new_tau[e] == tau[e] - 1
             assert changed == {e for e in range(g.m) if e != eid
-                               and new_tau.values[e] != tau.values[e]}
+                               and new_tau[e] != tau[e]}
             trials += 1
 
     def test_sequential_deletions_stay_consistent(self, rng):
@@ -219,14 +222,14 @@ class TestUpdateAfterDeletion:
             tau, changed = update_after_deletion(g, tau, g.endpoints(eid))
             expected = oracles.trussness(remaining)
             for e in range(g.m):
-                if tau.alive[e]:
-                    assert tau.values[e] == expected[g.original_pair(e)]
+                if g.original_pair(e) in remaining:
+                    assert tau[e] == expected[g.original_pair(e)]
                 else:
-                    # a deleted edge keeps the value it had when it went
-                    assert tau.values[e] == prev.values[e]
+                    # a deleted edge reads 0, however long ago it went
+                    assert tau[e] == 0
             assert changed == {e for e in range(g.m)
-                               if tau.alive[e] and tau.values[e] != prev.values[e]}
-            assert all(tau.values[e] == prev.values[e] - 1 for e in changed)
+                               if tau[e] != 0 and tau[e] != prev[e]}
+            assert all(tau[e] == prev[e] - 1 for e in changed)
 
 
 def assert_same_truss(got, want):

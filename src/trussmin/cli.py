@@ -6,7 +6,8 @@ fields kept separate so golden-file comparisons can strip them.
 
 Exit codes: 0 success or warning, 2 usage error, 3 I/O or parse error,
 4 exact-solver enumeration cap exceeded, 5 out of memory, 130 interrupted
-(Ctrl-C).  The last three print a one-line message, not a traceback.
+(Ctrl-C), 141 output pipe closed early, printing nothing.  Codes 4, 5 and
+130 print a one-line message, not a traceback.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from contextlib import nullcontext
 from itertools import compress, islice
@@ -32,6 +34,7 @@ EXIT_IO = 3
 EXIT_CAP = 4
 EXIT_MEMORY = 5
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 BENCH_HEADER = "k,b,algorithm,rep,followers_total,time_ms,candidates_evaluated"
 # `truss` and `decompose` join and write this many rows at a time
@@ -80,6 +83,7 @@ def _emit(rows: Iterable[str], output: Optional[str]) -> None:
         rows = iter(rows)
         while chunk := "".join(islice(rows, _ROWS_PER_WRITE)):
             fh.write(chunk)
+        fh.flush()  # a reader gone early shows here, in `main`, not at exit
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -284,6 +288,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except EdgeListParseError as exc:
         sys.stderr.write(f"error: {args.input}: {exc}\n")
         return EXIT_IO
+    except BrokenPipeError:
+        # the reader has gone: send the flush at exit to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO

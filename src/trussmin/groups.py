@@ -129,30 +129,29 @@ def find_support_groups(t: TrussSubgraph) -> tuple[list[SupportGroup], list[int]
 
 
 class SupportGroupIndex:
-    """Support groups and candidates of one truss, maintained across commits.
+    """Support groups of one truss and their candidacy votes, maintained across commits.
 
     A build grows every group of `t` in one pass, from the threshold edges
     in ascending order; after each committed cascade, `update` takes that
     cascade's region, dissolves only the groups the cascade could have
     changed, and regrows groups over the region.  `rep_group` maps each
     group's smallest edge, its id, to the group, and `gid_of` maps each
-    threshold edge to that id, so the index always holds the groups and
-    candidates `find_support_groups` finds on the current `t`.
+    threshold edge to that id, so the index always holds the groups
+    `find_support_groups` finds on the current `t`.
 
-    An edge is a candidate when it represents a group, or when some group
-    lists it as over-adjacent and none lists it as a pruned follower.  The
-    steps that add or withdraw a group record in `changed` every edge
-    whose standing under that rule they touched: the group's
-    representative and every edge it votes for.  Only those edges are
-    re-decided, so the per-commit work follows the commit's groups, not
-    the candidate count.  After an update, `changed` holds a superset of
-    the edges whose candidacy it changed; callers keeping their own view
-    of the candidates re-read just those.  A build counts the votes and
-    decides every candidacy at once, and leaves `changed` empty.
+    The index keeps no candidate set, only each edge's votes: how many
+    groups list it as over-adjacent, and how many as a pruned follower.
+    `is_candidate` decides one edge from them, and `candidates` reads the
+    whole set off them; the greedy loop's scan order (`minimize._ScanOrder`)
+    is the set it keeps.  The steps that add or withdraw a group record in
+    `changed` every edge whose candidacy they touched: the group's
+    representative and every edge it votes for.  After an update, `changed`
+    holds a superset of the edges whose candidacy it changed, so callers
+    keeping their own view of the candidates re-read just those.  A build
+    adds its groups the same way and then empties `changed`.
     """
 
-    __slots__ = ("t", "gid_of", "rep_group", "over_count", "pruned_count",
-                 "candidates", "changed")
+    __slots__ = ("t", "gid_of", "rep_group", "over_count", "pruned_count", "changed")
 
     def __init__(self, t: TrussSubgraph):
         self.t = t
@@ -163,8 +162,7 @@ class SupportGroupIndex:
         self.pruned_count: dict[int, int] = {}
         self.changed: set[int] = set()
         alive, sup, threshold = t.alive, t.sup, t.k - 2
-        gid_of, rep_group = self.gid_of, self.rep_group
-        over, pruned = self.over_count, self.pruned_count
+        gid_of = self.gid_of
         done = alive.translate(FLIP)
         # `list.index` finds the threshold edges at C speed; a dead edge
         # keeps the support it died with, and a peeled one died below k-2,
@@ -176,13 +174,17 @@ class SupportGroupIndex:
             except ValueError:
                 break
             if alive[start] and start not in gid_of:
-                grp = _grow_support_group(t, start, gid_of, done)
-                rep_group[start] = grp
-                for o in grp.over_adjacent:
-                    over[o] = over.get(o, 0) + 1
-                for o in grp.pruned_followers:
-                    pruned[o] = pruned.get(o, 0) + 1
-        self.candidates: set[int] = set(rep_group) | (over.keys() - pruned.keys())
+                self._add(_grow_support_group(t, start, gid_of, done))
+        self.changed.clear()
+
+    def is_candidate(self, x: int) -> bool:
+        """Whether `x` represents a group, or is over-adjacent to one and pruned by none."""
+        return x in self.rep_group or (x in self.over_count and x not in self.pruned_count)
+
+    @property
+    def candidates(self) -> set[int]:
+        """Every edge `is_candidate` accepts, as a new set."""
+        return set(self.rep_group) | (self.over_count.keys() - self.pruned_count.keys())
 
     def groups(self) -> list[SupportGroup]:
         """The current groups, ordered by representative."""
@@ -207,7 +209,6 @@ class SupportGroupIndex:
         grown = list(region)
         for rep in dissolve:
             grp = self.rep_group.pop(rep)
-            self.changed.add(rep)
             for e in grp.members:
                 del gid_of[e]
             grown.extend(grp.members)
@@ -216,20 +217,19 @@ class SupportGroupIndex:
         for e in sorted(grown):
             if alive[e] and sup[e] == threshold and e not in gid_of:
                 self._add(_grow_support_group(t, e, gid_of, done))
-        self._settle()
 
     # -- bookkeeping -----------------------------------------------------------
 
     def _add(self, grp: SupportGroup) -> None:
         self.rep_group[grp.representative] = grp
-        self.changed.add(grp.representative)
         self._count(grp, 1)
 
     def _count(self, grp: SupportGroup, delta: int) -> None:
         """Add (+1) or withdraw (-1) one group's votes for its over-adjacent edges.
 
-        Every edge voted for goes into `changed`.
+        The representative and every edge voted for go into `changed`.
         """
+        self.changed.add(grp.representative)
         for counts, edges in ((self.over_count, grp.over_adjacent),
                               (self.pruned_count, grp.pruned_followers)):
             self.changed.update(edges)
@@ -239,16 +239,6 @@ class SupportGroupIndex:
                     counts[o] = n
                 else:
                     del counts[o]
-
-    def _settle(self) -> None:
-        """Re-decide the candidacy of every edge in `changed`."""
-        candidates, reps = self.candidates, self.rep_group
-        over, pruned = self.over_count, self.pruned_count
-        for x in self.changed:
-            if x in reps or (x in over and x not in pruned):
-                candidates.add(x)
-            else:
-                candidates.discard(x)
 
 
 class GroupIndex:

@@ -393,20 +393,20 @@ class _ScanOrder:
     """A greedy solver's candidates as ascending keys `(m - bound) * m + e`.
 
     Ascending keys run by descending bound, then ascending edge id, the
-    order `_scan` evaluates in.  `candidates` is the live candidate set of
-    a `SupportGroupIndex` and `bound` the bound source's per-edge
-    `array('i')`: the live `GroupIndex.bound`, or `gp_edge`'s constant one
-    with m in every slot, under which a key is the edge id.  `key` maps
-    each candidate to its entry in `keys`.  After a commit, `rekey`
-    re-reads the given edges only, so keeping the order costs what the
-    commit changed, not the candidate count.
+    order `_scan` evaluates in.  `key` maps each candidate to its entry in
+    `keys`, and is the solver's one candidate set; `groups`, its
+    `SupportGroupIndex`, decides candidacy.  `bound` is the bound source's
+    per-edge `array('i')`: the live `GroupIndex.bound`, or `gp_edge`'s
+    constant one with m in every slot, under which a key is the edge id.
+    After a commit, `rekey` re-reads the given edges only, so keeping the
+    order costs what the commit changed, not the candidate count.
     """
 
-    __slots__ = ("m", "candidates", "bound", "key", "keys")
+    __slots__ = ("m", "groups", "bound", "key", "keys")
 
-    def __init__(self, m: int, candidates: set[int], bound: array):
-        self.m, self.candidates, self.bound = m, candidates, bound
-        self.key: dict[int, int] = {c: (m - bound[c]) * m + c for c in candidates}
+    def __init__(self, m: int, groups: SupportGroupIndex, bound: array):
+        self.m, self.groups, self.bound = m, groups, bound
+        self.key: dict[int, int] = {c: (m - bound[c]) * m + c for c in groups.candidates}
         self.keys = sorted(self.key.values())
 
     def rekey(self, edges: Iterable[int]) -> None:
@@ -415,11 +415,12 @@ class _ScanOrder:
         `edges` must hold each edge whose candidacy or bound changed since
         the last call; other edges may appear, and repeat, at no harm.
         """
-        m, candidates, bound, key, keys = self.m, self.candidates, self.bound, self.key, self.keys
+        m, bound, key, keys = self.m, self.bound, self.key, self.keys
+        is_candidate = self.groups.is_candidate
         for e in edges:
             old = key.pop(e, None)
             new = None
-            if e in candidates:
+            if is_candidate(e):
                 new = (m - bound[e]) * m + e
                 key[e] = new
             if new != old:
@@ -534,8 +535,8 @@ def _solve_greedy(t: TrussSubgraph, b: int, bound: Sequence[int],
     that region and returns the edges whose bound moved.  Each iteration
     `_scan`s by descending bound, commits the tie-broken maximizer and
     computes its `commit_region` once, for the support-group index, the
-    bound source and the `DeadSetMemo` alike.  The scan order is kept
-    across commits: only the edges whose candidacy changed
+    bound source and the `DeadSetMemo` alike.  The scan order holds the
+    candidates across commits: only the edges whose candidacy changed
     (`support_groups.changed`) and those whose bound moved are re-keyed,
     so an iteration's bookkeeping follows its commit, not the candidate
     count.
@@ -543,7 +544,7 @@ def _solve_greedy(t: TrussSubgraph, b: int, bound: Sequence[int],
     records: list[IterationRecord] = []
     support_groups = SupportGroupIndex(t)
     memo = DeadSetMemo(t)
-    order = _ScanOrder(t.graph.m, support_groups.candidates, bound)
+    order = _ScanOrder(t.graph.m, support_groups, bound)
     while len(records) < b and t.edge_count > 0:
         start = time.perf_counter()
         candidates_total = len(order.keys)

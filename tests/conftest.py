@@ -142,6 +142,14 @@ def assert_support_build_matches_reference(t: TrussSubgraph, context=None) -> No
     assert index.over_count == Counter(o for grp in groups for o in grp.over_adjacent), context
     assert index.pruned_count == Counter(o for grp in groups for o in grp.pruned_followers), context
     assert index.changed == set(), context
+    assert_candidacy_rule(index, context)
+
+
+def assert_candidacy_rule(index: SupportGroupIndex, context=None) -> None:
+    """`index.is_candidate` accepts exactly the edges of the `candidates` view."""
+    view = index.candidates
+    assert [e for e in range(index.t.graph.m) if index.is_candidate(e) != (e in view)] == [], \
+        context
 
 
 def upper_bound(idx, e) -> int:

@@ -76,6 +76,10 @@ GP_ORDER = "tests/test_minimize.py::TestScanOrder::test_gp_edge_on_partially_ero
 OVERLAP_AGREE = "tests/test_minimize.py::TestOverlappingCommunities::test_greedy_solvers_agree"
 OVERLAP_SIMS = ("tests/test_minimize.py::TestOverlappingCommunities::"
                 "test_baseline_simulates_again_after_commits")
+PIPE_EARLY = ("tests/test_cli.py::TestConsoleEntryPoint::"
+              "test_reader_closing_early_exits_141_quietly")
+PIPE_BUFFERED = ("tests/test_cli.py::TestConsoleEntryPoint::"
+                 "test_reader_gone_before_a_buffered_write_exits_141_quietly")
 OVERLAP_REFRESH = ("tests/test_minimize.py::TestOverlappingCommunities::"
                    "test_up_edge_refresh_dissolves_some_groups_only")
 BUILD_RANDOM = ("tests/test_groups.py::TestSupportGroupIndex::"
@@ -273,25 +277,36 @@ MUTANTS = (
            "        memo.invalidate(region)\n", "",
            (SCAN_MEMO_GP, SCAN_MEMO_GP_ERODING)),
     # support-group maintenance (`groups.SupportGroupIndex`): a dissolved
-    # group's members regrow, and every edge a group votes for is re-decided
+    # group's members regrow, and `changed` takes the representative and
+    # every edge voted for of each group added or withdrawn
     Mutant("support groups regrow from the region alone", GROUPS,
            "            grown.extend(grp.members)\n", "",
            (CRITERION_9, OVERLAP_AGREE)),
     Mutant("a group's votes leave changed alone", GROUPS,
            "self.changed.update(edges)", "pass",
            (GROUP_NEW, CRITERION_9, GP_ORDER)),
-    Mutant("settle re-decides nothing", GROUPS,
-           '        """Re-decide the candidacy of every edge in `changed`."""\n',
-           '        """Re-decide the candidacy of every edge in `changed`."""\n'
-           "        return\n",
-           (GROUP_KEPT, GROUP_NEW, CRITERION_9)),
+    Mutant("a group's representative leaves changed alone", GROUPS,
+           "self.changed.add(grp.representative)", "pass",
+           (GROUP_KEPT, CRITERION_9)),
+    # candidacy (`groups.SupportGroupIndex.is_candidate`), which the scan
+    # order asks for each changed edge: a pruned vote vetoes it
+    Mutant("is_candidate ignores pruned votes", GROUPS,
+           "(x in self.over_count and x not in self.pruned_count)", "x in self.over_count",
+           (CRITERION_9, BUILD_RANDOM, GP_ORDER)),
     # the support-group index's build (`groups.SupportGroupIndex.__init__`):
-    # its threshold scan meets dead edges, and a pruned vote vetoes candidacy
+    # its threshold scan meets dead edges, its votes go through `_add`, which
+    # fills `changed`, and the `candidates` view, which the scan order starts
+    # from, lets a pruned vote veto candidacy
     Mutant("the threshold scan takes a dead edge", GROUPS,
            "if alive[start] and start not in gid_of:", "if start not in gid_of:",
            (BUILD_DEAD_SEED, BUILD_RANDOM)),
-    Mutant("candidacy ignores pruned votes", GROUPS,
-           "set(rep_group) | (over.keys() - pruned.keys())", "set(rep_group) | over.keys()",
+    Mutant("the candidates view ignores pruned votes", GROUPS,
+           "(self.over_count.keys() - self.pruned_count.keys())", "self.over_count.keys()",
+           (BUILD_RANDOM, BUILD_OVERLAP, BUILD_K10)),
+    Mutant("the build leaves its votes in changed", GROUPS,
+           "                self._add(_grow_support_group(t, start, gid_of, done))\n"
+           "        self.changed.clear()\n",
+           "                self._add(_grow_support_group(t, start, gid_of, done))\n",
            (BUILD_RANDOM, BUILD_OVERLAP, BUILD_K10)),
     # the greedy loop (`minimize._solve_greedy`): gp_edge re-keys only the
     # changed candidacies, up_edge the moved bounds as well, and up_edge's
@@ -338,6 +353,14 @@ MUTANTS = (
     Mutant("row output stops after its first chunk", CLI,
            "while chunk := ", "if chunk := ",
            ("tests/test_cli.py::TestGoldenRows::test_stdout_and_output_file_match_the_digest",)),
+    # a reader that goes early: `main` turns the broken pipe into exit 141,
+    # and `_emit` flushes so that it is raised there, not at exit
+    Mutant("a broken pipe is an I/O error", CLI,
+           "    except BrokenPipeError:\n", "    except ZeroDivisionError:\n",
+           (PIPE_EARLY, PIPE_BUFFERED)),
+    Mutant("emit leaves its stream unflushed", CLI,
+           "        fh.flush()", "        pass",
+           (PIPE_BUFFERED,)),
     # `stats` on a graph with no edges, whose trussness list is empty
     Mutant("stats takes max(tau) without a default", CLI,
            "max(tau, default=0)", "max(tau)",

@@ -15,9 +15,9 @@ import pytest
 
 import oracles
 import synth
-from conftest import assert_no_queued_edge, assert_support_build_matches_reference, \
-    commit_nested, complete_pairs, er_pairs, graph_of, label_pairs, next_level, \
-    upper_bound, verify_equivalence
+from conftest import assert_candidacy_rule, assert_no_queued_edge, \
+    assert_support_build_matches_reference, commit_nested, complete_pairs, er_pairs, graph_of, \
+    label_pairs, next_level, upper_bound, verify_equivalence
 from trussmin import SolverConfig, delete_and_cascade, followers_of_edge, k_truss, solve, \
     truss_decompose
 from trussmin.cascade import commit_region, simulate_followers
@@ -365,12 +365,16 @@ def test_criterion_9_support_group_maintenance_matches_scratch():
                 assert t.edge_count == t.alive.count(1), \
                     f"k={k}, after deleting {label_pairs(g, seeds)} from {pairs}"
                 assert_no_queued_edge(t)
+                before = index.candidates
                 index.update(commit_region(t, dead, log))
                 groups, candidates = find_support_groups(t)
                 assert index.groups() == groups, \
                     f"k={k}, after deleting {label_pairs(g, seeds)} from {pairs}"
                 assert index.gid_of == {e: grp.representative for grp in groups for e in grp.members}
                 assert sorted(index.candidates) == candidates
+                # the edges a scan order re-keys hold every changed candidacy
+                assert before ^ index.candidates <= index.changed
+                assert_candidacy_rule(index)
                 commits += 1
     report("criterion 9: maintained support groups == scratch after every commit",
            commits > 0, f"{len(graphs)} graphs, k=3..7, {commits} commits replayed")

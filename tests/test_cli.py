@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -432,3 +433,28 @@ class TestConsoleEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "vertices: 5" in proc.stdout
+
+    def test_reader_closing_early_exits_141_quietly(self, tmp_path):
+        # about 1.7 MB of rows, past any pipe buffer, so the writes after
+        # the read end closes meet a broken pipe
+        path = write_edges(tmp_path / "path.txt", path_pairs(100_000))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "trussmin.cli", "decompose", path],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"0 1 2\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+
+    def test_reader_gone_before_a_buffered_write_exits_141_quietly(self, k5_file):
+        # `stats` writes five short lines, which a buffered stdout would
+        # hold until the interpreter's exit flush unless `_emit` flushes
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "trussmin.cli", "stats", k5_file],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # long before the child has loaded the file
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (141, b"")

@@ -4,8 +4,9 @@ import pytest
 
 import oracles
 import synth
-from conftest import assert_support_build_matches_reference, commit_nested, complete_pairs, \
-    er_pairs, graph_of, group_sizes, label_pairs, next_level, random_trusses, upper_bound
+from conftest import assert_candidacy_rule, assert_support_build_matches_reference, \
+    commit_nested, complete_pairs, er_pairs, graph_of, group_sizes, label_pairs, next_level, \
+    random_trusses, upper_bound
 from trussmin import ContractViolation, delete_and_cascade, followers_of_edge, groups, k_truss
 from trussmin.cascade import commit_region, simulate_followers
 from trussmin.groups import SupportGroupIndex, build_truss_group_index, find_support_groups, \
@@ -171,12 +172,15 @@ class TestSupportGroupIndex:
         t = k_truss(g, 5)
         index = SupportGroupIndex(t)
         second = index.rep_group[g.edge_id(5, 6)]  # labels (10, 11)
+        before = index.candidates
         log = []
         dead = t.cascade([g.edge_id(0, 1)], log)
         index.update(commit_region(t, dead, log))
         assert index.groups() == [second]
         assert index.rep_group[g.edge_id(5, 6)] is second
         assert sorted(index.candidates) == [g.edge_id(5, 6)]
+        assert before ^ index.candidates <= index.changed
+        assert_candidacy_rule(index)
 
     def test_new_threshold_edges_form_groups(self):
         # K6 at k=5 has no threshold edge; one deletion lowers its
@@ -192,6 +196,8 @@ class TestSupportGroupIndex:
         groups, candidates = find_support_groups(t)
         assert [grp.members for grp in index.groups()] == [grp.members for grp in groups] != []
         assert sorted(index.candidates) == candidates
+        assert set(candidates) <= index.changed
+        assert_candidacy_rule(index)
 
     def test_build_matches_reference_on_random_trusses(self, rng):
         for g, k, t in random_trusses(rng, 40):

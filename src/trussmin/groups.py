@@ -15,6 +15,7 @@ groups an edge touches bounds its follower count from above.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from itertools import compress
 
@@ -131,27 +132,25 @@ def find_support_groups(t: TrussSubgraph) -> tuple[list[SupportGroup], list[int]
 class SupportGroupIndex:
     """Support groups of one truss and their candidacy votes, maintained across commits.
 
-    A build grows every group of `t` in one pass, from the threshold edges
-    in ascending order; after each committed cascade, `update` takes that
-    cascade's region, dissolves only the groups the cascade could have
-    changed, and regrows groups over the region.  `rep_group` maps each
-    group's smallest edge, its id, to the group, and `gid_of` maps each
-    threshold edge to that id, so the index always holds the groups
-    `find_support_groups` finds on the current `t`.
+    After each committed cascade, `update` takes that cascade's region,
+    dissolves only the groups the cascade could have changed, and regrows
+    groups over the region.  A build is the update of an empty index over
+    every threshold edge of `t`, so groups grow through that one loop.
+    `rep_group` maps each group's smallest edge, its id, to the group, and
+    `gid_of` maps each threshold edge to that id, so the index always holds
+    the groups `find_support_groups` finds on the current `t`.
 
     The index keeps no candidate set, only each edge's votes: how many
     groups list it as over-adjacent, and how many as a pruned follower.
     `is_candidate` decides one edge from them, and `candidates` reads the
     whole set off them; the greedy loop's scan order (`minimize._ScanOrder`)
-    is the set it keeps.  The steps that add or withdraw a group record in
-    `changed` every edge whose candidacy they touched: the group's
-    representative and every edge it votes for.  After an update, `changed`
-    holds a superset of the edges whose candidacy it changed, so callers
-    keeping their own view of the candidates re-read just those.  A build
-    adds its groups the same way and then empties `changed`.
+    is the set it keeps.  `update` returns every edge whose candidacy it
+    touched, so callers keeping their own view of the candidates re-read
+    just those; the index itself records nothing of it, and a build drops
+    the list.
     """
 
-    __slots__ = ("t", "gid_of", "rep_group", "over_count", "pruned_count", "changed")
+    __slots__ = ("t", "gid_of", "rep_group", "over_count", "pruned_count")
 
     def __init__(self, t: TrussSubgraph):
         self.t = t
@@ -160,22 +159,19 @@ class SupportGroupIndex:
         # per edge: how many groups list it as over-adjacent / pruned
         self.over_count: dict[int, int] = {}
         self.pruned_count: dict[int, int] = {}
-        self.changed: set[int] = set()
-        alive, sup, threshold = t.alive, t.sup, t.k - 2
-        gid_of = self.gid_of
-        done = alive.translate(FLIP)
+        sup, threshold = t.sup, t.k - 2
         # `list.index` finds the threshold edges at C speed; a dead edge
         # keeps the support it died with, and a peeled one died below k-2,
-        # so the dead edges stepped over here are committed seeds
+        # so the dead ones among them are committed seeds, for `update` to skip
+        starts: list[int] = []
         start = -1
         while True:
             try:
                 start = sup.index(threshold, start + 1)
             except ValueError:
                 break
-            if alive[start] and start not in gid_of:
-                self._add(_grow_support_group(t, start, gid_of, done))
-        self.changed.clear()
+            starts.append(start)
+        self.update(starts)
 
     def is_candidate(self, x: int) -> bool:
         """Whether `x` represents a group, or is over-adjacent to one and pruned by none."""
@@ -190,7 +186,7 @@ class SupportGroupIndex:
         """The current groups, ordered by representative."""
         return [self.rep_group[r] for r in sorted(self.rep_group)]
 
-    def update(self, region: set[int]) -> None:
+    def update(self, region: Collection[int]) -> list[int]:
         """Bring the index up to date after a committed cascade on `t`.
 
         `region` is the commit's `cascade.commit_region`, or any superset
@@ -198,41 +194,44 @@ class SupportGroupIndex:
         only the groups holding a region edge can change; they are
         dissolved and regrown, and every other group keeps its members,
         supports and triangles.
+
+        Returns, for each group withdrawn and then each group added, its
+        representative and every edge it votes for: a superset, repeats
+        allowed, of the edges whose candidacy the update changed.
         """
         t = self.t
         alive, sup, threshold = t.alive, t.sup, t.k - 2
-        gid_of = self.gid_of
-        self.changed.clear()
+        gid_of, rep_group = self.gid_of, self.rep_group
+        changed: list[int] = []
         dissolve = {gid_of[x] for x in region if x in gid_of}
         # a list, not a set: it copies the region at a fraction of the
         # memory, and a repeated edge is in `gid_of` once it has grown
         grown = list(region)
         for rep in dissolve:
-            grp = self.rep_group.pop(rep)
+            grp = rep_group.pop(rep)
             for e in grp.members:
                 del gid_of[e]
             grown.extend(grp.members)
-            self._count(grp, -1)
+            self._count(grp, -1, changed)
         done = alive.translate(FLIP)
         for e in sorted(grown):
             if alive[e] and sup[e] == threshold and e not in gid_of:
-                self._add(_grow_support_group(t, e, gid_of, done))
+                grp = _grow_support_group(t, e, gid_of, done)
+                rep_group[grp.representative] = grp
+                self._count(grp, 1, changed)
+        return changed
 
     # -- bookkeeping -----------------------------------------------------------
 
-    def _add(self, grp: SupportGroup) -> None:
-        self.rep_group[grp.representative] = grp
-        self._count(grp, 1)
-
-    def _count(self, grp: SupportGroup, delta: int) -> None:
+    def _count(self, grp: SupportGroup, delta: int, changed: list[int]) -> None:
         """Add (+1) or withdraw (-1) one group's votes for its over-adjacent edges.
 
-        The representative and every edge voted for go into `changed`.
+        The representative and every edge voted for are appended to `changed`.
         """
-        self.changed.add(grp.representative)
+        changed.append(grp.representative)
         for counts, edges in ((self.over_count, grp.over_adjacent),
                               (self.pruned_count, grp.pruned_followers)):
-            self.changed.update(edges)
+            changed.extend(edges)
             for o in edges:
                 n = counts.get(o, 0) + delta
                 if n:
@@ -265,8 +264,8 @@ class GroupIndex:
     the touch set being grown; it is all zero between growths.
 
     Growing or dissolving a group moves the bound of exactly the edges in
-    its touch set, so those two steps append that touch set to `moved`.
-    After a refresh, `moved` holds the edges whose bound it may have
+    its touch set.  `refresh_index` collects those touch sets in `moved`,
+    so after a refresh it holds the edges whose bound the refresh may have
     changed (an edge repeats when several groups touch it, or when a group
     was dissolved and regrown as it was); callers keeping their own copy of
     some bounds re-read just those.  A build leaves it empty.
@@ -358,7 +357,6 @@ class GroupIndex:
         for x in touch:
             bound[x] += size
             stamp[x] = 0
-        self.moved.extend(touch)
 
     def _dissolve(self, gid: int) -> list[int]:
         """Drop group `gid` and its share of the bounds; returns its members."""
@@ -366,7 +364,6 @@ class GroupIndex:
         size, bound, gid_of = len(members), self.bound, self.gid_of
         for x in touch:
             bound[x] -= size
-        self.moved.extend(touch)
         for e in members:
             gid_of[e] = -1
         return members
@@ -409,7 +406,6 @@ def build_truss_group_index(t: TrussSubgraph, upper: TrussSubgraph) -> GroupInde
     for e in compress(range(m), level.to_bytes(m, "little")):
         if gid_of[e] < 0:
             idx._grow(e, done)
-    idx.moved.clear()
     return idx
 
 
@@ -428,8 +424,8 @@ def refresh_index(idx: GroupIndex, region: set[int]) -> GroupIndex:
     die or lose support, so its share of `bound` stays exact.  The result,
     ids and `bound` included, matches a rebuild from scratch.
 
-    `moved` collects the touch sets of the dissolved and regrown groups:
-    the edges whose `bound` this refresh may have changed.
+    `moved` is refilled with the touch sets of the dissolved, then the
+    regrown groups: the edges whose `bound` this refresh may have changed.
 
     The regrowths share one fresh per-edge marker (see `GroupIndex._grow`),
     so each alive triangle they reach is walked once.  Besides the dead
@@ -437,16 +433,18 @@ def refresh_index(idx: GroupIndex, region: set[int]) -> GroupIndex:
     should have been dissolved but survived still has its members
     unmarked, and a regrowth reaching it raises.
     """
-    gid_of = idx.gid_of
-    idx.moved.clear()
+    gid_of, touch, moved = idx.gid_of, idx.touch, idx.moved
+    moved.clear()
     dissolve = {gid_of[x] for x in region}
     dissolve.discard(-1)
     idx.last_dissolved = dissolve
     grown = set(region)
     for gid in dissolve:
+        moved.extend(touch[gid])
         grown.update(idx._dissolve(gid))
     done = idx.t.alive.translate(FLIP)
     for e in sorted(grown):
         if idx.at_level(e) and gid_of[e] < 0:
             idx._grow(e, done)
+            moved.extend(touch[e])
     return idx

@@ -536,10 +536,11 @@ def _solve_greedy(t: TrussSubgraph, b: int, bound: Sequence[int],
     `_scan`s by descending bound, commits the tie-broken maximizer and
     computes its `commit_region` once, for the support-group index, the
     bound source and the `DeadSetMemo` alike.  The scan order holds the
-    candidates across commits: only the edges whose candidacy changed
-    (`support_groups.changed`) and those whose bound moved are re-keyed,
-    so an iteration's bookkeeping follows its commit, not the candidate
-    count.
+    candidates across commits.  A commit updates the support groups, the
+    bounds and the memo first; only then does the order re-key the edges
+    whose candidacy changed (the list `support_groups.update` returns) and
+    those whose bound moved, so an iteration's bookkeeping follows its
+    commit, not the candidate count.
     """
     records: list[IterationRecord] = []
     support_groups = SupportGroupIndex(t)
@@ -553,10 +554,10 @@ def _solve_greedy(t: TrussSubgraph, b: int, bound: Sequence[int],
         followers = max(best_f, 0)
         dead, log = _commit(t, e_star, followers)
         region = commit_region(t, dead + cascade(dead), log)
-        support_groups.update(region)
+        changed = support_groups.update(region)
         moved = refresh(region)
         memo.invalidate(region)
-        order.rekey(support_groups.changed)
+        order.rekey(changed)
         order.rekey(moved)
         records.append(_record(t, e_star, followers, candidates_total, evaluated, start))
     return records

@@ -277,42 +277,39 @@ MUTANTS = (
            "        memo.invalidate(region)\n", "",
            (SCAN_MEMO_GP, SCAN_MEMO_GP_ERODING)),
     # support-group maintenance (`groups.SupportGroupIndex`): a dissolved
-    # group's members regrow, and `changed` takes the representative and
-    # every edge voted for of each group added or withdrawn
+    # group's members regrow, and the `changed` list `update` returns takes
+    # the representative and every edge voted for of each group added or
+    # withdrawn
     Mutant("support groups regrow from the region alone", GROUPS,
            "            grown.extend(grp.members)\n", "",
            (CRITERION_9, OVERLAP_AGREE)),
     Mutant("a group's votes leave changed alone", GROUPS,
-           "self.changed.update(edges)", "pass",
+           "changed.extend(edges)", "pass",
            (GROUP_NEW, CRITERION_9, GP_ORDER)),
     Mutant("a group's representative leaves changed alone", GROUPS,
-           "self.changed.add(grp.representative)", "pass",
+           "changed.append(grp.representative)", "pass",
            (GROUP_KEPT, CRITERION_9)),
     # candidacy (`groups.SupportGroupIndex.is_candidate`), which the scan
     # order asks for each changed edge: a pruned vote vetoes it
     Mutant("is_candidate ignores pruned votes", GROUPS,
            "(x in self.over_count and x not in self.pruned_count)", "x in self.over_count",
            (CRITERION_9, BUILD_RANDOM, GP_ORDER)),
-    # the support-group index's build (`groups.SupportGroupIndex.__init__`):
-    # its threshold scan meets dead edges, its votes go through `_add`, which
-    # fills `changed`, and the `candidates` view, which the scan order starts
-    # from, lets a pruned vote veto candidacy
+    # the support-group index's build (`groups.SupportGroupIndex.__init__`),
+    # the update from empty: its threshold scan meets dead edges, which
+    # `update` steps over, and the `candidates` view, which the scan order
+    # starts from, lets a pruned vote veto candidacy
     Mutant("the threshold scan takes a dead edge", GROUPS,
-           "if alive[start] and start not in gid_of:", "if start not in gid_of:",
+           "if alive[e] and sup[e] == threshold and e not in gid_of:",
+           "if sup[e] == threshold and e not in gid_of:",
            (BUILD_DEAD_SEED, BUILD_RANDOM)),
     Mutant("the candidates view ignores pruned votes", GROUPS,
            "(self.over_count.keys() - self.pruned_count.keys())", "self.over_count.keys()",
-           (BUILD_RANDOM, BUILD_OVERLAP, BUILD_K10)),
-    Mutant("the build leaves its votes in changed", GROUPS,
-           "                self._add(_grow_support_group(t, start, gid_of, done))\n"
-           "        self.changed.clear()\n",
-           "                self._add(_grow_support_group(t, start, gid_of, done))\n",
            (BUILD_RANDOM, BUILD_OVERLAP, BUILD_K10)),
     # the greedy loop (`minimize._solve_greedy`): gp_edge re-keys only the
     # changed candidacies, up_edge the moved bounds as well, and up_edge's
     # region takes the nested truss's dead
     Mutant("gp_edge never re-keys its order", MINIMIZE,
-           "order.rekey(support_groups.changed)", "pass",
+           "order.rekey(changed)", "pass",
            (GP_ORDER, OVERLAP_AGREE)),
     Mutant("the loop never re-keys the bound source's moved edges", MINIMIZE,
            "order.rekey(moved)", "pass",
@@ -328,10 +325,11 @@ MUTANTS = (
     # (the greedy loop re-keys the changed candidacies too, and they hold
     # every candidate whose bound only a dissolution moved)
     Mutant("dissolve leaves moved alone", GROUPS,
-           "            bound[x] -= size\n"
-           "        self.moved.extend(touch)\n",
-           "            bound[x] -= size\n",
+           "        moved.extend(touch[gid])\n", "",
            (REFRESH_CHAIN, SCAN_ORDER_CHAINS)),
+    Mutant("refresh leaves a regrown group's touch set out of moved", GROUPS,
+           "            moved.extend(touch[e])\n", "",
+           (REFRESH_CHAIN,)),
     Mutant("refresh keeps its walked marker across calls", GROUPS,
            "    done = idx.t.alive.translate(FLIP)\n",
            "    done = refresh_index.__dict__.setdefault(id(idx), idx.t.alive.translate(FLIP))\n",

@@ -175,11 +175,11 @@ class TestSupportGroupIndex:
         before = index.candidates
         log = []
         dead = t.cascade([g.edge_id(0, 1)], log)
-        index.update(commit_region(t, dead, log))
+        changed = index.update(commit_region(t, dead, log))
         assert index.groups() == [second]
         assert index.rep_group[g.edge_id(5, 6)] is second
         assert sorted(index.candidates) == [g.edge_id(5, 6)]
-        assert before ^ index.candidates <= index.changed
+        assert before ^ index.candidates <= set(changed)
         assert_candidacy_rule(index)
 
     def test_new_threshold_edges_form_groups(self):
@@ -192,11 +192,11 @@ class TestSupportGroupIndex:
         log = []
         dead = t.cascade([g.edge_id(0, 1)], log)
         assert dead == [g.edge_id(0, 1)]
-        index.update(commit_region(t, dead, log))
+        changed = index.update(commit_region(t, dead, log))
         groups, candidates = find_support_groups(t)
         assert [grp.members for grp in index.groups()] == [grp.members for grp in groups] != []
         assert sorted(index.candidates) == candidates
-        assert set(candidates) <= index.changed
+        assert set(candidates) <= set(changed)
         assert_candidacy_rule(index)
 
     def test_build_matches_reference_on_random_trusses(self, rng):

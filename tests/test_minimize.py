@@ -1032,12 +1032,12 @@ class TestScanOrder:
                 while t.edge_count:
                     eid = rng.choice(t.alive_edge_ids())
                     region = commit_nested(t, upper, eid)
-                    index.update(region)
+                    changed = index.update(region)
                     refresh_index(idx, region)
                     # the edges whose bound moved also hold every edge whose
                     # candidacy changed, so they alone re-key `up`
                     up.rekey(idx.moved)
-                    gp.rekey(index.changed)
+                    gp.rekey(changed)
                     self.assert_fresh(t, index, up, gp,
                                       f"k={k}, after deleting {g.original_pair(eid)}")
                     commits += 1

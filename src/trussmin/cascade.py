@@ -94,7 +94,8 @@ def simulate_followers(t: TrussSubgraph, eid: int, stop: Container[int] = ()) ->
             break
     else:
         return []
-    dead, lowered = _peel(t, [eid], stop)
+    lowered: list[int] = []
+    dead = _peel(t, [eid], lowered, stop)
     _undo(t, dead, lowered)
     return dead[1:]
 

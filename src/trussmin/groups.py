@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 
 from .errors import ContractViolation
-from .truss import TrussSubgraph
+from .truss import _DISCARD, TrussSubgraph
 
 
 @dataclass
@@ -144,10 +144,10 @@ class SupportGroupIndex:
     groups list it as over-adjacent, and how many as a pruned follower.
     `is_candidate` decides one edge from them, and `candidates` reads the
     whole set off them; the greedy loop's scan order (`minimize._ScanOrder`)
-    is the set it keeps.  `update` returns every edge whose candidacy it
-    touched, so callers keeping their own view of the candidates re-read
-    just those; the index itself records nothing of it, and a build drops
-    the list.
+    is the set it keeps.  `update` appends every edge whose candidacy it
+    touched to a list its caller owns, so callers keeping their own view
+    of the candidates re-read just those; the index itself records nothing
+    of it, and a build hands `update` `truss._DISCARD`, which keeps nothing.
     """
 
     __slots__ = ("t", "gid_of", "rep_group", "over_count", "pruned_count")
@@ -171,7 +171,7 @@ class SupportGroupIndex:
             except ValueError:
                 break
             starts.append(start)
-        self.update(starts)
+        self.update(starts, _DISCARD)
 
     def is_candidate(self, x: int) -> bool:
         """Whether `x` represents a group, or is over-adjacent to one and pruned by none."""
@@ -186,7 +186,7 @@ class SupportGroupIndex:
         """The current groups, ordered by representative."""
         return [self.rep_group[r] for r in sorted(self.rep_group)]
 
-    def update(self, region: Collection[int]) -> list[int]:
+    def update(self, region: Collection[int], changed: list[int]) -> None:
         """Bring the index up to date after a committed cascade on `t`.
 
         `region` is the commit's `cascade.commit_region`, or any superset
@@ -195,14 +195,13 @@ class SupportGroupIndex:
         dissolved and regrown, and every other group keeps its members,
         supports and triangles.
 
-        Returns, for each group withdrawn and then each group added, its
-        representative and every edge it votes for: a superset, repeats
-        allowed, of the edges whose candidacy the update changed.
+        Appends to `changed`, for each group withdrawn and then each group
+        added, its representative and every edge it votes for: a superset,
+        repeats allowed, of the edges whose candidacy the update changed.
         """
         t = self.t
         alive, sup, threshold = t.alive, t.sup, t.k - 2
         gid_of, rep_group = self.gid_of, self.rep_group
-        changed: list[int] = []
         dissolve = {gid_of[x] for x in region if x in gid_of}
         # a list, not a set: it copies the region at a fraction of the
         # memory, and a repeated edge is in `gid_of` once it has grown
@@ -219,19 +218,20 @@ class SupportGroupIndex:
                 grp = _grow_support_group(t, e, gid_of, done)
                 rep_group[grp.representative] = grp
                 self._count(grp, 1, changed)
-        return changed
 
     # -- bookkeeping -----------------------------------------------------------
 
     def _count(self, grp: SupportGroup, delta: int, changed: list[int]) -> None:
         """Add (+1) or withdraw (-1) one group's votes for its over-adjacent edges.
 
-        The representative and every edge voted for are appended to `changed`.
+        The representative and every edge voted for are appended to
+        `changed`: the over-adjacent edges hold the pruned followers, so
+        they are listed once.
         """
         changed.append(grp.representative)
+        changed.extend(grp.over_adjacent)
         for counts, edges in ((self.over_count, grp.over_adjacent),
                               (self.pruned_count, grp.pruned_followers)):
-            changed.extend(edges)
             for o in edges:
                 n = counts.get(o, 0) + delta
                 if n:
@@ -264,15 +264,15 @@ class GroupIndex:
     the touch set being grown; it is all zero between growths.
 
     Growing or dissolving a group moves the bound of exactly the edges in
-    its touch set.  `refresh_index` collects those touch sets in `moved`,
-    so after a refresh it holds the edges whose bound the refresh may have
-    changed (an edge repeats when several groups touch it, or when a group
-    was dissolved and regrown as it was); callers keeping their own copy of
-    some bounds re-read just those.  A build leaves it empty.
+    its touch set.  `refresh_index` appends those touch sets to a list its
+    caller owns: the edges whose bound the refresh may have changed (an
+    edge repeats when several groups touch it, or when a group was
+    dissolved and regrown as it was); callers keeping their own copy of
+    some bounds re-read just those.  A build records nothing.
     """
 
     __slots__ = ("t", "upper", "gid_of", "members", "touch", "bound", "stamp",
-                 "moved", "last_dissolved")
+                 "last_dissolved")
 
     def __init__(self, t: TrussSubgraph, upper: TrussSubgraph):
         m = t.graph.m
@@ -283,7 +283,6 @@ class GroupIndex:
         self.touch: dict[int, list[int]] = {}       # gid -> its touch set
         self.bound = array("i", [0]) * m
         self.stamp = bytearray(m)
-        self.moved: list[int] = []
         # ids (smallest members) of the groups the most recent refresh
         # dissolved; the benchmark tracer (perfbench/spans.py) counts them
         self.last_dissolved: set[int] = set()
@@ -409,7 +408,7 @@ def build_truss_group_index(t: TrussSubgraph, upper: TrussSubgraph) -> GroupInde
     return idx
 
 
-def refresh_index(idx: GroupIndex, region: set[int]) -> GroupIndex:
+def refresh_index(idx: GroupIndex, region: set[int], moved: list[int]) -> GroupIndex:
     """Bring the index up to date after one commit to `idx.t` and `idx.upper`.
 
     For the commit `dead = t.cascade(seeds, log)`, `upper_dead =
@@ -424,8 +423,9 @@ def refresh_index(idx: GroupIndex, region: set[int]) -> GroupIndex:
     die or lose support, so its share of `bound` stays exact.  The result,
     ids and `bound` included, matches a rebuild from scratch.
 
-    `moved` is refilled with the touch sets of the dissolved, then the
-    regrown groups: the edges whose `bound` this refresh may have changed.
+    Appends to `moved` the touch sets of the dissolved, then the regrown
+    groups: the edges whose `bound` this refresh may have changed.  Returns
+    `idx`.
 
     The regrowths share one fresh per-edge marker (see `GroupIndex._grow`),
     so each alive triangle they reach is walked once.  Besides the dead
@@ -433,8 +433,7 @@ def refresh_index(idx: GroupIndex, region: set[int]) -> GroupIndex:
     should have been dissolved but survived still has its members
     unmarked, and a regrowth reaching it raises.
     """
-    gid_of, touch, moved = idx.gid_of, idx.touch, idx.moved
-    moved.clear()
+    gid_of, touch = idx.gid_of, idx.touch
     dissolve = {gid_of[x] for x in region}
     dissolve.discard(-1)
     idx.last_dissolved = dissolve

@@ -364,7 +364,8 @@ def solve_exact(t: TrussSubgraph, b: int,
     start = time.perf_counter()
     best_f, best_set = -1, None
     for combo in combinations(alive, bb):
-        dead, lowered = _peel(t, combo)
+        lowered: list[int] = []
+        dead = _peel(t, combo, lowered)
         _undo(t, dead, lowered)
         f = len(dead) - len(combo)
         if f > best_f:
@@ -526,26 +527,26 @@ def _two_level_tau(t: TrussSubgraph) -> TrussSubgraph:
 
 def _solve_greedy(t: TrussSubgraph, b: int, bound: Sequence[int],
                   cascade: Callable[[list[int]], list[int]],
-                  refresh: Callable[[set[int]], Iterable[int]]) -> list[IterationRecord]:
+                  refresh: Callable[[set[int], list[int]], object]) -> list[IterationRecord]:
     """The greedy loop of `gp_edge` and `up_edge`; only the bound source differs.
 
     The source is the per-edge `bound` array the scan order reads;
     `cascade`, which maps a commit's dead list to the edges it adds to the
-    commit's region; and `refresh`, which brings the bounds up to date over
-    that region and returns the edges whose bound moved.  Each iteration
-    `_scan`s by descending bound, commits the tie-broken maximizer and
-    computes its `commit_region` once, for the support-group index, the
-    bound source and the `DeadSetMemo` alike.  The scan order holds the
-    candidates across commits.  A commit updates the support groups, the
-    bounds and the memo first; only then does the order re-key the edges
-    whose candidacy changed (the list `support_groups.update` returns) and
-    those whose bound moved, so an iteration's bookkeeping follows its
-    commit, not the candidate count.
+    commit's region; and `refresh(region, changed)`, which brings the
+    bounds up to date over that region and appends the edges whose bound
+    moved to `changed`.  Each iteration `_scan`s by descending bound,
+    commits the tie-broken maximizer and computes its `commit_region`
+    once, for the support-group index, the bound source and the
+    `DeadSetMemo` alike.  The scan order holds the candidates across
+    commits.  The support groups and the bounds append the edges whose
+    candidacy or bound the commit changed to one `changed` list; after
+    them and the memo, the order re-keys that list once and it is cleared.
     """
     records: list[IterationRecord] = []
     support_groups = SupportGroupIndex(t)
     memo = DeadSetMemo(t)
     order = _ScanOrder(t.graph.m, support_groups, bound)
+    changed: list[int] = []
     while len(records) < b and t.edge_count > 0:
         start = time.perf_counter()
         candidates_total = len(order.keys)
@@ -554,11 +555,11 @@ def _solve_greedy(t: TrussSubgraph, b: int, bound: Sequence[int],
         followers = max(best_f, 0)
         dead, log = _commit(t, e_star, followers)
         region = commit_region(t, dead + cascade(dead), log)
-        changed = support_groups.update(region)
-        moved = refresh(region)
+        support_groups.update(region, changed)
+        refresh(region, changed)
         memo.invalidate(region)
         order.rekey(changed)
-        order.rekey(moved)
+        changed.clear()
         records.append(_record(t, e_star, followers, candidates_total, evaluated, start))
     return records
 
@@ -570,10 +571,10 @@ def solve_gp_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
     `_scan` evaluates the candidates in ascending edge-id order, never
     stops early, and skips every candidate that shows up in an evaluated
     candidate's follower set.  No bound ever moves, so a commit adds
-    nothing to its region and re-keys only the changed candidacies.
+    nothing to its region, and re-keys only the changed candidacies.
     """
     m = t.graph.m
-    return _solve_greedy(t, b, array("i", [m]) * m, lambda dead: [], lambda region: ())
+    return _solve_greedy(t, b, array("i", [m]) * m, lambda dead: [], lambda region, changed: None)
 
 
 def solve_up_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
@@ -584,14 +585,14 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
     strict, so equal-bound candidates are still evaluated and exact ties
     keep the shared smallest-edge-id break.  Each commit's dead list also
     cascades through the nested (k+1)-truss, whose dead (the edges fallen
-    to trussness k) join the region; the refresh returns `idx.moved`.  The
-    three builders are module globals looked up per call, so wrappers of
-    them see every call.
+    to trussness k) join the region; the refresh appends the edges whose
+    bound moved to the loop's change list.  The three builders are module
+    globals looked up per call, so wrappers of them see every call.
     """
     upper = _two_level_tau(t)
     idx = build_truss_group_index(t, upper)
     return _solve_greedy(t, b, idx.bound, upper.cascade,
-                         lambda region: refresh_index(idx, region).moved)
+                         lambda region, changed: refresh_index(idx, region, changed))
 
 
 # -- dispatcher ---------------------------------------------------------------

@@ -11,11 +11,11 @@ edge reads 0.
 runs it for every deletion that stays: `k_truss` peels one k with it,
 `truss_decompose` walks it up the levels in O(m + triangles), and the
 solvers commit through it.  A deletion that is only tried runs `_peel`
-directly and restores the truss with `_undo`, from the two lists the
-peel returned: `cascade.simulate_followers` (which may stop the peel
-early) and the subset enumeration of `minimize.solve_exact`.  A truss
-keeps no per-triangle state: a triangle is alive exactly when its three
-edges are, and the peel walks the pairs of each edge's partner tuple
+directly and restores the truss with `_undo` from the peel's dead list and
+decrements: `cascade.simulate_followers` (which may stop the peel early)
+and the subset enumeration of `minimize.solve_exact`.  A truss keeps no
+per-triangle state: a triangle is alive exactly when its three edges are,
+and the peel walks the pairs of each edge's partner tuple
 (`Graph.triangle_index`).
 
 A peeled k-truss depends only on (graph, k), so `k_truss` keeps the
@@ -47,7 +47,7 @@ class TrussSubgraph:
     alive.  A triangle is alive exactly when all three of its edges are,
     so nothing is kept per triangle.  All solver loops mutate one instance
     in place; a tried deletion is undone with `_undo` from what `_peel`
-    returned.
+    returned and recorded.
     """
 
     __slots__ = ("graph", "k", "alive", "sup", "edge_count")
@@ -74,36 +74,34 @@ class TrussSubgraph:
         """Delete `seeds` and peel every edge whose support drops below k-2.
 
         Returns the dead edges (seeds first, then followers in removal
-        order).  When `log` is given it receives the id of each edge whose
-        support fell, once per decrement: a multiset in no promised order.
-        With the dead list that is everything a maintained index needs to
-        find the region the cascade touched (`cascade.commit_region`).
+        order).  The peel appends to `log` the id of each edge whose support
+        fell, once per decrement: a multiset in no promised order.  With the
+        dead list that is everything a maintained index needs to find the
+        region the cascade touched (`cascade.commit_region`).  Without `log`
+        it appends to `_DISCARD`, which keeps nothing.
         """
-        dead, lowered = _peel(self, seeds, record=log is not None)
+        dead = _peel(self, seeds, _DISCARD if log is None else log)
         self.edge_count -= len(dead)
-        if log is not None:
-            log.extend(lowered)
         return dead
 
 
-# Appending to it keeps nothing: where a peel's undo list goes when no one
-# will undo it.
+# Appending to it keeps nothing: the change list of a caller that reads none,
+# such as a peel that stays (a whole-graph peel lowers most edges).
 _DISCARD = deque(maxlen=0)
 
 
-def _peel(t: TrussSubgraph, seeds: Iterable[int], stop: Container[int] = (),
-          record: bool = True) -> tuple[list[int], list[int]]:
-    """The peel loop behind every deletion: (dead, lowered).
+def _peel(t: TrussSubgraph, seeds: Iterable[int], lowered: list[int],
+          stop: Container[int] = ()) -> list[int]:
+    """The peel loop behind every deletion; returns the dead edges.
 
     Kills each alive seed, then peels every edge whose support drops below
-    k-2.  `dead` lists the seeds first, then the followers in removal
-    order; `lowered` lists every support decrement, which with `dead` is
-    all `_undo` needs to undo the peel.  With `record` false `lowered`
-    comes back empty, so a peel that stays (a whole-graph peel lowers most
-    edges) holds no list it would throw away.  Returns as soon as an edge
-    in `stop` dies, with that edge last (the default `()` never stops);
-    `stop` is asked once per death, not per decrement.  `t.edge_count` is
-    left as it was.
+    k-2.  The returned list holds the seeds first, then the followers in
+    removal order.  Each support decrement is appended to the caller's
+    `lowered`, which with the dead list is all `_undo` needs to undo the
+    peel; a caller that undoes nothing passes `_DISCARD`.  Returns as soon
+    as an edge in `stop` dies, with that edge last (the default `()` never
+    stops); `stop` is asked once per death, not per decrement.
+    `t.edge_count` is left as it was.
 
     While it runs, `alive[e]` is 2 for a dead edge still on the stack, whose
     triangles are not yet broken; popping it sets 0.  So a popped edge's
@@ -119,8 +117,7 @@ def _peel(t: TrussSubgraph, seeds: Iterable[int], stop: Container[int] = (),
         if alive[e] == 1:
             alive[e] = 2
             dead.append(e)
-    lowered: list[int] = []
-    lower = lowered.append if record else _DISCARD.append
+    lower = lowered.append
     stack = list(dead)
     while stack:
         e = stack.pop()
@@ -138,7 +135,7 @@ def _peel(t: TrussSubgraph, seeds: Iterable[int], stop: Container[int] = (),
                     alive[a] = 2
                     dead.append(a)
                     if a in stop:
-                        return dead, lowered
+                        return dead
                     stack.append(a)
             if alive[b] == 1:
                 sup[b] -= 1
@@ -147,13 +144,13 @@ def _peel(t: TrussSubgraph, seeds: Iterable[int], stop: Container[int] = (),
                     alive[b] = 2
                     dead.append(b)
                     if b in stop:
-                        return dead, lowered
+                        return dead
                     stack.append(b)
-    return dead, lowered
+    return dead
 
 
 def _undo(t: TrussSubgraph, dead: list[int], lowered: list[int]) -> None:
-    """Undo a recorded `_peel` of `t` from the two lists it returned.
+    """Undo a `_peel` of `t` from its dead list and the decrements it appended.
 
     Every edge the peel set to 2 or 0 is in `dead`, so a stopped peel's
     queued edges come back alive too.
@@ -169,22 +166,22 @@ def _undo(t: TrussSubgraph, dead: list[int], lowered: list[int]) -> None:
 CACHED_LEVELS = 2
 
 
-def peel_to(t: TrussSubgraph, k: int) -> TrussSubgraph:
-    """Peel `t`, a truss at some level up to k, in place to the k-truss; returns `t`.
+def peel_to(t: TrussSubgraph, k: int) -> list[int]:
+    """Peel `t`, a truss at some level up to k, in place to the k-truss.
 
-    Every alive edge below k-2 seeds one cascade.
+    Every alive edge below k-2 seeds one cascade; returns its dead edges.
     """
     sup = t.sup
     t.k = k
-    t.cascade([e for e in compress(range(t.graph.m), t.alive) if sup[e] < k - 2])
-    return t
+    return t.cascade([e for e in compress(range(t.graph.m), t.alive) if sup[e] < k - 2])
 
 
 def _peel_graph(g: Graph, k: int) -> TrussSubgraph:
     """The k-truss peeled from every edge and triangle, bypassing the cache."""
     m = g.m
-    return peel_to(TrussSubgraph(g, k, bytearray(b"\x01") * m,
-                                 [len(p) >> 1 for p in g.triangle_index()], m), k)
+    t = TrussSubgraph(g, k, bytearray(b"\x01") * m, [len(p) >> 1 for p in g.triangle_index()], m)
+    peel_to(t, k)
+    return t
 
 
 def _thaw(g: Graph, k: int, level: tuple, compact: bool = False) -> TrussSubgraph:
@@ -224,7 +221,11 @@ def _k_truss(g: Graph, k: int, compact: bool = False) -> TrussSubgraph:
     if level is not None:
         return _thaw(g, k, level, compact)
     below = cache.get(k - 1)
-    t = _peel_graph(g, k) if below is None else peel_to(_thaw(g, k - 1, below), k)
+    if below is None:
+        t = _peel_graph(g, k)
+    else:
+        t = _thaw(g, k - 1, below)
+        peel_to(t, k)
     if len(cache) >= CACHED_LEVELS:
         del cache[next(iter(cache))]  # the oldest level
     sup = array("B" if max(t.sup, default=0) < 256 else "i", t.sup)
@@ -237,20 +238,18 @@ def _k_truss(g: Graph, k: int, compact: bool = False) -> TrussSubgraph:
 def _level_walk(t: TrussSubgraph, tau: list[int]) -> list[int]:
     """Walk the 3-truss `t` up the levels, writing each edge's trussness into `tau`.
 
-    Raises the threshold one level at a time: the edges of the k-truss that
-    fall when k becomes k+1 get tau = k.  Each level picks its seeds out of
-    the edges still alive: `compress` skips the dead ones at C speed,
+    Raises the level one at a time: the edges of the k-truss that fall
+    when `peel_to` takes it to k+1 get tau = k.  Each level picks its seeds
+    out of the edges still alive: `compress` skips the dead ones at C speed,
     reading m bytes a level, and keeps no list of edge ids across levels.
     An edge with tau = k is looked at in Python at k-2 levels and sits in
     at least k-2 triangles, so the Python work totals O(m + triangles), as
     do the cascades, which kill each triangle once.  Edges outside `t`
     keep the value they have in `tau`.  Returns `tau`.
     """
-    m, sup = t.graph.m, t.sup
     k = 3
     while t.edge_count:
-        t.k = k + 1
-        for e in t.cascade([e for e in compress(range(m), t.alive) if sup[e] < k - 1]):
+        for e in peel_to(t, k + 1):
             tau[e] = k
         k += 1
     return tau

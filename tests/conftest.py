@@ -124,7 +124,9 @@ def next_level(t: TrussSubgraph) -> TrussSubgraph:
     (k+1)-level, so tests compare `minimize._two_level_tau` and the
     maintained (k+1)-truss with it.
     """
-    return peel_to(t.clone(), t.k + 1)
+    upper = t.clone()
+    peel_to(upper, t.k + 1)
+    return upper
 
 
 def assert_support_build_matches_reference(t: TrussSubgraph, context=None) -> None:
@@ -132,11 +134,14 @@ def assert_support_build_matches_reference(t: TrussSubgraph, context=None) -> No
 
     Groups compare field by field (members, pruned followers, over-adjacent
     edges), group ids and candidates exactly, and each edge's vote counts
-    are the number of groups listing it.
+    are the number of groups listing it.  Every group's pruned followers
+    are over-adjacent to it, so `SupportGroupIndex._count` lists a group's
+    votes through its over-adjacent edges alone.
     """
     groups, candidates = find_support_groups(t)
     index = SupportGroupIndex(t)
     assert index.groups() == groups, context
+    assert all(grp.pruned_followers <= set(grp.over_adjacent) for grp in groups), context
     assert index.gid_of == {e: grp.representative for grp in groups for e in grp.members}, context
     assert index.candidates == set(candidates), context
     assert index.over_count == Counter(o for grp in groups for o in grp.over_adjacent), context

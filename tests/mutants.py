@@ -88,6 +88,7 @@ BUILD_OVERLAP = ("tests/test_groups.py::TestSupportGroupIndex::"
                  "test_build_matches_reference_on_overlapping_communities")
 BUILD_DEAD_SEED = ("tests/test_groups.py::TestSupportGroupIndex::"
                    "test_build_steps_over_a_dead_seed_at_the_threshold")
+BUILD_NO_VOTES = "tests/test_groups.py::TestSupportGroupIndex::test_build_records_no_votes"
 BUILD_K10 = "tests/test_acceptance.py::test_support_group_index_build_matches_reference[10]"
 EMPTY_TRUSS = "tests/test_minimize.py::TestSolveDispatch::test_empty_truss_warns_and_does_nothing"
 EXACT_COUNTS = "tests/test_minimize.py::TestExact::test_k5_pair_counts_the_enumeration_once"
@@ -102,6 +103,15 @@ MEMO_FLAGS = "tests/test_minimize.py::TestMemoStop::test_a_commit_clears_the_fla
 TWO_LEVEL_FRESH = ("tests/test_truss.py::TestTrussCache::"
                    "test_two_level_tau_of_a_fresh_truss_is_the_cached_next_level")
 GREEDY_RANDOM = "tests/test_minimize.py::TestGreedyEquivalence::test_random_graphs"
+LOG_DECREMENTS = "tests/test_cascade.py::TestCascadeLog::test_log_holds_each_decrement"
+NO_LOG = "tests/test_cascade.py::TestCascadeLog::test_cascade_without_a_log_keeps_no_undo_lists"
+SIMULATION_SHORTCUT = ("tests/test_cascade.py::TestCascadeLog::"
+                       "test_zero_follower_shortcut_matches_full_cascade")
+EXACT_ORACLE = "tests/test_minimize.py::TestExact::test_matches_exhaustive_oracle"
+DECOMPOSE_ORACLE = ("tests/test_truss.py::TestTrussDecompose::"
+                    "test_matches_oracle_on_community_graph")
+DECOMPOSE_DIGEST = ("tests/test_cli.py::TestGoldenRows::"
+                    "test_stdout_and_output_file_match_the_digest")
 UP_EDGE_COMMITTED = ("tests/test_truss.py::TestTrussCache::"
                      "test_up_edge_on_a_committed_truss_matches_the_reduced_graph")
 
@@ -217,7 +227,7 @@ MUTANTS = (
     # `solve_exact` commits its winner through the cascade, which keeps
     # `edge_count`
     Mutant("exact commits its winner without edge_count", MINIMIZE,
-           "dead = t.cascade([e])", "dead = _peel(t, [e])[0]",
+           "dead = t.cascade([e])", "dead = _peel(t, [e], [])",
            (EXACT_LEAVES,)),
     Mutant("every exact record claims the enumeration", MINIMIZE,
            "0 if records else ncomb", "ncomb",
@@ -252,10 +262,36 @@ MUTANTS = (
            (MEMO_STOP,)),
     Mutant("stopped peel drops its last decrement", TRUSS,
            "if a in stop:\n"
-           "                        return dead, lowered\n",
+           "                        return dead\n",
            "if a in stop:\n"
-           "                        return dead, lowered[:-1]\n",
+           "                        lowered.pop()\n"
+           "                        return dead\n",
            (STOP_INSIDE, MEMO_STOP)),
+    # each peel appends its decrements to the caller's list: a cascade to
+    # its log, or to `_DISCARD` without one; a tried deletion to a list it
+    # undoes from
+    Mutant("cascade always hands its peel _DISCARD", TRUSS,
+           "_DISCARD if log is None else log", "_DISCARD",
+           (LOG_DECREMENTS, CRITERION_9, REGION_MISS)),
+    Mutant("a log-less cascade hands its peel a list", TRUSS,
+           "_DISCARD if log is None else log", "[] if log is None else log",
+           (NO_LOG,)),
+    Mutant("a simulation undoes from _DISCARD", CASCADE,
+           "    lowered: list[int] = []\n",
+           "    from .truss import _DISCARD as lowered\n",
+           (SIMULATION_SHORTCUT, STOP_INSIDE, MEMO_STOP)),
+    Mutant("exact undoes from _DISCARD", MINIMIZE,
+           "        lowered: list[int] = []\n",
+           "        from .truss import _DISCARD as lowered\n",
+           (EXACT_LEAVES, EXACT_ORACLE)),
+    # `peel_to` returns its cascade's dead, which `truss._level_walk` reads
+    # as the edges falling at each level
+    Mutant("peel_to returns its seeds alone", TRUSS,
+           "    return t.cascade([e for e in compress(range(t.graph.m), t.alive) if sup[e] < k - 2])\n",
+           "    seeds = [e for e in compress(range(t.graph.m), t.alive) if sup[e] < k - 2]\n"
+           "    t.cascade(seeds)\n"
+           "    return seeds\n",
+           (DECOMPOSE_ORACLE, DECOMPOSE_DIGEST)),
     # what a commit invalidates: its region (`cascade.commit_region`) and
     # the memo's shared dead sets meeting it
     Mutant("commit region skips the alive-triangle partners", CASCADE,
@@ -277,14 +313,14 @@ MUTANTS = (
            "        memo.invalidate(region)\n", "",
            (SCAN_MEMO_GP, SCAN_MEMO_GP_ERODING)),
     # support-group maintenance (`groups.SupportGroupIndex`): a dissolved
-    # group's members regrow, and the `changed` list `update` returns takes
-    # the representative and every edge voted for of each group added or
-    # withdrawn
+    # group's members regrow, and `update` appends to its caller's `changed`
+    # list the representative and every edge voted for (its over-adjacent
+    # edges) of each group added or withdrawn
     Mutant("support groups regrow from the region alone", GROUPS,
            "            grown.extend(grp.members)\n", "",
            (CRITERION_9, OVERLAP_AGREE)),
     Mutant("a group's votes leave changed alone", GROUPS,
-           "changed.extend(edges)", "pass",
+           "changed.extend(grp.over_adjacent)", "pass",
            (GROUP_NEW, CRITERION_9, GP_ORDER)),
     Mutant("a group's representative leaves changed alone", GROUPS,
            "changed.append(grp.representative)", "pass",
@@ -296,23 +332,31 @@ MUTANTS = (
            (CRITERION_9, BUILD_RANDOM, GP_ORDER)),
     # the support-group index's build (`groups.SupportGroupIndex.__init__`),
     # the update from empty: its threshold scan meets dead edges, which
-    # `update` steps over, and the `candidates` view, which the scan order
-    # starts from, lets a pruned vote veto candidacy
+    # `update` steps over, it hands `update` `_DISCARD` for the votes, and
+    # the `candidates` view, which the scan order starts from, lets a
+    # pruned vote veto candidacy
     Mutant("the threshold scan takes a dead edge", GROUPS,
            "if alive[e] and sup[e] == threshold and e not in gid_of:",
            "if sup[e] == threshold and e not in gid_of:",
            (BUILD_DEAD_SEED, BUILD_RANDOM)),
+    Mutant("the build collects its votes", GROUPS,
+           "self.update(starts, _DISCARD)", "self.update(starts, [])",
+           (BUILD_NO_VOTES,)),
     Mutant("the candidates view ignores pruned votes", GROUPS,
            "(self.over_count.keys() - self.pruned_count.keys())", "self.over_count.keys()",
            (BUILD_RANDOM, BUILD_OVERLAP, BUILD_K10)),
-    # the greedy loop (`minimize._solve_greedy`): gp_edge re-keys only the
-    # changed candidacies, up_edge the moved bounds as well, and up_edge's
+    # the greedy loop (`minimize._solve_greedy`): the support groups append
+    # the changed candidacies to its one `changed` list, up_edge's refresh
+    # the moved bounds as well, the order re-keys that list, and up_edge's
     # region takes the nested truss's dead
-    Mutant("gp_edge never re-keys its order", MINIMIZE,
+    Mutant("the loop never re-keys its order", MINIMIZE,
            "order.rekey(changed)", "pass",
            (GP_ORDER, OVERLAP_AGREE)),
-    Mutant("the loop never re-keys the bound source's moved edges", MINIMIZE,
-           "order.rekey(moved)", "pass",
+    Mutant("support-group updates write into a list the loop never reads", MINIMIZE,
+           "support_groups.update(region, changed)", "support_groups.update(region, [])",
+           (GP_ORDER, OVERLAP_AGREE)),
+    Mutant("the bound source's refresh writes into a list the loop never reads", MINIMIZE,
+           "refresh_index(idx, region, changed)", "refresh_index(idx, region, [])",
            (CACHED_BOUNDS, GOLDEN_UP)),
     Mutant("the nested truss's dead stay out of the region", MINIMIZE,
            "region = commit_region(t, dead + cascade(dead), log)",

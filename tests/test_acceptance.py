@@ -180,7 +180,7 @@ def test_criterion_5_incremental_maintenance_matches_scratch():
                     assert label_pairs(g, kept.alive_edge_ids()) == \
                         {p for p, tau_p in expected.items() if tau_p >= level}, \
                         f"level {level} after deleting {record.edge}"
-                idx = refresh_index(idx, region)
+                idx = refresh_index(idx, region, [])
                 fresh = build_truss_group_index(t, next_level(t))
                 got = {frozenset(ms) for ms in idx.members.values()}
                 want = {frozenset(ms) for ms in fresh.members.values()}
@@ -366,7 +366,8 @@ def test_criterion_9_support_group_maintenance_matches_scratch():
                     f"k={k}, after deleting {label_pairs(g, seeds)} from {pairs}"
                 assert_no_queued_edge(t)
                 before = index.candidates
-                changed = index.update(commit_region(t, dead, log))
+                changed = []
+                index.update(commit_region(t, dead, log), changed)
                 groups, candidates = find_support_groups(t)
                 assert index.groups() == groups, \
                     f"k={k}, after deleting {label_pairs(g, seeds)} from {pairs}"

@@ -156,10 +156,11 @@ class TestCascadeLog:
             for size in (1, 2, 3):
                 for _ in range(5):
                     seeds = sorted(rng.sample(alive, min(size, len(alive))))
-                    dead, lowered = truss._peel(t, seeds)
+                    lowered = []
+                    dead = truss._peel(t, seeds, lowered)
                     assert dead[:len(seeds)] == seeds
-                    # a full peel pops every dead edge, and its two lists
-                    # are exactly what changed
+                    # a full peel pops every dead edge, and its dead list and
+                    # the decrements it appended are exactly what changed
                     assert_no_queued_edge(t)
                     assert sorted(dead) == [e for e in range(len(before[0]))
                                             if before[0][e] and not t.alive[e]]
@@ -181,14 +182,18 @@ class TestCascadeLog:
             for e in range(t.graph.m):
                 assert log.count(e) == sup_before[e] - t.sup[e]
 
-    def test_cascade_without_a_log_keeps_no_undo_lists(self, rng):
+    def test_cascade_without_a_log_keeps_no_undo_lists(self, rng, monkeypatch):
+        # a log-less cascade hands its peel `_DISCARD`, which keeps nothing
+        real_peel, lists = truss._peel, []
+        monkeypatch.setattr(truss, "_peel", lambda t, seeds, lowered, stop=():
+                            lists.append(lowered) or real_peel(t, seeds, lowered, stop))
         for _, _, t in random_trusses(rng, 30):
             seeds = rng.sample(t.alive_edge_ids(), min(2, t.edge_count))
             logged, unlogged = t.clone(), t.clone()
-            assert logged.cascade(seeds, []) == unlogged.cascade(seeds)
+            log = []
+            assert logged.cascade(seeds, log) == unlogged.cascade(seeds)
             assert truss_state(logged) == truss_state(unlogged)
-            dead, lowered = truss._peel(t.clone(), seeds, record=False)
-            assert dead[:len(seeds)] == seeds and lowered == []
+            assert lists[-2] is log and lists[-1] is truss._DISCARD and not truss._DISCARD
 
     def test_zero_follower_shortcut_matches_full_cascade(self, rng):
         shortcut = 0

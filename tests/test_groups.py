@@ -7,7 +7,8 @@ import synth
 from conftest import assert_candidacy_rule, assert_support_build_matches_reference, \
     commit_nested, complete_pairs, er_pairs, graph_of, group_sizes, label_pairs, next_level, \
     random_trusses, upper_bound
-from trussmin import ContractViolation, delete_and_cascade, followers_of_edge, groups, k_truss
+from trussmin import ContractViolation, delete_and_cascade, followers_of_edge, groups, k_truss, \
+    truss
 from trussmin.cascade import commit_region, simulate_followers
 from trussmin.groups import SupportGroupIndex, build_truss_group_index, find_support_groups, \
     refresh_index
@@ -166,6 +167,15 @@ class TestFindSupportGroups:
 
 
 class TestSupportGroupIndex:
+    def test_build_records_no_votes(self, monkeypatch):
+        # the build is the update from empty, handed `_DISCARD`, which keeps nothing
+        real_update, lists = SupportGroupIndex.update, []
+        monkeypatch.setattr(SupportGroupIndex, "update", lambda self, region, changed:
+                            lists.append(changed) or real_update(self, region, changed))
+        index = SupportGroupIndex(k_truss(graph_of(complete_pairs(5)), 5))
+        assert len(index.groups()) == 1
+        assert len(lists) == 1 and lists[0] is truss._DISCARD and not truss._DISCARD
+
     def test_untouched_group_is_kept_as_is(self):
         pairs = complete_pairs(5) + complete_pairs(5, offset=10)
         g = graph_of(pairs)
@@ -175,7 +185,8 @@ class TestSupportGroupIndex:
         before = index.candidates
         log = []
         dead = t.cascade([g.edge_id(0, 1)], log)
-        changed = index.update(commit_region(t, dead, log))
+        changed = []
+        index.update(commit_region(t, dead, log), changed)
         assert index.groups() == [second]
         assert index.rep_group[g.edge_id(5, 6)] is second
         assert sorted(index.candidates) == [g.edge_id(5, 6)]
@@ -192,7 +203,8 @@ class TestSupportGroupIndex:
         log = []
         dead = t.cascade([g.edge_id(0, 1)], log)
         assert dead == [g.edge_id(0, 1)]
-        changed = index.update(commit_region(t, dead, log))
+        changed = []
+        index.update(commit_region(t, dead, log), changed)
         groups, candidates = find_support_groups(t)
         assert [grp.members for grp in index.groups()] == [grp.members for grp in groups] != []
         assert sorted(index.candidates) == candidates
@@ -387,15 +399,16 @@ class TestRefreshIndex:
         t, upper, idx = nested_index(g, 3)
         region = commit_nested(t, upper, g.edge_id(2, 3))
         assert region == set()
-        idx2 = refresh_index(idx, region)
-        assert idx2 is idx
+        moved = []
+        idx2 = refresh_index(idx, region, moved)
+        assert idx2 is idx and moved == []
         assert idx2.last_dissolved == set()
         assert index_partition_labels(g, idx2) == \
             index_partition_labels(g, nested_index(g, 3)[2])
 
     def test_k5_deletion_moves_the_group_down_a_level(self, k5):
         t, upper, idx = nested_index(k5, 5)
-        idx = refresh_index(idx, commit_nested(t, upper, k5.edge_id(0, 1)))
+        idx = refresh_index(idx, commit_nested(t, upper, k5.edge_id(0, 1)), [])
         assert group_sizes(idx) == {}
         t4, upper4, _ = nested_index(k5, 4)
         commit_nested(t4, upper4, k5.edge_id(0, 1))
@@ -410,7 +423,7 @@ class TestRefreshIndex:
         assert second_gid == {g.edge_id(5, 6)}  # labels (10, 11), its smallest edge
         second_gid = second_gid.pop()
         before = idx.members[second_gid]
-        idx = refresh_index(idx, commit_nested(t, upper, g.edge_id(0, 1)))
+        idx = refresh_index(idx, commit_nested(t, upper, g.edge_id(0, 1)), [])
         # a regrown group would get the same id and an equal list, so check
         # that the refresh left it alone rather than rebuilt it
         assert second_gid not in idx.last_dissolved
@@ -431,7 +444,7 @@ class TestRefreshIndex:
         stale_region = {x for x in region if idx.gid_of[x] < 0}
         assert g.edge_id(0, 1) in stale_region and stale_region != region
         with pytest.raises(AssertionError, match="reached group"):
-            refresh_index(idx, stale_region)
+            refresh_index(idx, stale_region, [])
 
     @staticmethod
     def assert_matches_rebuild(g, t, idx, context):
@@ -488,13 +501,14 @@ class TestRefreshIndex:
             for eid in order[:12]:
                 region = commit_nested(t, upper, eid)
                 before = list(idx.bound)
-                idx = refresh_index(idx, region)
-                index.update(region)
+                moved = []
+                idx = refresh_index(idx, region, moved)
+                index.update(region, [])
                 context = f"level {k} diverged after deleting {g.original_pair(eid)}"
                 self.assert_matches_rebuild(g, t, idx, context)
                 self.assert_support_groups_match(t, index, context)
                 # a solver keeping its own copy of the bounds re-reads `moved` alone
-                assert {e for e in range(g.m) if idx.bound[e] != before[e]} <= set(idx.moved), \
+                assert {e for e in range(g.m) if idx.bound[e] != before[e]} <= set(moved), \
                     context
 
     def test_refresh_equals_rebuild_on_partially_eroding_graph(self):
@@ -507,8 +521,8 @@ class TestRefreshIndex:
         dissolved = 0
         for eid in chosen:
             region = commit_nested(t, upper, eid)
-            idx = refresh_index(idx, region)
-            index.update(region)
+            idx = refresh_index(idx, region, [])
+            index.update(region, [])
             dissolved += len(idx.last_dissolved)
             context = f"after deleting {g.original_pair(eid)}"
             self.assert_matches_rebuild(g, t, idx, context)

@@ -565,7 +565,8 @@ class TestMemoStop:
                     break
                 rng.shuffle(alive)
                 for e in alive[:rng.randint(1, len(alive))]:
-                    dead, lowered = truss._peel(t, [e])
+                    lowered = []
+                    dead = truss._peel(t, [e], lowered)
                     truss._undo(t, dead, lowered)
                     assert_no_queued_edge(t)
                     want = tuple(sorted(dead)) if len(dead) > 1 else ()
@@ -831,9 +832,9 @@ class TestOverlappingCommunities:
         real_refresh = minimize.refresh_index
         before_and_dissolved = []
 
-        def refresh(idx, region):
+        def refresh(idx, region, moved):
             before = dict(idx.members)
-            out = real_refresh(idx, region)
+            out = real_refresh(idx, region, moved)
             dissolved = sum(out.members.get(gid) is not ms for gid, ms in before.items())
             before_and_dissolved.append((len(before), dissolved))
             return out
@@ -1032,11 +1033,12 @@ class TestScanOrder:
                 while t.edge_count:
                     eid = rng.choice(t.alive_edge_ids())
                     region = commit_nested(t, upper, eid)
-                    changed = index.update(region)
-                    refresh_index(idx, region)
+                    changed, moved = [], []
+                    index.update(region, changed)
+                    refresh_index(idx, region, moved)
                     # the edges whose bound moved also hold every edge whose
                     # candidacy changed, so they alone re-key `up`
-                    up.rekey(idx.moved)
+                    up.rekey(moved)
                     gp.rekey(changed)
                     self.assert_fresh(t, index, up, gp,
                                       f"k={k}, after deleting {g.original_pair(eid)}")

@@ -267,7 +267,9 @@ class TestTrussCache:
             first, second = k_truss(g, k), k_truss(g, k)  # the peeled one, then a clone
             for t in (first, second):
                 alive = t.alive_edge_ids()
-                truss._undo(t, *truss._peel(t, rng.sample(alive, min(3, len(alive)))))
+                lowered = []
+                dead = truss._peel(t, rng.sample(alive, min(3, len(alive))), lowered)
+                truss._undo(t, dead, lowered)
                 t.cascade([rng.choice(alive)])
                 assert t.alive != g._truss_cache[k][0]
                 assert_same_truss(k_truss(g, k), truss._peel_graph(g, k))

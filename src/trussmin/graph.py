@@ -27,13 +27,15 @@ class Graph:
     with one `divmod`, and `_lookup` bisects the keys.
 
     A graph caches values derived from it alone: its triangle index
-    (`triangle_index`, each edge's partner edges as a tuple) and its last
+    (`triangle_index`, each edge's partner edges as a tuple), its last
     two peeled trusses (`truss.k_truss`), each truss level at a byte per
     edge for its alive edges and one (four once a support reaches 256) for
-    its supports.
+    its supports, and the support and truss groups that `gp_edge` and
+    `up_edge` solves grew on its fresh k-truss, for one k at a time
+    (`minimize._parked_groups`).  None of them refers back to the graph.
     """
 
-    __slots__ = ("n", "keys", "labels", "_tri_cache", "_truss_cache")
+    __slots__ = ("n", "keys", "labels", "_tri_cache", "_truss_cache", "_parked_groups")
 
     def __init__(self, n: int, keys: array, labels: list[int]):
         self.n = n
@@ -42,6 +44,8 @@ class Graph:
         self._tri_cache: Optional[list[tuple[int, ...]]] = None
         # k -> frozen k-truss, kept by `truss.k_truss`
         self._truss_cache: dict[int, tuple] = {}
+        # (k, groups grown on the fresh k-truss), kept by `minimize._parked_groups`
+        self._parked_groups: Optional[tuple[int, dict]] = None
 
     # -- construction ------------------------------------------------------
 

@@ -15,9 +15,10 @@ groups an edge touches bounds its follower count from above.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Collection
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress, filterfalse
+from typing import Optional
 
 from .errors import ContractViolation
 from .truss import _DISCARD, TrussSubgraph
@@ -142,23 +143,37 @@ class SupportGroupIndex:
 
     The index keeps no candidate set, only each edge's votes: how many
     groups list it as over-adjacent, and how many as a pruned follower.
-    `is_candidate` decides one edge from them, and `candidates` reads the
-    whole set off them; the greedy loop's scan order (`minimize._ScanOrder`)
-    is the set it keeps.  `update` appends every edge whose candidacy it
-    touched to a list its caller owns, so callers keeping their own view
-    of the candidates re-read just those; the index itself records nothing
-    of it, and a build hands `update` `truss._DISCARD`, which keeps nothing.
+    `is_candidate` decides one edge from them, and `iter_candidates` (or
+    `candidates`, as a set) reads the whole set off them; the greedy loop's
+    scan order (`minimize._ScanOrder`) is the set it keeps.  `update`
+    appends every edge whose candidacy it touched to a list its caller
+    owns, so callers keeping their own view of the candidates re-read just
+    those; the index itself records nothing of it, and a build hands
+    `update` `truss._DISCARD`, which keeps nothing.
+
+    Given `groups`, the `rep_group` of an index built on a truss with the
+    alive edges of `t`, the index takes a copy of that dict and derives
+    `gid_of` and the votes from it instead of growing any group.  No group
+    is ever changed once grown (`update` replaces dissolved groups with
+    new ones), so the same groups can start any number of indexes.
     """
 
     __slots__ = ("t", "gid_of", "rep_group", "over_count", "pruned_count")
 
-    def __init__(self, t: TrussSubgraph):
+    def __init__(self, t: TrussSubgraph, groups: Optional[dict[int, SupportGroup]] = None):
         self.t = t
         self.gid_of: dict[int, int] = {}            # threshold edge -> representative
         self.rep_group: dict[int, SupportGroup] = {}
         # per edge: how many groups list it as over-adjacent / pruned
         self.over_count: dict[int, int] = {}
         self.pruned_count: dict[int, int] = {}
+        if groups is not None:
+            # a copy: `update` pops and adds groups, and `groups` stays as it is
+            self.rep_group = dict(groups)
+            for rep, grp in groups.items():
+                self.gid_of.update(dict.fromkeys(grp.members, rep))
+                self._count(grp, 1, _DISCARD)
+            return
         sup, threshold = t.sup, t.k - 2
         # `list.index` finds the threshold edges at C speed; a dead edge
         # keeps the support it died with, and a peeled one died below k-2,
@@ -177,10 +192,18 @@ class SupportGroupIndex:
         """Whether `x` represents a group, or is over-adjacent to one and pruned by none."""
         return x in self.rep_group or (x in self.over_count and x not in self.pruned_count)
 
+    def iter_candidates(self) -> Iterator[int]:
+        """Every edge `is_candidate` accepts, once each, without building a set.
+
+        A representative has support k-2 and an over-adjacent edge more, so
+        the two parts never meet.
+        """
+        return chain(self.rep_group, filterfalse(self.pruned_count.__contains__, self.over_count))
+
     @property
     def candidates(self) -> set[int]:
         """Every edge `is_candidate` accepts, as a new set."""
-        return set(self.rep_group) | (self.over_count.keys() - self.pruned_count.keys())
+        return set(self.iter_candidates())
 
     def groups(self) -> list[SupportGroup]:
         """The current groups, ordered by representative."""
@@ -269,12 +292,20 @@ class GroupIndex:
     edge repeats when several groups touch it, or when a group was
     dissolved and regrown as it was); callers keeping their own copy of
     some bounds re-read just those.  A build records nothing.
+
+    Given `groups`, the `(members, touch)` dicts of an index built over
+    trusses with the alive edges of `t` and `upper`, the index takes a
+    copy of each dict and derives `gid_of` and `bound` from the groups
+    instead of growing any: no member list or touch set is ever changed
+    once grown, so the same groups can start any number of indexes.
+    `build_truss_group_index` grows them.
     """
 
     __slots__ = ("t", "upper", "gid_of", "members", "touch", "bound", "stamp",
                  "last_dissolved")
 
-    def __init__(self, t: TrussSubgraph, upper: TrussSubgraph):
+    def __init__(self, t: TrussSubgraph, upper: TrussSubgraph,
+                 groups: Optional[tuple[dict[int, list[int]], dict[int, list[int]]]] = None):
         m = t.graph.m
         self.t = t
         self.upper = upper
@@ -286,6 +317,15 @@ class GroupIndex:
         # ids (smallest members) of the groups the most recent refresh
         # dissolved; the benchmark tracer (perfbench/spans.py) counts them
         self.last_dissolved: set[int] = set()
+        if groups is not None:
+            members, touch = groups
+            # copies: a refresh pops and adds groups, and `groups` stays as it is
+            self.members, self.touch = dict(members), dict(touch)
+            gid_of = self.gid_of
+            for gid, grp in members.items():
+                for e in grp:
+                    gid_of[e] = gid
+                self._share(touch[gid], len(grp))
 
     def at_level(self, e: int) -> bool:
         """Whether edge `e` has trussness exactly k."""
@@ -352,7 +392,12 @@ class GroupIndex:
         members.sort()
         self.members[start] = members
         self.touch[start] = touch
-        size, bound = len(members), self.bound
+        self._share(touch, len(members))
+
+    def _share(self, touch: list[int], size: int) -> None:
+        """Add `size`, a group's size or its negation, to the bound of each
+        edge in the group's touch set, and clear each one's stamp."""
+        bound, stamp = self.bound, self.stamp
         for x in touch:
             bound[x] += size
             stamp[x] = 0
@@ -360,9 +405,8 @@ class GroupIndex:
     def _dissolve(self, gid: int) -> list[int]:
         """Drop group `gid` and its share of the bounds; returns its members."""
         members, touch = self.members.pop(gid), self.touch.pop(gid)
-        size, bound, gid_of = len(members), self.bound, self.gid_of
-        for x in touch:
-            bound[x] -= size
+        self._share(touch, -len(members))
+        gid_of = self.gid_of
         for e in members:
             gid_of[e] = -1
         return members

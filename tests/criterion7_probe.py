@@ -7,10 +7,12 @@ solves N times at each k of `--k` (default 10), each in a new process, one
 process at a time, in two modes:
 
 - warm: exactly as the test runs them, on one graph whose triangle index
-  is built first and whose truss cache the test's budget loop (`up_edge`
-  at b = 1..5) has filled;
+  is built first, and whose truss cache and parked groups the test's
+  budget loop (`up_edge` at b = 1..5) has filled, so `gp_edge` and
+  `up_edge` start from the groups that loop grew;
 - fresh: each solve on a newly built `Graph` whose triangle index is built
-  before the clock starts, so every solve peels its own truss levels.
+  before the clock starts, so every solve peels its own truss levels and
+  grows its own groups.
 
 It prints the minimum, quartiles and median of gp/up and base/gp per k and
 mode, and how many runs broke either order.  pytest does not collect it,

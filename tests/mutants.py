@@ -114,6 +114,13 @@ DECOMPOSE_DIGEST = ("tests/test_cli.py::TestGoldenRows::"
                     "test_stdout_and_output_file_match_the_digest")
 UP_EDGE_COMMITTED = ("tests/test_truss.py::TestTrussCache::"
                      "test_up_edge_on_a_committed_truss_matches_the_reduced_graph")
+PARKED_RANDOM = "tests/test_minimize.py::TestParkedGroups::test_random_graphs"
+PARKED_ERODING = "tests/test_minimize.py::TestParkedGroups::test_eroding_graphs[community_s2]"
+PARKED_OVERLAP = "tests/test_minimize.py::TestParkedGroups::test_eroding_graphs[overlapping]"
+PARKED_STALE = ("tests/test_minimize.py::TestParkedGroups::"
+                "test_a_committed_truss_grows_its_own_groups")
+PARKED_INDEX = ("tests/test_minimize.py::TestParkedGroups::"
+                "test_an_index_from_parked_groups_equals_a_build")
 
 MUTANTS = (
     # the key layout (`graph.Graph`): with v >= n, u*n + v is another edge's key
@@ -333,8 +340,8 @@ MUTANTS = (
     # the support-group index's build (`groups.SupportGroupIndex.__init__`),
     # the update from empty: its threshold scan meets dead edges, which
     # `update` steps over, it hands `update` `_DISCARD` for the votes, and
-    # the `candidates` view, which the scan order starts from, lets a
-    # pruned vote veto candidacy
+    # `iter_candidates`, which the scan order starts from and the
+    # `candidates` view reads, lets a pruned vote veto candidacy
     Mutant("the threshold scan takes a dead edge", GROUPS,
            "if alive[e] and sup[e] == threshold and e not in gid_of:",
            "if sup[e] == threshold and e not in gid_of:",
@@ -343,8 +350,8 @@ MUTANTS = (
            "self.update(starts, _DISCARD)", "self.update(starts, [])",
            (BUILD_NO_VOTES,)),
     Mutant("the candidates view ignores pruned votes", GROUPS,
-           "(self.over_count.keys() - self.pruned_count.keys())", "self.over_count.keys()",
-           (BUILD_RANDOM, BUILD_OVERLAP, BUILD_K10)),
+           "filterfalse(self.pruned_count.__contains__, self.over_count)", "self.over_count",
+           (BUILD_RANDOM, BUILD_OVERLAP, BUILD_K10, GP_ORDER)),
     # the greedy loop (`minimize._solve_greedy`): the support groups append
     # the changed candidacies to its one `changed` list, up_edge's refresh
     # the moved bounds as well, the order re-keys that list, and up_edge's
@@ -391,6 +398,36 @@ MUTANTS = (
     Mutant("refresh dissolves every group", GROUPS,
            "dissolve = {gid_of[x] for x in region}", "dissolve = set(idx.members)",
            (TRUSS_GROUP_KEPT, OVERLAP_REFRESH)),
+    # parked groups (`minimize._parked_groups`): reused only on the graph's
+    # fresh k-truss, parked as copies of the indexes' dicts, and copied
+    # again into every index started from them, whose bounds take each
+    # group's size over its whole touch set
+    Mutant("reuse ignores the freshness check", MINIMIZE,
+           "if level is None or level[2] != t.edge_count or level[0] != t.alive:",
+           "if level is None:",
+           (PARKED_STALE,)),
+    Mutant("the support groups are parked as the live dict", MINIMIZE,
+           'parked["support"] = dict(support_groups.rep_group)',
+           'parked["support"] = support_groups.rep_group',
+           (PARKED_RANDOM, PARKED_ERODING, PARKED_OVERLAP)),
+    Mutant("the truss groups are parked as the live dicts", MINIMIZE,
+           'parked["truss"] = (dict(idx.members), dict(idx.touch))',
+           'parked["truss"] = (idx.members, idx.touch)',
+           (PARKED_RANDOM, PARKED_ERODING, PARKED_OVERLAP)),
+    Mutant("the first solve parks no support groups", MINIMIZE,
+           'if "support" not in parked:',
+           "if False:",
+           (PARKED_RANDOM,)),
+    Mutant("the support-group un-park shares the parked dict", GROUPS,
+           "self.rep_group = dict(groups)", "self.rep_group = groups",
+           (PARKED_RANDOM, PARKED_ERODING, PARKED_INDEX)),
+    Mutant("the truss-group un-park shares the parked dicts", GROUPS,
+           "self.members, self.touch = dict(members), dict(touch)",
+           "self.members, self.touch = members, touch",
+           (PARKED_RANDOM, PARKED_ERODING, PARKED_INDEX)),
+    Mutant("re-derived bound skips a group's touch set", GROUPS,
+           "self._share(touch[gid], len(grp))", "self._share(grp, len(grp))",
+           (PARKED_RANDOM, PARKED_ERODING, PARKED_INDEX)),
     # `truss` and `decompose` write their rows a chunk at a time
     Mutant("row output stops after its first chunk", CLI,
            "while chunk := ", "if chunk := ",

@@ -9,12 +9,12 @@ import oracles
 import synth
 from conftest import assert_no_queued_edge, commit_nested, complete_pairs, er_pairs, graph_of, \
     label_pairs, next_level, oracle_best_single, random_trusses, upper_bound, verify_equivalence
-from trussmin import ContractViolation, EnumerationCapExceeded, SolverConfig, \
+from trussmin import ContractViolation, EnumerationCapExceeded, Graph, SolverConfig, \
     delete_and_cascade, k_truss, solve, solve_baseline, solve_exact, solve_gp_edge, \
     solve_support, solve_up_edge, truss
 from trussmin.cascade import commit_region, simulate_followers
-from trussmin.groups import SupportGroupIndex, build_truss_group_index, find_support_groups, \
-    refresh_index
+from trussmin.groups import GroupIndex, SupportGroupIndex, build_truss_group_index, \
+    find_support_groups, refresh_index
 from trussmin.minimize import _ScanOrder, _two_level_tau
 
 # Frozen instance where the unpruned reference scan ties on an edge that the
@@ -1051,3 +1051,128 @@ class TestScanOrder:
         g = graph_of(synth.community_pairs(seed=2, scale=3))
         solve_gp_edge(k_truss(g, 8), 13)
         assert len(checked) == 13 and min(checked) > 400
+
+
+def group_fields(rep_group, members, touch) -> tuple:
+    """Support and truss groups in comparable form: each support group's
+    members, pruned followers and over-adjacent edges (as a set), and each
+    truss group's members and touch set (as a set)."""
+    return ({rep: (grp.members, grp.pruned_followers, set(grp.over_adjacent))
+             for rep, grp in rep_group.items()},
+            members, {gid: set(x) for gid, x in touch.items()})
+
+
+def grown_groups(g, k) -> tuple:
+    """`group_fields` of the groups grown afresh on the k-truss of `g`,
+    peeled without the cache, so the cache stays as it was."""
+    t = truss._peel_graph(g, k)
+    idx = build_truss_group_index(t, next_level(t))
+    return group_fields(SupportGroupIndex(t).rep_group, idx.members, idx.touch)
+
+
+def assert_parked_as_grown(g, want) -> None:
+    """The groups `g` parked equal `want`, what `grown_groups` returns."""
+    k, parked = g._parked_groups
+    assert parked.keys() <= {"support", "truss"}, k
+    support, members, touch = group_fields(parked.get("support", {}),
+                                           *parked.get("truss", ({}, {})))
+    if "support" in parked:
+        assert support == want[0], k
+    if "truss" in parked:
+        assert (members, touch) == want[1:], k
+
+
+def records_of(report) -> list[tuple]:
+    """A report's iteration records without their timing."""
+    return [(r.edge, r.eid, r.followers, r.candidates_total, r.candidates_evaluated)
+            for r in report.iterations]
+
+
+def cold_copy(g):
+    """A graph with the edges of `g` and nothing cached but its triangle index."""
+    cold = Graph(g.n, g.keys, g.labels)
+    cold._tri_cache = g.triangle_index()
+    return cold
+
+
+class TestParkedGroups:
+    """A graph parks the groups its first `gp_edge` or `up_edge` solve on
+    the fresh k-truss grows, and later solves at k start from copies of
+    them: every answer equals a cold graph's, and the parked groups stay
+    as they were grown."""
+
+    # (algorithm, budget in thirds of the largest) in the order one graph
+    # runs them at each level
+    PLAN = (("gp_edge", 2), ("baseline", 3), ("up_edge", 3), ("support", 2),
+            ("up_edge", 1), ("gp_edge", 3), ("up_edge", 2))
+
+    def warm_equals_cold(self, monkeypatch, g, k, b=3):
+        """Run `PLAN`, with budgets up to `b`, at k, k + 1 and k again on
+        `g`; returns the levels of the truss-group builds on `g`, in order."""
+        from trussmin import minimize
+        real_build, builds = minimize.build_truss_group_index, []
+        monkeypatch.setattr(minimize, "build_truss_group_index", lambda t, upper: (
+            t.graph is g and builds.append(t.k)) or real_build(t, upper))
+        cold, grown = {}, {}
+        for level in (k, k + 1, k):
+            for algorithm, thirds in self.PLAN:
+                cfg = SolverConfig(k=level, b=max(1, b * thirds // 3), algorithm=algorithm)
+                if cfg not in cold:
+                    cold[cfg] = records_of(solve(cold_copy(g), cfg))
+                assert records_of(solve(g, cfg)) == cold[cfg], cfg
+                assert g._parked_groups[0] == level
+                if level not in grown:
+                    grown[level] = grown_groups(g, level)
+                assert_parked_as_grown(g, grown[level])
+            assert g._parked_groups[1].keys() == {"support", "truss"}
+        return builds
+
+    def test_random_graphs(self, monkeypatch, rng):
+        for g in memo_test_graphs(rng, 60):
+            k = rng.randint(3, 6)
+            builds = self.warm_equals_cold(monkeypatch, g, k)
+            # the first up_edge solve at each level builds, the later ones
+            # thaw, and the second visit to k builds again after k + 1
+            # replaced its groups
+            assert builds == [k, k + 1, k]
+
+    @pytest.mark.parametrize("pairs, k, b", [
+        (synth.community_pairs(seed=2, scale=3), 8, 12),
+        (synth.overlapping_pairs(seed=42, scale=1), 10, 8),
+    ], ids=["community_s2", "overlapping"])
+    def test_eroding_graphs(self, monkeypatch, pairs, k, b):
+        builds = self.warm_equals_cold(monkeypatch, graph_of(pairs), k, b)
+        assert builds == [k, k + 1, k]
+
+    def test_a_committed_truss_grows_its_own_groups(self):
+        pairs = synth.community_pairs(seed=42, scale=30)
+        g = graph_of(pairs)
+        first = solve_up_edge(k_truss(g, 10), 2)[0].eid
+        t = k_truss(g, 10)
+        t.cascade([first])
+        cold = k_truss(graph_of(pairs), 10)
+        cold.cascade([first])
+        want = [(r.eid, r.followers) for r in solve_baseline(cold, 3)]
+        assert want == [(72895, 138), (3802, 137), (67475, 136)]
+        for solver in (solve_up_edge, solve_gp_edge):
+            assert [(r.eid, r.followers) for r in solver(t.clone(), 3)] == want, solver
+
+    def test_an_index_from_parked_groups_equals_a_build(self, rng):
+        for g in memo_test_graphs(rng, 40):
+            for k in range(3, 7):
+                t = k_truss(g, k)
+                upper = _two_level_tau(t)
+                built = build_truss_group_index(t, upper)
+                index = SupportGroupIndex(t)
+                groups = (dict(built.members), dict(built.touch))
+                thawed = GroupIndex(t, upper, groups)
+                assert (thawed.members, thawed.touch) == groups
+                assert thawed.members is not groups[0] and thawed.touch is not groups[1]
+                assert list(thawed.gid_of) == list(built.gid_of)
+                assert list(thawed.bound) == list(built.bound)
+                assert not any(thawed.stamp)
+                from_parked = SupportGroupIndex(t, index.rep_group)
+                assert from_parked.rep_group == index.rep_group
+                assert from_parked.rep_group is not index.rep_group
+                for name in ("gid_of", "over_count", "pruned_count"):
+                    assert getattr(from_parked, name) == getattr(index, name), name

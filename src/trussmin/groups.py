@@ -143,13 +143,13 @@ class SupportGroupIndex:
 
     The index keeps no candidate set, only each edge's votes: how many
     groups list it as over-adjacent, and how many as a pruned follower.
-    `is_candidate` decides one edge from them, and `iter_candidates` (or
-    `candidates`, as a set) reads the whole set off them; the greedy loop's
-    scan order (`minimize._ScanOrder`) is the set it keeps.  `update`
-    appends every edge whose candidacy it touched to a list its caller
-    owns, so callers keeping their own view of the candidates re-read just
-    those; the index itself records nothing of it, and a build hands
-    `update` `truss._DISCARD`, which keeps nothing.
+    `is_candidate` decides one edge from them, and `iter_candidates` reads
+    the whole set off them; the greedy loop's scan order
+    (`minimize._ScanOrder`) is the set it keeps.  `update` appends every
+    edge whose candidacy it touched to a list its caller owns, so callers
+    keeping their own view of the candidates re-read just those; the index
+    itself records nothing of it, and a build hands `update`
+    `truss._DISCARD`, which keeps nothing.
 
     Given `groups`, the `rep_group` of an index built on a truss with the
     alive edges of `t`, the index takes a copy of that dict and derives
@@ -199,11 +199,6 @@ class SupportGroupIndex:
         the two parts never meet.
         """
         return chain(self.rep_group, filterfalse(self.pruned_count.__contains__, self.over_count))
-
-    @property
-    def candidates(self) -> set[int]:
-        """Every edge `is_candidate` accepts, as a new set."""
-        return set(self.iter_candidates())
 
     def groups(self) -> list[SupportGroup]:
         """The current groups, ordered by representative."""

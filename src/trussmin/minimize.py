@@ -27,7 +27,7 @@ from .errors import ContractViolation, EnumerationCapExceeded
 from .graph import Graph
 from .groups import GroupIndex, SupportGroup, SupportGroupIndex, build_truss_group_index, \
     refresh_index
-from .truss import TrussSubgraph, _k_truss, _peel, _undo, k_truss
+from .truss import TrussSubgraph, _k_truss, _peel, _undo, k_truss, parked
 # unused here, but the benchmark tracer (perfbench/spans.py) patches these names
 from .groups import find_support_groups  # noqa: F401
 from .truss import update_after_deletion  # noqa: F401
@@ -526,30 +526,7 @@ def _two_level_tau(t: TrussSubgraph) -> TrussSubgraph:
     return upper
 
 
-def _parked_groups(t: TrussSubgraph) -> dict:
-    """The groups the graph parked for level `t.k`, when `t` is its fresh k-truss.
-
-    `t` is fresh when its alive bytes and edge count equal those of the
-    graph's cached k-level (`k_truss`); `solve()` always hands a solver
-    one, but a caller of `solve_gp_edge` or `solve_up_edge` may hand over
-    a truss it has already committed on, and gets a new empty dict that
-    nothing keeps.  The groups of a fresh truss depend on the graph and k
-    alone, so a solve that grows them parks them in the returned dict:
-    `"support"`, the support-group index's `rep_group`, and `"truss"`, the
-    truss-group index's `(members, touch)`.  Later solves at k start their
-    indexes from copies of these dicts.  A graph parks groups for one k: a
-    fresh truss at another k replaces them with an empty dict.
-    """
-    g, k = t.graph, t.k
-    level = g._truss_cache.get(k)
-    if level is None or level[2] != t.edge_count or level[0] != t.alive:
-        return {}
-    if g._parked_groups is None or g._parked_groups[0] != k:
-        g._parked_groups = (k, {})
-    return g._parked_groups[1]
-
-
-def _solve_greedy(t: TrussSubgraph, b: int, parked: dict, bound: Sequence[int],
+def _solve_greedy(t: TrussSubgraph, b: int, groups: dict, bound: Sequence[int],
                   cascade: Callable[[list[int]], list[int]],
                   refresh: Callable[[set[int], list[int]], object]) -> list[IterationRecord]:
     """The greedy loop of `gp_edge` and `up_edge`; only the bound source differs.
@@ -566,14 +543,14 @@ def _solve_greedy(t: TrussSubgraph, b: int, parked: dict, bound: Sequence[int],
     candidacy or bound the commit changed to one `changed` list; after
     them and the memo, the order re-keys that list once and it is cleared.
 
-    `parked` is what `_parked_groups(t)` returned: the support groups
-    start from its `"support"` entry when it has one, and are parked there
-    when it has none.
+    `groups` is what `truss.parked(t)` returned: the support groups start
+    from its `"support"` entry, the support-group index's `rep_group`,
+    when it has one, and are parked there when it has none.
     """
     records: list[IterationRecord] = []
-    support_groups = SupportGroupIndex(t, parked.get("support"))
-    if "support" not in parked:
-        parked["support"] = dict(support_groups.rep_group)
+    support_groups = SupportGroupIndex(t, groups.get("support"))
+    if "support" not in groups:
+        groups["support"] = dict(support_groups.rep_group)
     memo = DeadSetMemo(t)
     order = _ScanOrder(t.graph.m, support_groups, bound)
     changed: list[int] = []
@@ -604,7 +581,7 @@ def solve_gp_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
     nothing to its region, and re-keys only the changed candidacies.
     """
     m = t.graph.m
-    return _solve_greedy(t, b, _parked_groups(t), array("i", [m]) * m, lambda dead: [],
+    return _solve_greedy(t, b, parked(t), array("i", [m]) * m, lambda dead: [],
                          lambda region, changed: None)
 
 
@@ -620,19 +597,19 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
     bound moved to the loop's change list.  The three builders are module
     globals looked up per call, so wrappers of them see every call.
 
-    On the graph's fresh k-truss the truss groups start from the ones the
-    graph parked (`_parked_groups`), as the support groups do; the first
-    such solve builds and parks them.  So only a cold index goes through
-    `build_truss_group_index`.
+    On the graph's cached k-level the truss groups start from the ones
+    parked on it (`truss.parked`), `(members, touch)`, as the support
+    groups do; the first such solve builds and parks them.  So only a cold
+    index goes through `build_truss_group_index`.
     """
-    parked = _parked_groups(t)  # before the nested level may evict the k-level
+    groups = parked(t)  # before the nested level may evict the k-level
     upper = _two_level_tau(t)
-    if "truss" in parked:
-        idx = GroupIndex(t, upper, parked["truss"])
+    if "truss" in groups:
+        idx = GroupIndex(t, upper, groups["truss"])
     else:
         idx = build_truss_group_index(t, upper)
-        parked["truss"] = (dict(idx.members), dict(idx.touch))
-    return _solve_greedy(t, b, parked, idx.bound, upper.cascade,
+        groups["truss"] = (dict(idx.members), dict(idx.touch))
+    return _solve_greedy(t, b, groups, idx.bound, upper.cascade,
                          lambda region, changed: refresh_index(idx, region, changed))
 
 

@@ -21,11 +21,13 @@ and the peel walks the pairs of each edge's partner tuple
 A peeled k-truss depends only on (graph, k), so `k_truss` keeps the
 graph's last two levels frozen on the graph and hands every caller a
 fresh clone: the solvers' repeated `solve()` calls on one graph peel each
-level once.  The level walks of `truss_decompose` and
-`update_after_deletion` start from an uncached peel (`_peel_graph`), so
-they neither fill nor evict those levels.  `update_after_deletion` reruns
-that level walk over the graph minus the deleted edges, also in
-O(m + triangles); it is not a local repair.
+level once.  The groups the greedy solvers grow on a level are kept the
+same way: each cached level carries a dict that `parked` hands them,
+created empty with the level and evicted with it.  The level walks of
+`truss_decompose` and `update_after_deletion` start from an uncached peel
+(`_peel_graph`), so they neither fill nor evict those levels.
+`update_after_deletion` reruns that level walk over the graph minus the
+deleted edges, also in O(m + triangles); it is not a local repair.
 """
 
 from __future__ import annotations
@@ -185,8 +187,26 @@ def _peel_graph(g: Graph, k: int) -> TrussSubgraph:
 
 
 def _thaw(g: Graph, k: int, level: tuple, compact: bool = False) -> TrussSubgraph:
-    alive, sup, edge_count = level
+    alive, sup, edge_count, _ = level
     return TrussSubgraph(g, k, bytearray(alive), sup[:] if compact else list(sup), edge_count)
+
+
+def parked(t: TrussSubgraph) -> dict:
+    """The groups parked on the cached level `t.k`, when `t` is that level.
+
+    `t` is the level when its alive bytes and edge count equal the cached
+    ones.  `solve()` always hands a solver such a truss, but a caller of
+    `solve_gp_edge` or `solve_up_edge` may hand over one it has already
+    committed on, and gets a new empty dict that nothing keeps.  The groups
+    of the level depend on the graph and k alone, so a solve that grows
+    them parks them in the returned dict, and later solves at k start their
+    indexes from copies of its entries.  The dict lives as long as the
+    level: created empty with it and evicted with it (`k_truss`).
+    """
+    level = t.graph._truss_cache.get(t.k)
+    if level is None or level[2] != t.edge_count or level[0] != t.alive:
+        return {}
+    return level[3]
 
 
 def k_truss(g: Graph, k: int) -> TrussSubgraph:
@@ -195,13 +215,13 @@ def k_truss(g: Graph, k: int) -> TrussSubgraph:
     The peel depends only on (g, k), so the graph keeps a frozen copy of
     its last `CACHED_LEVELS` levels and a repeated call clones one.  A
     frozen level is `bytes` of alive flags, the supports as an
-    `array('B')` when every one is below 256 (else an `array('i')`) and
-    the edge count: 2m bytes a level on most graphs.  A miss
-    peels from the cached (k-1)-level when there is one, else from scratch
-    (`_peel_graph`).  Only alive edges keep exact supports afterwards: a
-    peeled edge keeps whatever count it had when it died, which may differ
-    between the two routes, and no reader looks at the support of a dead
-    edge.
+    `array('B')` when every one is below 256 (else an `array('i')`), the
+    edge count and the groups `parked` on it: 2m bytes a level on most
+    graphs, before any group.  A miss peels from the cached (k-1)-level
+    when there is one, else from scratch (`_peel_graph`).  Only alive
+    edges keep exact supports afterwards: a peeled edge keeps whatever
+    count it had when it died, which may differ between the two routes,
+    and no reader looks at the support of a dead edge.
     """
     return _k_truss(g, k)
 
@@ -229,7 +249,7 @@ def _k_truss(g: Graph, k: int, compact: bool = False) -> TrussSubgraph:
     if len(cache) >= CACHED_LEVELS:
         del cache[next(iter(cache))]  # the oldest level
     sup = array("B" if max(t.sup, default=0) < 256 else "i", t.sup)
-    cache[k] = (bytes(t.alive), sup, t.edge_count)
+    cache[k] = (bytes(t.alive), sup, t.edge_count, {})
     if compact:
         t.sup = sup[:]
     return t

@@ -143,15 +143,15 @@ def assert_support_build_matches_reference(t: TrussSubgraph, context=None) -> No
     assert index.groups() == groups, context
     assert all(grp.pruned_followers <= set(grp.over_adjacent) for grp in groups), context
     assert index.gid_of == {e: grp.representative for grp in groups for e in grp.members}, context
-    assert index.candidates == set(candidates), context
+    assert sorted(index.iter_candidates()) == candidates, context
     assert index.over_count == Counter(o for grp in groups for o in grp.over_adjacent), context
     assert index.pruned_count == Counter(o for grp in groups for o in grp.pruned_followers), context
     assert_candidacy_rule(index, context)
 
 
 def assert_candidacy_rule(index: SupportGroupIndex, context=None) -> None:
-    """`index.is_candidate` accepts exactly the edges of the `candidates` view."""
-    view = index.candidates
+    """`index.is_candidate` accepts exactly the edges `iter_candidates` yields."""
+    view = set(index.iter_candidates())
     assert [e for e in range(index.t.graph.m) if index.is_candidate(e) != (e in view)] == [], \
         context
 

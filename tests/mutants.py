@@ -121,6 +121,9 @@ PARKED_STALE = ("tests/test_minimize.py::TestParkedGroups::"
                 "test_a_committed_truss_grows_its_own_groups")
 PARKED_INDEX = ("tests/test_minimize.py::TestParkedGroups::"
                 "test_an_index_from_parked_groups_equals_a_build")
+PARKED_KEPT = ("tests/test_minimize.py::TestParkedGroups::"
+               "test_a_level_keeps_its_groups_across_solves_at_another_level")
+PARKED_LEVELS = "tests/test_truss.py::TestTrussCache::test_each_cached_level_parks_in_its_own_dict"
 
 MUTANTS = (
     # the key layout (`graph.Graph`): with v >= n, u*n + v is another edge's key
@@ -340,8 +343,8 @@ MUTANTS = (
     # the support-group index's build (`groups.SupportGroupIndex.__init__`),
     # the update from empty: its threshold scan meets dead edges, which
     # `update` steps over, it hands `update` `_DISCARD` for the votes, and
-    # `iter_candidates`, which the scan order starts from and the
-    # `candidates` view reads, lets a pruned vote veto candidacy
+    # `iter_candidates`, which the scan order starts from and the group
+    # dump reads, lets a pruned vote veto candidacy
     Mutant("the threshold scan takes a dead edge", GROUPS,
            "if alive[e] and sup[e] == threshold and e not in gid_of:",
            "if sup[e] == threshold and e not in gid_of:",
@@ -349,7 +352,7 @@ MUTANTS = (
     Mutant("the build collects its votes", GROUPS,
            "self.update(starts, _DISCARD)", "self.update(starts, [])",
            (BUILD_NO_VOTES,)),
-    Mutant("the candidates view ignores pruned votes", GROUPS,
+    Mutant("the candidate iterator ignores pruned votes", GROUPS,
            "filterfalse(self.pruned_count.__contains__, self.over_count)", "self.over_count",
            (BUILD_RANDOM, BUILD_OVERLAP, BUILD_K10, GP_ORDER)),
     # the greedy loop (`minimize._solve_greedy`): the support groups append
@@ -398,24 +401,27 @@ MUTANTS = (
     Mutant("refresh dissolves every group", GROUPS,
            "dissolve = {gid_of[x] for x in region}", "dissolve = set(idx.members)",
            (TRUSS_GROUP_KEPT, OVERLAP_REFRESH)),
-    # parked groups (`minimize._parked_groups`): reused only on the graph's
-    # fresh k-truss, parked as copies of the indexes' dicts, and copied
-    # again into every index started from them, whose bounds take each
-    # group's size over its whole touch set
-    Mutant("reuse ignores the freshness check", MINIMIZE,
+    # parked groups (`truss.parked`): each cached level parks in a dict of
+    # its own, reused only for a truss equal to the level, parked as copies
+    # of the indexes' dicts, and copied again into every index started from
+    # them, whose bounds take each group's size over its whole touch set
+    Mutant("reuse ignores the freshness check", TRUSS,
            "if level is None or level[2] != t.edge_count or level[0] != t.alive:",
            "if level is None:",
-           (PARKED_STALE,)),
+           (PARKED_STALE, PARKED_LEVELS)),
+    Mutant("every level shares one parked dict", TRUSS,
+           "t.edge_count, {})", "t.edge_count, [*cache.values(), (0, 0, 0, {})][0][3])",
+           (PARKED_RANDOM, PARKED_KEPT, PARKED_LEVELS)),
     Mutant("the support groups are parked as the live dict", MINIMIZE,
-           'parked["support"] = dict(support_groups.rep_group)',
-           'parked["support"] = support_groups.rep_group',
+           'groups["support"] = dict(support_groups.rep_group)',
+           'groups["support"] = support_groups.rep_group',
            (PARKED_RANDOM, PARKED_ERODING, PARKED_OVERLAP)),
     Mutant("the truss groups are parked as the live dicts", MINIMIZE,
-           'parked["truss"] = (dict(idx.members), dict(idx.touch))',
-           'parked["truss"] = (idx.members, idx.touch)',
+           'groups["truss"] = (dict(idx.members), dict(idx.touch))',
+           'groups["truss"] = (idx.members, idx.touch)',
            (PARKED_RANDOM, PARKED_ERODING, PARKED_OVERLAP)),
     Mutant("the first solve parks no support groups", MINIMIZE,
-           'if "support" not in parked:',
+           'if "support" not in groups:',
            "if False:",
            (PARKED_RANDOM,)),
     Mutant("the support-group un-park shares the parked dict", GROUPS,

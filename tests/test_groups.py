@@ -182,15 +182,15 @@ class TestSupportGroupIndex:
         t = k_truss(g, 5)
         index = SupportGroupIndex(t)
         second = index.rep_group[g.edge_id(5, 6)]  # labels (10, 11)
-        before = index.candidates
+        before = set(index.iter_candidates())
         log = []
         dead = t.cascade([g.edge_id(0, 1)], log)
         changed = []
         index.update(commit_region(t, dead, log), changed)
         assert index.groups() == [second]
         assert index.rep_group[g.edge_id(5, 6)] is second
-        assert sorted(index.candidates) == [g.edge_id(5, 6)]
-        assert before ^ index.candidates <= set(changed)
+        assert sorted(index.iter_candidates()) == [g.edge_id(5, 6)]
+        assert before ^ set(index.iter_candidates()) <= set(changed)
         assert_candidacy_rule(index)
 
     def test_new_threshold_edges_form_groups(self):
@@ -199,7 +199,7 @@ class TestSupportGroupIndex:
         g = graph_of(complete_pairs(6))
         t = k_truss(g, 5)
         index = SupportGroupIndex(t)
-        assert index.groups() == [] and sorted(index.candidates) == []
+        assert index.groups() == [] and sorted(index.iter_candidates()) == []
         log = []
         dead = t.cascade([g.edge_id(0, 1)], log)
         assert dead == [g.edge_id(0, 1)]
@@ -207,7 +207,7 @@ class TestSupportGroupIndex:
         index.update(commit_region(t, dead, log), changed)
         groups, candidates = find_support_groups(t)
         assert [grp.members for grp in index.groups()] == [grp.members for grp in groups] != []
-        assert sorted(index.candidates) == candidates
+        assert sorted(index.iter_candidates()) == candidates
         assert set(candidates) <= set(changed)
         assert_candidacy_rule(index)
 
@@ -241,7 +241,7 @@ class TestSupportGroupIndex:
         assert_support_build_matches_reference(t)
         index = SupportGroupIndex(t)
         assert list(index.rep_group) == [g.edge_id(5, 6)]  # labels (10, 11)
-        assert index.candidates == {g.edge_id(5, 6)}
+        assert sorted(index.iter_candidates()) == [g.edge_id(5, 6)]
 
 
 def nested_index(g, k):
@@ -484,7 +484,7 @@ class TestRefreshIndex:
         assert index.groups() == groups, context
         assert index.gid_of == \
             {e: grp.representative for grp in groups for e in grp.members}, context
-        assert sorted(index.candidates) == candidates, context
+        assert sorted(index.iter_candidates()) == candidates, context
 
     def test_refresh_equals_rebuild_over_random_deletion_chains(self, rng):
         for _ in range(40):

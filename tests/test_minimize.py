@@ -1010,7 +1010,7 @@ class TestScanOrder:
 
     @staticmethod
     def assert_fresh(t, index, up, gp, context):
-        assert sorted(index.candidates) == find_support_groups(t)[1], context
+        assert sorted(index.iter_candidates()) == find_support_groups(t)[1], context
         for order, bounded in ((up, True), (gp, False)):
             want = fresh_keys(t, bounded)
             assert order.key == want, (context, bounded)
@@ -1070,9 +1070,15 @@ def grown_groups(g, k) -> tuple:
     return group_fields(SupportGroupIndex(t).rep_group, idx.members, idx.touch)
 
 
-def assert_parked_as_grown(g, want) -> None:
-    """The groups `g` parked equal `want`, what `grown_groups` returns."""
-    k, parked = g._parked_groups
+def parked_on(g, k) -> dict:
+    """The groups parked on the cached k-level of `g`."""
+    return g._truss_cache[k][3]
+
+
+def assert_parked_as_grown(g, k, want) -> None:
+    """The groups parked on the k-level of `g` equal `want`, what
+    `grown_groups` returns."""
+    parked = parked_on(g, k)
     assert parked.keys() <= {"support", "truss"}, k
     support, members, touch = group_fields(parked.get("support", {}),
                                            *parked.get("truss", ({}, {})))
@@ -1095,11 +1101,20 @@ def cold_copy(g):
     return cold
 
 
+def counting_builds(monkeypatch, g) -> list[int]:
+    """The levels of the truss-group builds on `g` from now on, in order."""
+    from trussmin import minimize
+    real_build, builds = minimize.build_truss_group_index, []
+    monkeypatch.setattr(minimize, "build_truss_group_index", lambda t, upper: (
+        t.graph is g and builds.append(t.k)) or real_build(t, upper))
+    return builds
+
+
 class TestParkedGroups:
-    """A graph parks the groups its first `gp_edge` or `up_edge` solve on
-    the fresh k-truss grows, and later solves at k start from copies of
-    them: every answer equals a cold graph's, and the parked groups stay
-    as they were grown."""
+    """The first `gp_edge` or `up_edge` solve on a graph's cached k-level
+    parks the groups it grows on that level, and later solves at k start
+    from copies of them while the level stays cached: every answer equals
+    a cold graph's, and the parked groups stay as they were grown."""
 
     # (algorithm, budget in thirds of the largest) in the order one graph
     # runs them at each level
@@ -1109,10 +1124,7 @@ class TestParkedGroups:
     def warm_equals_cold(self, monkeypatch, g, k, b=3):
         """Run `PLAN`, with budgets up to `b`, at k, k + 1 and k again on
         `g`; returns the levels of the truss-group builds on `g`, in order."""
-        from trussmin import minimize
-        real_build, builds = minimize.build_truss_group_index, []
-        monkeypatch.setattr(minimize, "build_truss_group_index", lambda t, upper: (
-            t.graph is g and builds.append(t.k)) or real_build(t, upper))
+        builds = counting_builds(monkeypatch, g)
         cold, grown = {}, {}
         for level in (k, k + 1, k):
             for algorithm, thirds in self.PLAN:
@@ -1120,11 +1132,10 @@ class TestParkedGroups:
                 if cfg not in cold:
                     cold[cfg] = records_of(solve(cold_copy(g), cfg))
                 assert records_of(solve(g, cfg)) == cold[cfg], cfg
-                assert g._parked_groups[0] == level
                 if level not in grown:
                     grown[level] = grown_groups(g, level)
-                assert_parked_as_grown(g, grown[level])
-            assert g._parked_groups[1].keys() == {"support", "truss"}
+                assert_parked_as_grown(g, level, grown[level])
+            assert parked_on(g, level).keys() == {"support", "truss"}
         return builds
 
     def test_random_graphs(self, monkeypatch, rng):
@@ -1132,9 +1143,33 @@ class TestParkedGroups:
             k = rng.randint(3, 6)
             builds = self.warm_equals_cold(monkeypatch, g, k)
             # the first up_edge solve at each level builds, the later ones
-            # thaw, and the second visit to k builds again after k + 1
-            # replaced its groups
+            # thaw, and the second visit to k builds again: the nested
+            # (k + 2)-truss of the visit to k + 1 evicted k's level
             assert builds == [k, k + 1, k]
+
+    def solve_at(self, g, plan, b=12) -> list[list[tuple]]:
+        """The records of solving `g` at each (algorithm, k) of `plan`."""
+        return [records_of(solve(g, SolverConfig(k=k, b=b, algorithm=algorithm)))
+                for algorithm, k in plan]
+
+    def test_a_level_keeps_its_groups_across_solves_at_another_level(self, monkeypatch):
+        g = graph_of(synth.community_pairs(seed=2, scale=3))
+        builds = counting_builds(monkeypatch, g)
+        first, _, again = self.solve_at(g, (("up_edge", 8), ("gp_edge", 9), ("up_edge", 8)))
+        # the 9-level was cached beside the 8-level, so the solve at 9 evicted nothing
+        assert builds == [8] and list(g._truss_cache) == [8, 9]
+        assert again == first
+        assert parked_on(g, 9).keys() == {"support"}
+
+    def test_an_evicted_level_grows_its_groups_again(self, monkeypatch):
+        g = graph_of(synth.community_pairs(seed=2, scale=3))
+        builds = counting_builds(monkeypatch, g)
+        plan = (("up_edge", 8), ("gp_edge", 9), ("gp_edge", 10))
+        first = self.solve_at(g, plan)[0]
+        assert list(g._truss_cache) == [9, 10]
+        assert self.solve_at(g, (("up_edge", 8),)) == [first]
+        assert builds == [8, 8]
+        assert_parked_as_grown(g, 8, grown_groups(g, 8))
 
     @pytest.mark.parametrize("pairs, k, b", [
         (synth.community_pairs(seed=2, scale=3), 8, 12),

@@ -329,6 +329,23 @@ class TestTrussCache:
             assert [(r.edge, r.followers, r.candidates_evaluated) for r in got] == \
                 [(r.edge, r.followers, r.candidates_evaluated) for r in want]
 
+    def test_each_cached_level_parks_in_its_own_dict(self, rng):
+        # `parked` hands out a level's dict for a truss equal to the level,
+        # and a new one that nothing keeps for any other
+        for g, k in cold_trusses(rng, 40):
+            t = k_truss(g, k)
+            groups = truss.parked(t)
+            assert groups == {} and groups is g._truss_cache[k][3]
+            assert truss.parked(t.clone()) is groups
+            assert truss.parked(k_truss(g, k + 1)) is not groups
+            if t.edge_count:
+                t.cascade([rng.choice(t.alive_edge_ids())])
+                assert truss.parked(t) == {} and truss.parked(t) is not groups
+                assert truss.parked(t) is not truss.parked(t)
+            k_truss(g, k + 2)  # evicts the k-level, and its dict with it
+            assert k not in g._truss_cache
+            assert truss.parked(k_truss(g, k)) is not groups
+
     @pytest.mark.parametrize("spokes, typecode", [(255, "B"), (256, "i")])
     def test_a_book_caches_and_thaws_its_supports(self, spokes, typecode):
         # one spine edge (0, 1) in `spokes` triangles: its support is the

@@ -100,7 +100,7 @@ def simulate_followers(t: TrussSubgraph, eid: int, stop: Container[int] = ()) ->
     return dead[1:]
 
 
-def commit_region(t: TrussSubgraph, dead: list[int], log: list[int]) -> set[int]:
+def commit_region(t: TrussSubgraph, dead: list[int], log: Iterable[int]) -> set[int]:
     """The edges a committed cascade changed, plus their alive-triangle partners.
 
     `dead` and `log` are what `t.cascade(seeds, log)` returned and logged:
@@ -120,10 +120,9 @@ def commit_region(t: TrussSubgraph, dead: list[int], log: list[int]) -> set[int]
     every structure it maintains: `SupportGroupIndex.update`,
     `DeadSetMemo.invalidate` and the bound source of the shared greedy loop
     (`minimize._solve_greedy`).  Each accepts any superset of the region.
-    That loop passes `dead` plus whatever its bound source's cascade adds:
-    nothing for `gp_edge`, `upper.cascade(dead)` for `up_edge`, where
-    `upper` is the (k+1)-truss nested in `t`, so the edges that fell from
-    trussness k+1 to k join the region with their alive-triangle partners.
+    The memo and the support groups read `t` alone; `up_edge`'s bound
+    source, `groups.refresh_index`, widens its own copy by the edges that
+    fall out of the (k+1)-truss nested in `t`.
     """
     partners, alive = t.graph.triangle_index(), t.alive
     changed = set(dead).union(log)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, filterfalse
 from typing import Optional
 
+from .cascade import commit_region
 from .errors import ContractViolation
 from .truss import _DISCARD, TrussSubgraph
 
@@ -262,7 +263,8 @@ class GroupIndex:
     """Partition of the trussness-k edges into truss groups, with every edge's bound.
 
     `t` is the k-truss and `upper` the (k+1)-truss nested inside it, both
-    `TrussSubgraph`s of the same graph kept current by the cascade engine.
+    `TrussSubgraph`s of the same graph.  The caller commits to `t`, and
+    `refresh_index` cascades the commit's dead through `upper`.
     An edge has trussness exactly k when it is alive in `t` but not in
     `upper`.  The triangles groups chain through are those alive in `t`:
     the pairs of an edge's partner tuple (`Graph.triangle_index`) whose
@@ -282,11 +284,11 @@ class GroupIndex:
     the touch set being grown; it is all zero between growths.
 
     Growing or dissolving a group moves the bound of exactly the edges in
-    its touch set.  `refresh_index` appends those touch sets to a list its
-    caller owns: the edges whose bound the refresh may have changed (an
-    edge repeats when several groups touch it, or when a group was
-    dissolved and regrown as it was); callers keeping their own copy of
-    some bounds re-read just those.  A build records nothing.
+    its touch set.  `refresh_index` appends to a list its caller owns the
+    widened commit region and the regrown groups' touch sets, which hold
+    every edge whose bound the refresh changed (an edge repeats when
+    several of them hold it); callers keeping their own copy of some
+    bounds re-read just those.  A build records nothing.
 
     Given `groups`, the `(members, touch)` dicts of an index built over
     trusses with the alive edges of `t` and `upper`, the index takes a
@@ -397,15 +399,6 @@ class GroupIndex:
             bound[x] += size
             stamp[x] = 0
 
-    def _dissolve(self, gid: int) -> list[int]:
-        """Drop group `gid` and its share of the bounds; returns its members."""
-        members, touch = self.members.pop(gid), self.touch.pop(gid)
-        self._share(touch, -len(members))
-        gid_of = self.gid_of
-        for e in members:
-            gid_of[e] = -1
-        return members
-
     # -- queries ---------------------------------------------------------------
 
     def adjacent_gids(self, eid: int) -> set[int]:
@@ -447,24 +440,27 @@ def build_truss_group_index(t: TrussSubgraph, upper: TrussSubgraph) -> GroupInde
     return idx
 
 
-def refresh_index(idx: GroupIndex, region: set[int], moved: list[int]) -> GroupIndex:
-    """Bring the index up to date after one commit to `idx.t` and `idx.upper`.
+def refresh_index(idx: GroupIndex, dead: list[int], region: set[int],
+                  moved: list[int]) -> GroupIndex:
+    """Bring the index up to date after one commit to `idx.t`.
 
-    For the commit `dead = t.cascade(seeds, log)`, `upper_dead =
-    upper.cascade(dead)`, `region` is `commit_region(t, dead + upper_dead,
-    log)`, where `log` holds the id of every edge whose support in `t`
-    fell: every edge that died, lost a triangle or fell from trussness k+1
-    to k, plus its partners in alive triangles of `t`.  As in
-    `SupportGroupIndex.update`, only the groups holding a region edge are
-    dissolved (`last_dissolved`) and regrown; the others keep their member
-    lists and touch sets.  A group missing the region keeps every alive
-    triangle of its members, since a triangle dies only when all its edges
-    die or lose support, so its share of `bound` stays exact.  The result,
-    ids and `bound` included, matches a rebuild from scratch.
+    `dead` is the commit's dead list and `region` its
+    `cascade.commit_region` in `t`, which is left as it is.  The refresh
+    keeps the nested truss: `upper.cascade(dead)` leaves `upper` the
+    (k+1)-truss of the reduced graph, which holds none of the dead edges,
+    and the edges it drops widen the region with their alive-triangle
+    partners.  As in `SupportGroupIndex.update`, only the groups holding an
+    edge of the widened region are dissolved (`last_dissolved`) and
+    regrown; the others keep their member lists and touch sets.  A group
+    missing it keeps every alive triangle of its members, since a triangle
+    dies only when all its edges die or lose support, so its share of
+    `bound` stays exact.  The result, ids and `bound` included, equals a
+    fresh `build_truss_group_index`.
 
-    Appends to `moved` the touch sets of the dissolved, then the regrown
-    groups: the edges whose `bound` this refresh may have changed.  Returns
-    `idx`.
+    Appends to `moved` the widened region, then the touch set of each
+    regrown group: every edge whose `bound` moved.  An edge that a
+    dissolved group touched and no regrown one does died or lost an alive
+    triangle, so it is in the region.  Returns `idx`.
 
     The regrowths share one fresh per-edge marker (see `GroupIndex._grow`),
     so each alive triangle they reach is walked once.  Besides the dead
@@ -472,15 +468,19 @@ def refresh_index(idx: GroupIndex, region: set[int], moved: list[int]) -> GroupI
     should have been dissolved but survived still has its members
     unmarked, and a regrowth reaching it raises.
     """
-    gid_of, touch = idx.gid_of, idx.touch
-    dissolve = {gid_of[x] for x in region}
+    t, gid_of, touch = idx.t, idx.gid_of, idx.touch
+    grown = region | commit_region(t, idx.upper.cascade(dead), ())
+    moved.extend(grown)
+    dissolve = {gid_of[x] for x in grown}
     dissolve.discard(-1)
     idx.last_dissolved = dissolve
-    grown = set(region)
     for gid in dissolve:
-        moved.extend(touch[gid])
-        grown.update(idx._dissolve(gid))
-    done = idx.t.alive.translate(FLIP)
+        members = idx.members.pop(gid)
+        idx._share(touch.pop(gid), -len(members))
+        for e in members:
+            gid_of[e] = -1
+        grown.update(members)
+    done = t.alive.translate(FLIP)
     for e in sorted(grown):
         if idx.at_level(e) and gid_of[e] < 0:
             idx._grow(e, done)

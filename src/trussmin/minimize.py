@@ -502,10 +502,8 @@ def _two_level_tau(t: TrussSubgraph) -> TrussSubgraph:
 
     The bound index only asks whether a truss edge has trussness exactly k
     or more, and it has more exactly when it is alive here, so one extra
-    peel replaces a full decomposition.  After each commit to `t`, passing
-    the commit's dead list to `upper.cascade` keeps this the (k+1)-truss of
-    the reduced graph: that truss lies inside the reduced k-truss, so it
-    holds none of the dead edges.
+    peel replaces a full decomposition; `groups.refresh_index` keeps it
+    current after each commit to `t`.
 
     The (k+1)-truss of the reduced graph lies inside both the graph's own
     (k+1)-truss and `t`, and is the largest edge set there with support at
@@ -527,21 +525,21 @@ def _two_level_tau(t: TrussSubgraph) -> TrussSubgraph:
 
 
 def _solve_greedy(t: TrussSubgraph, b: int, groups: dict, bound: Sequence[int],
-                  cascade: Callable[[list[int]], list[int]],
-                  refresh: Callable[[set[int], list[int]], object]) -> list[IterationRecord]:
+                  refresh: Callable[[list[int], set[int], list[int]], object]
+                  ) -> list[IterationRecord]:
     """The greedy loop of `gp_edge` and `up_edge`; only the bound source differs.
 
-    The source is the per-edge `bound` array the scan order reads;
-    `cascade`, which maps a commit's dead list to the edges it adds to the
-    commit's region; and `refresh(region, changed)`, which brings the
-    bounds up to date over that region and appends the edges whose bound
-    moved to `changed`.  Each iteration `_scan`s by descending bound,
-    commits the tie-broken maximizer and computes its `commit_region`
-    once, for the support-group index, the bound source and the
-    `DeadSetMemo` alike.  The scan order holds the candidates across
-    commits.  The support groups and the bounds append the edges whose
-    candidacy or bound the commit changed to one `changed` list; after
-    them and the memo, the order re-keys that list once and it is cleared.
+    The source is the per-edge `bound` array the scan order reads, and
+    `refresh(dead, region, changed)`, which brings the bounds up to date
+    after a commit with that dead list and region and appends the edges
+    whose bound moved to `changed`.  Each iteration `_scan`s by descending
+    bound, commits the tie-broken maximizer and computes its
+    `commit_region` in `t` once, for the support-group index, the bound
+    source and the `DeadSetMemo` alike.  The scan order holds the
+    candidates across commits.  The support groups and the bounds append
+    the edges whose candidacy or bound the commit changed to one `changed`
+    list; after them and the memo, the order re-keys that list once and it
+    is cleared.
 
     `groups` is what `truss.parked(t)` returned: the support groups start
     from its `"support"` entry, the support-group index's `rep_group`,
@@ -561,9 +559,9 @@ def _solve_greedy(t: TrussSubgraph, b: int, groups: dict, bound: Sequence[int],
         e_star = _choose_from_ties(t, best_f, ties, support_groups.rep_group)
         followers = max(best_f, 0)
         dead, log = _commit(t, e_star, followers)
-        region = commit_region(t, dead + cascade(dead), log)
+        region = commit_region(t, dead, log)
         support_groups.update(region, changed)
-        refresh(region, changed)
+        refresh(dead, region, changed)
         memo.invalidate(region)
         order.rekey(changed)
         changed.clear()
@@ -577,12 +575,12 @@ def solve_gp_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
     Every edge's bound is the edge count m, so a scan key is the edge id:
     `_scan` evaluates the candidates in ascending edge-id order, never
     stops early, and skips every candidate that shows up in an evaluated
-    candidate's follower set.  No bound ever moves, so a commit adds
-    nothing to its region, and re-keys only the changed candidacies.
+    candidate's follower set.  No bound ever moves, so a commit re-keys
+    only the changed candidacies.
     """
     m = t.graph.m
-    return _solve_greedy(t, b, parked(t), array("i", [m]) * m, lambda dead: [],
-                         lambda region, changed: None)
+    return _solve_greedy(t, b, parked(t), array("i", [m]) * m,
+                         lambda dead, region, changed: None)
 
 
 def solve_up_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
@@ -591,9 +589,8 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
     An edge's bound is the total size of the truss groups it touches,
     read from the group index's maintained `bound`.  The early stop is
     strict, so equal-bound candidates are still evaluated and exact ties
-    keep the shared smallest-edge-id break.  Each commit's dead list also
-    cascades through the nested (k+1)-truss, whose dead (the edges fallen
-    to trussness k) join the region; the refresh appends the edges whose
+    keep the shared smallest-edge-id break.  `groups.refresh_index` keeps the
+    nested (k+1)-truss current after each commit and appends the edges whose
     bound moved to the loop's change list.  The three builders are module
     globals looked up per call, so wrappers of them see every call.
 
@@ -609,8 +606,8 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
     else:
         idx = build_truss_group_index(t, upper)
         groups["truss"] = (dict(idx.members), dict(idx.touch))
-    return _solve_greedy(t, b, groups, idx.bound, upper.cascade,
-                         lambda region, changed: refresh_index(idx, region, changed))
+    return _solve_greedy(t, b, groups, idx.bound,
+                         lambda dead, region, changed: refresh_index(idx, dead, region, changed))
 
 
 # -- dispatcher ---------------------------------------------------------------

@@ -104,17 +104,17 @@ def assert_no_queued_edge(t: TrussSubgraph) -> None:
     assert set(t.alive) <= {0, 1}
 
 
-def commit_nested(t: TrussSubgraph, upper: TrussSubgraph, eid: int) -> set[int]:
-    """Delete `eid` from `t` and its (k+1)-truss `upper` as `solve_up_edge` does.
+def commit_nested(t: TrussSubgraph, eid: int) -> tuple[list[int], set[int]]:
+    """Delete `eid` from `t` as `solve_up_edge`'s loop does.
 
-    Returns the region `refresh_index` takes.
+    Returns the commit's dead list and its region in `t`, the `dead` and
+    `region` that `refresh_index` takes; the refresh cascades the dead
+    through the nested (k+1)-truss, so until it runs that truss is stale.
     """
     log: list[int] = []
     dead = t.cascade([eid], log)
-    region = commit_region(t, dead + upper.cascade(dead), log)
     assert_no_queued_edge(t)
-    assert_no_queued_edge(upper)
-    return region
+    return dead, commit_region(t, dead, log)
 
 
 def next_level(t: TrussSubgraph) -> TrussSubgraph:

@@ -51,6 +51,7 @@ TRUSS_PARTITION = "tests/test_groups.py::TestTrussGroupIndex::test_matches_defin
 TRUSS_RAISE = "tests/test_groups.py::TestTrussGroupIndex::test_growth_reaching_another_group_raises"
 REFRESH_CHAIN = ("tests/test_groups.py::TestRefreshIndex::"
                  "test_refresh_equals_rebuild_over_random_deletion_chains")
+REFRESH_GIANT = "tests/test_groups.py::TestRefreshIndex::test_refresh_splits_a_giant_group"
 CRITERION_9 = "tests/test_acceptance.py::test_criterion_9_support_group_maintenance_matches_scratch"
 MEMO_STOP = "tests/test_minimize.py::TestMemoStop::test_random_graphs"
 HOLDERS = "tests/test_minimize.py::TestMemoStop::test_holders_are_the_slots_holding_the_edge"
@@ -357,8 +358,7 @@ MUTANTS = (
            (BUILD_RANDOM, BUILD_OVERLAP, BUILD_K10, GP_ORDER)),
     # the greedy loop (`minimize._solve_greedy`): the support groups append
     # the changed candidacies to its one `changed` list, up_edge's refresh
-    # the moved bounds as well, the order re-keys that list, and up_edge's
-    # region takes the nested truss's dead
+    # the moved bounds as well, and the order re-keys that list
     Mutant("the loop never re-keys its order", MINIMIZE,
            "order.rekey(changed)", "pass",
            (GP_ORDER, OVERLAP_AGREE)),
@@ -366,27 +366,32 @@ MUTANTS = (
            "support_groups.update(region, changed)", "support_groups.update(region, [])",
            (GP_ORDER, OVERLAP_AGREE)),
     Mutant("the bound source's refresh writes into a list the loop never reads", MINIMIZE,
-           "refresh_index(idx, region, changed)", "refresh_index(idx, region, [])",
+           "refresh_index(idx, dead, region, changed)", "refresh_index(idx, dead, region, [])",
            (CACHED_BOUNDS, GOLDEN_UP)),
-    Mutant("the nested truss's dead stay out of the region", MINIMIZE,
-           "region = commit_region(t, dead + cascade(dead), log)",
-           "cascade(dead)\n        region = commit_region(t, dead, log)",
-           (CACHED_BOUNDS, GREEDY_RANDOM)),
-    # truss-group maintenance (`groups.GroupIndex`, `groups.refresh_index`)
+    # truss-group maintenance (`groups.GroupIndex`, `groups.refresh_index`):
+    # the refresh cascades the commit's dead through the nested truss, widens
+    # the region by that truss's dead, and appends the widened region and
+    # the regrown touch sets to `moved`
+    Mutant("the refresh never cascades the nested truss", GROUPS,
+           "commit_region(t, idx.upper.cascade(dead), ())", "commit_region(t, [], ())",
+           (REFRESH_CHAIN, CACHED_BOUNDS, GREEDY_RANDOM)),
+    Mutant("the nested truss's dead stay out of the region", GROUPS,
+           "grown = region | commit_region(t, idx.upper.cascade(dead), ())",
+           "idx.upper.cascade(dead)\n    grown = set(region)",
+           (REFRESH_CHAIN, CACHED_BOUNDS, GREEDY_RANDOM)),
+    Mutant("refresh leaves the region out of moved", GROUPS,
+           "    moved.extend(grown)\n", "",
+           (REFRESH_CHAIN, REFRESH_GIANT, SCAN_ORDER_CHAINS)),
     Mutant("truss grower leaves stamp set", GROUPS,
            "            stamp[x] = 0\n", "",
            (REFRESH_CHAIN, OVERLAP_REFRESH)),
-    # (the greedy loop re-keys the changed candidacies too, and they hold
-    # every candidate whose bound only a dissolution moved)
-    Mutant("dissolve leaves moved alone", GROUPS,
-           "        moved.extend(touch[gid])\n", "",
-           (REFRESH_CHAIN, SCAN_ORDER_CHAINS)),
     Mutant("refresh leaves a regrown group's touch set out of moved", GROUPS,
            "            moved.extend(touch[e])\n", "",
-           (REFRESH_CHAIN,)),
+           (REFRESH_CHAIN, REFRESH_GIANT)),
     Mutant("refresh keeps its walked marker across calls", GROUPS,
-           "    done = idx.t.alive.translate(FLIP)\n",
-           "    done = refresh_index.__dict__.setdefault(id(idx), idx.t.alive.translate(FLIP))\n",
+           "    done = t.alive.translate(FLIP)\n    for e in sorted(grown):\n",
+           "    done = refresh_index.__dict__.setdefault(id(idx), t.alive.translate(FLIP))\n"
+           "    for e in sorted(grown):\n",
            (REFRESH_CHAIN, OVERLAP_REFRESH)),
     # the stamp still decides membership at first touch, but no longer
     # keeps an edge out of the touch set twice
@@ -399,7 +404,7 @@ MUTANTS = (
            "                    stamp[a] = 1\n",
            (REFRESH_CHAIN, CACHED_BOUNDS)),
     Mutant("refresh dissolves every group", GROUPS,
-           "dissolve = {gid_of[x] for x in region}", "dissolve = set(idx.members)",
+           "dissolve = {gid_of[x] for x in grown}", "dissolve = set(idx.members)",
            (TRUSS_GROUP_KEPT, OVERLAP_REFRESH)),
     # parked groups (`truss.parked`): each cached level parks in a dict of
     # its own, reused only for a truss equal to the level, parked as copies

@@ -174,13 +174,12 @@ def test_criterion_5_incremental_maintenance_matches_scratch():
                 for e in range(g.m):
                     if tau[e] != 0:
                         assert tau[e] == expected[g.original_pair(e)]
-                region = commit_nested(t, upper, eid)
+                idx = refresh_index(idx, *commit_nested(t, eid), [])
                 # what up_edge maintains: the k-truss and the (k+1)-truss nested in it
                 for level, kept in ((k, t), (k + 1, upper)):
                     assert label_pairs(g, kept.alive_edge_ids()) == \
                         {p for p, tau_p in expected.items() if tau_p >= level}, \
                         f"level {level} after deleting {record.edge}"
-                idx = refresh_index(idx, region, [])
                 fresh = build_truss_group_index(t, next_level(t))
                 got = {frozenset(ms) for ms in idx.members.values()}
                 want = {frozenset(ms) for ms in fresh.members.values()}

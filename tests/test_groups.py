@@ -4,15 +4,15 @@ import pytest
 
 import oracles
 import synth
-from conftest import assert_candidacy_rule, assert_support_build_matches_reference, \
-    commit_nested, complete_pairs, er_pairs, graph_of, group_sizes, label_pairs, next_level, \
-    random_trusses, upper_bound
+from conftest import assert_candidacy_rule, assert_no_queued_edge, \
+    assert_support_build_matches_reference, commit_nested, complete_pairs, er_pairs, graph_of, \
+    group_sizes, label_pairs, next_level, random_trusses, upper_bound
 from trussmin import ContractViolation, delete_and_cascade, followers_of_edge, groups, k_truss, \
     truss
 from trussmin.cascade import commit_region, simulate_followers
 from trussmin.groups import SupportGroupIndex, build_truss_group_index, find_support_groups, \
     refresh_index
-from trussmin.minimize import _two_level_tau, solve_up_edge
+from trussmin.minimize import _ScanOrder, _two_level_tau, solve_up_edge
 
 
 def group_partition_labels(g, groups):
@@ -372,9 +372,10 @@ class TestUpperBound:
 
     def test_level_edge_outside_every_group_is_stale(self, k6):
         # deleting a K6 edge drops the other 14 from trussness 6 to 5; with
-        # no refresh they sit at level 5 in no group
+        # the nested truss cascaded but no refresh they sit at level 5 in no group
         t, upper, idx = nested_index(k6, 5)
-        commit_nested(t, upper, k6.edge_id(0, 1))
+        dead, _ = commit_nested(t, k6.edge_id(0, 1))
+        upper.cascade(dead)
         for e in t.alive_edge_ids():
             with pytest.raises(ContractViolation, match="stale"):
                 upper_bound(idx, e)
@@ -396,34 +397,35 @@ class TestUpperBound:
 class TestRefreshIndex:
     def test_no_changes_returns_same_object(self):
         g = graph_of([(0, 1), (1, 2), (0, 2), (2, 3)])
-        t, upper, idx = nested_index(g, 3)
-        region = commit_nested(t, upper, g.edge_id(2, 3))
+        t, _, idx = nested_index(g, 3)
+        dead, region = commit_nested(t, g.edge_id(2, 3))
         assert region == set()
         moved = []
-        idx2 = refresh_index(idx, region, moved)
+        idx2 = refresh_index(idx, dead, region, moved)
         assert idx2 is idx and moved == []
         assert idx2.last_dissolved == set()
         assert index_partition_labels(g, idx2) == \
             index_partition_labels(g, nested_index(g, 3)[2])
 
     def test_k5_deletion_moves_the_group_down_a_level(self, k5):
-        t, upper, idx = nested_index(k5, 5)
-        idx = refresh_index(idx, commit_nested(t, upper, k5.edge_id(0, 1)), [])
+        t, _, idx = nested_index(k5, 5)
+        idx = refresh_index(idx, *commit_nested(t, k5.edge_id(0, 1)), [])
         assert group_sizes(idx) == {}
         t4, upper4, _ = nested_index(k5, 4)
-        commit_nested(t4, upper4, k5.edge_id(0, 1))
+        dead, _ = commit_nested(t4, k5.edge_id(0, 1))
+        upper4.cascade(dead)
         assert sorted(group_sizes(build_truss_group_index(t4, upper4)).values()) == [9]
 
     def test_untouched_group_keeps_identity(self):
         pairs = complete_pairs(5) + complete_pairs(5, offset=10)
         g = graph_of(pairs)
-        t, upper, idx = nested_index(g, 5)
+        t, _, idx = nested_index(g, 5)
         second_gid = {idx.gid_of[e] for e in range(g.m)
                       if g.original_pair(e)[0] >= 10}
         assert second_gid == {g.edge_id(5, 6)}  # labels (10, 11), its smallest edge
         second_gid = second_gid.pop()
         before = idx.members[second_gid]
-        idx = refresh_index(idx, commit_nested(t, upper, g.edge_id(0, 1)), [])
+        idx = refresh_index(idx, *commit_nested(t, g.edge_id(0, 1)), [])
         # a regrown group would get the same id and an equal list, so check
         # that the refresh left it alone rather than rebuilt it
         assert second_gid not in idx.last_dissolved
@@ -432,19 +434,21 @@ class TestRefreshIndex:
     def test_stale_group_trips_the_cross_group_check(self):
         # a K4 and a K5 sharing edge (0, 1): at k=4 the five other K4 edges
         # form one group.  Deleting a K5 edge drops the rest of the K5 to
-        # trussness 4, and through (0, 1) it joins that group.  A region that
-        # leaves the group's members out keeps it alive, and the regrowth
-        # through (0, 1) must hit it even though the build expanded its members.
+        # trussness 4, and through (0, 1) it joins that group.  The commit's
+        # region in the k-truss holds (0, 1) but none of the group's members,
+        # so a refresh that does not widen it by the nested truss's dead keeps
+        # the group alive, and the regrowth through (0, 1) must hit it even
+        # though the build expanded its members.
         pairs = complete_pairs(4) + [(0, 1), (0, 4), (0, 5), (0, 6), (1, 4), (1, 5),
                                      (1, 6), (4, 5), (4, 6), (5, 6)]
         g = graph_of(pairs)
         t, upper, idx = nested_index(g, 4)
         assert sorted(group_sizes(idx).values()) == [5]
-        region = commit_nested(t, upper, g.edge_id(4, 5))
-        stale_region = {x for x in region if idx.gid_of[x] < 0}
-        assert g.edge_id(0, 1) in stale_region and stale_region != region
+        dead, region = commit_nested(t, g.edge_id(4, 5))
+        assert g.edge_id(0, 1) in region and {idx.gid_of[x] for x in region} == {-1}
+        upper.cascade(dead)
         with pytest.raises(AssertionError, match="reached group"):
-            refresh_index(idx, stale_region, [])
+            refresh_index(idx, [], region, [])
 
     @staticmethod
     def assert_matches_rebuild(g, t, idx, context):
@@ -456,6 +460,7 @@ class TestRefreshIndex:
         """
         fresh = build_truss_group_index(t, next_level(t))
         assert not any(fresh.stamp) and not any(idx.stamp), context
+        assert_no_queued_edge(idx.upper)
         partners = g.triangle_index()
 
         def triangle_edges(e):
@@ -493,16 +498,16 @@ class TestRefreshIndex:
                 continue
             g = graph_of(pairs)
             k = rng.choice((3, 4, 5))
-            t, upper, idx = nested_index(g, k)
+            t, _, idx = nested_index(g, k)
             index = SupportGroupIndex(t)
             self.assert_matches_rebuild(g, t, idx, f"level {k} build")
             order = list(range(g.m))
             rng.shuffle(order)
             for eid in order[:12]:
-                region = commit_nested(t, upper, eid)
+                dead, region = commit_nested(t, eid)
                 before = list(idx.bound)
                 moved = []
-                idx = refresh_index(idx, region, moved)
+                idx = refresh_index(idx, dead, region, moved)
                 index.update(region, [])
                 context = f"level {k} diverged after deleting {g.original_pair(eid)}"
                 self.assert_matches_rebuild(g, t, idx, context)
@@ -516,15 +521,43 @@ class TestRefreshIndex:
         # part of a truss component, so groups split and touch sets shrink
         g = graph_of(synth.community_pairs(seed=2, scale=3))
         chosen = [r.eid for r in solve_up_edge(k_truss(g, 8), 12)]
-        t, upper, idx = nested_index(g, 8)
+        t, _, idx = nested_index(g, 8)
         index = SupportGroupIndex(t)
         dissolved = 0
         for eid in chosen:
-            region = commit_nested(t, upper, eid)
-            idx = refresh_index(idx, region, [])
+            dead, region = commit_nested(t, eid)
+            idx = refresh_index(idx, dead, region, [])
             index.update(region, [])
             dissolved += len(idx.last_dissolved)
             context = f"after deleting {g.original_pair(eid)}"
             self.assert_matches_rebuild(g, t, idx, context)
             self.assert_support_groups_match(t, index, context)
         assert dissolved > len(chosen)
+
+    def test_refresh_splits_a_giant_group(self):
+        # at k=8 one truss group holds 6,537 of the 7,545 level-k edges, so
+        # nearly every commit dissolves it; up_edge's chain splits pieces off
+        g = graph_of(synth.overlapping_pairs(seed=42, scale=1))
+        chosen = [r.eid for r in solve_up_edge(k_truss(g, 8), 5)]
+        t, _, idx = nested_index(g, 8)
+        sizes = sorted(map(len, idx.members.values()))
+        assert (sizes[-1], sum(sizes)) == (6_537, 7_545)
+        index = SupportGroupIndex(t)
+        order = _ScanOrder(g.m, index, idx.bound)
+        splits = 0
+        for eid in chosen:
+            dead, region = commit_nested(t, eid)
+            before, groups_before = list(idx.bound), len(idx.members)
+            moved = []
+            idx = refresh_index(idx, dead, region, moved)
+            index.update(region, [])
+            splits += len(idx.members) > groups_before
+            context = f"after deleting {g.original_pair(eid)}"
+            self.assert_matches_rebuild(g, t, idx, context)
+            assert {e for e in range(g.m) if idx.bound[e] != before[e]} <= set(moved), context
+            # `moved` alone re-keys the scan order: it holds every edge whose
+            # bound moved, and every edge whose candidacy changed
+            order.rekey(moved)
+            fresh = _ScanOrder(g.m, SupportGroupIndex(t), idx.bound)
+            assert (order.key, order.keys) == (fresh.key, fresh.keys), context
+        assert splits >= 2

@@ -832,9 +832,9 @@ class TestOverlappingCommunities:
         real_refresh = minimize.refresh_index
         before_and_dissolved = []
 
-        def refresh(idx, region, moved):
+        def refresh(idx, dead, region, moved):
             before = dict(idx.members)
-            out = real_refresh(idx, region, moved)
+            out = real_refresh(idx, dead, region, moved)
             dissolved = sum(out.members.get(gid) is not ms for gid, ms in before.items())
             before_and_dissolved.append((len(before), dissolved))
             return out
@@ -1032,10 +1032,10 @@ class TestScanOrder:
                 self.assert_fresh(t, index, up, gp, f"k={k} build")
                 while t.edge_count:
                     eid = rng.choice(t.alive_edge_ids())
-                    region = commit_nested(t, upper, eid)
+                    dead, region = commit_nested(t, eid)
                     changed, moved = [], []
                     index.update(region, changed)
-                    refresh_index(idx, region, moved)
+                    refresh_index(idx, dead, region, moved)
                     # the edges whose bound moved also hold every edge whose
                     # candidacy changed, so they alone re-key `up`
                     up.rekey(moved)

@@ -25,8 +25,9 @@ from typing import Iterable, Iterator, Optional
 from .errors import EdgeListParseError, EnumerationCapExceeded
 from .graph import Graph, load_edge_list
 from .groups import SupportGroupIndex, build_truss_group_index
-from .minimize import ALGORITHMS, DEFAULT_EXACT_CAP, MinimizationReport, SolverConfig, solve
-from .truss import k_truss, truss_decompose
+from .minimize import ALGORITHMS, DEFAULT_EXACT_CAP, MinimizationReport, SolverConfig, \
+    _two_level_tau, solve
+from .truss import k_truss, parked, truss_decompose
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -149,11 +150,15 @@ def _human_report(report: MinimizationReport) -> str:
 
 
 def _groups_dump(g: Graph, k: int) -> dict:
-    """The k-truss's groups by smallest edge, each numbered by its position."""
+    """The k-truss's groups by smallest edge, each numbered by its position.
+
+    Both indexes start as a solve's do, from copies of the groups a solve
+    at k parked (`truss.parked`); the dump parks none itself.
+    """
     t = k_truss(g, k)
-    support_groups = SupportGroupIndex(t)
-    # `t` has lost no edge, so the (k+1)-truss nested in it is the graph's own
-    idx = build_truss_group_index(t, k_truss(g, k + 1))
+    groups = parked(t)  # before the nested level may evict the k-level
+    support_groups = SupportGroupIndex(t, groups.get("support"))
+    idx = build_truss_group_index(t, _two_level_tau(t), groups.get("truss"))
     return {
         "support_groups": [
             {
@@ -169,7 +174,7 @@ def _groups_dump(g: Graph, k: int) -> dict:
         "truss_groups": [
             {"gid": i, "size": len(members),
              "members": [list(g.original_pair(e)) for e in members]}
-            for i, (_, members) in enumerate(sorted(idx.members.items()))
+            for i, (_, (members, _)) in enumerate(sorted(idx.groups.items()))
         ],
     }
 

@@ -290,39 +290,25 @@ class GroupIndex:
     several of them hold it); callers keeping their own copy of some
     bounds re-read just those.  A build records nothing.
 
-    Given `groups`, the `(members, touch)` dicts of an index built over
-    trusses with the alive edges of `t` and `upper`, the index takes a
-    copy of each dict and derives `gid_of` and `bound` from the groups
-    instead of growing any: no member list or touch set is ever changed
-    once grown, so the same groups can start any number of indexes.
-    `build_truss_group_index` grows them.
+    `groups` maps each group's id to its record, `(members, touch)`, never
+    changed once grown (a refresh replaces what it dissolves), so the same
+    records can start any number of indexes.  The constructor allocates an
+    empty index, and `build_truss_group_index` starts it.
     """
 
-    __slots__ = ("t", "upper", "gid_of", "members", "touch", "bound", "stamp",
-                 "last_dissolved")
+    __slots__ = ("t", "upper", "gid_of", "groups", "bound", "stamp", "last_dissolved")
 
-    def __init__(self, t: TrussSubgraph, upper: TrussSubgraph,
-                 groups: Optional[tuple[dict[int, list[int]], dict[int, list[int]]]] = None):
+    def __init__(self, t: TrussSubgraph, upper: TrussSubgraph):
         m = t.graph.m
         self.t = t
         self.upper = upper
         self.gid_of = array("i", [-1]) * m
-        self.members: dict[int, list[int]] = {}     # gid (= members[0]) -> edge ids, ascending
-        self.touch: dict[int, list[int]] = {}       # gid -> its touch set
+        self.groups: dict[int, tuple[list[int], list[int]]] = {}  # gid (= members[0]) -> record
         self.bound = array("i", [0]) * m
         self.stamp = bytearray(m)
         # ids (smallest members) of the groups the most recent refresh
         # dissolved; the benchmark tracer (perfbench/spans.py) counts them
         self.last_dissolved: set[int] = set()
-        if groups is not None:
-            members, touch = groups
-            # copies: a refresh pops and adds groups, and `groups` stays as it is
-            self.members, self.touch = dict(members), dict(touch)
-            gid_of = self.gid_of
-            for gid, grp in members.items():
-                for e in grp:
-                    gid_of[e] = gid
-                self._share(touch[gid], len(grp))
 
     def at_level(self, e: int) -> bool:
         """Whether edge `e` has trussness exactly k."""
@@ -387,8 +373,7 @@ class GroupIndex:
                             raise AssertionError(
                                 f"truss group grown from edge {start} reached group {other}")
         members.sort()
-        self.members[start] = members
-        self.touch[start] = touch
+        self.groups[start] = (members, touch)
         self._share(touch, len(members))
 
     def _share(self, touch: list[int], size: int) -> None:
@@ -422,16 +407,27 @@ class GroupIndex:
         return out
 
 
-def build_truss_group_index(t: TrussSubgraph, upper: TrussSubgraph) -> GroupIndex:
+def build_truss_group_index(t: TrussSubgraph, upper: TrussSubgraph,
+                            groups: Optional[dict[int, tuple]] = None) -> GroupIndex:
     """Index the truss groups of the k-truss `t`, given its (k+1)-truss `upper`.
 
     `upper` is what `minimize._two_level_tau(t)` returns for the current `t`.
-    Both alive arrays hold one 0/1 byte per edge, so one big-int AND-NOT
-    gives a byte per edge that is 1 exactly at trussness k, and `compress`
-    takes the starts from it without a Python step per edge.
+    Given `groups`, the `GroupIndex.groups` of an index over trusses with
+    the alive edges of `t` and `upper`, the index copies that dict and
+    derives `gid_of` and `bound` from its records.  Otherwise it grows the
+    groups, taking the starts through `compress` from one big-int AND-NOT
+    of the two alive arrays, whose bytes are 1 exactly at trussness k.
     """
     idx = GroupIndex(t, upper)
     m, gid_of = t.graph.m, idx.gid_of
+    if groups is not None:
+        # a copy: a refresh pops and adds groups, and `groups` stays as it is
+        idx.groups = dict(groups)
+        for gid, (members, touch) in groups.items():
+            for e in members:
+                gid_of[e] = gid
+            idx._share(touch, len(members))
+        return idx
     level = int.from_bytes(t.alive, "little") & ~int.from_bytes(upper.alive, "little")
     done = t.alive.translate(FLIP)
     for e in compress(range(m), level.to_bytes(m, "little")):
@@ -450,12 +446,12 @@ def refresh_index(idx: GroupIndex, dead: list[int], region: set[int],
     (k+1)-truss of the reduced graph, which holds none of the dead edges,
     and the edges it drops widen the region with their alive-triangle
     partners.  As in `SupportGroupIndex.update`, only the groups holding an
-    edge of the widened region are dissolved (`last_dissolved`) and
-    regrown; the others keep their member lists and touch sets.  A group
-    missing it keeps every alive triangle of its members, since a triangle
-    dies only when all its edges die or lose support, so its share of
-    `bound` stays exact.  The result, ids and `bound` included, equals a
-    fresh `build_truss_group_index`.
+    edge of the widened region are dissolved (`last_dissolved`), each
+    record popped once, and regrown; the other records stay as they are.
+    A group missing it keeps every alive triangle of its members, since a
+    triangle dies only when all its edges die or lose support, so its
+    share of `bound` stays exact.  The result, ids and `bound` included,
+    equals a fresh `build_truss_group_index`.
 
     Appends to `moved` the widened region, then the touch set of each
     regrown group: every edge whose `bound` moved.  An edge that a
@@ -468,15 +464,15 @@ def refresh_index(idx: GroupIndex, dead: list[int], region: set[int],
     should have been dissolved but survived still has its members
     unmarked, and a regrowth reaching it raises.
     """
-    t, gid_of, touch = idx.t, idx.gid_of, idx.touch
+    t, gid_of, groups = idx.t, idx.gid_of, idx.groups
     grown = region | commit_region(t, idx.upper.cascade(dead), ())
     moved.extend(grown)
     dissolve = {gid_of[x] for x in grown}
     dissolve.discard(-1)
     idx.last_dissolved = dissolve
     for gid in dissolve:
-        members = idx.members.pop(gid)
-        idx._share(touch.pop(gid), -len(members))
+        members, touch = groups.pop(gid)
+        idx._share(touch, -len(members))
         for e in members:
             gid_of[e] = -1
         grown.update(members)
@@ -484,5 +480,5 @@ def refresh_index(idx: GroupIndex, dead: list[int], region: set[int],
     for e in sorted(grown):
         if idx.at_level(e) and gid_of[e] < 0:
             idx._grow(e, done)
-            moved.extend(touch[e])
+            moved.extend(groups[e][1])
     return idx

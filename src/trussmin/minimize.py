@@ -25,8 +25,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .cascade import commit_region, simulate_followers
 from .errors import ContractViolation, EnumerationCapExceeded
 from .graph import Graph
-from .groups import GroupIndex, SupportGroup, SupportGroupIndex, build_truss_group_index, \
-    refresh_index
+from .groups import SupportGroup, SupportGroupIndex, build_truss_group_index, refresh_index
 from .truss import TrussSubgraph, _k_truss, _peel, _undo, k_truss, parked
 # unused here, but the benchmark tracer (perfbench/spans.py) patches these names
 from .groups import find_support_groups  # noqa: F401
@@ -594,18 +593,15 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
     bound moved to the loop's change list.  The three builders are module
     globals looked up per call, so wrappers of them see every call.
 
-    On the graph's cached k-level the truss groups start from the ones
-    parked on it (`truss.parked`), `(members, touch)`, as the support
-    groups do; the first such solve builds and parks them.  So only a cold
-    index goes through `build_truss_group_index`.
+    `build_truss_group_index` starts the index from the truss groups
+    parked on the graph's cached k-level (`truss.parked`), as the support
+    groups start from theirs; the first such solve grows them and parks a
+    copy of its `groups`.
     """
     groups = parked(t)  # before the nested level may evict the k-level
-    upper = _two_level_tau(t)
-    if "truss" in groups:
-        idx = GroupIndex(t, upper, groups["truss"])
-    else:
-        idx = build_truss_group_index(t, upper)
-        groups["truss"] = (dict(idx.members), dict(idx.touch))
+    idx = build_truss_group_index(t, _two_level_tau(t), groups.get("truss"))
+    if "truss" not in groups:
+        groups["truss"] = dict(idx.groups)
     return _solve_greedy(t, b, groups, idx.bound,
                          lambda dead, region, changed: refresh_index(idx, dead, region, changed))
 

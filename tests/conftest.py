@@ -168,12 +168,12 @@ def upper_bound(idx, e) -> int:
     if not idx.t.alive[eid]:
         raise ContractViolation(
             f"edge id {eid} is not in the current truss; index is stale")
-    return sum(len(idx.members[gid]) for gid in idx.adjacent_gids(eid))
+    return sum(len(idx.groups[gid][0]) for gid in idx.adjacent_gids(eid))
 
 
 def group_sizes(idx) -> dict[int, int]:
     """Size of each truss group of a `GroupIndex`, by gid."""
-    return {gid: len(m) for gid, m in idx.members.items()}
+    return {gid: len(members) for gid, (members, _) in idx.groups.items()}
 
 
 def truss_edge_ids(tau: list[int], k: int) -> list[int]:

@@ -329,7 +329,7 @@ MUTANTS = (
     # edges) of each group added or withdrawn
     Mutant("support groups regrow from the region alone", GROUPS,
            "            grown.extend(grp.members)\n", "",
-           (CRITERION_9, OVERLAP_AGREE)),
+           (CRITERION_9, OVERLAP_AGREE, REFRESH_GIANT)),
     Mutant("a group's votes leave changed alone", GROUPS,
            "changed.extend(grp.over_adjacent)", "pass",
            (GROUP_NEW, CRITERION_9, GP_ORDER)),
@@ -386,7 +386,7 @@ MUTANTS = (
            "            stamp[x] = 0\n", "",
            (REFRESH_CHAIN, OVERLAP_REFRESH)),
     Mutant("refresh leaves a regrown group's touch set out of moved", GROUPS,
-           "            moved.extend(touch[e])\n", "",
+           "            moved.extend(groups[e][1])\n", "",
            (REFRESH_CHAIN, REFRESH_GIANT)),
     Mutant("refresh keeps its walked marker across calls", GROUPS,
            "    done = t.alive.translate(FLIP)\n    for e in sorted(grown):\n",
@@ -404,7 +404,7 @@ MUTANTS = (
            "                    stamp[a] = 1\n",
            (REFRESH_CHAIN, CACHED_BOUNDS)),
     Mutant("refresh dissolves every group", GROUPS,
-           "dissolve = {gid_of[x] for x in grown}", "dissolve = set(idx.members)",
+           "dissolve = {gid_of[x] for x in grown}", "dissolve = set(groups)",
            (TRUSS_GROUP_KEPT, OVERLAP_REFRESH)),
     # parked groups (`truss.parked`): each cached level parks in a dict of
     # its own, reused only for a truss equal to the level, parked as copies
@@ -421,9 +421,9 @@ MUTANTS = (
            'groups["support"] = dict(support_groups.rep_group)',
            'groups["support"] = support_groups.rep_group',
            (PARKED_RANDOM, PARKED_ERODING, PARKED_OVERLAP)),
-    Mutant("the truss groups are parked as the live dicts", MINIMIZE,
-           'groups["truss"] = (dict(idx.members), dict(idx.touch))',
-           'groups["truss"] = (idx.members, idx.touch)',
+    Mutant("the truss groups are parked as the live dict", MINIMIZE,
+           'groups["truss"] = dict(idx.groups)',
+           'groups["truss"] = idx.groups',
            (PARKED_RANDOM, PARKED_ERODING, PARKED_OVERLAP)),
     Mutant("the first solve parks no support groups", MINIMIZE,
            'if "support" not in groups:',
@@ -432,13 +432,17 @@ MUTANTS = (
     Mutant("the support-group un-park shares the parked dict", GROUPS,
            "self.rep_group = dict(groups)", "self.rep_group = groups",
            (PARKED_RANDOM, PARKED_ERODING, PARKED_INDEX)),
-    Mutant("the truss-group un-park shares the parked dicts", GROUPS,
-           "self.members, self.touch = dict(members), dict(touch)",
-           "self.members, self.touch = members, touch",
+    Mutant("the truss-group un-park shares the parked dict", GROUPS,
+           "idx.groups = dict(groups)", "idx.groups = groups",
            (PARKED_RANDOM, PARKED_ERODING, PARKED_INDEX)),
     Mutant("re-derived bound skips a group's touch set", GROUPS,
-           "self._share(touch[gid], len(grp))", "self._share(grp, len(grp))",
+           "idx._share(touch, len(members))", "idx._share(members, len(members))",
            (PARKED_RANDOM, PARKED_ERODING, PARKED_INDEX)),
+    # `--dump-groups` (`cli._groups_dump`) starts its indexes from the groups
+    # a solve parked, as a solve does
+    Mutant("the dump grows its own groups", CLI,
+           "groups = parked(t)", "groups = {}",
+           (DUMP_AFTER_SOLVE,)),
     # `truss` and `decompose` write their rows a chunk at a time
     Mutant("row output stops after its first chunk", CLI,
            "while chunk := ", "if chunk := ",

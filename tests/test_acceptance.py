@@ -181,8 +181,8 @@ def test_criterion_5_incremental_maintenance_matches_scratch():
                         {p for p, tau_p in expected.items() if tau_p >= level}, \
                         f"level {level} after deleting {record.edge}"
                 fresh = build_truss_group_index(t, next_level(t))
-                got = {frozenset(ms) for ms in idx.members.values()}
-                want = {frozenset(ms) for ms in fresh.members.values()}
+                got = {frozenset(ms) for ms, _ in idx.groups.values()}
+                want = {frozenset(ms) for ms, _ in fresh.groups.values()}
                 assert got == want, f"level {k} after deleting {record.edge}"
                 got_labels = {frozenset(g.original_pair(e) for e in ms) for ms in got}
                 assert got_labels == oracles.truss_group_partition(remaining, k), \

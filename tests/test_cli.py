@@ -10,7 +10,7 @@ import pytest
 import oracles
 import synth
 from conftest import complete_pairs, er_pairs, graph_of, path_pairs, random_trusses
-from trussmin import SolverConfig, cli, load_edge_list, solve
+from trussmin import SolverConfig, cli, groups, load_edge_list, solve
 from trussmin.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -332,17 +332,41 @@ class TestMinimize:
         want = json.loads((GOLDEN / "minimize_up_edge_community_s2.json").read_text())
         assert payload == want
 
-    def test_dump_groups_after_a_solve_equals_a_cold_dump(self, rng):
-        # `--dump-groups` runs after `solve`, which leaves both truss levels
-        # in the graph's cache; a dump on a freshly loaded graph peels them
+    def test_dump_groups_after_a_solve_equals_a_cold_dump(self, monkeypatch, rng):
+        # `--dump-groups` runs after `solve`, which leaves its truss levels in
+        # the graph's cache with the groups it parked on them; a dump on a
+        # freshly loaded graph peels the levels and grows every group.  The
+        # dump copies what the solve parked and grows only the rest: each
+        # group is counted as it grows
+        grown = {"support_groups": 0, "truss_groups": 0}
+        real_grow, real_grow_support = groups.GroupIndex._grow, groups._grow_support_group
+
+        def grow(idx, start, done):
+            grown["truss_groups"] += 1
+            return real_grow(idx, start, done)
+
+        def grow_support(t, start, gid_of, done):
+            grown["support_groups"] += 1
+            return real_grow_support(t, start, gid_of, done)
+
+        monkeypatch.setattr(groups.GroupIndex, "_grow", grow)
+        monkeypatch.setattr(groups, "_grow_support_group", grow_support)
+        # the kinds of group a dump after each solve grows
+        plan = {"up_edge": (), "gp_edge": ("truss_groups",),
+                "baseline": ("support_groups", "truss_groups")}
         cases = [([g.original_pair(e) for e in range(g.m)], k)
                  for g, k, _ in random_trusses(rng, 40)]
         cases.append((synth.community_pairs(seed=2, scale=3), 8))
         for pairs, k in cases:
             cold = cli._groups_dump(graph_of(pairs), k)
-            g = graph_of(pairs)
-            solve(g, SolverConfig(k=k, b=3, algorithm="up_edge"))
-            assert cli._groups_dump(g, k) == cold, (k, pairs)
+            for algorithm, kinds in plan.items():
+                g = graph_of(pairs)
+                solve(g, SolverConfig(k=k, b=3, algorithm=algorithm))
+                grown.update(dict.fromkeys(grown, 0))
+                assert cli._groups_dump(g, k) == cold, (algorithm, k, pairs)
+                assert grown == {kind: len(cold[kind]) if kind in kinds else 0
+                                 for kind in grown}, (algorithm, k, pairs)
+        assert cold["support_groups"] and cold["truss_groups"]
 
     def test_human_format_prints_a_table(self, capsys, k5_file):
         code, out, _ = run_cli(capsys, "minimize", k5_file, "-k", "5", "-b", "1")

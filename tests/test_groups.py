@@ -20,7 +20,7 @@ def group_partition_labels(g, groups):
 
 
 def index_partition_labels(g, idx):
-    return {frozenset(g.original_pair(e) for e in ms) for ms in idx.members.values()}
+    return {frozenset(g.original_pair(e) for e in ms) for ms, _ in idx.groups.values()}
 
 
 class TestFindSupportGroups:
@@ -287,7 +287,7 @@ class TestTrussGroupIndex:
         checked = 0
         for _, _, t in random_trusses(rng, 40):
             upper = next_level(t)
-            for gid, members in build_truss_group_index(t, upper).members.items():
+            for gid, (members, _) in build_truss_group_index(t, upper).groups.items():
                 for x in members[1:]:
                     idx = groups.GroupIndex(t, upper)
                     idx.gid_of[x] = x
@@ -424,12 +424,12 @@ class TestRefreshIndex:
                       if g.original_pair(e)[0] >= 10}
         assert second_gid == {g.edge_id(5, 6)}  # labels (10, 11), its smallest edge
         second_gid = second_gid.pop()
-        before = idx.members[second_gid]
+        before = idx.groups[second_gid]
         idx = refresh_index(idx, *commit_nested(t, g.edge_id(0, 1)), [])
-        # a regrown group would get the same id and an equal list, so check
+        # a regrown group would get the same id and an equal record, so check
         # that the refresh left it alone rather than rebuilt it
         assert second_gid not in idx.last_dissolved
-        assert idx.members[second_gid] is before
+        assert idx.groups[second_gid] is before
 
     def test_stale_group_trips_the_cross_group_check(self):
         # a K4 and a K5 sharing edge (0, 1): at k=4 the five other K4 edges
@@ -468,15 +468,13 @@ class TestRefreshIndex:
             it = iter(partners[e])
             return {o for a, b in zip(it, it) if t.alive[a] and t.alive[b] for o in (a, b)}
 
-        for gid, ms in idx.members.items():
-            touch = idx.touch[gid]
+        for ms, touch in idx.groups.values():
             assert len(set(touch)) == len(touch), context
             assert set(touch) == set(ms).union(*map(triangle_edges, ms)), context
         assert index_partition_labels(g, idx) == index_partition_labels(g, fresh), context
         assert idx.gid_of == fresh.gid_of, context
-        assert idx.members == fresh.members, context
-        assert {gid: set(touch) for gid, touch in idx.touch.items()} == \
-            {gid: set(touch) for gid, touch in fresh.touch.items()}, context
+        assert {gid: (ms, set(touch)) for gid, (ms, touch) in idx.groups.items()} == \
+            {gid: (ms, set(touch)) for gid, (ms, touch) in fresh.groups.items()}, context
         assert idx.bound == fresh.bound, context
         for e in range(g.m):
             want = upper_bound(fresh, e) if t.alive[e] else 0
@@ -540,24 +538,29 @@ class TestRefreshIndex:
         g = graph_of(synth.overlapping_pairs(seed=42, scale=1))
         chosen = [r.eid for r in solve_up_edge(k_truss(g, 8), 5)]
         t, _, idx = nested_index(g, 8)
-        sizes = sorted(map(len, idx.members.values()))
+        sizes = sorted(group_sizes(idx).values())
         assert (sizes[-1], sum(sizes)) == (6_537, 7_545)
         index = SupportGroupIndex(t)
         order = _ScanOrder(g.m, index, idx.bound)
         splits = 0
         for eid in chosen:
             dead, region = commit_nested(t, eid)
-            before, groups_before = list(idx.bound), len(idx.members)
+            before, groups_before = list(idx.bound), len(idx.groups)
             moved = []
             idx = refresh_index(idx, dead, region, moved)
             index.update(region, [])
-            splits += len(idx.members) > groups_before
+            splits += len(idx.groups) > groups_before
             context = f"after deleting {g.original_pair(eid)}"
             self.assert_matches_rebuild(g, t, idx, context)
             assert {e for e in range(g.m) if idx.bound[e] != before[e]} <= set(moved), context
+            # the support groups the commit dissolved regrew from all their
+            # members: the maintained index equals a rebuild, field by field
+            rebuilt = SupportGroupIndex(t)
+            for name in ("gid_of", "rep_group", "over_count", "pruned_count"):
+                assert getattr(index, name) == getattr(rebuilt, name), (name, context)
             # `moved` alone re-keys the scan order: it holds every edge whose
             # bound moved, and every edge whose candidacy changed
             order.rekey(moved)
-            fresh = _ScanOrder(g.m, SupportGroupIndex(t), idx.bound)
+            fresh = _ScanOrder(g.m, rebuilt, idx.bound)
             assert (order.key, order.keys) == (fresh.key, fresh.keys), context
         assert splits >= 2

@@ -13,8 +13,8 @@ from trussmin import ContractViolation, EnumerationCapExceeded, Graph, SolverCon
     delete_and_cascade, k_truss, solve, solve_baseline, solve_exact, solve_gp_edge, \
     solve_support, solve_up_edge, truss
 from trussmin.cascade import commit_region, simulate_followers
-from trussmin.groups import GroupIndex, SupportGroupIndex, build_truss_group_index, \
-    find_support_groups, refresh_index
+from trussmin.groups import SupportGroupIndex, build_truss_group_index, find_support_groups, \
+    refresh_index
 from trussmin.minimize import _ScanOrder, _two_level_tau
 
 # Frozen instance where the unpruned reference scan ties on an edge that the
@@ -827,15 +827,15 @@ class TestOverlappingCommunities:
         assert per_iteration == [4_593, 124, 202, 506, 198, 0, 348, 0]
 
     def test_up_edge_refresh_dissolves_some_groups_only(self, monkeypatch, graph):
-        # a group the refresh kept holds the very member list it held before
+        # a group the refresh kept holds the very record it held before
         from trussmin import minimize
         real_refresh = minimize.refresh_index
         before_and_dissolved = []
 
         def refresh(idx, dead, region, moved):
-            before = dict(idx.members)
+            before = dict(idx.groups)
             out = real_refresh(idx, dead, region, moved)
-            dissolved = sum(out.members.get(gid) is not ms for gid, ms in before.items())
+            dissolved = sum(out.groups.get(gid) is not grp for gid, grp in before.items())
             before_and_dissolved.append((len(before), dissolved))
             return out
 
@@ -1053,13 +1053,13 @@ class TestScanOrder:
         assert len(checked) == 13 and min(checked) > 400
 
 
-def group_fields(rep_group, members, touch) -> tuple:
+def group_fields(rep_group, truss_groups) -> tuple:
     """Support and truss groups in comparable form: each support group's
     members, pruned followers and over-adjacent edges (as a set), and each
     truss group's members and touch set (as a set)."""
     return ({rep: (grp.members, grp.pruned_followers, set(grp.over_adjacent))
              for rep, grp in rep_group.items()},
-            members, {gid: set(x) for gid, x in touch.items()})
+            {gid: (members, set(touch)) for gid, (members, touch) in truss_groups.items()})
 
 
 def grown_groups(g, k) -> tuple:
@@ -1067,7 +1067,7 @@ def grown_groups(g, k) -> tuple:
     peeled without the cache, so the cache stays as it was."""
     t = truss._peel_graph(g, k)
     idx = build_truss_group_index(t, next_level(t))
-    return group_fields(SupportGroupIndex(t).rep_group, idx.members, idx.touch)
+    return group_fields(SupportGroupIndex(t).rep_group, idx.groups)
 
 
 def parked_on(g, k) -> dict:
@@ -1080,12 +1080,11 @@ def assert_parked_as_grown(g, k, want) -> None:
     `grown_groups` returns."""
     parked = parked_on(g, k)
     assert parked.keys() <= {"support", "truss"}, k
-    support, members, touch = group_fields(parked.get("support", {}),
-                                           *parked.get("truss", ({}, {})))
+    support, truss_groups = group_fields(parked.get("support", {}), parked.get("truss", {}))
     if "support" in parked:
         assert support == want[0], k
     if "truss" in parked:
-        assert (members, touch) == want[1:], k
+        assert truss_groups == want[1], k
 
 
 def records_of(report) -> list[tuple]:
@@ -1102,11 +1101,12 @@ def cold_copy(g):
 
 
 def counting_builds(monkeypatch, g) -> list[int]:
-    """The levels of the truss-group builds on `g` from now on, in order."""
+    """The levels of the cold truss-group builds on `g` from now on, in
+    order: the starts of the index handed no parked groups."""
     from trussmin import minimize
     real_build, builds = minimize.build_truss_group_index, []
-    monkeypatch.setattr(minimize, "build_truss_group_index", lambda t, upper: (
-        t.graph is g and builds.append(t.k)) or real_build(t, upper))
+    monkeypatch.setattr(minimize, "build_truss_group_index", lambda t, upper, groups: (
+        t.graph is g and groups is None and builds.append(t.k)) or real_build(t, upper, groups))
     return builds
 
 
@@ -1199,10 +1199,9 @@ class TestParkedGroups:
                 upper = _two_level_tau(t)
                 built = build_truss_group_index(t, upper)
                 index = SupportGroupIndex(t)
-                groups = (dict(built.members), dict(built.touch))
-                thawed = GroupIndex(t, upper, groups)
-                assert (thawed.members, thawed.touch) == groups
-                assert thawed.members is not groups[0] and thawed.touch is not groups[1]
+                groups = dict(built.groups)
+                thawed = build_truss_group_index(t, upper, groups)
+                assert thawed.groups == groups and thawed.groups is not groups
                 assert list(thawed.gid_of) == list(built.gid_of)
                 assert list(thawed.bound) == list(built.bound)
                 assert not any(thawed.stamp)

@@ -152,13 +152,13 @@ def _human_report(report: MinimizationReport) -> str:
 def _groups_dump(g: Graph, k: int) -> dict:
     """The k-truss's groups by smallest edge, each numbered by its position.
 
-    Both indexes start as a solve's do, from copies of the groups a solve
-    at k parked (`truss.parked`); the dump parks none itself.
+    Each index is the one a solve at k parked (`truss.parked`), read as it
+    is, or built afresh when none is parked; the dump parks nothing.
     """
     t = k_truss(g, k)
     groups = parked(t)  # before the nested level may evict the k-level
-    support_groups = SupportGroupIndex(t, groups.get("support"))
-    idx = build_truss_group_index(t, _two_level_tau(t), groups.get("truss"))
+    support_groups = groups.get("support") or SupportGroupIndex(t)
+    idx = groups.get("truss") or build_truss_group_index(t, _two_level_tau(t))
     return {
         "support_groups": [
             {

@@ -47,9 +47,10 @@ def _grow_support_group(t: TrussSubgraph, start: int, gid_of: dict[int, int],
     """BFS over threshold edges through alive triangles, starting at `start`.
 
     Callers sweep starts in ascending order, so `start` is the smallest
-    member, and `gid_of` records it as every member's group.  Meeting an
-    edge that `gid_of` gives to another group means that group should have
-    been dissolved first, which is an internal error.
+    member, and `gid_of`, in which an edge missing or at -1 is in no group,
+    records it as every member's group.  Meeting an edge that `gid_of`
+    gives to another group means that group should have been dissolved
+    first, which is an internal error.
 
     `done` is `t.alive.translate(FLIP)`, shared by every growth of one
     build or one update: it marks the dead edges, and each member is
@@ -75,8 +76,8 @@ def _grow_support_group(t: TrussSubgraph, start: int, gid_of: dict[int, int],
             # a and b alike, written out twice, as in `truss._peel`: a loop
             # over (a, b) cost a tuple and a loop step per triangle
             if sup[a] == threshold:
-                other = gid_of.get(a)
-                if other is None:
+                other = gid_of.get(a, -1)
+                if other < 0:
                     gid_of[a] = start
                     members.append(a)
                 elif other != start:
@@ -85,8 +86,8 @@ def _grow_support_group(t: TrussSubgraph, start: int, gid_of: dict[int, int],
             else:
                 hit[a] = hit.get(a, 0) + 1
             if sup[b] == threshold:
-                other = gid_of.get(b)
-                if other is None:
+                other = gid_of.get(b, -1)
+                if other < 0:
                     gid_of[b] = start
                     members.append(b)
                 elif other != start:
@@ -150,31 +151,33 @@ class SupportGroupIndex:
     edge whose candidacy it touched to a list its caller owns, so callers
     keeping their own view of the candidates re-read just those; the index
     itself records nothing of it, and a build hands `update`
-    `truss._DISCARD`, which keeps nothing.
+    `truss._DISCARD`, which keeps nothing.  An edge leaving its group
+    keeps its `gid_of` entry at -1, and a vote count that falls to 0 keeps
+    its entry too: every reader takes -1 for no group and 0 for no vote,
+    so a rollback (below) writes into entries that are there already and
+    no table grows.
 
-    Given `groups`, the `rep_group` of an index built on a truss with the
-    alive edges of `t`, the index takes a copy of that dict and derives
-    `gid_of` and the votes from it instead of growing any group.  No group
-    is ever changed once grown (`update` replaces dissolved groups with
-    new ones), so the same groups can start any number of indexes.
+    No group is ever changed once grown: `update` replaces the groups it
+    dissolves with new ones.  It logs both: `grown` maps the id of each
+    group it added that the index still holds to that group, and
+    `dissolved` lists the groups it took out that the build left.
+    `rollback` undoes every update since the build or the last rollback
+    from those two logs, so one index serves every solve on a truss level:
+    `truss.parked` keeps it between solves with `t` set to None, and each
+    solve points it at its own copy of the level and rolls it back after.
     """
 
-    __slots__ = ("t", "gid_of", "rep_group", "over_count", "pruned_count")
+    __slots__ = ("t", "gid_of", "rep_group", "over_count", "pruned_count", "grown", "dissolved")
 
-    def __init__(self, t: TrussSubgraph, groups: Optional[dict[int, SupportGroup]] = None):
-        self.t = t
-        self.gid_of: dict[int, int] = {}            # threshold edge -> representative
+    def __init__(self, t: TrussSubgraph):
+        self.t: Optional[TrussSubgraph] = t
+        self.gid_of: dict[int, int] = {}            # threshold edge -> representative, or -1
         self.rep_group: dict[int, SupportGroup] = {}
         # per edge: how many groups list it as over-adjacent / pruned
         self.over_count: dict[int, int] = {}
         self.pruned_count: dict[int, int] = {}
-        if groups is not None:
-            # a copy: `update` pops and adds groups, and `groups` stays as it is
-            self.rep_group = dict(groups)
-            for rep, grp in groups.items():
-                self.gid_of.update(dict.fromkeys(grp.members, rep))
-                self._count(grp, 1, _DISCARD)
-            return
+        self.grown: dict[int, SupportGroup] = {}
+        self.dissolved: list[SupportGroup] = []
         sup, threshold = t.sup, t.k - 2
         # `list.index` finds the threshold edges at C speed; a dead edge
         # keeps the support it died with, and a peeled one died below k-2,
@@ -188,18 +191,24 @@ class SupportGroupIndex:
                 break
             starts.append(start)
         self.update(starts, _DISCARD)
+        self.grown.clear()  # the built groups are what a rollback returns to
 
     def is_candidate(self, x: int) -> bool:
         """Whether `x` represents a group, or is over-adjacent to one and pruned by none."""
-        return x in self.rep_group or (x in self.over_count and x not in self.pruned_count)
+        return x in self.rep_group or (self.over_count.get(x, 0) > 0
+                                       and not self.pruned_count.get(x, 0))
 
     def iter_candidates(self) -> Iterator[int]:
         """Every edge `is_candidate` accepts, once each, without building a set.
 
-        A representative has support k-2 and an over-adjacent edge more, so
-        the two parts never meet.
+        `compress` keeps the edges with a nonzero over-adjacent count, and
+        `filterfalse` drops those with a nonzero pruned count, both at C
+        speed.  A representative has support k-2 and an over-adjacent edge
+        more, so the two parts never meet.
         """
-        return chain(self.rep_group, filterfalse(self.pruned_count.__contains__, self.over_count))
+        over = self.over_count
+        return chain(self.rep_group,
+                     filterfalse(self.pruned_count.get, compress(over, over.values())))
 
     def groups(self) -> list[SupportGroup]:
         """The current groups, ordered by representative."""
@@ -220,43 +229,68 @@ class SupportGroupIndex:
         """
         t = self.t
         alive, sup, threshold = t.alive, t.sup, t.k - 2
-        gid_of, rep_group = self.gid_of, self.rep_group
-        dissolve = {gid_of[x] for x in region if x in gid_of}
+        gid_of, rep_group, log = self.gid_of, self.rep_group, self.grown
+        dissolve = {gid_of.get(x, -1) for x in region}
+        dissolve.discard(-1)
         # a list, not a set: it copies the region at a fraction of the
         # memory, and a repeated edge is in `gid_of` once it has grown
         grown = list(region)
         for rep in dissolve:
-            grp = rep_group.pop(rep)
-            for e in grp.members:
-                del gid_of[e]
+            grp = self._drop(rep, changed)
+            if log.pop(rep, None) is None:
+                self.dissolved.append(grp)
             grown.extend(grp.members)
-            self._count(grp, -1, changed)
         done = alive.translate(FLIP)
         for e in sorted(grown):
-            if alive[e] and sup[e] == threshold and e not in gid_of:
+            if alive[e] and sup[e] == threshold and gid_of.get(e, -1) < 0:
                 grp = _grow_support_group(t, e, gid_of, done)
-                rep_group[grp.representative] = grp
+                rep_group[grp.representative] = log[grp.representative] = grp
                 self._count(grp, 1, changed)
 
+    def rollback(self) -> None:
+        """Undo every `update` since the build or the last rollback.
+
+        Takes out each group `grown` holds, puts back each one `dissolved`
+        lists, with its ids and votes, and empties both logs: the index
+        then holds the groups it held before.  Each id and vote it puts
+        back finds its entry still there, so no table grows.
+        """
+        for rep in self.grown:
+            self._drop(rep, _DISCARD)
+        gid_of, rep_group = self.gid_of, self.rep_group
+        for grp in self.dissolved:
+            rep = grp.representative
+            rep_group[rep] = grp
+            for e in grp.members:
+                gid_of[e] = rep
+            self._count(grp, 1, _DISCARD)
+        self.grown.clear()
+        self.dissolved.clear()
+
     # -- bookkeeping -----------------------------------------------------------
+
+    def _drop(self, rep: int, changed: list[int]) -> SupportGroup:
+        """Take group `rep` out, its members' ids and its votes with it; returns it."""
+        grp = self.rep_group.pop(rep)
+        gid_of = self.gid_of
+        for e in grp.members:
+            gid_of[e] = -1
+        self._count(grp, -1, changed)
+        return grp
 
     def _count(self, grp: SupportGroup, delta: int, changed: list[int]) -> None:
         """Add (+1) or withdraw (-1) one group's votes for its over-adjacent edges.
 
         The representative and every edge voted for are appended to
         `changed`: the over-adjacent edges hold the pruned followers, so
-        they are listed once.
+        they are listed once.  A count that reaches 0 keeps its entry.
         """
         changed.append(grp.representative)
         changed.extend(grp.over_adjacent)
         for counts, edges in ((self.over_count, grp.over_adjacent),
                               (self.pruned_count, grp.pruned_followers)):
             for o in edges:
-                n = counts.get(o, 0) + delta
-                if n:
-                    counts[o] = n
-                else:
-                    del counts[o]
+                counts[o] = counts.get(o, 0) + delta
 
 
 class GroupIndex:
@@ -274,14 +308,13 @@ class GroupIndex:
 
     The per-edge state is flat arrays indexed by edge id: `gid_of[e]` is
     the group of edge `e`, or -1 when it has none, and `bound[e]` its
-    bound, each a 4-byte `array('i')` slot, and `stamp` a byte.  Each
-    group's touch set is a duplicate-free list of its members plus every
-    edge sharing an alive triangle of `t` with a member.
+    bound, each a 4-byte `array('i')` slot.  Each group's touch set is a
+    duplicate-free list of its members plus every edge sharing an alive
+    triangle of `t` with a member.
     `bound[e]` is the total size of the groups whose touch set holds `e`:
     for an alive edge, of the groups `adjacent_gids(e)` names, and 0 for a
     dead one.  Growing a group adds its size over its touch set, and
-    dissolving it takes the size back.  `stamp` marks the edges already in
-    the touch set being grown; it is all zero between growths.
+    dissolving it takes the size back.
 
     Growing or dissolving a group moves the bound of exactly the edges in
     its touch set.  `refresh_index` appends to a list its caller owns the
@@ -291,30 +324,38 @@ class GroupIndex:
     bounds re-read just those.  A build records nothing.
 
     `groups` maps each group's id to its record, `(members, touch)`, never
-    changed once grown (a refresh replaces what it dissolves), so the same
-    records can start any number of indexes.  The constructor allocates an
-    empty index, and `build_truss_group_index` starts it.
+    changed once grown: a refresh replaces what it dissolves, and logs
+    both, as `SupportGroupIndex.update` does.  `grown` maps the id of each
+    group it added that the index still holds to its record, and
+    `dissolved` lists the records it took out that the build left.
+    `rollback` undoes every refresh since the build or the last rollback
+    from those logs, so one index serves every `up_edge` solve on a truss
+    level: `truss.parked` keeps it between solves with `t` and `upper` set
+    to None.  The constructor allocates an empty index, and
+    `build_truss_group_index` starts it.
     """
 
-    __slots__ = ("t", "upper", "gid_of", "groups", "bound", "stamp", "last_dissolved")
+    __slots__ = ("t", "upper", "gid_of", "groups", "bound", "last_dissolved", "grown",
+                 "dissolved")
 
     def __init__(self, t: TrussSubgraph, upper: TrussSubgraph):
         m = t.graph.m
-        self.t = t
-        self.upper = upper
+        self.t: Optional[TrussSubgraph] = t
+        self.upper: Optional[TrussSubgraph] = upper
         self.gid_of = array("i", [-1]) * m
         self.groups: dict[int, tuple[list[int], list[int]]] = {}  # gid (= members[0]) -> record
         self.bound = array("i", [0]) * m
-        self.stamp = bytearray(m)
         # ids (smallest members) of the groups the most recent refresh
         # dissolved; the benchmark tracer (perfbench/spans.py) counts them
         self.last_dissolved: set[int] = set()
+        self.grown: dict[int, tuple[list[int], list[int]]] = {}
+        self.dissolved: list[tuple[list[int], list[int]]] = []
 
     def at_level(self, e: int) -> bool:
         """Whether edge `e` has trussness exactly k."""
         return bool(self.t.alive[e]) and not self.upper.alive[e]
 
-    def _grow(self, start: int, done: bytearray) -> None:
+    def _grow(self, start: int, done: bytearray, stamp: bytearray) -> None:
         """BFS over trussness-k edges through alive triangles of the k-truss.
 
         Callers sweep starts in ascending order, so `start`, the group's
@@ -327,6 +368,9 @@ class GroupIndex:
         belongs to exactly one group, so each is walked once, and skipping
         it loses nothing.
 
+        `stamp` marks the edges already in the touch set being grown, and
+        the growth clears it again: one per build or refresh, shared by its
+        growths, all zero between them, and not kept with the index.
         Membership is decided at an edge's first touch, when `stamp` marks
         it: a trussness-k edge joins there, so a stamped edge is already
         in the touch set and, at trussness k, already a member.  The check
@@ -337,7 +381,7 @@ class GroupIndex:
         """
         partners = self.t.graph.triangle_index()
         upper_alive = self.upper.alive
-        gid_of, stamp = self.gid_of, self.stamp
+        gid_of = self.gid_of
         members = [start]
         gid_of[start] = start
         touch = [start]
@@ -374,15 +418,46 @@ class GroupIndex:
                                 f"truss group grown from edge {start} reached group {other}")
         members.sort()
         self.groups[start] = (members, touch)
-        self._share(touch, len(members))
-
-    def _share(self, touch: list[int], size: int) -> None:
-        """Add `size`, a group's size or its negation, to the bound of each
-        edge in the group's touch set, and clear each one's stamp."""
-        bound, stamp = self.bound, self.stamp
+        bound, size = self.bound, len(members)
         for x in touch:
             bound[x] += size
             stamp[x] = 0
+
+    def _share(self, touch: list[int], size: int) -> None:
+        """Add `size`, a group's size or its negation, to the bound of each
+        edge in the group's touch set."""
+        bound = self.bound
+        for x in touch:
+            bound[x] += size
+
+    def _drop(self, gid: int) -> tuple[list[int], list[int]]:
+        """Take group `gid` out, its members' ids and its bound shares with
+        it; returns its record."""
+        members, touch = record = self.groups.pop(gid)
+        self._share(touch, -len(members))
+        gid_of = self.gid_of
+        for e in members:
+            gid_of[e] = -1
+        return record
+
+    def rollback(self) -> None:
+        """Undo every `refresh_index` since the build or the last rollback.
+
+        Takes out each group `grown` holds, puts back each record
+        `dissolved` lists, with its ids and bound shares, and empties both
+        logs: the index then holds the groups it held before.
+        """
+        for gid in self.grown:
+            self._drop(gid)
+        gid_of, groups = self.gid_of, self.groups
+        for record in self.dissolved:
+            members, touch = record
+            groups[members[0]] = record
+            self._share(touch, len(members))
+            for e in members:
+                gid_of[e] = members[0]
+        self.grown.clear()
+        self.dissolved.clear()
 
     # -- queries ---------------------------------------------------------------
 
@@ -407,32 +482,22 @@ class GroupIndex:
         return out
 
 
-def build_truss_group_index(t: TrussSubgraph, upper: TrussSubgraph,
-                            groups: Optional[dict[int, tuple]] = None) -> GroupIndex:
+def build_truss_group_index(t: TrussSubgraph, upper: TrussSubgraph) -> GroupIndex:
     """Index the truss groups of the k-truss `t`, given its (k+1)-truss `upper`.
 
-    `upper` is what `minimize._two_level_tau(t)` returns for the current `t`.
-    Given `groups`, the `GroupIndex.groups` of an index over trusses with
-    the alive edges of `t` and `upper`, the index copies that dict and
-    derives `gid_of` and `bound` from its records.  Otherwise it grows the
-    groups, taking the starts through `compress` from one big-int AND-NOT
-    of the two alive arrays, whose bytes are 1 exactly at trussness k.
+    `upper` is what `minimize._two_level_tau(t)` returns for the current
+    `t`.  The groups grow from starts taken through `compress` from one
+    big-int AND-NOT of the two alive arrays, whose bytes are 1 exactly at
+    trussness k.
     """
     idx = GroupIndex(t, upper)
     m, gid_of = t.graph.m, idx.gid_of
-    if groups is not None:
-        # a copy: a refresh pops and adds groups, and `groups` stays as it is
-        idx.groups = dict(groups)
-        for gid, (members, touch) in groups.items():
-            for e in members:
-                gid_of[e] = gid
-            idx._share(touch, len(members))
-        return idx
     level = int.from_bytes(t.alive, "little") & ~int.from_bytes(upper.alive, "little")
+    stamp = bytearray(m)
     done = t.alive.translate(FLIP)
     for e in compress(range(m), level.to_bytes(m, "little")):
         if gid_of[e] < 0:
-            idx._grow(e, done)
+            idx._grow(e, done, stamp)
     return idx
 
 
@@ -448,6 +513,7 @@ def refresh_index(idx: GroupIndex, dead: list[int], region: set[int],
     partners.  As in `SupportGroupIndex.update`, only the groups holding an
     edge of the widened region are dissolved (`last_dissolved`), each
     record popped once, and regrown; the other records stay as they are.
+    Both are logged for `GroupIndex.rollback`.
     A group missing it keeps every alive triangle of its members, since a
     triangle dies only when all its edges die or lose support, so its
     share of `bound` stays exact.  The result, ids and `bound` included,
@@ -458,27 +524,29 @@ def refresh_index(idx: GroupIndex, dead: list[int], region: set[int],
     dissolved group touched and no regrown one does died or lost an alive
     triangle, so it is in the region.  Returns `idx`.
 
-    The regrowths share one fresh per-edge marker (see `GroupIndex._grow`),
-    so each alive triangle they reach is walked once.  Besides the dead
+    The regrowths share one fresh per-edge marker and one touch-set stamp
+    (see `GroupIndex._grow`), so each alive triangle they reach is walked
+    once.  Besides the dead
     edges it marks only the members this refresh expands: a group that
     should have been dissolved but survived still has its members
     unmarked, and a regrowth reaching it raises.
     """
-    t, gid_of, groups = idx.t, idx.gid_of, idx.groups
+    t, gid_of, groups, log = idx.t, idx.gid_of, idx.groups, idx.grown
     grown = region | commit_region(t, idx.upper.cascade(dead), ())
     moved.extend(grown)
     dissolve = {gid_of[x] for x in grown}
     dissolve.discard(-1)
     idx.last_dissolved = dissolve
     for gid in dissolve:
-        members, touch = groups.pop(gid)
-        idx._share(touch, -len(members))
-        for e in members:
-            gid_of[e] = -1
-        grown.update(members)
+        record = idx._drop(gid)
+        if log.pop(gid, None) is None:
+            idx.dissolved.append(record)
+        grown.update(record[0])
+    stamp = bytearray(t.graph.m)
     done = t.alive.translate(FLIP)
     for e in sorted(grown):
         if idx.at_level(e) and gid_of[e] < 0:
-            idx._grow(e, done)
+            idx._grow(e, done, stamp)
+            log[e] = groups[e]
             moved.extend(groups[e][1])
     return idx

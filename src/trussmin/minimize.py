@@ -540,14 +540,18 @@ def _solve_greedy(t: TrussSubgraph, b: int, groups: dict, bound: Sequence[int],
     list; after them and the memo, the order re-keys that list once and it
     is cleared.
 
-    `groups` is what `truss.parked(t)` returned: the support groups start
-    from its `"support"` entry, the support-group index's `rep_group`,
-    when it has one, and are parked there when it has none.
+    `groups` is what `truss.parked(t)` returned.  The loop pops the
+    support-group index parked under `"support"` and points it at `t`, or
+    builds one when none is parked.  When the loop ends it rolls the index
+    back to the groups of the level, drops `t` and parks it there again; a
+    solve that raises parks nothing, and the next solve builds afresh.
     """
     records: list[IterationRecord] = []
-    support_groups = SupportGroupIndex(t, groups.get("support"))
-    if "support" not in groups:
-        groups["support"] = dict(support_groups.rep_group)
+    support_groups = groups.pop("support", None)
+    if support_groups is None:
+        support_groups = SupportGroupIndex(t)
+    else:
+        support_groups.t = t
     memo = DeadSetMemo(t)
     order = _ScanOrder(t.graph.m, support_groups, bound)
     changed: list[int] = []
@@ -565,6 +569,9 @@ def _solve_greedy(t: TrussSubgraph, b: int, groups: dict, bound: Sequence[int],
         order.rekey(changed)
         changed.clear()
         records.append(_record(t, e_star, followers, candidates_total, evaluated, start))
+    support_groups.rollback()
+    support_groups.t = None
+    groups["support"] = support_groups
     return records
 
 
@@ -593,17 +600,25 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
     bound moved to the loop's change list.  The three builders are module
     globals looked up per call, so wrappers of them see every call.
 
-    `build_truss_group_index` starts the index from the truss groups
-    parked on the graph's cached k-level (`truss.parked`), as the support
-    groups start from theirs; the first such solve grows them and parks a
-    copy of its `groups`.
+    The group index is the one parked on the graph's cached k-level
+    (`truss.parked`), handled as `_solve_greedy` handles the support-group
+    index: popped and pointed at `t` and a fresh nested truss, or built
+    when none is parked, then rolled back and parked again with neither
+    truss once the loop has returned.
     """
     groups = parked(t)  # before the nested level may evict the k-level
-    idx = build_truss_group_index(t, _two_level_tau(t), groups.get("truss"))
-    if "truss" not in groups:
-        groups["truss"] = dict(idx.groups)
-    return _solve_greedy(t, b, groups, idx.bound,
-                         lambda dead, region, changed: refresh_index(idx, dead, region, changed))
+    upper = _two_level_tau(t)
+    idx = groups.pop("truss", None)
+    if idx is None:
+        idx = build_truss_group_index(t, upper)
+    else:
+        idx.t, idx.upper = t, upper
+    records = _solve_greedy(t, b, groups, idx.bound, lambda dead, region, changed:
+                            refresh_index(idx, dead, region, changed))
+    idx.rollback()
+    idx.t = idx.upper = None
+    groups["truss"] = idx
+    return records
 
 
 # -- dispatcher ---------------------------------------------------------------

@@ -21,11 +21,13 @@ and the peel walks the pairs of each edge's partner tuple
 A peeled k-truss depends only on (graph, k), so `k_truss` keeps the
 graph's last two levels frozen on the graph and hands every caller a
 fresh clone: the solvers' repeated `solve()` calls on one graph peel each
-level once.  The groups the greedy solvers grow on a level are kept the
-same way: each cached level carries a dict that `parked` hands them,
-created empty with the level and evicted with it.  The level walks of
-`truss_decompose` and `update_after_deletion` start from an uncached peel
-(`_peel_graph`), so they neither fill nor evict those levels.
+level once.  The group indexes the greedy solvers build on a level are
+kept the same way: each cached level carries a dict that `parked` hands
+out, created empty with the level and evicted with it, in which each
+index waits, rolled back to the level's groups, for the next solve at
+that level.  The level walks of `truss_decompose` and
+`update_after_deletion` start from an uncached peel (`_peel_graph`), so
+they neither fill nor evict those levels.
 `update_after_deletion` reruns that level walk over the graph minus the
 deleted edges, also in O(m + triangles); it is not a local repair.
 """
@@ -192,16 +194,21 @@ def _thaw(g: Graph, k: int, level: tuple, compact: bool = False) -> TrussSubgrap
 
 
 def parked(t: TrussSubgraph) -> dict:
-    """The groups parked on the cached level `t.k`, when `t` is that level.
+    """The group indexes parked on the cached level `t.k`, when `t` is that level.
 
     `t` is the level when its alive bytes and edge count equal the cached
     ones.  `solve()` always hands a solver such a truss, but a caller of
     `solve_gp_edge` or `solve_up_edge` may hand over one it has already
     committed on, and gets a new empty dict that nothing keeps.  The groups
-    of the level depend on the graph and k alone, so a solve that grows
-    them parks them in the returned dict, and later solves at k start their
-    indexes from copies of its entries.  The dict lives as long as the
-    level: created empty with it and evicted with it (`k_truss`).
+    of a level depend on the graph and k alone, so the greedy solvers park
+    their live indexes in the returned dict: under `"support"` the
+    `groups.SupportGroupIndex` that `gp_edge` and `up_edge` share, and
+    under `"truss"` `up_edge`'s `groups.GroupIndex`.  A solve pops the
+    index it uses, points it at its own truss, and parks it again only
+    after rolling it back to the level's groups and dropping every
+    `TrussSubgraph` it held; a solve that raises parks nothing.  The dict
+    lives as long as the level: created empty with it and evicted with it
+    (`k_truss`).
     """
     level = t.graph._truss_cache.get(t.k)
     if level is None or level[2] != t.edge_count or level[0] != t.alive:

@@ -142,11 +142,26 @@ def assert_support_build_matches_reference(t: TrussSubgraph, context=None) -> No
     index = SupportGroupIndex(t)
     assert index.groups() == groups, context
     assert all(grp.pruned_followers <= set(grp.over_adjacent) for grp in groups), context
-    assert index.gid_of == {e: grp.representative for grp in groups for e in grp.members}, context
+    assert gids(index.gid_of) == {e: grp.representative for grp in groups for e in grp.members}, \
+        context
     assert sorted(index.iter_candidates()) == candidates, context
     assert index.over_count == Counter(o for grp in groups for o in grp.over_adjacent), context
     assert index.pruned_count == Counter(o for grp in groups for o in grp.pruned_followers), context
     assert_candidacy_rule(index, context)
+
+
+def gids(gid_of) -> dict[int, int]:
+    """A group index's `gid_of`, a dict or a per-edge array, as a dict from
+    each edge in a group to the group's id; an edge at -1 is in none, and
+    is left out."""
+    pairs = gid_of.items() if isinstance(gid_of, dict) else enumerate(gid_of)
+    return {e: gid for e, gid in pairs if gid >= 0}
+
+
+def votes(counts: dict[int, int]) -> dict[int, int]:
+    """A `SupportGroupIndex` vote table without its zero counts, which
+    every reader takes for no vote."""
+    return {e: n for e, n in counts.items() if n}
 
 
 def assert_candidacy_rule(index: SupportGroupIndex, context=None) -> None:

@@ -120,8 +120,11 @@ PARKED_ERODING = "tests/test_minimize.py::TestParkedGroups::test_eroding_graphs[
 PARKED_OVERLAP = "tests/test_minimize.py::TestParkedGroups::test_eroding_graphs[overlapping]"
 PARKED_STALE = ("tests/test_minimize.py::TestParkedGroups::"
                 "test_a_committed_truss_grows_its_own_groups")
-PARKED_INDEX = ("tests/test_minimize.py::TestParkedGroups::"
-                "test_an_index_from_parked_groups_equals_a_build")
+PARKED_ROLLBACK = ("tests/test_minimize.py::TestParkedGroups::"
+                   "test_a_rolled_back_index_equals_a_build")
+PARKED_INTERLEAVED = ("tests/test_minimize.py::TestParkedGroups::"
+                      "test_interleaved_budgets_and_an_evicting_sweep")
+PARKED_RAISES = "tests/test_minimize.py::TestParkedGroups::test_a_solve_that_raises_parks_nothing"
 PARKED_KEPT = ("tests/test_minimize.py::TestParkedGroups::"
                "test_a_level_keeps_its_groups_across_solves_at_another_level")
 PARKED_LEVELS = "tests/test_truss.py::TestTrussCache::test_each_cached_level_parks_in_its_own_dict"
@@ -144,12 +147,12 @@ MUTANTS = (
             "tests/test_graph.py::TestTriangleIndex::test_empty_path_and_k5[pairs2-10]")),
     # the b half of the support-group grower (`groups._grow_support_group`)
     Mutant("support grower drops b as a member", GROUPS,
-           "other = gid_of.get(b)\n"
-           "                if other is None:\n"
+           "other = gid_of.get(b, -1)\n"
+           "                if other < 0:\n"
            "                    gid_of[b] = start\n"
            "                    members.append(b)\n",
-           "other = gid_of.get(b)\n"
-           "                if other is None:\n"
+           "other = gid_of.get(b, -1)\n"
+           "                if other < 0:\n"
            "                    gid_of[b] = start\n",
            (SUPPORT_PARTITION, CRITERION_9)),
     Mutant("support grower never counts b's triangles", GROUPS,
@@ -339,23 +342,33 @@ MUTANTS = (
     # candidacy (`groups.SupportGroupIndex.is_candidate`), which the scan
     # order asks for each changed edge: a pruned vote vetoes it
     Mutant("is_candidate ignores pruned votes", GROUPS,
-           "(x in self.over_count and x not in self.pruned_count)", "x in self.over_count",
+           "(self.over_count.get(x, 0) > 0\n"
+           "                                       and not self.pruned_count.get(x, 0))",
+           "self.over_count.get(x, 0) > 0",
            (CRITERION_9, BUILD_RANDOM, GP_ORDER)),
+    # a withdrawn vote leaves a count of 0, which reads as no vote
+    Mutant("is_candidate takes a zero count for a vote", GROUPS,
+           "self.over_count.get(x, 0) > 0", "x in self.over_count",
+           (CRITERION_9, GP_ORDER)),
     # the support-group index's build (`groups.SupportGroupIndex.__init__`),
     # the update from empty: its threshold scan meets dead edges, which
     # `update` steps over, it hands `update` `_DISCARD` for the votes, and
     # `iter_candidates`, which the scan order starts from and the group
     # dump reads, lets a pruned vote veto candidacy
     Mutant("the threshold scan takes a dead edge", GROUPS,
-           "if alive[e] and sup[e] == threshold and e not in gid_of:",
-           "if sup[e] == threshold and e not in gid_of:",
+           "if alive[e] and sup[e] == threshold and gid_of.get(e, -1) < 0:",
+           "if sup[e] == threshold and gid_of.get(e, -1) < 0:",
            (BUILD_DEAD_SEED, BUILD_RANDOM)),
     Mutant("the build collects its votes", GROUPS,
            "self.update(starts, _DISCARD)", "self.update(starts, [])",
            (BUILD_NO_VOTES,)),
     Mutant("the candidate iterator ignores pruned votes", GROUPS,
-           "filterfalse(self.pruned_count.__contains__, self.over_count)", "self.over_count",
+           "filterfalse(self.pruned_count.get, compress(over, over.values()))",
+           "compress(over, over.values())",
            (BUILD_RANDOM, BUILD_OVERLAP, BUILD_K10, GP_ORDER)),
+    Mutant("the candidate iterator takes a zero count for a vote", GROUPS,
+           "compress(over, over.values())", "iter(over)",
+           (PARKED_RANDOM, PARKED_INTERLEAVED)),
     # the greedy loop (`minimize._solve_greedy`): the support groups append
     # the changed candidacies to its one `changed` list, up_edge's refresh
     # the moved bounds as well, and the order re-keys that list
@@ -382,9 +395,11 @@ MUTANTS = (
     Mutant("refresh leaves the region out of moved", GROUPS,
            "    moved.extend(grown)\n", "",
            (REFRESH_CHAIN, REFRESH_GIANT, SCAN_ORDER_CHAINS)),
+    # the stamp is shared by the growths of one build or refresh only, so
+    # one left set drops shared edges from the touch sets grown after it
     Mutant("truss grower leaves stamp set", GROUPS,
            "            stamp[x] = 0\n", "",
-           (REFRESH_CHAIN, OVERLAP_REFRESH)),
+           (REFRESH_CHAIN, CACHED_BOUNDS)),
     Mutant("refresh leaves a regrown group's touch set out of moved", GROUPS,
            "            moved.extend(groups[e][1])\n", "",
            (REFRESH_CHAIN, REFRESH_GIANT)),
@@ -406,10 +421,10 @@ MUTANTS = (
     Mutant("refresh dissolves every group", GROUPS,
            "dissolve = {gid_of[x] for x in grown}", "dissolve = set(groups)",
            (TRUSS_GROUP_KEPT, OVERLAP_REFRESH)),
-    # parked groups (`truss.parked`): each cached level parks in a dict of
-    # its own, reused only for a truss equal to the level, parked as copies
-    # of the indexes' dicts, and copied again into every index started from
-    # them, whose bounds take each group's size over its whole touch set
+    # parked indexes (`truss.parked`): each cached level parks in a dict of
+    # its own, reused only for a truss equal to the level.  A solve pops
+    # each index it uses, and parks it again only once the loop returns,
+    # rolled back to the level's groups and holding no truss
     Mutant("reuse ignores the freshness check", TRUSS,
            "if level is None or level[2] != t.edge_count or level[0] != t.alive:",
            "if level is None:",
@@ -417,29 +432,42 @@ MUTANTS = (
     Mutant("every level shares one parked dict", TRUSS,
            "t.edge_count, {})", "t.edge_count, [*cache.values(), (0, 0, 0, {})][0][3])",
            (PARKED_RANDOM, PARKED_KEPT, PARKED_LEVELS)),
-    Mutant("the support groups are parked as the live dict", MINIMIZE,
-           'groups["support"] = dict(support_groups.rep_group)',
-           'groups["support"] = support_groups.rep_group',
-           (PARKED_RANDOM, PARKED_ERODING, PARKED_OVERLAP)),
-    Mutant("the truss groups are parked as the live dict", MINIMIZE,
-           'groups["truss"] = dict(idx.groups)',
-           'groups["truss"] = idx.groups',
-           (PARKED_RANDOM, PARKED_ERODING, PARKED_OVERLAP)),
-    Mutant("the first solve parks no support groups", MINIMIZE,
-           'if "support" not in groups:',
-           "if False:",
-           (PARKED_RANDOM,)),
-    Mutant("the support-group un-park shares the parked dict", GROUPS,
-           "self.rep_group = dict(groups)", "self.rep_group = groups",
-           (PARKED_RANDOM, PARKED_ERODING, PARKED_INDEX)),
-    Mutant("the truss-group un-park shares the parked dict", GROUPS,
-           "idx.groups = dict(groups)", "idx.groups = groups",
-           (PARKED_RANDOM, PARKED_ERODING, PARKED_INDEX)),
-    Mutant("re-derived bound skips a group's touch set", GROUPS,
-           "idx._share(touch, len(members))", "idx._share(members, len(members))",
-           (PARKED_RANDOM, PARKED_ERODING, PARKED_INDEX)),
-    # `--dump-groups` (`cli._groups_dump`) starts its indexes from the groups
-    # a solve parked, as a solve does
+    Mutant("a solve never parks its support index", MINIMIZE,
+           'groups["support"] = support_groups', "pass",
+           (PARKED_RANDOM, PARKED_INTERLEAVED)),
+    Mutant("support rollback skips one dissolved group", GROUPS,
+           "for grp in self.dissolved:", "for grp in self.dissolved[1:]:",
+           (PARKED_ROLLBACK, PARKED_ERODING, PARKED_OVERLAP)),
+    Mutant("support rollback leaves one grown group", GROUPS,
+           "for rep in self.grown:", "for rep in list(self.grown)[1:]:",
+           (PARKED_ROLLBACK, PARKED_ERODING, PARKED_OVERLAP)),
+    Mutant("truss rollback skips one dissolved group", GROUPS,
+           "for record in self.dissolved:", "for record in self.dissolved[1:]:",
+           (PARKED_ROLLBACK, PARKED_ERODING, PARKED_OVERLAP)),
+    Mutant("truss rollback leaves one grown group", GROUPS,
+           "for gid in self.grown:", "for gid in list(self.grown)[1:]:",
+           (PARKED_ROLLBACK, PARKED_ERODING, PARKED_OVERLAP)),
+    Mutant("the truss index is re-parked in a finally", MINIMIZE,
+           "    records = _solve_greedy(t, b, groups, idx.bound, lambda dead, region, changed:\n"
+           "                            refresh_index(idx, dead, region, changed))\n"
+           "    idx.rollback()\n"
+           "    idx.t = idx.upper = None\n"
+           '    groups["truss"] = idx\n',
+           "    try:\n"
+           "        records = _solve_greedy(t, b, groups, idx.bound, lambda dead, region, changed:\n"
+           "                                refresh_index(idx, dead, region, changed))\n"
+           "    finally:\n"
+           "        idx.rollback()\n"
+           "        idx.t = idx.upper = None\n"
+           '        groups["truss"] = idx\n',
+           (PARKED_RAISES,)),
+    Mutant("a parked truss index keeps its trusses", MINIMIZE,
+           "idx.t = idx.upper = None", "pass",
+           (PARKED_RANDOM, PARKED_INTERLEAVED)),
+    Mutant("a parked support index keeps its truss", MINIMIZE,
+           "support_groups.t = None", "pass",
+           (PARKED_RANDOM, PARKED_INTERLEAVED)),
+    # `--dump-groups` (`cli._groups_dump`) reads the indexes a solve parked
     Mutant("the dump grows its own groups", CLI,
            "groups = parked(t)", "groups = {}",
            (DUMP_AFTER_SOLVE,)),

@@ -16,8 +16,8 @@ import pytest
 import oracles
 import synth
 from conftest import assert_candidacy_rule, assert_no_queued_edge, \
-    assert_support_build_matches_reference, commit_nested, complete_pairs, er_pairs, graph_of, \
-    label_pairs, next_level, upper_bound, verify_equivalence
+    assert_support_build_matches_reference, commit_nested, complete_pairs, er_pairs, gids, \
+    graph_of, label_pairs, next_level, upper_bound, verify_equivalence
 from trussmin import SolverConfig, delete_and_cascade, followers_of_edge, k_truss, solve, \
     truss_decompose
 from trussmin.cascade import commit_region, simulate_followers
@@ -415,7 +415,8 @@ def test_criterion_9_support_group_maintenance_matches_scratch():
                 groups, candidates = find_support_groups(t)
                 assert index.groups() == groups, \
                     f"k={k}, after deleting {label_pairs(g, seeds)} from {pairs}"
-                assert index.gid_of == {e: grp.representative for grp in groups for e in grp.members}
+                assert gids(index.gid_of) == \
+                    {e: grp.representative for grp in groups for e in grp.members}
                 assert sorted(index.iter_candidates()) == candidates
                 # the edges a scan order re-keys hold every changed candidacy
                 assert before ^ set(index.iter_candidates()) <= set(changed)

@@ -336,14 +336,14 @@ class TestMinimize:
         # `--dump-groups` runs after `solve`, which leaves its truss levels in
         # the graph's cache with the groups it parked on them; a dump on a
         # freshly loaded graph peels the levels and grows every group.  The
-        # dump copies what the solve parked and grows only the rest: each
-        # group is counted as it grows
+        # dump reads the indexes the solve parked and grows only the rest:
+        # each group is counted as it grows
         grown = {"support_groups": 0, "truss_groups": 0}
         real_grow, real_grow_support = groups.GroupIndex._grow, groups._grow_support_group
 
-        def grow(idx, start, done):
+        def grow(idx, start, done, stamp):
             grown["truss_groups"] += 1
-            return real_grow(idx, start, done)
+            return real_grow(idx, start, done, stamp)
 
         def grow_support(t, start, gid_of, done):
             grown["support_groups"] += 1

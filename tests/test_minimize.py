@@ -7,8 +7,9 @@ import pytest
 
 import oracles
 import synth
-from conftest import assert_no_queued_edge, commit_nested, complete_pairs, er_pairs, graph_of, \
-    label_pairs, next_level, oracle_best_single, random_trusses, upper_bound, verify_equivalence
+from conftest import assert_no_queued_edge, commit_nested, complete_pairs, er_pairs, gids, \
+    graph_of, label_pairs, next_level, oracle_best_single, random_trusses, upper_bound, \
+    verify_equivalence, votes
 from trussmin import ContractViolation, EnumerationCapExceeded, Graph, SolverConfig, \
     delete_and_cascade, k_truss, solve, solve_baseline, solve_exact, solve_gp_edge, \
     solve_support, solve_up_edge, truss
@@ -16,6 +17,7 @@ from trussmin.cascade import commit_region, simulate_followers
 from trussmin.groups import SupportGroupIndex, build_truss_group_index, find_support_groups, \
     refresh_index
 from trussmin.minimize import _ScanOrder, _two_level_tau
+from trussmin.truss import TrussSubgraph
 
 # Frozen instance where the unpruned reference scan ties on an edge that the
 # reduced candidate set only reaches through a group's certain followers
@@ -1053,38 +1055,49 @@ class TestScanOrder:
         assert len(checked) == 13 and min(checked) > 400
 
 
-def group_fields(rep_group, truss_groups) -> tuple:
-    """Support and truss groups in comparable form: each support group's
-    members, pruned followers and over-adjacent edges (as a set), and each
-    truss group's members and touch set (as a set)."""
+def support_view(index) -> tuple:
+    """A `SupportGroupIndex` in comparable form: each group's members,
+    pruned followers and over-adjacent edges (as a set) by id, each grouped
+    edge's id, and the nonzero votes."""
     return ({rep: (grp.members, grp.pruned_followers, set(grp.over_adjacent))
-             for rep, grp in rep_group.items()},
-            {gid: (members, set(touch)) for gid, (members, touch) in truss_groups.items()})
+             for rep, grp in index.rep_group.items()},
+            gids(index.gid_of), votes(index.over_count), votes(index.pruned_count))
 
 
-def grown_groups(g, k) -> tuple:
-    """`group_fields` of the groups grown afresh on the k-truss of `g`,
-    peeled without the cache, so the cache stays as it was."""
+def truss_view(idx) -> tuple:
+    """A `GroupIndex` in comparable form: each group's members and touch
+    set (as a set) by id, each grouped edge's id, and every edge's bound."""
+    return ({gid: (members, set(touch)) for gid, (members, touch) in idx.groups.items()},
+            gids(idx.gid_of), list(idx.bound))
+
+
+def cold_views(g, k) -> tuple:
+    """`support_view` and `truss_view` of the indexes built afresh on the
+    k-truss of `g`, peeled without the cache, so the cache stays as it was."""
     t = truss._peel_graph(g, k)
     idx = build_truss_group_index(t, next_level(t))
-    return group_fields(SupportGroupIndex(t).rep_group, idx.groups)
+    return support_view(SupportGroupIndex(t)), truss_view(idx)
 
 
 def parked_on(g, k) -> dict:
-    """The groups parked on the cached k-level of `g`."""
+    """The indexes parked on the cached k-level of `g`."""
     return g._truss_cache[k][3]
 
 
-def assert_parked_as_grown(g, k, want) -> None:
-    """The groups parked on the k-level of `g` equal `want`, what
-    `grown_groups` returns."""
+def assert_parked_as_built(g, k, want) -> None:
+    """The indexes parked on the k-level of `g` equal `want`, what
+    `cold_views` returns, and hold no log and no truss."""
     parked = parked_on(g, k)
     assert parked.keys() <= {"support", "truss"}, k
-    support, truss_groups = group_fields(parked.get("support", {}), parked.get("truss", {}))
-    if "support" in parked:
-        assert support == want[0], k
-    if "truss" in parked:
-        assert truss_groups == want[1], k
+    for kind, view, want_view in (("support", support_view, want[0]),
+                                  ("truss", truss_view, want[1])):
+        index = parked.get(kind)
+        if index is None:
+            continue
+        assert view(index) == want_view, (kind, k)
+        assert not index.grown and not index.dissolved, (kind, k)
+        assert [name for name in type(index).__slots__
+                if isinstance(getattr(index, name), TrussSubgraph)] == [], (kind, k)
 
 
 def records_of(report) -> list[tuple]:
@@ -1101,20 +1114,20 @@ def cold_copy(g):
 
 
 def counting_builds(monkeypatch, g) -> list[int]:
-    """The levels of the cold truss-group builds on `g` from now on, in
-    order: the starts of the index handed no parked groups."""
+    """The levels of the truss-group builds on `g` from now on, in order."""
     from trussmin import minimize
     real_build, builds = minimize.build_truss_group_index, []
-    monkeypatch.setattr(minimize, "build_truss_group_index", lambda t, upper, groups: (
-        t.graph is g and groups is None and builds.append(t.k)) or real_build(t, upper, groups))
+    monkeypatch.setattr(minimize, "build_truss_group_index", lambda t, upper: (
+        t.graph is g and builds.append(t.k)) or real_build(t, upper))
     return builds
 
 
 class TestParkedGroups:
     """The first `gp_edge` or `up_edge` solve on a graph's cached k-level
-    parks the groups it grows on that level, and later solves at k start
-    from copies of them while the level stays cached: every answer equals
-    a cold graph's, and the parked groups stay as they were grown."""
+    parks the indexes it builds on that level, and later solves at k pop
+    them, commit on them and roll them back while the level stays cached:
+    every answer equals a cold graph's, and after every solve the parked
+    indexes equal a cold build on the level."""
 
     # (algorithm, budget in thirds of the largest) in the order one graph
     # runs them at each level
@@ -1125,16 +1138,16 @@ class TestParkedGroups:
         """Run `PLAN`, with budgets up to `b`, at k, k + 1 and k again on
         `g`; returns the levels of the truss-group builds on `g`, in order."""
         builds = counting_builds(monkeypatch, g)
-        cold, grown = {}, {}
+        cold, built = {}, {}
         for level in (k, k + 1, k):
             for algorithm, thirds in self.PLAN:
                 cfg = SolverConfig(k=level, b=max(1, b * thirds // 3), algorithm=algorithm)
                 if cfg not in cold:
                     cold[cfg] = records_of(solve(cold_copy(g), cfg))
                 assert records_of(solve(g, cfg)) == cold[cfg], cfg
-                if level not in grown:
-                    grown[level] = grown_groups(g, level)
-                assert_parked_as_grown(g, level, grown[level])
+                if level not in built:
+                    built[level] = cold_views(g, level)
+                assert_parked_as_built(g, level, built[level])
             assert parked_on(g, level).keys() == {"support", "truss"}
         return builds
 
@@ -1169,7 +1182,7 @@ class TestParkedGroups:
         assert list(g._truss_cache) == [9, 10]
         assert self.solve_at(g, (("up_edge", 8),)) == [first]
         assert builds == [8, 8]
-        assert_parked_as_grown(g, 8, grown_groups(g, 8))
+        assert_parked_as_built(g, 8, cold_views(g, 8))
 
     @pytest.mark.parametrize("pairs, k, b", [
         (synth.community_pairs(seed=2, scale=3), 8, 12),
@@ -1192,21 +1205,78 @@ class TestParkedGroups:
         for solver in (solve_up_edge, solve_gp_edge):
             assert [(r.eid, r.followers) for r in solver(t.clone(), 3)] == want, solver
 
-    def test_an_index_from_parked_groups_equals_a_build(self, rng):
+    def test_a_rolled_back_index_equals_a_build(self, rng):
+        # two rounds of commits on clones of one level, each followed by a
+        # rollback, as two solves at k use one parked pair of indexes
+        rounds = 0
         for g in memo_test_graphs(rng, 40):
             for k in range(3, 7):
                 t = k_truss(g, k)
-                upper = _two_level_tau(t)
-                built = build_truss_group_index(t, upper)
+                want = cold_views(g, k)
                 index = SupportGroupIndex(t)
-                groups = dict(built.groups)
-                thawed = build_truss_group_index(t, upper, groups)
-                assert thawed.groups == groups and thawed.groups is not groups
-                assert list(thawed.gid_of) == list(built.gid_of)
-                assert list(thawed.bound) == list(built.bound)
-                assert not any(thawed.stamp)
-                from_parked = SupportGroupIndex(t, index.rep_group)
-                assert from_parked.rep_group == index.rep_group
-                assert from_parked.rep_group is not index.rep_group
-                for name in ("gid_of", "over_count", "pruned_count"):
-                    assert getattr(from_parked, name) == getattr(index, name), name
+                idx = build_truss_group_index(t, _two_level_tau(t))
+                for _ in range(2):
+                    t = k_truss(g, k)
+                    index.t, idx.t, idx.upper = t, t, _two_level_tau(t)
+                    for eid in rng.sample(t.alive_edge_ids(), min(3, t.edge_count)):
+                        if t.alive[eid]:
+                            dead, region = commit_nested(t, eid)
+                            index.update(region, [])
+                            refresh_index(idx, dead, region, [])
+                            rounds += 1
+                    index.rollback()
+                    idx.rollback()
+                    assert (support_view(index), truss_view(idx)) == want, (k, rounds)
+                    assert not (index.grown or index.dissolved or idx.grown or idx.dissolved)
+        assert rounds > 100
+
+    def test_interleaved_budgets_and_an_evicting_sweep(self, monkeypatch):
+        # baseline, gp_edge and up_edge in turn at b = 1, 5 and 40 (which
+        # takes 14% to 50% of the level's edges), at levels whose nested
+        # truss evicts the level visited before: each parked pair of
+        # indexes is rolled back after every solve, whatever it committed
+        g = graph_of(synth.community_pairs(seed=2, scale=3))
+        builds = counting_builds(monkeypatch, g)
+        cold = {}
+        for k in (8, 10, 8, 9, 8):
+            want = cold_views(g, k)
+            for b in (1, 40, 5):
+                for algorithm in ("up_edge", "baseline", "gp_edge"):
+                    cfg = SolverConfig(k=k, b=b, algorithm=algorithm)
+                    if cfg not in cold:
+                        cold[cfg] = records_of(solve(cold_copy(g), cfg))
+                    assert records_of(solve(g, cfg)) == cold[cfg], cfg
+                    assert_parked_as_built(g, k, want)
+            assert parked_on(g, k).keys() == {"support", "truss"}
+        # each visit builds once: the nested truss of the visit before it
+        # evicted its level, and the 9-level was cached only as a nested one
+        assert builds == [8, 10, 8, 9, 8]
+
+    def test_a_solve_that_raises_parks_nothing(self, monkeypatch):
+        # the second commit raises: the indexes the solve popped, or built,
+        # are half committed, and the next solve must not start from them
+        from trussmin import minimize
+        pairs = synth.community_pairs(seed=2, scale=3)
+        real_commit = minimize._commit
+        for algorithm in ("gp_edge", "up_edge"):
+            cfg = SolverConfig(k=8, b=5, algorithm=algorithm)
+            want = records_of(solve(graph_of(pairs), cfg))
+            for warm in (False, True):
+                g = graph_of(pairs)
+                if warm:
+                    solve(g, cfg)
+                commits = []
+
+                def commit(t, eid, expected=None):
+                    commits.append(eid)
+                    if len(commits) == 2:
+                        raise RuntimeError("second commit")
+                    return real_commit(t, eid, expected)
+
+                with monkeypatch.context() as patched:
+                    patched.setattr(minimize, "_commit", commit)
+                    with pytest.raises(RuntimeError, match="second commit"):
+                        solve(g, cfg)
+                assert parked_on(g, 8) == {}, (algorithm, warm)
+                assert records_of(solve(g, cfg)) == want, (algorithm, warm)
+                assert_parked_as_built(g, 8, cold_views(g, 8))

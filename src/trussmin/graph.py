@@ -50,10 +50,17 @@ class Graph:
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Graph":
         """Build from (label, label) pairs; drops self-loops and duplicates.
 
-        `pairs` is iterated exactly once, so a generator is fine.  A label
-        must be a plain non-negative int: a bool would merge with 0 or 1.
+        `pairs` is iterated exactly once, so a generator is fine.  Each item
+        must be a pair, and each label a plain non-negative int: a bool
+        would merge with 0 or 1.
         """
-        flat = [x for a, b in pairs for x in (a, b)]
+        flat: list[int] = []
+        for item in pairs:
+            try:
+                a, b = item
+            except (TypeError, ValueError):
+                raise ContractViolation(f"item {item!r} is not a (label, label) pair") from None
+            flat += a, b
         for x in flat:
             if type(x) is not int or x < 0:
                 raise ContractViolation(f"vertex label {x!r} is not a non-negative int")

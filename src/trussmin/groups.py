@@ -18,7 +18,6 @@ from array import array
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field
 from itertools import chain, compress, filterfalse
-from typing import Optional
 
 from .cascade import commit_region
 from .errors import ContractViolation
@@ -162,15 +161,14 @@ class SupportGroupIndex:
     group it added that the index still holds to that group, and
     `dissolved` lists the groups it took out that the build left.
     `rollback` undoes every update since the build or the last rollback
-    from those two logs, so one index serves every solve on a truss level:
-    `truss.parked` keeps it between solves with `t` set to None, and each
-    solve points it at its own copy of the level and rolls it back after.
+    from those two logs, so one index serves every solve on a truss level
+    (`truss.parked`).  The index keeps no truss: `update` takes the one
+    its caller commits to.
     """
 
-    __slots__ = ("t", "gid_of", "rep_group", "over_count", "pruned_count", "grown", "dissolved")
+    __slots__ = ("gid_of", "rep_group", "over_count", "pruned_count", "grown", "dissolved")
 
     def __init__(self, t: TrussSubgraph):
-        self.t: Optional[TrussSubgraph] = t
         self.gid_of: dict[int, int] = {}            # threshold edge -> representative, or -1
         self.rep_group: dict[int, SupportGroup] = {}
         # per edge: how many groups list it as over-adjacent / pruned
@@ -190,7 +188,7 @@ class SupportGroupIndex:
             except ValueError:
                 break
             starts.append(start)
-        self.update(starts, _DISCARD)
+        self.update(t, starts, _DISCARD)
         self.grown.clear()  # the built groups are what a rollback returns to
 
     def is_candidate(self, x: int) -> bool:
@@ -214,7 +212,7 @@ class SupportGroupIndex:
         """The current groups, ordered by representative."""
         return [self.rep_group[r] for r in sorted(self.rep_group)]
 
-    def update(self, region: Collection[int], changed: list[int]) -> None:
+    def update(self, t: TrussSubgraph, region: Collection[int], changed: list[int]) -> None:
         """Bring the index up to date after a committed cascade on `t`.
 
         `region` is the commit's `cascade.commit_region`, or any superset
@@ -227,7 +225,6 @@ class SupportGroupIndex:
         added, its representative and every edge it votes for: a superset,
         repeats allowed, of the edges whose candidacy the update changed.
         """
-        t = self.t
         alive, sup, threshold = t.alive, t.sup, t.k - 2
         gid_of, rep_group, log = self.gid_of, self.rep_group, self.grown
         dissolve = {gid_of.get(x, -1) for x in region}
@@ -296,7 +293,8 @@ class SupportGroupIndex:
 class GroupIndex:
     """Partition of the trussness-k edges into truss groups, with every edge's bound.
 
-    `t` is the k-truss and `upper` the (k+1)-truss nested inside it, both
+    The index keeps no truss: every builder, query and refresh takes the
+    k-truss `t` and the (k+1)-truss `upper` nested inside it, both
     `TrussSubgraph`s of the same graph.  The caller commits to `t`, and
     `refresh_index` cascades the commit's dead through `upper`.
     An edge has trussness exactly k when it is alive in `t` but not in
@@ -312,9 +310,9 @@ class GroupIndex:
     duplicate-free list of its members plus every edge sharing an alive
     triangle of `t` with a member.
     `bound[e]` is the total size of the groups whose touch set holds `e`:
-    for an alive edge, of the groups `adjacent_gids(e)` names, and 0 for a
-    dead one.  Growing a group adds its size over its touch set, and
-    dissolving it takes the size back.
+    for an alive edge, of the groups `adjacent_gids(t, upper, e)` names,
+    and 0 for a dead one.  Growing a group adds its size over its touch
+    set, and dissolving it takes the size back.
 
     Growing or dissolving a group moves the bound of exactly the edges in
     its touch set.  `refresh_index` appends to a list its caller owns the
@@ -330,18 +328,13 @@ class GroupIndex:
     `dissolved` lists the records it took out that the build left.
     `rollback` undoes every refresh since the build or the last rollback
     from those logs, so one index serves every `up_edge` solve on a truss
-    level: `truss.parked` keeps it between solves with `t` and `upper` set
-    to None.  The constructor allocates an empty index, and
-    `build_truss_group_index` starts it.
+    level (`truss.parked`).  The constructor allocates an empty index over
+    a graph of `m` edges, and `build_truss_group_index` starts it.
     """
 
-    __slots__ = ("t", "upper", "gid_of", "groups", "bound", "last_dissolved", "grown",
-                 "dissolved")
+    __slots__ = ("gid_of", "groups", "bound", "last_dissolved", "grown", "dissolved")
 
-    def __init__(self, t: TrussSubgraph, upper: TrussSubgraph):
-        m = t.graph.m
-        self.t: Optional[TrussSubgraph] = t
-        self.upper: Optional[TrussSubgraph] = upper
+    def __init__(self, m: int):
         self.gid_of = array("i", [-1]) * m
         self.groups: dict[int, tuple[list[int], list[int]]] = {}  # gid (= members[0]) -> record
         self.bound = array("i", [0]) * m
@@ -351,13 +344,11 @@ class GroupIndex:
         self.grown: dict[int, tuple[list[int], list[int]]] = {}
         self.dissolved: list[tuple[list[int], list[int]]] = []
 
-    def at_level(self, e: int) -> bool:
-        """Whether edge `e` has trussness exactly k."""
-        return bool(self.t.alive[e]) and not self.upper.alive[e]
+    def _grow(self, t: TrussSubgraph, upper_alive: bytearray, start: int, done: bytearray,
+              stamp: bytearray) -> None:
+        """BFS over trussness-k edges through alive triangles of the k-truss `t`.
 
-    def _grow(self, start: int, done: bytearray, stamp: bytearray) -> None:
-        """BFS over trussness-k edges through alive triangles of the k-truss.
-
+        `upper_alive` is the alive array of the (k+1)-truss nested in `t`.
         Callers sweep starts in ascending order, so `start`, the group's
         id, is its smallest member.  Every edge of a walked triangle joins
         the touch set.  `done` is `t.alive.translate(FLIP)`, shared by
@@ -379,9 +370,7 @@ class GroupIndex:
         another group, which should have been dissolved first: an
         internal error.
         """
-        partners = self.t.graph.triangle_index()
-        upper_alive = self.upper.alive
-        gid_of = self.gid_of
+        partners, gid_of = t.graph.triangle_index(), self.gid_of
         members = [start]
         gid_of[start] = start
         touch = [start]
@@ -461,21 +450,21 @@ class GroupIndex:
 
     # -- queries ---------------------------------------------------------------
 
-    def adjacent_gids(self, eid: int) -> set[int]:
-        """Ids of the truss groups the edge touches through truss triangles.
+    def adjacent_gids(self, t: TrussSubgraph, upper: TrussSubgraph, eid: int) -> set[int]:
+        """Ids of the truss groups the edge touches through triangles of `t`.
 
         Walks the edge's alive triangles afresh, so it is the from-scratch
         reference for `bound`.  A trussness-k edge in no group means `t` or
         `upper` changed without a refresh.
         """
-        alive, upper_alive, gid_of = self.t.alive, self.upper.alive, self.gid_of
+        alive, upper_alive, gid_of = t.alive, upper.alive, self.gid_of
         out: set[int] = set()
         if alive[eid]:  # a dead edge has no alive triangle
-            it = iter(self.t.graph.triangle_index()[eid])
+            it = iter(t.graph.triangle_index()[eid])
             out.update(gid_of[o] for a, b in zip(it, it) if alive[a] and alive[b]
                        for o in (a, b) if not upper_alive[o])
-        if self.at_level(eid):
-            out.add(gid_of[eid])
+            if not upper_alive[eid]:
+                out.add(gid_of[eid])
         if -1 in out:
             raise ContractViolation(
                 f"edge id {eid} touches a trussness-k edge in no group; index is stale")
@@ -490,34 +479,35 @@ def build_truss_group_index(t: TrussSubgraph, upper: TrussSubgraph) -> GroupInde
     big-int AND-NOT of the two alive arrays, whose bytes are 1 exactly at
     trussness k.
     """
-    idx = GroupIndex(t, upper)
+    idx = GroupIndex(t.graph.m)
     m, gid_of = t.graph.m, idx.gid_of
     level = int.from_bytes(t.alive, "little") & ~int.from_bytes(upper.alive, "little")
     stamp = bytearray(m)
     done = t.alive.translate(FLIP)
     for e in compress(range(m), level.to_bytes(m, "little")):
         if gid_of[e] < 0:
-            idx._grow(e, done, stamp)
+            idx._grow(t, upper.alive, e, done, stamp)
     return idx
 
 
-def refresh_index(idx: GroupIndex, dead: list[int], region: set[int],
-                  moved: list[int]) -> GroupIndex:
-    """Bring the index up to date after one commit to `idx.t`.
+def refresh_index(idx: GroupIndex, t: TrussSubgraph, upper: TrussSubgraph, dead: list[int],
+                  region: set[int], moved: list[int]) -> GroupIndex:
+    """Bring the index up to date after one commit to the k-truss `t`.
 
-    `dead` is the commit's dead list and `region` its
-    `cascade.commit_region` in `t`, which is left as it is.  The refresh
-    keeps the nested truss: `upper.cascade(dead)` leaves `upper` the
-    (k+1)-truss of the reduced graph, which holds none of the dead edges,
-    and the edges it drops widen the region with their alive-triangle
-    partners.  As in `SupportGroupIndex.update`, only the groups holding an
-    edge of the widened region are dissolved (`last_dissolved`), each
-    record popped once, and regrown; the other records stay as they are.
-    Both are logged for `GroupIndex.rollback`.
-    A group missing it keeps every alive triangle of its members, since a
-    triangle dies only when all its edges die or lose support, so its
-    share of `bound` stays exact.  The result, ids and `bound` included,
-    equals a fresh `build_truss_group_index`.
+    `upper` is the (k+1)-truss nested in `t` before the commit, `dead` the
+    commit's dead list and `region` its `cascade.commit_region` in `t`,
+    which is left as it is.  The refresh keeps the nested truss:
+    `upper.cascade(dead)` leaves `upper` the (k+1)-truss of the reduced
+    graph, which holds none of the dead edges, and the edges it drops widen
+    the region with their alive-triangle partners.  As in
+    `SupportGroupIndex.update`, only the groups holding an edge of the
+    widened region are dissolved (`last_dissolved`), each record popped
+    once, and regrown; the other records stay as they are.  Both are
+    logged for `GroupIndex.rollback`.  A group missing it keeps every
+    alive triangle of its members, since a triangle dies only when all its
+    edges die or lose support, so its share of `bound` stays exact.  The
+    result, ids and `bound` included, equals a fresh
+    `build_truss_group_index`.
 
     Appends to `moved` the widened region, then the touch set of each
     regrown group: every edge whose `bound` moved.  An edge that a
@@ -526,17 +516,15 @@ def refresh_index(idx: GroupIndex, dead: list[int], region: set[int],
 
     The regrowths share one fresh per-edge marker and one touch-set stamp
     (see `GroupIndex._grow`), so each alive triangle they reach is walked
-    once.  Besides the dead
-    edges it marks only the members this refresh expands: a group that
-    should have been dissolved but survived still has its members
-    unmarked, and a regrowth reaching it raises.
+    once.  Besides the dead edges it marks only the members this refresh
+    expands: a group that should have been dissolved but survived still
+    has its members unmarked, and a regrowth reaching it raises.
     """
-    t, gid_of, groups, log = idx.t, idx.gid_of, idx.groups, idx.grown
-    grown = region | commit_region(t, idx.upper.cascade(dead), ())
+    gid_of, groups, log = idx.gid_of, idx.groups, idx.grown
+    grown = region | commit_region(t, upper.cascade(dead), ())
     moved.extend(grown)
-    dissolve = {gid_of[x] for x in grown}
+    idx.last_dissolved = dissolve = {gid_of[x] for x in grown}
     dissolve.discard(-1)
-    idx.last_dissolved = dissolve
     for gid in dissolve:
         record = idx._drop(gid)
         if log.pop(gid, None) is None:
@@ -545,8 +533,8 @@ def refresh_index(idx: GroupIndex, dead: list[int], region: set[int],
     stamp = bytearray(t.graph.m)
     done = t.alive.translate(FLIP)
     for e in sorted(grown):
-        if idx.at_level(e) and gid_of[e] < 0:
-            idx._grow(e, done, stamp)
+        if t.alive[e] and not upper.alive[e] and gid_of[e] < 0:
+            idx._grow(t, upper.alive, e, done, stamp)
             log[e] = groups[e]
             moved.extend(groups[e][1])
     return idx

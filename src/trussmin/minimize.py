@@ -23,7 +23,7 @@ from itertools import combinations, compress
 from typing import Callable, Iterable, Optional, Sequence
 
 from .cascade import commit_region, simulate_followers
-from .errors import ContractViolation, EnumerationCapExceeded
+from .errors import ContractViolation, EnumerationCapExceeded, require_int
 from .graph import Graph
 from .groups import SupportGroup, SupportGroupIndex, build_truss_group_index, refresh_index
 from .truss import TrussSubgraph, _k_truss, _peel, _undo, k_truss, parked
@@ -41,7 +41,8 @@ class SolverConfig:
     Every algorithm is deterministic and sequential; there is no seed
     anywhere.  `threads` is validated (>= 1) but ignored; `exact_cap`, the
     exact solver's refusal threshold, must be at least 1 too.  Every number
-    must be a plain int: a float budget, a NaN level or a bool is refused.
+    must be a plain int (`errors.require_int`), as every solver's budget
+    must: a float budget, a NaN level or a bool is refused.
     """
 
     k: int
@@ -51,20 +52,12 @@ class SolverConfig:
     exact_cap: int = DEFAULT_EXACT_CAP
 
     def __post_init__(self):
-        for name in ("k", "b", "threads", "exact_cap"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, not {value!r}")
-        if self.k < 3:
-            raise ValueError("k must be >= 3")
-        if self.b < 1:
-            raise ValueError("budget b must be >= 1")
+        require_int("k", self.k, 3)
+        require_int("budget b", self.b, 1)
+        require_int("threads", self.threads, 1)
+        require_int("exact_cap", self.exact_cap, 1)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.exact_cap < 1:
-            raise ValueError("exact_cap must be >= 1")
 
 
 @dataclass
@@ -275,6 +268,7 @@ def solve_baseline(t: TrussSubgraph, b: int) -> list[IterationRecord]:
     builds no list of the alive edge ids; every alive edge is evaluated, so
     both candidate counts are the edge count at the iteration's start.
     """
+    require_int("budget b", b, 1)
     records: list[IterationRecord] = []
     memo = DeadSetMemo(t)
     m, alive = t.graph.m, t.alive
@@ -311,6 +305,7 @@ def solve_support(t: TrussSubgraph, b: int) -> list[IterationRecord]:
     and since a peeled edge dies below k-2 those are committed seeds.  When
     no alive edge holds `level`, it rises to the lowest alive support.
     """
+    require_int("budget b", b, 1)
     partners_of = t.graph.triangle_index()
     alive, sup = t.alive, t.sup
     level = t.k - 2
@@ -354,6 +349,8 @@ def solve_exact(t: TrussSubgraph, b: int,
     edge-id sequence, which is the first one enumerated.  Refuses to run
     past `cap` combinations.
     """
+    require_int("budget b", b, 1)
+    require_int("cap", cap, 1)
     alive = t.alive_edge_ids()
     bb = min(b, len(alive))
     ncomb = math.comb(len(alive), bb)
@@ -540,18 +537,12 @@ def _solve_greedy(t: TrussSubgraph, b: int, groups: dict, bound: Sequence[int],
     list; after them and the memo, the order re-keys that list once and it
     is cleared.
 
-    `groups` is what `truss.parked(t)` returned.  The loop pops the
-    support-group index parked under `"support"` and points it at `t`, or
-    builds one when none is parked.  When the loop ends it rolls the index
-    back to the groups of the level, drops `t` and parks it there again; a
-    solve that raises parks nothing, and the next solve builds afresh.
+    `groups` is what `truss.parked(t)` returned: the loop lends the
+    support-group index parked under `"support"`, or builds one when none
+    is parked, and parks it there again as `truss.parked` describes.
     """
     records: list[IterationRecord] = []
-    support_groups = groups.pop("support", None)
-    if support_groups is None:
-        support_groups = SupportGroupIndex(t)
-    else:
-        support_groups.t = t
+    support_groups = groups.pop("support", None) or SupportGroupIndex(t)
     memo = DeadSetMemo(t)
     order = _ScanOrder(t.graph.m, support_groups, bound)
     changed: list[int] = []
@@ -563,14 +554,13 @@ def _solve_greedy(t: TrussSubgraph, b: int, groups: dict, bound: Sequence[int],
         followers = max(best_f, 0)
         dead, log = _commit(t, e_star, followers)
         region = commit_region(t, dead, log)
-        support_groups.update(region, changed)
+        support_groups.update(t, region, changed)
         refresh(dead, region, changed)
         memo.invalidate(region)
         order.rekey(changed)
         changed.clear()
         records.append(_record(t, e_star, followers, candidates_total, evaluated, start))
     support_groups.rollback()
-    support_groups.t = None
     groups["support"] = support_groups
     return records
 
@@ -584,6 +574,7 @@ def solve_gp_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
     candidate's follower set.  No bound ever moves, so a commit re-keys
     only the changed candidacies.
     """
+    require_int("budget b", b, 1)
     m = t.graph.m
     return _solve_greedy(t, b, parked(t), array("i", [m]) * m,
                          lambda dead, region, changed: None)
@@ -601,22 +592,17 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
     globals looked up per call, so wrappers of them see every call.
 
     The group index is the one parked on the graph's cached k-level
-    (`truss.parked`), handled as `_solve_greedy` handles the support-group
-    index: popped and pointed at `t` and a fresh nested truss, or built
-    when none is parked, then rolled back and parked again with neither
-    truss once the loop has returned.
+    (`truss.parked`), lent as `_solve_greedy` lends the support-group
+    index, or built when none is parked; the refresh is handed `t` and a
+    freshly thawed nested truss.
     """
+    require_int("budget b", b, 1)
     groups = parked(t)  # before the nested level may evict the k-level
     upper = _two_level_tau(t)
-    idx = groups.pop("truss", None)
-    if idx is None:
-        idx = build_truss_group_index(t, upper)
-    else:
-        idx.t, idx.upper = t, upper
+    idx = groups.pop("truss", None) or build_truss_group_index(t, upper)
     records = _solve_greedy(t, b, groups, idx.bound, lambda dead, region, changed:
-                            refresh_index(idx, dead, region, changed))
+                            refresh_index(idx, t, upper, dead, region, changed))
     idx.rollback()
-    idx.t = idx.upper = None
     groups["truss"] = idx
     return records
 

@@ -39,7 +39,7 @@ from collections import deque
 from itertools import compress
 from typing import Container, Iterable, Optional
 
-from .errors import ContractViolation
+from .errors import ContractViolation, require_int
 from .graph import Graph
 
 
@@ -203,12 +203,18 @@ def parked(t: TrussSubgraph) -> dict:
     of a level depend on the graph and k alone, so the greedy solvers park
     their live indexes in the returned dict: under `"support"` the
     `groups.SupportGroupIndex` that `gp_edge` and `up_edge` share, and
-    under `"truss"` `up_edge`'s `groups.GroupIndex`.  A solve pops the
-    index it uses, points it at its own truss, and parks it again only
-    after rolling it back to the level's groups and dropping every
-    `TrussSubgraph` it held; a solve that raises parks nothing.  The dict
-    lives as long as the level: created empty with it and evicted with it
+    under `"truss"` `up_edge`'s `groups.GroupIndex`.  The dict lives as
+    long as the level: created empty with it and evicted with it
     (`k_truss`).
+
+    Each solve runs one cycle per index.  Lend: it pops the index, or
+    builds one when nothing is parked.  Commit: each of its commits to its
+    own clone of the level updates the index, which takes that truss as an
+    argument and keeps none.  Rollback: when the loop returns,
+    `rollback()` puts the index back to the level's groups.  Park: it
+    stores the index in the dict again.  A solve that raises parks
+    nothing, so no half-committed index is lent, and the next solve
+    builds afresh.
     """
     level = t.graph._truss_cache.get(t.k)
     if level is None or level[2] != t.edge_count or level[0] != t.alive:
@@ -241,8 +247,7 @@ def _k_truss(g: Graph, k: int, compact: bool = False) -> TrussSubgraph:
     8-byte pointer, but indexing it is slower: it suits a truss that only
     its own cascades read, such as `minimize._two_level_tau`'s nested level.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 3:
-        raise ValueError(f"k must be an int >= 3, not {k!r}")
+    require_int("k", k, 3)
     cache = g._truss_cache
     level = cache.get(k)
     if level is not None:

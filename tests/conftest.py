@@ -147,7 +147,7 @@ def assert_support_build_matches_reference(t: TrussSubgraph, context=None) -> No
     assert sorted(index.iter_candidates()) == candidates, context
     assert index.over_count == Counter(o for grp in groups for o in grp.over_adjacent), context
     assert index.pruned_count == Counter(o for grp in groups for o in grp.pruned_followers), context
-    assert_candidacy_rule(index, context)
+    assert_candidacy_rule(t, index, context)
 
 
 def gids(gid_of) -> dict[int, int]:
@@ -164,26 +164,27 @@ def votes(counts: dict[int, int]) -> dict[int, int]:
     return {e: n for e, n in counts.items() if n}
 
 
-def assert_candidacy_rule(index: SupportGroupIndex, context=None) -> None:
-    """`index.is_candidate` accepts exactly the edges `iter_candidates` yields."""
+def assert_candidacy_rule(t: TrussSubgraph, index: SupportGroupIndex, context=None) -> None:
+    """`index.is_candidate` accepts exactly the edges `iter_candidates` yields,
+    among the edges of the graph of `t`, the truss the index is kept on."""
     view = set(index.iter_candidates())
-    assert [e for e in range(index.t.graph.m) if index.is_candidate(e) != (e in view)] == [], \
-        context
+    assert [e for e in range(t.graph.m) if index.is_candidate(e) != (e in view)] == [], context
 
 
-def upper_bound(idx, e) -> int:
+def upper_bound(idx, t: TrussSubgraph, upper: TrussSubgraph, e) -> int:
     """Bound on the follower count of `e`: total size of its adjacent groups.
 
     The from-scratch reference for the maintained `idx.bound`, summed
-    afresh from `idx.adjacent_gids`.  `e` is an edge id or a pair of dense
-    vertex ids (positions in the sorted `idx.t.graph.labels`), not a pair
-    of input labels.
+    afresh from `idx.adjacent_gids` over the k-truss `t` and the
+    (k+1)-truss `upper` nested in it.  `e` is an edge id or a pair of dense
+    vertex ids (positions in the sorted `t.graph.labels`), not a pair of
+    input labels.
     """
-    eid = idx.t.graph.resolve_edge(e)
-    if not idx.t.alive[eid]:
+    eid = t.graph.resolve_edge(e)
+    if not t.alive[eid]:
         raise ContractViolation(
             f"edge id {eid} is not in the current truss; index is stale")
-    return sum(len(idx.groups[gid][0]) for gid in idx.adjacent_gids(eid))
+    return sum(len(idx.groups[gid][0]) for gid in idx.adjacent_gids(t, upper, eid))
 
 
 def group_sizes(idx) -> dict[int, int]:

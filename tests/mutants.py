@@ -128,6 +128,10 @@ PARKED_RAISES = "tests/test_minimize.py::TestParkedGroups::test_a_solve_that_rai
 PARKED_KEPT = ("tests/test_minimize.py::TestParkedGroups::"
                "test_a_level_keeps_its_groups_across_solves_at_another_level")
 PARKED_LEVELS = "tests/test_truss.py::TestTrussCache::test_each_cached_level_parks_in_its_own_dict"
+BUDGET = "tests/test_minimize.py::TestSolverConfig::test_every_solver_refuses_a_budget_the_config_refuses"
+BUDGET_UP, BUDGET_UP_ZERO = BUDGET + "[up_edge-2.5]", BUDGET + "[up_edge-0]"
+CAP = "tests/test_minimize.py::TestSolverConfig::test_exact_refuses_a_cap_the_config_refuses"
+CAP_FLOAT, CAP_ZERO = CAP + "[2.5]", CAP + "[0]"
 
 MUTANTS = (
     # the key layout (`graph.Graph`): with v >= n, u*n + v is another edge's key
@@ -145,6 +149,15 @@ MUTANTS = (
            "partners[e] = tuple(partners[e])", "pass",
            ("tests/test_graph.py::TestTriangleIndex::test_random_graphs_with_sparse_labels",
             "tests/test_graph.py::TestTriangleIndex::test_empty_path_and_k5[pairs2-10]")),
+    # `Graph.from_pairs` refuses an item that is not a pair, as it refuses a bad label
+    Mutant("from_pairs unpacks its items unchecked", GRAPH,
+           "            try:\n"
+           "                a, b = item\n"
+           "            except (TypeError, ValueError):\n",
+           "            a, b = item\n"
+           "            if False:\n",
+           ("tests/test_graph.py::TestFromPairs::test_labels_must_be_non_negative_ints[int-item]",
+            "tests/test_graph.py::TestFromPairs::test_labels_must_be_non_negative_ints[triple]")),
     # the b half of the support-group grower (`groups._grow_support_group`)
     Mutant("support grower drops b as a member", GROUPS,
            "other = gid_of.get(b, -1)\n"
@@ -246,6 +259,16 @@ MUTANTS = (
     Mutant("every exact record claims the enumeration", MINIMIZE,
            "0 if records else ncomb", "ncomb",
            (EXACT_COUNTS,)),
+    # every solver refuses, before it commits or builds anything, the
+    # budgets and caps `SolverConfig` refuses (`errors.require_int`)
+    Mutant("up_edge takes any budget", MINIMIZE,
+           "    require_int(\"budget b\", b, 1)\n"
+           "    groups = parked(t)",
+           "    groups = parked(t)",
+           (BUDGET_UP, BUDGET_UP_ZERO)),
+    Mutant("exact takes any cap", MINIMIZE,
+           '    require_int("cap", cap, 1)\n', "",
+           (CAP_FLOAT, CAP_ZERO)),
     # the dispatcher (`minimize.solve`): its name-to-solver table, and the
     # warning an empty truss gets instead of the early-stop one
     Mutant("an empty truss warns as emptied", MINIMIZE,
@@ -360,7 +383,7 @@ MUTANTS = (
            "if sup[e] == threshold and gid_of.get(e, -1) < 0:",
            (BUILD_DEAD_SEED, BUILD_RANDOM)),
     Mutant("the build collects its votes", GROUPS,
-           "self.update(starts, _DISCARD)", "self.update(starts, [])",
+           "self.update(t, starts, _DISCARD)", "self.update(t, starts, [])",
            (BUILD_NO_VOTES,)),
     Mutant("the candidate iterator ignores pruned votes", GROUPS,
            "filterfalse(self.pruned_count.get, compress(over, over.values()))",
@@ -376,21 +399,28 @@ MUTANTS = (
            "order.rekey(changed)", "pass",
            (GP_ORDER, OVERLAP_AGREE)),
     Mutant("support-group updates write into a list the loop never reads", MINIMIZE,
-           "support_groups.update(region, changed)", "support_groups.update(region, [])",
+           "support_groups.update(t, region, changed)", "support_groups.update(t, region, [])",
            (GP_ORDER, OVERLAP_AGREE)),
     Mutant("the bound source's refresh writes into a list the loop never reads", MINIMIZE,
-           "refresh_index(idx, dead, region, changed)", "refresh_index(idx, dead, region, [])",
+           "refresh_index(idx, t, upper, dead, region, changed)",
+           "refresh_index(idx, t, upper, dead, region, [])",
+           (CACHED_BOUNDS, GOLDEN_UP)),
+    # the refresh takes the nested truss as an argument: `solve_up_edge`'s
+    # own, thawed for the solve, not the k-truss it commits to
+    Mutant("up_edge hands the refresh its k-truss as the nested truss", MINIMIZE,
+           "refresh_index(idx, t, upper, dead, region, changed)",
+           "refresh_index(idx, t, t, dead, region, changed)",
            (CACHED_BOUNDS, GOLDEN_UP)),
     # truss-group maintenance (`groups.GroupIndex`, `groups.refresh_index`):
     # the refresh cascades the commit's dead through the nested truss, widens
     # the region by that truss's dead, and appends the widened region and
     # the regrown touch sets to `moved`
     Mutant("the refresh never cascades the nested truss", GROUPS,
-           "commit_region(t, idx.upper.cascade(dead), ())", "commit_region(t, [], ())",
+           "commit_region(t, upper.cascade(dead), ())", "commit_region(t, [], ())",
            (REFRESH_CHAIN, CACHED_BOUNDS, GREEDY_RANDOM)),
     Mutant("the nested truss's dead stay out of the region", GROUPS,
-           "grown = region | commit_region(t, idx.upper.cascade(dead), ())",
-           "idx.upper.cascade(dead)\n    grown = set(region)",
+           "grown = region | commit_region(t, upper.cascade(dead), ())",
+           "upper.cascade(dead)\n    grown = set(region)",
            (REFRESH_CHAIN, CACHED_BOUNDS, GREEDY_RANDOM)),
     Mutant("refresh leaves the region out of moved", GROUPS,
            "    moved.extend(grown)\n", "",
@@ -424,7 +454,7 @@ MUTANTS = (
     # parked indexes (`truss.parked`): each cached level parks in a dict of
     # its own, reused only for a truss equal to the level.  A solve pops
     # each index it uses, and parks it again only once the loop returns,
-    # rolled back to the level's groups and holding no truss
+    # rolled back to the level's groups
     Mutant("reuse ignores the freshness check", TRUSS,
            "if level is None or level[2] != t.edge_count or level[0] != t.alive:",
            "if level is None:",
@@ -449,24 +479,16 @@ MUTANTS = (
            (PARKED_ROLLBACK, PARKED_ERODING, PARKED_OVERLAP)),
     Mutant("the truss index is re-parked in a finally", MINIMIZE,
            "    records = _solve_greedy(t, b, groups, idx.bound, lambda dead, region, changed:\n"
-           "                            refresh_index(idx, dead, region, changed))\n"
+           "                            refresh_index(idx, t, upper, dead, region, changed))\n"
            "    idx.rollback()\n"
-           "    idx.t = idx.upper = None\n"
            '    groups["truss"] = idx\n',
            "    try:\n"
            "        records = _solve_greedy(t, b, groups, idx.bound, lambda dead, region, changed:\n"
-           "                                refresh_index(idx, dead, region, changed))\n"
+           "                                refresh_index(idx, t, upper, dead, region, changed))\n"
            "    finally:\n"
            "        idx.rollback()\n"
-           "        idx.t = idx.upper = None\n"
            '        groups["truss"] = idx\n',
            (PARKED_RAISES,)),
-    Mutant("a parked truss index keeps its trusses", MINIMIZE,
-           "idx.t = idx.upper = None", "pass",
-           (PARKED_RANDOM, PARKED_INTERLEAVED)),
-    Mutant("a parked support index keeps its truss", MINIMIZE,
-           "support_groups.t = None", "pass",
-           (PARKED_RANDOM, PARKED_INTERLEAVED)),
     # `--dump-groups` (`cli._groups_dump`) reads the indexes a solve parked
     Mutant("the dump grows its own groups", CLI,
            "groups = parked(t)", "groups = {}",

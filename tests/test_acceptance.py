@@ -109,13 +109,14 @@ def test_criterion_3_pruning_rules_are_sound():
                 continue
             groups, _ = find_support_groups(t)
             shell = _threshold_shell(t)
-            idx = build_truss_group_index(t, next_level(t))
+            upper = next_level(t)
+            idx = build_truss_group_index(t, upper)
             for e in t.alive_edge_ids():
                 f = followers_of_edge(t, e)
                 if e not in shell:
                     assert f == 0, f"edge {g.original_pair(e)} outside the shell"
                     checked["outside_shell"] += 1
-                assert upper_bound(idx, e) >= f, f"bound beaten at {g.original_pair(e)}"
+                assert upper_bound(idx, t, upper, e) >= f, f"bound beaten at {g.original_pair(e)}"
                 checked["bound"] += 1
             for grp in groups:
                 for m in grp.members:
@@ -174,7 +175,7 @@ def test_criterion_5_incremental_maintenance_matches_scratch():
                 for e in range(g.m):
                     if tau[e] != 0:
                         assert tau[e] == expected[g.original_pair(e)]
-                idx = refresh_index(idx, *commit_nested(t, eid), [])
+                idx = refresh_index(idx, t, upper, *commit_nested(t, eid), [])
                 # what up_edge maintains: the k-truss and the (k+1)-truss nested in it
                 for level, kept in ((k, t), (k + 1, upper)):
                     assert label_pairs(g, kept.alive_edge_ids()) == \
@@ -411,7 +412,7 @@ def test_criterion_9_support_group_maintenance_matches_scratch():
                 assert_no_queued_edge(t)
                 before = set(index.iter_candidates())
                 changed = []
-                index.update(commit_region(t, dead, log), changed)
+                index.update(t, commit_region(t, dead, log), changed)
                 groups, candidates = find_support_groups(t)
                 assert index.groups() == groups, \
                     f"k={k}, after deleting {label_pairs(g, seeds)} from {pairs}"
@@ -420,7 +421,7 @@ def test_criterion_9_support_group_maintenance_matches_scratch():
                 assert sorted(index.iter_candidates()) == candidates
                 # the edges a scan order re-keys hold every changed candidacy
                 assert before ^ set(index.iter_candidates()) <= set(changed)
-                assert_candidacy_rule(index)
+                assert_candidacy_rule(t, index)
                 commits += 1
     report("criterion 9: maintained support groups == scratch after every commit",
            commits > 0, f"{len(graphs)} graphs, k=3..7, {commits} commits replayed")

@@ -341,9 +341,9 @@ class TestMinimize:
         grown = {"support_groups": 0, "truss_groups": 0}
         real_grow, real_grow_support = groups.GroupIndex._grow, groups._grow_support_group
 
-        def grow(idx, start, done, stamp):
+        def grow(idx, t, upper_alive, start, done, stamp):
             grown["truss_groups"] += 1
-            return real_grow(idx, start, done, stamp)
+            return real_grow(idx, t, upper_alive, start, done, stamp)
 
         def grow_support(t, start, gid_of, done):
             grown["support_groups"] += 1

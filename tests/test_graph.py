@@ -110,7 +110,12 @@ class TestFromPairs:
         [(1.5, 2), (2, 3), (3, 1.5)],
         [(-1, 2), (2, 3), (3, -1)],
         [("a", "b"), ("b", "c"), ("c", "a")],
-    ], ids=["bool", "float", "negative", "str"])
+        # items that are not pairs once escaped as a raw TypeError or ValueError
+        [5],
+        [None],
+        [(1, 2, 3)],
+        [(1,)],
+    ], ids=["bool", "float", "negative", "str", "int-item", "none-item", "triple", "single"])
     def test_labels_must_be_non_negative_ints(self, pairs):
         with pytest.raises(ContractViolation):
             Graph.from_pairs(pairs)

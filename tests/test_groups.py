@@ -170,8 +170,8 @@ class TestSupportGroupIndex:
     def test_build_records_no_votes(self, monkeypatch):
         # the build is the update from empty, handed `_DISCARD`, which keeps nothing
         real_update, lists = SupportGroupIndex.update, []
-        monkeypatch.setattr(SupportGroupIndex, "update", lambda self, region, changed:
-                            lists.append(changed) or real_update(self, region, changed))
+        monkeypatch.setattr(SupportGroupIndex, "update", lambda self, t, region, changed:
+                            lists.append(changed) or real_update(self, t, region, changed))
         index = SupportGroupIndex(k_truss(graph_of(complete_pairs(5)), 5))
         assert len(index.groups()) == 1
         assert len(lists) == 1 and lists[0] is truss._DISCARD and not truss._DISCARD
@@ -186,12 +186,12 @@ class TestSupportGroupIndex:
         log = []
         dead = t.cascade([g.edge_id(0, 1)], log)
         changed = []
-        index.update(commit_region(t, dead, log), changed)
+        index.update(t, commit_region(t, dead, log), changed)
         assert index.groups() == [second]
         assert index.rep_group[g.edge_id(5, 6)] is second
         assert sorted(index.iter_candidates()) == [g.edge_id(5, 6)]
         assert before ^ set(index.iter_candidates()) <= set(changed)
-        assert_candidacy_rule(index)
+        assert_candidacy_rule(t, index)
 
     def test_new_threshold_edges_form_groups(self):
         # K6 at k=5 has no threshold edge; one deletion lowers its
@@ -204,12 +204,12 @@ class TestSupportGroupIndex:
         dead = t.cascade([g.edge_id(0, 1)], log)
         assert dead == [g.edge_id(0, 1)]
         changed = []
-        index.update(commit_region(t, dead, log), changed)
+        index.update(t, commit_region(t, dead, log), changed)
         groups, candidates = find_support_groups(t)
         assert [grp.members for grp in index.groups()] == [grp.members for grp in groups] != []
         assert sorted(index.iter_candidates()) == candidates
         assert set(candidates) <= set(changed)
-        assert_candidacy_rule(index)
+        assert_candidacy_rule(t, index)
 
     def test_build_matches_reference_on_random_trusses(self, rng):
         for g, k, t in random_trusses(rng, 40):
@@ -289,10 +289,11 @@ class TestTrussGroupIndex:
             upper = next_level(t)
             for gid, (members, _) in build_truss_group_index(t, upper).groups.items():
                 for x in members[1:]:
-                    idx = groups.GroupIndex(t, upper)
+                    idx = groups.GroupIndex(t.graph.m)
                     idx.gid_of[x] = x
                     with pytest.raises(AssertionError, match="reached group"):
-                        idx._grow(gid, t.alive.translate(groups.FLIP), bytearray(t.graph.m))
+                        idx._grow(t, upper.alive, gid, t.alive.translate(groups.FLIP),
+                                  bytearray(t.graph.m))
                     checked += 1
         assert checked > 100
 
@@ -310,10 +311,10 @@ class TestTrussGroupIndex:
 
         real_grow = groups.GroupIndex._grow
 
-        def grow(idx, start, done, stamp):
+        def grow(idx, t, upper_alive, start, done, stamp):
             assert not any(stamp)
             counting = CountingStamp(stamp)
-            real_grow(idx, start, done, counting)
+            real_grow(idx, t, upper_alive, start, done, counting)
             assert not any(counting)
 
         monkeypatch.setattr(groups.GroupIndex, "_grow", grow)
@@ -339,41 +340,41 @@ class TestTrussGroupIndex:
 
 class TestUpperBound:
     def test_k5_bound_dominates_followers(self, k5):
-        t, _, idx = nested_index(k5, 5)
+        t, upper, idx = nested_index(k5, 5)
         for e in t.alive_edge_ids():
-            assert upper_bound(idx, e) == 10
+            assert upper_bound(idx, t, upper, e) == 10
             assert followers_of_edge(t, e) == 9
 
     def test_disjoint_k5s_only_own_group_counts(self):
         pairs = complete_pairs(5) + complete_pairs(5, offset=10)
         g = graph_of(pairs)
-        _, _, idx = nested_index(g, 5)
+        t, upper, idx = nested_index(g, 5)
         for e in range(g.m):
-            assert upper_bound(idx, e) == 10
+            assert upper_bound(idx, t, upper, e) == 10
 
     def test_edge_with_no_adjacent_level_edges_bounds_zero(self):
         # K6 plus a disjoint K4: at k=4 the K6 edges sit above level 4
         # and touch no trussness-4 edge, so their bound is the empty sum.
         pairs = complete_pairs(6) + complete_pairs(4, offset=10)
         g = graph_of(pairs)
-        t, _, idx = nested_index(g, 4)
+        t, upper, idx = nested_index(g, 4)
         k6_edge = g.edge_id(0, 1)
-        assert upper_bound(idx, k6_edge) == 0
+        assert upper_bound(idx, t, upper, k6_edge) == 0
         assert followers_of_edge(t, k6_edge) == 0
 
     def test_stale_or_outside_edge_rejected(self, k5):
         pairs = complete_pairs(5) + [(4, 9)]
         g = graph_of(pairs)
-        _, _, idx = nested_index(g, 5)
+        t, upper, idx = nested_index(g, 5)
         pendant = g.m - 1
         with pytest.raises(ContractViolation):
-            upper_bound(idx, pendant)
+            upper_bound(idx, t, upper, pendant)
 
     @pytest.mark.parametrize("bad", [-1, 10, True])
     def test_out_of_range_and_bool_ids_rejected(self, k5, bad):
-        _, _, idx = nested_index(k5, 5)
+        t, upper, idx = nested_index(k5, 5)
         with pytest.raises(ContractViolation):
-            upper_bound(idx, bad)
+            upper_bound(idx, t, upper, bad)
 
     def test_level_edge_outside_every_group_is_stale(self, k6):
         # deleting a K6 edge drops the other 14 from trussness 6 to 5; with
@@ -383,7 +384,7 @@ class TestUpperBound:
         upper.cascade(dead)
         for e in t.alive_edge_ids():
             with pytest.raises(ContractViolation, match="stale"):
-                upper_bound(idx, e)
+                upper_bound(idx, t, upper, e)
 
     def test_bound_dominates_on_random_graphs(self, rng):
         for _ in range(40):
@@ -392,29 +393,29 @@ class TestUpperBound:
                 continue
             g = graph_of(pairs)
             for k in (3, 4, 5):
-                t, _, idx = nested_index(g, k)
+                t, upper, idx = nested_index(g, k)
                 if t.edge_count == 0:
                     continue
                 for e in t.alive_edge_ids():
-                    assert upper_bound(idx, e) >= followers_of_edge(t, e)
+                    assert upper_bound(idx, t, upper, e) >= followers_of_edge(t, e)
 
 
 class TestRefreshIndex:
     def test_no_changes_returns_same_object(self):
         g = graph_of([(0, 1), (1, 2), (0, 2), (2, 3)])
-        t, _, idx = nested_index(g, 3)
+        t, upper, idx = nested_index(g, 3)
         dead, region = commit_nested(t, g.edge_id(2, 3))
         assert region == set()
         moved = []
-        idx2 = refresh_index(idx, dead, region, moved)
+        idx2 = refresh_index(idx, t, upper, dead, region, moved)
         assert idx2 is idx and moved == []
         assert idx2.last_dissolved == set()
         assert index_partition_labels(g, idx2) == \
             index_partition_labels(g, nested_index(g, 3)[2])
 
     def test_k5_deletion_moves_the_group_down_a_level(self, k5):
-        t, _, idx = nested_index(k5, 5)
-        idx = refresh_index(idx, *commit_nested(t, k5.edge_id(0, 1)), [])
+        t, upper, idx = nested_index(k5, 5)
+        idx = refresh_index(idx, t, upper, *commit_nested(t, k5.edge_id(0, 1)), [])
         assert group_sizes(idx) == {}
         t4, upper4, _ = nested_index(k5, 4)
         dead, _ = commit_nested(t4, k5.edge_id(0, 1))
@@ -424,13 +425,13 @@ class TestRefreshIndex:
     def test_untouched_group_keeps_identity(self):
         pairs = complete_pairs(5) + complete_pairs(5, offset=10)
         g = graph_of(pairs)
-        t, _, idx = nested_index(g, 5)
+        t, upper, idx = nested_index(g, 5)
         second_gid = {idx.gid_of[e] for e in range(g.m)
                       if g.original_pair(e)[0] >= 10}
         assert second_gid == {g.edge_id(5, 6)}  # labels (10, 11), its smallest edge
         second_gid = second_gid.pop()
         before = idx.groups[second_gid]
-        idx = refresh_index(idx, *commit_nested(t, g.edge_id(0, 1)), [])
+        idx = refresh_index(idx, t, upper, *commit_nested(t, g.edge_id(0, 1)), [])
         # a regrown group would get the same id and an equal record, so check
         # that the refresh left it alone rather than rebuilt it
         assert second_gid not in idx.last_dissolved
@@ -453,17 +454,19 @@ class TestRefreshIndex:
         assert g.edge_id(0, 1) in region and {idx.gid_of[x] for x in region} == {-1}
         upper.cascade(dead)
         with pytest.raises(AssertionError, match="reached group"):
-            refresh_index(idx, [], region, [])
+            refresh_index(idx, t, upper, [], region, [])
 
     @staticmethod
-    def assert_matches_rebuild(g, t, idx, context):
+    def assert_matches_rebuild(g, t, upper, idx, context):
         """Group ids, members, touch sets and every edge's bound equal a fresh index's.
 
-        Each touch set is also checked against its definition: duplicate-free,
-        and the members plus every edge of their alive triangles.
+        `upper` is the nested truss the refreshes kept.  Each touch set is
+        also checked against its definition: duplicate-free, and the members
+        plus every edge of their alive triangles.
         """
-        fresh = build_truss_group_index(t, next_level(t))
-        assert_no_queued_edge(idx.upper)
+        fresh_upper = next_level(t)
+        fresh = build_truss_group_index(t, fresh_upper)
+        assert_no_queued_edge(upper)
         partners = g.triangle_index()
 
         def triangle_edges(e):
@@ -480,7 +483,7 @@ class TestRefreshIndex:
             {gid: (ms, set(touch)) for gid, (ms, touch) in fresh.groups.items()}, context
         assert idx.bound == fresh.bound, context
         for e in range(g.m):
-            want = upper_bound(fresh, e) if t.alive[e] else 0
+            want = upper_bound(fresh, t, fresh_upper, e) if t.alive[e] else 0
             assert idx.bound[e] == want, (context, g.original_pair(e))
 
     @staticmethod
@@ -499,19 +502,19 @@ class TestRefreshIndex:
                 continue
             g = graph_of(pairs)
             k = rng.choice((3, 4, 5))
-            t, _, idx = nested_index(g, k)
+            t, upper, idx = nested_index(g, k)
             index = SupportGroupIndex(t)
-            self.assert_matches_rebuild(g, t, idx, f"level {k} build")
+            self.assert_matches_rebuild(g, t, upper, idx, f"level {k} build")
             order = list(range(g.m))
             rng.shuffle(order)
             for eid in order[:12]:
                 dead, region = commit_nested(t, eid)
                 before = list(idx.bound)
                 moved = []
-                idx = refresh_index(idx, dead, region, moved)
-                index.update(region, [])
+                idx = refresh_index(idx, t, upper, dead, region, moved)
+                index.update(t, region, [])
                 context = f"level {k} diverged after deleting {g.original_pair(eid)}"
-                self.assert_matches_rebuild(g, t, idx, context)
+                self.assert_matches_rebuild(g, t, upper, idx, context)
                 self.assert_support_groups_match(t, index, context)
                 # a solver keeping its own copy of the bounds re-reads `moved` alone
                 assert {e for e in range(g.m) if idx.bound[e] != before[e]} <= set(moved), \
@@ -522,16 +525,16 @@ class TestRefreshIndex:
         # part of a truss component, so groups split and touch sets shrink
         g = graph_of(synth.community_pairs(seed=2, scale=3))
         chosen = [r.eid for r in solve_up_edge(k_truss(g, 8), 12)]
-        t, _, idx = nested_index(g, 8)
+        t, upper, idx = nested_index(g, 8)
         index = SupportGroupIndex(t)
         dissolved = 0
         for eid in chosen:
             dead, region = commit_nested(t, eid)
-            idx = refresh_index(idx, dead, region, [])
-            index.update(region, [])
+            idx = refresh_index(idx, t, upper, dead, region, [])
+            index.update(t, region, [])
             dissolved += len(idx.last_dissolved)
             context = f"after deleting {g.original_pair(eid)}"
-            self.assert_matches_rebuild(g, t, idx, context)
+            self.assert_matches_rebuild(g, t, upper, idx, context)
             self.assert_support_groups_match(t, index, context)
         assert dissolved > len(chosen)
 
@@ -540,7 +543,7 @@ class TestRefreshIndex:
         # nearly every commit dissolves it; up_edge's chain splits pieces off
         g = graph_of(synth.overlapping_pairs(seed=42, scale=1))
         chosen = [r.eid for r in solve_up_edge(k_truss(g, 8), 5)]
-        t, _, idx = nested_index(g, 8)
+        t, upper, idx = nested_index(g, 8)
         sizes = sorted(group_sizes(idx).values())
         assert (sizes[-1], sum(sizes)) == (6_537, 7_545)
         index = SupportGroupIndex(t)
@@ -550,11 +553,11 @@ class TestRefreshIndex:
             dead, region = commit_nested(t, eid)
             before, groups_before = list(idx.bound), len(idx.groups)
             moved = []
-            idx = refresh_index(idx, dead, region, moved)
-            index.update(region, [])
+            idx = refresh_index(idx, t, upper, dead, region, moved)
+            index.update(t, region, [])
             splits += len(idx.groups) > groups_before
             context = f"after deleting {g.original_pair(eid)}"
-            self.assert_matches_rebuild(g, t, idx, context)
+            self.assert_matches_rebuild(g, t, upper, idx, context)
             assert {e for e in range(g.m) if idx.bound[e] != before[e]} <= set(moved), context
             # the support groups the commit dissolved regrew from all their
             # members: the maintained index equals a rebuild, field by field,

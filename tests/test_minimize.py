@@ -76,6 +76,30 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="k must be an int"):
             k_truss(k5, bad)
 
+    # called directly, each solver once took b = 2.5 for 3 deletions, True
+    # for 1, and 0 or -1 for none, without an error
+    @pytest.mark.parametrize("bad", NON_INTS + [0, -1])
+    @pytest.mark.parametrize("solver", [solve_exact, solve_support, solve_baseline,
+                                        solve_gp_edge, solve_up_edge],
+                             ids=["exact", "support", "baseline", "gp_edge", "up_edge"])
+    def test_every_solver_refuses_a_budget_the_config_refuses(self, k5, solver, bad):
+        with pytest.raises(ValueError):
+            SolverConfig(k=5, b=bad)
+        t = k_truss(k5, 5)
+        with pytest.raises(ValueError, match="budget b must be"):
+            solver(t, bad)
+        assert t.edge_count == k5.m
+
+    @pytest.mark.parametrize("bad", NON_INTS + [0, -1])
+    def test_exact_refuses_a_cap_the_config_refuses(self, k5, bad):
+        # a float cap once ended in a raw TypeError
+        with pytest.raises(ValueError):
+            SolverConfig(k=5, b=1, algorithm="exact", exact_cap=bad)
+        t = k_truss(k5, 5)
+        with pytest.raises(ValueError, match="cap must be"):
+            solve_exact(t, 1, bad)
+        assert t.edge_count == k5.m
+
 
 class TestSolveDispatch:
     def test_k5_every_algorithm_fully_collapses(self, k5):
@@ -834,9 +858,9 @@ class TestOverlappingCommunities:
         real_refresh = minimize.refresh_index
         before_and_dissolved = []
 
-        def refresh(idx, dead, region, moved):
+        def refresh(idx, t, upper, dead, region, moved):
             before = dict(idx.groups)
-            out = real_refresh(idx, dead, region, moved)
+            out = real_refresh(idx, t, upper, dead, region, moved)
             dissolved = sum(out.groups.get(gid) is not grp for gid, grp in before.items())
             before_and_dissolved.append((len(before), dissolved))
             return out
@@ -954,8 +978,9 @@ def fresh_keys(t, bounded: bool) -> dict[int, int]:
     m, candidates = t.graph.m, find_support_groups(t)[1]
     if not bounded:
         return {c: c for c in candidates}
-    fresh = build_truss_group_index(t, next_level(t))
-    return {c: (m - upper_bound(fresh, c)) * m + c for c in candidates}
+    upper = next_level(t)
+    fresh = build_truss_group_index(t, upper)
+    return {c: (m - upper_bound(fresh, t, upper, c)) * m + c for c in candidates}
 
 
 def check_scan_order(monkeypatch, bounded: bool) -> list[int]:
@@ -1036,8 +1061,8 @@ class TestScanOrder:
                     eid = rng.choice(t.alive_edge_ids())
                     dead, region = commit_nested(t, eid)
                     changed, moved = [], []
-                    index.update(region, changed)
-                    refresh_index(idx, dead, region, moved)
+                    index.update(t, region, changed)
+                    refresh_index(idx, t, upper, dead, region, moved)
                     # the edges whose bound moved also hold every edge whose
                     # candidacy changed, so they alone re-key `up`
                     up.rekey(moved)
@@ -1217,12 +1242,12 @@ class TestParkedGroups:
                 idx = build_truss_group_index(t, _two_level_tau(t))
                 for _ in range(2):
                     t = k_truss(g, k)
-                    index.t, idx.t, idx.upper = t, t, _two_level_tau(t)
+                    upper = _two_level_tau(t)
                     for eid in rng.sample(t.alive_edge_ids(), min(3, t.edge_count)):
                         if t.alive[eid]:
                             dead, region = commit_nested(t, eid)
-                            index.update(region, [])
-                            refresh_index(idx, dead, region, [])
+                            index.update(t, region, [])
+                            refresh_index(idx, t, upper, dead, region, [])
                             rounds += 1
                     index.rollback()
                     idx.rollback()

@@ -2,11 +2,17 @@
 
 `perfbench/spans.py` wraps library functions and methods by name.  A
 refactor that drops or renames one of them breaks tracing; this test makes
-that a test failure instead of a failed benchmark run.
+that a test failure instead of a failed benchmark run.  A refactor that
+stops calling one of them through `minimize` leaves its layer reading 0,
+so a traced solve pins how often each layer runs.
 """
 
 import inspect
+from collections import Counter
 from pathlib import Path
+
+import synth
+from trussmin import Graph, SolverConfig, minimize
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -36,3 +42,28 @@ def test_cascade_takes_what_the_commit_wrapper_forwards():
         ("seeds", positional, inspect.Parameter.empty),
         ("log", positional, None),
     ]
+
+
+def test_a_traced_solve_records_every_layer_it_calls():
+    # a solver that stops calling a traced name through `minimize` leaves
+    # that layer reading 0 in every benchmark run; the names the solvers
+    # no longer call are listed too, so retiring them updates this test
+    def records(solve, g) -> list[list[tuple]]:
+        return [[(r.edge, r.eid, r.followers, r.candidates_total, r.candidates_evaluated)
+                 for r in solve(g, SolverConfig(k=8, b=3, algorithm=algorithm)).iterations]
+                for algorithm in ("up_edge", "gp_edge", "up_edge", "baseline", "support")]
+
+    pairs = synth.community_pairs(seed=2, scale=3)
+    spans = load_spans()
+    tracer = spans["Tracer"]()
+    solve = tracer.wrap(spans["SOLVE"], minimize.solve)
+    with tracer.installed():
+        traced = records(solve, Graph.from_pairs(pairs))
+    counts = Counter(span[0] for span in tracer.spans)
+    want = {"minimize.solve": 5, "truss.k_truss": 5, "minimize.two_level_tau": 2,
+            "groups.build_index": 1, "groups.refresh_index": 6, "cascade.commit": 15}
+    assert {name: counts[name] for name in want} == want
+    assert counts["cascade.simulate"] > 0
+    unused = ("truss.update_after_deletion", "groups.find_support_groups", "groups.bound_pricing")
+    assert [name for name in unused if counts[name]] == []
+    assert records(minimize.solve, Graph.from_pairs(pairs)) == traced

@@ -168,13 +168,13 @@ def _groups_dump(g: Graph, k: int) -> dict:
                 "pruned_followers": sorted(
                     list(g.original_pair(e)) for e in grp.pruned_followers),
             }
-            for i, grp in enumerate(support_groups.groups())
+            for i, (_, grp) in enumerate(sorted(support_groups.groups.items()))
         ],
         "candidates": [list(g.original_pair(e)) for e in sorted(support_groups.iter_candidates())],
         "truss_groups": [
-            {"gid": i, "size": len(members),
-             "members": [list(g.original_pair(e)) for e in members]}
-            for i, (_, (members, _)) in enumerate(sorted(idx.groups.items()))
+            {"gid": i, "size": len(grp.members),
+             "members": [list(g.original_pair(e)) for e in grp.members]}
+            for i, (_, grp) in enumerate(sorted(idx.groups.items()))
         ],
     }
 

@@ -9,7 +9,9 @@ checked against.  Truss groups play
 the same role one level up: maximal sets of trussness-k edges chained
 through triangles whose edges all sit at trussness >= k, crossing only
 shared edges of trussness exactly k.  The sum of the sizes of the truss
-groups an edge touches bounds its follower count from above.
+groups an edge touches bounds its follower count from above, and a
+`GroupIndex` keeps that sum for every edge.  Both indexes keep their
+groups as `_GroupStore` describes.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from array import array
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field
 from itertools import chain, compress, filterfalse
+from typing import NamedTuple
 
 from .cascade import commit_region
 from .errors import ContractViolation
@@ -131,16 +134,82 @@ def find_support_groups(t: TrussSubgraph) -> tuple[list[SupportGroup], list[int]
     return groups, candidates
 
 
-class SupportGroupIndex:
+class _GroupStore:
+    """Groups by id, each replaced but never changed, logged for a rollback.
+
+    A group's id is its smallest member.  `gid_of` maps each grouped edge
+    to its group's id, and an edge in no group to -1: an edge leaving its
+    group keeps its entry at -1, so a rollback writes into entries that
+    are there already and no table grows.  `groups` maps each id to the
+    group's record, whose `members` are ascending.
+
+    No record is changed once grown: an update takes out the groups it
+    could have changed (`_dissolve`), grows new ones over their members,
+    and logs both.  `grown` maps the id of each group it added that the
+    index still holds to the record, and `dissolved` lists the records it
+    took out that the build left: a group grown since the last rollback
+    and dissolved again leaves `grown` and is not listed, since the groups
+    a rollback returns to never held it.  `rollback` undoes every update
+    since the build or the last rollback from those two logs, so one index
+    serves every solve on a truss level (`truss.parked`).
+
+    A subclass supplies `_weigh(record, delta, changed)`, which adds (+1)
+    or withdraws (-1) the group's share of the index's per-edge tables.
+    """
+
+    __slots__ = ("gid_of", "groups", "grown", "dissolved")
+
+    def __init__(self, gid_of):
+        self.gid_of = gid_of
+        self.groups: dict = {}
+        self.grown: dict = {}
+        self.dissolved: list = []
+
+    def rollback(self) -> None:
+        """Undo every update since the build or the last rollback, and empty both logs."""
+        for gid in self.grown:
+            self._drop(gid, _DISCARD)
+        gid_of, groups = self.gid_of, self.groups
+        for record in self.dissolved:
+            gid = record.members[0]
+            groups[gid] = record
+            for e in record.members:
+                gid_of[e] = gid
+            self._weigh(record, 1, _DISCARD)
+        self.grown.clear()
+        self.dissolved.clear()
+
+    def _drop(self, gid: int, changed: list[int]):
+        """Take group `gid` out, its members' ids and its share with it; returns its record."""
+        record = self.groups.pop(gid)
+        gid_of = self.gid_of
+        for e in record.members:
+            gid_of[e] = -1
+        self._weigh(record, -1, changed)
+        return record
+
+    def _dissolve(self, gids: Collection[int], changed: list[int]) -> list[int]:
+        """Take out and log the groups `gids`; returns their members, to regrow from."""
+        log, members = self.grown, []
+        for gid in gids:
+            record = self._drop(gid, changed)
+            if log.pop(gid, None) is None:
+                self.dissolved.append(record)
+            members.extend(record.members)
+        return members
+
+
+class SupportGroupIndex(_GroupStore):
     """Support groups of one truss and their candidacy votes, maintained across commits.
 
     After each committed cascade, `update` takes that cascade's region,
     dissolves only the groups the cascade could have changed, and regrows
     groups over the region.  A build is the update of an empty index over
     every threshold edge of `t`, so groups grow through that one loop.
-    `rep_group` maps each group's smallest edge, its id, to the group, and
-    `gid_of` maps each threshold edge to that id, so the index always holds
-    the groups `find_support_groups` finds on the current `t`.
+    `groups` maps each group's id to the `SupportGroup`, so the index
+    always holds the groups `find_support_groups` finds on the current
+    truss.  The index keeps no truss: `update` takes the one its caller
+    commits to.
 
     The index keeps no candidate set, only each edge's votes: how many
     groups list it as over-adjacent, and how many as a pruned follower.
@@ -150,32 +219,18 @@ class SupportGroupIndex:
     edge whose candidacy it touched to a list its caller owns, so callers
     keeping their own view of the candidates re-read just those; the index
     itself records nothing of it, and a build hands `update`
-    `truss._DISCARD`, which keeps nothing.  An edge leaving its group
-    keeps its `gid_of` entry at -1, and a vote count that falls to 0 keeps
-    its entry too: every reader takes -1 for no group and 0 for no vote,
-    so a rollback (below) writes into entries that are there already and
-    no table grows.
-
-    No group is ever changed once grown: `update` replaces the groups it
-    dissolves with new ones.  It logs both: `grown` maps the id of each
-    group it added that the index still holds to that group, and
-    `dissolved` lists the groups it took out that the build left.
-    `rollback` undoes every update since the build or the last rollback
-    from those two logs, so one index serves every solve on a truss level
-    (`truss.parked`).  The index keeps no truss: `update` takes the one
-    its caller commits to.
+    `truss._DISCARD`, which keeps nothing.  A vote count that falls to 0
+    keeps its entry, as `gid_of` keeps -1: every reader takes 0 for no
+    vote, so a rollback writes into entries that are there already.
     """
 
-    __slots__ = ("gid_of", "rep_group", "over_count", "pruned_count", "grown", "dissolved")
+    __slots__ = ("over_count", "pruned_count")
 
     def __init__(self, t: TrussSubgraph):
-        self.gid_of: dict[int, int] = {}            # threshold edge -> representative, or -1
-        self.rep_group: dict[int, SupportGroup] = {}
+        super().__init__({})
         # per edge: how many groups list it as over-adjacent / pruned
         self.over_count: dict[int, int] = {}
         self.pruned_count: dict[int, int] = {}
-        self.grown: dict[int, SupportGroup] = {}
-        self.dissolved: list[SupportGroup] = []
         sup, threshold = t.sup, t.k - 2
         # `list.index` finds the threshold edges at C speed; a dead edge
         # keeps the support it died with, and a peeled one died below k-2,
@@ -193,8 +248,8 @@ class SupportGroupIndex:
 
     def is_candidate(self, x: int) -> bool:
         """Whether `x` represents a group, or is over-adjacent to one and pruned by none."""
-        return x in self.rep_group or (self.over_count.get(x, 0) > 0
-                                       and not self.pruned_count.get(x, 0))
+        return x in self.groups or (self.over_count.get(x, 0) > 0
+                                    and not self.pruned_count.get(x, 0))
 
     def iter_candidates(self) -> Iterator[int]:
         """Every edge `is_candidate` accepts, once each, without building a set.
@@ -205,12 +260,8 @@ class SupportGroupIndex:
         more, so the two parts never meet.
         """
         over = self.over_count
-        return chain(self.rep_group,
+        return chain(self.groups,
                      filterfalse(self.pruned_count.get, compress(over, over.values())))
-
-    def groups(self) -> list[SupportGroup]:
-        """The current groups, ordered by representative."""
-        return [self.rep_group[r] for r in sorted(self.rep_group)]
 
     def update(self, t: TrussSubgraph, region: Collection[int], changed: list[int]) -> None:
         """Bring the index up to date after a committed cascade on `t`.
@@ -226,61 +277,26 @@ class SupportGroupIndex:
         repeats allowed, of the edges whose candidacy the update changed.
         """
         alive, sup, threshold = t.alive, t.sup, t.k - 2
-        gid_of, rep_group, log = self.gid_of, self.rep_group, self.grown
+        gid_of, groups, log = self.gid_of, self.groups, self.grown
         dissolve = {gid_of.get(x, -1) for x in region}
         dissolve.discard(-1)
         # a list, not a set: it copies the region at a fraction of the
         # memory, and a repeated edge is in `gid_of` once it has grown
         grown = list(region)
-        for rep in dissolve:
-            grp = self._drop(rep, changed)
-            if log.pop(rep, None) is None:
-                self.dissolved.append(grp)
-            grown.extend(grp.members)
+        grown.extend(self._dissolve(dissolve, changed))
         done = alive.translate(FLIP)
         for e in sorted(grown):
             if alive[e] and sup[e] == threshold and gid_of.get(e, -1) < 0:
                 grp = _grow_support_group(t, e, gid_of, done)
-                rep_group[grp.representative] = log[grp.representative] = grp
-                self._count(grp, 1, changed)
+                groups[grp.representative] = log[grp.representative] = grp
+                self._weigh(grp, 1, changed)
 
-    def rollback(self) -> None:
-        """Undo every `update` since the build or the last rollback.
-
-        Takes out each group `grown` holds, puts back each one `dissolved`
-        lists, with its ids and votes, and empties both logs: the index
-        then holds the groups it held before.  Each id and vote it puts
-        back finds its entry still there, so no table grows.
-        """
-        for rep in self.grown:
-            self._drop(rep, _DISCARD)
-        gid_of, rep_group = self.gid_of, self.rep_group
-        for grp in self.dissolved:
-            rep = grp.representative
-            rep_group[rep] = grp
-            for e in grp.members:
-                gid_of[e] = rep
-            self._count(grp, 1, _DISCARD)
-        self.grown.clear()
-        self.dissolved.clear()
-
-    # -- bookkeeping -----------------------------------------------------------
-
-    def _drop(self, rep: int, changed: list[int]) -> SupportGroup:
-        """Take group `rep` out, its members' ids and its votes with it; returns it."""
-        grp = self.rep_group.pop(rep)
-        gid_of = self.gid_of
-        for e in grp.members:
-            gid_of[e] = -1
-        self._count(grp, -1, changed)
-        return grp
-
-    def _count(self, grp: SupportGroup, delta: int, changed: list[int]) -> None:
+    def _weigh(self, grp: SupportGroup, delta: int, changed: list[int]) -> None:
         """Add (+1) or withdraw (-1) one group's votes for its over-adjacent edges.
 
         The representative and every edge voted for are appended to
         `changed`: the over-adjacent edges hold the pruned followers, so
-        they are listed once.  A count that reaches 0 keeps its entry.
+        they are listed once.
         """
         changed.append(grp.representative)
         changed.extend(grp.over_adjacent)
@@ -290,7 +306,13 @@ class SupportGroupIndex:
                 counts[o] = counts.get(o, 0) + delta
 
 
-class GroupIndex:
+class TrussGroup(NamedTuple):
+    members: list[int]  # ascending; members[0] is the group's id
+    # duplicate-free: the members and every edge sharing an alive triangle with one
+    touch: list[int]
+
+
+class GroupIndex(_GroupStore):
     """Partition of the trussness-k edges into truss groups, with every edge's bound.
 
     The index keeps no truss: every builder, query and refresh takes the
@@ -306,9 +328,9 @@ class GroupIndex:
 
     The per-edge state is flat arrays indexed by edge id: `gid_of[e]` is
     the group of edge `e`, or -1 when it has none, and `bound[e]` its
-    bound, each a 4-byte `array('i')` slot.  Each group's touch set is a
-    duplicate-free list of its members plus every edge sharing an alive
-    triangle of `t` with a member.
+    bound, each a 4-byte `array('i')` slot.  `groups` maps each id to a
+    `TrussGroup`, whose touch set is a duplicate-free list of its members
+    plus every edge sharing an alive triangle of `t` with a member.
     `bound[e]` is the total size of the groups whose touch set holds `e`:
     for an alive edge, of the groups `adjacent_gids(t, upper, e)` names,
     and 0 for a dead one.  Growing a group adds its size over its touch
@@ -319,33 +341,22 @@ class GroupIndex:
     widened commit region and the regrown groups' touch sets, which hold
     every edge whose bound the refresh changed (an edge repeats when
     several of them hold it); callers keeping their own copy of some
-    bounds re-read just those.  A build records nothing.
-
-    `groups` maps each group's id to its record, `(members, touch)`, never
-    changed once grown: a refresh replaces what it dissolves, and logs
-    both, as `SupportGroupIndex.update` does.  `grown` maps the id of each
-    group it added that the index still holds to its record, and
-    `dissolved` lists the records it took out that the build left.
-    `rollback` undoes every refresh since the build or the last rollback
-    from those logs, so one index serves every `up_edge` solve on a truss
-    level (`truss.parked`).  The constructor allocates an empty index over
-    a graph of `m` edges, and `build_truss_group_index` starts it.
+    bounds re-read just those.  A build records nothing.  The constructor
+    allocates an empty index over a graph of `m` edges, and
+    `build_truss_group_index` starts it.
     """
 
-    __slots__ = ("gid_of", "groups", "bound", "last_dissolved", "grown", "dissolved")
+    __slots__ = ("bound", "last_dissolved")
 
     def __init__(self, m: int):
-        self.gid_of = array("i", [-1]) * m
-        self.groups: dict[int, tuple[list[int], list[int]]] = {}  # gid (= members[0]) -> record
+        super().__init__(array("i", [-1]) * m)
         self.bound = array("i", [0]) * m
         # ids (smallest members) of the groups the most recent refresh
         # dissolved; the benchmark tracer (perfbench/spans.py) counts them
         self.last_dissolved: set[int] = set()
-        self.grown: dict[int, tuple[list[int], list[int]]] = {}
-        self.dissolved: list[tuple[list[int], list[int]]] = []
 
     def _grow(self, t: TrussSubgraph, upper_alive: bytearray, start: int, done: bytearray,
-              stamp: bytearray) -> None:
+              stamp: bytearray) -> TrussGroup:
         """BFS over trussness-k edges through alive triangles of the k-truss `t`.
 
         `upper_alive` is the alive array of the (k+1)-truss nested in `t`.
@@ -368,7 +379,7 @@ class GroupIndex:
         runs once per touched edge, not once per walked triangle.  An edge
         met untouched that `gid_of` already gives to a group belongs to
         another group, which should have been dissolved first: an
-        internal error.
+        internal error.  Returns the group's record, which it adds to `groups`.
         """
         partners, gid_of = t.graph.triangle_index(), self.gid_of
         members = [start]
@@ -406,47 +417,23 @@ class GroupIndex:
                             raise AssertionError(
                                 f"truss group grown from edge {start} reached group {other}")
         members.sort()
-        self.groups[start] = (members, touch)
+        self.groups[start] = record = TrussGroup(members, touch)
         bound, size = self.bound, len(members)
         for x in touch:
             bound[x] += size
             stamp[x] = 0
-
-    def _share(self, touch: list[int], size: int) -> None:
-        """Add `size`, a group's size or its negation, to the bound of each
-        edge in the group's touch set."""
-        bound = self.bound
-        for x in touch:
-            bound[x] += size
-
-    def _drop(self, gid: int) -> tuple[list[int], list[int]]:
-        """Take group `gid` out, its members' ids and its bound shares with
-        it; returns its record."""
-        members, touch = record = self.groups.pop(gid)
-        self._share(touch, -len(members))
-        gid_of = self.gid_of
-        for e in members:
-            gid_of[e] = -1
         return record
 
-    def rollback(self) -> None:
-        """Undo every `refresh_index` since the build or the last rollback.
+    def _weigh(self, record: TrussGroup, delta: int, changed: list[int]) -> None:
+        """Add (+1) or withdraw (-1) the group's size over its touch set.
 
-        Takes out each group `grown` holds, puts back each record
-        `dissolved` lists, with its ids and bound shares, and empties both
-        logs: the index then holds the groups it held before.
+        `changed` is left as it is: an edge a dissolved group touched is in
+        the widened region or in a regrown group's touch set, and
+        `refresh_index` lists both itself.
         """
-        for gid in self.grown:
-            self._drop(gid)
-        gid_of, groups = self.gid_of, self.groups
-        for record in self.dissolved:
-            members, touch = record
-            groups[members[0]] = record
-            self._share(touch, len(members))
-            for e in members:
-                gid_of[e] = members[0]
-        self.grown.clear()
-        self.dissolved.clear()
+        bound, size = self.bound, delta * len(record.members)
+        for x in record.touch:
+            bound[x] += size
 
     # -- queries ---------------------------------------------------------------
 
@@ -501,9 +488,8 @@ def refresh_index(idx: GroupIndex, t: TrussSubgraph, upper: TrussSubgraph, dead:
     graph, which holds none of the dead edges, and the edges it drops widen
     the region with their alive-triangle partners.  As in
     `SupportGroupIndex.update`, only the groups holding an edge of the
-    widened region are dissolved (`last_dissolved`), each record popped
-    once, and regrown; the other records stay as they are.  Both are
-    logged for `GroupIndex.rollback`.  A group missing it keeps every
+    widened region are dissolved (`last_dissolved`) and regrown; the
+    other records stay as they are.  A group missing it keeps every
     alive triangle of its members, since a triangle dies only when all its
     edges die or lose support, so its share of `bound` stays exact.  The
     result, ids and `bound` included, equals a fresh
@@ -520,21 +506,16 @@ def refresh_index(idx: GroupIndex, t: TrussSubgraph, upper: TrussSubgraph, dead:
     expands: a group that should have been dissolved but survived still
     has its members unmarked, and a regrowth reaching it raises.
     """
-    gid_of, groups, log = idx.gid_of, idx.groups, idx.grown
+    gid_of, log = idx.gid_of, idx.grown
     grown = region | commit_region(t, upper.cascade(dead), ())
     moved.extend(grown)
     idx.last_dissolved = dissolve = {gid_of[x] for x in grown}
     dissolve.discard(-1)
-    for gid in dissolve:
-        record = idx._drop(gid)
-        if log.pop(gid, None) is None:
-            idx.dissolved.append(record)
-        grown.update(record[0])
+    grown.update(idx._dissolve(dissolve, moved))
     stamp = bytearray(t.graph.m)
     done = t.alive.translate(FLIP)
     for e in sorted(grown):
         if t.alive[e] and not upper.alive[e] and gid_of[e] < 0:
-            idx._grow(t, upper.alive, e, done, stamp)
-            log[e] = groups[e]
-            moved.extend(groups[e][1])
+            log[e] = record = idx._grow(t, upper.alive, e, done, stamp)
+            moved.extend(record.touch)
     return idx

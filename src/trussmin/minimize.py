@@ -225,7 +225,7 @@ def _commit(t: TrussSubgraph, eid: int,
 
 
 def _choose_from_ties(t: TrussSubgraph, best_f: int, ties: list[int],
-                      rep_group: dict[int, SupportGroup]) -> int:
+                      groups: dict[int, SupportGroup]) -> int:
     """Shared tie-break: smallest edge id among every maximizer.
 
     A tying group representative stands for its whole group and for the
@@ -242,7 +242,7 @@ def _choose_from_ties(t: TrussSubgraph, best_f: int, ties: list[int],
     pool: list[int] = []
     for c in ties:
         pool.append(c)
-        grp = rep_group.get(c)
+        grp = groups.get(c)
         if grp is not None:
             pool.extend(grp.pruned_followers)
     return min(pool)
@@ -550,7 +550,7 @@ def _solve_greedy(t: TrussSubgraph, b: int, groups: dict, bound: Sequence[int],
         start = time.perf_counter()
         candidates_total = len(order.keys)
         best_f, ties, evaluated = _scan(order, memo)
-        e_star = _choose_from_ties(t, best_f, ties, support_groups.rep_group)
+        e_star = _choose_from_ties(t, best_f, ties, support_groups.groups)
         followers = max(best_f, 0)
         dead, log = _commit(t, e_star, followers)
         region = commit_region(t, dead, log)

@@ -135,12 +135,12 @@ def assert_support_build_matches_reference(t: TrussSubgraph, context=None) -> No
     Groups compare field by field (members, pruned followers, over-adjacent
     edges), group ids and candidates exactly, and each edge's vote counts
     are the number of groups listing it.  Every group's pruned followers
-    are over-adjacent to it, so `SupportGroupIndex._count` lists a group's
+    are over-adjacent to it, so `SupportGroupIndex._weigh` lists a group's
     votes through its over-adjacent edges alone.
     """
     groups, candidates = find_support_groups(t)
     index = SupportGroupIndex(t)
-    assert index.groups() == groups, context
+    assert [grp for _, grp in sorted(index.groups.items())] == groups, context
     assert all(grp.pruned_followers <= set(grp.over_adjacent) for grp in groups), context
     assert gids(index.gid_of) == {e: grp.representative for grp in groups for e in grp.members}, \
         context

@@ -350,11 +350,11 @@ MUTANTS = (
            "        memo.invalidate(region)\n", "",
            (SCAN_MEMO_GP, SCAN_MEMO_GP_ERODING)),
     # support-group maintenance (`groups.SupportGroupIndex`): a dissolved
-    # group's members regrow, and `update` appends to its caller's `changed`
-    # list the representative and every edge voted for (its over-adjacent
-    # edges) of each group added or withdrawn
+    # group's members, which `_dissolve` returns, regrow, and `update`
+    # appends to its caller's `changed` list the representative and every
+    # edge voted for (its over-adjacent edges) of each group added or withdrawn
     Mutant("support groups regrow from the region alone", GROUPS,
-           "            grown.extend(grp.members)\n", "",
+           "grown.extend(self._dissolve(dissolve, changed))", "self._dissolve(dissolve, changed)",
            (CRITERION_9, OVERLAP_AGREE, REFRESH_GIANT)),
     Mutant("a group's votes leave changed alone", GROUPS,
            "changed.extend(grp.over_adjacent)", "pass",
@@ -366,7 +366,7 @@ MUTANTS = (
     # order asks for each changed edge: a pruned vote vetoes it
     Mutant("is_candidate ignores pruned votes", GROUPS,
            "(self.over_count.get(x, 0) > 0\n"
-           "                                       and not self.pruned_count.get(x, 0))",
+           "                                    and not self.pruned_count.get(x, 0))",
            "self.over_count.get(x, 0) > 0",
            (CRITERION_9, BUILD_RANDOM, GP_ORDER)),
     # a withdrawn vote leaves a count of 0, which reads as no vote
@@ -431,7 +431,7 @@ MUTANTS = (
            "            stamp[x] = 0\n", "",
            (REFRESH_CHAIN, CACHED_BOUNDS)),
     Mutant("refresh leaves a regrown group's touch set out of moved", GROUPS,
-           "            moved.extend(groups[e][1])\n", "",
+           "            moved.extend(record.touch)\n", "",
            (REFRESH_CHAIN, REFRESH_GIANT)),
     Mutant("refresh keeps its walked marker across calls", GROUPS,
            "    done = t.alive.translate(FLIP)\n    for e in sorted(grown):\n",
@@ -449,7 +449,7 @@ MUTANTS = (
            "                    stamp[a] = 1\n",
            (REFRESH_CHAIN, CACHED_BOUNDS)),
     Mutant("refresh dissolves every group", GROUPS,
-           "dissolve = {gid_of[x] for x in grown}", "dissolve = set(groups)",
+           "dissolve = {gid_of[x] for x in grown}", "dissolve = set(idx.groups)",
            (TRUSS_GROUP_KEPT, OVERLAP_REFRESH)),
     # parked indexes (`truss.parked`): each cached level parks in a dict of
     # its own, reused only for a truss equal to the level.  A solve pops
@@ -465,17 +465,17 @@ MUTANTS = (
     Mutant("a solve never parks its support index", MINIMIZE,
            'groups["support"] = support_groups', "pass",
            (PARKED_RANDOM, PARKED_INTERLEAVED)),
-    Mutant("support rollback skips one dissolved group", GROUPS,
-           "for grp in self.dissolved:", "for grp in self.dissolved[1:]:",
-           (PARKED_ROLLBACK, PARKED_ERODING, PARKED_OVERLAP)),
-    Mutant("support rollback leaves one grown group", GROUPS,
-           "for rep in self.grown:", "for rep in list(self.grown)[1:]:",
-           (PARKED_ROLLBACK, PARKED_ERODING, PARKED_OVERLAP)),
-    Mutant("truss rollback skips one dissolved group", GROUPS,
+    # the rollback both indexes share (`groups._GroupStore`), and its log:
+    # a group grown since the last rollback and dissolved again leaves
+    # `grown` and never enters `dissolved`
+    Mutant("rollback skips one dissolved group", GROUPS,
            "for record in self.dissolved:", "for record in self.dissolved[1:]:",
            (PARKED_ROLLBACK, PARKED_ERODING, PARKED_OVERLAP)),
-    Mutant("truss rollback leaves one grown group", GROUPS,
+    Mutant("rollback leaves one grown group", GROUPS,
            "for gid in self.grown:", "for gid in list(self.grown)[1:]:",
+           (PARKED_ROLLBACK, PARKED_ERODING, PARKED_OVERLAP)),
+    Mutant("a regrown group dissolved again is logged as dissolved", GROUPS,
+           "if log.pop(gid, None) is None:", "if log.pop(gid, None) is None or True:",
            (PARKED_ROLLBACK, PARKED_ERODING, PARKED_OVERLAP)),
     Mutant("the truss index is re-parked in a finally", MINIMIZE,
            "    records = _solve_greedy(t, b, groups, idx.bound, lambda dead, region, changed:\n"

@@ -173,7 +173,7 @@ class TestSupportGroupIndex:
         monkeypatch.setattr(SupportGroupIndex, "update", lambda self, t, region, changed:
                             lists.append(changed) or real_update(self, t, region, changed))
         index = SupportGroupIndex(k_truss(graph_of(complete_pairs(5)), 5))
-        assert len(index.groups()) == 1
+        assert len(index.groups) == 1
         assert len(lists) == 1 and lists[0] is truss._DISCARD and not truss._DISCARD
 
     def test_untouched_group_is_kept_as_is(self):
@@ -181,14 +181,14 @@ class TestSupportGroupIndex:
         g = graph_of(pairs)
         t = k_truss(g, 5)
         index = SupportGroupIndex(t)
-        second = index.rep_group[g.edge_id(5, 6)]  # labels (10, 11)
+        second = index.groups[g.edge_id(5, 6)]  # labels (10, 11)
         before = set(index.iter_candidates())
         log = []
         dead = t.cascade([g.edge_id(0, 1)], log)
         changed = []
         index.update(t, commit_region(t, dead, log), changed)
-        assert index.groups() == [second]
-        assert index.rep_group[g.edge_id(5, 6)] is second
+        assert [grp for _, grp in sorted(index.groups.items())] == [second]
+        assert index.groups[g.edge_id(5, 6)] is second
         assert sorted(index.iter_candidates()) == [g.edge_id(5, 6)]
         assert before ^ set(index.iter_candidates()) <= set(changed)
         assert_candidacy_rule(t, index)
@@ -199,14 +199,15 @@ class TestSupportGroupIndex:
         g = graph_of(complete_pairs(6))
         t = k_truss(g, 5)
         index = SupportGroupIndex(t)
-        assert index.groups() == [] and sorted(index.iter_candidates()) == []
+        assert index.groups == {} and sorted(index.iter_candidates()) == []
         log = []
         dead = t.cascade([g.edge_id(0, 1)], log)
         assert dead == [g.edge_id(0, 1)]
         changed = []
         index.update(t, commit_region(t, dead, log), changed)
         groups, candidates = find_support_groups(t)
-        assert [grp.members for grp in index.groups()] == [grp.members for grp in groups] != []
+        assert [grp.members for _, grp in sorted(index.groups.items())] == \
+            [grp.members for grp in groups] != []
         assert sorted(index.iter_candidates()) == candidates
         assert set(candidates) <= set(changed)
         assert_candidacy_rule(t, index)
@@ -240,7 +241,7 @@ class TestSupportGroupIndex:
         assert t.sup.index(t.k - 2) == seed
         assert_support_build_matches_reference(t)
         index = SupportGroupIndex(t)
-        assert list(index.rep_group) == [g.edge_id(5, 6)]  # labels (10, 11)
+        assert list(index.groups) == [g.edge_id(5, 6)]  # labels (10, 11)
         assert sorted(index.iter_candidates()) == [g.edge_id(5, 6)]
 
 
@@ -490,7 +491,7 @@ class TestRefreshIndex:
     def assert_support_groups_match(t, index, context):
         """Groups, group ids and candidates of a maintained index equal a fresh scan's."""
         groups, candidates = find_support_groups(t)
-        assert index.groups() == groups, context
+        assert [grp for _, grp in sorted(index.groups.items())] == groups, context
         assert gids(index.gid_of) == \
             {e: grp.representative for grp in groups for e in grp.members}, context
         assert sorted(index.iter_candidates()) == candidates, context
@@ -563,7 +564,7 @@ class TestRefreshIndex:
             # members: the maintained index equals a rebuild, field by field,
             # the -1 ids and zero counts that withdrawn groups leave dropped
             rebuilt = SupportGroupIndex(t)
-            assert (gids(index.gid_of), index.rep_group) == (rebuilt.gid_of, rebuilt.rep_group), \
+            assert (gids(index.gid_of), index.groups) == (rebuilt.gid_of, rebuilt.groups), \
                 context
             for name in ("over_count", "pruned_count"):
                 assert votes(getattr(index, name)) == getattr(rebuilt, name), (name, context)

@@ -1085,7 +1085,7 @@ def support_view(index) -> tuple:
     pruned followers and over-adjacent edges (as a set) by id, each grouped
     edge's id, and the nonzero votes."""
     return ({rep: (grp.members, grp.pruned_followers, set(grp.over_adjacent))
-             for rep, grp in index.rep_group.items()},
+             for rep, grp in index.groups.items()},
             gids(index.gid_of), votes(index.over_count), votes(index.pruned_count))
 
 
@@ -1121,7 +1121,7 @@ def assert_parked_as_built(g, k, want) -> None:
             continue
         assert view(index) == want_view, (kind, k)
         assert not index.grown and not index.dissolved, (kind, k)
-        assert [name for name in type(index).__slots__
+        assert [name for cls in type(index).__mro__ for name in getattr(cls, "__slots__", ())
                 if isinstance(getattr(index, name), TrussSubgraph)] == [], (kind, k)
 
 

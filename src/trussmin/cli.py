@@ -275,9 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated algorithm names")
     p_bench.add_argument("--reps", type=_positive_int(1, "reps"), default=1,
                          help="runs of each cell; the graph keeps its last two peeled "
-                              "truss levels and the groups solves parked on them, so "
-                              "while a level stays cached only the first solve at its k "
-                              "has the peel and group builds in its time_ms")
+                              "truss levels and the groups and scan orders solves parked "
+                              "on them, so while a level stays cached only an algorithm's "
+                              "first solve at its k has the peel, group and scan-order "
+                              "builds in its time_ms")
     p_bench.add_argument("--exact-cap", type=_positive_int(1, "exact-cap"),
                          default=DEFAULT_EXACT_CAP)
     p_bench.set_defaults(func=cmd_bench)

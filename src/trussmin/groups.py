@@ -215,7 +215,9 @@ class SupportGroupIndex(_GroupStore):
     groups list it as over-adjacent, and how many as a pruned follower.
     `is_candidate` decides one edge from them, and `iter_candidates` reads
     the whole set off them; the greedy loop's scan order
-    (`minimize._ScanOrder`) is the set it keeps.  `update` appends every
+    (`minimize._ScanOrder`) keeps the set as a byte an edge, read off
+    `iter_candidates` once per cached level and parked beside the index
+    (`truss.parked`).  `update` appends every
     edge whose candidacy it touched to a list its caller owns, so callers
     keeping their own view of the candidates re-read just those; the index
     itself records nothing of it, and a build hands `update`

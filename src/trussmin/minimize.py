@@ -391,21 +391,28 @@ class _ScanOrder:
     """A greedy solver's candidates as ascending keys `(m - bound) * m + e`.
 
     Ascending keys run by descending bound, then ascending edge id, the
-    order `_scan` evaluates in.  `key` maps each candidate to its entry in
-    `keys`, and is the solver's one candidate set; `groups`, its
-    `SupportGroupIndex`, decides candidacy.  `bound` is the bound source's
-    per-edge `array('i')`: the live `GroupIndex.bound`, or `gp_edge`'s
-    constant one with m in every slot, under which a key is the edge id.
-    After a commit, `rekey` re-reads the given edges only, so keeping the
-    order costs what the commit changed, not the candidate count.
+    order `_scan` evaluates in.  `keys` holds them sorted, as an
+    `array('q')`.  Two per-edge tables stand for the candidate set, so the
+    order keeps no dict and no int per candidate: `kcand[e]` is 1 while `e`
+    is in the order, and `kbound[e]` is the bound it is keyed under, so its
+    key is `(m - kbound[e]) * m + e`.  `groups`, its `SupportGroupIndex`,
+    decides candidacy.  `bound` is the bound source's per-edge
+    `array('i')`: the live `GroupIndex.bound`, or `gp_edge`'s constant one
+    with m in every slot, under which a key is the edge id.
+
+    The order starts from a rest form `(keys, kcand)` (`_rest_order`),
+    keyed under `bound` as it stands, and copies both at C speed, as it
+    copies `bound` into `kbound`: the rest form is left as it was handed
+    in.  After a commit, `rekey` re-reads the given edges only, so keeping
+    the order costs what the commit changed, not the candidate count.
     """
 
-    __slots__ = ("m", "groups", "bound", "key", "keys")
+    __slots__ = ("m", "groups", "bound", "keys", "kcand", "kbound")
 
-    def __init__(self, m: int, groups: SupportGroupIndex, bound: array):
+    def __init__(self, m: int, groups: SupportGroupIndex, bound: Sequence[int],
+                 keys: array, kcand: bytearray):
         self.m, self.groups, self.bound = m, groups, bound
-        self.key: dict[int, int] = {c: (m - bound[c]) * m + c for c in groups.iter_candidates()}
-        self.keys = sorted(self.key.values())
+        self.keys, self.kcand, self.kbound = keys[:], bytearray(kcand), array("i", bound)
 
     def rekey(self, edges: Iterable[int]) -> None:
         """Move every edge of `edges` to its current key, or out of the order.
@@ -413,19 +420,33 @@ class _ScanOrder:
         `edges` must hold each edge whose candidacy or bound changed since
         the last call; other edges may appear, and repeat, at no harm.
         """
-        m, bound, key, keys = self.m, self.bound, self.key, self.keys
+        m, bound, keys, kcand, kbound = self.m, self.bound, self.keys, self.kcand, self.kbound
         is_candidate = self.groups.is_candidate
         for e in edges:
-            old = key.pop(e, None)
-            new = None
-            if is_candidate(e):
-                new = (m - bound[e]) * m + e
-                key[e] = new
-            if new != old:
-                if old is not None:
-                    del keys[bisect_left(keys, old)]
-                if new is not None:
-                    insort(keys, new)
+            new = is_candidate(e)
+            if kcand[e]:
+                if new and kbound[e] == bound[e]:
+                    continue
+                del keys[bisect_left(keys, (m - kbound[e]) * m + e)]
+            if new:
+                insort(keys, (m - bound[e]) * m + e)
+            kcand[e], kbound[e] = new, bound[e]
+
+
+def _rest_order(t: TrussSubgraph, groups: SupportGroupIndex, bound: Sequence[int],
+                kcand: Optional[bytearray]) -> tuple[array, bytearray]:
+    """A scan order's rest form `(keys, kcand)` over the candidates of `groups`.
+
+    The keys are taken under `bound`.  `kcand`, one byte an edge, does not
+    depend on the bound source, so it is read off `groups.iter_candidates()`
+    only when none is handed in.
+    """
+    m = t.graph.m
+    if kcand is None:
+        kcand = bytearray(m)
+        for c in groups.iter_candidates():
+            kcand[c] = 1
+    return array("q", sorted((m - bound[c]) * m + c for c in compress(range(m), kcand))), kcand
 
 
 def _scan(order: _ScanOrder, memo: DeadSetMemo) -> tuple[int, list[int], int]:
@@ -449,7 +470,7 @@ def _scan(order: _ScanOrder, memo: DeadSetMemo) -> tuple[int, list[int], int]:
     when no dead set of it is stored; `evaluated` counts the candidates
     consulted, whether the memo held their count or not.
     """
-    m, key, dead_set_of = order.m, order.key, memo.dead_set
+    m, kcand, kbound, dead_set_of = order.m, order.kcand, order.kbound, memo.dead_set
     fvals: dict[int, int] = {}
     # skipped candidate -> the evaluated candidate whose followers hold it
     removed_by: dict[int, int] = {}
@@ -474,12 +495,9 @@ def _scan(order: _ScanOrder, memo: DeadSetMemo) -> tuple[int, list[int], int]:
         elif f == best_f:
             ties.append(c)
         for x in dead_set:
-            if x in fvals or x in removed_by:
+            if x in fvals or x in removed_by or not kcand[x]:
                 continue
-            kx = key.get(x)
-            if kx is None:
-                continue
-            ub_x = m - kx // m
+            ub_x = kbound[x]
             if ub_x == ub or ub_x < f:
                 removed_by[x] = c
     # a skipped candidate is never evaluated above, and only candidates are skipped
@@ -520,7 +538,7 @@ def _two_level_tau(t: TrussSubgraph) -> TrussSubgraph:
     return upper
 
 
-def _solve_greedy(t: TrussSubgraph, b: int, groups: dict, bound: Sequence[int],
+def _solve_greedy(t: TrussSubgraph, b: int, groups: dict, source: str, bound: Sequence[int],
                   refresh: Callable[[list[int], set[int], list[int]], object]
                   ) -> list[IterationRecord]:
     """The greedy loop of `gp_edge` and `up_edge`; only the bound source differs.
@@ -528,23 +546,29 @@ def _solve_greedy(t: TrussSubgraph, b: int, groups: dict, bound: Sequence[int],
     The source is the per-edge `bound` array the scan order reads, and
     `refresh(dead, region, changed)`, which brings the bounds up to date
     after a commit with that dead list and region and appends the edges
-    whose bound moved to `changed`.  Each iteration `_scan`s by descending
-    bound, commits the tie-broken maximizer and computes its
-    `commit_region` in `t` once, for the support-group index, the bound
-    source and the `DeadSetMemo` alike.  The scan order holds the
+    whose bound moved to `changed`; `source` is its name.  Each iteration
+    `_scan`s by descending bound, commits the tie-broken maximizer and
+    computes its `commit_region` in `t` once, for the support-group index,
+    the bound source and the `DeadSetMemo` alike.  The scan order holds the
     candidates across commits.  The support groups and the bounds append
     the edges whose candidacy or bound the commit changed to one `changed`
     list; after them and the memo, the order re-keys that list once and it
     is cleared.
 
     `groups` is what `truss.parked(t)` returned: the loop lends the
-    support-group index parked under `"support"`, or builds one when none
-    is parked, and parks it there again as `truss.parked` describes.
+    support-group index parked under `"support"`, and the scan order's
+    rest form parked under `"kcand"` and `source`, or builds what is not
+    parked (`_rest_order`), and parks them there again as `truss.parked`
+    describes.  The order works on copies, so the rest form goes back as
+    it was lent.
     """
     records: list[IterationRecord] = []
     support_groups = groups.pop("support", None) or SupportGroupIndex(t)
+    kcand, keys = groups.pop("kcand", None), groups.pop(source, None)
+    if kcand is None or keys is None:
+        keys, kcand = _rest_order(t, support_groups, bound, kcand)
     memo = DeadSetMemo(t)
-    order = _ScanOrder(t.graph.m, support_groups, bound)
+    order = _ScanOrder(t.graph.m, support_groups, bound, keys, kcand)
     changed: list[int] = []
     while len(records) < b and t.edge_count > 0:
         start = time.perf_counter()
@@ -561,7 +585,7 @@ def _solve_greedy(t: TrussSubgraph, b: int, groups: dict, bound: Sequence[int],
         changed.clear()
         records.append(_record(t, e_star, followers, candidates_total, evaluated, start))
     support_groups.rollback()
-    groups["support"] = support_groups
+    groups["support"], groups["kcand"], groups[source] = support_groups, kcand, keys
     return records
 
 
@@ -576,7 +600,7 @@ def solve_gp_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
     """
     require_int("budget b", b, 1)
     m = t.graph.m
-    return _solve_greedy(t, b, parked(t), array("i", [m]) * m,
+    return _solve_greedy(t, b, parked(t), "gp_edge", array("i", [m]) * m,
                          lambda dead, region, changed: None)
 
 
@@ -600,7 +624,7 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
     groups = parked(t)  # before the nested level may evict the k-level
     upper = _two_level_tau(t)
     idx = groups.pop("truss", None) or build_truss_group_index(t, upper)
-    records = _solve_greedy(t, b, groups, idx.bound, lambda dead, region, changed:
+    records = _solve_greedy(t, b, groups, "up_edge", idx.bound, lambda dead, region, changed:
                             refresh_index(idx, t, upper, dead, region, changed))
     idx.rollback()
     groups["truss"] = idx

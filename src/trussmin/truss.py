@@ -21,13 +21,14 @@ and the peel walks the pairs of each edge's partner tuple
 A peeled k-truss depends only on (graph, k), so `k_truss` keeps the
 graph's last two levels frozen on the graph and hands every caller a
 fresh clone: the solvers' repeated `solve()` calls on one graph peel each
-level once.  The group indexes the greedy solvers build on a level are
-kept the same way: each cached level carries a dict that `parked` hands
-out, created empty with the level and evicted with it, in which each
-index waits, rolled back to the level's groups, for the next solve at
-that level.  The level walks of `truss_decompose` and
-`update_after_deletion` start from an uncached peel (`_peel_graph`), so
-they neither fill nor evict those levels.
+level once.  The group indexes and scan orders the greedy solvers build
+on a level are kept the same way: each cached level carries a dict that
+`parked` hands out, created empty with the level and evicted with it, in
+which each index waits, rolled back to the level's groups, for the next
+solve at that level, beside each scan order's rest form.  The level
+walks of `truss_decompose` and `update_after_deletion` start from an
+uncached peel (`_peel_graph`), so they neither fill nor evict those
+levels.
 `update_after_deletion` reruns that level walk over the graph minus the
 deleted edges, also in O(m + triangles); it is not a local repair.
 """
@@ -201,20 +202,28 @@ def parked(t: TrussSubgraph) -> dict:
     `solve_gp_edge` or `solve_up_edge` may hand over one it has already
     committed on, and gets a new empty dict that nothing keeps.  The groups
     of a level depend on the graph and k alone, so the greedy solvers park
-    their live indexes in the returned dict: under `"support"` the
-    `groups.SupportGroupIndex` that `gp_edge` and `up_edge` share, and
-    under `"truss"` `up_edge`'s `groups.GroupIndex`.  The dict lives as
-    long as the level: created empty with it and evicted with it
-    (`k_truss`).
+    in the returned dict what they build from them:
+
+    - `"support"`: the `groups.SupportGroupIndex` that `gp_edge` and
+      `up_edge` share;
+    - `"truss"`: `up_edge`'s `groups.GroupIndex`;
+    - `"kcand"`: the scan order's candidate flags, a `bytearray` with one
+      byte an edge, shared by both solvers (`minimize._rest_order`);
+    - `"gp_edge"` and `"up_edge"`: each solver's sorted scan keys, an
+      `array('q')` with 8 bytes a candidate.
+
+    The dict lives as long as the level: created empty with it and evicted
+    with it (`k_truss`).
 
     Each solve runs one cycle per index.  Lend: it pops the index, or
     builds one when nothing is parked.  Commit: each of its commits to its
     own clone of the level updates the index, which takes that truss as an
     argument and keeps none.  Rollback: when the loop returns,
     `rollback()` puts the index back to the level's groups.  Park: it
-    stores the index in the dict again.  A solve that raises parks
-    nothing, so no half-committed index is lent, and the next solve
-    builds afresh.
+    stores the index in the dict again.  The scan order's flags and keys
+    skip the rollback: the solve commits to copies of them and parks them
+    as it popped them.  A solve that raises parks nothing, so no
+    half-committed index is lent, and the next solve builds afresh.
     """
     level = t.graph._truss_cache.get(t.k)
     if level is None or level[2] != t.edge_count or level[0] != t.alive:

@@ -1,11 +1,13 @@
 import random
 from collections import Counter
+from itertools import compress
 
 import pytest
 
 from trussmin import ContractViolation, Graph, SolverConfig, TrussSubgraph, k_truss, solve
 from trussmin.cascade import commit_region, simulate_followers
 from trussmin.groups import SupportGroupIndex, find_support_groups
+from trussmin.minimize import _rest_order, _ScanOrder
 from trussmin.truss import peel_to
 
 
@@ -169,6 +171,19 @@ def assert_candidacy_rule(t: TrussSubgraph, index: SupportGroupIndex, context=No
     among the edges of the graph of `t`, the truss the index is kept on."""
     view = set(index.iter_candidates())
     assert [e for e in range(t.graph.m) if index.is_candidate(e) != (e in view)] == [], context
+
+
+def new_order(t: TrussSubgraph, index: SupportGroupIndex, bound) -> _ScanOrder:
+    """A scan order over the candidates of `index`, keyed under `bound`,
+    started from a rest form built cold."""
+    return _ScanOrder(t.graph.m, index, bound, *_rest_order(t, index, bound, None))
+
+
+def order_view(order: _ScanOrder) -> tuple[dict[int, int], list[int]]:
+    """A scan order in comparable form: each candidate's key, read off the
+    order's per-edge tables, and the key list."""
+    m, kbound = order.m, order.kbound
+    return {c: (m - kbound[c]) * m + c for c in compress(range(m), order.kcand)}, list(order.keys)
 
 
 def upper_bound(idx, t: TrussSubgraph, upper: TrussSubgraph, e) -> int:

@@ -5,11 +5,13 @@ the text to put in its place, and the pytest node ids that must fail once
 it is in.  The old text must occur in the file exactly once, or the
 script fails: a refactor that moves it updates the mutant instead of
 silently skipping it.  The script copies `src/` into a temporary
-directory, applies one mutant at a time, runs that mutant's node ids
-against the copy and reports each node id none of whose tests failed.  A
-run that outlasts `TIMEOUT_S` counts against the tests too: a defect must
-show as a named failure, not as a hang.  A surviving mutant is a gap in
-the tests to close, never a mutant to delete.
+directory once per worker (`WORKERS` of them), and each worker applies
+one mutant at a time to its own copy, runs that mutant's node ids against
+it and restores it.  The report lists the mutants in order, with each
+node id none of whose tests failed.  A run that outlasts `TIMEOUT_S`
+counts against the tests too: a defect must show as a named failure, not
+as a hang.  A surviving mutant is a gap in the tests to close, never a
+mutant to delete.
 
 pytest does not collect this file, since its name does not match
 `test_*.py`.  It needs only the standard library and pytest.  Run it from
@@ -21,16 +23,20 @@ anywhere:
 from __future__ import annotations
 
 import os
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 60
+# pytest runs at once, each against its own copy of src/
+WORKERS = 2
 
 
 class Mutant(NamedTuple):
@@ -128,6 +134,8 @@ PARKED_RAISES = "tests/test_minimize.py::TestParkedGroups::test_a_solve_that_rai
 PARKED_KEPT = ("tests/test_minimize.py::TestParkedGroups::"
                "test_a_level_keeps_its_groups_across_solves_at_another_level")
 PARKED_LEVELS = "tests/test_truss.py::TestTrussCache::test_each_cached_level_parks_in_its_own_dict"
+PARKED_ORDERS = ("tests/test_minimize.py::TestParkedGroups::"
+                 "test_a_cached_level_builds_each_scan_order_once")
 BUDGET = "tests/test_minimize.py::TestSolverConfig::test_every_solver_refuses_a_budget_the_config_refuses"
 BUDGET_UP, BUDGET_UP_ZERO = BUDGET + "[up_edge-2.5]", BUDGET + "[up_edge-0]"
 CAP = "tests/test_minimize.py::TestSolverConfig::test_exact_refuses_a_cap_the_config_refuses"
@@ -389,9 +397,11 @@ MUTANTS = (
            "filterfalse(self.pruned_count.get, compress(over, over.values()))",
            "compress(over, over.values())",
            (BUILD_RANDOM, BUILD_OVERLAP, BUILD_K10, GP_ORDER)),
+    # the solvers read the iterator on a fresh build only, which has no zero
+    # count; the chains and the dump after a solve read it after withdrawals
     Mutant("the candidate iterator takes a zero count for a vote", GROUPS,
            "compress(over, over.values())", "iter(over)",
-           (PARKED_RANDOM, PARKED_INTERLEAVED)),
+           (SCAN_ORDER_CHAINS, DUMP_AFTER_SOLVE, CRITERION_9)),
     # the greedy loop (`minimize._solve_greedy`): the support groups append
     # the changed candidacies to its one `changed` list, up_edge's refresh
     # the moved bounds as well, and the order re-keys that list
@@ -463,7 +473,8 @@ MUTANTS = (
            "t.edge_count, {})", "t.edge_count, [*cache.values(), (0, 0, 0, {})][0][3])",
            (PARKED_RANDOM, PARKED_KEPT, PARKED_LEVELS)),
     Mutant("a solve never parks its support index", MINIMIZE,
-           'groups["support"] = support_groups', "pass",
+           'groups["support"], groups["kcand"], groups[source] = support_groups, kcand, keys',
+           'groups["kcand"], groups[source] = kcand, keys',
            (PARKED_RANDOM, PARKED_INTERLEAVED)),
     # the rollback both indexes share (`groups._GroupStore`), and its log:
     # a group grown since the last rollback and dissolved again leaves
@@ -478,17 +489,41 @@ MUTANTS = (
            "if log.pop(gid, None) is None:", "if log.pop(gid, None) is None or True:",
            (PARKED_ROLLBACK, PARKED_ERODING, PARKED_OVERLAP)),
     Mutant("the truss index is re-parked in a finally", MINIMIZE,
-           "    records = _solve_greedy(t, b, groups, idx.bound, lambda dead, region, changed:\n"
+           '    records = _solve_greedy(t, b, groups, "up_edge", idx.bound, '
+           "lambda dead, region, changed:\n"
            "                            refresh_index(idx, t, upper, dead, region, changed))\n"
            "    idx.rollback()\n"
            '    groups["truss"] = idx\n',
            "    try:\n"
-           "        records = _solve_greedy(t, b, groups, idx.bound, lambda dead, region, changed:\n"
+           '        records = _solve_greedy(t, b, groups, "up_edge", idx.bound, '
+           "lambda dead, region, changed:\n"
            "                                refresh_index(idx, t, upper, dead, region, changed))\n"
            "    finally:\n"
            "        idx.rollback()\n"
            '        groups["truss"] = idx\n',
            (PARKED_RAISES,)),
+    # the scan order's rest form (`minimize._rest_order`), parked beside the
+    # indexes: each solve's order commits to copies of it, and parks it as
+    # it was lent; `rekey` finds an edge's old key through `kbound`
+    Mutant("the lent order shares the parked keys instead of copying them", MINIMIZE,
+           "keys[:], bytearray(kcand), array(\"i\", bound)",
+           "keys, bytearray(kcand), array(\"i\", bound)",
+           (PARKED_RANDOM, PARKED_INTERLEAVED, PARKED_ORDERS)),
+    Mutant("the lent order shares the parked kcand", MINIMIZE,
+           "keys[:], bytearray(kcand), array(\"i\", bound)",
+           "keys[:], kcand, array(\"i\", bound)",
+           (PARKED_RANDOM, PARKED_INTERLEAVED, PARKED_ORDERS)),
+    Mutant("rekey leaves kbound at the old bound", MINIMIZE,
+           "kcand[e], kbound[e] = new, bound[e]", "kcand[e] = new",
+           (CACHED_BOUNDS, SCAN_ORDER_CHAINS, REFRESH_GIANT)),
+    Mutant("a solve never parks its scan order", MINIMIZE,
+           'groups["support"], groups["kcand"], groups[source] = support_groups, kcand, keys',
+           'groups["support"] = support_groups',
+           (PARKED_RANDOM, PARKED_ORDERS)),
+    Mutant("the skip rule skips edges outside the order", MINIMIZE,
+           "if x in fvals or x in removed_by or not kcand[x]:",
+           "if x in fvals or x in removed_by:",
+           (EARLY_STOP_UP, GOLDEN_UP)),
     # `--dump-groups` (`cli._groups_dump`) reads the indexes a solve parked
     Mutant("the dump grows its own groups", CLI,
            "groups = parked(t)", "groups = {}",
@@ -553,16 +588,27 @@ def check(mutant: Mutant, src: Path) -> list[str]:
 def main() -> int:
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        for mutant in MUTANTS:
+        copies: queue.SimpleQueue[Path] = queue.SimpleQueue()
+        for i in range(WORKERS):
+            src = Path(tmp) / f"src{i}"
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+            copies.put(src)
+
+        def timed_check(mutant: Mutant) -> tuple[list[str], float]:
+            src = copies.get()  # a copy no other worker holds
             start = time.perf_counter()
-            problems = check(mutant, src)
-            status = "SURVIVED" if problems else "killed"
-            print(f"{status:8} {mutant.name} ({time.perf_counter() - start:.1f} s)")
-            for p in problems:
-                print(f"         {p}")
-            bad += bool(problems)
+            try:
+                return check(mutant, src), time.perf_counter() - start
+            finally:
+                copies.put(src)
+
+        with ThreadPoolExecutor(WORKERS) as pool:
+            for mutant, (problems, seconds) in zip(MUTANTS, pool.map(timed_check, MUTANTS)):
+                status = "SURVIVED" if problems else "killed"
+                print(f"{status:8} {mutant.name} ({seconds:.1f} s)", flush=True)
+                for p in problems:
+                    print(f"         {p}")
+                bad += bool(problems)
     print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 

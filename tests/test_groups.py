@@ -6,13 +6,14 @@ import oracles
 import synth
 from conftest import assert_candidacy_rule, assert_no_queued_edge, \
     assert_support_build_matches_reference, commit_nested, complete_pairs, er_pairs, gids, \
-    graph_of, group_sizes, label_pairs, next_level, random_trusses, upper_bound, votes
+    graph_of, group_sizes, label_pairs, new_order, next_level, order_view, random_trusses, \
+    upper_bound, votes
 from trussmin import ContractViolation, delete_and_cascade, followers_of_edge, groups, k_truss, \
     truss
 from trussmin.cascade import commit_region, simulate_followers
 from trussmin.groups import SupportGroupIndex, build_truss_group_index, find_support_groups, \
     refresh_index
-from trussmin.minimize import _ScanOrder, _two_level_tau, solve_up_edge
+from trussmin.minimize import _two_level_tau, solve_up_edge
 
 
 def group_partition_labels(g, groups):
@@ -548,7 +549,7 @@ class TestRefreshIndex:
         sizes = sorted(group_sizes(idx).values())
         assert (sizes[-1], sum(sizes)) == (6_537, 7_545)
         index = SupportGroupIndex(t)
-        order = _ScanOrder(g.m, index, idx.bound)
+        order = new_order(t, index, idx.bound)
         splits = 0
         for eid in chosen:
             dead, region = commit_nested(t, eid)
@@ -571,6 +572,5 @@ class TestRefreshIndex:
             # `moved` alone re-keys the scan order: it holds every edge whose
             # bound moved, and every edge whose candidacy changed
             order.rekey(moved)
-            fresh = _ScanOrder(g.m, rebuilt, idx.bound)
-            assert (order.key, order.keys) == (fresh.key, fresh.keys), context
+            assert order_view(order) == order_view(new_order(t, rebuilt, idx.bound)), context
         assert splits >= 2

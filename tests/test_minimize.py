@@ -8,15 +8,15 @@ import pytest
 import oracles
 import synth
 from conftest import assert_no_queued_edge, commit_nested, complete_pairs, er_pairs, gids, \
-    graph_of, label_pairs, next_level, oracle_best_single, random_trusses, upper_bound, \
-    verify_equivalence, votes
+    graph_of, label_pairs, new_order, next_level, oracle_best_single, order_view, \
+    random_trusses, upper_bound, verify_equivalence, votes
 from trussmin import ContractViolation, EnumerationCapExceeded, Graph, SolverConfig, \
     delete_and_cascade, k_truss, solve, solve_baseline, solve_exact, solve_gp_edge, \
     solve_support, solve_up_edge, truss
 from trussmin.cascade import commit_region, simulate_followers
 from trussmin.groups import SupportGroupIndex, build_truss_group_index, find_support_groups, \
     refresh_index
-from trussmin.minimize import _ScanOrder, _two_level_tau
+from trussmin.minimize import _two_level_tau
 from trussmin.truss import TrussSubgraph
 
 # Frozen instance where the unpruned reference scan ties on an edge that the
@@ -986,9 +986,10 @@ def fresh_keys(t, bounded: bool) -> dict[int, int]:
 def check_scan_order(monkeypatch, bounded: bool) -> list[int]:
     """Wraps `minimize._scan` so that every scan first checks its order.
 
-    The order's key dict, its candidate set, must equal `fresh_keys(memo.t,
-    bounded)`, for the truss the memo reads, and its key list their sort.
-    Returns the list that collects each scan's candidate count.
+    The order's candidates and their keys (`order_view`) must equal
+    `fresh_keys(memo.t, bounded)`, for the truss the memo reads, and its
+    key list their sort.  Returns the list that collects each scan's
+    candidate count.
     """
     from trussmin import minimize
     real = minimize._scan
@@ -997,8 +998,7 @@ def check_scan_order(monkeypatch, bounded: bool) -> list[int]:
     def scan(order, memo):
         want = fresh_keys(memo.t, bounded)
         context = f"stale scan order after {len(counts)} scans"
-        assert order.key == want, context
-        assert order.keys == sorted(want.values()), context
+        assert order_view(order) == (want, sorted(want.values())), context
         counts.append(len(want))
         return real(order, memo)
 
@@ -1040,8 +1040,7 @@ class TestScanOrder:
         assert sorted(index.iter_candidates()) == find_support_groups(t)[1], context
         for order, bounded in ((up, True), (gp, False)):
             want = fresh_keys(t, bounded)
-            assert order.key == want, (context, bounded)
-            assert order.keys == sorted(want.values()), (context, bounded)
+            assert order_view(order) == (want, sorted(want.values())), (context, bounded)
 
     def test_random_deletion_chains(self, rng):
         commits = 0
@@ -1054,8 +1053,8 @@ class TestScanOrder:
                 upper = _two_level_tau(t)
                 idx = build_truss_group_index(t, upper)
                 index = SupportGroupIndex(t)
-                up = _ScanOrder(g.m, index, idx.bound)
-                gp = _ScanOrder(g.m, index, [g.m] * g.m)
+                up = new_order(t, index, idx.bound)
+                gp = new_order(t, index, [g.m] * g.m)
                 self.assert_fresh(t, index, up, gp, f"k={k} build")
                 while t.edge_count:
                     eid = rng.choice(t.alive_edge_ids())
@@ -1098,10 +1097,20 @@ def truss_view(idx) -> tuple:
 
 def cold_views(g, k) -> tuple:
     """`support_view` and `truss_view` of the indexes built afresh on the
-    k-truss of `g`, peeled without the cache, so the cache stays as it was."""
+    k-truss of `g`, peeled without the cache, so the cache stays as it was,
+    and the scan order's rest form over them, as lists by parked key: the
+    candidate flags of a fresh support-group scan, and each bound source's
+    sorted keys, `gp_edge`'s under the constant bound m and `up_edge`'s
+    under the fresh index's."""
     t = truss._peel_graph(g, k)
     idx = build_truss_group_index(t, next_level(t))
-    return support_view(SupportGroupIndex(t)), truss_view(idx)
+    m, candidates = g.m, find_support_groups(t)[1]
+    kcand = [0] * m
+    for c in candidates:
+        kcand[c] = 1
+    rest = {"kcand": kcand, "gp_edge": candidates,
+            "up_edge": sorted((m - idx.bound[c]) * m + c for c in candidates)}
+    return support_view(SupportGroupIndex(t)), truss_view(idx), rest
 
 
 def parked_on(g, k) -> dict:
@@ -1109,11 +1118,18 @@ def parked_on(g, k) -> dict:
     return g._truss_cache[k][3]
 
 
+PARKED_KEYS = {"support", "truss", "kcand", "gp_edge", "up_edge"}
+
+
 def assert_parked_as_built(g, k, want) -> None:
-    """The indexes parked on the k-level of `g` equal `want`, what
-    `cold_views` returns, and hold no log and no truss."""
+    """The indexes and scan-order rest forms parked on the k-level of `g`
+    equal `want`, what `cold_views` returns, and the indexes hold no log
+    and no truss."""
     parked = parked_on(g, k)
-    assert parked.keys() <= {"support", "truss"}, k
+    assert parked.keys() <= PARKED_KEYS, k
+    for kind, want_rest in want[2].items():
+        if kind in parked:
+            assert list(parked[kind]) == want_rest, (kind, k)
     for kind, view, want_view in (("support", support_view, want[0]),
                                   ("truss", truss_view, want[1])):
         index = parked.get(kind)
@@ -1147,12 +1163,23 @@ def counting_builds(monkeypatch, g) -> list[int]:
     return builds
 
 
+def counting_orders(monkeypatch, g) -> list[tuple[int, bool]]:
+    """The scan-order rest forms built on `g` from now on, in order: each
+    one's level, and whether its candidate flags were built too."""
+    from trussmin import minimize
+    real_build, builds = minimize._rest_order, []
+    monkeypatch.setattr(minimize, "_rest_order", lambda t, groups, bound, kcand: (
+        t.graph is g and builds.append((t.k, kcand is None))) or real_build(t, groups, bound, kcand))
+    return builds
+
+
 class TestParkedGroups:
     """The first `gp_edge` or `up_edge` solve on a graph's cached k-level
-    parks the indexes it builds on that level, and later solves at k pop
-    them, commit on them and roll them back while the level stays cached:
-    every answer equals a cold graph's, and after every solve the parked
-    indexes equal a cold build on the level."""
+    parks the indexes and scan-order rest forms it builds on that level,
+    and later solves at k pop them, commit on them (or on copies) and roll
+    them back while the level stays cached: every answer equals a cold
+    graph's, and after every solve what is parked equals a cold build on
+    the level."""
 
     # (algorithm, budget in thirds of the largest) in the order one graph
     # runs them at each level
@@ -1161,8 +1188,12 @@ class TestParkedGroups:
 
     def warm_equals_cold(self, monkeypatch, g, k, b=3):
         """Run `PLAN`, with budgets up to `b`, at k, k + 1 and k again on
-        `g`; returns the levels of the truss-group builds on `g`, in order."""
-        builds = counting_builds(monkeypatch, g)
+        `g`; returns the levels of the truss-group builds on `g`, in order.
+
+        Each visit, to a level no earlier visit left cached, builds the scan
+        order's rest form once per bound source, the candidate flags with
+        the first."""
+        builds, orders = counting_builds(monkeypatch, g), counting_orders(monkeypatch, g)
         cold, built = {}, {}
         for level in (k, k + 1, k):
             for algorithm, thirds in self.PLAN:
@@ -1173,7 +1204,8 @@ class TestParkedGroups:
                 if level not in built:
                     built[level] = cold_views(g, level)
                 assert_parked_as_built(g, level, built[level])
-            assert parked_on(g, level).keys() == {"support", "truss"}
+            assert parked_on(g, level).keys() == PARKED_KEYS
+        assert orders == [(level, first) for level in (k, k + 1, k) for first in (True, False)]
         return builds
 
     def test_random_graphs(self, monkeypatch, rng):
@@ -1197,7 +1229,26 @@ class TestParkedGroups:
         # the 9-level was cached beside the 8-level, so the solve at 9 evicted nothing
         assert builds == [8] and list(g._truss_cache) == [8, 9]
         assert again == first
-        assert parked_on(g, 9).keys() == {"support"}
+        assert parked_on(g, 9).keys() == {"support", "kcand", "gp_edge"}
+
+    def test_a_cached_level_builds_each_scan_order_once(self, monkeypatch):
+        # gp_edge and up_edge at 8 share its candidate flags, and each
+        # parks its keys there; the 9-level, cached as up_edge's nested
+        # truss, builds its own; no later solve builds any again
+        g = graph_of(synth.community_pairs(seed=2, scale=3))
+        orders = counting_orders(monkeypatch, g)
+        plan = (("gp_edge", 8), ("up_edge", 8), ("gp_edge", 9),
+                ("up_edge", 8), ("gp_edge", 8), ("gp_edge", 9))
+        want = ([(8, True)], [(8, False)], [(9, True)], [], [], [])
+        records = []
+        for step, new in zip(plan, want):
+            before = len(orders)
+            records += self.solve_at(g, (step,))
+            assert orders[before:] == new, step
+        assert records[3:] == [records[1], records[0], records[2]]
+        assert list(g._truss_cache) == [8, 9]
+        assert parked_on(g, 8).keys() == PARKED_KEYS
+        assert_parked_as_built(g, 8, cold_views(g, 8))
 
     def test_an_evicted_level_grows_its_groups_again(self, monkeypatch):
         g = graph_of(synth.community_pairs(seed=2, scale=3))
@@ -1237,7 +1288,7 @@ class TestParkedGroups:
         for g in memo_test_graphs(rng, 40):
             for k in range(3, 7):
                 t = k_truss(g, k)
-                want = cold_views(g, k)
+                want = cold_views(g, k)[:2]
                 index = SupportGroupIndex(t)
                 idx = build_truss_group_index(t, _two_level_tau(t))
                 for _ in range(2):
@@ -1272,14 +1323,17 @@ class TestParkedGroups:
                         cold[cfg] = records_of(solve(cold_copy(g), cfg))
                     assert records_of(solve(g, cfg)) == cold[cfg], cfg
                     assert_parked_as_built(g, k, want)
-            assert parked_on(g, k).keys() == {"support", "truss"}
+            assert parked_on(g, k).keys() == PARKED_KEYS
         # each visit builds once: the nested truss of the visit before it
         # evicted its level, and the 9-level was cached only as a nested one
         assert builds == [8, 10, 8, 9, 8]
 
     def test_a_solve_that_raises_parks_nothing(self, monkeypatch):
         # the second commit raises: the indexes the solve popped, or built,
-        # are half committed, and the next solve must not start from them
+        # are half committed, and the next solve must not start from them;
+        # nor from the scan order's rest form, which it lent to copies.
+        # Every scan, in the solve that raises and the one after it, reads
+        # an order equal to a fresh one
         from trussmin import minimize
         pairs = synth.community_pairs(seed=2, scale=3)
         real_commit = minimize._commit
@@ -1298,10 +1352,13 @@ class TestParkedGroups:
                         raise RuntimeError("second commit")
                     return real_commit(t, eid, expected)
 
-                with monkeypatch.context() as patched:
-                    patched.setattr(minimize, "_commit", commit)
-                    with pytest.raises(RuntimeError, match="second commit"):
-                        solve(g, cfg)
-                assert parked_on(g, 8) == {}, (algorithm, warm)
-                assert records_of(solve(g, cfg)) == want, (algorithm, warm)
+                with monkeypatch.context() as checked:
+                    scans = check_scan_order(checked, bounded=algorithm == "up_edge")
+                    with monkeypatch.context() as patched:
+                        patched.setattr(minimize, "_commit", commit)
+                        with pytest.raises(RuntimeError, match="second commit"):
+                            solve(g, cfg)
+                    assert parked_on(g, 8) == {}, (algorithm, warm)
+                    assert records_of(solve(g, cfg)) == want, (algorithm, warm)
+                assert len(scans) == 2 + len(want), (algorithm, warm)
                 assert_parked_as_built(g, 8, cold_views(g, 8))

@@ -170,7 +170,7 @@ def _groups_dump(g: Graph, k: int) -> dict:
             }
             for i, (_, grp) in enumerate(sorted(support_groups.groups.items()))
         ],
-        "candidates": [list(g.original_pair(e)) for e in sorted(support_groups.iter_candidates())],
+        "candidates": [list(g.original_pair(e)) for e in support_groups.iter_candidates()],
         "truss_groups": [
             {"gid": i, "size": len(grp.members),
              "members": [list(g.original_pair(e)) for e in grp.members]}

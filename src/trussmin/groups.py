@@ -19,7 +19,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field
-from itertools import chain, compress, filterfalse
+from itertools import compress
 from typing import NamedTuple
 
 from .cascade import commit_region
@@ -211,13 +211,13 @@ class SupportGroupIndex(_GroupStore):
     truss.  The index keeps no truss: `update` takes the one its caller
     commits to.
 
-    The index keeps no candidate set, only each edge's votes: how many
-    groups list it as over-adjacent, and how many as a pruned follower.
-    `is_candidate` decides one edge from them, and `iter_candidates` reads
-    the whole set off them; the greedy loop's scan order
-    (`minimize._ScanOrder`) keeps the set as a byte an edge, read off
-    `iter_candidates` once per cached level and parked beside the index
-    (`truss.parked`).  `update` appends every
+    The index owns the candidate set: `cand` holds one byte an edge, 1
+    exactly for the representatives and for the edges some group lists as
+    over-adjacent and none as a pruned follower.  `_weigh` keeps it beside
+    each edge's votes, how many groups list it as over-adjacent and how
+    many as a pruned follower, so a rollback restores it too;
+    `iter_candidates` reads it, and the greedy loop's scan order
+    (`minimize._ScanOrder`) reads it directly.  `update` appends every
     edge whose candidacy it touched to a list its caller owns, so callers
     keeping their own view of the candidates re-read just those; the index
     itself records nothing of it, and a build hands `update`
@@ -226,13 +226,14 @@ class SupportGroupIndex(_GroupStore):
     vote, so a rollback writes into entries that are there already.
     """
 
-    __slots__ = ("over_count", "pruned_count")
+    __slots__ = ("over_count", "pruned_count", "cand")
 
     def __init__(self, t: TrussSubgraph):
         super().__init__({})
         # per edge: how many groups list it as over-adjacent / pruned
         self.over_count: dict[int, int] = {}
         self.pruned_count: dict[int, int] = {}
+        self.cand = bytearray(t.graph.m)
         sup, threshold = t.sup, t.k - 2
         # `list.index` finds the threshold edges at C speed; a dead edge
         # keeps the support it died with, and a peeled one died below k-2,
@@ -248,22 +249,9 @@ class SupportGroupIndex(_GroupStore):
         self.update(t, starts, _DISCARD)
         self.grown.clear()  # the built groups are what a rollback returns to
 
-    def is_candidate(self, x: int) -> bool:
-        """Whether `x` represents a group, or is over-adjacent to one and pruned by none."""
-        return x in self.groups or (self.over_count.get(x, 0) > 0
-                                    and not self.pruned_count.get(x, 0))
-
     def iter_candidates(self) -> Iterator[int]:
-        """Every edge `is_candidate` accepts, once each, without building a set.
-
-        `compress` keeps the edges with a nonzero over-adjacent count, and
-        `filterfalse` drops those with a nonzero pruned count, both at C
-        speed.  A representative has support k-2 and an over-adjacent edge
-        more, so the two parts never meet.
-        """
-        over = self.over_count
-        return chain(self.groups,
-                     filterfalse(self.pruned_count.get, compress(over, over.values())))
+        """Every candidate, ascending, picked out of `cand` by `compress` at C speed."""
+        return compress(range(len(self.cand)), self.cand)
 
     def update(self, t: TrussSubgraph, region: Collection[int], changed: list[int]) -> None:
         """Bring the index up to date after a committed cascade on `t`.
@@ -294,18 +282,25 @@ class SupportGroupIndex(_GroupStore):
                 self._weigh(grp, 1, changed)
 
     def _weigh(self, grp: SupportGroup, delta: int, changed: list[int]) -> None:
-        """Add (+1) or withdraw (-1) one group's votes for its over-adjacent edges.
+        """Add (+1) or withdraw (-1) one group's votes, and set the flags they decide.
 
         The representative and every edge voted for are appended to
         `changed`: the over-adjacent edges hold the pruned followers, so
-        they are listed once.
+        they are listed once, and the pruned votes go in first, so the
+        flag each over-adjacent edge takes reads both of its counts.  A
+        representative has support k-2 and an over-adjacent edge more, so
+        the groups of one truss never vote for a representative, and
+        `update` withdraws every group it dissolves before it grows any.
         """
         changed.append(grp.representative)
         changed.extend(grp.over_adjacent)
-        for counts, edges in ((self.over_count, grp.over_adjacent),
-                              (self.pruned_count, grp.pruned_followers)):
-            for o in edges:
-                counts[o] = counts.get(o, 0) + delta
+        over, pruned, cand = self.over_count, self.pruned_count, self.cand
+        for o in grp.pruned_followers:
+            pruned[o] = pruned.get(o, 0) + delta
+        for o in grp.over_adjacent:
+            over[o] = n = over.get(o, 0) + delta
+            cand[o] = n > 0 and not pruned.get(o, 0)
+        cand[grp.representative] = delta > 0
 
 
 class TrussGroup(NamedTuple):

@@ -392,61 +392,52 @@ class _ScanOrder:
 
     Ascending keys run by descending bound, then ascending edge id, the
     order `_scan` evaluates in.  `keys` holds them sorted, as an
-    `array('q')`.  Two per-edge tables stand for the candidate set, so the
-    order keeps no dict and no int per candidate: `kcand[e]` is 1 while `e`
-    is in the order, and `kbound[e]` is the bound it is keyed under, so its
-    key is `(m - kbound[e]) * m + e`.  `groups`, its `SupportGroupIndex`,
-    decides candidacy.  `bound` is the bound source's per-edge
-    `array('i')`: the live `GroupIndex.bound`, or `gp_edge`'s constant one
-    with m in every slot, under which a key is the edge id.
+    `array('q')`, and `kbound[e]` is the bound edge `e` was last keyed
+    under, so an edge in the order has the key `(m - kbound[e]) * m + e`;
+    the order keeps no dict and no int per candidate.  `cand` is the
+    `SupportGroupIndex.cand` the order follows, read, never written.
+    `bound` is the bound source's per-edge `array('i')`: the live
+    `GroupIndex.bound`, or `gp_edge`'s constant one with m in every slot,
+    under which a key is the edge id.
 
-    The order starts from a rest form `(keys, kcand)` (`_rest_order`),
-    keyed under `bound` as it stands, and copies both at C speed, as it
+    The order starts from a rest form, the sorted keys (`_rest_order`)
+    taken under `bound` as it stands, and copies them at C speed, as it
     copies `bound` into `kbound`: the rest form is left as it was handed
     in.  After a commit, `rekey` re-reads the given edges only, so keeping
     the order costs what the commit changed, not the candidate count.
     """
 
-    __slots__ = ("m", "groups", "bound", "keys", "kcand", "kbound")
+    __slots__ = ("m", "cand", "bound", "keys", "kbound")
 
-    def __init__(self, m: int, groups: SupportGroupIndex, bound: Sequence[int],
-                 keys: array, kcand: bytearray):
-        self.m, self.groups, self.bound = m, groups, bound
-        self.keys, self.kcand, self.kbound = keys[:], bytearray(kcand), array("i", bound)
+    def __init__(self, m: int, cand: bytearray, bound: Sequence[int], keys: array):
+        self.m, self.cand, self.bound = m, cand, bound
+        self.keys, self.kbound = keys[:], array("i", bound)
 
     def rekey(self, edges: Iterable[int]) -> None:
         """Move every edge of `edges` to its current key, or out of the order.
 
         `edges` must hold each edge whose candidacy or bound changed since
-        the last call; other edges may appear, and repeat, at no harm.
+        the last call; other edges may appear, and repeat, at no harm.  A
+        key names its edge, and an edge holds at most one, so finding the
+        key `kbound` gives it means the edge is in the order.
         """
-        m, bound, keys, kcand, kbound = self.m, self.bound, self.keys, self.kcand, self.kbound
-        is_candidate = self.groups.is_candidate
+        m, cand, bound, keys, kbound = self.m, self.cand, self.bound, self.keys, self.kbound
         for e in edges:
-            new = is_candidate(e)
-            if kcand[e]:
-                if new and kbound[e] == bound[e]:
+            old = (m - kbound[e]) * m + e
+            i = bisect_left(keys, old)
+            if i < len(keys) and keys[i] == old:
+                if cand[e] and kbound[e] == bound[e]:
                     continue
-                del keys[bisect_left(keys, (m - kbound[e]) * m + e)]
-            if new:
+                del keys[i]
+            if cand[e]:
                 insort(keys, (m - bound[e]) * m + e)
-            kcand[e], kbound[e] = new, bound[e]
+            kbound[e] = bound[e]
 
 
-def _rest_order(t: TrussSubgraph, groups: SupportGroupIndex, bound: Sequence[int],
-                kcand: Optional[bytearray]) -> tuple[array, bytearray]:
-    """A scan order's rest form `(keys, kcand)` over the candidates of `groups`.
-
-    The keys are taken under `bound`.  `kcand`, one byte an edge, does not
-    depend on the bound source, so it is read off `groups.iter_candidates()`
-    only when none is handed in.
-    """
+def _rest_order(t: TrussSubgraph, groups: SupportGroupIndex, bound: Sequence[int]) -> array:
+    """A scan order's rest form: the sorted keys of the candidates of `groups` under `bound`."""
     m = t.graph.m
-    if kcand is None:
-        kcand = bytearray(m)
-        for c in groups.iter_candidates():
-            kcand[c] = 1
-    return array("q", sorted((m - bound[c]) * m + c for c in compress(range(m), kcand))), kcand
+    return array("q", sorted((m - bound[c]) * m + c for c in groups.iter_candidates()))
 
 
 def _scan(order: _ScanOrder, memo: DeadSetMemo) -> tuple[int, list[int], int]:
@@ -470,7 +461,7 @@ def _scan(order: _ScanOrder, memo: DeadSetMemo) -> tuple[int, list[int], int]:
     when no dead set of it is stored; `evaluated` counts the candidates
     consulted, whether the memo held their count or not.
     """
-    m, kcand, kbound, dead_set_of = order.m, order.kcand, order.kbound, memo.dead_set
+    m, cand, kbound, dead_set_of = order.m, order.cand, order.kbound, memo.dead_set
     fvals: dict[int, int] = {}
     # skipped candidate -> the evaluated candidate whose followers hold it
     removed_by: dict[int, int] = {}
@@ -495,7 +486,7 @@ def _scan(order: _ScanOrder, memo: DeadSetMemo) -> tuple[int, list[int], int]:
         elif f == best_f:
             ties.append(c)
         for x in dead_set:
-            if x in fvals or x in removed_by or not kcand[x]:
+            if x in fvals or x in removed_by or not cand[x]:
                 continue
             ub_x = kbound[x]
             if ub_x == ub or ub_x < f:
@@ -549,26 +540,26 @@ def _solve_greedy(t: TrussSubgraph, b: int, groups: dict, source: str, bound: Se
     whose bound moved to `changed`; `source` is its name.  Each iteration
     `_scan`s by descending bound, commits the tie-broken maximizer and
     computes its `commit_region` in `t` once, for the support-group index,
-    the bound source and the `DeadSetMemo` alike.  The scan order holds the
-    candidates across commits.  The support groups and the bounds append
-    the edges whose candidacy or bound the commit changed to one `changed`
-    list; after them and the memo, the order re-keys that list once and it
-    is cleared.
+    the bound source and the `DeadSetMemo` alike.  The support-group index
+    holds the candidates across commits, and the scan order their keys.
+    The support groups and the bounds append the edges whose candidacy or
+    bound the commit changed to one `changed` list; after them and the
+    memo, the order re-keys that list once and it is cleared.
 
     `groups` is what `truss.parked(t)` returned: the loop lends the
-    support-group index parked under `"support"`, and the scan order's
-    rest form parked under `"kcand"` and `source`, or builds what is not
-    parked (`_rest_order`), and parks them there again as `truss.parked`
-    describes.  The order works on copies, so the rest form goes back as
-    it was lent.
+    support-group index parked under `"support"`, whose `cand` the scan
+    order reads, and the order's rest form parked under `source`, or
+    builds what is not parked (`_rest_order`), and parks them there again
+    as `truss.parked` describes.  The order works on a copy of the keys,
+    so the rest form goes back as it was lent, even when it is empty.
     """
     records: list[IterationRecord] = []
     support_groups = groups.pop("support", None) or SupportGroupIndex(t)
-    kcand, keys = groups.pop("kcand", None), groups.pop(source, None)
-    if kcand is None or keys is None:
-        keys, kcand = _rest_order(t, support_groups, bound, kcand)
+    keys = groups.pop(source, None)
+    if keys is None:
+        keys = _rest_order(t, support_groups, bound)
     memo = DeadSetMemo(t)
-    order = _ScanOrder(t.graph.m, support_groups, bound, keys, kcand)
+    order = _ScanOrder(t.graph.m, support_groups.cand, bound, keys)
     changed: list[int] = []
     while len(records) < b and t.edge_count > 0:
         start = time.perf_counter()
@@ -585,7 +576,7 @@ def _solve_greedy(t: TrussSubgraph, b: int, groups: dict, source: str, bound: Se
         changed.clear()
         records.append(_record(t, e_star, followers, candidates_total, evaluated, start))
     support_groups.rollback()
-    groups["support"], groups["kcand"], groups[source] = support_groups, kcand, keys
+    groups["support"], groups[source] = support_groups, keys
     return records
 
 

@@ -205,12 +205,10 @@ def parked(t: TrussSubgraph) -> dict:
     in the returned dict what they build from them:
 
     - `"support"`: the `groups.SupportGroupIndex` that `gp_edge` and
-      `up_edge` share;
+      `up_edge` share, with its candidate flags (`cand`);
     - `"truss"`: `up_edge`'s `groups.GroupIndex`;
-    - `"kcand"`: the scan order's candidate flags, a `bytearray` with one
-      byte an edge, shared by both solvers (`minimize._rest_order`);
     - `"gp_edge"` and `"up_edge"`: each solver's sorted scan keys, an
-      `array('q')` with 8 bytes a candidate.
+      `array('q')` with 8 bytes a candidate (`minimize._rest_order`).
 
     The dict lives as long as the level: created empty with it and evicted
     with it (`k_truss`).
@@ -220,9 +218,9 @@ def parked(t: TrussSubgraph) -> dict:
     own clone of the level updates the index, which takes that truss as an
     argument and keeps none.  Rollback: when the loop returns,
     `rollback()` puts the index back to the level's groups.  Park: it
-    stores the index in the dict again.  The scan order's flags and keys
-    skip the rollback: the solve commits to copies of them and parks them
-    as it popped them.  A solve that raises parks nothing, so no
+    stores the index in the dict again.  The scan keys skip the
+    rollback: the solve commits to a copy of them and parks them as it
+    popped them.  A solve that raises parks nothing, so no
     half-committed index is lent, and the next solve builds afresh.
     """
     level = t.graph._truss_cache.get(t.k)

@@ -167,23 +167,27 @@ def votes(counts: dict[int, int]) -> dict[int, int]:
 
 
 def assert_candidacy_rule(t: TrussSubgraph, index: SupportGroupIndex, context=None) -> None:
-    """`index.is_candidate` accepts exactly the edges `iter_candidates` yields,
-    among the edges of the graph of `t`, the truss the index is kept on."""
-    view = set(index.iter_candidates())
-    assert [e for e in range(t.graph.m) if index.is_candidate(e) != (e in view)] == [], context
+    """`index.cand` flags exactly the representatives and the edges some
+    group votes over-adjacent and none pruned, among the edges of the graph
+    of `t`, the truss the index is kept on, and holds no byte but 0 and 1."""
+    over, pruned = index.over_count, index.pruned_count
+    want = {e for e in range(t.graph.m)
+            if e in index.groups or (over.get(e, 0) > 0 and not pruned.get(e, 0))}
+    assert set(compress(range(t.graph.m), index.cand)) == want, context
+    assert set(index.cand) <= {0, 1}, context
 
 
 def new_order(t: TrussSubgraph, index: SupportGroupIndex, bound) -> _ScanOrder:
     """A scan order over the candidates of `index`, keyed under `bound`,
     started from a rest form built cold."""
-    return _ScanOrder(t.graph.m, index, bound, *_rest_order(t, index, bound, None))
+    return _ScanOrder(t.graph.m, index.cand, bound, _rest_order(t, index, bound))
 
 
 def order_view(order: _ScanOrder) -> tuple[dict[int, int], list[int]]:
     """A scan order in comparable form: each candidate's key, read off the
-    order's per-edge tables, and the key list."""
+    flags it follows and its bound table, and the key list."""
     m, kbound = order.m, order.kbound
-    return {c: (m - kbound[c]) * m + c for c in compress(range(m), order.kcand)}, list(order.keys)
+    return {c: (m - kbound[c]) * m + c for c in compress(range(m), order.cand)}, list(order.keys)
 
 
 def upper_bound(idx, t: TrussSubgraph, upper: TrussSubgraph, e) -> int:

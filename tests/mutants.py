@@ -134,6 +134,8 @@ PARKED_RAISES = "tests/test_minimize.py::TestParkedGroups::test_a_solve_that_rai
 PARKED_KEPT = ("tests/test_minimize.py::TestParkedGroups::"
                "test_a_level_keeps_its_groups_across_solves_at_another_level")
 PARKED_LEVELS = "tests/test_truss.py::TestTrussCache::test_each_cached_level_parks_in_its_own_dict"
+PARKED_EMPTY = ("tests/test_minimize.py::TestParkedGroups::"
+                "test_a_level_without_candidates_lends_its_empty_keys")
 PARKED_ORDERS = ("tests/test_minimize.py::TestParkedGroups::"
                  "test_a_cached_level_builds_each_scan_order_once")
 BUDGET = "tests/test_minimize.py::TestSolverConfig::test_every_solver_refuses_a_budget_the_config_refuses"
@@ -370,22 +372,34 @@ MUTANTS = (
     Mutant("a group's representative leaves changed alone", GROUPS,
            "changed.append(grp.representative)", "pass",
            (GROUP_KEPT, CRITERION_9)),
-    # candidacy (`groups.SupportGroupIndex.is_candidate`), which the scan
-    # order asks for each changed edge: a pruned vote vetoes it
-    Mutant("is_candidate ignores pruned votes", GROUPS,
-           "(self.over_count.get(x, 0) > 0\n"
-           "                                    and not self.pruned_count.get(x, 0))",
-           "self.over_count.get(x, 0) > 0",
+    # candidacy (`groups.SupportGroupIndex.cand`), which `_weigh` sets beside
+    # the votes and the scan order reads: a pruned vote vetoes it
+    Mutant("a candidate flag ignores pruned votes", GROUPS,
+           "cand[o] = n > 0 and not pruned.get(o, 0)", "cand[o] = n > 0",
            (CRITERION_9, BUILD_RANDOM, GP_ORDER)),
     # a withdrawn vote leaves a count of 0, which reads as no vote
-    Mutant("is_candidate takes a zero count for a vote", GROUPS,
-           "self.over_count.get(x, 0) > 0", "x in self.over_count",
+    Mutant("a candidate flag takes a zero count for a vote", GROUPS,
+           "cand[o] = n > 0 and not", "cand[o] = o in over and not",
            (CRITERION_9, GP_ORDER)),
+    # a flag reads both counts once the group's pruned votes are in
+    Mutant("flags are set before the group's pruned votes", GROUPS,
+           "        for o in grp.pruned_followers:\n"
+           "            pruned[o] = pruned.get(o, 0) + delta\n"
+           "        for o in grp.over_adjacent:\n"
+           "            over[o] = n = over.get(o, 0) + delta\n"
+           "            cand[o] = n > 0 and not pruned.get(o, 0)\n",
+           "        for o in grp.over_adjacent:\n"
+           "            over[o] = n = over.get(o, 0) + delta\n"
+           "            cand[o] = n > 0 and not pruned.get(o, 0)\n"
+           "        for o in grp.pruned_followers:\n"
+           "            pruned[o] = pruned.get(o, 0) + delta\n",
+           (CRITERION_9, BUILD_RANDOM, GP_ORDER)),
+    Mutant("a dissolved representative keeps its flag", GROUPS,
+           "cand[grp.representative] = delta > 0", "cand[grp.representative] = 1",
+           (CRITERION_9, GROUP_KEPT, GP_ORDER)),
     # the support-group index's build (`groups.SupportGroupIndex.__init__`),
     # the update from empty: its threshold scan meets dead edges, which
-    # `update` steps over, it hands `update` `_DISCARD` for the votes, and
-    # `iter_candidates`, which the scan order starts from and the group
-    # dump reads, lets a pruned vote veto candidacy
+    # `update` steps over, and it hands `update` `_DISCARD` for the votes
     Mutant("the threshold scan takes a dead edge", GROUPS,
            "if alive[e] and sup[e] == threshold and gid_of.get(e, -1) < 0:",
            "if sup[e] == threshold and gid_of.get(e, -1) < 0:",
@@ -393,15 +407,6 @@ MUTANTS = (
     Mutant("the build collects its votes", GROUPS,
            "self.update(t, starts, _DISCARD)", "self.update(t, starts, [])",
            (BUILD_NO_VOTES,)),
-    Mutant("the candidate iterator ignores pruned votes", GROUPS,
-           "filterfalse(self.pruned_count.get, compress(over, over.values()))",
-           "compress(over, over.values())",
-           (BUILD_RANDOM, BUILD_OVERLAP, BUILD_K10, GP_ORDER)),
-    # the solvers read the iterator on a fresh build only, which has no zero
-    # count; the chains and the dump after a solve read it after withdrawals
-    Mutant("the candidate iterator takes a zero count for a vote", GROUPS,
-           "compress(over, over.values())", "iter(over)",
-           (SCAN_ORDER_CHAINS, DUMP_AFTER_SOLVE, CRITERION_9)),
     # the greedy loop (`minimize._solve_greedy`): the support groups append
     # the changed candidacies to its one `changed` list, up_edge's refresh
     # the moved bounds as well, and the order re-keys that list
@@ -473,8 +478,8 @@ MUTANTS = (
            "t.edge_count, {})", "t.edge_count, [*cache.values(), (0, 0, 0, {})][0][3])",
            (PARKED_RANDOM, PARKED_KEPT, PARKED_LEVELS)),
     Mutant("a solve never parks its support index", MINIMIZE,
-           'groups["support"], groups["kcand"], groups[source] = support_groups, kcand, keys',
-           'groups["kcand"], groups[source] = kcand, keys',
+           'groups["support"], groups[source] = support_groups, keys',
+           'groups[source] = keys',
            (PARKED_RANDOM, PARKED_INTERLEAVED)),
     # the rollback both indexes share (`groups._GroupStore`), and its log:
     # a group grown since the last rollback and dissolved again leaves
@@ -503,25 +508,31 @@ MUTANTS = (
            '        groups["truss"] = idx\n',
            (PARKED_RAISES,)),
     # the scan order's rest form (`minimize._rest_order`), parked beside the
-    # indexes: each solve's order commits to copies of it, and parks it as
-    # it was lent; `rekey` finds an edge's old key through `kbound`
+    # indexes: each solve's order commits to a copy of it, and parks it as
+    # it was lent; `rekey` finds an edge's old key through `kbound`, and
+    # deletes only that key
     Mutant("the lent order shares the parked keys instead of copying them", MINIMIZE,
-           "keys[:], bytearray(kcand), array(\"i\", bound)",
-           "keys, bytearray(kcand), array(\"i\", bound)",
-           (PARKED_RANDOM, PARKED_INTERLEAVED, PARKED_ORDERS)),
-    Mutant("the lent order shares the parked kcand", MINIMIZE,
-           "keys[:], bytearray(kcand), array(\"i\", bound)",
-           "keys[:], kcand, array(\"i\", bound)",
+           "keys[:], array(\"i\", bound)", "keys, array(\"i\", bound)",
            (PARKED_RANDOM, PARKED_INTERLEAVED, PARKED_ORDERS)),
     Mutant("rekey leaves kbound at the old bound", MINIMIZE,
-           "kcand[e], kbound[e] = new, bound[e]", "kcand[e] = new",
+           "            kbound[e] = bound[e]\n", "",
            (CACHED_BOUNDS, SCAN_ORDER_CHAINS, REFRESH_GIANT)),
+    Mutant("rekey deletes whatever key sits at the bisect point", MINIMIZE,
+           "if i < len(keys) and keys[i] == old:", "if i < len(keys):",
+           (CACHED_BOUNDS, SCAN_ORDER_CHAINS, GP_ORDER)),
+    # a level without candidates parks empty keys, which are still lent
+    Mutant("empty parked keys are built again", MINIMIZE,
+           "    keys = groups.pop(source, None)\n"
+           "    if keys is None:\n"
+           "        keys = _rest_order(t, support_groups, bound)\n",
+           "    keys = groups.pop(source, None) or _rest_order(t, support_groups, bound)\n",
+           (PARKED_EMPTY,)),
     Mutant("a solve never parks its scan order", MINIMIZE,
-           'groups["support"], groups["kcand"], groups[source] = support_groups, kcand, keys',
+           'groups["support"], groups[source] = support_groups, keys',
            'groups["support"] = support_groups',
            (PARKED_RANDOM, PARKED_ORDERS)),
     Mutant("the skip rule skips edges outside the order", MINIMIZE,
-           "if x in fvals or x in removed_by or not kcand[x]:",
+           "if x in fvals or x in removed_by or not cand[x]:",
            "if x in fvals or x in removed_by:",
            (EARLY_STOP_UP, GOLDEN_UP)),
     # `--dump-groups` (`cli._groups_dump`) reads the indexes a solve parked

@@ -569,6 +569,7 @@ class TestRefreshIndex:
                 context
             for name in ("over_count", "pruned_count"):
                 assert votes(getattr(index, name)) == getattr(rebuilt, name), (name, context)
+            assert index.cand == rebuilt.cand, context
             # `moved` alone re-keys the scan order: it holds every edge whose
             # bound moved, and every edge whose candidacy changed
             order.rekey(moved)

@@ -1082,10 +1082,11 @@ class TestScanOrder:
 def support_view(index) -> tuple:
     """A `SupportGroupIndex` in comparable form: each group's members,
     pruned followers and over-adjacent edges (as a set) by id, each grouped
-    edge's id, and the nonzero votes."""
+    edge's id, the nonzero votes and the candidate flags."""
     return ({rep: (grp.members, grp.pruned_followers, set(grp.over_adjacent))
              for rep, grp in index.groups.items()},
-            gids(index.gid_of), votes(index.over_count), votes(index.pruned_count))
+            gids(index.gid_of), votes(index.over_count), votes(index.pruned_count),
+            bytes(index.cand))
 
 
 def truss_view(idx) -> tuple:
@@ -1098,17 +1099,14 @@ def truss_view(idx) -> tuple:
 def cold_views(g, k) -> tuple:
     """`support_view` and `truss_view` of the indexes built afresh on the
     k-truss of `g`, peeled without the cache, so the cache stays as it was,
-    and the scan order's rest form over them, as lists by parked key: the
-    candidate flags of a fresh support-group scan, and each bound source's
-    sorted keys, `gp_edge`'s under the constant bound m and `up_edge`'s
-    under the fresh index's."""
+    and the scan order's rest form over them, as lists by parked key: each
+    bound source's sorted keys for the candidates of a fresh support-group
+    scan, `gp_edge`'s under the constant bound m and `up_edge`'s under the
+    fresh index's."""
     t = truss._peel_graph(g, k)
     idx = build_truss_group_index(t, next_level(t))
     m, candidates = g.m, find_support_groups(t)[1]
-    kcand = [0] * m
-    for c in candidates:
-        kcand[c] = 1
-    rest = {"kcand": kcand, "gp_edge": candidates,
+    rest = {"gp_edge": candidates,
             "up_edge": sorted((m - idx.bound[c]) * m + c for c in candidates)}
     return support_view(SupportGroupIndex(t)), truss_view(idx), rest
 
@@ -1118,7 +1116,7 @@ def parked_on(g, k) -> dict:
     return g._truss_cache[k][3]
 
 
-PARKED_KEYS = {"support", "truss", "kcand", "gp_edge", "up_edge"}
+PARKED_KEYS = {"support", "truss", "gp_edge", "up_edge"}
 
 
 def assert_parked_as_built(g, k, want) -> None:
@@ -1163,13 +1161,12 @@ def counting_builds(monkeypatch, g) -> list[int]:
     return builds
 
 
-def counting_orders(monkeypatch, g) -> list[tuple[int, bool]]:
-    """The scan-order rest forms built on `g` from now on, in order: each
-    one's level, and whether its candidate flags were built too."""
+def counting_orders(monkeypatch, g) -> list[int]:
+    """The levels of the scan-order rest forms built on `g` from now on, in order."""
     from trussmin import minimize
     real_build, builds = minimize._rest_order, []
-    monkeypatch.setattr(minimize, "_rest_order", lambda t, groups, bound, kcand: (
-        t.graph is g and builds.append((t.k, kcand is None))) or real_build(t, groups, bound, kcand))
+    monkeypatch.setattr(minimize, "_rest_order", lambda t, groups, bound: (
+        t.graph is g and builds.append(t.k)) or real_build(t, groups, bound))
     return builds
 
 
@@ -1191,8 +1188,7 @@ class TestParkedGroups:
         `g`; returns the levels of the truss-group builds on `g`, in order.
 
         Each visit, to a level no earlier visit left cached, builds the scan
-        order's rest form once per bound source, the candidate flags with
-        the first."""
+        order's rest form once per bound source."""
         builds, orders = counting_builds(monkeypatch, g), counting_orders(monkeypatch, g)
         cold, built = {}, {}
         for level in (k, k + 1, k):
@@ -1205,7 +1201,7 @@ class TestParkedGroups:
                     built[level] = cold_views(g, level)
                 assert_parked_as_built(g, level, built[level])
             assert parked_on(g, level).keys() == PARKED_KEYS
-        assert orders == [(level, first) for level in (k, k + 1, k) for first in (True, False)]
+        assert orders == [level for level in (k, k + 1, k) for _ in ("gp_edge", "up_edge")]
         return builds
 
     def test_random_graphs(self, monkeypatch, rng):
@@ -1229,17 +1225,17 @@ class TestParkedGroups:
         # the 9-level was cached beside the 8-level, so the solve at 9 evicted nothing
         assert builds == [8] and list(g._truss_cache) == [8, 9]
         assert again == first
-        assert parked_on(g, 9).keys() == {"support", "kcand", "gp_edge"}
+        assert parked_on(g, 9).keys() == {"support", "gp_edge"}
 
     def test_a_cached_level_builds_each_scan_order_once(self, monkeypatch):
-        # gp_edge and up_edge at 8 share its candidate flags, and each
-        # parks its keys there; the 9-level, cached as up_edge's nested
-        # truss, builds its own; no later solve builds any again
+        # gp_edge and up_edge at 8 each park their keys there; the 9-level,
+        # cached as up_edge's nested truss, builds its own; no later solve
+        # builds any again
         g = graph_of(synth.community_pairs(seed=2, scale=3))
         orders = counting_orders(monkeypatch, g)
         plan = (("gp_edge", 8), ("up_edge", 8), ("gp_edge", 9),
                 ("up_edge", 8), ("gp_edge", 8), ("gp_edge", 9))
-        want = ([(8, True)], [(8, False)], [(9, True)], [], [], [])
+        want = ([8], [8], [9], [], [], [])
         records = []
         for step, new in zip(plan, want):
             before = len(orders)
@@ -1249,6 +1245,20 @@ class TestParkedGroups:
         assert list(g._truss_cache) == [8, 9]
         assert parked_on(g, 8).keys() == PARKED_KEYS
         assert_parked_as_built(g, 8, cold_views(g, 8))
+
+    def test_a_level_without_candidates_lends_its_empty_keys(self, monkeypatch):
+        # the 4-level holds 6,599 edges and no candidate, so each source
+        # parks empty keys; later solves lend them instead of building again
+        g = graph_of(synth.community_pairs(seed=2, scale=3))
+        orders = counting_orders(monkeypatch, g)
+        for algorithm in ("gp_edge", "up_edge", "gp_edge", "up_edge"):
+            cfg = SolverConfig(k=4, b=3, algorithm=algorithm)
+            assert records_of(solve(g, cfg)) == records_of(solve(cold_copy(g), cfg)), cfg
+        assert orders == [4, 4]
+        parked = parked_on(g, 4)
+        assert k_truss(g, 4).edge_count == 6_599 and not any(parked["support"].cand)
+        assert (len(parked["gp_edge"]), len(parked["up_edge"])) == (0, 0)
+        assert_parked_as_built(g, 4, cold_views(g, 4))
 
     def test_an_evicted_level_grows_its_groups_again(self, monkeypatch):
         g = graph_of(synth.community_pairs(seed=2, scale=3))

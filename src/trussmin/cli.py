@@ -153,10 +153,10 @@ def _groups_dump(g: Graph, k: int) -> dict:
     """The k-truss's groups by smallest edge, each numbered by its position.
 
     Each index is the one a solve at k parked (`truss.parked`), read as it
-    is, or built afresh when none is parked; the dump parks nothing.
+    is, or built afresh when none is parked; the dump parks no index.
     """
     t = k_truss(g, k)
-    groups = parked(t)  # before the nested level may evict the k-level
+    groups = parked(t)
     support_groups = groups.get("support") or SupportGroupIndex(t)
     idx = groups.get("truss") or build_truss_group_index(t, _two_level_tau(t))
     return {

@@ -26,7 +26,7 @@ from .cascade import commit_region, simulate_followers
 from .errors import ContractViolation, EnumerationCapExceeded, require_int
 from .graph import Graph
 from .groups import SupportGroup, SupportGroupIndex, build_truss_group_index, refresh_index
-from .truss import TrussSubgraph, _k_truss, _peel, _undo, k_truss, parked
+from .truss import TrussSubgraph, _freeze, _peel, _undo, k_truss, parked, peel_to
 # unused here, but the benchmark tracer (perfbench/spans.py) patches these names
 from .groups import find_support_groups  # noqa: F401
 from .truss import update_after_deletion  # noqa: F401
@@ -449,7 +449,7 @@ def _scan(order: _ScanOrder, memo: DeadSetMemo) -> tuple[int, list[int], int]:
     reads and the followers of those it evaluates.
 
     Once something beats a positive score, every candidate whose bound
-    falls below it is skipped; bound-zero candidates are never evaluated.
+    falls below it is skipped.
     A candidate that shows up in an evaluated candidate's follower set is
     skipped when its bound equals its remover's (it cannot do strictly
     better than its remover) or falls below the remover's score (it cannot
@@ -471,8 +471,6 @@ def _scan(order: _ScanOrder, memo: DeadSetMemo) -> tuple[int, list[int], int]:
     for kc in order.keys:
         q, c = divmod(kc, m)
         ub = m - q
-        if ub == 0:
-            break
         if best_f > 0 and ub < best_f:
             break
         if c in removed_by:
@@ -510,23 +508,22 @@ def _two_level_tau(t: TrussSubgraph) -> TrussSubgraph:
     peel replaces a full decomposition; `groups.refresh_index` keeps it
     current after each commit to `t`.
 
-    The (k+1)-truss of the reduced graph lies inside both the graph's own
-    (k+1)-truss and `t`, and is the largest edge set there with support at
-    least k-1, so it is the graph's (k+1)-level (from the truss cache, see
-    `k_truss`) with the edges dead in `t` cascaded out.  A fresh `t` has
-    none of those, and a repeated solve on one graph peels neither level
-    again.  Only this truss's own cascades read its supports, so they stay
-    the cached level's compact array (`truss._k_truss`), not a list.
+    The nested truss depends on the level alone, so the first call on a
+    cached level peels a clone of `t` to k+1 and freezes it there
+    (`truss.parked`, under `"upper"`), and later calls thaw it.  A truss
+    that is not its level gets an empty dict from `parked` and peels its
+    own.  Only this truss's own cascades read its supports, so they stay
+    a copy of the frozen array, a byte an edge on most graphs, not a list.
     """
-    upper = _k_truss(t.graph, t.k + 1, compact=True)
-    # Both alive arrays hold one 0/1 byte per edge, so one big-int AND-NOT
-    # marks the edges dead in `t` that `upper` still holds, and `compress`
-    # takes them without a Python step per edge; a fresh `t` has lost
-    # nothing, and skips that pass.
-    lost = int.from_bytes(upper.alive, "little") & ~int.from_bytes(t.alive, "little")
-    if lost:
-        upper.cascade(compress(range(t.graph.m), lost.to_bytes(t.graph.m, "little")))
-    return upper
+    groups = parked(t)
+    frozen = groups.get("upper")
+    if frozen is None:
+        upper = t.clone()
+        peel_to(upper, t.k + 1)
+        frozen = groups["upper"] = _freeze(upper)
+        upper.sup = frozen[1][:]
+        return upper
+    return TrussSubgraph(t.graph, t.k + 1, bytearray(frozen[0]), frozen[1][:], frozen[2])
 
 
 def _solve_greedy(t: TrussSubgraph, b: int, groups: dict, source: str, bound: Sequence[int],
@@ -608,11 +605,11 @@ def solve_up_edge(t: TrussSubgraph, b: int) -> list[IterationRecord]:
 
     The group index is the one parked on the graph's cached k-level
     (`truss.parked`), lent as `_solve_greedy` lends the support-group
-    index, or built when none is parked; the refresh is handed `t` and a
-    freshly thawed nested truss.
+    index, or built when none is parked; the refresh is handed `t` and
+    the nested truss `_two_level_tau` thaws from the level, or peels.
     """
     require_int("budget b", b, 1)
-    groups = parked(t)  # before the nested level may evict the k-level
+    groups = parked(t)
     upper = _two_level_tau(t)
     idx = groups.pop("truss", None) or build_truss_group_index(t, upper)
     records = _solve_greedy(t, b, groups, "up_edge", idx.bound, lambda dead, region, changed:

@@ -21,14 +21,14 @@ and the peel walks the pairs of each edge's partner tuple
 A peeled k-truss depends only on (graph, k), so `k_truss` keeps the
 graph's last two levels frozen on the graph and hands every caller a
 fresh clone: the solvers' repeated `solve()` calls on one graph peel each
-level once.  The group indexes and scan orders the greedy solvers build
-on a level are kept the same way: each cached level carries a dict that
-`parked` hands out, created empty with the level and evicted with it, in
-which each index waits, rolled back to the level's groups, for the next
-solve at that level, beside each scan order's rest form.  The level
-walks of `truss_decompose` and `update_after_deletion` start from an
-uncached peel (`_peel_graph`), so they neither fill nor evict those
-levels.
+level once.  What the greedy solvers build on a level is kept the same
+way: each cached level carries a dict that `parked` hands out, created
+empty with the level and evicted with it, in which each group index
+waits, rolled back to the level's groups, for the next solve at that
+level, beside each scan order's rest form and `up_edge`'s frozen nested
+(k+1)-truss.  The level walks of `truss_decompose` and
+`update_after_deletion` start from an uncached peel (`_peel_graph`), so
+they neither fill nor evict those levels.
 `update_after_deletion` reruns that level walk over the graph minus the
 deleted edges, also in O(m + triangles); it is not a local repair.
 """
@@ -167,7 +167,10 @@ def _undo(t: TrussSubgraph, dead: list[int], lowered: list[int]) -> None:
         alive[e] = 1
 
 
-# Truss levels a graph keeps cached: enough for `solve_up_edge`'s k and k+1.
+# Truss levels a graph keeps cached: with two, a caller that goes back to
+# a level after a solve at another one (k, k', k) peels it and builds its
+# groups once.  Each level costs 2m bytes frozen, 4m with its nested
+# (k+1)-truss, besides what is parked on it.
 CACHED_LEVELS = 2
 
 
@@ -189,21 +192,30 @@ def _peel_graph(g: Graph, k: int) -> TrussSubgraph:
     return t
 
 
-def _thaw(g: Graph, k: int, level: tuple, compact: bool = False) -> TrussSubgraph:
-    alive, sup, edge_count, _ = level
-    return TrussSubgraph(g, k, bytearray(alive), sup[:] if compact else list(sup), edge_count)
+def _freeze(t: TrussSubgraph) -> tuple:
+    """`t` frozen: `bytes` of alive flags, the supports as an `array('B')`
+    (an `array('i')` once one reaches 256) and the edge count."""
+    sup = array("B" if max(t.sup, default=0) < 256 else "i", t.sup)
+    return bytes(t.alive), sup, t.edge_count
+
+
+def _thaw(g: Graph, k: int, level: tuple) -> TrussSubgraph:
+    return TrussSubgraph(g, k, bytearray(level[0]), list(level[1]), level[2])
 
 
 def parked(t: TrussSubgraph) -> dict:
-    """The group indexes parked on the cached level `t.k`, when `t` is that level.
+    """What is parked on the cached level `t.k`, when `t` is that level.
 
     `t` is the level when its alive bytes and edge count equal the cached
     ones.  `solve()` always hands a solver such a truss, but a caller of
     `solve_gp_edge` or `solve_up_edge` may hand over one it has already
     committed on, and gets a new empty dict that nothing keeps.  The groups
-    of a level depend on the graph and k alone, so the greedy solvers park
-    in the returned dict what they build from them:
+    and the nested (k+1)-truss of a level depend on the graph and k alone,
+    so the greedy solvers park in the returned dict what they build from
+    them:
 
+    - `"upper"`: `up_edge`'s nested (k+1)-truss, frozen
+      (`minimize._two_level_tau`), which a `k_truss` miss may peel from;
     - `"support"`: the `groups.SupportGroupIndex` that `gp_edge` and
       `up_edge` share, with its candidate flags (`cand`);
     - `"truss"`: `up_edge`'s `groups.GroupIndex`;
@@ -221,7 +233,8 @@ def parked(t: TrussSubgraph) -> dict:
     stores the index in the dict again.  The scan keys skip the
     rollback: the solve commits to a copy of them and parks them as it
     popped them.  A solve that raises parks nothing, so no
-    half-committed index is lent, and the next solve builds afresh.
+    half-committed index is lent, and the next solve builds afresh.  The
+    nested truss is never lent: each solve thaws its own copy.
     """
     level = t.graph._truss_cache.get(t.k)
     if level is None or level[2] != t.edge_count or level[0] != t.alive:
@@ -232,45 +245,31 @@ def parked(t: TrussSubgraph) -> dict:
 def k_truss(g: Graph, k: int) -> TrussSubgraph:
     """The k-truss of `g`, as a fresh `TrussSubgraph` the caller owns.
 
-    The peel depends only on (g, k), so the graph keeps a frozen copy of
-    its last `CACHED_LEVELS` levels and a repeated call clones one.  A
-    frozen level is `bytes` of alive flags, the supports as an
-    `array('B')` when every one is below 256 (else an `array('i')`), the
-    edge count and the groups `parked` on it: 2m bytes a level on most
-    graphs, before any group.  A miss peels from the cached (k-1)-level
-    when there is one, else from scratch (`_peel_graph`).  Only alive
-    edges keep exact supports afterwards: a peeled edge keeps whatever
-    count it had when it died, which may differ between the two routes,
-    and no reader looks at the support of a dead edge.
-    """
-    return _k_truss(g, k)
-
-
-def _k_truss(g: Graph, k: int, compact: bool = False) -> TrussSubgraph:
-    """`k_truss`; with `compact` the supports come back as a copy of the
-    frozen level's array instead of a list, on a miss as on a hit.
-
-    The array is a byte an edge on most graphs where the list holds an
-    8-byte pointer, but indexing it is slower: it suits a truss that only
-    its own cascades read, such as `minimize._two_level_tau`'s nested level.
+    The peel depends only on (g, k), so the graph keeps its last
+    `CACHED_LEVELS` levels frozen (`_freeze`), each with the dict that
+    `parked` hands out, and a repeated call thaws one.  A miss thaws the
+    highest cached level below k, or the nested truss frozen on it
+    (`"upper"`, the level above it) when there is one, and peels that to
+    k; with no level below k it peels from scratch (`_peel_graph`).  It
+    evicts the oldest level when the cache is full.  Only alive edges keep
+    exact supports afterwards: a peeled edge keeps whatever count it had
+    when it died, which may differ between the routes, and no reader
+    looks at the support of a dead edge.
     """
     require_int("k", k, 3)
     cache = g._truss_cache
-    level = cache.get(k)
-    if level is not None:
-        return _thaw(g, k, level, compact)
-    below = cache.get(k - 1)
+    if k in cache:
+        return _thaw(g, k, cache[k])
+    below = max((j for j in cache if j < k), default=None)
     if below is None:
         t = _peel_graph(g, k)
     else:
-        t = _thaw(g, k - 1, below)
+        upper = cache[below][3].get("upper")
+        t = _thaw(g, below, cache[below]) if upper is None else _thaw(g, below + 1, upper)
         peel_to(t, k)
     if len(cache) >= CACHED_LEVELS:
         del cache[next(iter(cache))]  # the oldest level
-    sup = array("B" if max(t.sup, default=0) < 256 else "i", t.sup)
-    cache[k] = (bytes(t.alive), sup, t.edge_count, {})
-    if compact:
-        t.sup = sup[:]
+    cache[k] = (*_freeze(t), {})
     return t
 
 

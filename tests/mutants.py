@@ -102,6 +102,7 @@ EXACT_COUNTS = "tests/test_minimize.py::TestExact::test_k5_pair_counts_the_enume
 EARLY_STOP_GP = "tests/test_minimize.py::TestEarlyStopCounts::test_counts[gp_edge-5-2797-117]"
 MEMO_SLOTS = "tests/test_minimize.py::TestMemoStop::test_slots_follow_the_edges_asked_about"
 BOOK_256 = "tests/test_truss.py::TestTrussCache::test_a_book_caches_and_thaws_its_supports[256-i]"
+NEXT_LEVEL = "tests/test_truss.py::TestTrussCache::test_next_level_peels_from_the_cached_level"
 TWO_LEVEL_COMMITTED = "tests/test_truss.py::TestTrussCache::test_two_level_tau_peels_a_committed_truss"
 SCAN_ORDER_CHAINS = "tests/test_minimize.py::TestScanOrder::test_random_deletion_chains"
 GOLDEN_UP = "tests/test_acceptance.py::test_greedy_records_match_golden[up_edge]"
@@ -244,22 +245,41 @@ MUTANTS = (
            "level, e_min = min(compress(sup, alive)), -1",
            "level, e_min = max(compress(sup, alive)), -1",
            (SUPPORT_REFERENCE, SUPPORT_RISE)),
-    # the truss cache (`truss.k_truss`): a stored bytearray is the one the
-    # caller mutates, and a support of 256 does not fit a byte
+    # the truss cache (`truss.k_truss`): a frozen bytearray is the one the
+    # caller mutates, and a support of 256 does not fit a byte; a miss
+    # peels from the highest cached level below it, or from the nested
+    # truss frozen on that level
     Mutant("truss cache stores the bytearray", TRUSS,
-           "cache[k] = (bytes(t.alive), ", "cache[k] = (t.alive, ",
+           "return bytes(t.alive), sup, t.edge_count", "return t.alive, sup, t.edge_count",
            (TRUSS_CACHE_MUTATED, DUMP_AFTER_SOLVE)),
     Mutant("the cache always uses 'B'", TRUSS,
            '"B" if max(t.sup, default=0) < 256 else "i"', '"B"',
            (BOOK_256,)),
-    # the nested (k+1)-truss (`minimize._two_level_tau`) skips its pass over
-    # m only when `t` has lost nothing
-    Mutant("the nested truss never cascades the lost edges", MINIMIZE,
-           "    if lost:\n", "    if False:\n",
+    Mutant("a miss peels only from k-1", TRUSS,
+           "below = max((j for j in cache if j < k), default=None)",
+           "below = k - 1 if k - 1 in cache else None",
+           (NEXT_LEVEL,)),
+    Mutant("a miss never starts from a frozen nested truss", TRUSS,
+           'upper = cache[below][3].get("upper")', "upper = None",
+           (NEXT_LEVEL,)),
+    # the nested (k+1)-truss (`minimize._two_level_tau`) is frozen on its
+    # level, and only a truss equal to the level thaws it; each call hands
+    # out its own compact copy of the frozen supports
+    Mutant("a committed truss thaws the level's nested truss", MINIMIZE,
+           "    groups = parked(t)\n    frozen = ",
+           "    groups = t.graph._truss_cache.get(t.k, (0, 0, 0, {}))[3]\n    frozen = ",
            (TWO_LEVEL_COMMITTED, UP_EDGE_COMMITTED)),
-    # its compact supports (`truss._k_truss`) are a copy of the cached array
-    Mutant("a peeled nested truss shares the cached supports", TRUSS,
-           "t.sup = sup[:]", "t.sup = sup",
+    Mutant("the nested truss is never frozen on its level", MINIMIZE,
+           'frozen = groups["upper"] = _freeze(upper)', "frozen = _freeze(upper)",
+           (TWO_LEVEL_FRESH, PARKED_RANDOM)),
+    Mutant("a peeled nested truss shares the cached supports", MINIMIZE,
+           "upper.sup = frozen[1][:]", "upper.sup = frozen[1]",
+           (TWO_LEVEL_FRESH,)),
+    Mutant("the cold nested peel keeps the clone's list supports", MINIMIZE,
+           "        upper.sup = frozen[1][:]\n", "",
+           (TWO_LEVEL_FRESH,)),
+    Mutant("a thawed nested truss shares the frozen supports", MINIMIZE,
+           "frozen[1][:], frozen[2])", "frozen[1], frozen[2])",
            (TWO_LEVEL_FRESH,)),
     # `solve_exact` commits its winner through the cascade, which keeps
     # `edge_count`
@@ -475,7 +495,8 @@ MUTANTS = (
            "if level is None:",
            (PARKED_STALE, PARKED_LEVELS)),
     Mutant("every level shares one parked dict", TRUSS,
-           "t.edge_count, {})", "t.edge_count, [*cache.values(), (0, 0, 0, {})][0][3])",
+           "cache[k] = (*_freeze(t), {})",
+           "cache[k] = (*_freeze(t), [*cache.values(), (0, 0, 0, {})][0][3])",
            (PARKED_RANDOM, PARKED_KEPT, PARKED_LEVELS)),
     Mutant("a solve never parks its support index", MINIMIZE,
            'groups["support"], groups[source] = support_groups, keys',

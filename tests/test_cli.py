@@ -259,7 +259,11 @@ class TestMinimize:
         assert code == 0
         payload = json.loads(out)
         assert payload["iterations"] == []
-        assert payload["warnings"]
+        assert payload["warnings"] == ["the 3-truss is empty; nothing to delete"]
+        code, out, _ = run_cli(capsys, "minimize", path, "-k", "3", "-b", "2",
+                               "--format", "human")
+        assert code == 0
+        assert "warning: the 3-truss is empty; nothing to delete\n" in out
 
     def test_output_uses_original_labels(self, capsys, tmp_path):
         pairs = [(10 * u + 3, 10 * v + 3) for u, v in complete_pairs(5)]
@@ -438,6 +442,7 @@ class TestBench:
 
     @pytest.mark.parametrize("argv, message", [
         (("-k", "2,5", "-b", "1"), "argument -k: k must be >= 3"),
+        (("-k", "x", "-b", "1"), "argument -k: k must be an integer"),
         (("-k", "5", "-b", "0"), "argument -b: b must be >= 1"),
         (("-k", "5", "-b", ","), "argument -b: list is empty"),
         (("-k", "5", "-b", "1", "--algorithms", "nope"),

@@ -253,6 +253,17 @@ def nested_index(g, k):
     return t, upper, build_truss_group_index(t, upper)
 
 
+def assert_candidates_bounded(idx, index, context):
+    """Every candidate of the support-group index `index` has bound at least 1.
+
+    A representative has support k-2, so it is not in the nested truss and
+    belongs to a truss group; an over-adjacent edge shares an alive
+    triangle with such a member, so it is in that group's touch set.  So
+    no scan ever reads a candidate of bound 0.
+    """
+    assert [c for c in index.iter_candidates() if idx.bound[c] < 1] == [], context
+
+
 class TestTrussGroupIndex:
     def test_k5_single_group(self, k5):
         _, _, idx = nested_index(k5, 5)
@@ -507,6 +518,7 @@ class TestRefreshIndex:
             t, upper, idx = nested_index(g, k)
             index = SupportGroupIndex(t)
             self.assert_matches_rebuild(g, t, upper, idx, f"level {k} build")
+            assert_candidates_bounded(idx, index, f"level {k} build")
             order = list(range(g.m))
             rng.shuffle(order)
             for eid in order[:12]:
@@ -518,6 +530,7 @@ class TestRefreshIndex:
                 context = f"level {k} diverged after deleting {g.original_pair(eid)}"
                 self.assert_matches_rebuild(g, t, upper, idx, context)
                 self.assert_support_groups_match(t, index, context)
+                assert_candidates_bounded(idx, index, context)
                 # a solver keeping its own copy of the bounds re-reads `moved` alone
                 assert {e for e in range(g.m) if idx.bound[e] != before[e]} <= set(moved), \
                     context

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import compress
 
 import pytest
 
@@ -1096,19 +1097,27 @@ def truss_view(idx) -> tuple:
             gids(idx.gid_of), list(idx.bound))
 
 
+def upper_view(alive, sup, edge_count) -> tuple:
+    """A nested truss in comparable form: its alive bytes, each alive
+    edge's support, and its edge count."""
+    return bytes(alive), [sup[e] for e in compress(range(len(alive)), alive)], edge_count
+
+
 def cold_views(g, k) -> tuple:
     """`support_view` and `truss_view` of the indexes built afresh on the
     k-truss of `g`, peeled without the cache, so the cache stays as it was,
-    and the scan order's rest form over them, as lists by parked key: each
+    the scan order's rest form over them, as lists by parked key: each
     bound source's sorted keys for the candidates of a fresh support-group
     scan, `gp_edge`'s under the constant bound m and `up_edge`'s under the
-    fresh index's."""
+    fresh index's, and the `upper_view` of a cold `next_level`."""
     t = truss._peel_graph(g, k)
-    idx = build_truss_group_index(t, next_level(t))
+    upper = next_level(t)
+    idx = build_truss_group_index(t, upper)
     m, candidates = g.m, find_support_groups(t)[1]
     rest = {"gp_edge": candidates,
             "up_edge": sorted((m - idx.bound[c]) * m + c for c in candidates)}
-    return support_view(SupportGroupIndex(t)), truss_view(idx), rest
+    return (support_view(SupportGroupIndex(t)), truss_view(idx), rest,
+            upper_view(upper.alive, upper.sup, upper.edge_count))
 
 
 def parked_on(g, k) -> dict:
@@ -1116,15 +1125,17 @@ def parked_on(g, k) -> dict:
     return g._truss_cache[k][3]
 
 
-PARKED_KEYS = {"support", "truss", "gp_edge", "up_edge"}
+PARKED_KEYS = {"upper", "support", "truss", "gp_edge", "up_edge"}
 
 
 def assert_parked_as_built(g, k, want) -> None:
-    """The indexes and scan-order rest forms parked on the k-level of `g`
-    equal `want`, what `cold_views` returns, and the indexes hold no log
-    and no truss."""
+    """The nested truss, indexes and scan-order rest forms parked on the
+    k-level of `g` equal `want`, what `cold_views` returns, and the
+    indexes hold no log and no truss."""
     parked = parked_on(g, k)
     assert parked.keys() <= PARKED_KEYS, k
+    if "upper" in parked:
+        assert upper_view(*parked["upper"]) == want[3], k
     for kind, want_rest in want[2].items():
         if kind in parked:
             assert list(parked[kind]) == want_rest, (kind, k)
@@ -1187,8 +1198,9 @@ class TestParkedGroups:
         """Run `PLAN`, with budgets up to `b`, at k, k + 1 and k again on
         `g`; returns the levels of the truss-group builds on `g`, in order.
 
-        Each visit, to a level no earlier visit left cached, builds the scan
-        order's rest form once per bound source."""
+        The visits to k and k + 1 build the scan order's rest form once per
+        bound source; the visit to k + 1 leaves k's level cached, so the
+        return to k builds none."""
         builds, orders = counting_builds(monkeypatch, g), counting_orders(monkeypatch, g)
         cold, built = {}, {}
         for level in (k, k + 1, k):
@@ -1201,17 +1213,17 @@ class TestParkedGroups:
                     built[level] = cold_views(g, level)
                 assert_parked_as_built(g, level, built[level])
             assert parked_on(g, level).keys() == PARKED_KEYS
-        assert orders == [level for level in (k, k + 1, k) for _ in ("gp_edge", "up_edge")]
+        assert orders == [k, k, k + 1, k + 1]
         return builds
 
     def test_random_graphs(self, monkeypatch, rng):
         for g in memo_test_graphs(rng, 60):
             k = rng.randint(3, 6)
             builds = self.warm_equals_cold(monkeypatch, g, k)
-            # the first up_edge solve at each level builds, the later ones
-            # thaw, and the second visit to k builds again: the nested
-            # (k + 2)-truss of the visit to k + 1 evicted k's level
-            assert builds == [k, k + 1, k]
+            # the first up_edge solve at each level builds and the later
+            # ones lend: the visit to k + 1 freezes its nested (k + 2)-truss
+            # on its own level, which evicts nothing
+            assert builds == [k, k + 1]
 
     def solve_at(self, g, plan, b=12) -> list[list[tuple]]:
         """The records of solving `g` at each (algorithm, k) of `plan`."""
@@ -1219,18 +1231,21 @@ class TestParkedGroups:
                 for algorithm, k in plan]
 
     def test_a_level_keeps_its_groups_across_solves_at_another_level(self, monkeypatch):
-        g = graph_of(synth.community_pairs(seed=2, scale=3))
-        builds = counting_builds(monkeypatch, g)
-        first, _, again = self.solve_at(g, (("up_edge", 8), ("gp_edge", 9), ("up_edge", 8)))
-        # the 9-level was cached beside the 8-level, so the solve at 9 evicted nothing
-        assert builds == [8] and list(g._truss_cache) == [8, 9]
-        assert again == first
-        assert parked_on(g, 9).keys() == {"support", "gp_edge"}
+        pairs = synth.community_pairs(seed=2, scale=3)
+        for other in (9, 10):
+            g = graph_of(pairs)
+            builds = counting_builds(monkeypatch, g)
+            first, _, again = self.solve_at(g, (("up_edge", 8), ("gp_edge", other),
+                                                ("up_edge", 8)))
+            # the other level was cached beside the 8-level, so the solve
+            # there evicted nothing
+            assert builds == [8] and list(g._truss_cache) == [8, other], other
+            assert again == first
+            assert parked_on(g, other).keys() == {"support", "gp_edge"}, other
 
     def test_a_cached_level_builds_each_scan_order_once(self, monkeypatch):
-        # gp_edge and up_edge at 8 each park their keys there; the 9-level,
-        # cached as up_edge's nested truss, builds its own; no later solve
-        # builds any again
+        # gp_edge and up_edge at 8 each park their keys there; gp_edge at 9
+        # builds its own on the 9-level; no later solve builds any again
         g = graph_of(synth.community_pairs(seed=2, scale=3))
         orders = counting_orders(monkeypatch, g)
         plan = (("gp_edge", 8), ("up_edge", 8), ("gp_edge", 9),
@@ -1276,7 +1291,7 @@ class TestParkedGroups:
     ], ids=["community_s2", "overlapping"])
     def test_eroding_graphs(self, monkeypatch, pairs, k, b):
         builds = self.warm_equals_cold(monkeypatch, graph_of(pairs), k, b)
-        assert builds == [k, k + 1, k]
+        assert builds == [k, k + 1]
 
     def test_a_committed_truss_grows_its_own_groups(self):
         pairs = synth.community_pairs(seed=42, scale=30)
@@ -1318,9 +1333,9 @@ class TestParkedGroups:
 
     def test_interleaved_budgets_and_an_evicting_sweep(self, monkeypatch):
         # baseline, gp_edge and up_edge in turn at b = 1, 5 and 40 (which
-        # takes 14% to 50% of the level's edges), at levels whose nested
-        # truss evicts the level visited before: each parked pair of
-        # indexes is rolled back after every solve, whatever it committed
+        # takes 14% to 50% of the level's edges), at levels that evict one
+        # visited before: each parked pair of indexes is rolled back after
+        # every solve, whatever it committed
         g = graph_of(synth.community_pairs(seed=2, scale=3))
         builds = counting_builds(monkeypatch, g)
         cold = {}
@@ -1334,9 +1349,10 @@ class TestParkedGroups:
                     assert records_of(solve(g, cfg)) == cold[cfg], cfg
                     assert_parked_as_built(g, k, want)
             assert parked_on(g, k).keys() == PARKED_KEYS
-        # each visit builds once: the nested truss of the visit before it
-        # evicted its level, and the 9-level was cached only as a nested one
-        assert builds == [8, 10, 8, 9, 8]
+        # the 10-level leaves the 8-level cached, so the second visit to 8
+        # builds nothing; the 9-level evicts the 8-level, and the third
+        # visit to 8 evicts the 10-level, so each of those builds once
+        assert builds == [8, 10, 9, 8]
 
     def test_a_solve_that_raises_parks_nothing(self, monkeypatch):
         # the second commit raises: the indexes the solve popped, or built,
@@ -1368,7 +1384,11 @@ class TestParkedGroups:
                         patched.setattr(minimize, "_commit", commit)
                         with pytest.raises(RuntimeError, match="second commit"):
                             solve(g, cfg)
-                    assert parked_on(g, 8) == {}, (algorithm, warm)
+                    # the nested truss is never lent, so the one up_edge
+                    # froze on the level is left as peeled
+                    left = {"upper"} if algorithm == "up_edge" else set()
+                    assert parked_on(g, 8).keys() == left, (algorithm, warm)
+                    assert_parked_as_built(g, 8, cold_views(g, 8))
                     assert records_of(solve(g, cfg)) == want, (algorithm, warm)
                 assert len(scans) == 2 + len(want), (algorithm, warm)
                 assert_parked_as_built(g, 8, cold_views(g, 8))

@@ -275,15 +275,40 @@ class TestTrussCache:
                 assert_same_truss(k_truss(g, k), truss._peel_graph(g, k))
 
     def test_next_level_peels_from_the_cached_level(self, monkeypatch, rng):
-        scratch = []
-        real = truss._peel_graph
+        # a miss peels from the highest cached level below it, or from the
+        # nested truss frozen on that level, else from scratch, and evicts
+        # the oldest level once two are cached
+        scratch, thawed = [], []
+        real, real_thaw = truss._peel_graph, truss._thaw
         monkeypatch.setattr(truss, "_peel_graph", lambda g, k: scratch.append(k) or real(g, k))
+        monkeypatch.setattr(truss, "_thaw",
+                            lambda g, k, level: thawed.append(k) or real_thaw(g, k, level))
         for g, k in cold_trusses(rng, 60):
             scratch.clear()
+            thawed.clear()
             k_truss(g, k)
             upper = k_truss(g, k + 1)
-            assert scratch == [k] and list(g._truss_cache) == [k, k + 1]
+            assert scratch == [k] and thawed == [k] and list(g._truss_cache) == [k, k + 1]
             assert_same_truss(upper, real(g, k + 1))
+            g._truss_cache.clear()
+            steps = ((k, None, [k]), (k + 2, k, [k, k + 2]), (k + 1, k, [k + 2, k + 1]),
+                     (k + 3, k + 2, [k + 1, k + 3]))
+            for level, source, cached in steps:
+                scratch.clear()
+                thawed.clear()
+                got = k_truss(g, level)
+                assert (scratch, thawed) == (([level], []) if source is None else ([], [source]))
+                assert list(g._truss_cache) == cached, (level, source)
+                assert_same_truss(got, real(g, level))
+            g._truss_cache.clear()
+            scratch.clear()
+            _two_level_tau(k_truss(g, k))
+            for level, cached in ((k + 2, [k, k + 2]), (k + 1, [k + 2, k + 1])):
+                thawed.clear()
+                got = k_truss(g, level)
+                assert thawed == [k + 1] and list(g._truss_cache) == cached, level
+                assert_same_truss(got, real(g, level))
+            assert scratch == [k]
 
     def test_at_most_two_levels_stay_cached(self, rng):
         for g, _ in cold_trusses(rng, 20):
@@ -292,32 +317,39 @@ class TestTrussCache:
                 assert len(g._truss_cache) <= truss.CACHED_LEVELS and k in g._truss_cache
 
     def test_two_level_tau_of_a_fresh_truss_is_the_cached_next_level(self, rng):
+        # the nested level is frozen on the k-level, not cached as a level
+        # of its own, and each call hands out a compact copy of it
         for g, k in cold_trusses(rng, 60):
             t = k_truss(g, k)
             want = truss._peel_graph(g, k + 1)
             upper = _two_level_tau(t)
-            assert list(g._truss_cache) == [k, k + 1]
+            assert list(g._truss_cache) == [k]
+            frozen = truss.parked(t)["upper"]
+            assert (frozen[0], frozen[2]) == (want.alive, want.edge_count)
             assert_same_truss(upper, want)
-            assert_compact_copy(upper, g._truss_cache[k + 1][1])
+            assert_compact_copy(upper, frozen[1])
             upper.cascade(rng.sample(upper.alive_edge_ids(), min(2, upper.edge_count)))
             again = _two_level_tau(t)
+            assert truss.parked(t) == {"upper": frozen} and list(g._truss_cache) == [k]
             assert_same_truss(again, want)
-            assert_compact_copy(again, g._truss_cache[k + 1][1])
+            assert_compact_copy(again, frozen[1])
 
     def test_two_level_tau_peels_a_committed_truss(self, rng):
+        # a committed truss is not its level: it peels its own nested
+        # truss, not the one frozen on the level
         for g, k in cold_trusses(rng, 60):
             t = k_truss(g, k)
-            k_truss(g, k + 1)
+            _two_level_tau(t)
             seeds = rng.sample(t.alive_edge_ids(), min(2, t.edge_count))
             t.cascade(seeds)
             assert_same_truss(_two_level_tau(t), next_level(t))
 
     def test_up_edge_on_a_committed_truss_matches_the_reduced_graph(self, rng):
-        # `solve_up_edge` cascades `t`'s dead edges out of the cached
-        # (k+1)-level; the level as cached would still hold them
+        # `solve_up_edge` peels the nested truss of a committed `t` itself;
+        # the one frozen on the level would still hold `t`'s dead edges
         for g, k in cold_trusses(rng, 40):
             t = k_truss(g, k)
-            k_truss(g, k + 1)
+            _two_level_tau(t)
             seeds = rng.sample(t.alive_edge_ids(), min(2, t.edge_count))
             t.cascade(seeds)
             if not t.edge_count:

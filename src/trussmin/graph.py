@@ -28,9 +28,9 @@ class Graph:
 
     A graph caches values derived from it alone: its triangle index
     (`triangle_index`, each edge's partner edges as a tuple) and its last
-    two peeled trusses (`truss.k_truss`), each truss level at a byte per
-    edge for its alive edges and one (four once a support reaches 256) for
-    its supports, with the groups solves parked on it (`truss.parked`).
+    two peeled trusses (`truss._level`), each level's k-truss kept live,
+    with a byte per edge for its alive edges and a list of supports, and
+    with the groups solves parked on it (`truss.parked`).
     None of them refers back to the graph.
     """
 
@@ -41,7 +41,7 @@ class Graph:
         self.labels = labels
         self.keys = keys
         self._tri_cache: Optional[list[tuple[int, ...]]] = None
-        # k -> frozen k-truss and its parked groups, kept by `truss.k_truss`
+        # k -> live k-truss, its parked groups and its commit journal, kept by `truss._level`
         self._truss_cache: dict[int, tuple] = {}
 
     # -- construction ------------------------------------------------------

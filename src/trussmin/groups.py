@@ -39,13 +39,7 @@ class SupportGroup:
         return self.members[0]
 
 
-# Maps each byte of a 0/1 `alive` array to its complement: `alive.translate(FLIP)`
-# is a per-edge marker, built at C speed, with every dead edge marked.
-FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-
-
-def _grow_support_group(t: TrussSubgraph, start: int, gid_of: dict[int, int],
-                        done: bytearray) -> SupportGroup:
+def _grow_support_group(t: TrussSubgraph, start: int, gid_of: dict[int, int]) -> SupportGroup:
     """BFS over threshold edges through alive triangles, starting at `start`.
 
     Callers sweep starts in ascending order, so `start` is the smallest
@@ -54,26 +48,27 @@ def _grow_support_group(t: TrussSubgraph, start: int, gid_of: dict[int, int],
     gives to another group means that group should have been dissolved
     first, which is an internal error.
 
-    `done` is `t.alive.translate(FLIP)`, shared by every growth of one
-    build or one update: it marks the dead edges, and each member is
-    marked as it is expanded.  A pair touching a marked edge is skipped:
-    it is a dead triangle, or one already walked from that member (two
-    threshold edges of one alive triangle are in one group, so the member
-    is this group's).  Each alive triangle holding a member is thus walked
-    once, and counted once for each over-threshold edge it holds.
+    Each member is marked as it is expanded, in `t.alive` itself: its byte
+    goes from 1 to 2, as `truss._peel` marks a dead edge it has not yet
+    reached, and the growth sets every member back to 1 before it returns.
+    So a pair whose two edges are not both at 1 is skipped: it is a dead
+    triangle, or one already walked from a marked member (two threshold
+    edges of one alive triangle are in one group, so that member is this
+    group's).  Each alive triangle holding a member is thus walked once,
+    and counted once for each over-threshold edge it holds.
     """
     partners = t.graph.triangle_index()
     threshold = t.k - 2
-    sup = t.sup
+    alive, sup = t.alive, t.sup
     members = [start]
     gid_of[start] = start
     # over-threshold edge -> how many member triangles it sits in
     hit: dict[int, int] = {}
     for e in members:  # grows while it is walked: breadth-first
-        done[e] = 1
+        alive[e] = 2
         it = iter(partners[e])
         for a, b in zip(it, it):
-            if done[a] or done[b]:
+            if alive[a] != 1 or alive[b] != 1:
                 continue
             # a and b alike, written out twice, as in `truss._peel`: a loop
             # over (a, b) cost a tuple and a loop step per triangle
@@ -97,6 +92,8 @@ def _grow_support_group(t: TrussSubgraph, start: int, gid_of: dict[int, int],
                         f"support group grown from edge {start} reached group {other}")
             else:
                 hit[b] = hit.get(b, 0) + 1
+    for e in members:
+        alive[e] = 1
     members.sort()
     # An over-threshold edge whose slack is exceeded by distinct triangles
     # that each contain a group member must fall with the group.
@@ -120,10 +117,9 @@ def find_support_groups(t: TrussSubgraph) -> tuple[list[SupportGroup], list[int]
     sup, threshold = t.sup, t.k - 2
     groups: list[SupportGroup] = []
     gid_of: dict[int, int] = {}
-    done = t.alive.translate(FLIP)
     for start in compress(range(t.graph.m), t.alive):
         if sup[start] == threshold and start not in gid_of:
-            groups.append(_grow_support_group(t, start, gid_of, done))
+            groups.append(_grow_support_group(t, start, gid_of))
     over_adjacent: set[int] = set()
     pruned_all: set[int] = set()
     for grp in groups:
@@ -274,10 +270,9 @@ class SupportGroupIndex(_GroupStore):
         # memory, and a repeated edge is in `gid_of` once it has grown
         grown = list(region)
         grown.extend(self._dissolve(dissolve, changed))
-        done = alive.translate(FLIP)
         for e in sorted(grown):
             if alive[e] and sup[e] == threshold and gid_of.get(e, -1) < 0:
-                grp = _grow_support_group(t, e, gid_of, done)
+                grp = _grow_support_group(t, e, gid_of)
                 groups[grp.representative] = log[grp.representative] = grp
                 self._weigh(grp, 1, changed)
 
@@ -352,20 +347,21 @@ class GroupIndex(_GroupStore):
         # dissolved; the benchmark tracer (perfbench/spans.py) counts them
         self.last_dissolved: set[int] = set()
 
-    def _grow(self, t: TrussSubgraph, upper_alive: bytearray, start: int, done: bytearray,
+    def _grow(self, t: TrussSubgraph, upper_alive: bytearray, start: int,
               stamp: bytearray) -> TrussGroup:
         """BFS over trussness-k edges through alive triangles of the k-truss `t`.
 
         `upper_alive` is the alive array of the (k+1)-truss nested in `t`.
         Callers sweep starts in ascending order, so `start`, the group's
         id, is its smallest member.  Every edge of a walked triangle joins
-        the touch set.  `done` is `t.alive.translate(FLIP)`, shared by
-        every growth of one build or one refresh: it marks the dead edges,
-        and each member is marked as it is expanded.  A pair touching a
-        marked edge is skipped: it is a dead triangle, or one walked from
-        that member already.  An alive triangle holding a trussness-k edge
-        belongs to exactly one group, so each is walked once, and skipping
-        it loses nothing.
+        the touch set.  Each member is marked as it is expanded, in
+        `t.alive` itself: its byte goes from 1 to 2, as in
+        `_grow_support_group`, and the growth sets every member back to 1
+        before it returns.  A pair whose two edges are not both at 1 is
+        skipped: it is a dead triangle, or one walked from a marked member
+        already.  An alive triangle holding a trussness-k edge belongs to
+        exactly one group, so each is walked once, and skipping it loses
+        nothing.
 
         `stamp` marks the edges already in the touch set being grown, and
         the growth clears it again: one per build or refresh, shared by its
@@ -378,16 +374,16 @@ class GroupIndex(_GroupStore):
         another group, which should have been dissolved first: an
         internal error.  Returns the group's record, which it adds to `groups`.
         """
-        partners, gid_of = t.graph.triangle_index(), self.gid_of
+        partners, alive, gid_of = t.graph.triangle_index(), t.alive, self.gid_of
         members = [start]
         gid_of[start] = start
         touch = [start]
         stamp[start] = 1
         for e in members:  # grows while it is walked: breadth-first
-            done[e] = 1
+            alive[e] = 2
             it = iter(partners[e])
             for a, b in zip(it, it):
-                if done[a] or done[b]:
+                if alive[a] != 1 or alive[b] != 1:
                     continue
                 # a and b alike, written out twice, as in `truss._peel`: a
                 # loop over (a, b) cost a tuple and a loop step per triangle
@@ -413,6 +409,8 @@ class GroupIndex(_GroupStore):
                         else:
                             raise AssertionError(
                                 f"truss group grown from edge {start} reached group {other}")
+        for e in members:
+            alive[e] = 1
         members.sort()
         self.groups[start] = record = TrussGroup(members, touch)
         bound, size = self.bound, len(members)
@@ -467,10 +465,9 @@ def build_truss_group_index(t: TrussSubgraph, upper: TrussSubgraph) -> GroupInde
     m, gid_of = t.graph.m, idx.gid_of
     level = int.from_bytes(t.alive, "little") & ~int.from_bytes(upper.alive, "little")
     stamp = bytearray(m)
-    done = t.alive.translate(FLIP)
     for e in compress(range(m), level.to_bytes(m, "little")):
         if gid_of[e] < 0:
-            idx._grow(t, upper.alive, e, done, stamp)
+            idx._grow(t, upper.alive, e, stamp)
     return idx
 
 
@@ -497,11 +494,11 @@ def refresh_index(idx: GroupIndex, t: TrussSubgraph, upper: TrussSubgraph, dead:
     dissolved group touched and no regrown one does died or lost an alive
     triangle, so it is in the region.  Returns `idx`.
 
-    The regrowths share one fresh per-edge marker and one touch-set stamp
-    (see `GroupIndex._grow`), so each alive triangle they reach is walked
-    once.  Besides the dead edges it marks only the members this refresh
-    expands: a group that should have been dissolved but survived still
-    has its members unmarked, and a regrowth reaching it raises.
+    The regrowths share one touch-set stamp, and each marks the members it
+    expands in `t.alive` until it returns (see `GroupIndex._grow`), so each
+    alive triangle they reach is walked once.  A group that should have
+    been dissolved but survived has its members unmarked, and a regrowth
+    reaching it raises.
     """
     gid_of, log = idx.gid_of, idx.grown
     grown = region | commit_region(t, upper.cascade(dead), ())
@@ -510,9 +507,8 @@ def refresh_index(idx: GroupIndex, t: TrussSubgraph, upper: TrussSubgraph, dead:
     dissolve.discard(-1)
     grown.update(idx._dissolve(dissolve, moved))
     stamp = bytearray(t.graph.m)
-    done = t.alive.translate(FLIP)
     for e in sorted(grown):
         if t.alive[e] and not upper.alive[e] and gid_of[e] < 0:
-            log[e] = record = idx._grow(t, upper.alive, e, done, stamp)
+            log[e] = record = idx._grow(t, upper.alive, e, stamp)
             moved.extend(record.touch)
     return idx

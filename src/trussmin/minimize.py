@@ -26,10 +26,10 @@ from .cascade import commit_region, simulate_followers
 from .errors import ContractViolation, EnumerationCapExceeded, require_int
 from .graph import Graph
 from .groups import SupportGroup, SupportGroupIndex, build_truss_group_index, refresh_index
-from .truss import TrussSubgraph, _freeze, _peel, _undo, k_truss, parked, peel_to
+from .truss import TrussSubgraph, _freeze, _journal, _lend, _peel, _undo, parked, peel_to
 # unused here, but the benchmark tracer (perfbench/spans.py) patches these names
 from .groups import find_support_groups  # noqa: F401
-from .truss import update_after_deletion  # noqa: F401
+from .truss import k_truss, update_after_deletion  # noqa: F401
 
 DEFAULT_EXACT_CAP = 2_000_000
 
@@ -212,11 +212,15 @@ def _commit(t: TrussSubgraph, eid: int,
             expected: Optional[int] = None) -> tuple[list[int], list[int]]:
     """Apply one deletion for real; returns the cascade's dead list and log.
 
-    When `expected` is given, the committed follower count must equal it:
-    this is the check that ties candidate evaluation to the commit.
+    Every solver commits here.  Both lists go into the journal of the
+    cached level when `t` is the truss `solve()` lent, which is undone
+    once the solver returns (`truss._lend`).  When `expected` is given,
+    the committed follower count must equal it: this is the check that
+    ties candidate evaluation to the commit.
     """
     log: list[int] = []
     dead = t.cascade([eid], log)
+    _journal(t).append((dead, log))
     if expected is not None and len(dead) - 1 != expected:
         raise ContractViolation(
             f"deleting edge id {eid} dropped {len(dead) - 1} followers; "
@@ -376,7 +380,7 @@ def solve_exact(t: TrussSubgraph, b: int,
     chosen_set = set(best_set)
     records: list[IterationRecord] = []
     for e in best_set:
-        dead = t.cascade([e])
+        dead, _ = _commit(t, e)
         marginal = len([x for x in dead if x not in chosen_set])
         records.append(_record(t, e, marginal, ncomb, 0 if records else ncomb, start))
         start = time.perf_counter()
@@ -627,17 +631,23 @@ ALGORITHMS = tuple(_SOLVERS)
 
 
 def solve(g: Graph, cfg: SolverConfig) -> MinimizationReport:
-    """Take T_k from `k_truss`, run the configured solver, assemble the report.
+    """Lend the solver T_k, the graph's cached level, and assemble the report.
 
-    `k_truss` peels T_k on the first solve at k on a graph; later solves
-    at k clone the graph's cached copy.  Every solver returns no records
-    on an empty T_k.
+    The first solve at k on a graph peels T_k.  Every solve runs the
+    configured solver on a truss over the level's own alive bytes and
+    supports, reads the edge count its commits left, and has each commit
+    undone when the solver returns (`truss._lend`; `truss.parked`
+    describes the cycle).  A solver that raises leaves the level half
+    committed, so the level is evicted and the next solve at k peels
+    again.  Solves on one graph run one at a time.  Every solver returns
+    no records on an empty T_k.
     """
     start = time.perf_counter()
-    t = k_truss(g, cfg.k)
-    initial = t.edge_count
     solver = _SOLVERS[cfg.algorithm]
-    records = solver(t, cfg.b, cfg.exact_cap) if solver is solve_exact else solver(t, cfg.b)
+    with _lend(g, cfg.k) as t:
+        initial = t.edge_count
+        records = solver(t, cfg.b, cfg.exact_cap) if solver is solve_exact else solver(t, cfg.b)
+        final = t.edge_count
     if initial == 0:
         warnings = [f"the {cfg.k}-truss is empty; nothing to delete"]
     elif len(records) < cfg.b:
@@ -646,6 +656,6 @@ def solve(g: Graph, cfg: SolverConfig) -> MinimizationReport:
         warnings = []
     return MinimizationReport(
         k=cfg.k, b=cfg.b, algorithm=cfg.algorithm, iterations=records,
-        initial_truss_edges=initial, final_truss_edges=t.edge_count,
+        initial_truss_edges=initial, final_truss_edges=final,
         followers_total=sum(r.followers for r in records), b_effective=len(records),
         warnings=warnings, time_ms_total=(time.perf_counter() - start) * 1000.0)

@@ -18,17 +18,18 @@ per-triangle state: a triangle is alive exactly when its three edges are,
 and the peel walks the pairs of each edge's partner tuple
 (`Graph.triangle_index`).
 
-A peeled k-truss depends only on (graph, k), so `k_truss` keeps the
-graph's last two levels frozen on the graph and hands every caller a
-fresh clone: the solvers' repeated `solve()` calls on one graph peel each
-level once.  What the greedy solvers build on a level is kept the same
-way: each cached level carries a dict that `parked` hands out, created
-empty with the level and evicted with it, in which each group index
-waits, rolled back to the level's groups, for the next solve at that
-level, beside each scan order's rest form and `up_edge`'s frozen nested
-(k+1)-truss.  The level walks of `truss_decompose` and
-`update_after_deletion` start from an uncached peel (`_peel_graph`), so
-they neither fill nor evict those levels.
+A peeled k-truss depends only on (graph, k), so the graph keeps its last
+two levels live (`_level`): `k_truss` hands every caller a fresh clone,
+and `solve()` lends its solver the level's own truss and undoes the
+commits afterwards (`_lend`), so the solvers' repeated `solve()` calls
+on one graph peel each level once and copy none.  What the greedy
+solvers build on a level is kept the same way: each cached level carries
+a dict that `parked` hands out, created empty with the level and evicted
+with it, in which each group index waits, rolled back to the level's
+groups, for the next solve at that level, beside each scan order's rest
+form and `up_edge`'s frozen nested (k+1)-truss.  The level walks of
+`truss_decompose` and `update_after_deletion` start from an uncached peel
+(`_peel_graph`), so they neither fill nor evict those levels.
 `update_after_deletion` reruns that level walk over the graph minus the
 deleted edges, also in O(m + triangles); it is not a local repair.
 """
@@ -37,8 +38,9 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
+from contextlib import contextmanager
 from itertools import compress
-from typing import Container, Iterable, Optional
+from typing import Container, Iterable, Iterator, Optional
 
 from .errors import ContractViolation, require_int
 from .graph import Graph
@@ -108,11 +110,13 @@ def _peel(t: TrussSubgraph, seeds: Iterable[int], lowered: list[int],
     stops); `stop` is asked once per death, not per decrement.
     `t.edge_count` is left as it was.
 
-    While it runs, `alive[e]` is 2 for a dead edge still on the stack, whose
-    triangles are not yet broken; popping it sets 0.  So a popped edge's
-    pair (a, b) is a triangle still to break exactly when neither a nor b
-    was popped, and only the edges at 1 lose support.  A full peel pops
-    every dead edge; a stopped one leaves 2s for `_undo` to clear.
+    The walk runs breadth-first over the dead list itself, which grows
+    while it is walked.  While it runs, `alive[e]` is 2 for a dead edge the
+    walk has not reached, whose triangles are not yet broken; reaching it
+    sets 0.  So a reached edge's pair (a, b) is a triangle still to break
+    exactly when neither a nor b was reached, and only the edges at 1 lose
+    support.  A full peel reaches every dead edge; a stopped one leaves 2s
+    for `_undo` to clear.
     """
     partners = t.graph.triangle_index()
     alive, sup = t.alive, t.sup
@@ -123,9 +127,7 @@ def _peel(t: TrussSubgraph, seeds: Iterable[int], lowered: list[int],
             alive[e] = 2
             dead.append(e)
     lower = lowered.append
-    stack = list(dead)
-    while stack:
-        e = stack.pop()
+    for e in dead:  # grows while it is walked: breadth-first
         alive[e] = 0
         it = iter(partners[e])
         for a, b in zip(it, it):
@@ -141,7 +143,6 @@ def _peel(t: TrussSubgraph, seeds: Iterable[int], lowered: list[int],
                     dead.append(a)
                     if a in stop:
                         return dead
-                    stack.append(a)
             if alive[b] == 1:
                 sup[b] -= 1
                 lower(b)
@@ -150,7 +151,6 @@ def _peel(t: TrussSubgraph, seeds: Iterable[int], lowered: list[int],
                     dead.append(b)
                     if b in stop:
                         return dead
-                    stack.append(b)
     return dead
 
 
@@ -169,8 +169,9 @@ def _undo(t: TrussSubgraph, dead: list[int], lowered: list[int]) -> None:
 
 # Truss levels a graph keeps cached: with two, a caller that goes back to
 # a level after a solve at another one (k, k', k) peels it and builds its
-# groups once.  Each level costs 2m bytes frozen, 4m with its nested
-# (k+1)-truss, besides what is parked on it.
+# groups once.  Each level keeps its k-truss live, about 9m bytes (a byte
+# of alive flags and an 8-byte list slot of supports per edge), 2m more
+# with its frozen nested (k+1)-truss, besides what is parked on it.
 CACHED_LEVELS = 2
 
 
@@ -200,19 +201,21 @@ def _freeze(t: TrussSubgraph) -> tuple:
 
 
 def _thaw(g: Graph, k: int, level: tuple) -> TrussSubgraph:
+    """A truss of its own copied from a cached level or a frozen nested truss."""
     return TrussSubgraph(g, k, bytearray(level[0]), list(level[1]), level[2])
 
 
 def parked(t: TrussSubgraph) -> dict:
     """What is parked on the cached level `t.k`, when `t` is that level.
 
-    `t` is the level when its alive bytes and edge count equal the cached
-    ones.  `solve()` always hands a solver such a truss, but a caller of
-    `solve_gp_edge` or `solve_up_edge` may hand over one it has already
-    committed on, and gets a new empty dict that nothing keeps.  The groups
-    and the nested (k+1)-truss of a level depend on the graph and k alone,
-    so the greedy solvers park in the returned dict what they build from
-    them:
+    `t` is the level when it shares the level's alive bytes, as the truss
+    `solve()` lends its solver does, or when its alive bytes and edge count
+    equal the level's, as a fresh `k_truss` clone's do.  A caller of
+    `solve_gp_edge` or `solve_up_edge` may hand over a truss it has
+    already committed on, and gets a new empty dict that nothing keeps.
+    The groups and the nested (k+1)-truss of a level depend on the graph
+    and k alone, so the greedy solvers park in the returned dict what they
+    build from them:
 
     - `"upper"`: `up_edge`'s nested (k+1)-truss, frozen
       (`minimize._two_level_tau`), which a `k_truss` miss may peel from;
@@ -223,43 +226,53 @@ def parked(t: TrussSubgraph) -> dict:
       `array('q')` with 8 bytes a candidate (`minimize._rest_order`).
 
     The dict lives as long as the level: created empty with it and evicted
-    with it (`k_truss`).
+    with it (`_level`).
 
-    Each solve runs one cycle per index.  Lend: it pops the index, or
-    builds one when nothing is parked.  Commit: each of its commits to its
-    own clone of the level updates the index, which takes that truss as an
-    argument and keeps none.  Rollback: when the loop returns,
-    `rollback()` puts the index back to the level's groups.  Park: it
-    stores the index in the dict again.  The scan keys skip the
-    rollback: the solve commits to a copy of them and parks them as it
-    popped them.  A solve that raises parks nothing, so no
-    half-committed index is lent, and the next solve builds afresh.  The
-    nested truss is never lent: each solve thaws its own copy.
+    Each solve runs one cycle for the truss and one per index.  Lend:
+    `solve()` hands its solver the level's own arrays (`_lend`), and the
+    solver pops each index, or builds one.  Commit: each commit
+    (`minimize._commit`) cascades the truss, is journaled (`_journal`)
+    and updates the indexes, which take the truss as an argument and keep
+    none.  Rollback: `rollback()` puts each index back to the level's
+    groups when the loop returns, and `_lend` undoes the journal when the
+    solver returns.  Park: each index goes back into the dict.  The scan
+    keys skip the rollback: the solve commits to a copy of them.  A solve
+    that raises parks nothing, and `_lend` evicts the level, so nothing
+    half committed is lent again.  The nested truss is never lent: each
+    solve thaws its own copy.
     """
     level = t.graph._truss_cache.get(t.k)
-    if level is None or level[2] != t.edge_count or level[0] != t.alive:
+    if level is None or level[0] is not t.alive and (
+            level[2] != t.edge_count or level[0] != t.alive):
         return {}
     return level[3]
 
 
-def k_truss(g: Graph, k: int) -> TrussSubgraph:
-    """The k-truss of `g`, as a fresh `TrussSubgraph` the caller owns.
+def _journal(t: TrussSubgraph) -> list:
+    """Where a commit to `t` is recorded: the cached level's journal when `t`
+    shares the level's alive bytes, else `_DISCARD`, which keeps nothing."""
+    level = t.graph._truss_cache.get(t.k)
+    return level[4] if level is not None and level[0] is t.alive else _DISCARD
 
-    The peel depends only on (g, k), so the graph keeps its last
-    `CACHED_LEVELS` levels frozen (`_freeze`), each with the dict that
-    `parked` hands out, and a repeated call thaws one.  A miss thaws the
-    highest cached level below k, or the nested truss frozen on it
-    (`"upper"`, the level above it) when there is one, and peels that to
-    k; with no level below k it peels from scratch (`_peel_graph`).  It
+
+def _level(g: Graph, k: int) -> TrussSubgraph:
+    """The cached k-level of `g`, as a truss over the level's own arrays.
+
+    A level is kept live, as (alive bytes, supports list, edge count, the
+    dict `parked` hands out, the commit journal `_lend` undoes), and holds
+    no truss object, so nothing in the cache refers back to the graph.  A
+    miss copies the highest cached level below k, or thaws the nested
+    truss frozen on it (`"upper"`) when there is one, and peels that to k;
+    with no level below k it peels from scratch (`_peel_graph`).  It
     evicts the oldest level when the cache is full.  Only alive edges keep
-    exact supports afterwards: a peeled edge keeps whatever count it had
-    when it died, which may differ between the routes, and no reader
-    looks at the support of a dead edge.
+    exact supports: a peeled edge keeps the count it died with, which may
+    differ between the routes, and no reader looks at it.
     """
     require_int("k", k, 3)
     cache = g._truss_cache
-    if k in cache:
-        return _thaw(g, k, cache[k])
+    level = cache.get(k)
+    if level is not None:
+        return TrussSubgraph(g, k, level[0], level[1], level[2])
     below = max((j for j in cache if j < k), default=None)
     if below is None:
         t = _peel_graph(g, k)
@@ -269,8 +282,40 @@ def k_truss(g: Graph, k: int) -> TrussSubgraph:
         peel_to(t, k)
     if len(cache) >= CACHED_LEVELS:
         del cache[next(iter(cache))]  # the oldest level
-    cache[k] = (*_freeze(t), {})
+    cache[k] = (t.alive, t.sup, t.edge_count, {}, [])
     return t
+
+
+@contextmanager
+def _lend(g: Graph, k: int) -> Iterator[TrussSubgraph]:
+    """Lend the cached k-level of `g` (`_level`) for the block, then roll it back.
+
+    Each commit the block journals (`minimize._commit`) is undone with
+    `_undo` once the block ends, so the level's alive bytes and whole
+    supports list are as they were; its edge count is never written.  A
+    block that raises may have stopped mid-commit, so the level is
+    evicted instead.
+    """
+    t = _level(g, k)
+    try:
+        yield t
+    except BaseException:
+        del g._truss_cache[k]
+        raise
+    journal = _journal(t)
+    for dead, log in journal:
+        _undo(t, dead, log)
+    journal.clear()
+
+
+def k_truss(g: Graph, k: int) -> TrussSubgraph:
+    """The k-truss of `g`, as a fresh `TrussSubgraph` the caller owns.
+
+    The peel depends only on (g, k), so the graph keeps its last
+    `CACHED_LEVELS` levels live (`_level`), and every call hands out a
+    clone of one.
+    """
+    return _level(g, k).clone()
 
 
 def _level_walk(t: TrussSubgraph, tau: list[int]) -> list[int]:

@@ -100,8 +100,9 @@ def verify_equivalence(g: Graph, k: int, b: int) -> bool:
 def assert_no_queued_edge(t: TrussSubgraph) -> None:
     """Every `alive` byte of `t` is 0 or 1.
 
-    `truss._peel` marks a dead edge still on its stack with 2; no such mark
-    may outlive a full peel, or a stopped one once it is undone.
+    `truss._peel` marks a dead edge it has not yet reached with 2, and each
+    group growth marks the members it expands with 2; no such mark may
+    outlive a full peel, a stopped one once it is undone, or a growth.
     """
     assert set(t.alive) <= {0, 1}
 

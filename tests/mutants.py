@@ -132,6 +132,9 @@ PARKED_ROLLBACK = ("tests/test_minimize.py::TestParkedGroups::"
 PARKED_INTERLEAVED = ("tests/test_minimize.py::TestParkedGroups::"
                       "test_interleaved_budgets_and_an_evicting_sweep")
 PARKED_RAISES = "tests/test_minimize.py::TestParkedGroups::test_a_solve_that_raises_parks_nothing"
+LENT_LEVEL = ("tests/test_minimize.py::TestLentTruss::"
+              "test_every_solver_leaves_the_level_as_it_found_it")
+LENT_NO_COPY = "tests/test_minimize.py::TestLentTruss::test_a_warm_solve_copies_no_level"
 PARKED_KEPT = ("tests/test_minimize.py::TestParkedGroups::"
                "test_a_level_keeps_its_groups_across_solves_at_another_level")
 PARKED_LEVELS = "tests/test_truss.py::TestTrussCache::test_each_cached_level_parks_in_its_own_dict"
@@ -245,14 +248,23 @@ MUTANTS = (
            "level, e_min = min(compress(sup, alive)), -1",
            "level, e_min = max(compress(sup, alive)), -1",
            (SUPPORT_REFERENCE, SUPPORT_RISE)),
-    # the truss cache (`truss.k_truss`): a frozen bytearray is the one the
-    # caller mutates, and a support of 256 does not fit a byte; a miss
+    # the truss cache (`truss._level`, `truss.k_truss`): a caller owns the
+    # truss `k_truss` hands out, and a warm `solve()` lends the level's own
+    # arrays without a copy.  The nested freeze (`truss._freeze`) keeps
+    # bytes of its own, and a support of 256 does not fit a byte.  A miss
     # peels from the highest cached level below it, or from the nested
     # truss frozen on that level
-    Mutant("truss cache stores the bytearray", TRUSS,
+    Mutant("k_truss hands out the level itself", TRUSS,
+           "return _level(g, k).clone()", "return _level(g, k)",
+           (TRUSS_CACHE_MUTATED,)),
+    Mutant("a warm solve is lent a copy of the level", TRUSS,
+           "return TrussSubgraph(g, k, level[0], level[1], level[2])",
+           "return _thaw(g, k, level)",
+           (LENT_NO_COPY,)),
+    Mutant("the nested freeze keeps the peeled bytearray", TRUSS,
            "return bytes(t.alive), sup, t.edge_count", "return t.alive, sup, t.edge_count",
-           (TRUSS_CACHE_MUTATED, DUMP_AFTER_SOLVE)),
-    Mutant("the cache always uses 'B'", TRUSS,
+           (TWO_LEVEL_FRESH, PARKED_RANDOM)),
+    Mutant("the nested freeze always uses 'B'", TRUSS,
            '"B" if max(t.sup, default=0) < 256 else "i"', '"B"',
            (BOOK_256,)),
     Mutant("a miss peels only from k-1", TRUSS,
@@ -281,11 +293,14 @@ MUTANTS = (
     Mutant("a thawed nested truss shares the frozen supports", MINIMIZE,
            "frozen[1][:], frozen[2])", "frozen[1], frozen[2])",
            (TWO_LEVEL_FRESH,)),
-    # `solve_exact` commits its winner through the cascade, which keeps
-    # `edge_count`
+    # `solve_exact` commits its winner through `_commit`, whose cascade
+    # keeps `edge_count` and whose journal a lent level is rolled back from
     Mutant("exact commits its winner without edge_count", MINIMIZE,
-           "dead = t.cascade([e])", "dead = _peel(t, [e], [])",
+           "dead, _ = _commit(t, e)", "dead = _peel(t, [e], [])",
            (EXACT_LEAVES,)),
+    Mutant("exact commits its winner around the journal", MINIMIZE,
+           "dead, _ = _commit(t, e)", "dead = t.cascade([e])",
+           (LENT_LEVEL,)),
     Mutant("every exact record claims the enumeration", MINIMIZE,
            "0 if records else ncomb", "ncomb",
            (EXACT_COUNTS,)),
@@ -468,11 +483,21 @@ MUTANTS = (
     Mutant("refresh leaves a regrown group's touch set out of moved", GROUPS,
            "            moved.extend(record.touch)\n", "",
            (REFRESH_CHAIN, REFRESH_GIANT)),
-    Mutant("refresh keeps its walked marker across calls", GROUPS,
-           "    done = t.alive.translate(FLIP)\n    for e in sorted(grown):\n",
-           "    done = refresh_index.__dict__.setdefault(id(idx), t.alive.translate(FLIP))\n"
-           "    for e in sorted(grown):\n",
+    # each growth marks its members in the truss it is handed, whose alive
+    # bytes are current, and sets them back to 1 before it returns
+    Mutant("truss grower reads the alive bytes of its index's first growth", GROUPS,
+           "partners, alive, gid_of = t.graph.triangle_index(), t.alive, self.gid_of",
+           "partners, alive, gid_of = t.graph.triangle_index(), "
+           "GroupIndex._grow.__dict__.setdefault(id(self), bytearray(t.alive)), self.gid_of",
            (REFRESH_CHAIN, OVERLAP_REFRESH)),
+    Mutant("support grower leaves its last member marked", GROUPS,
+           "    for e in members:\n        alive[e] = 1\n    members.sort()",
+           "    for e in members[:-1]:\n        alive[e] = 1\n    members.sort()",
+           (REFRESH_CHAIN,)),
+    Mutant("truss grower leaves its last member marked", GROUPS,
+           "        for e in members:\n            alive[e] = 1\n",
+           "        for e in members[:-1]:\n            alive[e] = 1\n",
+           (REFRESH_CHAIN,)),
     # the stamp still decides membership at first touch, but no longer
     # keeps an edge out of the touch set twice
     Mutant("truss grower repeats touch entries", GROUPS,
@@ -491,13 +516,36 @@ MUTANTS = (
     # each index it uses, and parks it again only once the loop returns,
     # rolled back to the level's groups
     Mutant("reuse ignores the freshness check", TRUSS,
-           "if level is None or level[2] != t.edge_count or level[0] != t.alive:",
-           "if level is None:",
+           "if level is None or level[0] is not t.alive and (",
+           "if level is None or False and (",
            (PARKED_STALE, PARKED_LEVELS)),
+    Mutant("reuse takes the lent truss alone", TRUSS,
+           "if level is None or level[0] is not t.alive and (",
+           "if level is None or level[0] is not t.alive or (",
+           (PARKED_LEVELS, DUMP_AFTER_SOLVE)),
     Mutant("every level shares one parked dict", TRUSS,
-           "cache[k] = (*_freeze(t), {})",
-           "cache[k] = (*_freeze(t), [*cache.values(), (0, 0, 0, {})][0][3])",
+           "cache[k] = (t.alive, t.sup, t.edge_count, {}, [])",
+           "cache[k] = (t.alive, t.sup, t.edge_count, "
+           "[*cache.values(), (0, 0, 0, {})][0][3], [])",
            (PARKED_RANDOM, PARKED_KEPT, PARKED_LEVELS)),
+    # the lent level (`truss._lend`, `minimize._commit`): every commit is
+    # journaled, and once the solver returns the journal is undone, in
+    # full, and emptied; a solve that raises evicts the level instead
+    Mutant("a commit to the lent level goes unjournaled", MINIMIZE,
+           "    _journal(t).append((dead, log))\n", "",
+           (LENT_LEVEL,)),
+    Mutant("the rollback skips the last commit", TRUSS,
+           "    for dead, log in journal:\n", "    for dead, log in journal[:-1]:\n",
+           (LENT_LEVEL,)),
+    Mutant("the rollback restores no support", TRUSS,
+           "        _undo(t, dead, log)\n", "        _undo(t, dead, ())\n",
+           (LENT_LEVEL,)),
+    Mutant("the journal is never emptied", TRUSS,
+           "    journal.clear()\n", "",
+           (LENT_LEVEL,)),
+    Mutant("a raising solve keeps its level", TRUSS,
+           "        del g._truss_cache[k]\n", "        pass\n",
+           (PARKED_RAISES,)),
     Mutant("a solve never parks its support index", MINIMIZE,
            'groups["support"], groups[source] = support_groups, keys',
            'groups[source] = keys',

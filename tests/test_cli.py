@@ -345,13 +345,13 @@ class TestMinimize:
         grown = {"support_groups": 0, "truss_groups": 0}
         real_grow, real_grow_support = groups.GroupIndex._grow, groups._grow_support_group
 
-        def grow(idx, t, upper_alive, start, done, stamp):
+        def grow(idx, t, upper_alive, start, stamp):
             grown["truss_groups"] += 1
-            return real_grow(idx, t, upper_alive, start, done, stamp)
+            return real_grow(idx, t, upper_alive, start, stamp)
 
-        def grow_support(t, start, gid_of, done):
+        def grow_support(t, start, gid_of):
             grown["support_groups"] += 1
-            return real_grow_support(t, start, gid_of, done)
+            return real_grow_support(t, start, gid_of)
 
         monkeypatch.setattr(groups.GroupIndex, "_grow", grow)
         monkeypatch.setattr(groups, "_grow_support_group", grow_support)

@@ -146,9 +146,9 @@ class TestFindSupportGroups:
         for _, _, t in random_trusses(rng, 80):
             for grp in find_support_groups(t)[0]:
                 for x in grp.members[1:]:
+                    grower = t.clone()  # a growth that raises leaves its marks
                     with pytest.raises(AssertionError, match="reached group"):
-                        groups._grow_support_group(t, grp.representative, {x: x},
-                                                   t.alive.translate(groups.FLIP))
+                        groups._grow_support_group(grower, grp.representative, {x: x})
                     checked += 1
         assert checked > 100
 
@@ -304,9 +304,9 @@ class TestTrussGroupIndex:
                 for x in members[1:]:
                     idx = groups.GroupIndex(t.graph.m)
                     idx.gid_of[x] = x
+                    grower = t.clone()  # a growth that raises leaves its marks
                     with pytest.raises(AssertionError, match="reached group"):
-                        idx._grow(t, upper.alive, gid, t.alive.translate(groups.FLIP),
-                                  bytearray(t.graph.m))
+                        idx._grow(grower, upper.alive, gid, bytearray(t.graph.m))
                     checked += 1
         assert checked > 100
 
@@ -324,10 +324,10 @@ class TestTrussGroupIndex:
 
         real_grow = groups.GroupIndex._grow
 
-        def grow(idx, t, upper_alive, start, done, stamp):
+        def grow(idx, t, upper_alive, start, stamp):
             assert not any(stamp)
             counting = CountingStamp(stamp)
-            real_grow(idx, t, upper_alive, start, done, counting)
+            real_grow(idx, t, upper_alive, start, counting)
             assert not any(counting)
 
         monkeypatch.setattr(groups.GroupIndex, "_grow", grow)
@@ -509,6 +509,9 @@ class TestRefreshIndex:
         assert sorted(index.iter_candidates()) == candidates, context
 
     def test_refresh_equals_rebuild_over_random_deletion_chains(self, rng):
+        # every growth marks the members it expands with 2 in `t.alive` and
+        # sets them back to 1 before it returns, so each build, update,
+        # refresh and reference scan leaves `t.alive` at 0 or 1
         for _ in range(40):
             pairs = er_pairs(rng, rng.randint(6, 16), rng.uniform(0.35, 0.7))
             if not pairs:
@@ -516,7 +519,9 @@ class TestRefreshIndex:
             g = graph_of(pairs)
             k = rng.choice((3, 4, 5))
             t, upper, idx = nested_index(g, k)
+            assert_no_queued_edge(t)
             index = SupportGroupIndex(t)
+            assert_no_queued_edge(t)
             self.assert_matches_rebuild(g, t, upper, idx, f"level {k} build")
             assert_candidates_bounded(idx, index, f"level {k} build")
             order = list(range(g.m))
@@ -526,10 +531,13 @@ class TestRefreshIndex:
                 before = list(idx.bound)
                 moved = []
                 idx = refresh_index(idx, t, upper, dead, region, moved)
+                assert_no_queued_edge(t)
                 index.update(t, region, [])
+                assert_no_queued_edge(t)
                 context = f"level {k} diverged after deleting {g.original_pair(eid)}"
                 self.assert_matches_rebuild(g, t, upper, idx, context)
                 self.assert_support_groups_match(t, index, context)
+                assert_no_queued_edge(t)
                 assert_candidates_bounded(idx, index, context)
                 # a solver keeping its own copy of the bounds re-reads `moved` alone
                 assert {e for e in range(g.m) if idx.bound[e] != before[e]} <= set(moved), \

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -1355,21 +1356,28 @@ class TestParkedGroups:
         assert builds == [8, 10, 9, 8]
 
     def test_a_solve_that_raises_parks_nothing(self, monkeypatch):
-        # the second commit raises: the indexes the solve popped, or built,
-        # are half committed, and the next solve must not start from them;
-        # nor from the scan order's rest form, which it lent to copies.
-        # Every scan, in the solve that raises and the one after it, reads
-        # an order equal to a fresh one
+        # the second commit raises: the level's truss and the indexes the
+        # solve popped, or built, are half committed, and the next solve
+        # must not start from them; nor from the scan order's rest form,
+        # which it lent to copies.  So `solve()` evicts the level, with all
+        # that is parked on it, and no other level: the next solve at k
+        # peels it and builds its groups again.  A solver called directly
+        # on a clone of the level leaves the level cached, and parks
+        # nothing on it.  Every scan, in the solve that raises and the one
+        # after it, reads an order equal to a fresh one
         from trussmin import minimize
         pairs = synth.community_pairs(seed=2, scale=3)
         real_commit = minimize._commit
-        for algorithm in ("gp_edge", "up_edge"):
+        solvers = {"gp_edge": solve_gp_edge, "up_edge": solve_up_edge}
+        for algorithm, solver in solvers.items():
             cfg = SolverConfig(k=8, b=5, algorithm=algorithm)
             want = records_of(solve(graph_of(pairs), cfg))
-            for warm in (False, True):
+            for mode in ("cold", "warm", "direct"):
                 g = graph_of(pairs)
-                if warm:
+                if mode != "cold":
                     solve(g, cfg)
+                    solve(g, SolverConfig(k=9, b=1, algorithm=algorithm))
+                builds = counting_builds(monkeypatch, g)
                 commits = []
 
                 def commit(t, eid, expected=None):
@@ -1383,12 +1391,92 @@ class TestParkedGroups:
                     with monkeypatch.context() as patched:
                         patched.setattr(minimize, "_commit", commit)
                         with pytest.raises(RuntimeError, match="second commit"):
-                            solve(g, cfg)
-                    # the nested truss is never lent, so the one up_edge
-                    # froze on the level is left as peeled
-                    left = {"upper"} if algorithm == "up_edge" else set()
-                    assert parked_on(g, 8).keys() == left, (algorithm, warm)
-                    assert_parked_as_built(g, 8, cold_views(g, 8))
-                    assert records_of(solve(g, cfg)) == want, (algorithm, warm)
-                assert len(scans) == 2 + len(want), (algorithm, warm)
+                            if mode == "direct":
+                                solver(k_truss(g, 8), cfg.b)
+                            else:
+                                solve(g, cfg)
+                    if mode == "direct":
+                        # the nested truss is never lent, so the one up_edge
+                        # froze on the level is left as peeled
+                        left = {"upper"} if algorithm == "up_edge" else set()
+                        cached = [8, 9]
+                        assert list(g._truss_cache) == cached, (algorithm, mode)
+                        assert parked_on(g, 8).keys() == left, (algorithm, mode)
+                        assert_parked_as_built(g, 8, cold_views(g, 8))
+                    else:
+                        others = [] if mode == "cold" else [9]
+                        assert list(g._truss_cache) == others, (algorithm, mode)
+                        cached = others + [8]
+                    assert records_of(solve(g, cfg)) == want, (algorithm, mode)
+                    assert list(g._truss_cache) == cached, (algorithm, mode)
+                assert len(scans) == 2 + len(want), (algorithm, mode)
+                # up_edge builds once the raising solve is over, and a cold
+                # solve that raises has built once already
+                want_builds = [8, 8] if mode == "cold" else [8]
+                assert builds == (want_builds if algorithm == "up_edge" else []), \
+                    (algorithm, mode)
                 assert_parked_as_built(g, 8, cold_views(g, 8))
+
+
+class TestLentTruss:
+    """`solve()` lends its solver the cached level's own alive bytes and
+    supports (`truss._level`) and undoes every journaled commit once the
+    solver returns: each solve leaves the level as it found it, down to
+    the supports of its dead edges, and copies none of it."""
+
+    SOLVERS = {"exact": solve_exact, "support": solve_support, "baseline": solve_baseline,
+               "gp_edge": solve_gp_edge, "up_edge": solve_up_edge}
+
+    @staticmethod
+    def level_state(g, k) -> tuple:
+        """The cached k-level of `g`: alive bytes, whole supports list, edge count."""
+        alive, sup, edge_count = g._truss_cache[k][:3]
+        return bytes(alive), list(sup), edge_count
+
+    def test_every_solver_leaves_the_level_as_it_found_it(self, rng):
+        emptied = exact = 0
+        for g in memo_test_graphs(rng, 40):
+            k = rng.randint(3, 6)
+            cold = truss._peel_graph(g, k)
+            want_alive = cold.alive_edge_ids()
+            want_sup = [cold.sup[e] for e in want_alive]
+            k_truss(g, k)  # caches the level
+            before = self.level_state(g, k)
+            # the last budget empties the truss: each commit deletes an edge
+            for b in (1, 3, max(1, cold.edge_count)):
+                for algorithm, solver in self.SOLVERS.items():
+                    if algorithm == "exact" and math.comb(cold.edge_count, b) > 5_000:
+                        continue
+                    cfg = SolverConfig(k=k, b=b, algorithm=algorithm)
+                    own = k_truss(g, k)
+                    want = [(r.eid, r.followers) for r in (
+                        solver(own, b, cfg.exact_cap) if algorithm == "exact" else solver(own, b))]
+                    report = solve(g, cfg)
+                    assert [(r.eid, r.followers) for r in report.iterations] == want, cfg
+                    assert report.final_truss_edges == own.edge_count, cfg
+                    assert self.level_state(g, k) == before, cfg
+                    assert g._truss_cache[k][4] == [], cfg  # the journal is emptied
+                    t = k_truss(g, k)
+                    assert t.alive_edge_ids() == want_alive and t.edge_count == cold.edge_count
+                    assert [t.sup[e] for e in want_alive] == want_sup, cfg
+                    emptied += cold.edge_count > 0 and own.edge_count == 0
+                    exact += algorithm == "exact" and bool(want)
+        assert emptied > 50 and exact > 10
+
+    def test_a_warm_solve_copies_no_level(self, monkeypatch):
+        # after one solve of each kind at k, a later solve neither thaws nor
+        # clones a truss: up_edge's nested truss is copied from its frozen
+        # arrays, the one copy a warm solve makes
+        g = graph_of(synth.community_pairs(seed=2, scale=3))
+        algorithms = ("support", "baseline", "gp_edge", "up_edge")
+        first = [records_of(solve(g, SolverConfig(k=8, b=3, algorithm=a))) for a in algorithms]
+        copies = []
+        real_thaw, real_clone = truss._thaw, TrussSubgraph.clone
+        monkeypatch.setattr(truss, "_thaw", lambda g, k, level: (
+            copies.append(("thaw", k)) or real_thaw(g, k, level)))
+        monkeypatch.setattr(TrussSubgraph, "clone", lambda t: (
+            copies.append(("clone", t.k)) or real_clone(t)))
+        again = [records_of(solve(g, SolverConfig(k=8, b=3, algorithm=a))) for a in algorithms]
+        assert again == first and copies == []
+        k_truss(g, 8)
+        assert copies == [("clone", 8)]

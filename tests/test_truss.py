@@ -264,7 +264,7 @@ class TestTrussCache:
 
     def test_mutating_a_returned_truss_leaves_later_calls_alone(self, rng):
         for g, k in cold_trusses(rng, 60):
-            first, second = k_truss(g, k), k_truss(g, k)  # the peeled one, then a clone
+            first, second = k_truss(g, k), k_truss(g, k)  # each a clone of the level
             for t in (first, second):
                 alive = t.alive_edge_ids()
                 lowered = []
@@ -380,18 +380,24 @@ class TestTrussCache:
 
     @pytest.mark.parametrize("spokes, typecode", [(255, "B"), (256, "i")])
     def test_a_book_caches_and_thaws_its_supports(self, spokes, typecode):
-        # one spine edge (0, 1) in `spokes` triangles: its support is the
-        # largest, and one byte holds it only up to 255
-        pairs = [(0, 1)] + [(x, w) for w in range(2, spokes + 2) for x in (0, 1)]
+        # one spine edge (0, 1) in `spokes` triangles, its pages closed into
+        # a ring: every edge sits in at least two triangles, so the 4-truss
+        # nested in the 3-level is the whole book.  The spine's support is
+        # the largest, and the nested freeze's byte array holds it only up
+        # to 255; a cached level keeps its supports as a list
+        ring = list(range(2, spokes + 2))
+        pairs = [(0, 1)] + [(x, w) for w in ring for x in (0, 1)] + \
+            list(zip(ring, ring[1:] + ring[:1]))
         g = graph_of(pairs)
-        levels = {k: k_truss(g, k) for k in (3, 4)}  # each peeled, then cached
-        assert levels[3].sup[g.edge_id(0, 1)] == spokes and levels[4].edge_count == 0
-        # the 4-truss is empty: the spine died at support 1
-        assert [g._truss_cache[k][1].typecode for k in (3, 4)] == [typecode, "B"]
-        for k, peeled in levels.items():
-            thawed = k_truss(g, k)
-            assert thawed.sup == peeled.sup and thawed.alive == peeled.alive
-            assert_same_truss(thawed, truss._peel_graph(g, k))
+        t = k_truss(g, 3)
+        upper = _two_level_tau(t)
+        frozen = truss.parked(t)["upper"]
+        assert frozen[1].typecode == typecode and type(g._truss_cache[3][1]) is list
+        assert upper.sup[g.edge_id(0, 1)] == spokes and upper.edge_count == g.m
+        assert_same_truss(upper, truss._peel_graph(g, 4))
+        thawed = k_truss(g, 4)  # a miss that thaws the nested truss frozen on 3
+        assert list(g._truss_cache) == [3, 4] and thawed.sup == list(frozen[1])
+        assert_same_truss(thawed, truss._peel_graph(g, 4))
 
     def test_decomposition_neither_fills_nor_evicts(self, rng):
         for g, k in cold_trusses(rng, 20):
